@@ -80,6 +80,11 @@ echo "== chaos suite (fault-injection + cancellation + kill-a-shard sweeps) =="
 # SIGKILL them at seeded points; -count=1 keeps the process-level chaos
 # uncached.
 go test -race -count=1 -timeout 10m ./internal/chaos/ ./internal/govern/ ./internal/core/ ./internal/diskio/ ./internal/shard/ ./internal/netfault/ ./internal/metrics/
+# The striped in-memory join drives joinLoaded under the stats mutex
+# from its own scheduler units: seam geometry x dup method x algorithm x
+# workers against a nested-loops oracle, emission order through PairExec,
+# and cancellation at every kind of checkpoint.
+go test -race -count=1 -timeout 10m -run 'TestStripe' ./internal/pbsm/
 
 echo "== metrics endpoint smoke (/metrics exposition + progress) =="
 # A latency-slowed PBSM join scraped mid-flight over metrics.Handler:
@@ -88,6 +93,12 @@ echo "== metrics endpoint smoke (/metrics exposition + progress) =="
 # valid JSONL. The disabled-mode budget test bounds Config.Metrics==nil
 # overhead at 1% the same way the trace and cancellation budgets do.
 go test -count=1 -run 'TestMetricsEndpointSmoke|TestMetricsDisabledOverheadBudget' .
+
+echo "== repository benchmark smoke (pbsm_mem, traced pass) =="
+# One small in-memory workload through the benchmark's traced pass: the
+# benchmark's own oracle must accept every join and its gates
+# (unattributed share, zero disk retries) must hold.
+go run ./benchmark -workload pbsm_mem -scale 0.05 -seconds 0 -trace 1 | grep -q '"correct":true'
 
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)

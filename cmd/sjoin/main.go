@@ -145,7 +145,7 @@ func main() {
 	dup := flag.String("dup", "rpm", "PBSM duplicate removal: rpm, sort or tlsp")
 	mode := flag.String("mode", "replicate", "S3J mode: replicate or original")
 	memMB := flag.Float64("mem", 2.5, "memory budget in paper MB (20-byte KPEs)")
-	parallel := flag.Int("parallel", 1, "concurrent partition-pair joins (PBSM only)")
+	parallel := flag.Int("parallel", 1, "workers of the parallel phases of every method (0 = all processors, 1 = sequential)")
 	shards := flag.Int("shards", 1, "worker OS processes (PBSM+RPM only; >1 re-executes this binary with -shard-worker per shard)")
 	flag.Bool("shard-worker", false, "run as a shard worker process (frame protocol on stdin/stdout); handled before flag parsing")
 	workerListen := flag.String("worker-listen", "", "serve as a resident shard worker on this TCP address (e.g. :9400 or 127.0.0.1:0) instead of joining; prints 'listening <addr>' to stdout")
@@ -220,12 +220,12 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Method:       core.Method(*method),
-		Memory:       int64(*memMB * (1 << 20) * geom.KPESize / 20), // paper MB -> bytes of KPESize-byte KPEs
-		Algorithm:    sweep.Kind(*alg),
-		PBSMParallel: *parallel,
-		Shards:       *shards,
-		Deadline:     *timeout,
+		Method:    core.Method(*method),
+		Memory:    int64(*memMB * (1 << 20) * geom.KPESize / 20), // paper MB -> bytes of KPESize-byte KPEs
+		Algorithm: sweep.Kind(*alg),
+		Parallel:  *parallel,
+		Shards:    *shards,
+		Deadline:  *timeout,
 	}
 	if *shardEndpoints != "" {
 		for _, ep := range strings.Split(*shardEndpoints, ",") {

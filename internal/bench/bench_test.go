@@ -122,11 +122,13 @@ func TestFig4Shapes(t *testing.T) {
 
 func TestFig5Shapes(t *testing.T) {
 	s := testSuite()
-	fracs := []float64{0.05, 0.5, 1.3}
+	// Three budgets that partition (P >= 2), where Figure 5's curves live,
+	// and one where everything fits (P = 1).
+	fracs := []float64{0.05, 0.25, 0.8, 1.3}
 	rows, _ := RunFig5(s, fracs)
 	// More memory -> fewer partitions.
-	if !(rows[0].P > rows[1].P && rows[1].P >= rows[2].P) {
-		t.Fatalf("P must fall with memory: %d, %d, %d", rows[0].P, rows[1].P, rows[2].P)
+	if !(rows[0].P > rows[1].P && rows[1].P > rows[2].P && rows[2].P >= 2) {
+		t.Fatalf("P must fall with memory and stay >= 2: %d, %d, %d", rows[0].P, rows[1].P, rows[2].P)
 	}
 	// The list sweep's candidate tests grow as partitions get bigger; the
 	// trie's stay comparatively flat (the Figure 5 crossover mechanism).
@@ -137,6 +139,16 @@ func TestFig5Shapes(t *testing.T) {
 	trieGrowth := float64(rows[2].TrieTests) / float64(rows[0].TrieTests)
 	if trieGrowth >= listGrowth {
 		t.Fatalf("trie test growth (%.1fx) must stay below list growth (%.1fx)", trieGrowth, listGrowth)
+	}
+	// The upward list curve ends where partitioning does: at P = 1 the
+	// join is striped in memory (pbsm/stripes.go) and its status lists
+	// are shorter than those of two half-size partitions.
+	if rows[3].P != 1 {
+		t.Fatalf("memory at 1.3x the input must give P = 1, got %d", rows[3].P)
+	}
+	if rows[3].ListTests >= rows[2].ListTests {
+		t.Fatalf("list tests at P = 1 (%d) must fall below those at P = %d (%d)",
+			rows[3].ListTests, rows[2].P, rows[2].ListTests)
 	}
 }
 

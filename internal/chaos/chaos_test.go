@@ -50,11 +50,9 @@ func variants() []variant {
 		// Serial variants pin Parallel: 1 so the sweep keeps explicit
 		// coverage of the inline path regardless of GOMAXPROCS.
 		{"pbsm", core.Config{Method: core.PBSM, Parallel: 1}},
-		// Legacy PBSM-only worker override (kept for coverage of the
-		// override plumbing) alongside the shared-scheduler twins: every
-		// method's parallel phases under fault injection, cancellation,
-		// and the race detector.
-		{"pbsm-parallel", core.Config{Method: core.PBSM, PBSMParallel: 4}},
+		// The shared-scheduler twins: every method's parallel phases
+		// under fault injection, cancellation, and the race detector.
+		{"pbsm-parallel", core.Config{Method: core.PBSM, Parallel: 4}},
 		{"pbsm-dupsort", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort, Parallel: 1}},
 		{"pbsm-dupsort-parallel", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort, Parallel: 4}},
 		{"pbsm-tlsp", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP, Parallel: 1}},
@@ -329,7 +327,7 @@ func TestFaultsSurfaceInTrace(t *testing.T) {
 // TestParallelPBSMHealsToo exercises the healing path inside the worker
 // pool, where emission is concurrent.
 func TestParallelPBSMHealsToo(t *testing.T) {
-	v := variant{"pbsm-parallel", core.Config{Method: core.PBSM, PBSMParallel: 4}}
+	v := variant{"pbsm-parallel", core.Config{Method: core.PBSM, Parallel: 4}}
 	want, _, err := runOnce(v, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,11 @@ func TestNoTempFileLeakOnFailure(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			failed := 0
-			for seed := int64(1); seed <= 25; seed++ {
+			// 25 seeds; parallel variants draw their faults in the order
+			// the workers reach the disk, so which seeds fail there is a
+			// matter of timing, and once in ~30 runs none of the 25 did.
+			// Such a run goes on, to a cap, until the sweep is not vacuous.
+			for seed := int64(1); seed <= 25 || failed == 0 && seed <= 100; seed++ {
 				d := diskio.NewDisk(4096, 20, time.Microsecond)
 				// Heavy silent corruption defeats the retry budget and the
 				// healing path often enough to exercise many error exits.
@@ -52,7 +56,7 @@ func TestNoTempFileLeakOnFailure(t *testing.T) {
 			if failed == 0 {
 				t.Fatal("no run failed; leak check vacuous — raise the fault rates")
 			}
-			t.Logf("%s: %d/25 runs failed, zero leaks", v.name, failed)
+			t.Logf("%s: %d runs failed, zero leaks", v.name, failed)
 		})
 	}
 }

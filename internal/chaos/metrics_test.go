@@ -37,7 +37,7 @@ func sumLabeled(s metrics.Snapshot, name string) float64 {
 // parked at exactly 1.
 func TestMetricsReconcileWithResultStats(t *testing.T) {
 	reg := metrics.New()
-	v := variant{"pbsm-parallel", core.Config{Method: core.PBSM, PBSMParallel: 4}}
+	v := variant{"pbsm-parallel", core.Config{Method: core.PBSM, Parallel: 4}}
 	R, S := dataset()
 
 	reconciled, healedRuns := 0, 0

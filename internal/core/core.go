@@ -13,6 +13,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
+	"spatialjoin/internal/sched"
 	"spatialjoin/internal/sfc"
 	"spatialjoin/internal/shj"
 	"spatialjoin/internal/sssj"
@@ -79,20 +81,16 @@ type Config struct {
 	PBSMTuneFactor        float64
 	PBSMTilesPerPartition int
 	PBSMMaxRecurse        int
-	// PBSMParallel overrides Parallel for PBSM's join phase when
-	// non-zero, kept for callers that tuned it before the shared
-	// Parallel knob existed. Result pairs now arrive in deterministic
-	// (sequential) order at any worker count.
-	PBSMParallel int
 
 	// Shards, when > 1, executes the join as that many worker OS
 	// processes under the coordinator of package shard: each shard is
 	// its own fault domain with a private disk, temp-file registry and
 	// governor memory slice, supervised with heartbeats and restarted
-	// (or absorbed) on failure. Requires Method PBSM with DupRPM — the
-	// Reference Point Method's globally duplicate-free per-partition
-	// output is what makes multi-process merge correct — and the shard
-	// package linked in (importing it registers the executor). The
+	// (or absorbed) on failure. Requires Method PBSM with DupRPM or
+	// DupTLSP — a per-partition output that is globally duplicate-free
+	// on its own is what makes multi-process merge correct, so DupSort
+	// is rejected — and the shard package linked in (importing it
+	// registers the executor). The
 	// result set AND its emission order are identical at every shard
 	// count. Fields Disk and Trace's I/O attribution do not apply to
 	// the worker processes' private disks; I/O is aggregated in
@@ -201,14 +199,6 @@ func (c *Config) parallel() int {
 	return c.Parallel
 }
 
-// pbsmParallel honors the legacy PBSM-specific override when set.
-func (c *Config) pbsmParallel() int {
-	if c.PBSMParallel != 0 {
-		return c.PBSMParallel
-	}
-	return c.parallel()
-}
-
 func (c *Config) algorithm() sweep.Kind {
 	if c.Algorithm != "" {
 		return c.Algorithm
@@ -272,10 +262,19 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	}
 	chk := govern.NewCheck(ctx)
 
-	if err := validateInput("R", R, chk); err != nil {
-		return Result{}, joinerr.Wrap("core", "validate", err)
-	}
-	if err := validateInput("S", S, chk); err != nil {
+	// The two relations validate independently, as two scheduler units:
+	// against an in-memory join the serial scan was a tenth of the wall
+	// time. R's verdict is reported first, whichever unit finished first.
+	var invalid [2]error
+	err := sched.Run(2, sched.Options{Workers: cfg.parallel(), Cancel: chk}, func(_, i int) error {
+		if i == 0 {
+			invalid[0] = validateInput("R", R, chk)
+		} else {
+			invalid[1] = validateInput("S", S, chk)
+		}
+		return nil
+	})
+	if err = cmp.Or(err, invalid[0], invalid[1]); err != nil {
 		return Result{}, joinerr.Wrap("core", "validate", err)
 	}
 
@@ -397,7 +396,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			TuneFactor:        cfg.PBSMTuneFactor,
 			TilesPerPartition: cfg.PBSMTilesPerPartition,
 			MaxRecurse:        cfg.PBSMMaxRecurse,
-			Parallel:          cfg.pbsmParallel(),
+			Parallel:          cfg.parallel(),
 			Gov:               cfg.Governor,
 			BufPages:          cfg.BufPages,
 			Trace:             root,

@@ -227,24 +227,9 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 		sink(p)
 	}
 	if e.gs.Parts == 1 {
-		// Everything fits: one in-memory join over copies (the internal
-		// algorithm sorts its inputs in place).
-		pt := j.begin(PhaseJoin)
-		pt.sp.AddRecords(int64(len(rs) + len(ss)))
-		crs := append([]geom.KPE(nil), rs...)
-		css := append([]geom.KPE(nil), ss...)
-		var err error
-		if j.cfg.Dup == DupTLSP {
-			// Unreplicated inputs never got a class; see run's P == 1 path.
-			if err = clearClasses(crs, j.cfg.Cancel); err == nil {
-				err = clearClasses(css, j.cfg.Cancel)
-			}
-		}
-		if err == nil {
-			err = j.joinLoaded(j.alg, counted, crs, css, wholeSpace{}, wholeSpace{})
-		}
-		pt.end()
-		return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
+		// Everything fits: the same striped in-memory join as run's P == 1
+		// path, hence the same emission order.
+		return j.joinInMemory(rs, ss, counted)
 	}
 
 	// Write the pair's partition files exactly as the partition phase

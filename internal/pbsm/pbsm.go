@@ -22,6 +22,12 @@
 //     which tags every replicated copy with a secondary class so that
 //     most candidate pairs are ruled out without any geometric test
 //     (tlsp.go).
+//
+// When formula (1) yields P = 1 none of the phases above touches the
+// disk: the join phase cuts the data space into cache-sized y-stripes,
+// joins them as parallel units with the same internal algorithm, and
+// removes the duplicates the stripes introduce with the same three
+// methods (stripes.go).
 package pbsm
 
 import (
@@ -440,8 +446,9 @@ func (pt phaseTimer) end() {
 }
 
 // bump mutates the rarely-updated Stats counters (Healed, Repartitions,
-// MemoryOverflows): under the stats mutex when the join phase is
-// parallel, lock-free on the serial path.
+// MemoryOverflows, and the candidate counts of one whole sweep): under
+// the stats mutex when the join phase is parallel, lock-free on the
+// serial path.
 func (j *joiner) bump(f func()) {
 	if j.par {
 		j.mu.Lock()
@@ -482,29 +489,12 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	}
 
 	if p == 1 {
-		// Everything fits: a single in-memory join, no partition files.
-		j.cfg.Progress.SetTotal(1)
-		pt := j.begin(PhaseJoin)
-		pt.sp.AddRecords(int64(len(R) + len(S)))
-		rs := append([]geom.KPE(nil), R...)
-		ss := append([]geom.KPE(nil), S...)
-		var err error
-		if j.cfg.Dup == DupTLSP {
-			// No replication happened, so no copy ever got a class;
-			// whatever the caller left in Class must not veto results.
-			if err = clearClasses(rs, j.cfg.Cancel); err == nil {
-				err = clearClasses(ss, j.cfg.Cancel)
-			}
-		}
-		if err == nil {
-			err = j.joinLoaded(j.alg, j.deliver, rs, ss, wholeSpace{}, wholeSpace{})
-		}
-		pt.end()
-		if err != nil {
-			return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
+		// Everything fits: no partition files, the striped in-memory join
+		// of stripes.go.
+		if err := j.joinInMemory(R, S, j.deliver); err != nil {
+			return err
 		}
 		j.pairsDone.Inc()
-		j.cfg.Progress.Add(1)
 	} else {
 		var g *grid
 		if j.cfg.Dup == DupTLSP {
@@ -850,12 +840,18 @@ func (j *joiner) processPair(alg sweep.Algorithm, sink func(geom.Pair), fr, fs *
 }
 
 // joinLoaded runs the internal algorithm on an in-memory partition pair
-// and routes each produced pair through duplicate handling. In parallel
-// mode the per-result bookkeeping runs under the stats mutex; the sink
-// (a collector emit) then serializes ordered delivery itself.
+// and routes each produced pair through duplicate handling. The
+// per-candidate counters are kept on the stack and folded into the
+// shared Stats once per call, so parallel workers take the stats mutex
+// per sweep and not per candidate: a mutex and a counter touched from
+// every core for every candidate cost as many cache-line transfers as
+// there are candidates, and what a transfer costs depends on where the
+// cores sit. Only DupSort's shared result spool is still entered per
+// candidate. The sink (a collector emit) serializes ordered delivery
+// itself.
 func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []geom.KPE, regR, regS region) error {
 	var werr error
-	par := j.par
+	spool := j.par && j.cfg.Dup == DupSort
 	// Under TLSP the class test is the whole top-level duplicate story;
 	// a reference-point test is owed only when repartitioning wrapped
 	// inner regions around the pair (the class says nothing about which
@@ -866,11 +862,9 @@ func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []
 		_, sWhole := regS.(wholeSpace)
 		needRef = !rWhole || !sWhole
 	}
+	var raw, skipped, refTests int64
 	alg.Join(rs, ss, func(r, s geom.KPE) {
-		if par {
-			j.mu.Lock()
-		}
-		j.stats.RawResults++
+		raw++
 		switch j.cfg.Dup {
 		case DupRPM:
 			x := geom.RefPoint(r.Rect, s.Rect)
@@ -880,17 +874,23 @@ func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []
 			}
 		case DupSort:
 			if werr == nil {
+				if spool {
+					j.mu.Lock()
+				}
 				werr = j.dupWriter.Write(geom.Pair{R: r.ID, S: s.ID})
+				if spool {
+					j.mu.Unlock()
+				}
 			}
 		case DupTLSP:
 			if r.Class&s.Class != 0 {
 				// Another tile holds both corners' max: this copy pair
 				// provably duplicates that tile's result. Rejected by
 				// two bit operations, no reference point computed.
-				j.stats.TLSPSkipped++
+				skipped++
 				j.tlspSkipped.Inc()
 			} else if needRef {
-				j.stats.TLSPRefTests++
+				refTests++
 				x := geom.RefPoint(r.Rect, s.Rect)
 				if regR.contains(x) && regS.contains(x) {
 					sink(geom.Pair{R: r.ID, S: s.ID})
@@ -899,9 +899,11 @@ func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []
 				sink(geom.Pair{R: r.ID, S: s.ID})
 			}
 		}
-		if par {
-			j.mu.Unlock()
-		}
+	})
+	j.bump(func() {
+		j.stats.RawResults += raw
+		j.stats.TLSPSkipped += skipped
+		j.stats.TLSPRefTests += refTests
 	})
 	return werr
 }

@@ -1,9 +1,6 @@
 package pbsm
 
-import (
-	"spatialjoin/internal/geom"
-	"spatialjoin/internal/govern"
-)
+import "spatialjoin/internal/geom"
 
 // Two-Layer Space-oriented Partitioning (TLSP): the third answer to the
 // duplicate question, alongside the original sort phase and the paper's
@@ -114,19 +111,4 @@ func (g *grid) copiesOf(r geom.Rect, dst []copyDest, stamp []int, gen int) []cop
 		}
 	}
 	return dst
-}
-
-// clearClasses zeroes the Class byte of every KPE in ks. The unpartitioned
-// (P == 1) TLSP path joins raw input copies that never went through the
-// classing partitioner; whatever the caller left in Class must not be
-// mistaken for a TLSP tag there.
-func clearClasses(ks []geom.KPE, chk *govern.Check) error {
-	st := chk.Stride()
-	for i := range ks {
-		if err := st.Point(); err != nil {
-			return err
-		}
-		ks[i].Class = 0
-	}
-	return nil
 }

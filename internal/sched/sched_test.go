@@ -211,6 +211,44 @@ func TestCollectorSerialOrder(t *testing.T) {
 	}
 }
 
+// TestCollectorRecyclesBuffers: a flushed buffer serves the next unit that
+// has to buffer, and pairs written into a recycled buffer still come out
+// in unit order.
+func TestCollectorRecyclesBuffers(t *testing.T) {
+	var got []geom.Pair
+	c := NewCollector(5, func(p geom.Pair) { got = append(got, p) })
+	c.Emit(1, geom.Pair{R: 1, S: 0})
+	c.Emit(1, geom.Pair{R: 1, S: 1})
+	first := &c.buf[1][0]
+	c.Done(1)
+	c.Emit(0, geom.Pair{R: 0, S: 0})
+	c.Done(0) // flushes unit 1; unit 2 is the head now
+	if len(c.free) != 1 {
+		t.Fatalf("free list holds %d buffers after one flush, want 1", len(c.free))
+	}
+	c.Emit(3, geom.Pair{R: 3, S: 0})
+	if len(c.free) != 0 || &c.buf[3][0] != first {
+		t.Fatal("unit 3 did not take the flushed buffer of unit 1")
+	}
+	c.Emit(4, geom.Pair{R: 4, S: 0})
+	c.Done(4)
+	c.Done(3)
+	c.Emit(2, geom.Pair{R: 2, S: 0})
+	c.Done(2)
+	want := []geom.Pair{{R: 0, S: 0}, {R: 1, S: 0}, {R: 1, S: 1}, {R: 2, S: 0}, {R: 3, S: 0}, {R: 4, S: 0}}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pair %d = %+v, want %+v (sequence %+v)", i, got[i], want[i], got)
+		}
+	}
+	if len(c.free) != 2 {
+		t.Fatalf("free list holds %d buffers at the end, want 2", len(c.free))
+	}
+}
+
 // TestCollectorStreamsHead: pairs of the emission head unit reach the
 // sink immediately, preserving pipelining for in-order completions.
 func TestCollectorStreamsHead(t *testing.T) {
@@ -238,6 +276,64 @@ func TestCollectorConcurrent(t *testing.T) {
 		for k := 0; k < per; k++ {
 			c.Emit(i, geom.Pair{R: uint64(i), S: uint64(k)})
 		}
+		c.Done(i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n*per {
+		t.Fatalf("delivered %d pairs, want %d", len(got), n*per)
+	}
+	for i, p := range got {
+		if want := (geom.Pair{R: uint64(i / per), S: uint64(i % per)}); p != want {
+			t.Fatalf("pair %d = %+v, want %+v", i, p, want)
+		}
+	}
+}
+
+// TestCollectorEmitBatch: a batch is delivered as its pairs one by one
+// would be — streamed at the head, buffered (without keeping the caller's
+// slice) behind it — and batches and single pairs of one unit mix, under
+// the race detector with concurrent emitters.
+func TestCollectorEmitBatch(t *testing.T) {
+	var got []geom.Pair
+	c := NewCollector(2, func(p geom.Pair) { got = append(got, p) })
+	c.EmitBatch(0, nil)
+	batch := []geom.Pair{{R: 1, S: 0}, {R: 1, S: 1}}
+	c.EmitBatch(1, batch)
+	batch[0] = geom.Pair{R: 9, S: 9} // the caller reuses its slice
+	c.EmitBatch(0, []geom.Pair{{R: 0, S: 0}, {R: 0, S: 1}})
+	if len(got) != 2 {
+		t.Fatalf("head unit's batch delivered %d pairs at once, want 2", len(got))
+	}
+	c.Done(0)
+	c.Done(1)
+	want := []geom.Pair{{R: 0, S: 0}, {R: 0, S: 1}, {R: 1, S: 0}, {R: 1, S: 1}}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pair %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	const n, per = 16, 50
+	got = nil
+	c = NewCollector(n, func(p geom.Pair) { got = append(got, p) })
+	err := Run(n, Options{Workers: 8}, func(w, i int) error {
+		var out []geom.Pair
+		for k := 0; k < per; k++ {
+			if k%7 == 0 {
+				c.EmitBatch(i, out)
+				out = out[:0]
+				c.Emit(i, geom.Pair{R: uint64(i), S: uint64(k)})
+				continue
+			}
+			out = append(out, geom.Pair{R: uint64(i), S: uint64(k)})
+		}
+		c.EmitBatch(i, out)
 		c.Done(i)
 		return nil
 	})

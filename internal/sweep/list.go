@@ -17,6 +17,10 @@ import "spatialjoin/internal/geom"
 type ListSweep struct {
 	tests   int64
 	touches int64
+	// activeR and activeS are the sweep-line status, kept between Join
+	// calls so that the hundreds of small joins of one partitioned run
+	// reuse one pair of backing arrays.
+	activeR, activeS []geom.KPE
 }
 
 // Name implements Algorithm.
@@ -37,7 +41,7 @@ func (a *ListSweep) ResetTests() { a.tests, a.touches = 0, 0 }
 func (a *ListSweep) Join(rs, ss []geom.KPE, emit Emit) {
 	sortByXL(rs)
 	sortByXL(ss)
-	var activeR, activeS []geom.KPE
+	activeR, activeS := a.activeR[:0], a.activeS[:0]
 	i, j := 0, 0
 	for i < len(rs) || j < len(ss) {
 		fromR := j >= len(ss) || (i < len(rs) && rs[i].Rect.XL <= ss[j].Rect.XL)
@@ -53,6 +57,7 @@ func (a *ListSweep) Join(rs, ss []geom.KPE, emit Emit) {
 			activeS = append(activeS, s)
 		}
 	}
+	a.activeR, a.activeS = activeR, activeS
 }
 
 // expireAndProbe removes from active every rectangle whose right edge

@@ -12,7 +12,8 @@
 package sweep
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"spatialjoin/internal/geom"
 )
@@ -101,5 +102,5 @@ func (a *NestedLoops) Join(rs, ss []geom.KPE, emit Emit) {
 // sortByXL orders a slice of KPEs by the left edge of their rectangles,
 // the sweep order of both plane-sweep algorithms.
 func sortByXL(ks []geom.KPE) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i].Rect.XL < ks[j].Rect.XL })
+	slices.SortFunc(ks, func(a, b geom.KPE) int { return cmp.Compare(a.Rect.XL, b.Rect.XL) })
 }

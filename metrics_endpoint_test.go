@@ -100,7 +100,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	R := datagen.Uniform(41, 3000, 0.004)
 	S := datagen.Uniform(42, 3000, 0.004)
 	cfg := core.Config{
-		Method: core.PBSM, Memory: 32 << 10, PBSMParallel: 4,
+		Method: core.PBSM, Memory: 32 << 10, Parallel: 4,
 		Disk: d, Metrics: reg,
 	}
 

@@ -65,7 +65,7 @@ func TestMetricsDisabledOverheadBudget(t *testing.T) {
 	S := datagen.Uniform(32, 4000, 0.004)
 	start := time.Now()
 	_, res, err := core.Collect(R, S, core.Config{
-		Method: core.PBSM, Memory: 64 << 10, PBSMParallel: 4,
+		Method: core.PBSM, Memory: 64 << 10, Parallel: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
