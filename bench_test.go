@@ -180,7 +180,7 @@ func BenchmarkMethodsComparison(b *testing.B) {
 // pointer test) versus a full recorder capturing spans, counters and
 // histograms. The delta between the two is an upper bound on what the
 // nil path can possibly cost over uninstrumented code; the enforced
-// budget test is TestNilRecorderOverheadBudget.
+// budget test is TestOverheadBudget/trace.
 func BenchmarkJoinPBSMNilRecorder(b *testing.B) {
 	R := datagen.Uniform(11, 4000, 0.004)
 	S := datagen.Uniform(12, 4000, 0.004)

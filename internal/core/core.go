@@ -68,9 +68,10 @@ type Config struct {
 	// sorts and the run formation and merge groups inside each external
 	// sort), all running on the shared scheduler of package sched. Zero
 	// selects GOMAXPROCS; 1 (or negative) forces sequential execution.
-	// The result set AND its emission order are identical at every
-	// worker count — parallelism changes only wall-clock time, never
-	// the simulated I/O accounting.
+	// The result set, its emission order and the total simulated I/O are
+	// identical at every worker count. Wall-clock time is not, and nor is
+	// PBSM's per-phase I/O split or its first-result I/O clock (see
+	// pbsm.Stats.PhaseIO and FirstResultIO).
 	Parallel int
 
 	// PBSMDup selects PBSM's duplicate-elimination strategy; default

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"spatialjoin/internal/lint"
@@ -14,14 +15,30 @@ import (
 
 var analyzerNames = []string{"atomicmix", "checkpoint", "goexit", "guardedby", "joinwrap", "kindswitch", "lockorder", "metricname", "registry", "shardwrap", "spanend", "wrapverb"}
 
-// runFixture loads one testdata fixture package with a fresh driver and
-// runs a single analyzer over it.
+var (
+	loadOnce sync.Once
+	loaded   *lint.Driver
+	loadErr  error
+)
+
+// newDriver returns a driver with fresh diagnostic state for one Run.
+// All drivers of the test binary share one package load (Driver.Fork):
+// type-checking the standard library and the module from source is what
+// a fresh lint.NewDriver per test used to spend its seconds on.
+func newDriver(t *testing.T) *lint.Driver {
+	t.Helper()
+	loadOnce.Do(func() { loaded, loadErr = lint.NewDriver(".") })
+	if loadErr != nil {
+		t.Fatalf("NewDriver: %v", loadErr)
+	}
+	return loaded.Fork()
+}
+
+// runFixture loads one testdata fixture package and runs a single
+// analyzer over it.
 func runFixture(t *testing.T, analyzer, fixture string) ([]lint.Diagnostic, *lint.Driver) {
 	t.Helper()
-	d, err := lint.NewDriver(".")
-	if err != nil {
-		t.Fatalf("NewDriver: %v", err)
-	}
+	d := newDriver(t)
 	as, err := lint.ByName(analyzer)
 	if err != nil {
 		t.Fatalf("ByName(%q): %v", analyzer, err)
@@ -212,10 +229,7 @@ func TestModuleIsAnalyzerClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; run without -short")
 	}
-	d, err := lint.NewDriver(".")
-	if err != nil {
-		t.Fatalf("NewDriver: %v", err)
-	}
+	d := newDriver(t)
 	diags, err := d.Run([]string{"./..."}, lint.Analyzers())
 	if err != nil {
 		t.Fatalf("Run: %v", err)

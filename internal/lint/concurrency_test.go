@@ -13,15 +13,12 @@ import (
 // concurrency-contract layer.
 const concurrencyAnalyzers = "guardedby,atomicmix,lockorder,goexit"
 
-// runConcurrencySuite loads several fixture packages with one fresh
-// driver and runs all four concurrency analyzers over them, returning
+// runConcurrencySuite loads several fixture packages with one driver
+// and runs all four concurrency analyzers over them, returning
 // the merged report.
 func runConcurrencySuite(t *testing.T) ([]lint.Diagnostic, *lint.Driver) {
 	t.Helper()
-	d, err := lint.NewDriver(".")
-	if err != nil {
-		t.Fatalf("NewDriver: %v", err)
-	}
+	d := newDriver(t)
 	as, err := lint.ByName(concurrencyAnalyzers)
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
@@ -121,10 +118,7 @@ func TestLockorderContractEdgeRealized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks internal/shard and internal/sched; run without -short")
 	}
-	d, err := lint.NewDriver(".")
-	if err != nil {
-		t.Fatalf("NewDriver: %v", err)
-	}
+	d := newDriver(t)
 	as, err := lint.ByName("lockorder")
 	if err != nil {
 		t.Fatalf("ByName: %v", err)

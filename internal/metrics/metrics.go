@@ -25,8 +25,8 @@
 // returns immediately. A nil *Registry returns nil handles, and every
 // update on a nil handle is a single pointer test — so a stack built
 // with metrics calls in place pays ≤1% of its uninstrumented runtime
-// when no registry is attached (asserted by TestMetricsOverheadBudget
-// at the repository root).
+// when no registry is attached (asserted by
+// TestOverheadBudget/metrics at the repository root).
 //
 // # Naming
 //

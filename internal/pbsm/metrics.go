@@ -62,14 +62,14 @@ func (j *joiner) publishMetrics() {
 // iocost.PairCost model the shard coordinator assigns by, and declares
 // the sum as the join's planned cost. NumKPEs is length-derived, so
 // pricing here is free of I/O charge. No-op without a Progress.
-func (j *joiner) initProgress(filesR, filesS []*diskio.File, p int) {
+func (j *joiner) initProgress(filesR, filesS []*diskio.File) {
 	if j.cfg.Progress == nil {
 		return
 	}
 	dev := iocost.Device{PageSize: j.cfg.Disk.PageSize(), PT: j.cfg.Disk.PT(), BufPages: j.cfg.bufPages()}
-	j.pairCost = make([]float64, p)
+	j.pairCost = make([]float64, len(filesR))
 	total := 0.0
-	for i := 0; i < p; i++ {
+	for i := range filesR {
 		c := iocost.PairCost(recfile.NumKPEs(filesR[i]), recfile.NumKPEs(filesS[i]), j.cfg.Memory, dev)
 		if c <= 0 {
 			c = 1 // empty pairs still count one unit so done can reach total

@@ -16,8 +16,8 @@ import (
 // This file is the pair-subset execution API the shard layer builds on:
 // a coordinator plans the top-level grid ONCE from the full inputs
 // (PlanGrid), derives any partition's records from source on demand
-// (PartitionSlices — the same derivation the partition phase and the
-// heal path use), and executes individual partition pairs through a
+// (PartitionSlices — the same scatter the partition phase and the heal
+// path run), and executes individual partition pairs through a
 // PairExec. Because the grid, the memory budget and the repartition
 // recursion are identical to a single-process run, each pair's emitted
 // pair sequence is identical too — and under the Reference Point Method
@@ -99,56 +99,16 @@ func PartitionSlices(ks []geom.KPE, gs GridSpec, parts []int, chk *govern.Check)
 		}
 		return out, nil
 	}
-	g := gs.grid()
-	stamp := make([]int, g.parts)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	scratch := make([]copyDest, 0, 8)
-	st := chk.Stride()
-	for idx := range ks {
-		if err := st.Point(); err != nil {
-			return nil, joinerr.Wrap("pbsm", "partition", err)
+	err := gs.grid().scatter(ks, chk, func(part int, k geom.KPE) error {
+		if slice, ok := out[part]; ok {
+			out[part] = append(slice, k)
 		}
-		scratch = g.copiesOf(ks[idx].Rect, scratch[:0], stamp, idx)
-		for _, d := range scratch {
-			if slice, ok := out[d.part]; ok {
-				k := ks[idx]
-				k.Class = d.class
-				out[d.part] = append(slice, k)
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, joinerr.Wrap("pbsm", "partition", err)
 	}
 	return out, nil
-}
-
-// PartitionCounts returns how many record copies of ks land in each
-// top-level partition (replication included) — the per-partition load
-// the coordinator feeds into the cost model when assigning partitions
-// to shards.
-func PartitionCounts(ks []geom.KPE, gs GridSpec, chk *govern.Check) ([]int64, error) {
-	counts := make([]int64, gs.Parts)
-	if gs.Parts == 1 {
-		counts[0] = int64(len(ks))
-		return counts, nil
-	}
-	g := gs.grid()
-	stamp := make([]int, g.parts)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	scratch := make([]copyDest, 0, 8)
-	st := chk.Stride()
-	for idx := range ks {
-		if err := st.Point(); err != nil {
-			return nil, joinerr.Wrap("pbsm", "partition", err)
-		}
-		scratch = g.copiesOf(ks[idx].Rect, scratch[:0], stamp, idx)
-		for _, d := range scratch {
-			counts[d.part]++
-		}
-	}
-	return counts, nil
 }
 
 // PairExec executes individual top-level partition pairs of one planned
@@ -167,9 +127,8 @@ func PartitionCounts(ks []geom.KPE, gs GridSpec, chk *govern.Check) ([]int64, er
 // A PairExec is not safe for concurrent use; one goroutine runs pairs
 // sequentially.
 type PairExec struct {
-	j  *joiner
+	j  *joiner // j.grid is nil when gs.Parts == 1
 	gs GridSpec
-	g  *grid // nil when gs.Parts == 1
 }
 
 // NewPairExec validates cfg against gs and prepares an executor.
@@ -177,18 +136,11 @@ type PairExec struct {
 // DupRPM (the default) or DupTLSP, matching the TLSP-ness of the
 // planned grid.
 func NewPairExec(cfg Config, gs GridSpec) (*PairExec, error) {
-	if cfg.Disk == nil {
-		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Disk is required"))
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Memory <= 0 {
-		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
-	}
-	switch cfg.Dup {
-	case DupRPM, DupTLSP:
-	case DupSort:
+	if cfg.Dup == DupSort {
 		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("pair-subset execution requires a duplicate-free-by-construction method (DupRPM or DupTLSP), got %v", cfg.Dup))
-	default:
-		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("unknown Config.Dup %v (valid: %v, %v, %v)", cfg.Dup, DupRPM, DupSort, DupTLSP))
 	}
 	if !gs.Valid() {
 		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("invalid grid spec %+v", gs))
@@ -203,7 +155,7 @@ func NewPairExec(cfg Config, gs GridSpec) (*PairExec, error) {
 	e.j.resolveCounters()
 	e.j.stats.P = gs.Parts
 	if gs.Parts > 1 {
-		e.g = gs.grid()
+		e.j.grid = gs.grid()
 		e.j.stats.NT = gs.NX * gs.NY
 	}
 	return e, nil
@@ -242,27 +194,18 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 	j.stats.CopiesR += int64(len(rs))
 	j.stats.CopiesS += int64(len(ss))
 	pt.end()
-	remove := func() {
+	defer func() {
 		j.reg.Remove(fr)
 		j.reg.Remove(fs)
+	}()
+	if errR == nil {
+		errR = errS
 	}
 	if errR != nil {
-		remove()
 		return joinerr.Wrap("pbsm", PhasePartition.String(), errR)
 	}
-	if errS != nil {
-		remove()
-		return joinerr.Wrap("pbsm", PhasePartition.String(), errS)
-	}
-	// Same region convention as processTopPair: RPM tests reference
-	// points against the partition's tile set; TLSP's top-level dedup is
-	// the class test, so the region chain starts empty.
-	var reg region = gridRegion{g: e.g, part: part}
-	if j.cfg.Dup == DupTLSP {
-		reg = wholeSpace{}
-	}
+	reg := j.topRegion(part)
 	err := j.processPair(j.alg, counted, fr, fs, reg, reg, 0)
-	remove()
 	// In-process healing re-derives from base inputs this executor does
 	// not hold; at shard granularity the retry-with-rederivation happens
 	// one level up, so the healable marker is stripped to its cause.
@@ -287,10 +230,7 @@ func (e *PairExec) writeSide(ks []geom.KPE) (*diskio.File, error) {
 			return f, err
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return f, err
-	}
-	return f, nil
+	return f, w.Flush()
 }
 
 // Stats returns the executor's accumulated statistics. Call it once,

@@ -7,6 +7,7 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/recfile"
 )
 
 // TestPairExecMatchesJoin proves the pair-subset API's core contract:
@@ -79,30 +80,70 @@ func TestPairExecMatchesJoin(t *testing.T) {
 	}
 }
 
-// TestPartitionCountsMatchSlices cross-checks the two derivations.
-func TestPartitionCountsMatchSlices(t *testing.T) {
-	R := datagen.Uniform(73, 800, 0.004)
-	cfg := Config{Memory: 24 << 10}
-	gs := PlanGrid(len(R), len(R), cfg)
-	if gs.Parts < 2 {
-		t.Fatalf("want a multi-partition grid, got %d", gs.Parts)
+// TestScatterCallersAgree pins the single routing loop from its three
+// callers: per partition, the partition phase's file read back, the
+// PartitionSlices slice and the heal path's re-derived file hold the
+// same records in the same order with the same Class — on a hashed and
+// a TLSP grid, for rectangles on tile seams, at coordinates 0 and 1, and
+// spanning the domain.
+func TestScatterCallersAgree(t *testing.T) {
+	ks := datagen.Uniform(73, 300, 0.3)
+	for _, r := range []geom.Rect{
+		geom.NewRect(0, 0, 1, 1),              // the whole domain
+		geom.NewRect(0, 0, 0, 0),              // degenerate at the origin
+		geom.NewRect(1, 1, 1, 1),              // degenerate at the far corner
+		geom.NewRect(0.25, 0.25, 0.5, 0.5),    // all four edges on 4×4 seams
+		geom.NewRect(0.5, 0, 0.5, 1),          // zero-width, on a seam, full height
+		geom.NewRect(0, 1.0/3, 1, 2.0/3),      // edges on the 3-row seams, full width
+		geom.NewRect(0.75, 0.75, 1, 1),        // seam to far boundary
+		geom.NewRect(0.1, 0.24999, 0.2, 0.25), // top edge exactly on a seam
+	} {
+		ks = append(ks, geom.KPE{ID: uint64(1000 + len(ks)), Rect: r})
 	}
-	counts, err := PartitionCounts(R, gs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]int, gs.Parts)
-	for i := range parts {
-		parts[i] = i
-	}
-	slices, err := PartitionSlices(R, gs, parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range counts {
-		if int64(len(slices[i])) != c {
-			t.Errorf("partition %d: count %d, slice length %d", i, c, len(slices[i]))
+	for _, gs := range []GridSpec{
+		{NX: 4, NY: 4, Parts: 5},
+		{NX: 4, NY: 3, Parts: 12, TLSP: true},
+	} {
+		d := newDisk()
+		j := &joiner{cfg: Config{Disk: d, Memory: 1 << 20}, reg: d.NewRegistry(), grid: gs.grid()}
+		files, copies, err := j.partitionInput(ks)
+		if err != nil {
+			t.Fatalf("%+v: partitionInput: %v", gs, err)
 		}
+		parts := make([]int, gs.Parts)
+		for i := range parts {
+			parts[i] = i
+		}
+		slices, err := PartitionSlices(ks, gs, parts, nil)
+		if err != nil {
+			t.Fatalf("%+v: PartitionSlices: %v", gs, err)
+		}
+		var total int64
+		for _, p := range parts {
+			total += int64(len(slices[p]))
+			healed, err := j.rederive(ks, p)
+			if err != nil {
+				t.Fatalf("%+v: rederive(%d): %v", gs, p, err)
+			}
+			for name, f := range map[string]*diskio.File{"partition file": files[p], "rederived file": healed} {
+				got, err := recfile.ReadAllKPEs(f, 2)
+				if err != nil {
+					t.Fatalf("%+v: reading %s %d: %v", gs, name, p, err)
+				}
+				if len(got) != len(slices[p]) {
+					t.Fatalf("%+v: %s %d holds %d records, slice %d", gs, name, p, len(got), len(slices[p]))
+				}
+				for i := range got {
+					if got[i] != slices[p][i] {
+						t.Fatalf("%+v: %s %d record %d = %+v, slice has %+v", gs, name, p, i, got[i], slices[p][i])
+					}
+				}
+			}
+		}
+		if copies != total || total <= int64(len(ks)) {
+			t.Fatalf("%+v: %d copies written, slices hold %d, input %d (want replication)", gs, copies, total, len(ks))
+		}
+		j.reg.Sweep()
 	}
 }
 

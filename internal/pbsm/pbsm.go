@@ -160,8 +160,10 @@ type Config struct {
 	// scheduler of package sched. Each worker joins its pairs with a
 	// private internal algorithm; result pairs are buffered per pair and
 	// released in partition order, so the emitted sequence is IDENTICAL
-	// to a sequential run's. Parallelism changes only wall-clock time,
-	// never the I/O cost accounting, the result set or its order.
+	// to a sequential run's. Parallelism never changes the result set,
+	// its order, the Stats counters or the TOTAL I/O charged; it does
+	// change wall-clock time and how that total splits over the phases
+	// (see Stats.PhaseIO).
 	Parallel int
 	// Gov, when non-nil, admission-controls the memory the extra
 	// parallel workers claim beyond the join's own admission (one
@@ -237,6 +239,23 @@ func (c *Config) bufPagesFor(streams int) int {
 	return per
 }
 
+// validate rejects a Config no PBSM entry point can run: the one check
+// Join and NewPairExec share.
+func (c *Config) validate() error {
+	if c.Disk == nil {
+		return joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Disk is required"))
+	}
+	if c.Memory <= 0 {
+		return joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Memory must be positive, got %d", c.Memory))
+	}
+	switch c.Dup {
+	case DupRPM, DupSort, DupTLSP:
+		return nil
+	}
+	return joinerr.Wrap("pbsm", "config",
+		fmt.Errorf("unknown Config.Dup %v (valid: %v, %v, %v)", c.Dup, DupRPM, DupSort, DupTLSP))
+}
+
 // Stats reports what a PBSM join did. Simulated I/O and measured CPU are
 // kept per phase so the experiments of Figures 3 and 6 can be read off
 // directly.
@@ -261,13 +280,22 @@ type Stats struct {
 	TLSPSkipped  int64
 	TLSPRefTests int64
 
+	// PhaseIO and PhaseCPU split the join's I/O and wall time over the
+	// phases. Only the totals are invariant under Config.Parallel: with
+	// one worker every repartition split and heal charges its own phase
+	// (the split Figures 3 and 6 read); with more, the workers overlap,
+	// so one timer around the whole region charges everything inside it —
+	// repartition and heal I/O included — to PhaseJoin, and
+	// PhaseRepartition reads zero.
 	PhaseIO  [numPhases]diskio.Stats
 	PhaseCPU [numPhases]time.Duration
 
 	// FirstResultCPU and FirstResultIO capture the elapsed CPU time and
 	// the simulated I/O cost units consumed when the first result reached
 	// the caller: the pipelining measure of §3.1 — with DupSort no result
-	// appears before the final sort starts scanning.
+	// appears before the final sort starts scanning. With more than one
+	// worker FirstResultIO is timing-dependent: it includes whatever the
+	// other workers had charged by then, and differs from run to run.
 	FirstResultCPU time.Duration
 	FirstResultIO  float64
 }
@@ -302,17 +330,8 @@ func (s *Stats) ReplicationRate(nr, ns int) float64 {
 // Join computes the spatial intersection join of R and S, delivering each
 // result pair exactly once to emit. The inputs are never modified.
 func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
-	if cfg.Disk == nil {
-		return Stats{}, joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Disk is required"))
-	}
-	if cfg.Memory <= 0 {
-		return Stats{}, joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
-	}
-	switch cfg.Dup {
-	case DupRPM, DupSort, DupTLSP:
-	default:
-		return Stats{}, joinerr.Wrap("pbsm", "config",
-			fmt.Errorf("unknown Config.Dup %v (valid: %v, %v, %v)", cfg.Dup, DupRPM, DupSort, DupTLSP))
+	if err := cfg.validate(); err != nil {
+		return Stats{}, err
 	}
 	j := &joiner{cfg: cfg, alg: sweep.New(cfg.Algorithm), reg: cfg.Disk.NewRegistry()}
 	j.resolveCounters()
@@ -367,9 +386,11 @@ type joiner struct {
 	par bool
 	mu  sync.Mutex
 
-	// baseR/baseS/grid are kept for self-healing: when a top-level
-	// partition file fails checksum verification before its pair emitted
-	// anything, the partition is re-derived from the base inputs.
+	// grid is the top-level grid (nil when P = 1): the partition phase
+	// scatters through it and topRegion reads it. baseR/baseS are kept for
+	// self-healing: when a top-level partition file fails checksum
+	// verification before its pair emitted anything, the partition is
+	// re-derived from the base inputs.
 	baseR, baseS []geom.KPE
 	grid         *grid
 
@@ -474,13 +495,8 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	j.startUnits = j.cfg.Disk.Stats().CostUnits
 	j.emit = emit
 
-	// Phase 1: compute P via formula (1) with the tuning factor and
-	// partition both relations.
-	p := int(math.Ceil(j.cfg.tune() * float64(int64(len(R)+len(S))*geom.KPESize) / float64(j.cfg.Memory)))
-	if p < 1 {
-		p = 1
-	}
-	j.stats.P = p
+	gs := PlanGrid(len(R), len(S), j.cfg)
+	j.stats.P = gs.Parts
 
 	var dupFile *diskio.File
 	if j.cfg.Dup == DupSort {
@@ -488,7 +504,7 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		j.dupWriter = recfile.NewPairWriter(dupFile, j.cfg.bufPages())
 	}
 
-	if p == 1 {
+	if gs.Parts == 1 {
 		// Everything fits: no partition files, the striped in-memory join
 		// of stripes.go.
 		if err := j.joinInMemory(R, S, j.deliver); err != nil {
@@ -496,103 +512,16 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		}
 		j.pairsDone.Inc()
 	} else {
-		var g *grid
-		if j.cfg.Dup == DupTLSP {
-			// TLSP: tiles are partitions, and the count may round up past
-			// formula (1)'s p to fill the rectangle of tiles.
-			g = newTLSPGrid(p)
-			p = g.parts
-			j.stats.P = p
-		} else {
-			g = newGrid(p*j.cfg.tilesPerPart(), p)
+		j.stats.NT = gs.NX * gs.NY
+		j.baseR, j.baseS, j.grid = R, S, gs.grid()
+		// Phase 1, then phases 2+3: repartition as needed and join each
+		// pair.
+		filesR, filesS, err := j.partitionPhase()
+		if err != nil {
+			return err
 		}
-		j.stats.NT = g.nx * g.ny
-		j.baseR, j.baseS, j.grid = R, S, g
-
-		pt := j.begin(PhasePartition)
-		pt.sp.AddRecords(int64(len(R) + len(S)))
-		pt.sp.SetAttr("partitions", int64(p))
-		filesR, copiesR, errR := j.partitionInput(R, g)
-		filesS, copiesS, errS := j.partitionInput(S, g)
-		j.stats.CopiesR, j.stats.CopiesS = copiesR, copiesS
-		pt.sp.SetAttr("copies", copiesR+copiesS)
-		pt.end()
-		// Partition files are registered at creation; the joiner's sweep
-		// removes whatever this run leaves behind, on every exit path.
-		if errR != nil {
-			return joinerr.Wrap("pbsm", PhasePartition.String(), errR)
-		}
-		if errS != nil {
-			return joinerr.Wrap("pbsm", PhasePartition.String(), errS)
-		}
-		if j.cfg.Trace != nil {
-			// Partition fill skew: records landing in each of the P
-			// partitions (both relations). NumKPEs is length-derived, so
-			// observing it here is free of I/O charge.
-			for i := 0; i < p; i++ {
-				j.cfg.Trace.Observe("pbsm.partition.fill",
-					float64(recfile.NumKPEs(filesR[i])+recfile.NumKPEs(filesS[i])))
-			}
-		}
-		// Price every top pair for the progress estimator while the
-		// partition sizes are at hand.
-		j.initProgress(filesR, filesS, p)
-
-		if workers := j.cfg.workers(); workers > 1 {
-			// Phases 2+3, parallel: every top pair is one ordered unit on
-			// the shared scheduler — including oversized pairs (their
-			// repartition recursion stays inside the unit) and corrupt
-			// ones (healing swaps only the unit's own file slots). The
-			// collector buffers each pair's results and releases them in
-			// partition order, so the emitted sequence is identical to a
-			// sequential run's. One outer timer charges the whole region
-			// to the join phase; activations inside are span-only.
-			pt := j.begin(PhaseJoin)
-			pt.sp.SetAttr("workers", int64(workers))
-			col := sched.NewCollector(p, j.deliver)
-			algs := make([]sweep.Algorithm, workers)
-			for w := range algs {
-				algs[w] = sweep.New(j.cfg.Algorithm)
-			}
-			j.par = true
-			err := sched.Run(p, sched.Options{
-				Workers: workers,
-				Name:    "pair-worker",
-				Span:    pt.sp,
-				Cancel:  j.cfg.Cancel,
-				Gov:     j.cfg.Gov,
-				UnitMem: j.cfg.Memory,
-				Metrics: j.cfg.Metrics,
-			}, func(w, i int) error {
-				defer col.Done(i)
-				err := j.processTopPair(algs[w], func(pr geom.Pair) { col.Emit(i, pr) }, filesR, filesS, i, g)
-				if err == nil {
-					j.pairDone(i)
-				}
-				return err
-			})
-			j.par = false
-			pt.end()
-			for _, a := range algs {
-				j.stats.Tests += a.Tests()
-				j.stats.Touches += a.Touches()
-			}
-			if err != nil {
-				return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
-			}
-		} else {
-			// Phases 2+3: repartition as needed and join each pair. A
-			// partition pair is an expensive unit, so poll immediately:
-			// cancellation latency is bounded by one pair, not 256.
-			for i := 0; i < p; i++ {
-				if err := j.cfg.Cancel.Now(); err != nil {
-					return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
-				}
-				if err := j.processTopPair(j.alg, j.deliver, filesR, filesS, i, g); err != nil {
-					return err
-				}
-				j.pairDone(i)
-			}
+		if err := j.joinTopPairs(filesR, filesS); err != nil {
+			return err
 		}
 	}
 
@@ -609,26 +538,127 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	return nil
 }
 
+// partitionPhase writes both base inputs into the top grid's partition
+// files and prices the resulting pairs for the progress estimator.
+// Partition files are registered at creation; the joiner's sweep removes
+// whatever this run leaves behind, on every exit path.
+func (j *joiner) partitionPhase() (filesR, filesS []*diskio.File, err error) {
+	pt := j.begin(PhasePartition)
+	pt.sp.AddRecords(int64(len(j.baseR) + len(j.baseS)))
+	pt.sp.SetAttr("partitions", int64(j.grid.parts))
+	filesR, copiesR, errR := j.partitionInput(j.baseR)
+	filesS, copiesS, errS := j.partitionInput(j.baseS)
+	j.stats.CopiesR, j.stats.CopiesS = copiesR, copiesS
+	pt.sp.SetAttr("copies", copiesR+copiesS)
+	pt.end()
+	if errR == nil {
+		errR = errS
+	}
+	if errR != nil {
+		return nil, nil, joinerr.Wrap("pbsm", PhasePartition.String(), errR)
+	}
+	if j.cfg.Trace != nil {
+		// Partition fill skew: records landing in each of the P
+		// partitions (both relations). NumKPEs is length-derived, so
+		// observing it here is free of I/O charge.
+		for i := range filesR {
+			j.cfg.Trace.Observe("pbsm.partition.fill",
+				float64(recfile.NumKPEs(filesR[i])+recfile.NumKPEs(filesS[i])))
+		}
+	}
+	j.initProgress(filesR, filesS)
+	return filesR, filesS, nil
+}
+
+// joinTopPairs runs phases 2+3: every top pair is one ordered unit on
+// the unit driver — including oversized pairs (their repartition
+// recursion stays inside the unit) and corrupt ones (healing swaps only
+// the unit's own file slots). With more than one worker a single outer
+// timer charges the whole region to the join phase and the activations
+// inside are span-only; at one worker there is no outer timer and every
+// activation charges its own phase, which is the split Figures 3 and 6
+// read.
+func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
+	var span *trace.Span
+	if workers := j.cfg.workers(); workers > 1 {
+		pt := j.begin(PhaseJoin)
+		defer pt.end()
+		pt.sp.SetAttr("workers", int64(workers))
+		span = pt.sp
+	}
+	return j.runUnits(len(filesR), "pair-worker", j.cfg.Memory, span, j.deliver,
+		func(alg sweep.Algorithm, col *sched.Collector, _, i int) error {
+			err := j.processTopPair(alg, func(pr geom.Pair) { col.Emit(i, pr) }, filesR, filesS, i)
+			if err == nil {
+				j.pairDone(i)
+			}
+			return err
+		})
+}
+
+// runUnits is the package's one unit driver: it runs unit for every i in
+// [0, n) as ordered units on the shared scheduler behind a collector, so
+// sink sees unit order, then each unit's own order, at every worker
+// count (inline on the calling goroutine at one worker). It is the only
+// place that builds a collector, hands each worker slot its private
+// internal algorithm (slot 0 keeps the joiner's own), toggles par around
+// the region, and folds the extra slots' sweep counters into Stats.
+// unit must emit only through col, as unit i; Done is called for it.
+func (j *joiner) runUnits(n int, name string, unitMem int64, span *trace.Span, sink func(geom.Pair),
+	unit func(alg sweep.Algorithm, col *sched.Collector, w, i int) error) error {
+	workers := j.cfg.workers()
+	col := sched.NewCollector(n, sink)
+	algs := make([]sweep.Algorithm, workers)
+	algs[0] = j.alg
+	for w := 1; w < workers; w++ {
+		algs[w] = sweep.New(j.cfg.Algorithm)
+	}
+	j.par = workers > 1 && n > 1
+	err := sched.Run(n, sched.Options{
+		Workers: workers,
+		Name:    name,
+		Span:    span,
+		Cancel:  j.cfg.Cancel,
+		Gov:     j.cfg.Gov,
+		UnitMem: unitMem,
+		Metrics: j.cfg.Metrics,
+	}, func(w, i int) error {
+		defer col.Done(i)
+		return unit(algs[w], col, w, i)
+	})
+	j.par = false
+	for _, a := range algs[1:] {
+		j.stats.Tests += a.Tests()
+		j.stats.Touches += a.Touches()
+	}
+	return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
+}
+
+// topRegion is the region chain a top-level pair starts with. Under RPM
+// it is the partition's tile set, consulted per raw result. Under TLSP
+// the top-level dedup is the class test — the chain starts empty and
+// only repartitioning adds inner regions for the residual
+// reference-point test.
+func (j *joiner) topRegion(part int) region {
+	if j.cfg.Dup == DupTLSP {
+		return wholeSpace{}
+	}
+	return gridRegion{g: j.grid, part: part}
+}
+
 // processTopPair joins top-level partition pair i, healing it once by
 // re-derivation from the base inputs if a checksum failure is detected
 // before the pair emitted anything. It is safe as a concurrent scheduler
 // unit: it touches only slot i of the shared file slices, and its stats
 // mutations go through bump.
-func (j *joiner) processTopPair(alg sweep.Algorithm, sink func(geom.Pair), filesR, filesS []*diskio.File, i int, g *grid) error {
-	// Under RPM the pair's region is the partition's tile set, consulted
-	// per raw result. Under TLSP the top-level dedup is the class test —
-	// the region chain starts empty and only repartitioning adds inner
-	// regions for the residual reference-point test.
-	var reg region = gridRegion{g: g, part: i}
-	if j.cfg.Dup == DupTLSP {
-		reg = wholeSpace{}
-	}
+func (j *joiner) processTopPair(alg sweep.Algorithm, sink func(geom.Pair), filesR, filesS []*diskio.File, i int) error {
+	reg := j.topRegion(i)
 	err := j.processPair(alg, sink, filesR[i], filesS[i], reg, reg, 0)
 	var he *healableError
 	if err == nil || !errors.As(err, &he) {
 		return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
 	}
-	fr, fs, herr := j.healPartition(g, i)
+	fr, fs, herr := j.healPartition(i)
 	if herr != nil {
 		return joinerr.Wrap("pbsm", PhaseJoin.String(), fmt.Errorf("%w (heal failed: %w)", err, herr))
 	}
@@ -636,24 +666,21 @@ func (j *joiner) processTopPair(alg sweep.Algorithm, sink func(geom.Pair), files
 	j.reg.Remove(filesS[i])
 	filesR[i], filesS[i] = fr, fs
 	j.bump(func() { j.stats.Healed++ })
-	if err := j.processPair(alg, sink, fr, fs, reg, reg, 0); err != nil {
-		return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
-	}
-	return nil
+	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.processPair(alg, sink, fr, fs, reg, reg, 0))
 }
 
 // healPartition re-derives the two files of top-level partition part from
 // the in-memory base inputs, exactly as the partition phase would have
 // written them. Its I/O is charged to the partition phase.
-func (j *joiner) healPartition(g *grid, part int) (fr, fs *diskio.File, err error) {
+func (j *joiner) healPartition(part int) (fr, fs *diskio.File, err error) {
 	pt := j.beginNamed(PhasePartition, "heal")
 	pt.sp.SetAttr("part", int64(part))
 	defer pt.end()
-	fr, err = j.rederive(j.baseR, g, part)
+	fr, err = j.rederive(j.baseR, part)
 	if err != nil {
 		return nil, nil, err
 	}
-	fs, err = j.rederive(j.baseS, g, part)
+	fs, err = j.rederive(j.baseS, part)
 	if err != nil {
 		j.reg.Remove(fr)
 		return nil, nil, err
@@ -661,35 +688,21 @@ func (j *joiner) healPartition(g *grid, part int) (fr, fs *diskio.File, err erro
 	return fr, fs, nil
 }
 
-// rederive writes a fresh copy of one partition's file for input ks.
-func (j *joiner) rederive(ks []geom.KPE, g *grid, part int) (*diskio.File, error) {
+// rederive writes a fresh copy of one partition's file for input ks: the
+// partition phase's scatter, filtered to one destination.
+func (j *joiner) rederive(ks []geom.KPE, part int) (*diskio.File, error) {
 	f := j.reg.Create()
 	w := recfile.NewKPEWriter(f, j.cfg.bufPages())
-	stamp := make([]int, g.parts)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	dests := make([]copyDest, 0, 8)
-	chk := j.cfg.Cancel.Stride()
-	for idx := range ks {
-		if err := chk.Point(); err != nil {
-			j.reg.Remove(f)
-			return nil, err
+	err := j.grid.scatter(ks, j.cfg.Cancel, func(p int, k geom.KPE) error {
+		if p != part {
+			return nil
 		}
-		dests = g.copiesOf(ks[idx].Rect, dests[:0], stamp, idx)
-		for _, d := range dests {
-			if d.part != part {
-				continue
-			}
-			k := ks[idx]
-			k.Class = d.class
-			if err := w.Write(k); err != nil {
-				j.reg.Remove(f)
-				return nil, err
-			}
-		}
+		return w.Write(k)
+	})
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
+	if err != nil {
 		j.reg.Remove(f)
 		return nil, err
 	}
@@ -744,41 +757,28 @@ func (j *joiner) dupSortPhase(dupFile *diskio.File, sp *trace.Span) error {
 // partitionInput writes each KPE of ks into every partition file whose
 // tiles its rectangle overlaps, returning the files and the number of
 // copies written.
-func (j *joiner) partitionInput(ks []geom.KPE, g *grid) ([]*diskio.File, int64, error) {
-	files := make([]*diskio.File, g.parts)
-	writers := make([]*recfile.KPEWriter, g.parts)
-	buf := j.cfg.bufPagesFor(g.parts)
+func (j *joiner) partitionInput(ks []geom.KPE) ([]*diskio.File, int64, error) {
+	files := make([]*diskio.File, j.grid.parts)
+	writers := make([]*recfile.KPEWriter, j.grid.parts)
+	buf := j.cfg.bufPagesFor(j.grid.parts)
 	for i := range files {
 		files[i] = j.reg.Create()
 		writers[i] = recfile.NewKPEWriter(files[i], buf)
 	}
-	stamp := make([]int, g.parts)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	dests := make([]copyDest, 0, 8)
 	var copies int64
-	chk := j.cfg.Cancel.Stride()
-	for idx := range ks {
-		if err := chk.Point(); err != nil {
-			return files, copies, err
+	err := j.grid.scatter(ks, j.cfg.Cancel, func(part int, k geom.KPE) error {
+		if err := writers[part].Write(k); err != nil {
+			return err
 		}
-		dests = g.copiesOf(ks[idx].Rect, dests[:0], stamp, idx)
-		for _, d := range dests {
-			k := ks[idx]
-			k.Class = d.class
-			if err := writers[d.part].Write(k); err != nil {
-				return files, copies, err
-			}
-			copies++
-		}
-	}
+		copies++
+		return nil
+	})
 	for _, w := range writers {
-		if err := w.Flush(); err != nil {
-			return files, copies, err
+		if err == nil {
+			err = w.Flush()
 		}
 	}
-	return files, copies, nil
+	return files, copies, err
 }
 
 // verifyEmptySides checks that every side of a pair reporting zero

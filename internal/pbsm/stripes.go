@@ -106,12 +106,10 @@ func (x stripeIndex) maxStripe() int {
 // everything intersects everything.
 const stripeBatch = 1024
 
-// stripeSlot is the private state of one worker slot: its internal
-// algorithm, the two scratch sides it gathers each stripe into, the
-// batch of results not yet handed on, and a loop-local cancellation
-// checkpoint that runs on across stripes.
+// stripeSlot is the private scratch of one worker slot: the two sides it
+// gathers each stripe into, the batch of results not yet handed on, and
+// a loop-local cancellation checkpoint that runs on across stripes.
 type stripeSlot struct {
-	alg    sweep.Algorithm
 	rs, ss []geom.KPE
 	out    []geom.Pair
 	chk    govern.Stride
@@ -135,9 +133,9 @@ func (sl *stripeSlot) gather(dst, ks []geom.KPE, pos []uint32) ([]geom.KPE, erro
 
 // joinInMemory joins R and S without touching the disk: the whole P = 1
 // path of both Join and PairExec.RunPair. The stripes are ordered units
-// on the shared scheduler behind a collector, so sink sees stripe order,
-// then sweep order inside the stripe, at every worker count; with K = 1
-// that is one sweep over the whole space. The inputs are not modified.
+// on the unit driver (runUnits), so sink sees stripe order, then sweep
+// order inside the stripe, at every worker count; with K = 1 that is one
+// sweep over the whole space. The inputs are not modified.
 func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
 	pt := j.begin(PhaseJoin)
 	defer pt.end()
@@ -169,64 +167,42 @@ func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
 	maxR, maxS := ixR.maxStripe(), ixS.maxStripe()
 
 	j.cfg.Progress.SetTotal(float64(k))
-	col := sched.NewCollector(k, sink)
 	slots := make([]stripeSlot, workers)
-	slots[0].alg = j.alg
-	j.par = workers > 1 && k > 1
-	err = sched.Run(k, sched.Options{
-		Workers: workers,
-		Name:    "stripe-worker",
-		Span:    pt.sp,
-		Cancel:  j.cfg.Cancel,
-		Gov:     j.cfg.Gov,
-		UnitMem: int64(maxR+maxS) * geom.KPESize,
-		Metrics: j.cfg.Metrics,
-	}, func(w, i int) error {
-		defer col.Done(i)
-		// A stripe one side never reaches has nothing to join.
-		if posR, posS := ixR.stripe(i), ixS.stripe(i); len(posR) > 0 && len(posS) > 0 {
-			sl := &slots[w]
-			if sl.rs == nil {
-				sl.rs, sl.ss = make([]geom.KPE, 0, maxR), make([]geom.KPE, 0, maxS)
-				sl.out = make([]geom.Pair, 0, stripeBatch)
-				sl.chk = j.cfg.Cancel.Stride()
-				if sl.alg == nil {
-					sl.alg = sweep.New(j.cfg.Algorithm)
+	return j.runUnits(k, "stripe-worker", int64(maxR+maxS)*geom.KPESize, pt.sp, sink,
+		func(alg sweep.Algorithm, col *sched.Collector, w, i int) error {
+			// A stripe one side never reaches has nothing to join.
+			if posR, posS := ixR.stripe(i), ixS.stripe(i); len(posR) > 0 && len(posS) > 0 {
+				sl := &slots[w]
+				if sl.rs == nil {
+					sl.rs, sl.ss = make([]geom.KPE, 0, maxR), make([]geom.KPE, 0, maxS)
+					sl.out = make([]geom.Pair, 0, stripeBatch)
+					sl.chk = j.cfg.Cancel.Stride()
 				}
-			}
-			var err error
-			if sl.rs, err = sl.gather(sl.rs, R, posR); err != nil {
-				return err
-			}
-			if sl.ss, err = sl.gather(sl.ss, S, posS); err != nil {
-				return err
-			}
-			// One stripe is the whole space: no reference-point test is owed.
-			var reg region = wholeSpace{}
-			if k > 1 {
-				reg = stripeRegion{k: k, i: i}
-			}
-			err = j.joinLoaded(sl.alg, func(p geom.Pair) {
-				if sl.out = append(sl.out, p); len(sl.out) == stripeBatch {
-					col.EmitBatch(i, sl.out)
-					sl.out = sl.out[:0]
+				var err error
+				if sl.rs, err = sl.gather(sl.rs, R, posR); err != nil {
+					return err
 				}
-			}, sl.rs, sl.ss, reg, wholeSpace{})
-			if err != nil {
-				return err
+				if sl.ss, err = sl.gather(sl.ss, S, posS); err != nil {
+					return err
+				}
+				// One stripe is the whole space: no reference-point test is owed.
+				var reg region = wholeSpace{}
+				if k > 1 {
+					reg = stripeRegion{k: k, i: i}
+				}
+				err = j.joinLoaded(alg, func(p geom.Pair) {
+					if sl.out = append(sl.out, p); len(sl.out) == stripeBatch {
+						col.EmitBatch(i, sl.out)
+						sl.out = sl.out[:0]
+					}
+				}, sl.rs, sl.ss, reg, wholeSpace{})
+				if err != nil {
+					return err
+				}
+				col.EmitBatch(i, sl.out)
+				sl.out = sl.out[:0]
 			}
-			col.EmitBatch(i, sl.out)
-			sl.out = sl.out[:0]
-		}
-		j.cfg.Progress.Add(1)
-		return nil
-	})
-	j.par = false
-	for _, sl := range slots[1:] {
-		if sl.alg != nil {
-			j.stats.Tests += sl.alg.Tests()
-			j.stats.Touches += sl.alg.Touches()
-		}
-	}
-	return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
+			j.cfg.Progress.Add(1)
+			return nil
+		})
 }

@@ -1,6 +1,9 @@
 package pbsm
 
-import "spatialjoin/internal/geom"
+import (
+	"spatialjoin/internal/geom"
+	"spatialjoin/internal/govern"
+)
 
 // Two-Layer Space-oriented Partitioning (TLSP): the third answer to the
 // duplicate question, alongside the original sort phase and the paper's
@@ -111,4 +114,33 @@ func (g *grid) copiesOf(r geom.Rect, dst []copyDest, stamp []int, gen int) []cop
 		}
 	}
 	return dst
+}
+
+// scatter is the one routing loop of the package: it calls visit once
+// per copy the partitioner owes, in input order (a record's copies in
+// copiesOf order), with the copy's class already set. The partition
+// phase, the heal path and PartitionSlices are all callers, so the
+// exactly-once argument has this one function to be read against. chk
+// is polled on its stride; a visit error stops the scan.
+func (g *grid) scatter(ks []geom.KPE, chk *govern.Check, visit func(part int, k geom.KPE) error) error {
+	stamp := make([]int, g.parts)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	dests := make([]copyDest, 0, 8)
+	st := chk.Stride()
+	for idx := range ks {
+		if err := st.Point(); err != nil {
+			return err
+		}
+		dests = g.copiesOf(ks[idx].Rect, dests[:0], stamp, idx)
+		for _, d := range dests {
+			k := ks[idx]
+			k.Class = d.class
+			if err := visit(d.part, k); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -3,12 +3,14 @@ package shard
 import (
 	"sort"
 
+	"spatialjoin/internal/geom"
 	"spatialjoin/internal/plan"
 )
 
 // assignShards distributes the top-level partitions over n shards by
 // longest-processing-time bin packing on the cost model's per-pair
-// estimate: partitions sorted by descending predicted cost, each placed
+// estimate (a partition's load is the length of its derived R and S
+// slices): partitions sorted by descending predicted cost, each placed
 // on the currently lightest shard. Ties break toward the lower
 // partition index and the lower shard index, so the assignment is a
 // pure function of (costs, n) — a restarted coordinator run reassigns
@@ -16,8 +18,8 @@ import (
 // worker executes — and seals — in partition index order, which is what
 // lets the coordinator's collector stream the earliest unfinished
 // partition with minimal buffering.
-func assignShards(countsR, countsS []int64, memory int64, dev plan.Device, n int) [][]int {
-	parts := len(countsR)
+func assignShards(rsl, ssl map[int][]geom.KPE, memory int64, dev plan.Device, n int) [][]int {
+	parts := len(rsl)
 	if n > parts {
 		n = parts
 	}
@@ -30,7 +32,7 @@ func assignShards(countsR, countsS []int64, memory int64, dev plan.Device, n int
 	}
 	order := make([]pc, parts)
 	for i := range order {
-		order[i] = pc{part: i, cost: plan.PairCost(countsR[i], countsS[i], memory, dev)}
+		order[i] = pc{part: i, cost: plan.PairCost(int64(len(rsl[i])), int64(len(ssl[i])), memory, dev)}
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if order[a].cost != order[b].cost {

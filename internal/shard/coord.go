@@ -169,7 +169,7 @@ type Stats struct {
 	Spawns    int // worker processes started (restarts included)
 	Kills     int // attempts that ended with a dead worker process
 	Restarts  int // restart attempts after failures
-	Rederived int // partitions re-derived from source for retries/absorbs
+	Rederived int // partitions handed again to a retry or an absorb (re-shipped from the one scatter)
 	Absorbed  int // shards absorbed into the coordinator after restart exhaustion
 
 	RemoteLeases int // attempts executed on leased resident workers
@@ -196,16 +196,18 @@ type Result struct {
 
 // coordinator is the per-join state of a sharded run.
 type coordinator struct {
-	cfg     Config
-	R, S    []geom.KPE
-	gs      pbsm.GridSpec
-	chk     *govern.Check
-	rec     *trace.Recorder
-	root    *trace.Span
-	man     *manifest
-	backoff *diskio.Backoff
-	met     *shardMetrics
-	st      *joinState
+	cfg Config
+	// rsl/ssl hold every top-level partition's records, scattered once at
+	// plan time; read-only, shared by all attempts and absorbs.
+	rsl, ssl map[int][]geom.KPE
+	gs       pbsm.GridSpec
+	chk      *govern.Check
+	rec      *trace.Recorder
+	root     *trace.Span
+	man      *manifest
+	backoff  *diskio.Backoff
+	met      *shardMetrics
+	st       *joinState
 
 	// The transport ladder: remote (when a pool is configured) is tried
 	// first, local is the fallback and the default.
@@ -464,11 +466,22 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	pcfg := pbsm.Config{Memory: cfg.Memory, Dup: cfg.Dup, TuneFactor: cfg.TuneFactor, TilesPerPartition: cfg.TilesPerPartition}
 	gs := pbsm.PlanGrid(len(R), len(S), pcfg)
 
-	countsR, err := pbsm.PartitionCounts(R, gs, chk)
-	if err != nil {
-		return Result{}, err
+	// The one scatter of the join: every partition's R and S slices,
+	// read-only from here on. Attempts and absorbs index into them, so a
+	// retry re-ships instead of re-deriving. The two relations share
+	// nothing, so they scatter as two scheduler units.
+	all := make([]int, gs.Parts)
+	for p := range all {
+		all[p] = p
 	}
-	countsS, err := pbsm.PartitionCounts(S, gs, chk)
+	in, sl := [2][]geom.KPE{R, S}, [2]map[int][]geom.KPE{}
+	scatter := root.Child("shard-scatter")
+	scatter.AddRecords(int64(len(R) + len(S)))
+	err = sched.Run(2, sched.Options{Workers: 2, Cancel: chk}, func(_, i int) (err error) {
+		sl[i], err = pbsm.PartitionSlices(in[i], gs, all, chk)
+		return err
+	})
+	scatter.End()
 	if err != nil {
 		return Result{}, err
 	}
@@ -486,7 +499,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	assignment := assignShards(countsR, countsS, cfg.Memory, dev, shards)
+	assignment := assignShards(sl[0], sl[1], cfg.Memory, dev, shards)
 	slices := govern.Slice(cfg.Memory, len(assignment))
 
 	tmpRoot, err := os.MkdirTemp(cfg.TmpRoot, "sjshard-")
@@ -513,8 +526,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 
 	c := &coordinator{
 		cfg:     cfg,
-		R:       R,
-		S:       S,
+		rsl:     sl[0],
+		ssl:     sl[1],
 		gs:      gs,
 		chk:     chk,
 		rec:     rec,
@@ -522,8 +535,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 		man:     man,
 		backoff: cfg.backoffPolicy(),
 		met:     met,
+		st:      st,
 	}
-	c.st = st
 	c.local = &ProcTransport{Cmd: cfg.WorkerCmd, Env: cfg.WorkerEnv}
 	pool := cfg.Pool
 	if pool == nil && len(cfg.Endpoints) > 0 {
@@ -577,25 +590,14 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	}
 	// The workers are joined, but the guarded-field contract is uniform:
 	// read the merge state under st.mu like every other reader.
-	var (
-		res          Result
-		unsealedPart = -1
-	)
-	st.locked(func() {
-		for p := 0; p < gs.Parts; p++ {
-			if !st.sealed[p] {
-				unsealedPart = p
-				return
-			}
-		}
-		res = Result{Results: st.results, Stats: st.stats}
-		res.IO = st.ioAgg
-		res.CPU = st.cpuAgg
-	})
-	if unsealedPart >= 0 {
+	if left := st.unsealed(all); len(left) > 0 {
 		return Result{}, joinerr.WrapAs("shard", "merge", joinerr.KindShard,
-			fmt.Errorf("internal: partition %d never sealed", unsealedPart))
+			fmt.Errorf("internal: partition %d never sealed", left[0]))
 	}
+	var res Result
+	st.locked(func() {
+		res = Result{Results: st.results, Stats: st.stats, IO: st.ioAgg, CPU: st.cpuAgg}
+	})
 	if res.Stats.Seals != res.Stats.Partitions {
 		return Result{}, joinerr.WrapAs("shard", "merge", joinerr.KindShard,
 			fmt.Errorf("internal: %d seal events for %d partitions — duplicate-free merge invariant violated",
@@ -613,7 +615,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 }
 
 // runShard supervises one shard to completion: open a worker link,
-// monitor it, and on failure discard unsealed work, re-derive, and
+// monitor it, and on failure discard unsealed work, re-ship it, and
 // restart with backoff — or absorb the remainder locally once the
 // restart budget is spent. The execution ladder has three rungs: a
 // leased resident worker over TCP (when a pool is configured), a
@@ -648,7 +650,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 		var connErr *ConnectError
 		if remote && !fatalKind(err) && errors.As(err, &connErr) {
 			// The fleet produced no link at all: no worker ran, nothing
-			// was shipped, nothing needs re-derivation. Degrade this
+			// was shipped, nothing needs re-running. Degrade this
 			// shard to local spawns without consuming a restart.
 			c.st.locked(func() { c.st.stats.Degraded++ })
 			c.met.degrade()
@@ -731,15 +733,6 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	sp.SetAttr("attempt", int64(attempt))
 	sp.AddRecords(int64(len(parts)))
 
-	rsl, err := pbsm.PartitionSlices(c.R, c.gs, parts, c.chk)
-	if err != nil {
-		return err
-	}
-	ssl, err := pbsm.PartitionSlices(c.S, c.gs, parts, c.chk)
-	if err != nil {
-		return err
-	}
-
 	tmpDir := filepath.Join(c.man.root, fmt.Sprintf("shard-%d-a%d", id, attempt))
 	c.man.add(tmpDir)
 	defer c.man.sweep(tmpDir)
@@ -786,7 +779,7 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	go func() {
 		defer close(shipDone)
 		defer link.CloseSend()
-		_ = c.shipInput(link.Send(), spec, rsl, ssl)
+		_ = c.shipInput(link.Send(), spec)
 	}()
 
 	// Frame pump: decode on the reading goroutine (payload buffers are
@@ -942,15 +935,7 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 		return joinerr.WrapAs("shard", "supervise", joinerr.KindShard,
 			c.exitError(link, id, attempt, waitErr, errors.New(killedBy)))
 	case report != nil && waitErr == nil:
-		missing := 0
-		for _, p := range parts {
-			c.st.mu.Lock()
-			if !c.st.sealed[p] {
-				missing++
-			}
-			c.st.mu.Unlock()
-		}
-		if missing > 0 {
+		if missing := len(c.st.unsealed(parts)); missing > 0 {
 			return joinerr.WrapAs("shard", "merge", joinerr.KindShard,
 				protoErrf("worker finished with %d partitions unsealed", missing))
 		}
@@ -990,7 +975,7 @@ func (c *coordinator) exitError(link Link, id, attempt int, waitErr, cause error
 }
 
 // shipInput writes the job conversation to one worker.
-func (c *coordinator) shipInput(fw *FrameWriter, spec *JobSpec, rsl, ssl map[int][]geom.KPE) error {
+func (c *coordinator) shipInput(fw *FrameWriter, spec *JobSpec) error {
 	payload, err := marshalJSON(spec)
 	if err != nil {
 		return err
@@ -1018,10 +1003,10 @@ func (c *coordinator) shipInput(fw *FrameWriter, spec *JobSpec, rsl, ssl map[int
 		}
 	}
 	for _, part := range spec.Parts {
-		if err := ship(part, 'R', rsl[part]); err != nil {
+		if err := ship(part, 'R', c.rsl[part]); err != nil {
 			return err
 		}
-		if err := ship(part, 'S', ssl[part]); err != nil {
+		if err := ship(part, 'S', c.ssl[part]); err != nil {
 			return err
 		}
 	}
@@ -1048,14 +1033,6 @@ func (c *coordinator) absorb(id int, parts []int) error {
 	if len(parts) == 0 {
 		return nil
 	}
-	rsl, err := pbsm.PartitionSlices(c.R, c.gs, parts, c.chk)
-	if err != nil {
-		return err
-	}
-	ssl, err := pbsm.PartitionSlices(c.S, c.gs, parts, c.chk)
-	if err != nil {
-		return err
-	}
 	disk := diskio.NewDisk(c.cfg.PageSize, c.cfg.PT, c.cfg.Transfer)
 	ex, err := pbsm.NewPairExec(pbsm.Config{
 		Disk:              disk,
@@ -1071,12 +1048,11 @@ func (c *coordinator) absorb(id int, parts []int) error {
 	if err != nil {
 		return err
 	}
-	defer ex.Close()
 	start := time.Now()
 	var buf []geom.Pair
 	for _, part := range parts {
 		buf = buf[:0]
-		if rerr := ex.RunPair(part, rsl[part], ssl[part], func(p geom.Pair) {
+		if rerr := ex.RunPair(part, c.rsl[part], c.ssl[part], func(p geom.Pair) {
 			buf = append(buf, p)
 		}); rerr != nil {
 			return rerr
@@ -1086,6 +1062,9 @@ func (c *coordinator) absorb(id int, parts []int) error {
 		c.st.sealLocked(part, id)
 		c.st.mu.Unlock()
 	}
+	// Sweep before counting: WorkerLiveFiles reports what outlives the
+	// sweep. An error return above abandons the private disk unswept —
+	// nothing reads it again.
 	ex.Close()
 	c.st.mu.Lock()
 	c.st.ioAgg.Add(disk.Stats())

@@ -11,9 +11,9 @@
 //
 // Fault model (DESIGN.md §12): a worker that is killed, crashes, stalls
 // or corrupts its frame stream is restarted with capped exponential
-// backoff; its unsealed partitions are re-derived from the in-memory
-// source relations (the heal-by-re-derivation of the in-process join,
-// lifted to shard granularity) and re-executed, while partitions whose
+// backoff; its unsealed partitions are shipped again from the slices the
+// coordinator scattered once (the heal-by-re-derivation of the
+// in-process join, lifted to shard granularity) and re-executed, while partitions whose
 // results were already sealed are never re-run — the Reference Point
 // Method makes every partition pair's output globally duplicate-free,
 // so sealed-exactly-once is all determinism needs. A shard that keeps
@@ -73,7 +73,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ProtocolError reports a violation of the frame protocol: a corrupt
 // header, a checksum mismatch, a truncated stream, an out-of-order or
 // malformed frame. It is retryable at shard granularity — the
-// coordinator kills the worker and re-derives its unsealed work.
+// coordinator kills the worker and re-runs its unsealed work.
 type ProtocolError struct {
 	Detail string
 }

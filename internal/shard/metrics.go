@@ -19,8 +19,8 @@ const (
 	// metAbsorbed counts shards absorbed into the coordinator after
 	// restart exhaustion.
 	metAbsorbed = "shard.absorbed"
-	// metRederived counts partitions re-derived from source for retries
-	// and absorbs.
+	// metRederived counts partitions handed again to a retry or an
+	// absorb.
 	metRederived = "shard.rederived"
 	// metSeals counts partitions sealed (merged back in order).
 	metSeals = "shard.seals"

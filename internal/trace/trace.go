@@ -21,8 +21,8 @@
 // Every method of Recorder and Span is safe on a nil receiver and
 // returns immediately, so instrumentation sites call unconditionally and
 // an untraced join pays only a pointer test per call site — the ≤2%
-// overhead budget asserted by TestTracedJoinOverheadBudget in package
-// core. A nil *Recorder in a Config therefore means "no observability"
+// overhead budget asserted by TestOverheadBudget/trace at the repository
+// root. A nil *Recorder in a Config therefore means "no observability"
 // at no cost.
 //
 // # Concurrency
