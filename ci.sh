@@ -63,11 +63,14 @@ echo "== chaos suite (fault-injection + cancellation + kill-a-shard sweeps) =="
 # SIGKILL them at seeded points; -count=1 keeps the process-level chaos
 # uncached.
 go test -race -count=1 -timeout 10m ./internal/chaos/ ./internal/govern/ ./internal/core/ ./internal/diskio/ ./internal/shard/ ./internal/netfault/ ./internal/metrics/
-# The striped in-memory join drives joinLoaded under the stats mutex
-# from its own scheduler units: seam geometry x dup method x algorithm x
-# workers against a nested-loops oracle, emission order through PairExec,
-# and cancellation at every kind of checkpoint.
-go test -race -count=1 -timeout 10m -run 'TestStripe' ./internal/pbsm/
+# The striped kernel folds its counters under the stats mutex from
+# concurrent scheduler units, with slot-owned buffers reused from unit to
+# unit: seam geometry x dup method x algorithm x workers against a
+# nested-loops oracle at P = 1 (stripes as units) and, x three memory
+# budgets, at P > 1 (stripes inside pairs, repartition and
+# memory-overflow leaves included), emission order through PairExec, and
+# cancellation at every kind of checkpoint on both paths.
+go test -race -count=1 -timeout 15m -run 'TestStripe' ./internal/pbsm/
 
 echo "== metrics endpoint smoke (/metrics exposition + progress) =="
 # A latency-slowed PBSM join scraped mid-flight over metrics.Handler:
@@ -83,13 +86,23 @@ echo "== repository benchmark smoke (pbsm_mem, traced pass) =="
 # (unattributed share, zero disk retries) must hold.
 go run ./benchmark -workload pbsm_mem -scale 0.05 -seconds 0 -trace 1 | grep -q '"correct":true'
 
+echo "== repository benchmark smoke (pbsm_ext, traced pass) =="
+# The external path through the same oracle and gates. At scale 0.25 the
+# top pairs hold about 8k records (K = 3), so the striped pair path and
+# repartitioning both run; at 0.05 neither does.
+go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
+
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)
 benchdir=$(mktemp -d /tmp/sjbench-bench.XXXXXX)
 trap 'rm -f "$tracefile"; rm -rf "$benchdir"' EXIT
 # sjbench self-validates: re-reads the file, parses the JSON array and
 # checks span-tree coverage >= 95%, printing "trace OK" on success.
-go run ./cmd/sjbench -exp phases -phases-n 2000 -trace "$tracefile" | grep "trace OK"
+# 4000 records, not fewer: the one join of a fresh process pays some
+# 80 us of cold-start set-up before its first phase span opens, which is
+# 4% of a 2 ms join (at 2000 records the gate failed one run in ten
+# before PR 16 and one in four after, on identical gaps) and 2% here.
+go run ./cmd/sjbench -exp phases -phases-n 4000 -trace "$tracefile" | grep "trace OK"
 
 echo "== sjbench parallel smoke (BENCH_*.json artifacts) =="
 # The quick parallel sweep still runs every method x workers cell and

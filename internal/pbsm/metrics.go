@@ -16,11 +16,10 @@ const (
 	// duplicate-elimination strategy.
 	metDupSuppressed = "pbsm.dup.suppressed"
 	// metRPMTests counts reference-point tests (one per raw result
-	// under DupRPM), bumped live from the join loop.
+	// under DupRPM), added live, once per sweep.
 	metRPMTests = "pbsm.rpm.tests"
 	// metTLSPSkipped counts candidates rejected by the TLSP class test
-	// alone (no reference point computed), bumped live from the join
-	// loop.
+	// alone (no region consulted), added live, once per sweep.
 	metTLSPSkipped = "pbsm.tlsp.pairs.skipped"
 	// metReplicationCopies counts KPE copies written by partitioning.
 	metReplicationCopies = "pbsm.replication.copies"
@@ -33,9 +32,11 @@ const (
 
 // resolveCounters resolves the joiner's live counter handles once up
 // front (nil without a registry; the handles are nil-safe, so the join
-// loop increments them unconditionally). pbsm.rpm.tests and
-// pbsm.tlsp.pairs.skipped are per-result counters published from the
-// join loop itself, so a mid-flight /metrics scrape sees them advance
+// phase updates them unconditionally). pbsm.rpm.tests and
+// pbsm.tlsp.pairs.skipped are per-result counts that every sweep adds
+// when it ends — once per stripe, never per candidate, which would pass
+// the counter's cache line between the cores as often as the stats mutex
+// once did — so a mid-flight /metrics scrape still sees them advance
 // with the join instead of reading 0 until the end.
 func (j *joiner) resolveCounters() {
 	j.pairsDone = j.cfg.Metrics.Counter(metPairsDone)
@@ -46,7 +47,7 @@ func (j *joiner) resolveCounters() {
 // publishMetrics adds this join's remaining redundancy/duplicate totals
 // to the process-lifetime counters; a no-op without a registry. The
 // per-result counters (RPM tests, TLSP skips) are NOT published here —
-// they were already bumped incrementally from the join loop.
+// every sweep already added its share.
 func (j *joiner) publishMetrics() {
 	m := j.cfg.Metrics
 	if m == nil {

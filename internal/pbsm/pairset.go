@@ -10,7 +10,6 @@ import (
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/recfile"
-	"spatialjoin/internal/sweep"
 )
 
 // This file is the pair-subset execution API the shard layer builds on:
@@ -148,11 +147,7 @@ func NewPairExec(cfg Config, gs GridSpec) (*PairExec, error) {
 	if gs.TLSP != (cfg.Dup == DupTLSP) {
 		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("grid spec TLSP=%v does not match Config.Dup %v", gs.TLSP, cfg.Dup))
 	}
-	e := &PairExec{
-		j:  &joiner{cfg: cfg, alg: sweep.New(cfg.Algorithm), reg: cfg.Disk.NewRegistry()},
-		gs: gs,
-	}
-	e.j.resolveCounters()
+	e := &PairExec{j: newJoiner(cfg), gs: gs}
 	e.j.stats.P = gs.Parts
 	if gs.Parts > 1 {
 		e.j.grid = gs.grid()
@@ -205,7 +200,12 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 		return joinerr.Wrap("pbsm", PhasePartition.String(), errR)
 	}
 	reg := j.topRegion(part)
-	err := j.processPair(j.alg, counted, fr, fs, reg, reg, 0)
+	err := j.processPair(&j.sl, func(ps []geom.Pair) {
+		//lint:ignore checkpoint a batch is at most stripeBatch pairs, handed over between two of the stripe loop's own checkpoints
+		for _, p := range ps {
+			counted(p)
+		}
+	}, fr, fs, reg, reg, 0)
 	// In-process healing re-derives from base inputs this executor does
 	// not hold; at shard granularity the retry-with-rederivation happens
 	// one level up, so the healable marker is stripped to its cause.
@@ -238,8 +238,8 @@ func (e *PairExec) writeSide(ks []geom.KPE) (*diskio.File, error) {
 // cumulative counters.
 func (e *PairExec) Stats() Stats {
 	s := e.j.stats
-	s.Tests += e.j.alg.Tests()
-	s.Touches += e.j.alg.Touches()
+	s.Tests += e.j.sl.alg.Tests()
+	s.Touches += e.j.sl.alg.Touches()
 	return s
 }
 

@@ -126,7 +126,7 @@ func TestScatterCallersAgree(t *testing.T) {
 				t.Fatalf("%+v: rederive(%d): %v", gs, p, err)
 			}
 			for name, f := range map[string]*diskio.File{"partition file": files[p], "rederived file": healed} {
-				got, err := recfile.ReadAllKPEs(f, 2)
+				got, err := recfile.ReadAllKPEs(nil, f, 2)
 				if err != nil {
 					t.Fatalf("%+v: reading %s %d: %v", gs, name, p, err)
 				}

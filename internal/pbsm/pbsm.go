@@ -23,11 +23,13 @@
 //     most candidate pairs are ruled out without any geometric test
 //     (tlsp.go).
 //
-// When formula (1) yields P = 1 none of the phases above touches the
-// disk: the join phase cuts the data space into cache-sized y-stripes,
-// joins them as parallel units with the same internal algorithm, and
-// removes the duplicates the stripes introduce with the same three
-// methods (stripes.go).
+// Whatever the join phase has in memory — a loaded partition pair, or
+// both inputs whole when formula (1) yields P = 1 and no phase touches
+// the disk — it joins through one kernel (stripes.go): the data space is
+// cut into cache-sized y-stripes, each stripe is swept on its own with
+// the internal algorithm, and a stripe never reports a candidate whose
+// reference point lies in another, so the duplicate method above only
+// ever sees the duplicates partitioning introduced.
 package pbsm
 
 import (
@@ -263,7 +265,7 @@ type Stats struct {
 	P, NT int // partition and tile counts of the initial grid
 
 	Results         int64 // pairs delivered to the caller (duplicate-free)
-	RawResults      int64 // pairs produced by the join phase before dedup
+	RawResults      int64 // pairs the join phase hands to dedup (stripes add none)
 	CopiesR         int64 // KPE copies written for R in the partition phase
 	CopiesS         int64 // likewise for S
 	Repartitions    int   // number of repartitioning splits performed
@@ -273,10 +275,10 @@ type Stats struct {
 	Touches         int64 // status node touches of the internal algorithm
 
 	// TLSPSkipped counts candidates rejected by the TLSP class test
-	// alone — each one a duplicate suppressed without computing a
-	// reference point. TLSPRefTests counts the residual candidates that
-	// still needed the reference-point test (only repartitioned pairs
-	// have any). Both are zero unless Dup == DupTLSP.
+	// alone — each one a duplicate suppressed without consulting a
+	// region. TLSPRefTests counts the residual candidates that still
+	// needed the reference-point test against the pair's regions (only
+	// repartitioned pairs have any). Both are zero unless Dup == DupTLSP.
 	TLSPSkipped  int64
 	TLSPRefTests int64
 
@@ -333,14 +335,13 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return Stats{}, err
 	}
-	j := &joiner{cfg: cfg, alg: sweep.New(cfg.Algorithm), reg: cfg.Disk.NewRegistry()}
-	j.resolveCounters()
+	j := newJoiner(cfg)
 	// One sweep covers every exit path — success, failure, cancellation —
 	// so no partition, repartition, spool or sort file outlives the join.
 	defer j.reg.Sweep()
 	err := j.run(R, S, emit)
-	j.stats.Tests += j.alg.Tests()
-	j.stats.Touches += j.alg.Touches()
+	j.stats.Tests += j.sl.alg.Tests()
+	j.stats.Touches += j.sl.alg.Touches()
 	if t := cfg.Trace; t != nil {
 		// The paper-specific totals: how many raw join-phase results the
 		// duplicate-elimination strategy suppressed (each raw result costs
@@ -360,7 +361,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		}
 		t.Count("pbsm.replication.copies", j.stats.CopiesR+j.stats.CopiesS)
 		t.Count("pbsm.sweep.tests", j.stats.Tests)
-		t.Count("pbsm.sweep.touches."+j.alg.Name(), j.stats.Touches)
+		t.Count("pbsm.sweep.touches."+j.sl.alg.Name(), j.stats.Touches)
 		t.Count("pbsm.healed", int64(j.stats.Healed))
 		t.Count("pbsm.repartitions", int64(j.stats.Repartitions))
 	}
@@ -370,7 +371,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 
 type joiner struct {
 	cfg   Config
-	alg   sweep.Algorithm
+	sl    slot // worker slot 0 of every runUnits, and PairExec's only one
 	stats Stats
 	reg   *diskio.Registry // every temp file of this join; swept on exit
 
@@ -398,12 +399,20 @@ type joiner struct {
 	// weights; nil without a Progress), read-only once the join phase
 	// starts. pairsDone, rpmTests and tlspSkipped are live counter
 	// handles resolved once up front (nil-safe, see resolveCounters);
-	// the latter two are bumped from the join loop so mid-flight
-	// /metrics scrapes see them move instead of jumping at join end.
+	// the latter two are bumped once per sweep so mid-flight /metrics
+	// scrapes see them move instead of jumping at join end.
 	pairCost    []float64
 	pairsDone   *metrics.Counter
 	rpmTests    *metrics.Counter
 	tlspSkipped *metrics.Counter
+}
+
+// newJoiner builds the state Join and PairExec share; cfg is validated.
+func newJoiner(cfg Config) *joiner {
+	j := &joiner{cfg: cfg, reg: cfg.Disk.NewRegistry()}
+	j.sl = j.newSlot()
+	j.resolveCounters()
+	return j
 }
 
 // healableError tags a corruption error that was detected before the
@@ -587,8 +596,8 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
 		span = pt.sp
 	}
 	return j.runUnits(len(filesR), "pair-worker", j.cfg.Memory, span, j.deliver,
-		func(alg sweep.Algorithm, col *sched.Collector, _, i int) error {
-			err := j.processTopPair(alg, func(pr geom.Pair) { col.Emit(i, pr) }, filesR, filesS, i)
+		func(sl *slot, col *sched.Collector, i int) error {
+			err := j.processTopPair(sl, func(ps []geom.Pair) { col.EmitBatch(i, ps) }, filesR, filesS, i)
 			if err == nil {
 				j.pairDone(i)
 			}
@@ -600,18 +609,25 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
 // [0, n) as ordered units on the shared scheduler behind a collector, so
 // sink sees unit order, then each unit's own order, at every worker
 // count (inline on the calling goroutine at one worker). It is the only
-// place that builds a collector, hands each worker slot its private
-// internal algorithm (slot 0 keeps the joiner's own), toggles par around
-// the region, and folds the extra slots' sweep counters into Stats.
-// unit must emit only through col, as unit i; Done is called for it.
+// place that builds a collector, hands each worker slot the struct that
+// owns its internal algorithm and every buffer it reuses from unit to
+// unit (slot 0 is the joiner's own), toggles par around the region, and
+// folds the extra slots' sweep counters into Stats. unit must emit only
+// through col, as unit i; Done is called for it.
+//
+// unitMem is what each extra worker claims from the governor: the records
+// a unit holds at once — a loaded pair (Config.Memory) or two gathered
+// stripes. Beyond it a slot of the P > 1 path holds its pair's stripe
+// index, 4 bytes per copy, and two gathered stripes of about
+// stripeRecords records; a memory-overflow leaf grows the slot past all
+// of that by design and processPair trims it back afterwards.
 func (j *joiner) runUnits(n int, name string, unitMem int64, span *trace.Span, sink func(geom.Pair),
-	unit func(alg sweep.Algorithm, col *sched.Collector, w, i int) error) error {
+	unit func(sl *slot, col *sched.Collector, i int) error) error {
 	workers := j.cfg.workers()
 	col := sched.NewCollector(n, sink)
-	algs := make([]sweep.Algorithm, workers)
-	algs[0] = j.alg
-	for w := 1; w < workers; w++ {
-		algs[w] = sweep.New(j.cfg.Algorithm)
+	extra := make([]slot, workers-1) // slots 1 and up; slot 0 is j.sl
+	for w := range extra {
+		extra[w] = j.newSlot()
 	}
 	j.par = workers > 1 && n > 1
 	err := sched.Run(n, sched.Options{
@@ -624,12 +640,16 @@ func (j *joiner) runUnits(n int, name string, unitMem int64, span *trace.Span, s
 		Metrics: j.cfg.Metrics,
 	}, func(w, i int) error {
 		defer col.Done(i)
-		return unit(algs[w], col, w, i)
+		sl := &j.sl
+		if w > 0 {
+			sl = &extra[w-1]
+		}
+		return unit(sl, col, i)
 	})
 	j.par = false
-	for _, a := range algs[1:] {
-		j.stats.Tests += a.Tests()
-		j.stats.Touches += a.Touches()
+	for _, sl := range extra {
+		j.stats.Tests += sl.alg.Tests()
+		j.stats.Touches += sl.alg.Touches()
 	}
 	return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
 }
@@ -651,9 +671,9 @@ func (j *joiner) topRegion(part int) region {
 // before the pair emitted anything. It is safe as a concurrent scheduler
 // unit: it touches only slot i of the shared file slices, and its stats
 // mutations go through bump.
-func (j *joiner) processTopPair(alg sweep.Algorithm, sink func(geom.Pair), filesR, filesS []*diskio.File, i int) error {
+func (j *joiner) processTopPair(sl *slot, emit func([]geom.Pair), filesR, filesS []*diskio.File, i int) error {
 	reg := j.topRegion(i)
-	err := j.processPair(alg, sink, filesR[i], filesS[i], reg, reg, 0)
+	err := j.processPair(sl, emit, filesR[i], filesS[i], reg, reg, 0)
 	var he *healableError
 	if err == nil || !errors.As(err, &he) {
 		return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
@@ -666,7 +686,7 @@ func (j *joiner) processTopPair(alg sweep.Algorithm, sink func(geom.Pair), files
 	j.reg.Remove(filesS[i])
 	filesR[i], filesS[i] = fr, fs
 	j.bump(func() { j.stats.Healed++ })
-	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.processPair(alg, sink, fr, fs, reg, reg, 0))
+	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.processPair(sl, emit, fr, fs, reg, reg, 0))
 }
 
 // healPartition re-derives the two files of top-level partition part from
@@ -797,8 +817,11 @@ func (j *joiner) verifyEmptySides(fr, fs *diskio.File) error {
 }
 
 // processPair joins the partition pair (fr, fs), repartitioning
-// recursively when the pair exceeds the memory budget (§3.2.3).
-func (j *joiner) processPair(alg sweep.Algorithm, sink func(geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
+// recursively when the pair exceeds the memory budget (§3.2.3). A pair
+// that fits (or has hit the recursion cap) is loaded into the slot's two
+// buffers and joined stripe by stripe; emit receives its results in
+// batches, the last one before processPair returns.
+func (j *joiner) processPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
 	if err := j.cfg.Cancel.Now(); err != nil {
 		return err
 	}
@@ -814,21 +837,22 @@ func (j *joiner) processPair(alg sweep.Algorithm, sink func(geom.Pair), fr, fs *
 	}
 	size := (nr + ns) * geom.KPESize
 	if size > j.cfg.Memory && depth < j.cfg.maxRecurse() {
-		return j.repartitionPair(alg, sink, fr, fs, regR, regS, depth)
+		return j.repartitionPair(sl, emit, fr, fs, regR, regS, depth)
 	}
 	if size > j.cfg.Memory {
 		j.bump(func() { j.stats.MemoryOverflows++ })
+		// The slot is about to outgrow the budget; it must not stay that
+		// big for the pairs that follow.
+		defer sl.trim(int(2 * j.cfg.Memory / geom.KPESize))
 	}
 
 	pt := j.begin(PhaseJoin)
 	pt.sp.AddRecords(nr + ns)
 	defer pt.end()
-	rs, err := recfile.ReadAllKPEs(fr, j.cfg.bufPages())
-	if err == nil {
-		var ss []geom.KPE
-		ss, err = recfile.ReadAllKPEs(fs, j.cfg.bufPages())
-		if err == nil {
-			return j.joinLoaded(alg, sink, rs, ss, regR, regS)
+	var err error
+	if sl.loadR, err = recfile.ReadAllKPEs(sl.loadR, fr, j.cfg.bufPages()); err == nil {
+		if sl.loadS, err = recfile.ReadAllKPEs(sl.loadS, fs, j.cfg.bufPages()); err == nil {
+			return j.joinLoadedPair(sl, emit, pt.sp, regR, regS)
 		}
 	}
 	if depth == 0 {
@@ -839,78 +863,9 @@ func (j *joiner) processPair(alg sweep.Algorithm, sink func(geom.Pair), fr, fs *
 	return err
 }
 
-// joinLoaded runs the internal algorithm on an in-memory partition pair
-// and routes each produced pair through duplicate handling. The
-// per-candidate counters are kept on the stack and folded into the
-// shared Stats once per call, so parallel workers take the stats mutex
-// per sweep and not per candidate: a mutex and a counter touched from
-// every core for every candidate cost as many cache-line transfers as
-// there are candidates, and what a transfer costs depends on where the
-// cores sit. Only DupSort's shared result spool is still entered per
-// candidate. The sink (a collector emit) serializes ordered delivery
-// itself.
-func (j *joiner) joinLoaded(alg sweep.Algorithm, sink func(geom.Pair), rs, ss []geom.KPE, regR, regS region) error {
-	var werr error
-	spool := j.par && j.cfg.Dup == DupSort
-	// Under TLSP the class test is the whole top-level duplicate story;
-	// a reference-point test is owed only when repartitioning wrapped
-	// inner regions around the pair (the class says nothing about which
-	// sub-partition may report). wholeSpace on both sides means depth 0.
-	needRef := false
-	if j.cfg.Dup == DupTLSP {
-		_, rWhole := regR.(wholeSpace)
-		_, sWhole := regS.(wholeSpace)
-		needRef = !rWhole || !sWhole
-	}
-	var raw, skipped, refTests int64
-	alg.Join(rs, ss, func(r, s geom.KPE) {
-		raw++
-		switch j.cfg.Dup {
-		case DupRPM:
-			x := geom.RefPoint(r.Rect, s.Rect)
-			j.rpmTests.Inc()
-			if regR.contains(x) && regS.contains(x) {
-				sink(geom.Pair{R: r.ID, S: s.ID})
-			}
-		case DupSort:
-			if werr == nil {
-				if spool {
-					j.mu.Lock()
-				}
-				werr = j.dupWriter.Write(geom.Pair{R: r.ID, S: s.ID})
-				if spool {
-					j.mu.Unlock()
-				}
-			}
-		case DupTLSP:
-			if r.Class&s.Class != 0 {
-				// Another tile holds both corners' max: this copy pair
-				// provably duplicates that tile's result. Rejected by
-				// two bit operations, no reference point computed.
-				skipped++
-				j.tlspSkipped.Inc()
-			} else if needRef {
-				refTests++
-				x := geom.RefPoint(r.Rect, s.Rect)
-				if regR.contains(x) && regS.contains(x) {
-					sink(geom.Pair{R: r.ID, S: s.ID})
-				}
-			} else {
-				sink(geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	})
-	j.bump(func() {
-		j.stats.RawResults += raw
-		j.stats.TLSPSkipped += skipped
-		j.stats.TLSPRefTests += refTests
-	})
-	return werr
-}
-
 // repartitionPair splits the larger side of an oversized pair with a
 // finer grid and recurses on each sub-pair against the unsplit side.
-func (j *joiner) repartitionPair(alg sweep.Algorithm, sink func(geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
+func (j *joiner) repartitionPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
 	j.bump(func() { j.stats.Repartitions++ })
 	nr, ns := recfile.NumKPEs(fr), recfile.NumKPEs(fs)
 	size := (nr + ns) * geom.KPESize
@@ -988,9 +943,9 @@ func (j *joiner) repartitionPair(alg sweep.Algorithm, sink func(geom.Pair), fr, 
 		inner := gridRegion{g: sub, part: i}
 		var perr error
 		if splitR {
-			perr = j.processPair(alg, sink, files[i], fs, andRegion{regR, inner}, regS, depth+1)
+			perr = j.processPair(sl, emit, files[i], fs, andRegion{regR, inner}, regS, depth+1)
 		} else {
-			perr = j.processPair(alg, sink, fr, files[i], regR, andRegion{regS, inner}, depth+1)
+			perr = j.processPair(sl, emit, fr, files[i], regR, andRegion{regS, inner}, depth+1)
 		}
 		j.reg.Remove(files[i])
 		if perr != nil {

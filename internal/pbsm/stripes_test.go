@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/sweep"
+	"spatialjoin/internal/trace"
 )
 
 // seamSide is the size of each adversarial relation: two of them make
@@ -113,20 +115,16 @@ func TestStripeSeamsExactlyOnce(t *testing.T) {
 				if st.Results != int64(len(got)) {
 					t.Fatalf("%s: Stats.Results = %d, emitted %d", label, st.Results, len(got))
 				}
-				// Seam-crossing pairs meet in more than one stripe, so the
-				// raw candidates must outnumber the results — all of them
-				// pay the reference-point test under TLSP, whose class
-				// test has nothing to say about unclassed copies.
-				if st.RawResults <= st.Results {
-					t.Fatalf("%s: RawResults = %d must exceed Results = %d", label, st.RawResults, st.Results)
+				// Seam-crossing pairs meet in more than one stripe, but a
+				// stripe never reports a candidate whose reference point
+				// lies in another: without partitioning no duplicate method
+				// has anything to remove, and TLSP owes no region test.
+				if st.RawResults != st.Results {
+					t.Fatalf("%s: RawResults = %d, want Results = %d", label, st.RawResults, st.Results)
 				}
-				wantRef := int64(0)
-				if dup == DupTLSP {
-					wantRef = st.RawResults
-				}
-				if st.TLSPRefTests != wantRef || st.TLSPSkipped != 0 {
-					t.Fatalf("%s: TLSPRefTests = %d (want %d), TLSPSkipped = %d (want 0)",
-						label, st.TLSPRefTests, wantRef, st.TLSPSkipped)
+				if st.TLSPRefTests != 0 || st.TLSPSkipped != 0 {
+					t.Fatalf("%s: TLSPRefTests = %d, TLSPSkipped = %d, want 0 and 0",
+						label, st.TLSPRefTests, st.TLSPSkipped)
 				}
 				if first == nil {
 					first, firstSt = got, st
@@ -195,42 +193,72 @@ func (c *pollCtx) Err() error {
 }
 
 // TestStripeCancellation cancels the striped join at checkpoints spread
-// over its whole poll range — index build, between stripes, mid-gather —
-// at one and at four workers: each run must end KindCanceled in the join
-// phase, emit no pair twice, and leave no goroutine behind.
+// over the join phase's whole poll range — mid index build and between
+// stripes, at P = 1 and with the stripes inside partition pairs,
+// repartitioning included — at one and at four workers: each run must
+// end KindCanceled in the join phase, emit no pair twice, and leave no
+// goroutine and no temp file behind.
 func TestStripeCancellation(t *testing.T) {
-	R, S := seamInputs(t)
-	mem := int64(len(R)+len(S)) * geom.KPESize * 4
+	seamR, seamS := seamInputs(t)
+	pairR, pairS := pairInputs()
 	before := runtime.NumGoroutine()
-	for _, workers := range []int{1, 4} {
-		probe := &pollCtx{Context: context.Background()}
-		cfg := Config{Disk: newDisk(), Memory: mem, Parallel: workers, Cancel: govern.NewCheck(probe)}
-		if _, err := Join(R, S, cfg, func(geom.Pair) {}); err != nil {
-			t.Fatalf("probe run: %v", err)
-		}
-		total := probe.polls.Load()
-		if total < 8 {
-			t.Fatalf("parallel=%d: only %d checkpoint polls in the whole join", workers, total)
-		}
-		// Which slot gathers which stripe varies from run to run, and with
-		// it the poll count by a few: stay clear of the very end.
-		for at := int64(1); at < total*3/4; at += max(1, total/16) {
-			ctx := &pollCtx{Context: context.Background()}
-			ctx.cancelAt.Store(at)
-			cfg.Cancel = govern.NewCheck(ctx)
-			seen := map[geom.Pair]bool{}
-			_, err := Join(R, S, cfg, func(p geom.Pair) {
-				if seen[p] {
-					t.Errorf("parallel=%d cancel@%d: pair %v emitted twice", workers, at, p)
+	for _, tc := range []struct {
+		name string
+		R, S []geom.KPE
+		cfg  Config
+	}{
+		{"P=1", seamR, seamS, Config{Memory: int64(len(seamR)+len(seamS)) * geom.KPESize * 4}},
+		{"P>1", pairR, pairS, Config{Memory: pairMemories[1], MaxRecurse: 1}},
+	} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/parallel=%d", tc.name, workers)
+			probe := &pollCtx{Context: context.Background()}
+			cfg := tc.cfg
+			cfg.Disk, cfg.Parallel, cfg.Cancel = newDisk(), workers, govern.NewCheck(probe)
+			// The join phase has begun by the first result at the latest;
+			// at P = 1 there is no other phase.
+			from := int64(0)
+			st, err := Join(tc.R, tc.S, cfg, func(geom.Pair) {
+				if from == 0 {
+					from = probe.polls.Load()
 				}
-				seen[p] = true
 			})
-			if joinerr.KindOf(err) != joinerr.KindCanceled {
-				t.Fatalf("parallel=%d cancel@%d of %d: got %v, want a KindCanceled error", workers, at, total, err)
+			if err != nil {
+				t.Fatalf("%s: probe run: %v", label, err)
 			}
-			var je *joinerr.JoinError
-			if !errors.As(err, &je) || je.Phase != PhaseJoin.String() {
-				t.Fatalf("parallel=%d cancel@%d: error %v does not name the join phase", workers, at, err)
+			if (st.P == 1) != (tc.name == "P=1") {
+				t.Fatalf("%s: P = %d", label, st.P)
+			}
+			if st.P == 1 {
+				from = 1
+			}
+			total := probe.polls.Load()
+			if total-from < 8 {
+				t.Fatalf("%s: only %d checkpoint polls in the join phase", label, total-from)
+			}
+			// Which slot gathers which stripe varies from run to run, and with
+			// it the poll count by a few: stay clear of the very end.
+			for at := from; at < total*3/4; at += max(1, (total-from)/16) {
+				ctx := &pollCtx{Context: context.Background()}
+				ctx.cancelAt.Store(at)
+				cfg.Cancel = govern.NewCheck(ctx)
+				seen := map[geom.Pair]bool{}
+				_, err := Join(tc.R, tc.S, cfg, func(p geom.Pair) {
+					if seen[p] {
+						t.Errorf("%s cancel@%d: pair %v emitted twice", label, at, p)
+					}
+					seen[p] = true
+				})
+				if joinerr.KindOf(err) != joinerr.KindCanceled {
+					t.Fatalf("%s cancel@%d of %d: got %v, want a KindCanceled error", label, at, total, err)
+				}
+				var je *joinerr.JoinError
+				if !errors.As(err, &je) || je.Phase != PhaseJoin.String() {
+					t.Fatalf("%s cancel@%d: error %v does not name the join phase", label, at, err)
+				}
+				if n := cfg.Disk.NumFiles(); n != 0 {
+					t.Fatalf("%s cancel@%d: %d temp files left behind", label, at, n)
+				}
 			}
 		}
 	}
@@ -240,5 +268,285 @@ func TestStripeCancellation(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("%d goroutines before, %d after the canceled joins", before, g)
+	}
+}
+
+// The hot block of pairInputs: hotR identical rectangles of R against
+// hotS of S, straddling y = 0.5 — a tile seam of every even grid and the
+// stripe seam of K = 2. Together they outweigh every budget of
+// pairMemories, so no repartitioning can split them and their leaf is
+// joined over budget, striped.
+const (
+	hotR = 7000
+	hotS = 3
+)
+
+// pairMemories are budgets for pairInputs: at the first two, top pairs
+// that fit the budget hold more than stripeRecords records and are
+// striped as loaded; at the last only the overflow leaf is.
+var pairMemories = []int64{330 << 10, 250 << 10, 100 << 10}
+
+// pairInputs builds two relations for the P > 1 path: edges, zero-area
+// rectangles and points exactly on i/d for every d up to 16 — the seams
+// of every tile grid and every stripe layout the budgets of pairMemories
+// produce — coordinates at exactly 0 and 1, rectangles spanning the whole
+// domain, the hot block, and random filler on a 1/256 lattice.
+func pairInputs() (R, S []geom.KPE) {
+	rng := rand.New(rand.NewSource(16))
+	build := func(hot int, hotRect geom.Rect) []geom.KPE {
+		var ks []geom.KPE
+		add := func(xl, yl, xh, yh float64) {
+			ks = append(ks, geom.KPE{ID: uint64(len(ks)), Rect: geom.NewRect(xl, yl, xh, yh)})
+		}
+		add(0, 0, 1, 1) // a copy in every tile and every stripe
+		for d := 1; d <= 16; d++ {
+			for i := 0; i <= d; i++ {
+				v := float64(i) / float64(d)
+				u := rng.Float64() * 0.9
+				h := rng.Float64() * 0.1
+				add(u, v, u+0.02, min(1, v+h)) // bottom edge on the seam
+				add(u, max(0, v-h), u+0.02, v) // top edge on the seam
+				add(v, u, min(1, v+h), u+0.02) // left edge on the seam
+				add(max(0, v-h), u, v, u+0.02) // right edge on the seam
+				add(u, v, u+0.02, v)           // zero height, on the seam
+				add(v, u, v, u+0.02)           // zero width, on the seam
+				add(v, v, v, v)                // a point on two seams
+			}
+		}
+		for i := 0; i < hot; i++ {
+			add(hotRect.XL, hotRect.YL, hotRect.XH, hotRect.YH)
+		}
+		for n := len(ks) + 8000; len(ks) < n; {
+			x := float64(rng.Intn(256)) / 256
+			y := float64(rng.Intn(256)) / 256
+			w := float64(rng.Intn(4)) / 256
+			h := float64(rng.Intn(4)) / 256
+			add(x, y, min(1, x+w), min(1, y+h))
+		}
+		return ks
+	}
+	R = build(hotR, geom.NewRect(0.40, 0.49, 0.42, 0.51))
+	S = build(hotS, geom.NewRect(0.41, 0.48, 0.43, 0.52))
+	return R, S
+}
+
+// setHash is an order-independent hash of a result set.
+func setHash(ps []geom.Pair) (h uint64) {
+	for _, p := range ps {
+		h += (p.R*0x9E3779B97F4A7C15 ^ p.S) * 0xC2B2AE3D27D4EB4F
+	}
+	return h
+}
+
+// rawOracle counts what the join phase produces for the pair (rs, ss)
+// before any duplicate handling when every leaf is swept whole: it
+// follows repartitionPair's plan (same formula, same grid, larger side
+// split) and counts the intersecting pairs of each leaf by nested loops.
+// A striped join phase must produce exactly this count — the stripes
+// themselves never add to it.
+func rawOracle(rs, ss []geom.KPE, cfg Config, depth int) int64 {
+	if len(rs) == 0 || len(ss) == 0 {
+		return 0
+	}
+	size := int64(len(rs)+len(ss)) * geom.KPESize
+	if size <= cfg.Memory || depth >= cfg.maxRecurse() {
+		var n int64
+		for _, r := range rs {
+			for _, s := range ss {
+				if r.Rect.Intersects(s.Rect) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	n := max(2, int(math.Ceil(cfg.tune()*float64(size)/float64(cfg.Memory))))
+	sub := newGrid(n*cfg.tilesPerPart(), n)
+	splitR := len(rs) >= len(ss)
+	src := rs
+	if !splitR {
+		src = ss
+	}
+	subs := make([][]geom.KPE, n)
+	stamp := make([]int, n)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	for gen, k := range src {
+		for _, p := range sub.partitionsOf(k.Rect, nil, stamp, gen) {
+			subs[p] = append(subs[p], k)
+		}
+	}
+	var total int64
+	for _, part := range subs {
+		if splitR {
+			total += rawOracle(part, ss, cfg, depth+1)
+		} else {
+			total += rawOracle(rs, part, cfg, depth+1)
+		}
+	}
+	return total
+}
+
+// checkStripeAttrs fails unless every span of a loaded pair's join says
+// how many stripes it ran, and some pair ran more than one.
+func checkStripeAttrs(t *testing.T, label string, rec *trace.Recorder) {
+	t.Helper()
+	most := int64(0)
+	for _, sp := range rec.Spans() {
+		if sp.Name != PhaseJoin.String() || sp.Records == 0 {
+			continue // the region's outer timer, not a loaded pair
+		}
+		i := slices.IndexFunc(sp.Attrs, func(a trace.Attr) bool { return a.Key == "stripes" })
+		if i < 0 || sp.Attrs[i].Val != int64(stripeCount(int(sp.Records))) {
+			t.Fatalf("%s: join span over %d records carries attrs %v, want stripes = %d",
+				label, sp.Records, sp.Attrs, stripeCount(int(sp.Records)))
+		}
+		most = max(most, sp.Attrs[i].Val)
+	}
+	if most < 2 {
+		t.Fatalf("%s: no loaded pair ran more than %d stripe", label, most)
+	}
+}
+
+// TestStripePairsExactlyOnce drives the striped P > 1 join — ordinary
+// pairs, repartition leaves and a memory-overflow leaf — over the seam
+// geometry for every duplicate method × internal algorithm × memory
+// budget × worker count, and through PairExec.RunPair, against nested
+// loops: exactly-once, one emission sequence per budget whoever runs the
+// pairs, one result set whatever the budget, and a join phase that
+// produces exactly what unstriped leaves would (for DupSort: the spool
+// receives the same multiset).
+func TestStripePairsExactlyOnce(t *testing.T) {
+	R, S := pairInputs()
+	oracle := naive(R, S)
+	wantHash := setHash(oracle)
+	for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
+		// The three methods share nothing but the read-only inputs.
+		t.Run(dup.String(), func(t *testing.T) {
+			t.Parallel()
+			for mi, mem := range pairMemories {
+				base := Config{Memory: mem, Dup: dup, MaxRecurse: 1}
+				gs := PlanGrid(len(R), len(S), base)
+				parts := make([]int, gs.Parts)
+				for i := range parts {
+					parts[i] = i
+				}
+				slR, err := PartitionSlices(R, gs, parts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slS, err := PartitionSlices(S, gs, parts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wantRaw int64
+				striped := 0 // top pairs that fit the budget and have K > 1
+				for _, p := range parts {
+					wantRaw += rawOracle(slR[p], slS[p], base, 0)
+					n := len(slR[p]) + len(slS[p])
+					if stripeCount(n) > 1 && int64(n)*geom.KPESize <= mem {
+						striped++
+					}
+				}
+				if mi < 2 && striped < 2-mi {
+					t.Fatalf("%v/mem=%d: %d of %d top pairs are joined striped without repartitioning", dup, mem, striped, gs.Parts)
+				}
+
+				for _, alg := range []sweep.Kind{sweep.ListKind, sweep.TrieKind, sweep.NestedLoopsKind} {
+					var first []geom.Pair
+					var firstSt Stats
+					for _, workers := range []int{1, 2, 4} {
+						label := fmt.Sprintf("%v/%s/mem=%d/parallel=%d", dup, alg, mem, workers)
+						cfg := base
+						cfg.Algorithm, cfg.Parallel = alg, workers
+						rec := trace.New()
+						root := rec.Begin("join:pbsm")
+						cfg.Trace = root
+						got, st := run(t, R, S, cfg)
+						root.End()
+						checkStripeAttrs(t, label, rec)
+						if st.P != gs.Parts || st.P < 2 {
+							t.Fatalf("%s: P = %d, planned %d", label, st.P, gs.Parts)
+						}
+						if st.Repartitions == 0 || st.MemoryOverflows == 0 {
+							t.Fatalf("%s: %d repartitions, %d memory overflows: the hot block must reach the recursion cap",
+								label, st.Repartitions, st.MemoryOverflows)
+						}
+						if st.RawResults != wantRaw {
+							t.Fatalf("%s: RawResults = %d, unstriped leaves produce %d", label, st.RawResults, wantRaw)
+						}
+						if first != nil {
+							if !slices.Equal(got, first) {
+								t.Fatalf("%s: emission sequence differs from parallel=1", label)
+							}
+							if st.TotalIO() != firstSt.TotalIO() {
+								t.Fatalf("%s: total I/O %+v, parallel=1 charged %+v", label, st.TotalIO(), firstSt.TotalIO())
+							}
+							st.PhaseIO, st.PhaseCPU = firstSt.PhaseIO, firstSt.PhaseCPU
+							st.FirstResultCPU, st.FirstResultIO = firstSt.FirstResultCPU, firstSt.FirstResultIO
+							if st != firstSt {
+								t.Fatalf("%s: Stats %+v, parallel=1 had %+v", label, st, firstSt)
+							}
+							continue
+						}
+						first, firstSt = got, st
+						checkExactlyOnce(t, label, got, oracle)
+						if h := setHash(got); h != wantHash {
+							t.Fatalf("%s: set hash %#x, want %#x", label, h, wantHash)
+						}
+					}
+					if dup == DupSort {
+						continue // PairExec needs a duplicate-free-by-construction method
+					}
+					// RunPair joins a P > 1 pair on its one slot whatever
+					// Config.Parallel says, so one worker count covers it.
+					cfg := base
+					cfg.Disk, cfg.Algorithm = newDisk(), alg
+					ex, err := NewPairExec(cfg, gs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got []geom.Pair
+					for _, p := range parts {
+						if err := ex.RunPair(p, slR[p], slS[p], func(pr geom.Pair) { got = append(got, pr) }); err != nil {
+							t.Fatalf("%v/%s/mem=%d: RunPair(%d): %v", dup, alg, mem, p, err)
+						}
+					}
+					st := ex.Stats()
+					ex.Close()
+					if !slices.Equal(got, first) {
+						t.Fatalf("%v/%s/mem=%d: RunPair's emission sequence differs from Join's", dup, alg, mem)
+					}
+					if st.Results != firstSt.Results || st.RawResults != firstSt.RawResults || st.Tests != firstSt.Tests {
+						t.Fatalf("%v/%s/mem=%d: PairExec Results/RawResults/Tests = %d/%d/%d, Join had %d/%d/%d", dup, alg, mem,
+							st.Results, st.RawResults, st.Tests, firstSt.Results, firstSt.RawResults, firstSt.Tests)
+					}
+					if n := cfg.Disk.NumFiles(); n != 0 {
+						t.Fatalf("%v/%s/mem=%d: %d temp files left after Close", dup, alg, mem, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStripeSlotTrim: a slot that had to outgrow the budget for a
+// memory-overflow leaf gives the oversized buffers back and keeps the
+// rest.
+func TestStripeSlotTrim(t *testing.T) {
+	sl := &slot{
+		loadR: make([]geom.KPE, 0, 101),
+		loadS: make([]geom.KPE, 0, 100),
+		rs:    make([]geom.KPE, 0, 500),
+		ss:    make([]geom.KPE, 0, 7),
+	}
+	sl.ixR.pos, sl.ixS.pos = make([]uint32, 101), make([]uint32, 100)
+	sl.trim(100)
+	if sl.loadR != nil || sl.rs != nil || sl.ixR.pos != nil {
+		t.Fatal("buffers over the limit must be dropped")
+	}
+	if cap(sl.loadS) != 100 || cap(sl.ss) != 7 || len(sl.ixS.pos) != 100 {
+		t.Fatal("buffers within the limit must be kept")
 	}
 }

@@ -34,9 +34,11 @@ import (
 // and iy ≥ min(cyr, cys) — i.e. precisely in the reference point's tile.
 // Every intersecting pair shares that tile (the reference point lies in
 // both rectangles), so each result is emitted exactly once, by the same
-// tile RPM would have credited it to — identical result set, no
-// reference-point computation on the fast path, and class pairs with a
-// shared set bit are skipped outright (counted in Stats.TLSPSkipped).
+// tile RPM would have credited it to — identical result set, no region
+// lookup on the fast path (the reference point itself is still computed:
+// the striped kernel of stripes.go asks it which stripe reports), and
+// class pairs with a shared set bit are skipped outright (counted in
+// Stats.TLSPSkipped).
 //
 // Unlike the hashed RPM grid, a TLSP grid maps tiles to partitions 1:1
 // (classes are a per-tile property, so folding several tiles into one

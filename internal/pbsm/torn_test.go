@@ -7,7 +7,6 @@ import (
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/recfile"
-	"spatialjoin/internal/sweep"
 )
 
 // tornKPEFile writes ks as a framed KPE stream and copies only its first
@@ -44,7 +43,7 @@ func tornKPEFile(t *testing.T, d *diskio.Disk, ks []geom.KPE, n int) *diskio.Fil
 // detected — healable at the top level, plain corruption in a sub-pair.
 func TestTornEmptyLookingPartitionNotSkipped(t *testing.T) {
 	d := newDisk()
-	j := &joiner{cfg: Config{Disk: d, Memory: 1 << 20}, alg: sweep.New("")}
+	j := newJoiner(Config{Disk: d, Memory: 1 << 20})
 
 	fr := d.Create("")
 	w := recfile.NewKPEWriter(fr, 2)
@@ -59,7 +58,7 @@ func TestTornEmptyLookingPartitionNotSkipped(t *testing.T) {
 		t.Fatalf("NumKPEs of torn file = %d, want 0 (precondition)", n)
 	}
 
-	err := j.processPair(j.alg, func(geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 0)
+	err := j.processPair(&j.sl, func([]geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 0)
 	if err == nil {
 		t.Fatal("torn-below-header partition file was skipped as empty")
 	}
@@ -71,7 +70,7 @@ func TestTornEmptyLookingPartitionNotSkipped(t *testing.T) {
 		t.Fatalf("top-level tear must be healable, got %v", err)
 	}
 
-	err = j.processPair(j.alg, func(geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 1)
+	err = j.processPair(&j.sl, func([]geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 1)
 	if err == nil || !recfile.IsCorrupt(err) {
 		t.Fatalf("sub-pair tear must surface as corruption, got %v", err)
 	}

@@ -39,7 +39,7 @@ func TestTransientFaultsRetriedTransparently(t *testing.T) {
 	}))
 	f := d.Create("k")
 	want := writeKPEs(t, f, 2000)
-	got, err := ReadAllKPEs(f, 2)
+	got, err := ReadAllKPEs(nil, f, 2)
 	if err != nil {
 		t.Fatalf("transient faults must be retried away: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestTornWriteDetected(t *testing.T) {
 			continue // schedule tore nothing this seed
 		}
 		fp.Disable()
-		_, err := ReadAllKPEs(f, 2)
+		_, err := ReadAllKPEs(nil, f, 2)
 		if err == nil {
 			t.Fatalf("seed %d: %d torn writes went undetected", seed, fp.Stats().TornWrites)
 		}
@@ -103,7 +103,7 @@ func TestBitFlipDetected(t *testing.T) {
 			continue
 		}
 		fp.Disable()
-		_, err := ReadAllKPEs(f, 2)
+		_, err := ReadAllKPEs(nil, f, 2)
 		if err == nil {
 			t.Fatalf("seed %d: %d bit flips went undetected", seed, fp.Stats().BitFlips)
 		}
@@ -122,7 +122,7 @@ func TestCorruptErrorCarriesFile(t *testing.T) {
 	f := d.Create("partition-7")
 	writeKPEs(t, f, 300)
 	fp.Disable()
-	_, err := ReadAllKPEs(f, 2)
+	_, err := ReadAllKPEs(nil, f, 2)
 	if err == nil {
 		t.Fatal("corruption undetected")
 	}
@@ -165,7 +165,7 @@ func TestFlushedEmptyStreamReadsCleanly(t *testing.T) {
 		if n := NumKPEs(f); n != 0 {
 			t.Fatalf("%s: NumKPEs = %d", f.Name(), n)
 		}
-		got, err := ReadAllKPEs(f, 2)
+		got, err := ReadAllKPEs(nil, f, 2)
 		if err != nil || len(got) != 0 {
 			t.Fatalf("%s: read = (%d records, %v)", f.Name(), len(got), err)
 		}

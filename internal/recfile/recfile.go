@@ -527,10 +527,16 @@ func (r *KPEReader) RecordsLeft() int64 { return r.r.Left() }
 func NumKPEs(f *diskio.File) int64 { return NumRecs(f, geom.KPESize) }
 
 // ReadAllKPEs loads every record of f into memory with one buffered
-// scan. The caller is responsible for charging the load against its
-// memory budget; the I/O itself is charged to the disk as usual.
-func ReadAllKPEs(f *diskio.File, bufPages int) ([]geom.KPE, error) {
-	out := make([]geom.KPE, 0, NumKPEs(f))
+// scan, filling dst from dst[:0] — a caller that loads file after file
+// hands its last slice back and allocates only when a file outgrows it;
+// nil asks for a fresh slice. The caller is responsible for charging the
+// load against its memory budget; the I/O itself is charged to the disk
+// as usual.
+func ReadAllKPEs(dst []geom.KPE, f *diskio.File, bufPages int) ([]geom.KPE, error) {
+	out := dst[:0]
+	if n := NumKPEs(f); int64(cap(out)) < n {
+		out = make([]geom.KPE, 0, n)
+	}
 	r := NewKPEReader(f, bufPages)
 	for {
 		k, ok, err := r.Next()

@@ -67,7 +67,7 @@ func TestReadAllKPEs(t *testing.T) {
 		want = append(want, k)
 	}
 	w.Flush()
-	got, err := ReadAllKPEs(f, 4)
+	got, err := ReadAllKPEs(nil, f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,20 @@ func TestReadAllKPEs(t *testing.T) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	if got, err := ReadAllKPEs(d.Create("empty"), 4); err != nil || len(got) != 0 {
+	if got, err := ReadAllKPEs(nil, d.Create("empty"), 4); err != nil || len(got) != 0 {
 		t.Fatalf("empty file must yield no records (err=%v)", err)
+	}
+	// A dst with room is filled from dst[:0] in place; one that is too
+	// small is replaced, never appended past.
+	big := make([]geom.KPE, 7, 200)
+	got, err = ReadAllKPEs(big, f, 4)
+	if err != nil || len(got) != len(want) || &got[0] != &big[:1][0] || got[122] != want[122] {
+		t.Fatalf("a dst with capacity must be reused from its start (len=%d, err=%v)", len(got), err)
+	}
+	small := make([]geom.KPE, 3, 5)
+	got, err = ReadAllKPEs(small, f, 4)
+	if err != nil || len(got) != len(want) || got[0] != want[0] || got[122] != want[122] {
+		t.Fatalf("a dst without capacity must be outgrown (len=%d, err=%v)", len(got), err)
 	}
 }
 

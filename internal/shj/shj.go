@@ -348,11 +348,11 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		}, func(w, i int) error {
 			defer col.Done(i)
 			b := units[i]
-			rs, uerr := recfile.ReadAllKPEs(b.fR, cfg.bufPages())
+			rs, uerr := recfile.ReadAllKPEs(nil, b.fR, cfg.bufPages())
 			if uerr != nil {
 				return uerr
 			}
-			ss, uerr := recfile.ReadAllKPEs(b.fS, cfg.bufPages())
+			ss, uerr := recfile.ReadAllKPEs(nil, b.fS, cfg.bufPages())
 			if uerr != nil {
 				return uerr
 			}

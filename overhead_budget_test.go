@@ -95,7 +95,9 @@ func TestOverheadBudget(t *testing.T) {
 				// PBSM/RPM config: the strided loops are the partition
 				// scatter (one pass per input record) and repartitionPair
 				// (at most one more pass per record when a partition
-				// recurses) — re-derivation and DupSort never run here.
+				// recurses) — re-derivation and DupSort never run here, and
+				// no stripe index is built: at 64 KiB every loaded pair is
+				// far below stripeRecords and is swept whole.
 				strideIters := 2 * records
 				t.Logf("checks=%d (now=%d) stride-iters≤%d per-point=%v per-now=%v per-stride=%v",
 					checks, nows, strideIters, perPoint, perNow, perStride)
@@ -138,16 +140,17 @@ func TestOverheadBudget(t *testing.T) {
 				// Site bound: each disk request passes one gate load (2×
 				// for slack), each retry one more, each top-level partition
 				// pair a handful of nil-handle calls (pairDone, progress,
-				// scheduler bookkeeping; 8 is generous), each raw
-				// join-phase result one live dup counter (pbsm.rpm.tests or
-				// pbsm.tlsp.pairs.skipped are incremented from the join
-				// loop; 2× for slack), plus a constant for the per-join
-				// sites (join counters, progress init, publishMetrics,
-				// governor/shard probes).
+				// scheduler bookkeeping; 8 is generous), each sweep two live
+				// dup counters (pbsm.rpm.tests and pbsm.tlsp.pairs.skipped
+				// are folded once per stripe; a stripe's records took at
+				// least one read request of their own to load, so the read
+				// requests bound the sweeps), plus a constant for the
+				// per-join sites (join counters, progress init,
+				// publishMetrics, governor/shard probes).
 				sites := 2*(res.IO.ReadRequests+res.IO.WriteRequests) +
 					res.IO.Retries +
 					8*int64(res.PBSMStats.P) +
-					2*res.PBSMStats.RawResults +
+					2*res.IO.ReadRequests +
 					64
 				t.Logf("sites≤%d per-op=%v", sites, perOp)
 				return perOp * time.Duration(sites)
