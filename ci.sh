@@ -71,6 +71,19 @@ go test -race -count=1 -timeout 10m ./internal/chaos/ ./internal/govern/ ./inter
 # memory-overflow leaves included), emission order through PairExec, and
 # cancellation at every kind of checkpoint on both paths.
 go test -race -count=1 -timeout 15m -run 'TestStripe' ./internal/pbsm/
+# Run formation sorts an index and writes the run through it from
+# concurrent scheduler units, merge cursors break ties by run ordinal, and
+# the scan keeps every stack cell's items in one arena per relation:
+# stability against sort.SliceStable at 1, 2 and 4 workers, run files
+# identical across worker counts, the eleven-level nest against the
+# quadtree join, and cancellation swept over run formation and the scan.
+go test -race -count=1 -timeout 10m ./internal/extsort/ ./internal/s3j/
+
+echo "== fuzz smoke (diskio extents against a flat byte-slice model) =="
+# Random-sized writes, flushes, positioned reads and range readers, with
+# torn-write and bit-flip seeds, on sizes that straddle extent seams and
+# land exactly on them.
+go test -run '^$' -fuzz FuzzFileExtents -fuzztime 10s ./internal/diskio/
 
 echo "== metrics endpoint smoke (/metrics exposition + progress) =="
 # A latency-slowed PBSM join scraped mid-flight over metrics.Handler:
@@ -91,6 +104,12 @@ echo "== repository benchmark smoke (pbsm_ext, traced pass) =="
 # top pairs hold about 8k records (K = 3), so the striped pair path and
 # repartitioning both run; at 0.05 neither does.
 go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
+
+echo "== repository benchmark smoke (s3j_ext, traced pass) =="
+# S3J's external path through the same oracle and gates. At scale 0.25
+# four level files still form more than one run, so the index sort, the
+# keyed merge and the scan arena all execute.
+go run ./benchmark -workload s3j_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
 
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)

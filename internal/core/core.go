@@ -439,6 +439,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			Memory:    cfg.Memory,
 			Algorithm: cfg.algorithm(),
 			BufPages:  cfg.BufPages,
+			Parallel:  cfg.parallel(),
+			Gov:       cfg.Governor,
 			Trace:     root,
 			Cancel:    chk,
 		}, emit)

@@ -11,6 +11,10 @@
 // counters, and the accumulated cost converts to simulated seconds via
 // the configured page-transfer time.
 //
+// A file's bytes live in fixed-size extents (extentSize), so appending
+// never re-copies what is already written: the model says a byte moves
+// once per request, and the simulation now moves it once too.
+//
 // Cost accounting and the file directory are guarded by a mutex, so
 // multiple goroutines may read distinct files concurrently (the parallel
 // join phase of PBSM relies on this). Concurrent writers to the SAME
@@ -390,7 +394,57 @@ func (d *Disk) chargeLatencySpike(file string) {
 type File struct {
 	d    *Disk
 	name string
-	data []byte
+	// ext holds the contents: byte i lives in ext[i/extentSize][i%extentSize].
+	// Every extent but the last is full and the last holds the rest, so
+	// size is the sum of the extent lengths.
+	ext  [][]byte
+	size int
+}
+
+// extentSize is the unit a File's contents are allocated in. Appending
+// fills the tail extent and then starts a new one, so no byte already
+// written is ever moved again.
+const extentSize = 64 << 10
+
+// append adds p at the end of the file.
+func (f *File) append(p []byte) {
+	for len(p) > 0 {
+		if len(f.ext) == 0 || len(f.ext[len(f.ext)-1]) == extentSize {
+			f.ext = append(f.ext, nil)
+		}
+		tail := &f.ext[len(f.ext)-1]
+		n := len(p)
+		if room := extentSize - len(*tail); n > room {
+			n = room
+		}
+		if need := len(*tail) + n; need > cap(*tail) {
+			// The first extent is sized to what it holds and doubles; a
+			// file that outgrew one extent gets whole ones.
+			c := extentSize
+			if len(f.ext) == 1 && need < extentSize/2 {
+				c = max(2*cap(*tail), need)
+			}
+			grown := make([]byte, len(*tail), c)
+			copy(grown, *tail)
+			*tail = grown
+		}
+		*tail = append(*tail, p[:n]...)
+		f.size += n
+		p = p[n:]
+	}
+}
+
+// copyAt copies file bytes starting at off into p, stopping at the end
+// of p or of the file, and returns the number of bytes copied. off must
+// lie in [0, f.size].
+func (f *File) copyAt(p []byte, off int64) int {
+	total := 0
+	for i, o := int(off/extentSize), int(off%extentSize); len(p) > 0 && i < len(f.ext); i, o = i+1, 0 {
+		n := copy(p, f.ext[i][o:])
+		total += n
+		p = p[n:]
+	}
+	return total
 }
 
 // Name returns the file's name on its Disk.
@@ -400,10 +454,10 @@ func (f *File) Name() string { return f.name }
 func (f *File) Disk() *Disk { return f.d }
 
 // Len returns the file length in bytes.
-func (f *File) Len() int { return len(f.data) }
+func (f *File) Len() int { return f.size }
 
 // Pages returns the file length in pages (rounded up).
-func (f *File) Pages() int64 { return f.d.pages(len(f.data)) }
+func (f *File) Pages() int64 { return f.d.pages(f.size) }
 
 // ErrNegativeOffset is returned by ReadAt for offsets below zero, which
 // indicate a caller bug rather than an end-of-file condition.
@@ -418,10 +472,10 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrNegativeOffset
 	}
-	if off >= int64(len(f.data)) {
+	if off >= int64(f.size) {
 		return 0, io.EOF
 	}
-	n := copy(p, f.data[off:])
+	n := f.copyAt(p, off)
 	f.d.chargeRead(n)
 	if n < len(p) {
 		return n, io.EOF
@@ -429,8 +483,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Bytes exposes the raw contents for zero-cost inspection in tests.
-func (f *File) Bytes() []byte { return f.data }
+// Bytes returns a copy of the contents for zero-cost inspection in tests.
+func (f *File) Bytes() []byte {
+	b := make([]byte, f.size)
+	f.copyAt(b, 0)
+	return b
+}
 
 // Writer buffers sequential appends to a File, flushing whole buffers as
 // single positioned write requests of contiguous pages. The buffer size
@@ -488,15 +546,15 @@ func (w *Writer) flush() error {
 		case writeTorn:
 			// Persist a prefix and report success — the silent partial
 			// write the checksummed frame format exists to catch.
-			w.f.data = append(w.f.data, w.buf[:arg]...)
+			w.f.append(w.buf[:arg])
 			d.chargeWrite(arg)
 			w.n = 0
 			d.emitEvent("torn-write", w.f.name)
 			return nil
 		case writeFlip:
-			start := len(w.f.data)
-			w.f.data = append(w.f.data, w.buf[:w.n]...)
-			w.f.data[start+arg/8] ^= 1 << (arg % 8)
+			at := w.f.size + arg/8
+			w.f.append(w.buf[:w.n])
+			w.f.ext[at/extentSize][at%extentSize] ^= 1 << (arg % 8)
 			d.chargeWrite(w.n)
 			w.n = 0
 			d.emitEvent("bit-flip", w.f.name)
@@ -505,7 +563,7 @@ func (w *Writer) flush() error {
 			d.chargeLatencySpike(w.f.name)
 		}
 	}
-	w.f.data = append(w.f.data, w.buf[:w.n]...)
+	w.f.append(w.buf[:w.n])
 	d.chargeWrite(w.n)
 	w.n = 0
 	return nil
@@ -525,7 +583,7 @@ type Reader struct {
 
 // NewReader returns a sequential Reader over the whole file.
 func (f *File) NewReader(bufPages int) *Reader {
-	return f.NewRangeReader(bufPages, 0, int64(len(f.data)))
+	return f.NewRangeReader(bufPages, 0, int64(f.size))
 }
 
 // NewRangeReader returns a sequential Reader over file bytes [lo, hi).
@@ -533,8 +591,8 @@ func (f *File) NewRangeReader(bufPages int, lo, hi int64) *Reader {
 	if bufPages < 1 {
 		bufPages = 1
 	}
-	if hi > int64(len(f.data)) {
-		hi = int64(len(f.data))
+	if hi > int64(f.size) {
+		hi = int64(f.size)
 	}
 	if lo > hi {
 		lo = hi
@@ -595,7 +653,7 @@ func (r *Reader) fill() (bool, error) {
 	if want > r.hi-r.lo {
 		want = r.hi - r.lo
 	}
-	n := copy(r.buf[:want], r.f.data[r.lo:r.hi])
+	n := r.f.copyAt(r.buf[:want], r.lo)
 	r.f.d.chargeRead(n)
 	r.lo += int64(n)
 	r.pos, r.end = 0, n

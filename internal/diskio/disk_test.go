@@ -300,3 +300,238 @@ func TestConcurrentReadsAccountCorrectly(t *testing.T) {
 		t.Fatalf("cost units %g, want %g", delta.CostUnits, want)
 	}
 }
+
+// extOp is one step of the extent model test. Sizes and offsets are
+// picked by near, so most of them sit on an extent seam or one byte to
+// either side of it.
+type extOp struct {
+	kind byte // 0 write, 1 flush, 2 ReadAt, 3 range reader
+	a, b int
+}
+
+// near maps a 16-bit choice to a byte count in [0, limit]: mostly a
+// multiple of extentSize moved by -2..2 bytes, sometimes a page multiple
+// or a small number.
+func near(v uint16, pageSize, limit int) int {
+	var n int
+	switch k := int(v >> 4); v & 15 {
+	case 0, 1, 2, 3, 4:
+		n = (k%4)*extentSize + int(v&15) - 2
+	case 5:
+		n = k % 64 * pageSize
+	case 6:
+		n = extentSize/2 + k
+	default:
+		n = k
+	}
+	return min(max(n, 0), limit)
+}
+
+// checkExtentOps applies ops to a File and to a flat []byte model and
+// fails on the first disagreement. With faultSeed != 0 every write
+// request consults a fault policy that tears or flips it; a twin policy
+// with the same seed tells the model what the device was told to do, so
+// the model knows the persisted prefix and the flipped bit's absolute
+// offset without asking the file.
+func checkExtentOps(t testing.TB, pageSize, bufPages int, faultSeed int64, ops []extOp) {
+	t.Helper()
+	const maxFile = 6 * extentSize
+	d := NewDisk(pageSize, 5, time.Millisecond)
+	var fp, twin *FaultPolicy
+	if faultSeed != 0 {
+		cfg := FaultConfig{Seed: faultSeed, TornWriteRate: 0.3, BitFlipRate: 0.4}
+		fp, twin = NewFaultPolicy(cfg), NewFaultPolicy(cfg)
+	}
+	f := d.Create("x")
+	w := f.NewWriter(bufPages)
+	bufSize := max(bufPages, 1) * pageSize
+
+	var model, clean, pending []byte // clean: model without the bit flips
+	flips := map[int]bool{}          // absolute bit offsets flipped an odd number of times
+	var wantReqs, wantPages int64
+	flush := func() {
+		if len(pending) == 0 {
+			return
+		}
+		keep, bit := len(pending), -1
+		if twin != nil {
+			switch act, arg := twin.onWrite(len(pending)); act {
+			case writeTorn:
+				keep = arg
+			case writeFlip:
+				bit = len(model)*8 + arg
+			}
+		}
+		model = append(model, pending[:keep]...)
+		clean = append(clean, pending[:keep]...)
+		if bit >= 0 {
+			model[bit/8] ^= 1 << (bit % 8)
+			flips[bit] = !flips[bit]
+		}
+		wantReqs++
+		wantPages += int64((keep + pageSize - 1) / pageSize)
+		pending = pending[:0]
+	}
+
+	rng := rand.New(rand.NewSource(int64(len(ops))))
+	for i, op := range ops {
+		switch op.kind {
+		case 0:
+			if len(model)+len(pending)+op.a > maxFile {
+				continue
+			}
+			p := make([]byte, op.a)
+			rng.Read(p)
+			d.SetFaultPolicy(fp)
+			if n, err := w.Write(p); n != len(p) || err != nil {
+				t.Fatalf("op %d: Write(%d) = (%d, %v)", i, len(p), n, err)
+			}
+			for len(p) > 0 {
+				n := min(len(p), bufSize-len(pending))
+				pending = append(pending, p[:n]...)
+				p = p[n:]
+				if len(pending) == bufSize {
+					flush()
+				}
+			}
+		case 1:
+			d.SetFaultPolicy(fp)
+			if err := w.Flush(); err != nil {
+				t.Fatalf("op %d: Flush: %v", i, err)
+			}
+			flush()
+		case 2:
+			// Reads run without the policy: a read request would draw from
+			// its generator and the twin would fall out of step.
+			d.SetFaultPolicy(nil)
+			off, p := int64(op.a), make([]byte, op.b)
+			n, err := f.ReadAt(p, off)
+			want := model[min(op.a, len(model)):min(op.a+op.b, len(model))]
+			wantErr := io.EOF
+			if len(want) == len(p) && op.a < len(model) {
+				wantErr = nil
+			}
+			if n != len(want) || err != wantErr || !bytes.Equal(p[:n], want) {
+				t.Fatalf("op %d: ReadAt(len %d, off %d) on %d bytes = (%d, %v), want (%d, %v) and the model's bytes",
+					i, len(p), off, len(model), n, err, len(want), wantErr)
+			}
+		case 3:
+			d.SetFaultPolicy(nil)
+			lo, hi := op.a, op.a+op.b
+			want := model[min(lo, len(model)):min(hi, len(model))]
+			r := f.NewRangeReader(1+i%3, int64(lo), int64(hi))
+			if r.Remaining() != int64(len(want)) {
+				t.Fatalf("op %d: range [%d, %d) of %d bytes: Remaining = %d, want %d", i, lo, hi, len(model), r.Remaining(), len(want))
+			}
+			got := make([]byte, len(want)+1)
+			if n, err := r.Read(got); n != len(want) || err != nil || !bytes.Equal(got[:n], want) {
+				t.Fatalf("op %d: range [%d, %d) of %d bytes read (%d, %v), want %d bytes of the model", i, lo, hi, len(model), n, err, len(want))
+			}
+		}
+		if f.Len() != len(model) || f.Pages() != int64((len(model)+pageSize-1)/pageSize) {
+			t.Fatalf("op %d: Len %d Pages %d on a model of %d bytes", i, f.Len(), f.Pages(), len(model))
+		}
+	}
+
+	got := f.Bytes()
+	if !bytes.Equal(got, model) {
+		t.Fatalf("Bytes() differs from the model (%d vs %d bytes)", len(got), len(model))
+	}
+	if len(got) > 0 {
+		got[0] ^= 0xff
+		if f.Bytes()[0] != model[0] {
+			t.Fatal("Bytes() must be a copy: writing to it changed the file")
+		}
+		got[0] ^= 0xff
+	}
+	for i := range got {
+		for b := 0; b < 8; b++ {
+			if differs := (got[i]^clean[i])>>b&1 == 1; differs != flips[i*8+b] {
+				t.Fatalf("bit %d of byte %d: differs from what was written = %v, flipped by the policy = %v", b, i, differs, flips[i*8+b])
+			}
+		}
+	}
+	if st := d.Stats(); st.WriteRequests != wantReqs || st.PagesWritten != wantPages {
+		t.Fatalf("charged %d write requests / %d pages, the model %d / %d", st.WriteRequests, st.PagesWritten, wantReqs, wantPages)
+	}
+	if fp != nil && fp.Stats() != twin.Stats() {
+		t.Fatalf("fault policy %+v and its twin %+v fell out of step", fp.Stats(), twin.Stats())
+	}
+}
+
+// extOpsFromBytes decodes a fuzz input: five bytes per op.
+func extOpsFromBytes(script []byte, pageSize int) []extOp {
+	var ops []extOp
+	for ; len(script) >= 5; script = script[5:] {
+		a := uint16(script[1]) | uint16(script[2])<<8
+		b := uint16(script[3]) | uint16(script[4])<<8
+		ops = append(ops, extOp{kind: script[0] % 4, a: near(a, pageSize, 4*extentSize), b: near(b, pageSize, 2*extentSize)})
+	}
+	return ops
+}
+
+// TestFileExtents drives files through writes, flushes, positioned reads
+// and range readers against a flat byte-slice model, with buffer sizes
+// that divide an extent, equal it, span two, and share no factor with it,
+// healthy and under torn-write and bit-flip faults.
+func TestFileExtents(t *testing.T) {
+	shapes := []struct{ pageSize, bufPages int }{
+		{8192, 1},  // 8 flushes fill an extent exactly
+		{8192, 8},  // one flush is one extent
+		{8192, 16}, // one flush spans two extents
+		{4096, 3},  // 12 KiB flushes straddle every seam
+		{100, 7},   // 700-byte flushes, pages that never align
+		{extentSize + 1, 1},
+	}
+	for _, sh := range shapes {
+		for faultSeed := int64(0); faultSeed < 4; faultSeed++ {
+			rng := rand.New(rand.NewSource(faultSeed*131 + int64(sh.pageSize+sh.bufPages)))
+			script := make([]byte, 5*120)
+			rng.Read(script)
+			checkExtentOps(t, sh.pageSize, sh.bufPages, faultSeed, extOpsFromBytes(script, sh.pageSize))
+		}
+	}
+
+	// One-byte requests, every one flipped: the flipped byte walks over
+	// the first two seams, so a flip lands on the last byte of an extent
+	// and on the first byte of the next.
+	const n = 2*extentSize + 3
+	d := NewDisk(1, 5, time.Millisecond)
+	d.SetFaultPolicy(NewFaultPolicy(FaultConfig{Seed: 1, BitFlipRate: 1}))
+	f := d.Create("x")
+	w := f.NewWriter(1)
+	for i := 0; i < n; i++ {
+		w.Write([]byte{0})
+	}
+	for i, b := range f.Bytes() {
+		if b == 0 || b&(b-1) != 0 {
+			t.Fatalf("byte %d = %#x, want exactly one bit flipped in every byte", i, b)
+		}
+	}
+	if f.Len() != n {
+		t.Fatalf("Len = %d, want %d", f.Len(), n)
+	}
+
+	// A one-frame file holds what was written, not a whole extent.
+	small := d.Create("small")
+	small.append(make([]byte, 100))
+	if c := cap(small.ext[0]); c != 100 {
+		t.Fatalf("a 100-byte file pins %d bytes", c)
+	}
+}
+
+// FuzzFileExtents is TestFileExtents with the op script, the buffer shape
+// and the fault seed chosen by the fuzzer.
+func FuzzFileExtents(f *testing.F) {
+	f.Add(int64(0), uint8(0), []byte{0, 0, 16, 0, 0, 1, 0, 0, 0, 0, 2, 254, 15, 4, 0, 3, 1, 16, 3, 16})
+	f.Add(int64(7), uint8(3), bytes.Repeat([]byte{0, 3, 16, 0, 0, 0, 18, 0, 0, 0, 1, 0, 0, 0, 0, 3, 0, 16, 4, 16}, 6))
+	f.Add(int64(2), uint8(4), bytes.Repeat([]byte{0, 85, 2, 0, 0, 2, 2, 16, 5, 2}, 20))
+	shapes := []struct{ pageSize, bufPages int }{{8192, 1}, {8192, 8}, {8192, 16}, {4096, 3}, {100, 7}, {1, 3}}
+	f.Fuzz(func(t *testing.T, faultSeed int64, shape uint8, script []byte) {
+		if len(script) > 5*200 {
+			script = script[:5*200]
+		}
+		sh := shapes[int(shape)%len(shapes)]
+		checkExtentOps(t, sh.pageSize, sh.bufPages, faultSeed, extOpsFromBytes(script, sh.pageSize))
+	})
+}

@@ -9,6 +9,20 @@
 // produced, multiway merge passes follow, each reading and writing the
 // data once — exactly the I/O behaviour §5.1 of the paper accounts for.
 //
+// Run formation never moves a record while sorting: it sorts an index
+// of (key, position) entries — Config.Key's 64-bit prefix of the order,
+// extracted once per record — and writes the run through the index.
+// Entries compare by key, then by Config.Less when it is set, then by
+// position, so the order is total, the sort is stable, and a Less-only
+// caller (every key 0) runs the same path. The merge breaks ties the same
+// way with the run ordinal in place of the position, which keeps the
+// whole sort stable: runs and merge groups cover consecutive input
+// ranges. Chunks stay Memory/RecordSize records, so run counts, merge
+// passes and every I/O unit are what they were when records were swapped
+// in place; the index is 16 bytes per record of the chunk that a sort
+// worker holds BEYOND Memory, and it is part of the working set the
+// governor is asked for.
+//
 // Both stages decompose into independent units — run-formation chunks
 // cover disjoint record ranges of the input, and the merge groups of one
 // pass share no runs — so both run on the shared worker pool of package
@@ -25,11 +39,15 @@
 package extsort
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"errors"
+	"math"
+	"slices"
 
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
 	"spatialjoin/internal/trace"
@@ -45,7 +63,13 @@ type Config struct {
 	RecordSize int   // bytes per record
 	Memory     int64 // in-memory workspace budget in bytes
 	BufPages   int   // pages per sequential I/O buffer (default 4)
-	Less       Less
+	// Key and Less define the order; at least one is required. Key maps a
+	// record to a 64-bit prefix of the order (smaller sorts first) and is
+	// called once per record per pass; Less decides between records whose
+	// keys are equal (all of them when Key is nil). Records neither tells
+	// apart keep their input order.
+	Key  func(rec []byte) uint64
+	Less Less
 	// Parallel is the worker count for run formation and the merge
 	// groups of each pass (< 2 = sequential). Parallel workers hold one
 	// memory-budget-sized working set EACH; gate the overshoot with Gov
@@ -85,9 +109,12 @@ func (c *Config) workers() int {
 
 // Stats reports what a Sort did.
 type Stats struct {
-	Records     int64 // records sorted
-	Runs        int   // initial runs formed
-	MergePass   int   // number of merge passes performed (0 if one run)
+	Records   int64 // records sorted
+	Runs      int   // initial runs formed
+	MergePass int   // number of merge passes performed (0 if one run)
+	// Comparisons counts calls of Config.Less only: 0 for a Key-only
+	// sort, the tie-breaks between equal keys for Key + Less, every
+	// comparison for a Less-only sort.
 	Comparisons int64
 }
 
@@ -114,6 +141,9 @@ func removeRuns(reg *diskio.Registry, rs []runRange) {
 // the returned file is nil and any partial output has been removed.
 func Sort(in *diskio.File, cfg Config) (*diskio.File, Stats, error) {
 	var st Stats
+	if cfg.Key == nil && cfg.Less == nil {
+		return nil, st, joinerr.Wrap("extsort", "config", errors.New("Config.Key or Config.Less is required"))
+	}
 	rs := cfg.RecordSize
 	st.Records = recfile.NumRecs(in, rs)
 
@@ -171,6 +201,9 @@ func formRuns(in *diskio.File, cfg Config, reg *diskio.Registry, sp *trace.Span,
 	if maxRecs < 2 {
 		maxRecs = 2
 	}
+	if maxRecs > math.MaxUint32 {
+		maxRecs = math.MaxUint32 // indexEntry.pos
+	}
 	total := st.Records
 	if total == 0 {
 		return nil, nil
@@ -192,7 +225,7 @@ func formRuns(in *diskio.File, cfg Config, reg *diskio.Registry, sp *trace.Span,
 		Span:    ph,
 		Cancel:  cfg.Cancel,
 		Gov:     cfg.Gov,
-		UnitMem: maxRecs * int64(rs),
+		UnitMem: maxRecs * int64(rs+indexEntrySize),
 	}, func(w, i int) error {
 		c, uerr := formOneRun(in, runs[i], int64(i)*maxRecs, cfg)
 		comps[i] = c
@@ -204,21 +237,54 @@ func formRuns(in *diskio.File, cfg Config, reg *diskio.Registry, sp *trace.Span,
 	return runs, err
 }
 
+// indexEntry stands for one record of a chunk while the chunk is sorted:
+// its key and its position in the chunk.
+type indexEntry struct {
+	key uint64
+	pos uint32
+}
+
+const indexEntrySize = 16 // unsafe.Sizeof(indexEntry{})
+
+// key returns the record's sort key, 0 for a Less-only sort.
+func (c *Config) key(rec []byte) uint64 {
+	if c.Key == nil {
+		return 0
+	}
+	return c.Key(rec)
+}
+
+// tieBefore reports whether record a sorts before record b when their
+// keys are equal; aEarlier says which of the two came first in the input
+// (chunk position in run formation, run ordinal in a merge). Without
+// Less that alone decides. With it one call does: the earlier record goes
+// first unless the later one is strictly smaller. comps counts the call.
+func (c *Config) tieBefore(a, b []byte, aEarlier bool, comps *int64) bool {
+	if c.Less == nil {
+		return aEarlier
+	}
+	*comps++
+	if aEarlier {
+		return !c.Less(b, a)
+	}
+	return c.Less(a, b)
+}
+
 // formOneRun reads the chunk's record range directly into an in-memory
-// buffer (one copy: frame payload to chunk tail), sorts it in place, and
-// writes the run file sequentially from the sorted buffer.
+// buffer (one copy: frame payload to chunk tail) while indexing it, sorts
+// the index, and writes the run file through the sorted index.
 func formOneRun(in *diskio.File, run runRange, lo int64, cfg Config) (int64, error) {
 	rs := cfg.RecordSize
 	r := recfile.NewRecRangeReader(in, rs, cfg.bufPages(), lo, lo+run.recs)
-	chunk := make([]byte, 0, run.recs*int64(rs))
+	chunk := make([]byte, run.recs*int64(rs))
+	idx := make([]indexEntry, run.recs)
 	chk := cfg.Cancel.Stride()
-	for int64(len(chunk)/rs) < run.recs {
+	for i := range idx {
 		if err := chk.Point(); err != nil {
 			return 0, err
 		}
-		k := len(chunk)
-		chunk = chunk[:k+rs]
-		ok, err := r.Next(chunk[k:])
+		rec := chunk[i*rs : (i+1)*rs]
+		ok, err := r.Next(rec)
 		if err != nil {
 			return 0, err
 		}
@@ -228,46 +294,31 @@ func formOneRun(in *diskio.File, run runRange, lo int64, cfg Config) (int64, err
 			// length-derived count and the stream disagree.
 			return 0, &recfile.CorruptError{File: in.Name(), Detail: "record range shorter than the length-derived count"}
 		}
+		idx[i] = indexEntry{key: cfg.key(rec), pos: uint32(i)}
 	}
 	var comps int64
-	sort.Sort(&chunkSorter{buf: chunk, rs: rs, tmp: make([]byte, rs), less: cfg.Less, comps: &comps})
+	at := func(e indexEntry) []byte { return chunk[int(e.pos)*rs:][:rs] }
+	slices.SortFunc(idx, func(a, b indexEntry) int {
+		switch {
+		case a.key != b.key:
+			return cmp.Compare(a.key, b.key)
+		case cfg.Less == nil || a.pos == b.pos:
+			return cmp.Compare(a.pos, b.pos)
+		case cfg.tieBefore(at(a), at(b), a.pos < b.pos, &comps):
+			return -1
+		}
+		return 1
+	})
 	w := recfile.NewRecWriter(run.f, rs, cfg.bufPages())
-	for k := 0; k < len(chunk); k += rs {
+	for _, e := range idx {
 		if err := chk.Point(); err != nil {
 			return comps, err
 		}
-		if err := w.Write(chunk[k : k+rs]); err != nil {
+		if err := w.Write(at(e)); err != nil {
 			return comps, err
 		}
 	}
 	return comps, w.Flush()
-}
-
-// chunkSorter sorts a chunk of fixed-size records in place (swap via one
-// record-sized scratch buffer), so the run can be written with one
-// sequential pass over the buffer instead of through an index
-// permutation in random memory order.
-type chunkSorter struct {
-	buf   []byte
-	rs    int
-	tmp   []byte
-	less  Less
-	comps *int64
-}
-
-func (s *chunkSorter) Len() int { return len(s.buf) / s.rs }
-
-func (s *chunkSorter) Less(i, j int) bool {
-	*s.comps++
-	return s.less(s.buf[i*s.rs:(i+1)*s.rs], s.buf[j*s.rs:(j+1)*s.rs])
-}
-
-func (s *chunkSorter) Swap(i, j int) {
-	a := s.buf[i*s.rs : (i+1)*s.rs]
-	b := s.buf[j*s.rs : (j+1)*s.rs]
-	copy(s.tmp, a)
-	copy(a, b)
-	copy(b, s.tmp)
 }
 
 // mergePass merges groups of up to fanin runs, each group into its own
@@ -320,11 +371,13 @@ func mergePass(runs []runRange, cfg Config, reg *diskio.Registry, sp *trace.Span
 func mergeRuns(out *diskio.File, runs []runRange, cfg Config) (int64, int64, error) {
 	rs := cfg.RecordSize
 	var comps int64
-	h := &mergeHeap{less: cfg.Less, comps: &comps}
-	for _, rr := range runs {
+	h := &mergeHeap{cfg: &cfg, comps: &comps}
+	for i, rr := range runs {
 		c := &cursor{
 			r:   recfile.NewRecRangeReader(rr.f, rs, cfg.bufPages(), 0, rr.recs),
 			buf: make([]byte, rs),
+			cfg: &cfg,
+			ord: i,
 		}
 		ok, err := c.advance()
 		if err != nil {
@@ -360,23 +413,38 @@ func mergeRuns(out *diskio.File, runs []runRange, cfg Config) (int64, int64, err
 	return n, comps, w.Flush()
 }
 
+// cursor is one run's read position in a merge: its current record, that
+// record's key (extracted once, when the record is read) and the run's
+// ordinal in the group, the last tie-break.
 type cursor struct {
 	r   *recfile.RecReader
 	buf []byte
+	key uint64
+	cfg *Config
+	ord int
 }
 
-func (c *cursor) advance() (bool, error) { return c.r.Next(c.buf) }
+func (c *cursor) advance() (bool, error) {
+	ok, err := c.r.Next(c.buf)
+	if ok && err == nil {
+		c.key = c.cfg.key(c.buf)
+	}
+	return ok, err
+}
 
 type mergeHeap struct {
 	items []*cursor
-	less  Less
+	cfg   *Config
 	comps *int64
 }
 
 func (h *mergeHeap) Len() int { return len(h.items) }
 func (h *mergeHeap) Less(i, j int) bool {
-	*h.comps++
-	return h.less(h.items[i].buf, h.items[j].buf)
+	a, b := h.items[i], h.items[j]
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return h.cfg.tieBefore(a.buf, b.buf, a.ord < b.ord, h.comps)
 }
 func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
 func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(*cursor)) }

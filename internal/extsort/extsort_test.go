@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"sort"
@@ -19,12 +20,28 @@ func u64Less(a, b []byte) bool {
 }
 
 func writeU64s(d *diskio.Disk, vals []uint64) *diskio.File {
+	recs := make([]byte, recSize*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(recs[i*recSize:], v)
+	}
+	return writeRecs(d, recs, recSize)
+}
+
+func readU64s(f *diskio.File) []uint64 {
+	recs := readRecs(f, recSize)
+	out := make([]uint64, len(recs)/recSize)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(recs[i*recSize:])
+	}
+	return out
+}
+
+// writeRecs stores recs, records of rs bytes each, in a new file.
+func writeRecs(d *diskio.Disk, recs []byte, rs int) *diskio.File {
 	f := d.Create("in")
-	w := recfile.NewRecWriter(f, recSize, 4)
-	var buf [recSize]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		if err := w.Write(buf[:]); err != nil {
+	w := recfile.NewRecWriter(f, rs, 4)
+	for k := 0; k < len(recs); k += rs {
+		if err := w.Write(recs[k : k+rs]); err != nil {
 			panic(err)
 		}
 	}
@@ -34,19 +51,20 @@ func writeU64s(d *diskio.Disk, vals []uint64) *diskio.File {
 	return f
 }
 
-func readU64s(f *diskio.File) []uint64 {
-	r := recfile.NewRecReader(f, recSize, 4)
-	var out []uint64
-	var buf [recSize]byte
+// readRecs returns the records of f back to back.
+func readRecs(f *diskio.File, rs int) []byte {
+	r := recfile.NewRecReader(f, rs, 4)
+	var out []byte
+	buf := make([]byte, rs)
 	for {
-		ok, err := r.Next(buf[:])
+		ok, err := r.Next(buf)
 		if err != nil {
 			panic(err)
 		}
 		if !ok {
 			return out
 		}
-		out = append(out, binary.LittleEndian.Uint64(buf[:]))
+		out = append(out, buf...)
 	}
 }
 
@@ -227,5 +245,116 @@ func TestSortParallelIdenticalOutput(t *testing.T) {
 		if serial[i] != par[i] {
 			t.Fatalf("pos %d: serial %d parallel %d", i, serial[i], par[i])
 		}
+	}
+}
+
+// A tieRec is a 16-byte record: a major key with heavy ties, a minor key
+// with ties of its own, and the record's input position, which makes
+// every record distinct so that byte equality of two outputs is equality
+// of their orders.
+const tieRecSize = 16
+
+func tieMajor(rec []byte) uint64 { return uint64(binary.LittleEndian.Uint32(rec)) }
+func tieMinor(rec []byte) uint32 { return binary.LittleEndian.Uint32(rec[4:]) }
+
+func tieInput(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]byte, n*tieRecSize)
+	for i := 0; i < n; i++ {
+		rec := recs[i*tieRecSize:]
+		binary.LittleEndian.PutUint32(rec, uint32(rng.Intn(9)))
+		binary.LittleEndian.PutUint32(rec[4:], uint32(rng.Intn(5)))
+		binary.LittleEndian.PutUint64(rec[8:], uint64(i))
+	}
+	return recs
+}
+
+// TestSortIsStableUnderEveryComparator sorts one input with heavy ties
+// three ways — by Key alone, by Less alone, by Key with Less for the ties
+// — through many runs and several merge passes, and demands the order of
+// sort.SliceStable byte for byte at every worker count, with run files
+// that do not depend on the worker count.
+func TestSortIsStableUnderEveryComparator(t *testing.T) {
+	const n = 5000
+	recs := tieInput(11, n)
+	byMajor := func(a, b []byte) bool { return tieMajor(a) < tieMajor(b) }
+	byBoth := func(a, b []byte) bool {
+		if tieMajor(a) != tieMajor(b) {
+			return tieMajor(a) < tieMajor(b)
+		}
+		return tieMinor(a) < tieMinor(b)
+	}
+	byMinor := func(a, b []byte) bool { return tieMinor(a) < tieMinor(b) }
+	for _, tc := range []struct {
+		name  string
+		key   func([]byte) uint64
+		less  Less
+		order Less // the order the output must be stable under
+	}{
+		{"key", tieMajor, nil, byMajor},
+		{"less", nil, byBoth, byBoth},
+		{"key+less", tieMajor, byMinor, byBoth},
+	} {
+		want := make([][]byte, n)
+		for i := range want {
+			want[i] = recs[i*tieRecSize : (i+1)*tieRecSize]
+		}
+		sort.SliceStable(want, func(i, j int) bool { return tc.order(want[i], want[j]) })
+
+		var runs1 [][]byte
+		for _, workers := range []int{1, 2, 4} {
+			// 64 records per run and fan-in 7: 79 runs, three merge passes.
+			cfg := Config{
+				Disk: diskio.NewDisk(64, 5, time.Millisecond), RecordSize: tieRecSize,
+				Memory: 1024, BufPages: 2, Key: tc.key, Less: tc.less, Parallel: workers,
+			}
+			in := writeRecs(cfg.Disk, recs, tieRecSize)
+			out, st, err := Sort(in, cfg)
+			if err != nil {
+				t.Fatalf("%s/parallel=%d: %v", tc.name, workers, err)
+			}
+			if st.Runs < 50 || st.MergePass < 2 {
+				t.Fatalf("%s/parallel=%d: %d runs, %d merge passes — the input must not fit", tc.name, workers, st.Runs, st.MergePass)
+			}
+			if (st.Comparisons == 0) != (tc.less == nil) {
+				t.Fatalf("%s/parallel=%d: Comparisons = %d, which counts Less calls only", tc.name, workers, st.Comparisons)
+			}
+			got := readRecs(out, tieRecSize)
+			for i := range want {
+				if !bytes.Equal(got[i*tieRecSize:(i+1)*tieRecSize], want[i]) {
+					t.Fatalf("%s/parallel=%d: record %d is input record %d, a stable sort puts %d there",
+						tc.name, workers, i, binary.LittleEndian.Uint64(got[i*tieRecSize+8:]), binary.LittleEndian.Uint64(want[i][8:]))
+				}
+			}
+
+			var st2 Stats
+			st2.Records = n
+			runs, err := formRuns(in, cfg, cfg.Disk.NewRegistry(), nil, &st2)
+			if err != nil {
+				t.Fatalf("%s/parallel=%d: formRuns: %v", tc.name, workers, err)
+			}
+			for i, r := range runs {
+				if workers == 1 {
+					runs1 = append(runs1, r.f.Bytes())
+				} else if !bytes.Equal(r.f.Bytes(), runs1[i]) {
+					t.Fatalf("%s: run %d formed by %d workers differs from the serial one", tc.name, i, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestSortRejectsAConfigWithoutAnOrder: neither Key nor Less is a
+// configuration error reported before any file exists, not a nil call on
+// a worker goroutine.
+func TestSortRejectsAConfigWithoutAnOrder(t *testing.T) {
+	d := diskio.NewDisk(64, 5, time.Millisecond)
+	in := writeU64s(d, []uint64{3, 1, 2})
+	out, _, err := Sort(in, Config{Disk: d, RecordSize: recSize, Memory: 1024, Parallel: 2})
+	if err == nil || out != nil {
+		t.Fatalf("Sort without Key and Less = (%v, %v), want an error", out, err)
+	}
+	if n := d.NumFiles(); n != 1 {
+		t.Fatalf("%d files on the disk, want the input alone", n)
 	}
 }

@@ -740,9 +740,12 @@ func (j *joiner) dupSortPhase(dupFile *diskio.File, sp *trace.Span) error {
 		RecordSize: geom.PairSize,
 		Memory:     j.cfg.Memory,
 		BufPages:   j.cfg.bufPages(),
+		Parallel:   j.cfg.Parallel,
+		Gov:        j.cfg.Gov,
 		Trace:      sp,
 		Reg:        j.reg,
 		Cancel:     j.cfg.Cancel,
+		Key:        func(a []byte) uint64 { return geom.DecodePair(a).R },
 		Less: func(a, b []byte) bool {
 			return geom.DecodePair(a).Less(geom.DecodePair(b))
 		},

@@ -14,6 +14,20 @@
 // that level; the resulting response-set duplicates are eliminated
 // on-line by a modified Reference Point Method that tests the reference
 // point against the deeper of the two cells being joined (§4.3).
+//
+// The synchronized scan keeps, per relation, the cells of the current
+// root path on a stack, and the rectangles of all those cells in ONE
+// append-only arena per relation instead of one slice per cell. That is
+// sound because stack lifetimes are LIFO: the cells retired when a new
+// cell arrives are exactly the top entries, whose items are the tail of
+// the arena, so retiring truncates the arena and the arriving group is
+// appended into the space just freed — in that order, which is why the
+// scan retires on the cursor's cached interval start before it reads the
+// group. When an append outgrows the arena and reallocates, the entries
+// already on the stack keep pointing into the old backing array; nothing
+// writes to it again, the garbage collector keeps it alive for as long as
+// an entry refers to it, and every later truncation and append works on
+// the new array at the same offsets.
 package s3j
 
 import (
@@ -287,6 +301,12 @@ type joiner struct {
 	start      time.Time
 	startUnits float64
 	emit       func(geom.Pair)
+
+	// deeper is the arriving cell of the scan step in progress, the cell
+	// the duplicate test checks the reference point against; onPair is
+	// j.candidate bound once, the callback of every cell-pair join.
+	deeper stackEntry
+	onPair func(r, s geom.KPE)
 }
 
 func (j *joiner) deliver(p geom.Pair) {
@@ -492,9 +512,9 @@ func (j *joiner) sortLevel(f *diskio.File, sp *trace.Span) (*diskio.File, extsor
 		Trace:      sp,
 		Reg:        j.reg,
 		Cancel:     j.cfg.Cancel,
-		Less: func(a, b []byte) bool {
-			return decodeLevCode(a) < decodeLevCode(b)
-		},
+		// The code is the whole order; records of one cell keep the order
+		// the partitioning phase wrote them in.
+		Key: decodeLevCode,
 	})
 	if err != nil {
 		return f, st, err
@@ -554,17 +574,39 @@ func (j *joiner) scan(filesR, filesS []*diskio.File) error {
 	h.items = live
 	heap.Init(h)
 
+	// One stack of active cells and one arena holding their items per
+	// relation (see the package comment for why that is sound).
 	var stacks [2][]stackEntry
+	var arena [2][]geom.KPE
 	var resident int64
+	j.onPair = j.candidate
 	for h.Len() > 0 {
 		if err := j.cfg.Cancel.Point(); err != nil {
 			return err
 		}
 		c := h.items[0]
-		code, items, _, err := c.nextGroup(nil)
+
+		// Retire stack cells that ended before the arriving one starts
+		// (pkLo is the start of its interval), before its items are read
+		// into the space they free.
+		for s := 0; s < 2; s++ {
+			st := stacks[s]
+			for len(st) > 0 && st[len(st)-1].hi <= c.pkLo {
+				n := len(st[len(st)-1].items)
+				resident -= int64(n) * geom.KPESize
+				arena[s] = arena[s][:len(arena[s])-n]
+				st = st[:len(st)-1]
+			}
+			stacks[s] = st
+		}
+
+		held := len(arena[c.rel])
+		code, all, _, err := c.nextGroup(arena[c.rel])
 		if err != nil {
 			return err
 		}
+		arena[c.rel] = all
+		items := all[held:]
 		ok, err := c.fillPeek()
 		if err != nil {
 			return err
@@ -579,34 +621,21 @@ func (j *joiner) scan(filesR, filesS []*diskio.File) error {
 		if c.level > 0 {
 			ix, iy = j.decodeCell(code, c.level)
 		}
-
-		// Retire stack cells that ended before this one starts.
-		for s := 0; s < 2; s++ {
-			st := stacks[s]
-			for len(st) > 0 && st[len(st)-1].hi <= lo {
-				resident -= int64(len(st[len(st)-1].items)) * geom.KPESize
-				st = st[:len(st)-1]
-			}
-			stacks[s] = st
-		}
-
-		entry := stackEntry{lo: lo, hi: hi, level: c.level, ix: ix, iy: iy, items: items}
+		j.deeper = stackEntry{lo: lo, hi: hi, level: c.level, ix: ix, iy: iy, items: items}
 
 		// Join the arriving cell against every active cell of the other
 		// relation — exactly the node-vs-root-path pairs of §4.1. The
 		// arriving cell is always the deeper (or equal) one, so the
 		// modified Reference Point Method tests against it.
-		other := 1 - c.rel
-		for i := range stacks[other] {
-			anc := &stacks[other][i]
+		for _, anc := range stacks[1-c.rel] {
 			if c.rel == 0 {
-				j.joinCells(entry.items, anc.items, entry)
+				j.alg.Join(items, anc.items, j.onPair)
 			} else {
-				j.joinCells(anc.items, entry.items, entry)
+				j.alg.Join(anc.items, items, j.onPair)
 			}
 		}
 
-		stacks[c.rel] = append(stacks[c.rel], entry)
+		stacks[c.rel] = append(stacks[c.rel], j.deeper)
 		resident += int64(len(items)) * geom.KPESize
 		if resident > j.stats.MaxResident {
 			j.stats.MaxResident = resident
@@ -623,20 +652,19 @@ func (j *joiner) decodeCell(code uint64, level int) (uint32, uint32) {
 	return sfc.ZDecode(code, level)
 }
 
-// joinCells joins the rectangles of one R-cell and one S-cell. deeper is
-// the arriving (deeper or equal) cell used by the duplicate test.
-func (j *joiner) joinCells(rs, ss []geom.KPE, deeper stackEntry) {
-	j.alg.Join(rs, ss, func(r, s geom.KPE) {
-		j.stats.RawResults++
-		if j.cfg.Mode == ModeReplicate {
-			x := geom.RefPoint(r.Rect, s.Rect)
-			cx, cy := sfc.CellAt(x, deeper.level)
-			if cx != deeper.ix || cy != deeper.iy {
-				return // duplicate: reported by the cell owning x
-			}
+// candidate receives one intersecting pair of the cell pair being joined.
+// In replicate mode it is delivered only by the cell that owns the pair's
+// reference point, tested against j.deeper (the modified RPM of §4.3).
+func (j *joiner) candidate(r, s geom.KPE) {
+	j.stats.RawResults++
+	if j.cfg.Mode == ModeReplicate {
+		x := geom.RefPoint(r.Rect, s.Rect)
+		cx, cy := sfc.CellAt(x, j.deeper.level)
+		if cx != j.deeper.ix || cy != j.deeper.iy {
+			return // duplicate: reported by the cell owning x
 		}
-		j.deliver(geom.Pair{R: r.ID, S: s.ID})
-	})
+	}
+	j.deliver(geom.Pair{R: r.ID, S: s.ID})
 }
 
 // cursorHeap orders group cursors by the start of their next cell's code

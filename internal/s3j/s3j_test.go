@@ -1,8 +1,15 @@
 package s3j
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,6 +17,8 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/govern"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/quadtree"
 	"spatialjoin/internal/sfc"
 	"spatialjoin/internal/sweep"
@@ -372,5 +381,187 @@ func TestWholeSpaceRectangle(t *testing.T) {
 		if st.LevelRecordsR[0] != 1 {
 			t.Fatalf("mode=%v: whole-space rect not at level 0", mode)
 		}
+	}
+}
+
+// nestInputs builds two relations whose cells nest along whole root
+// paths: for every level l of the default hierarchy, rectangles that
+// cross the vertical midline of the level-l cell in the lower-left corner
+// of the space (so containment assigns them level l, and their size does
+// too), in groups that grow with depth. The scan therefore holds a cell
+// of every level of both relations at once, and each arriving group is
+// larger than all that came before it, so the arena it is appended to is
+// reallocated again and again while the cells above it are still being
+// joined. A second nest in the upper-right corner retires the first and
+// reuses its space; uniform rectangles fill the rest.
+func nestInputs() (R, S []geom.KPE, nest int) {
+	rng := rand.New(rand.NewSource(42))
+	mk := func(idBase uint64) []geom.KPE {
+		var ks []geom.KPE
+		for _, corner := range []float64{0, 1} {
+			for l := 0; l <= DefaultLevels; l++ {
+				s := math.Ldexp(1, -l) // cell side
+				x0 := corner * (1 - s) // cell origin, on both axes
+				for i := 0; i < 6*int(math.Ceil(math.Pow(1.6, float64(l)))); i++ {
+					y := x0 + rng.Float64()*0.97*s
+					ks = append(ks, geom.KPE{Rect: geom.NewRect(x0+0.3*s, y, x0+0.7*s, y+rng.Float64()*0.02*s)})
+				}
+			}
+		}
+		nest = len(ks) / 2
+		for _, k := range datagen.Uniform(int64(idBase), 400, 0.01) {
+			ks = append(ks, geom.KPE{Rect: k.Rect})
+		}
+		for i := range ks {
+			ks[i].ID = idBase + uint64(i)
+		}
+		return ks
+	}
+	return mk(1), mk(1 << 20), nest
+}
+
+// TestScanArenaNest runs the nest of nestInputs against nested loops and
+// the MX-CIF quadtree join: every pair exactly once, one emission
+// sequence whatever the worker count and — the level sort being stable —
+// whatever the memory budget (two runs per level file, twenty, none), and
+// the resident high-water mark the scan had when every cell owned its
+// slice.
+func TestScanArenaNest(t *testing.T) {
+	R, S, nest := nestInputs()
+	want := naive(R, S)
+	tr, ts := quadtree.New(DefaultLevels), quadtree.New(DefaultLevels)
+	for _, k := range R {
+		tr.Insert(k)
+	}
+	for _, k := range S {
+		ts.Insert(k)
+	}
+	var ref []geom.Pair
+	quadtree.Join(tr, ts, func(r, s geom.KPE) { ref = append(ref, geom.Pair{R: r.ID, S: s.ID}) })
+	assertEqualPairs(t, ref, want)
+
+	// The deepest level file holds about 1 400 records of 49 bytes: two
+	// runs, more than twenty, one.
+	budgets := []struct{ mem, minRuns, maxRuns int64 }{
+		{40 << 10, 2, 2}, {3 << 10, 20, 1 << 30}, {4 << 20, 1, 1},
+	}
+	// Stats.MaxResident of these inputs before the arena, per mode.
+	parentResident := map[Mode]int64{ModeOriginal: 146206, ModeReplicate: 102828}
+	for _, mode := range []Mode{ModeOriginal, ModeReplicate} {
+		var first []geom.Pair
+		for _, b := range budgets {
+			mem := b.mem
+			for _, workers := range []int{1, 2, 4} {
+				label := fmt.Sprintf("%v/memory=%d/parallel=%d", mode, mem, workers)
+				got, st := run(t, R, S, Config{Memory: mem, Mode: mode, Parallel: workers})
+				if first == nil {
+					first = got
+				} else if !slices.Equal(got, first) {
+					t.Fatalf("%s: emission sequence differs from the first run's", label)
+				}
+				assertEqualPairs(t, slices.Clone(got), want)
+				if mode == ModeOriginal {
+					perRun := mem / levRecSize
+					if runs := (st.LevelRecordsR[DefaultLevels] + perRun - 1) / perRun; runs < b.minRuns || runs > b.maxRuns {
+						t.Fatalf("%s: %d runs from the deepest level file, want %d..%d", label, runs, b.minRuns, b.maxRuns)
+					}
+					if st.MaxResident < int64(2*nest)*geom.KPESize {
+						t.Fatalf("%s: MaxResident %d, less than one whole nest of both relations (%d records)", label, st.MaxResident, 2*nest)
+					}
+				}
+				if st.MaxResident != parentResident[mode] {
+					t.Fatalf("%s: MaxResident = %d, was %d when every cell owned its slice", label, st.MaxResident, parentResident[mode])
+				}
+			}
+		}
+	}
+}
+
+// pollCtx cancels itself at the n-th Err poll (never when n == 0); every
+// cancellation checkpoint of the join funnels through Err.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if n := c.polls.Add(1); c.cancelAt.Load() > 0 && n >= c.cancelAt.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSortAndScanCancellation cancels the join at checkpoints spread over
+// its whole poll range — mid index build, mid run write, between merge
+// groups, mid scan — at one and at four workers: each run must end
+// KindCanceled in the phase it was in (the sort phase and the join phase
+// must both be hit), emit no pair twice, and leave no goroutine and no
+// temp file behind.
+func TestSortAndScanCancellation(t *testing.T) {
+	R := datagen.LARR(31, 6000).KPEs
+	S := datagen.LAST(32, 6000).KPEs
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		probe := &pollCtx{Context: context.Background()}
+		cfg := Config{Disk: newDisk(), Memory: 16 << 10, Mode: ModeReplicate, Parallel: workers, Cancel: govern.NewCheck(probe)}
+		firstResult := int64(0)
+		st, err := Join(R, S, cfg, func(geom.Pair) {
+			if firstResult == 0 {
+				firstResult = probe.polls.Load()
+			}
+		})
+		if err != nil {
+			t.Fatalf("parallel=%d: probe run: %v", workers, err)
+		}
+		if st.SortRuns < 40 || st.MergePasses == 0 {
+			t.Fatalf("parallel=%d: %d runs, %d merge passes — the sort must be external", workers, st.SortRuns, st.MergePasses)
+		}
+		total := probe.polls.Load()
+		phases := map[string]int{}
+		// The scan polls once per CheckInterval cells, far less often than
+		// the sort does: sweep its range with a step of its own.
+		var points []int64
+		for at := int64(1); at <= firstResult; at += max(1, firstResult/32) {
+			points = append(points, at)
+		}
+		for at := firstResult + 1; at < total; at += max(1, (total-firstResult)/16) {
+			points = append(points, at)
+		}
+		for _, at := range points {
+			ctx := &pollCtx{Context: context.Background()}
+			ctx.cancelAt.Store(at)
+			cfg.Cancel = govern.NewCheck(ctx)
+			seen := map[geom.Pair]bool{}
+			_, err := Join(R, S, cfg, func(p geom.Pair) {
+				if seen[p] {
+					t.Errorf("parallel=%d cancel@%d: pair %v emitted twice", workers, at, p)
+				}
+				seen[p] = true
+			})
+			if joinerr.KindOf(err) != joinerr.KindCanceled {
+				t.Fatalf("parallel=%d cancel@%d of %d: got %v, want a KindCanceled error", workers, at, total, err)
+			}
+			var je *joinerr.JoinError
+			if !errors.As(err, &je) {
+				t.Fatalf("parallel=%d cancel@%d: %v is not a JoinError", workers, at, err)
+			}
+			phases[je.Phase]++
+			if at > firstResult && je.Phase != PhaseJoin.String() {
+				t.Fatalf("parallel=%d cancel@%d: phase %q after the first result (poll %d)", workers, at, je.Phase, firstResult)
+			}
+			if n := cfg.Disk.NumFiles(); n != 0 {
+				t.Fatalf("parallel=%d cancel@%d: %d temp files left behind: %v", workers, at, n, cfg.Disk.FileNames())
+			}
+		}
+		if phases[PhaseSort.String()] < 8 || phases[PhaseJoin.String()] < 8 {
+			t.Fatalf("parallel=%d: cancellations by phase %v, want the sort and the scan swept", workers, phases)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("%d goroutines before, %d after the canceled joins", before, g)
 	}
 }

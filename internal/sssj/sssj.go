@@ -20,7 +20,6 @@ package sssj
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"spatialjoin/internal/diskio"
@@ -73,6 +72,13 @@ type Config struct {
 	// Cancel is the join's cancellation checkpoint; nil disables
 	// cancellation.
 	Cancel *govern.Check
+	// Parallel is the worker count for run formation and the merge groups
+	// of the two input sorts (< 2 = serial); the sweep is one ordered
+	// pass. Results and I/O units are identical at every worker count.
+	Parallel int
+	// Gov, when non-nil, admission-controls the memory the extra
+	// parallel sort workers claim beyond the join's own budget.
+	Gov *govern.Governor
 }
 
 func (c *Config) bufPages() int {
@@ -222,19 +228,28 @@ func sortByXL(ks []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, span *
 		RecordSize: geom.KPESize,
 		Memory:     cfg.Memory,
 		BufPages:   cfg.bufPages(),
+		Parallel:   cfg.Parallel,
+		Gov:        cfg.Gov,
 		Trace:      span,
 		Reg:        reg,
 		Cancel:     cfg.Cancel,
-		Less: func(a, b []byte) bool {
-			// rect.XL is the second field: bytes 8..16.
-			xa := math.Float64frombits(binary.LittleEndian.Uint64(a[8:]))
-			xb := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-			return xa < xb
-		},
+		Key:        xlKey,
 	})
 	st.SortRuns += sst.Runs
 	st.MergePasses += sst.MergePass
 	return sorted, err
+}
+
+// xlKey maps a serialized KPE to the bit pattern of its rect.XL (the
+// second field: bytes 8..16) rearranged so that unsigned integer order is
+// the order of the floats: sign bit flipped for non-negative values, all
+// bits flipped for negative ones.
+func xlKey(rec []byte) uint64 {
+	b := binary.LittleEndian.Uint64(rec[8:])
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // peekReader adds one record of lookahead to a KPE stream so the sweep

@@ -1,6 +1,7 @@
 package sssj
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -187,5 +188,45 @@ func TestOracleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParallelSortChangesNothingButTime: the two input sorts run their
+// chunks and merge groups on Config.Parallel workers; the emission
+// sequence, the run structure and every I/O unit stay those of the serial
+// join. The xlKey order must also be the order of the floats it encodes.
+func TestParallelSortChangesNothingButTime(t *testing.T) {
+	R := datagen.LARR(5, 3000).KPEs
+	S := datagen.LAST(6, 3000).KPEs
+	serial, sst := run(t, R, S, Config{Memory: 8 << 10})
+	if sst.MergePasses == 0 {
+		t.Fatal("the sorts must be external for this test to mean anything")
+	}
+	for _, workers := range []int{2, 4} {
+		got, st := run(t, R, S, Config{Memory: 8 << 10, Parallel: workers})
+		if len(got) != len(serial) {
+			t.Fatalf("parallel=%d: %d results, serial %d", workers, len(got), len(serial))
+		}
+		for i := range got {
+			if got[i] != serial[i] {
+				t.Fatalf("parallel=%d: result %d is %v, serial %v", workers, i, got[i], serial[i])
+			}
+		}
+		if st.SortRuns != sst.SortRuns || st.MergePasses != sst.MergePasses || st.TotalIO() != sst.TotalIO() {
+			t.Fatalf("parallel=%d: runs/passes/IO %d/%d/%+v, serial %d/%d/%+v", workers,
+				st.SortRuns, st.MergePasses, st.TotalIO(), sst.SortRuns, sst.MergePasses, sst.TotalIO())
+		}
+	}
+
+	xs := []float64{math.Inf(-1), -2.5, -1e-300, 0, 1e-300, 0.25, 0.5, 1, math.Inf(1)}
+	var buf [geom.KPESize]byte
+	prev := uint64(0)
+	for i, x := range xs {
+		geom.EncodeKPE(buf[:], geom.KPE{ID: ^uint64(0), Rect: geom.Rect{XL: x, XH: 9}})
+		if k := xlKey(buf[:]); i > 0 && k <= prev {
+			t.Fatalf("xlKey(%g) = %#x does not sort after xlKey(%g) = %#x", x, k, xs[i-1], prev)
+		} else {
+			prev = k
+		}
 	}
 }
