@@ -134,6 +134,44 @@ func TestLargeMemorySinglePartition(t *testing.T) {
 	}
 }
 
+// TestEmissionSequenceInvariantUnderParallel checks the scheduler's
+// determinism contract at the library surface: for every configuration
+// the pairs arrive in the same order — not merely as the same set — at
+// every worker count.
+func TestEmissionSequenceInvariantUnderParallel(t *testing.T) {
+	R := datagen.Uniform(52, 1500, 0.003)
+	S := datagen.Uniform(53, 1500, 0.003)
+	memory := int64(0.15 * float64((len(R)+len(S))*geom.KPESize))
+	for _, cfg := range configsUnderTest(memory) {
+		cfg := cfg
+		t.Run(configName(cfg), func(t *testing.T) {
+			cfg.Parallel = 1
+			serial, _, err := Collect(R, S, cfg)
+			if err != nil {
+				t.Fatalf("serial join failed: %v", err)
+			}
+			if len(serial) == 0 {
+				t.Fatal("input produced no results; the comparison is vacuous")
+			}
+			for _, workers := range []int{2, 4, 8} {
+				cfg.Parallel = workers
+				got, _, err := Collect(R, S, cfg)
+				if err != nil {
+					t.Fatalf("Parallel=%d: join failed: %v", workers, err)
+				}
+				if len(got) != len(serial) {
+					t.Fatalf("Parallel=%d: %d results, serial run has %d", workers, len(got), len(serial))
+				}
+				for i := range got {
+					if got[i] != serial[i] {
+						t.Fatalf("Parallel=%d: result %d is %v, serial run has %v", workers, i, got[i], serial[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestEmptyInputs(t *testing.T) {
 	R := datagen.Uniform(6, 50, 0.05)
 	for _, cfg := range configsUnderTest(8 * 1024) {
