@@ -1,28 +1,25 @@
 // Command sjbench regenerates the tables and figures of the paper's
-// evaluation (Dittrich & Seeger, ICDE 2000). Each experiment prints the
-// same rows or series the paper reports; EXPERIMENTS.md compares them to
-// the published numbers.
+// evaluation (Dittrich & Seeger, ICDE 2000) and the ablations built on
+// them. Each experiment prints the same rows or series the paper reports;
+// EXPERIMENTS.md compares them to the published numbers. Everything here
+// is stated in the paper's cost model (measured CPU plus charged I/O
+// units); wall-clock and scaling numbers come from the repository
+// benchmark, `go run ./benchmark`.
 //
 // Usage:
 //
-//	sjbench [-format table|csv] [-exp all|table1|table2|table3|fig3|fig4|fig5|fig6|fig11|fig12|fig13|fig14|dup3|parallel|...]
+//	sjbench [-format table|csv] [-exp all|<name>[,<name>...]]
 //	        [-la-scale 1.0] [-cal-scale 0.15] [-seed 1] [-maxp 10]
-//	        [-dup rpm|sort|tlsp] [-quick] [-bench-dir .]
+//	        [-phases-n 10000] [-dup rpm|sort|tlsp] [-trace out.json]
 //
-// The dup3 experiment sweeps the duplicate-method axis (original sort
-// phase, Reference Point Method, TLSP secondary classes) and writes a
-// self-validated BENCH_dup.json; -dup selects the PBSM duplicate method
-// of the instrumented 'phases' run and rejects unknown values.
+// The experiments are table1..table3, fig3..fig6, fig11..fig14, the
+// ablations abl-tiles, abl-tune, abl-curve, abl-depth and abl-levels,
+// methods, methods-j5, robustness, plancheck and phases; -exp with an
+// unknown name lists them.
 //
-// The parallel experiment sweeps worker counts over the
-// scheduler-driven phases and writes self-validated BENCH_parallel.json
-// and BENCH_baseline.json artifacts to -bench-dir; -quick shrinks it to
-// a CI smoke.
-//
-// The net experiment compares pipe-spawned workers against resident TCP
-// workers (sjbench re-execs itself with -worker-listen to stand up the
-// fleet), injects scripted connection faults, and writes a
-// self-validated BENCH_net.json.
+// -dup selects the PBSM duplicate method of the instrumented 'phases' run
+// and rejects unknown values; -trace exports that run as a Chrome
+// trace_event file and self-validates it.
 //
 // The -la-scale and -cal-scale flags scale the synthetic dataset
 // cardinalities relative to Table 1 of the paper (the CAL_ST self-join J5
@@ -34,33 +31,22 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"spatialjoin/internal/bench"
-	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
-	"spatialjoin/internal/shard"
 )
 
 func main() {
-	// Worker mode must win before flag parsing: a shard coordinator
-	// re-executes this binary with -shard-worker and speaks the frame
-	// protocol on stdin/stdout; nothing else may touch those pipes.
-	for _, arg := range os.Args[1:] {
-		if arg == "-shard-worker" || arg == "--shard-worker" {
-			if err := shard.WorkerMain(os.Stdin, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "sjbench: shard worker: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-	}
-	exp := flag.String("exp", "all", "experiment to run (all, table1..table3, fig3..fig14, abl-*)")
+	// order is the sequence 'all' runs in; it is also the list the help
+	// text and the unknown-experiment error print.
+	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6",
+		"fig11", "fig12", "table3", "fig13", "fig14",
+		"abl-tiles", "abl-tune", "abl-curve", "abl-depth", "abl-levels",
+		"methods", "methods-j5", "robustness", "plancheck", "phases"}
+	exp := flag.String("exp", "all", "experiments to run, comma-separated, or all: "+strings.Join(order, ", "))
 	laScale := flag.Float64("la-scale", 1.0, "scale of the LA_RR/LA_ST cardinalities")
 	calScale := flag.Float64("cal-scale", 0.15, "scale of the CAL_ST cardinality (join J5)")
 	seed := flag.Int64("seed", 1, "dataset generator seed")
@@ -69,11 +55,6 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace_event file of the instrumented 'phases' PBSM run and self-validate it")
 	phasesN := flag.Int("phases-n", 10000, "per-relation cardinality of the 'phases' experiment")
 	dupFlag := flag.String("dup", "rpm", "PBSM duplicate removal of the 'phases' experiment: rpm, sort or tlsp")
-	quick := flag.Bool("quick", false, "shrink the 'parallel', 'shards' and 'dup3' experiments to a CI smoke (timings meaningless, structure and determinism checks intact)")
-	benchDir := flag.String("bench-dir", ".", "directory for the BENCH_*.json artifacts of the 'parallel' and 'shards' experiments")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (e.g. localhost:9090 or :0): /metrics Prometheus text, /metricsz JSONL; also embeds the final snapshot in BENCH_*.json")
-	workerListen := flag.String("worker-listen", "", "serve as a resident shard worker on this TCP address (host:port; :0 picks a free port) instead of running experiments; prints 'listening <addr>' once bound")
-	flag.Bool("shard-worker", false, "run as a shard worker process (frame protocol on stdin/stdout); handled before flag parsing")
 	flag.Parse()
 
 	dupMethod, err := pbsm.ParseDupMethod(*dupFlag)
@@ -82,73 +63,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *workerListen != "" {
-		// Resident worker mode: the 'net' experiment re-execs this binary
-		// with -worker-listen and scans stdout for the announcement.
-		ln, err := net.Listen("tcp", *workerListen)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("listening %s\n", ln.Addr())
-		if err := shard.ServeWorker(ln); err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: resident worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	s := bench.NewSuite(*laScale, *calScale, *seed)
-	if *metricsAddr != "" {
-		reg := metrics.New()
-		s.Metrics = reg
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: %v\n", err)
-			os.Exit(1)
-		}
-		//lint:ignore goexit metrics HTTP daemon serves for the whole process lifetime and dies with it
-		go func() {
-			if serr := http.Serve(ln, metrics.Handler(reg)); serr != nil {
-				fmt.Fprintf(os.Stderr, "sjbench: metrics server: %v\n", serr)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "sjbench: metrics at http://%s/metrics\n", ln.Addr())
-	}
 	var phasesRuns []bench.PhasesRun
-	var parallelRep *bench.ParallelReport
-	var shardRep *bench.ShardReport
-	var netRep *bench.NetReport
-	var dupRep *bench.DupReport
 	runners := map[string]func() *bench.Table{
-		"parallel": func() *bench.Table {
-			rep, t := bench.RunParallel(s, *quick)
-			parallelRep = rep
-			return t
-		},
-		"shards": func() *bench.Table {
-			// nil worker command: workers re-exec this binary with
-			// -shard-worker (the default the shard package derives from
-			// os.Executable).
-			rep, t := bench.RunShards(s, *quick, nil, nil)
-			shardRep = rep
-			return t
-		},
-		"net": func() *bench.Table {
-			// nil commands: pipe workers re-exec this binary with
-			// -shard-worker, resident workers with -worker-listen.
-			rep, t := bench.RunNet(s, *quick, nil, nil, nil, nil)
-			netRep = rep
-			return t
-		},
 		"phases": func() *bench.Table {
 			runs, t := bench.RunPhases(s, *phasesN, dupMethod)
 			phasesRuns = runs
-			return t
-		},
-		"dup3": func() *bench.Table {
-			rep, t := bench.RunDup3(s, *quick)
-			dupRep = rep
 			return t
 		},
 		"table1":     func() *bench.Table { _, t := bench.RunTable1(s); return t },
@@ -170,16 +90,8 @@ func main() {
 		"methods":    func() *bench.Table { _, t := bench.RunMethods(s, bench.J1); return t },
 		"methods-j5": func() *bench.Table { _, t := bench.RunMethods(s, bench.J5); return t },
 		"robustness": func() *bench.Table { _, t := bench.RunRobustness(s, 0); return t },
-		"faults":     func() *bench.Table { _, t := bench.RunFaultSweep(s, 0); return t },
-		"cancel":     func() *bench.Table { _, t := bench.RunCancel(s, 0); return t },
 		"plancheck":  func() *bench.Table { _, t := bench.RunPlanCheck(s); return t },
 	}
-	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6",
-		"fig11", "fig12", "table3", "fig13", "fig14",
-		"abl-tiles", "abl-tune", "abl-curve", "abl-depth", "abl-levels",
-		"methods", "methods-j5", "robustness", "faults", "cancel", "plancheck", "phases",
-		"dup3", "parallel", "shards", "net"}
-
 	var names []string
 	if *exp == "all" {
 		names = order
@@ -209,34 +121,6 @@ func main() {
 		tab.Fprint(os.Stdout)
 	}
 
-	if parallelRep != nil {
-		if err := writeAndValidateBench(*benchDir, parallelRep); err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if shardRep != nil {
-		if err := writeAndValidateShards(*benchDir, shardRep); err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if netRep != nil {
-		if err := writeAndValidateNet(*benchDir, netRep); err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	if dupRep != nil {
-		if err := writeAndValidateDup(*benchDir, dupRep); err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	if *traceOut != "" {
 		if phasesRuns == nil {
 			tab := runners["phases"]()
@@ -247,143 +131,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// writeAndValidateBench persists the parallel experiment as
-// BENCH_parallel.json (the full worker sweep) and BENCH_baseline.json
-// (its serial slice — the wall-time trajectory point future changes diff
-// against), then proves the artifacts are usable: each file is re-read,
-// re-parsed, and structurally validated — every method × workers cell
-// present with consistent result hashes.
-func writeAndValidateBench(dir string, rep *bench.ParallelReport) error {
-	write := func(name string, r *bench.ParallelReport, wantCells int) (string, error) {
-		path := filepath.Join(dir, name)
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return "", err
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return "", err
-		}
-		var back bench.ParallelReport
-		if err := json.Unmarshal(raw, &back); err != nil {
-			return "", fmt.Errorf("%s does not re-parse: %w", path, err)
-		}
-		if err := back.Validate(); err != nil {
-			return "", fmt.Errorf("%s: %w", path, err)
-		}
-		if len(back.Cells) != wantCells {
-			return "", fmt.Errorf("%s: %d cells, want %d", path, len(back.Cells), wantCells)
-		}
-		return path, nil
-	}
-	full, err := write("BENCH_parallel.json", rep, len(rep.Cells))
-	if err != nil {
-		return err
-	}
-	base := rep.Baseline()
-	basePath, err := write("BENCH_baseline.json", base, len(base.Cells))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("bench OK: %s (%d cells), %s (%d cells)\n", full, len(rep.Cells), basePath, len(base.Cells))
-	return nil
-}
-
-// writeAndValidateShards persists the shards experiment as
-// BENCH_shards.json, then proves the artifact is usable: re-read,
-// re-parsed and structurally validated — shard-count invariance hashes
-// and kill-recovery measurements intact.
-func writeAndValidateShards(dir string, rep *bench.ShardReport) error {
-	path := filepath.Join(dir, "BENCH_shards.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var back bench.ShardReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		return fmt.Errorf("%s does not re-parse: %w", path, err)
-	}
-	if err := back.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("bench OK: %s (%d invariance cells, %d kill cells)\n", path, len(back.Cells), len(back.KillCells))
-	return nil
-}
-
-// writeAndValidateNet persists the network transport experiment as
-// BENCH_net.json, then proves the artifact is usable: re-read,
-// re-parsed and structurally validated — transport invariance hashes,
-// clean placement, and fault-recovery measurements intact.
-func writeAndValidateNet(dir string, rep *bench.NetReport) error {
-	path := filepath.Join(dir, "BENCH_net.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var back bench.NetReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		return fmt.Errorf("%s does not re-parse: %w", path, err)
-	}
-	if err := back.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("bench OK: %s (%d pipe cells, %d tcp cells, %d fault cells)\n",
-		path, len(back.PipeCells), len(back.TCPCells), len(back.FaultCells))
-	return nil
-}
-
-// writeAndValidateDup persists the dup3 experiment as BENCH_dup.json,
-// then proves the artifact is usable: re-read, re-parsed and
-// structurally validated — all three duplicate methods present and
-// agreeing on the result set, TLSP order worker-invariant, and the
-// class-skip ratio strictly positive.
-func writeAndValidateDup(dir string, rep *bench.DupReport) error {
-	path := filepath.Join(dir, "BENCH_dup.json")
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var back bench.DupReport
-	if err := json.Unmarshal(raw, &back); err != nil {
-		return fmt.Errorf("%s does not re-parse: %w", path, err)
-	}
-	if err := back.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	var tlsp bench.DupCell
-	for _, c := range back.Cells {
-		if c.Method == "tlsp" && c.Workers == 1 {
-			tlsp = c
-		}
-	}
-	fmt.Printf("bench OK: %s (%d cells, skip ratio %.3f)\n", path, len(back.Cells), tlsp.SkipRatio)
-	return nil
 }
 
 // writeAndValidateTrace exports the instrumented PBSM run as a Chrome

@@ -1,6 +1,6 @@
 // Command sjworkerd is the standalone resident shard worker daemon: it
 // listens on a TCP address and serves spatial-join shard jobs to any
-// coordinator that connects (sjoin/sjbench -shard-endpoints, or
+// coordinator that connects (sjoin -shard-endpoints, or
 // core.Config.ShardEndpoints). One connection carries one job
 // conversation in the same CRC-32C frame protocol the pipe transport
 // uses; the process outlives its connections, which is the point — a

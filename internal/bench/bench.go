@@ -19,7 +19,6 @@ import (
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/metrics"
 )
 
 // PaperKPESize is the key-pointer element size of the original C++
@@ -43,11 +42,6 @@ type Suite struct {
 	// current core, so a disk two orders of magnitude faster than the
 	// 1996 Seagate (0.5 ms/page → 5 µs/page) keeps the ratio.
 	Transfer time.Duration
-
-	// Metrics, when non-nil, is threaded into the joins of the metrics-
-	// aware experiments (parallel, shards) and its final snapshot is
-	// embedded in their BENCH_*.json artifacts. Nil disables it.
-	Metrics *metrics.Registry
 
 	larr, last, calst []geom.KPE
 	scaled            map[int][2][]geom.KPE

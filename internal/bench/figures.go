@@ -16,8 +16,7 @@ import (
 // configs itself).
 func (s *Suite) runCore(R, S []geom.KPE, cfg core.Config) core.Result {
 	cfg.Transfer = s.transfer()
-	// The paper experiments measure the serial cost model; the parallel
-	// experiment (RunParallel) varies Config.Parallel explicitly.
+	// The paper experiments measure the serial cost model.
 	cfg.Parallel = 1
 	res, err := core.Join(R, S, cfg, func(geom.Pair) {})
 	if err != nil {

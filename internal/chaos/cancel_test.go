@@ -30,8 +30,9 @@ import (
 // nil (no channel-based wakeup); the join stack is purely poll-based, so
 // this exercises the cooperative path alone.
 type countdownCtx struct {
-	remaining int64 // polls left before Err starts firing
-	polls     int64 // total Err calls observed
+	remaining int64        // polls left before Err starts firing
+	polls     int64        // total Err calls observed
+	firedAt   atomic.Int64 // UnixNano of the first firing poll, 0 before it
 }
 
 func (c *countdownCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
@@ -40,9 +41,15 @@ func (c *countdownCtx) Value(key any) any           { return nil }
 func (c *countdownCtx) Err() error {
 	atomic.AddInt64(&c.polls, 1)
 	if atomic.AddInt64(&c.remaining, -1) <= 0 {
+		c.firedAt.CompareAndSwap(0, time.Now().UnixNano())
 		return context.Canceled
 	}
 	return nil
+}
+
+// sinceFired is the wall time since the context first reported Canceled.
+func (c *countdownCtx) sinceFired() time.Duration {
+	return time.Duration(time.Now().UnixNano() - c.firedAt.Load())
 }
 
 // runCancelable runs one join that cancels itself at the n-th checkpoint
@@ -96,9 +103,13 @@ func TestCancellationSweep(t *testing.T) {
 
 			canceled := 0
 			phases := map[string]int{}
+			var worst time.Duration // cancel-to-return wall time; logged, not asserted
 			for i := int64(0); i < schedule; i++ {
 				n := 1 + i*(total-1)/(schedule-1)
-				_, d, got, err := runCancelable(v, n, nil)
+				ctx, d, got, err := runCancelable(v, n, nil)
+				if err != nil {
+					worst = max(worst, ctx.sinceFired())
+				}
 				if files := d.NumFiles(); files != 0 {
 					t.Fatalf("cancel at poll %d: %d orphan temp files: %v", n, files, d.FileNames())
 				}
@@ -133,7 +144,7 @@ func TestCancellationSweep(t *testing.T) {
 			if len(phases) < 2 {
 				t.Fatalf("all cancellations died in one phase %v; sweep did not cover the method's phases", phases)
 			}
-			t.Logf("%s: %d/%d canceled across phases %v (probe polls %d)", v.name, canceled, schedule, phases, total)
+			t.Logf("%s: %d/%d canceled across phases %v (probe polls %d), worst cancel-to-return %v", v.name, canceled, schedule, phases, total, worst)
 		})
 	}
 

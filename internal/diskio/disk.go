@@ -135,10 +135,10 @@ func (d *Disk) PageSize() int { return d.pageSize }
 //
 // The sleep happens outside the Disk mutex, so requests from different
 // goroutines overlap — exactly the behavior of a device that can serve
-// queued requests while callers wait. The parallel-speedup benchmark
-// (bench.RunParallel) relies on this to measure I/O-overlap wins in real
-// wall time; everything else (tests, the paper experiments) leaves the
-// latency at zero so the simulation stays instantaneous.
+// queued requests while callers wait. The metrics endpoint smoke test
+// relies on this to stretch a join long enough to scrape mid-flight;
+// everything else (the paper experiments, the repository benchmark)
+// leaves the latency at zero so the simulation stays instantaneous.
 func (d *Disk) SetLatency(perUnit time.Duration) {
 	d.mu.Lock()
 	d.latency = perUnit

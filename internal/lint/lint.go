@@ -126,7 +126,6 @@ var joinPackages = map[string]bool{
 	"sssj":    true,
 	"shj":     true,
 	"extsort": true,
-	"exec":    true,
 	"core":    true,
 }
 

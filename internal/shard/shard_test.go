@@ -78,8 +78,8 @@ func TestShardJoinMatchesSerial(t *testing.T) {
 		if res.Stats.WorkerLiveFiles != 0 {
 			t.Fatalf("shards=%d: workers leaked %d files", n, res.Stats.WorkerLiveFiles)
 		}
-		if res.Stats.Spawns < res.Stats.Shards {
-			t.Fatalf("shards=%d: %d spawns for %d shards", n, res.Stats.Spawns, res.Stats.Shards)
+		if res.Stats.Spawns < res.Stats.Shards || res.Stats.RemoteLeases != 0 {
+			t.Fatalf("shards=%d: %d spawns and %d remote leases for %d pipe shards", n, res.Stats.Spawns, res.Stats.RemoteLeases, res.Stats.Shards)
 		}
 		if res.IO.CostUnits <= 0 || res.CPU <= 0 {
 			t.Fatalf("shards=%d: accounting empty: %+v", n, res)

@@ -16,7 +16,6 @@ package shj
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"spatialjoin/internal/diskio"
@@ -191,21 +190,12 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	sp := cfg.Trace.Child(PhaseBuild.String())
 	sp.AddRecords(int64(len(R)))
 	sp.SetAttr("buckets", int64(n))
-	buckets := make([]*bucket, n)
-	stride := len(R) / n
-	if stride < 1 {
-		stride = 1
-	}
-	for i := range buckets {
-		b := &bucket{fR: rg.Create(), fS: rg.Create()}
-		buf := bufPagesFor(cfg, 2*n)
+	buckets := seedBuckets(R, n)
+	buf := bufPagesFor(cfg, 2*n)
+	for _, b := range buckets {
+		b.fR, b.fS = rg.Create(), rg.Create()
 		b.wR = recfile.NewKPEWriter(b.fR, buf)
 		b.wS = recfile.NewKPEWriter(b.fS, buf)
-		if seedIdx := i * stride; seedIdx < len(R) {
-			b.extent = R[seedIdx].Rect
-			b.seeded = true
-		}
-		buckets[i] = b
 	}
 	var err error
 	chk := cfg.Cancel.Stride()
@@ -391,6 +381,26 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	return st, nil
 }
 
+// seedBuckets returns n file-less buckets with extents seeded from a
+// systematic sample of R; with fewer than n rectangles the tail stays
+// unseeded.
+func seedBuckets(R []geom.KPE, n int) []*bucket {
+	buckets := make([]*bucket, n)
+	stride := len(R) / n
+	if stride < 1 {
+		stride = 1
+	}
+	for i := range buckets {
+		b := &bucket{}
+		if seedIdx := i * stride; seedIdx < len(R) {
+			b.extent = R[seedIdx].Rect
+			b.seeded = true
+		}
+		buckets[i] = b
+	}
+	return buckets
+}
+
 // chooseBucket returns the bucket whose extent needs the least
 // enlargement to take r, preferring smaller extents on ties and unseeded
 // buckets last.
@@ -430,59 +440,4 @@ func bufPagesFor(cfg Config, streams int) int {
 		return cfg.bufPages()
 	}
 	return per
-}
-
-// BucketExtents exposes the final bucket extents of a build-side
-// partitioning for inspection and tests: it replays only the build phase.
-func BucketExtents(R []geom.KPE, n int) []geom.Rect {
-	if n < 1 || len(R) == 0 {
-		return nil
-	}
-	type eb struct {
-		extent geom.Rect
-		seeded bool
-	}
-	ebs := make([]eb, n)
-	stride := len(R) / n
-	if stride < 1 {
-		stride = 1
-	}
-	for i := range ebs {
-		if idx := i * stride; idx < len(R) {
-			ebs[i] = eb{extent: R[idx].Rect, seeded: true}
-		}
-	}
-	//lint:ignore checkpoint inspection/test helper outside any join run; it has no Config and no cancellation plumbing to checkpoint against
-	for i := range R {
-		best, bestEnl, bestArea := -1, math.Inf(1), math.Inf(1)
-		for j := range ebs {
-			if !ebs[j].seeded {
-				continue
-			}
-			enl := ebs[j].extent.Union(R[i].Rect).Area() - ebs[j].extent.Area()
-			area := ebs[j].extent.Area()
-			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = j, enl, area
-			}
-		}
-		if best < 0 {
-			best = 0
-			ebs[0] = eb{extent: R[i].Rect, seeded: true}
-			continue
-		}
-		ebs[best].extent = ebs[best].extent.Union(R[i].Rect)
-	}
-	out := make([]geom.Rect, 0, n)
-	for _, e := range ebs {
-		if e.seeded {
-			out = append(out, e.extent)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].XL != out[j].XL {
-			return out[i].XL < out[j].XL
-		}
-		return out[i].YL < out[j].YL
-	})
-	return out
 }

@@ -154,6 +154,26 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
+// BucketExtents replays the build phase's assignment over file-less
+// buckets and returns the final extents of the seeded ones.
+func BucketExtents(R []geom.KPE, n int) []geom.Rect {
+	if n < 1 || len(R) == 0 {
+		return nil
+	}
+	buckets := seedBuckets(R, n)
+	for i := range R {
+		b := chooseBucket(buckets, R[i].Rect)
+		b.extent = b.extent.Union(R[i].Rect)
+	}
+	var out []geom.Rect
+	for _, b := range buckets {
+		if b.seeded {
+			out = append(out, b.extent)
+		}
+	}
+	return out
+}
+
 func TestBucketExtentsCoverBuildSide(t *testing.T) {
 	R := datagen.LAST(10, 1000).KPEs
 	exts := BucketExtents(R, 8)

@@ -35,8 +35,6 @@ func TestExamplesRun(t *testing.T) {
 		{[]string{"./examples/indexed", "-n", "3000"}, "index on both"},
 		{[]string{"./examples/refinement", "-n", "3000"}, "false-positive rate"},
 		{[]string{"./examples/nearby", "-n", "3000"}, "within-eps"},
-		{[]string{"./examples/operatortree", "-n", "3000"}, "rows delivered"},
-		{[]string{"./examples/highdim", "-n", "800"}, "dim"},
 	}
 	for _, c := range cases {
 		c := c
