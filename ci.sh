@@ -72,11 +72,16 @@ go test -race -count=1 -timeout 10m ./internal/chaos/ ./internal/govern/ ./inter
 # cancellation at every kind of checkpoint on both paths.
 go test -race -count=1 -timeout 15m -run 'TestStripe' ./internal/pbsm/
 # Run formation sorts an index and writes the run through it from
-# concurrent scheduler units, merge cursors break ties by run ordinal, and
-# the scan keeps every stack cell's items in one arena per relation:
+# concurrent scheduler units, and merge cursors break ties by run ordinal:
 # stability against sort.SliceStable at 1, 2 and 4 workers, run files
-# identical across worker counts, the eleven-level nest against the
-# quadtree join, and cancellation swept over run formation and the scan.
+# identical across worker counts, Sort pinned to its two exported halves
+# composed. S3J's two partitioners sort their chunks' indexes and write
+# scan-order runs concurrently, the scan's heap is the final merge and
+# keeps every stack cell's items in one arena per relation, and merge
+# passes are forced only at these tests' tiny budgets: the pinned emission
+# sequence at three budgets and two worker counts, the eleven-level nest
+# against the quadtree join, torn runs, and cancellation swept over the
+# partitioners, the forced merges and the scan.
 go test -race -count=1 -timeout 10m ./internal/extsort/ ./internal/s3j/
 
 echo "== fuzz smoke (diskio extents against a flat byte-slice model) =="
@@ -106,9 +111,11 @@ echo "== repository benchmark smoke (pbsm_ext, traced pass) =="
 go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
 
 echo "== repository benchmark smoke (s3j_ext, traced pass) =="
-# S3J's external path through the same oracle and gates. At scale 0.25
-# four level files still form more than one run, so the index sort, the
-# keyed merge and the scan arena all execute.
+# S3J's external path through the same oracle and gates: the chunk index
+# sort in the partitioners, the heap merge in the scan and the scan arena.
+# At scale 0.25 the budget holds 24 cursors and the partitioners write 26
+# runs, so one forced merge pass runs too (at full scale: 23 runs against
+# 99 cursors, none).
 go run ./benchmark -workload s3j_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
 
 echo "== sjbench trace smoke (Chrome trace_event export) =="

@@ -339,8 +339,8 @@ func main() {
 			fmt.Printf("  %-12s cpu %.3fs, io %.0f units\n",
 				ph, st.PhaseCPU[ph].Seconds(), st.PhaseIO[ph].CostUnits)
 		}
-		fmt.Printf("  level files R: %v\n", st.LevelRecordsR)
-		fmt.Printf("  level files S: %v\n", st.LevelRecordsS)
+		fmt.Printf("  level records R: %v\n", st.LevelRecordsR)
+		fmt.Printf("  level records S: %v\n", st.LevelRecordsS)
 	}
 	if st := res.SSSJStats; st != nil {
 		fmt.Printf("sssj      sort runs %d (+%d merge passes), tests %d, sweep high-water %d rects\n",

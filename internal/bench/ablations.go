@@ -169,7 +169,7 @@ func RunAblationTrieDepth(s *Suite) ([]AblDepthRow, *Table) {
 }
 
 // AblLevelsRow measures S³J's grid-depth parameter: more levels shrink
-// partitions (fewer tests) but multiply level files and sort overhead.
+// partitions (fewer tests) but raise replication and per-cell overhead.
 type AblLevelsRow struct {
 	Levels      int
 	Tests       int64

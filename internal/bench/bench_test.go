@@ -78,12 +78,21 @@ func TestTable3Shapes(t *testing.T) {
 	if r := get("PBSM", "join").ReadPasses; r < 0.9 {
 		t.Fatalf("PBSM join read passes = %.2f, want ≥1", r)
 	}
-	// S3J sort phase: at least one read and one write pass.
-	if r := get("S3J", "sort").ReadPasses; r < 0.9 {
-		t.Fatalf("S3J sort read passes = %.2f, want ≥1", r)
+	// S3J: one write pass to partition, one read pass to join; the sort
+	// phase is whole merge passes, forced or absent, so it reads what it
+	// writes; and the total stays within the paper's minimum of four.
+	part, srt, join := get("S3J", "partition"), get("S3J", "sort"), get("S3J", "join")
+	if part.WritePasses < 0.9 || part.WritePasses > 1.1 || part.ReadPasses != 0 {
+		t.Fatalf("S3J partition passes = %.2f read / %.2f write, want 0 / ≈1", part.ReadPasses, part.WritePasses)
 	}
-	if w := get("S3J", "sort").WritePasses; w < 0.9 {
-		t.Fatalf("S3J sort write passes = %.2f, want ≥1", w)
+	if join.ReadPasses < 0.9 || join.ReadPasses > 1.1 || join.WritePasses != 0 {
+		t.Fatalf("S3J join passes = %.2f read / %.2f write, want ≈1 / 0", join.ReadPasses, join.WritePasses)
+	}
+	if d := srt.ReadPasses - srt.WritePasses; d < 0 || d > 0.05 {
+		t.Fatalf("S3J sort passes = %.2f read / %.2f write, want whole merge passes", srt.ReadPasses, srt.WritePasses)
+	}
+	if total := part.WritePasses + srt.ReadPasses + srt.WritePasses + join.ReadPasses; total > 4 {
+		t.Fatalf("S3J touches the data %.2f times, more than the paper's four", total)
 	}
 }
 

@@ -4,7 +4,7 @@
 // page-transfer units, where PT is the ratio of positioning time to
 // transfer time. Reading the join inputs and writing the final output are
 // free of charge in the paper's model, so only intermediate files
-// (partitions, level files, sort runs) are created on a Disk.
+// (partitions, level-record runs, sort runs) are created on a Disk.
 //
 // Files are held in memory; the simulation is about *accounting*, not
 // persistence. Every read and write request is charged to the Disk's

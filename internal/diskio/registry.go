@@ -1,5 +1,5 @@
 // Temp-file lifecycle. Every intermediate file a join creates —
-// partitions, level files, sort runs, result spools — must be removed
+// partitions, level-record runs, sort runs, result spools — must be removed
 // when the join finishes, whether it finishes by success, by error or by
 // cancellation. Scattered defers almost achieve that, but "almost" is
 // exactly the failure mode resource governance exists to close: a file

@@ -2,12 +2,18 @@
 // records stored on the simulated disk of package diskio, in the
 // checksummed frame format of package recfile.
 //
-// Two phases use it: the sorting phase of S³J (level files ordered by
-// locational code, §4.2 of the paper) and the original duplicate-removal
-// phase of PBSM (result pairs ordered by ID, §3.1). Run formation reads
-// the input once and writes sorted runs once; when more than one run is
-// produced, multiway merge passes follow, each reading and writing the
-// data once — exactly the I/O behaviour §5.1 of the paper accounts for.
+// Sort is used by the original duplicate-removal phase of PBSM (result
+// pairs ordered by ID, §3.1) and by SSSJ. Run formation reads the input
+// once and writes sorted runs once; when more than one run is produced,
+// multiway merge passes follow, each reading and writing the data once —
+// exactly the I/O behaviour §5.1 of the paper accounts for. Sort is the
+// composition of two halves that are exported on their own: WriteRun
+// sorts a chunk that is already in memory and writes it as one run, and
+// MergeDown merges a list of runs by whole passes. S³J (§4.2) uses the
+// halves directly: its partitioner fills the chunks itself, so no
+// unsorted file is ever written or read back, and its synchronized scan
+// is the final merge, so MergeDown runs only when there are more runs
+// than the scan may hold cursors for.
 //
 // Run formation never moves a record while sorting: it sorts an index
 // of (key, position) entries — Config.Key's 64-bit prefix of the order,
@@ -118,20 +124,18 @@ type Stats struct {
 	Comparisons int64
 }
 
-// runRange is one sorted run: its file and its record count. Every run
-// owns a whole file, so merge groups and run-formation chunks touch
-// disjoint files and can run concurrently.
-type runRange struct {
-	f    *diskio.File
-	recs int64
+// Run is one sorted run: its file and its record count. Every run owns
+// a whole file, so merge groups and run-formation chunks touch disjoint
+// files and can run concurrently.
+type Run struct {
+	File *diskio.File
+	Recs int64
 }
 
 // removeRuns removes every run file of rs.
-func removeRuns(reg *diskio.Registry, rs []runRange) {
+func removeRuns(reg *diskio.Registry, rs []Run) {
 	for _, r := range rs {
-		if r.f != nil {
-			reg.Remove(r.f)
-		}
+		reg.Remove(r.File) // a nil file is ignored
 	}
 }
 
@@ -151,14 +155,14 @@ func Sort(in *diskio.File, cfg Config) (*diskio.File, Stats, error) {
 	defer sp.End()
 	sp.AddRecords(st.Records)
 
-	reg := cfg.Reg
-	if reg == nil {
-		reg = cfg.Disk.NewRegistry()
+	if cfg.Reg == nil {
+		cfg.Reg = cfg.Disk.NewRegistry()
 	}
+	cfg.Trace = sp // what run formation and the merge passes nest under
 
-	runs, err := formRuns(in, cfg, reg, sp, &st)
+	runs, err := formRuns(in, cfg, &st)
 	if err != nil {
-		removeRuns(reg, runs)
+		removeRuns(cfg.Reg, runs)
 		return nil, st, err
 	}
 	st.Runs = len(runs)
@@ -166,57 +170,63 @@ func Sort(in *diskio.File, cfg Config) (*diskio.File, Stats, error) {
 	if len(runs) == 0 {
 		// Empty input: return an empty but finalized stream (exactly one
 		// end-of-stream frame), which readers verify as intact.
-		f := reg.Create()
+		f := cfg.Reg.Create()
 		w := recfile.NewRecWriter(f, rs, cfg.bufPages())
 		if ferr := w.Flush(); ferr != nil {
-			reg.Remove(f)
+			cfg.Reg.Remove(f)
 			return nil, st, ferr
 		}
 		return f, st, nil
 	}
 
-	for len(runs) > 1 {
+	runs, err = MergeDown(runs, 1, cfg, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	return runs[0].File, st, nil
+}
+
+// MergeDown merges runs, a list in input order, by whole passes — each
+// pass merges consecutive groups of FanIn runs into one run each — until
+// at most k runs (at least one) are left, and returns them, still in
+// input order. Passes and Less calls are added to st. The runs that were
+// merged are removed from Config.Reg; on error every run is, merged or
+// not, and the result is nil.
+func MergeDown(runs []Run, k int, cfg Config, st *Stats) ([]Run, error) {
+	if cfg.Reg == nil {
+		cfg.Reg = cfg.Disk.NewRegistry()
+	}
+	for len(runs) > max(k, 1) {
 		st.MergePass++
-		next, merr := mergePass(runs, cfg, reg, sp, &st)
-		if merr != nil {
-			removeRuns(reg, runs)
-			removeRuns(reg, next)
-			return nil, st, merr
+		next, err := mergePass(runs, cfg, st)
+		removeRuns(cfg.Reg, runs)
+		if err != nil {
+			removeRuns(cfg.Reg, next)
+			return nil, err
 		}
-		removeRuns(reg, runs)
 		runs = next
 	}
-	return runs[0].f, st, nil
+	return runs, nil
 }
 
 // formRuns sorts memory-sized chunks of the input into one run file per
 // chunk. Chunks cover the fixed record ranges [i·maxRecs, (i+1)·maxRecs)
 // regardless of worker count, so the runs a parallel formation produces
 // are byte-identical to the serial ones.
-func formRuns(in *diskio.File, cfg Config, reg *diskio.Registry, sp *trace.Span, st *Stats) ([]runRange, error) {
-	ph := sp.Child("run-formation")
+func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
+	ph := cfg.Trace.Child("run-formation")
 	defer ph.End()
 	rs := cfg.RecordSize
-	maxRecs := cfg.Memory / int64(rs)
-	if maxRecs < 2 {
-		maxRecs = 2
-	}
-	if maxRecs > math.MaxUint32 {
-		maxRecs = math.MaxUint32 // indexEntry.pos
-	}
+	maxRecs := min(max(cfg.Memory/int64(rs), 2), math.MaxUint32) // indexEntry.pos
 	total := st.Records
 	if total == 0 {
 		return nil, nil
 	}
 	n := int((total + maxRecs - 1) / maxRecs)
-	runs := make([]runRange, n)
+	runs := make([]Run, n)
 	for i := range runs {
 		lo := int64(i) * maxRecs
-		hi := lo + maxRecs
-		if hi > total {
-			hi = total
-		}
-		runs[i] = runRange{f: reg.Create(), recs: hi - lo}
+		runs[i] = Run{File: cfg.Reg.Create(), Recs: min(lo+maxRecs, total) - lo}
 	}
 	comps := make([]int64, n)
 	err := sched.Run(n, sched.Options{
@@ -271,30 +281,39 @@ func (c *Config) tieBefore(a, b []byte, aEarlier bool, comps *int64) bool {
 }
 
 // formOneRun reads the chunk's record range directly into an in-memory
-// buffer (one copy: frame payload to chunk tail) while indexing it, sorts
-// the index, and writes the run file through the sorted index.
-func formOneRun(in *diskio.File, run runRange, lo int64, cfg Config) (int64, error) {
+// buffer (one copy: frame payload to chunk tail) and hands it to WriteRun.
+func formOneRun(in *diskio.File, run Run, lo int64, cfg Config) (int64, error) {
 	rs := cfg.RecordSize
-	r := recfile.NewRecRangeReader(in, rs, cfg.bufPages(), lo, lo+run.recs)
-	chunk := make([]byte, run.recs*int64(rs))
-	idx := make([]indexEntry, run.recs)
+	r := recfile.NewRecRangeReader(in, rs, cfg.bufPages(), lo, lo+run.Recs)
+	chunk := make([]byte, run.Recs*int64(rs))
 	chk := cfg.Cancel.Stride()
-	for i := range idx {
+	for i := int64(0); i < run.Recs; i++ {
 		if err := chk.Point(); err != nil {
 			return 0, err
 		}
-		rec := chunk[i*rs : (i+1)*rs]
-		ok, err := r.Next(rec)
+		ok, err := r.Next(chunk[i*int64(rs):][:rs])
 		if err != nil {
 			return 0, err
 		}
 		if !ok {
-			// The range reader promises exactly run.recs records and
+			// The range reader promises exactly run.Recs records and
 			// reports torn tails itself; a clean end here means the
 			// length-derived count and the stream disagree.
 			return 0, &recfile.CorruptError{File: in.Name(), Detail: "record range shorter than the length-derived count"}
 		}
-		idx[i] = indexEntry{key: cfg.key(rec), pos: uint32(i)}
+	}
+	return WriteRun(run.File, chunk, cfg)
+}
+
+// WriteRun sorts the records that lie back to back in chunk — by Key,
+// then Less, then position, through an index that never moves a record —
+// and writes them to out as one run. It returns the calls of Less. The
+// index is 16 bytes per record that WriteRun holds beyond the chunk.
+func WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
+	rs := cfg.RecordSize
+	idx := make([]indexEntry, len(chunk)/rs)
+	for i := range idx {
+		idx[i] = indexEntry{key: cfg.key(chunk[i*rs:][:rs]), pos: uint32(i)}
 	}
 	var comps int64
 	at := func(e indexEntry) []byte { return chunk[int(e.pos)*rs:][:rs] }
@@ -309,7 +328,8 @@ func formOneRun(in *diskio.File, run runRange, lo int64, cfg Config) (int64, err
 		}
 		return 1
 	})
-	w := recfile.NewRecWriter(run.f, rs, cfg.bufPages())
+	w := recfile.NewRecWriter(out, rs, cfg.bufPages())
+	chk := cfg.Cancel.Stride()
 	for _, e := range idx {
 		if err := chk.Point(); err != nil {
 			return comps, err
@@ -321,25 +341,28 @@ func formOneRun(in *diskio.File, run runRange, lo int64, cfg Config) (int64, err
 	return comps, w.Flush()
 }
 
-// mergePass merges groups of up to fanin runs, each group into its own
-// output file. The fan-in is limited by the memory budget — one input
-// buffer per run plus one output buffer per group — and group boundaries
-// depend only on the run list, never on the worker count.
-func mergePass(runs []runRange, cfg Config, reg *diskio.Registry, sp *trace.Span, st *Stats) ([]runRange, error) {
-	ph := sp.Child("merge-pass")
+// FanIn is the number of runs one merge reads at once: what the memory
+// budget holds of sequential buffers — one per input run plus one for the
+// output — and at least two.
+func (c *Config) FanIn() int {
+	return max(int(c.Memory/int64(c.bufPages()*c.Disk.PageSize()))-1, 2)
+}
+
+// mergePass merges groups of up to FanIn runs, each group into its own
+// output file. Group boundaries depend only on the run list, never on the
+// worker count.
+func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
+	ph := cfg.Trace.Child("merge-pass")
 	defer ph.End()
 	ph.SetAttr("pass", int64(st.MergePass))
 	ph.SetAttr("runs", int64(len(runs)))
 
 	bufBytes := int64(cfg.bufPages() * cfg.Disk.PageSize())
-	fanin := int(cfg.Memory/bufBytes) - 1
-	if fanin < 2 {
-		fanin = 2
-	}
+	fanin := cfg.FanIn()
 	groups := (len(runs) + fanin - 1) / fanin
-	next := make([]runRange, groups)
+	next := make([]Run, groups)
 	for gi := range next {
-		next[gi].f = reg.Create()
+		next[gi].File = cfg.Reg.Create()
 	}
 	comps := make([]int64, groups)
 	err := sched.Run(groups, sched.Options{
@@ -351,12 +374,8 @@ func mergePass(runs []runRange, cfg Config, reg *diskio.Registry, sp *trace.Span
 		UnitMem: int64(fanin+1) * bufBytes,
 	}, func(w, gi int) error {
 		lo := gi * fanin
-		hi := lo + fanin
-		if hi > len(runs) {
-			hi = len(runs)
-		}
-		n, c, uerr := mergeRuns(next[gi].f, runs[lo:hi], cfg)
-		next[gi].recs = n
+		n, c, uerr := mergeRuns(next[gi].File, runs[lo:min(lo+fanin, len(runs))], cfg)
+		next[gi].Recs = n
 		comps[gi] = c
 		return uerr
 	})
@@ -368,13 +387,13 @@ func mergePass(runs []runRange, cfg Config, reg *diskio.Registry, sp *trace.Span
 
 // mergeRuns merges the given runs into out and returns the number of
 // records written plus the comparisons spent.
-func mergeRuns(out *diskio.File, runs []runRange, cfg Config) (int64, int64, error) {
+func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 	rs := cfg.RecordSize
 	var comps int64
 	h := &mergeHeap{cfg: &cfg, comps: &comps}
 	for i, rr := range runs {
 		c := &cursor{
-			r:   recfile.NewRecRangeReader(rr.f, rs, cfg.bufPages(), 0, rr.recs),
+			r:   recfile.NewRecRangeReader(rr.File, rs, cfg.bufPages(), 0, rr.Recs),
 			buf: make([]byte, rs),
 			cfg: &cfg,
 			ord: i,

@@ -3,6 +3,7 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -329,14 +330,15 @@ func TestSortIsStableUnderEveryComparator(t *testing.T) {
 
 			var st2 Stats
 			st2.Records = n
-			runs, err := formRuns(in, cfg, cfg.Disk.NewRegistry(), nil, &st2)
+			cfg.Reg = cfg.Disk.NewRegistry()
+			runs, err := formRuns(in, cfg, &st2)
 			if err != nil {
 				t.Fatalf("%s/parallel=%d: formRuns: %v", tc.name, workers, err)
 			}
 			for i, r := range runs {
 				if workers == 1 {
-					runs1 = append(runs1, r.f.Bytes())
-				} else if !bytes.Equal(r.f.Bytes(), runs1[i]) {
+					runs1 = append(runs1, r.File.Bytes())
+				} else if !bytes.Equal(r.File.Bytes(), runs1[i]) {
 					t.Fatalf("%s: run %d formed by %d workers differs from the serial one", tc.name, i, workers)
 				}
 			}
@@ -356,5 +358,144 @@ func TestSortRejectsAConfigWithoutAnOrder(t *testing.T) {
 	}
 	if n := d.NumFiles(); n != 1 {
 		t.Fatalf("%d files on the disk, want the input alone", n)
+	}
+}
+
+// TestSortIsItsExportedHalvesComposed: Sort is formRuns — which reads each
+// chunk and hands it to WriteRun — followed by MergeDown to one run.
+// Composing the exported halves by hand over the same chunks must give
+// the same run files, the same output, the same passes and Less calls and
+// the same I/O charge for the halves' part, at every worker count; and
+// all of it is pinned to what Sort produced before the halves were cut
+// out of it (FNV-64a of the run files in order, of the output, and the
+// counters, recorded at the parent commit).
+func TestSortIsItsExportedHalvesComposed(t *testing.T) {
+	const n = 5000
+	recs := tieInput(11, n)
+	byMinor := func(a, b []byte) bool { return tieMinor(a) < tieMinor(b) }
+	sum := func(files ...[]byte) uint64 {
+		h := fnv.New64a()
+		for _, b := range files {
+			h.Write(b)
+		}
+		return h.Sum64()
+	}
+	const (
+		parentRuns, parentOut     = 0x7e9d0781a8d38096, 0x2a051f1189e90a29
+		parentPasses, parentComps = 3, 39950
+		parentUnits               = 53383.0
+	)
+	for _, workers := range []int{1, 2, 4} {
+		cfg := Config{
+			Disk: diskio.NewDisk(64, 5, time.Millisecond), RecordSize: tieRecSize,
+			Memory: 1024, BufPages: 2, Key: tieMajor, Less: byMinor, Parallel: workers,
+		}
+		in := writeRecs(cfg.Disk, recs, tieRecSize)
+		before := cfg.Disk.Stats()
+		out, st, err := Sort(in, cfg)
+		if err != nil {
+			t.Fatalf("parallel=%d: Sort: %v", workers, err)
+		}
+		units := cfg.Disk.Stats().Sub(before).CostUnits
+		var st2 Stats
+		st2.Records = n
+		cfg.Reg = cfg.Disk.NewRegistry()
+		formed, err := formRuns(in, cfg, &st2)
+		if err != nil {
+			t.Fatalf("parallel=%d: formRuns: %v", workers, err)
+		}
+		var runBytes [][]byte
+		for _, r := range formed {
+			runBytes = append(runBytes, r.File.Bytes())
+		}
+		if got := sum(runBytes...); got != parentRuns {
+			t.Errorf("parallel=%d: run files hash %#x, the parent's %#x", workers, got, uint64(parentRuns))
+		}
+		if got := sum(out.Bytes()); got != parentOut {
+			t.Errorf("parallel=%d: output hash %#x, the parent's %#x", workers, got, uint64(parentOut))
+		}
+		if st.Runs != 79 || len(formed) != 79 || st.MergePass != parentPasses || st.Comparisons != parentComps || units != parentUnits {
+			t.Errorf("parallel=%d: %d runs, %d passes, %d comparisons, %g units; the parent's 79, %d, %d, %g",
+				workers, st.Runs, st.MergePass, st.Comparisons, units, parentPasses, parentComps, parentUnits)
+		}
+
+		// The halves by hand, over chunks that never were a file.
+		cfg.Reg = cfg.Disk.NewRegistry()
+		perRun := int(cfg.Memory) / tieRecSize
+		var runs []Run
+		var hand Stats
+		for lo := 0; lo < n; lo += perRun {
+			hi := min(lo+perRun, n)
+			f := cfg.Reg.Create()
+			c, err := WriteRun(f, recs[lo*tieRecSize:hi*tieRecSize], cfg)
+			if err != nil {
+				t.Fatalf("parallel=%d: WriteRun: %v", workers, err)
+			}
+			hand.Comparisons += c
+			runs = append(runs, Run{File: f, Recs: int64(hi - lo)})
+		}
+		for i, r := range runs {
+			if !bytes.Equal(r.File.Bytes(), runBytes[i]) {
+				t.Fatalf("parallel=%d: run %d written by WriteRun differs from the one Sort forms", workers, i)
+			}
+		}
+		if runs, err = MergeDown(runs, 1, cfg, &hand); err != nil || len(runs) != 1 {
+			t.Fatalf("parallel=%d: MergeDown = (%d runs, %v)", workers, len(runs), err)
+		}
+		if !bytes.Equal(runs[0].File.Bytes(), out.Bytes()) || hand.MergePass != st.MergePass || hand.Comparisons != st.Comparisons {
+			t.Fatalf("parallel=%d: the halves composed give %d passes, %d comparisons and a different file than Sort (%d, %d)",
+				workers, hand.MergePass, hand.Comparisons, st.MergePass, st.Comparisons)
+		}
+		if live := cfg.Reg.Live(); live != 1 {
+			t.Fatalf("parallel=%d: %d files registered after MergeDown, want the one run it returned", workers, live)
+		}
+	}
+}
+
+// TestMergeDownStopsAtK: MergeDown merges by whole passes and stops as
+// soon as at most k runs are left; a list that already fits is returned
+// untouched, with no pass counted and no I/O charged.
+func TestMergeDownStopsAtK(t *testing.T) {
+	cfg := Config{
+		Disk: diskio.NewDisk(64, 5, time.Millisecond), RecordSize: recSize,
+		Memory: 512, BufPages: 2, Less: u64Less,
+	}
+	cfg.Reg = cfg.Disk.NewRegistry()
+	if got := cfg.FanIn(); got != 3 {
+		t.Fatalf("FanIn = %d, want 512/(2*64) - 1 = 3", got)
+	}
+	var runs []Run
+	rec := make([]byte, 8*recSize)
+	for i := 0; i < 20; i++ {
+		for k := 0; k < 8; k++ {
+			binary.LittleEndian.PutUint64(rec[k*recSize:], uint64((i*7+k*13)%50))
+		}
+		f := cfg.Reg.Create()
+		if _, err := WriteRun(f, rec, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, Run{File: f, Recs: 8})
+	}
+	var st Stats
+	before := cfg.Disk.Stats()
+	same, err := MergeDown(runs, 20, cfg, &st)
+	if err != nil || len(same) != 20 || st.MergePass != 0 || cfg.Disk.Stats() != before {
+		t.Fatalf("MergeDown of a list that fits = (%d runs, %v), %d passes", len(same), err, st.MergePass)
+	}
+	// 20 -> 7 -> 3: two passes reach k = 5, one would not.
+	got, err := MergeDown(runs, 5, cfg, &st)
+	if err != nil || len(got) != 3 || st.MergePass != 2 {
+		t.Fatalf("MergeDown(20 runs, k=5) = (%d runs, %v) in %d passes, want 3 runs in 2", len(got), err, st.MergePass)
+	}
+	var total int64
+	for _, r := range got {
+		vals := readU64s(r.File)
+		if int64(len(vals)) != r.Recs || !sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i] < vals[j] }) {
+			t.Fatalf("merged run: %d records read, %d counted, sorted=%v", len(vals), r.Recs, sort.SliceIsSorted(vals, func(i, j int) bool { return vals[i] < vals[j] }))
+		}
+		total += r.Recs
+	}
+	if total != 160 || cfg.Reg.Live() != 3 {
+		t.Fatalf("%d records in the merged runs, %d files registered; want 160 and 3", total, cfg.Reg.Live())
 	}
 }

@@ -157,7 +157,7 @@ func WriteJSONL(w io.Writer, s Snapshot) error {
 
 // Handler serves the registry over HTTP: GET /metrics returns the
 // Prometheus text exposition, GET /metricsz the JSONL form. Intended
-// for sjoin/sjbench -metrics-addr and the future sjserved daemon.
+// for sjoin -metrics-addr and the future sjserved daemon.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

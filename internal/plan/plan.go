@@ -78,8 +78,12 @@ func PBSM(w Workload, d Device) Prediction {
 	}
 }
 
-// S3J predicts the level-file write, sort (read+write) and join-read
-// cost of the replicated S³J.
+// S3J predicts the cost of the replicated S³J: the partitioners write
+// every copy once, in memory-sized runs sorted in scan order, and the scan
+// reads every copy once through one cursor per run. Only when there are
+// more runs than the scan holds cursors for — a merge's fan-in, but never
+// fewer than one per level and relation — do forced merge passes add a
+// read and a write each.
 func S3J(w Workload, d Device) Prediction {
 	const levels = 10 // the s3j default
 	rep := 1.0
@@ -91,18 +95,35 @@ func S3J(w Workload, d Device) Prediction {
 		}
 		rep = copies / float64(len(sample))
 	}
-	rec := float64(geom.KPESize + 8) // level-file records carry the code
+	rec := float64(geom.KPESize + 8) // level records carry the scan key
 	vol := rep * float64(w.NR+w.NS) * rec
 	pg := d.Pages(vol)
-	write := d.PassCost(pg, d.BufFor(w.Memory, levels+1))
-	sortPasses := d.PassCost(pg, d.BufPages) + d.PassCost(pg, d.BufPages)
-	read := d.PassCost(pg, d.BufFor(w.Memory, 2*(levels+1)))
+	runs := math.Max(2, math.Ceil(vol/float64(w.Memory))) // at least one per relation
+	cursors := math.Max(fanIn(w, d), 2*(levels+1))
+	extra := mergePasses(runs, cursors, w, d)
+	write := d.PassCost(pg, d.BufPages)
+	read := d.PassCost(pg, d.BufFor(w.Memory, int(math.Min(runs, cursors))))
 	return Prediction{
 		Method:      core.S3J,
-		IOUnits:     write + sortPasses + read,
-		Passes:      4,
+		IOUnits:     write + read + 2*extra*d.PassCost(pg, d.BufPages),
+		Passes:      2 + 2*extra,
 		Replication: rep,
 	}
+}
+
+// fanIn is the number of runs one merge reads at once under w.Memory
+// (extsort's rule).
+func fanIn(w Workload, d Device) float64 {
+	return math.Max(2, float64(w.Memory)/float64(d.BufPages*d.PageSize)-1)
+}
+
+// mergePasses predicts how many passes bring runs down to at most target:
+// each divides the run count by the fan-in.
+func mergePasses(runs, target float64, w Workload, d Device) float64 {
+	if runs <= target {
+		return 0
+	}
+	return math.Ceil(math.Log(runs/target) / math.Log(fanIn(w, d)))
 }
 
 // SSSJ predicts the materialize + external-sort + sweep-read cost of the
@@ -113,15 +134,10 @@ func SSSJ(w Workload, d Device) Prediction {
 	pg := d.Pages(vol)
 	passes := 4.0 // write raw, sort read+write (run formation), sweep read
 	io := d.PassCost(pg, d.BufPages) * passes
-	if vol > float64(w.Memory) {
-		// Multi-run sorts add merge passes over the data.
-		runs := vol / float64(w.Memory)
-		fanin := math.Max(2, float64(w.Memory)/float64(d.BufPages*d.PageSize)-1)
-		extra := math.Ceil(math.Log(runs) / math.Log(fanin))
-		if extra > 0 {
-			io += d.PassCost(pg, d.BufPages) * 2 * extra
-			passes += 2 * extra
-		}
+	// Multi-run sorts add merge passes over the data.
+	if extra := mergePasses(vol/float64(w.Memory), 1, w, d); extra > 0 {
+		io += d.PassCost(pg, d.BufPages) * 2 * extra
+		passes += 2 * extra
 	}
 	return Prediction{Method: core.SSSJ, IOUnits: io, Passes: passes, Replication: 1}
 }

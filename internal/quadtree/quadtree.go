@@ -1,7 +1,7 @@
 // Package quadtree implements the MX-CIF quadtree of Samet and the
 // internal spatial join of §4.1 of the paper: a synchronized pre-order
 // traversal of two MX-CIF quadtrees that joins every pair of nodes lying
-// on a common root path. S³J is the external, level-file-based version of
+// on a common root path. S³J is the external, level-record-based version of
 // exactly this algorithm, so the quadtree join doubles as the reference
 // oracle for S³J's semantics in the test suite.
 package quadtree

@@ -1,6 +1,6 @@
 // Package recfile layers fixed-size record streams (KPEs, result Pairs,
 // and the generic records of the external sort) on top of the simulated
-// disk of package diskio. Partition files, level files, sort runs and
+// disk of package diskio. Partition files, level-record runs, sort runs and
 // the temporary result files of the original PBSM duplicate-removal
 // phase are all recfile streams.
 //

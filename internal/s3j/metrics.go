@@ -10,10 +10,10 @@ const (
 	// metRPMTests counts reference-point tests (one per raw result
 	// under ModeReplicate).
 	metRPMTests = "s3j.rpm.tests"
-	// metReplicationCopies counts level-file KPE copies written.
+	// metReplicationCopies counts level-record KPE copies written.
 	metReplicationCopies = "s3j.replication.copies"
-	// metLevelSortsDone counts (relation, level) sort units completed.
-	metLevelSortsDone = "s3j.level.sorts.done"
+	// metRunsWritten counts scan-order runs the partitioners wrote.
+	metRunsWritten = "s3j.runs.written"
 )
 
 // publishMetrics adds this join's totals to the process-lifetime
@@ -28,9 +28,4 @@ func (j *joiner) publishMetrics() {
 		m.Counter(metRPMTests).Add(j.stats.RawResults)
 	}
 	m.Counter(metReplicationCopies).Add(j.stats.CopiesR + j.stats.CopiesS)
-}
-
-// levelSortDone records one completed sort unit on the live counter.
-func (j *joiner) levelSortDone() {
-	j.cfg.Metrics.Counter(metLevelSortsDone).Inc()
 }

@@ -3,111 +3,99 @@ package s3j
 import (
 	"encoding/binary"
 
-	"spatialjoin/internal/diskio"
+	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sfc"
 )
 
-// levRecSize is the serialized size of a level-file record: the 8-byte
-// locational code followed by the KPE. Attaching the code to the KPE
-// (§4.2) means it is computed once in the partitioning phase and reused
-// by the sort and the synchronized scan.
+// levRecSize is the serialized size of a level record: the 8-byte scan
+// key followed by the KPE. Attaching the key to the KPE (§4.2) means the
+// locational code is computed once in the partitioning phase and reused
+// by the sort of every chunk and by the synchronized scan.
 const levRecSize = 8 + geom.KPESize
 
-// encodeLevRec serializes a level-file record into buf.
-func encodeLevRec(buf []byte, code uint64, k geom.KPE) {
-	binary.LittleEndian.PutUint64(buf[0:], code)
+// levelBits is the width of the level in a scan key (sfc.MaxLevel < 32).
+const levelBits = 5
+
+// scanKey is the one number the level records are ordered by: the start
+// of the cell's depth-sfc.MaxLevel code interval (48 bits) over the level.
+// Ascending keys are the pre-order of the quadtree cells — a cell sorts
+// before everything inside it, cells of one level sort along the curve —
+// which is the order the synchronized scan consumes (§4.4.3).
+func scanKey(code uint64, level int) uint64 {
+	lo, _ := sfc.CodeInterval(code, level)
+	return lo<<levelBits | uint64(level)
+}
+
+// keyCell recovers the cell of a scan key: its locational code, its level
+// and its code interval.
+func keyCell(key uint64) (code uint64, level int, lo, hi uint64) {
+	level = int(key & (1<<levelBits - 1))
+	lo = key >> levelBits
+	shift := uint(2 * (sfc.MaxLevel - level))
+	return lo >> shift, level, lo, lo + 1<<shift
+}
+
+// encodeLevRec serializes a level record into buf.
+func encodeLevRec(buf []byte, key uint64, k geom.KPE) {
+	binary.LittleEndian.PutUint64(buf[0:], key)
 	geom.EncodeKPE(buf[8:], k)
 }
 
-// decodeLevCode extracts just the locational code, the sort key.
-func decodeLevCode(buf []byte) uint64 {
+// decodeLevKey extracts just the scan key, the sort key of a run.
+func decodeLevKey(buf []byte) uint64 {
 	return binary.LittleEndian.Uint64(buf[0:])
 }
 
-// decodeLevRec deserializes a full level-file record.
+// decodeLevRec deserializes a full level record.
 func decodeLevRec(buf []byte) (uint64, geom.KPE) {
-	return binary.LittleEndian.Uint64(buf[0:]), geom.DecodeKPE(buf[8:])
+	return decodeLevKey(buf), geom.DecodeKPE(buf[8:])
 }
 
-// levWriter appends level-file records through the checksummed frame
-// format of package recfile.
-type levWriter struct {
-	w   *recfile.RecWriter
-	buf [levRecSize]byte
-}
-
-func newLevWriter(f *diskio.File, bufPages int) *levWriter {
-	return &levWriter{w: recfile.NewRecWriter(f, levRecSize, bufPages)}
-}
-
-func (w *levWriter) write(code uint64, k geom.KPE) error {
-	encodeLevRec(w.buf[:], code, k)
-	return w.w.Write(w.buf[:])
-}
-
-func (w *levWriter) flush() error { return w.w.Flush() }
-
-// numLevRecs returns the number of level records stored in f.
-func numLevRecs(f *diskio.File) int64 { return recfile.NumRecs(f, levRecSize) }
-
-// groupCursor scans a sorted level file and yields one *partition* at a
-// time: the maximal run of records sharing a locational code, which is
-// the content of one MX-CIF cell. It keeps a one-record lookahead.
+// groupCursor scans one run of a relation and yields one group at a
+// time: the maximal sequence of records sharing a scan key, which is the
+// part of one MX-CIF cell that lies in this run. It keeps a one-record
+// lookahead. The run is read as the record range the partitioner (or a
+// forced merge) counted, so a torn run is a recfile.CorruptError from the
+// reader, never a shorter cell.
 type groupCursor struct {
 	r      *recfile.RecReader
-	buf    [levRecSize]byte
 	peeked bool
-	pkCode uint64
-	// pkLo caches sfc.CodeInterval(pkCode, level)'s start, the cursor's
-	// heap key. The heap compares cursors O(log n) times per group, so
-	// recomputing the interval in every Less call would redo the same
-	// bit-interleaving work many times per record; computing it once per
-	// lookahead in fillPeek keeps Less to one integer compare.
-	pkLo  uint64
-	pkKPE geom.KPE
-	level int
-	rel   int // 0 = R, 1 = S
+	pkKey  uint64 // the cursor's heap key
+	pkKPE  geom.KPE
+	rel    int // 0 = R, 1 = S
+	ord    int // the run's place in its relation's list, which is input order
 }
 
-func newGroupCursor(f *diskio.File, bufPages, level, rel int) *groupCursor {
-	return &groupCursor{r: recfile.NewRecReader(f, levRecSize, bufPages), level: level, rel: rel}
+func newGroupCursor(run extsort.Run, bufPages, rel, ord int) *groupCursor {
+	return &groupCursor{r: recfile.NewRecRangeReader(run.File, levRecSize, bufPages, 0, run.Recs), rel: rel, ord: ord}
 }
 
-// fillPeek loads the lookahead record; it reports false at end of file
-// or on an I/O error.
+// fillPeek loads the lookahead record; it reports false at the end of
+// the run or on an I/O error.
 func (c *groupCursor) fillPeek() (bool, error) {
 	if c.peeked {
 		return true, nil
 	}
-	ok, err := c.r.Next(c.buf[:])
+	rec, ok, err := c.r.NextRef()
 	if !ok || err != nil {
 		return false, err
 	}
-	c.pkCode, c.pkKPE = decodeLevRec(c.buf[:])
-	c.pkLo, _ = sfc.CodeInterval(c.pkCode, c.level)
+	c.pkKey, c.pkKPE = decodeLevRec(rec)
 	c.peeked = true
 	return true, nil
 }
 
-// peekCode returns the code of the next group without consuming it.
-func (c *groupCursor) peekCode() (uint64, bool, error) {
-	ok, err := c.fillPeek()
-	if !ok || err != nil {
-		return 0, false, err
-	}
-	return c.pkCode, true, nil
-}
-
-// nextGroup consumes and returns the next same-code run. items is
-// appended to dst to let the caller reuse buffers.
-func (c *groupCursor) nextGroup(dst []geom.KPE) (code uint64, items []geom.KPE, ok bool, err error) {
+// nextGroup consumes the next same-key group and appends it to dst; it
+// leaves the lookahead on the record after the group, so c.peeked says
+// whether the run has more.
+func (c *groupCursor) nextGroup(dst []geom.KPE) (key uint64, items []geom.KPE, ok bool, err error) {
 	ok, err = c.fillPeek()
 	if !ok || err != nil {
 		return 0, dst, false, err
 	}
-	code = c.pkCode
+	key = c.pkKey
 	items = append(dst, c.pkKPE)
 	c.peeked = false
 	for {
@@ -115,11 +103,11 @@ func (c *groupCursor) nextGroup(dst []geom.KPE) (code uint64, items []geom.KPE, 
 		if err != nil {
 			return 0, items, false, err
 		}
-		if !ok || c.pkCode != code {
+		if !ok || c.pkKey != key {
 			break
 		}
 		items = append(items, c.pkKPE)
 		c.peeked = false
 	}
-	return code, items, true, nil
+	return key, items, true, nil
 }

@@ -7,15 +7,40 @@ import (
 	"time"
 
 	"spatialjoin/internal/diskio"
+	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/recfile"
+	"spatialjoin/internal/sfc"
 )
+
+// writeRun stores one level record per key, in the given order, as a run;
+// record i carries ids[i] (or i when ids is nil).
+func writeRun(d *diskio.Disk, bufPages int, keys, ids []uint64) extsort.Run {
+	f := d.Create("run")
+	w := recfile.NewRecWriter(f, levRecSize, bufPages)
+	var buf [levRecSize]byte
+	for i, key := range keys {
+		id := uint64(i)
+		if ids != nil {
+			id = ids[i]
+		}
+		encodeLevRec(buf[:], key, geom.KPE{ID: id})
+		if err := w.Write(buf[:]); err != nil {
+			panic(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		panic(err)
+	}
+	return extsort.Run{File: f, Recs: int64(len(keys))}
+}
 
 func TestLevRecRoundTrip(t *testing.T) {
 	f := func(code, id uint64, x1, y1, x2, y2 float64) bool {
 		k := geom.KPE{ID: id, Rect: geom.NewRect(x1, y1, x2, y2)}
 		var buf [levRecSize]byte
 		encodeLevRec(buf[:], code, k)
-		if decodeLevCode(buf[:]) != code {
+		if decodeLevKey(buf[:]) != code {
 			return false
 		}
 		gc, gk := decodeLevRec(buf[:])
@@ -26,20 +51,43 @@ func TestLevRecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScanKeyIsCellPreOrder: the scan key round-trips the cell, a cell
+// sorts before every cell inside it and after every cell that ends before
+// it starts, and siblings sort along the curve.
+func TestScanKeyIsCellPreOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		level := rng.Intn(sfc.MaxLevel + 1)
+		code := uint64(rng.Int63n(1 << uint(2*level)))
+		key := scanKey(code, level)
+		gc, gl, lo, hi := keyCell(key)
+		wlo, whi := sfc.CodeInterval(code, level)
+		if gc != code || gl != level || lo != wlo || hi != whi {
+			t.Fatalf("keyCell(scanKey(%d, %d)) = (%d, %d, %d, %d), want interval [%d, %d)", code, level, gc, gl, lo, hi, wlo, whi)
+		}
+		if level < sfc.MaxLevel {
+			first, last := scanKey(code<<2, level+1), scanKey(code<<2|3, level+1)
+			if !(key < first && first < last) {
+				t.Fatalf("cell (%d, %d) key %d, its children's %d..%d", code, level, key, first, last)
+			}
+			if next := scanKey(code+1, level); code+1 < 1<<uint(2*level) && last >= next {
+				t.Fatalf("cell (%d, %d): last child key %d not before the next sibling's %d", code, level, last, next)
+			}
+		}
+	}
+	if scanKey(0, 0) != 0 {
+		t.Fatal("level 0 must need no code: its key is 0")
+	}
+}
+
 func TestGroupCursorGroupsByCode(t *testing.T) {
 	d := diskio.NewDisk(256, 5, time.Millisecond)
-	f := d.Create("lev")
-	w := newLevWriter(f, 2)
-	// Three groups: code 3 (two records), code 7 (one), code 9 (three).
-	codes := []uint64{3, 3, 7, 9, 9, 9}
-	for i, c := range codes {
-		w.write(c, geom.KPE{ID: uint64(i)})
-	}
-	w.flush()
+	// Three groups: key 3 (two records), key 7 (one), key 9 (three).
+	run := writeRun(d, 2, []uint64{3, 3, 7, 9, 9, 9}, nil)
 
-	c := newGroupCursor(f, 2, 4, 0)
-	if code, ok, err := c.peekCode(); err != nil || !ok || code != 3 {
-		t.Fatalf("peek = (%d,%v,%v), want (3,true)", code, ok, err)
+	c := newGroupCursor(run, 2, 0, 0)
+	if ok, err := c.fillPeek(); err != nil || !ok || c.pkKey != 3 {
+		t.Fatalf("peek = (%d,%v,%v), want (3,true)", c.pkKey, ok, err)
 	}
 	wantGroups := []struct {
 		code uint64
@@ -51,15 +99,14 @@ func TestGroupCursorGroupsByCode(t *testing.T) {
 			t.Fatalf("group = (%d, %d items, %v, %v), want (%d, %d)", code, len(items), ok, err, wg.code, wg.n)
 		}
 	}
-	if _, _, ok, err := c.nextGroup(nil); ok || err != nil {
-		t.Fatalf("cursor must end after last group (ok=%v err=%v)", ok, err)
+	if _, _, ok, err := c.nextGroup(nil); ok || err != nil || c.peeked {
+		t.Fatalf("cursor must end after last group (ok=%v err=%v peeked=%v)", ok, err, c.peeked)
 	}
 }
 
 func TestGroupCursorEmptyFile(t *testing.T) {
 	d := diskio.NewDisk(256, 5, time.Millisecond)
-	f := d.Create("empty")
-	c := newGroupCursor(f, 2, 0, 1)
+	c := newGroupCursor(writeRun(d, 2, nil, nil), 2, 1, 0)
 	if ok, err := c.fillPeek(); ok || err != nil {
 		t.Fatalf("empty file must not peek (ok=%v err=%v)", ok, err)
 	}
@@ -69,16 +116,10 @@ func TestGroupCursorEmptyFile(t *testing.T) {
 }
 
 func TestGroupCursorSingleGroupWholeFile(t *testing.T) {
-	// The level-0 case: all codes zero, one group holding the whole file.
+	// The level-0 case: every key zero, one group holding the whole run.
 	d := diskio.NewDisk(256, 5, time.Millisecond)
-	f := d.Create("lev0")
-	w := newLevWriter(f, 2)
 	const n = 500
-	for i := 0; i < n; i++ {
-		w.write(0, geom.KPE{ID: uint64(i)})
-	}
-	w.flush()
-	c := newGroupCursor(f, 2, 0, 0)
+	c := newGroupCursor(writeRun(d, 2, make([]uint64, n), nil), 2, 0, 0)
 	code, items, ok, err := c.nextGroup(nil)
 	if err != nil || !ok || code != 0 || len(items) != n {
 		t.Fatalf("level-0 group = (%d, %d items, %v, %v)", code, len(items), ok, err)
@@ -92,12 +133,7 @@ func TestGroupCursorSingleGroupWholeFile(t *testing.T) {
 
 func TestGroupCursorReuseDst(t *testing.T) {
 	d := diskio.NewDisk(256, 5, time.Millisecond)
-	f := d.Create("lev")
-	w := newLevWriter(f, 2)
-	w.write(1, geom.KPE{ID: 10})
-	w.write(2, geom.KPE{ID: 20})
-	w.flush()
-	c := newGroupCursor(f, 2, 1, 0)
+	c := newGroupCursor(writeRun(d, 2, []uint64{1, 2}, []uint64{10, 20}), 2, 0, 0)
 	buf := make([]geom.KPE, 0, 8)
 	_, items, _, _ := c.nextGroup(buf)
 	if len(items) != 1 || items[0].ID != 10 {
@@ -113,10 +149,8 @@ func TestGroupCursorRandomized(t *testing.T) {
 	f := func(seed int64, nGroups uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := diskio.NewDisk(128, 5, time.Millisecond)
-		file := d.Create("lev")
-		w := newLevWriter(file, 1+rng.Intn(4))
-		// Ascending codes with random group sizes, as after sorting.
-		var wantCodes []uint64
+		// Ascending keys with random group sizes, as after sorting.
+		var wantCodes, keys []uint64
 		var wantSizes []int
 		code := uint64(0)
 		for g := 0; g < int(nGroups)%20+1; g++ {
@@ -125,11 +159,10 @@ func TestGroupCursorRandomized(t *testing.T) {
 			wantCodes = append(wantCodes, code)
 			wantSizes = append(wantSizes, size)
 			for i := 0; i < size; i++ {
-				w.write(code, geom.KPE{ID: rng.Uint64()})
+				keys = append(keys, code)
 			}
 		}
-		w.flush()
-		c := newGroupCursor(file, 2, 3, 1)
+		c := newGroupCursor(writeRun(d, 1+rng.Intn(4), keys, nil), 2, 1, 0)
 		for i := range wantCodes {
 			gc, items, ok, err := c.nextGroup(nil)
 			if err != nil || !ok || gc != wantCodes[i] || len(items) != wantSizes[i] {

@@ -1,9 +1,24 @@
 // Package s3j implements the Size Separation Spatial Join of Koudas &
 // Sevcik [KS 97] and the replicated variant of Dittrich & Seeger (ICDE
 // 2000, §4). S³J partitions each input with a hierarchy of equidistant
-// grids — the levels of an MX-CIF quadtree — writes one level file per
-// grid, sorts each level file by a locational code along a space-filling
-// curve, and joins with a single synchronized scan of all level files.
+// grids — the levels of an MX-CIF quadtree — orders the level records by
+// locational code along a space-filling curve, and joins with a single
+// synchronized scan of all levels.
+//
+// The paper writes one file per level, sorts each, and scans them
+// together. The only order that scan consumes is the pre-order of the
+// quadtree cells, and a record's place in it — its scan key — is known
+// the moment the partitioner has its level and code. So the partitioner
+// here collects the records of ALL levels in one Memory-sized chunk,
+// sorts the chunk by scan key and writes it as one run per flush; the
+// scan opens one cursor per (relation, run) and its heap is the final
+// merge. Every copy is written once and read once. A cell whose records
+// lie in several runs is gathered from them in run order, and runs are
+// consecutive ranges of the input, so a cell holds its records in input
+// order — the same cells with the same contents in the same sequence as
+// the per-level files gave. Only when there are more runs than the scan
+// may hold cursors for does a sort phase exist: it merges runs by whole
+// passes (extsort.MergeDown) until they fit.
 //
 // The original algorithm assigns a rectangle to the deepest cell that
 // *contains* it, so it never replicates data and produces no duplicates —
@@ -33,6 +48,7 @@ package s3j
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"time"
 
 	"spatialjoin/internal/diskio"
@@ -41,7 +57,6 @@ import (
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
-	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
 	"spatialjoin/internal/sfc"
 	"spatialjoin/internal/sweep"
@@ -95,9 +110,11 @@ func (p Phase) String() string {
 
 // Config controls an S³J join.
 type Config struct {
-	// Disk is the simulated device for level files and sorting. Required.
+	// Disk is the simulated device for the runs of level records. Required.
 	Disk *diskio.Disk
-	// Memory is the byte budget for the sorting phase workspace. Required.
+	// Memory is the byte budget: the size of the chunk a partitioner
+	// sorts and writes as one run, and what bounds the cursors the scan
+	// holds. Required.
 	Memory int64
 	// Mode selects original or replicated partitioning. Default
 	// ModeOriginal.
@@ -121,23 +138,25 @@ type Config struct {
 	// Cancel is the join's cancellation checkpoint; nil disables
 	// cancellation.
 	Cancel *govern.Check
-	// Parallel is the worker count for the sorting phase (< 2 = serial):
-	// level files sort concurrently on the shared scheduler, and each
-	// sort parallelizes its own run formation and merge groups. The
-	// partitioning and scan phases are sequential by construction (one
-	// writer per level file; one globally ordered scan). Results and
-	// level-file contents are identical at every worker count.
+	// Parallel is the worker count (< 2 = serial). Two things run in
+	// parallel: R and S are partitioned as two units of the shared
+	// scheduler, each filling, sorting and writing its own chunks, and the
+	// merge groups of a forced merge pass are units too. The scan is
+	// sequential by construction (one globally ordered scan). Results,
+	// run contents and I/O units are identical at every worker count.
 	Parallel int
 	// Gov, when non-nil, admission-controls the memory the extra
-	// parallel sort workers claim beyond the join's own budget.
+	// parallel workers claim beyond the join's own budget: a second
+	// chunk plus its sort index, the buffers of a second merge group.
 	Gov *govern.Governor
 	// Metrics, when non-nil, publishes live counters (duplicates
-	// suppressed, RPM tests, replication copies, level sorts) and feeds
+	// suppressed, RPM tests, replication copies, runs written) and feeds
 	// the per-pool scheduler series.
 	Metrics *metrics.Registry
-	// Progress, when non-nil, receives record-weighted phase
-	// completions for the percent-complete/ETA estimator: each level
-	// sort contributes its record count, the scan its total copies.
+	// Progress, when non-nil, receives record-weighted completions for
+	// the percent-complete/ETA estimator: the partitioners contribute the
+	// input records of every run they write, a forced merge the records
+	// it moved, the scan its total copies.
 	Progress *metrics.Progress
 }
 
@@ -164,19 +183,10 @@ func (c *Config) bufPages() int {
 
 // bufPagesFor sizes each stream's I/O buffer when streams files are open
 // at once so that the buffers together respect the memory budget; with
-// one file per level this matters only for very small budgets.
+// one cursor per run this matters only for very small budgets.
 func (c *Config) bufPagesFor(streams int) int {
-	if streams < 1 {
-		streams = 1
-	}
-	per := int(c.Memory / int64(streams) / int64(c.Disk.PageSize()))
-	if per < 1 {
-		return 1
-	}
-	if per > c.bufPages() {
-		return c.bufPages()
-	}
-	return per
+	per := int(c.Memory / int64(max(streams, 1)) / int64(c.Disk.PageSize()))
+	return min(max(per, 1), c.bufPages())
 }
 
 func (c *Config) workers() int {
@@ -197,12 +207,12 @@ func (c *Config) algorithm() sweep.Algorithm {
 type Stats struct {
 	Results     int64 // pairs delivered to the caller (duplicate-free)
 	RawResults  int64 // pairs produced before the reference-point test
-	CopiesR     int64 // level-file records written for R
+	CopiesR     int64 // level records written for R
 	CopiesS     int64 // likewise for S
 	Tests       int64 // candidate tests of the internal algorithm
 	Touches     int64 // status node touches of the internal algorithm
-	SortRuns    int   // total initial runs over all level-file sorts
-	MergePasses int   // total extra merge passes (0 when files fit in memory)
+	SortRuns    int   // runs the two partitioners wrote
+	MergePasses int   // forced merge passes (0 when the scan can hold every run)
 
 	// LevelRecordsR/S count records per level for both relations; index
 	// is the level. They expose the size-separation behaviour §4.2
@@ -261,8 +271,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		return Stats{}, joinerr.Wrap("s3j", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
 	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: cfg.Disk.NewRegistry()}
-	// One sweep covers every exit path, so no level or sort file outlives
-	// the join — success, failure or cancellation alike.
+	// One sweep covers every exit path, so no run file outlives the join —
+	// success, failure or cancellation alike.
 	defer j.reg.Sweep()
 	err := j.run(R, S, emit)
 	j.stats.Tests = j.alg.Tests()
@@ -349,92 +359,84 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	j.startUnits = j.cfg.Disk.Stats().CostUnits
 	j.emit = emit
 	levels := j.cfg.levels()
+	inputs := [2][]geom.KPE{R, S}
+	nIn := float64(len(R) + len(S))
+	// Planned cost in record weights: every input record is partitioned
+	// once and scanned at least once. Replication and forced merges are
+	// known only later; the total is raised once, after the sort phase.
+	j.cfg.Progress.SetTotal(2 * nIn)
 
-	// Level files are registered at creation; the joiner's sweep removes
-	// whatever this run leaves behind, on every exit path.
+	sortCfg := j.sortConfig()
 
-	// Phase 1: write the level files.
+	// Phase 1: write the scan-order runs. The two relations are
+	// independent units; a unit creates its run files one after the other,
+	// so what a run holds does not depend on the worker count.
 	pt := j.begin(PhasePartition)
 	pt.sp.AddRecords(int64(len(R) + len(S)))
-	filesR, countsR, err := j.partitionInput(R, levels)
-	if err != nil {
-		pt.end()
-		return joinerr.Wrap("s3j", PhasePartition.String(), err)
-	}
-	filesS, countsS, err := j.partitionInput(S, levels)
-	if err != nil {
-		pt.end()
-		return joinerr.Wrap("s3j", PhasePartition.String(), err)
-	}
-	j.stats.LevelRecordsR, j.stats.LevelRecordsS = countsR, countsS
-	for _, n := range countsR {
-		j.stats.CopiesR += n
-	}
-	for _, n := range countsS {
-		j.stats.CopiesS += n
-	}
-	pt.sp.SetAttr("copies", j.stats.CopiesR+j.stats.CopiesS)
-	pt.end()
-
-	// Declare the planned cost in record weights: every copy is sorted
-	// once (levels ≥ 1) and scanned once (all levels), so progress
-	// advances by each sort unit's records and by the final scan.
-	scanWork := float64(j.stats.CopiesR + j.stats.CopiesS)
-	sortWork := scanWork - float64(countsR[0]+countsS[0])
-	j.cfg.Progress.SetTotal(sortWork + scanWork)
-
-	// Phase 2: sort every level file by locational code. Level 0 has a
-	// single cell (all codes zero) and needs no sort — the optimization
-	// §4.4.2 enables by never computing codes for the lowest level.
-	// Each (relation, level) sort is an independent unit: it reads and
-	// replaces one file slot nobody else touches, so the units run on the
-	// shared scheduler. Per-unit sort stats land in unit-indexed slots
-	// and are summed afterwards, keeping the accumulation race-free.
-	pt = j.begin(PhaseSort)
-	type sortUnit struct {
-		files []*diskio.File
-		l     int
-	}
-	units := make([]sortUnit, 0, 2*levels)
-	for l := 1; l <= levels; l++ {
-		units = append(units, sortUnit{filesR, l}, sortUnit{filesS, l})
-	}
-	unitStats := make([]extsort.Stats, len(units))
-	err = sched.Run(len(units), sched.Options{
+	var runs [2][]extsort.Run
+	var counts [2][]int64
+	err := sched.Run(len(inputs), sched.Options{
 		Workers: j.cfg.workers(),
-		Name:    "sort-level",
+		Name:    "partition-input",
 		Span:    pt.sp,
 		Cancel:  j.cfg.Cancel,
 		Gov:     j.cfg.Gov,
-		UnitMem: j.cfg.Memory,
+		UnitMem: j.chunkRecs() * (levRecSize + 16), // the chunk and extsort's 16-byte index entries
 		Metrics: j.cfg.Metrics,
 	}, func(w, i int) error {
-		u := units[i]
-		records := recfile.NumKPEs(u.files[u.l])
-		sorted, st, serr := j.sortLevel(u.files[u.l], pt.sp)
-		if serr != nil {
-			return serr
-		}
-		u.files[u.l] = sorted
-		unitStats[i] = st
-		j.levelSortDone()
-		j.cfg.Progress.Add(float64(records))
-		return nil
+		var perr error
+		runs[i], counts[i], perr = j.partitionInput(inputs[i], levels, sortCfg)
+		return perr
 	})
 	if err != nil {
 		pt.end()
-		return joinerr.Wrap("s3j", PhaseSort.String(), err)
+		return joinerr.Wrap("s3j", PhasePartition.String(), err)
 	}
-	for _, st := range unitStats {
-		j.stats.SortRuns += st.Runs
-		j.stats.MergePasses += st.MergePass
+	j.stats.LevelRecordsR, j.stats.LevelRecordsS = counts[0], counts[1]
+	for _, n := range counts[0] {
+		j.stats.CopiesR += n
 	}
+	for _, n := range counts[1] {
+		j.stats.CopiesS += n
+	}
+	copies := [2]int64{j.stats.CopiesR, j.stats.CopiesS}
+	j.stats.SortRuns = len(runs[0]) + len(runs[1])
+	pt.sp.SetAttr("copies", copies[0]+copies[1])
+	pt.sp.SetAttr("runs", int64(j.stats.SortRuns))
 	pt.end()
+
+	// Phase 2 exists only when it is forced: the scan holds one cursor
+	// per run, as many as one merge of this budget reads at once — but
+	// never fewer than the one per level file and relation the paper's
+	// scan opens at any budget. While the runs are more than that, one
+	// pass merges the longer list (any pass leaves fewer runs than it
+	// found, so "at most one fewer" asks for exactly one).
+	pt = j.begin(PhaseSort)
+	sortCfg.Trace = pt.sp
+	var st extsort.Stats
+	var merged float64
+	for limit := max(sortCfg.FanIn(), 2*(levels+1)); len(runs[0])+len(runs[1]) > limit; {
+		long := 0
+		if len(runs[1]) > len(runs[0]) {
+			long = 1
+		}
+		runs[long], err = extsort.MergeDown(runs[long], len(runs[long])-1, sortCfg, &st)
+		if err != nil {
+			pt.end()
+			return joinerr.Wrap("s3j", PhaseSort.String(), err)
+		}
+		merged += float64(copies[long])
+	}
+	j.stats.MergePasses = st.MergePass
+	pt.end()
+	scanWork := float64(copies[0] + copies[1])
+	j.cfg.Progress.SetTotal(nIn + merged + scanWork)
+	j.cfg.Progress.Add(merged)
 
 	// Phase 3: synchronized scan.
 	pt = j.begin(PhaseJoin)
-	pt.sp.AddRecords(j.stats.CopiesR + j.stats.CopiesS)
-	err = j.scan(filesR, filesS)
+	pt.sp.AddRecords(copies[0] + copies[1])
+	err = j.scan(runs)
 	pt.end()
 	if err == nil {
 		j.cfg.Progress.Add(scanWork)
@@ -442,85 +444,94 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	return joinerr.Wrap("s3j", PhaseJoin.String(), err)
 }
 
-// partitionInput writes one level file per grid level for relation ks and
-// returns the files plus per-level record counts.
-func (j *joiner) partitionInput(ks []geom.KPE, levels int) ([]*diskio.File, []int64, error) {
-	files := make([]*diskio.File, levels+1)
-	writers := make([]*levWriter, levels+1)
-	counts := make([]int64, levels+1)
-	buf := j.cfg.bufPagesFor(levels + 1)
-	for l := range files {
-		files[l] = j.reg.Create()
-		writers[l] = newLevWriter(files[l], buf)
-	}
-	var cells [][2]uint32
-	chk := j.cfg.Cancel.Stride()
-	for i := range ks {
-		if err := chk.Point(); err != nil {
-			return files, counts, err
-		}
-		k := ks[i]
-		switch j.cfg.Mode {
-		case ModeOriginal:
-			l, ix, iy := sfc.ContainmentLevel(k.Rect, levels)
-			code := uint64(0)
-			if l > 0 { // level 0 needs no code (§4.4.2)
-				code = j.cfg.Curve.Code(ix, iy, l)
-			}
-			if err := writers[l].write(code, k); err != nil {
-				return files, counts, err
-			}
-			counts[l]++
-		case ModeReplicate:
-			l := sfc.SizeLevel(k.Rect, levels)
-			cells = sfc.OverlapCells(k.Rect, l, cells[:0])
-			for _, c := range cells {
-				code := uint64(0)
-				if l > 0 {
-					code = j.cfg.Curve.Code(c[0], c[1], l)
-				}
-				if err := writers[l].write(code, k); err != nil {
-					return files, counts, err
-				}
-				counts[l]++
-			}
-		}
-	}
-	for _, w := range writers {
-		if err := w.flush(); err != nil {
-			return files, counts, err
-		}
-	}
-	return files, counts, nil
-}
-
-// sortLevel sorts one level file by locational code, replacing it. The
-// sort's spans nest under sp, the sort-phase span. It is safe to call
-// from concurrent workers: it touches only its own file (plus the
-// mutex-protected registry) and reports stats by return value.
-func (j *joiner) sortLevel(f *diskio.File, sp *trace.Span) (*diskio.File, extsort.Stats, error) {
-	if numLevRecs(f) == 0 {
-		return f, extsort.Stats{}, nil
-	}
-	sorted, st, err := extsort.Sort(f, extsort.Config{
+// sortConfig is how this join's runs are sorted, written and merged. Run
+// files are registered at creation; the joiner's sweep removes whatever
+// the join leaves behind, on every exit path.
+func (j *joiner) sortConfig() extsort.Config {
+	return extsort.Config{
 		Disk:       j.cfg.Disk,
 		RecordSize: levRecSize,
 		Memory:     j.cfg.Memory,
 		BufPages:   j.cfg.bufPages(),
 		Parallel:   j.cfg.Parallel,
 		Gov:        j.cfg.Gov,
-		Trace:      sp,
 		Reg:        j.reg,
 		Cancel:     j.cfg.Cancel,
-		// The code is the whole order; records of one cell keep the order
-		// the partitioning phase wrote them in.
-		Key: decodeLevCode,
-	})
-	if err != nil {
-		return f, st, err
+		// The scan key is the whole order; records of one cell keep the
+		// order of the input.
+		Key: decodeLevKey,
 	}
-	j.reg.Remove(f)
-	return sorted, st, nil
+}
+
+// chunkRecs is the number of level records a partitioner collects before
+// it sorts and writes them as one run: what Memory holds, the rule of
+// extsort's run formation.
+func (j *joiner) chunkRecs() int64 {
+	return min(max(j.cfg.Memory/levRecSize, 2), math.MaxUint32)
+}
+
+// partitionInput assigns every rectangle of ks its level and cells and
+// writes the level records as runs sorted by scan key, one per full chunk
+// and one for the rest. It returns the runs, in input order, plus the
+// per-level record counts. It is safe to call from concurrent workers: it
+// touches only its own runs (plus the mutex-protected registry and the
+// atomic progress and metric handles).
+func (j *joiner) partitionInput(ks []geom.KPE, levels int, sortCfg extsort.Config) ([]extsort.Run, []int64, error) {
+	counts := make([]int64, levels+1)
+	maxRecs := j.chunkRecs()
+	bound := int64(len(ks))
+	if j.cfg.Mode == ModeReplicate {
+		bound *= 4 // §4.3: at most four copies of a rectangle
+	}
+	chunk := make([]byte, min(maxRecs, bound)*levRecSize)
+	var runs []extsort.Run
+	var n int64  // records in the chunk
+	flushed := 0 // input records the written runs account for
+	flush := func(upTo int) error {
+		if n == 0 {
+			return nil
+		}
+		f := j.reg.Create()
+		if _, err := extsort.WriteRun(f, chunk[:n*levRecSize], sortCfg); err != nil {
+			return err
+		}
+		runs = append(runs, extsort.Run{File: f, Recs: n})
+		j.cfg.Metrics.Counter(metRunsWritten).Inc()
+		j.cfg.Progress.Add(float64(upTo - flushed))
+		n, flushed = 0, upTo
+		return nil
+	}
+	var cells [][2]uint32
+	chk := j.cfg.Cancel.Stride()
+	for i := range ks {
+		if err := chk.Point(); err != nil {
+			return runs, counts, err
+		}
+		k := ks[i]
+		var l int
+		if j.cfg.Mode == ModeReplicate {
+			l = sfc.SizeLevel(k.Rect, levels)
+			cells = sfc.OverlapCells(k.Rect, l, cells[:0])
+		} else {
+			var ix, iy uint32
+			l, ix, iy = sfc.ContainmentLevel(k.Rect, levels)
+			cells = append(cells[:0], [2]uint32{ix, iy})
+		}
+		for _, c := range cells {
+			key := uint64(0)
+			if l > 0 { // level 0 needs no code (§4.4.2)
+				key = scanKey(j.cfg.Curve.Code(c[0], c[1], l), l)
+			}
+			encodeLevRec(chunk[n*levRecSize:], key, k)
+			counts[l]++
+			if n++; n == maxRecs {
+				if err := flush(i + 1); err != nil {
+					return runs, counts, err
+				}
+			}
+		}
+	}
+	return runs, counts, flush(len(ks))
 }
 
 // stackEntry is one active cell on a relation's root-path stack during
@@ -533,45 +544,27 @@ type stackEntry struct {
 	items  []geom.KPE
 }
 
-// scan performs the heap-driven synchronized scan of the sorted level
-// files (§4.4.3): a heap over one cursor per non-empty (relation, level)
-// file yields the cells of both relations in space-filling-curve order;
-// two stacks hold the cells of the current root path per relation; each
-// arriving cell is joined against the other relation's stack.
-func (j *joiner) scan(filesR, filesS []*diskio.File) error {
+// scan performs the heap-driven synchronized scan of the runs (§4.4.3): a
+// heap over one cursor per (relation, run) yields the cells of both
+// relations in space-filling-curve order; two stacks hold the cells of
+// the current root path per relation; each arriving cell is gathered from
+// the runs that hold a part of it and joined against the other relation's
+// stack.
+func (j *joiner) scan(runs [2][]extsort.Run) error {
 	h := &cursorHeap{}
-	buf := j.cfg.bufPagesFor(len(filesR) + len(filesS))
-	// Level files reporting zero records are left out of the heap, but
-	// the count is length-derived: a file torn below one frame header
-	// masquerades as empty, so verify each skipped file really is an
-	// intact empty stream instead of silently dropping its level.
-	for l, f := range filesR {
-		if numLevRecs(f) > 0 {
-			h.items = append(h.items, newGroupCursor(f, buf, l, 0))
-		} else if err := recfile.VerifyEmpty(f, levRecSize, buf); err != nil {
-			return err
+	buf := j.cfg.bufPagesFor(len(runs[0]) + len(runs[1]))
+	for rel := range runs {
+		for ord, run := range runs[rel] {
+			c := newGroupCursor(run, buf, rel, ord)
+			ok, err := c.fillPeek()
+			if err != nil {
+				return err
+			}
+			if ok {
+				h.items = append(h.items, c)
+			}
 		}
 	}
-	for l, f := range filesS {
-		if numLevRecs(f) > 0 {
-			h.items = append(h.items, newGroupCursor(f, buf, l, 1))
-		} else if err := recfile.VerifyEmpty(f, levRecSize, buf); err != nil {
-			return err
-		}
-	}
-	// Prime lookaheads, dropping exhausted cursors (empty files were
-	// already skipped, so this is just defensive).
-	live := h.items[:0]
-	for _, c := range h.items {
-		ok, err := c.fillPeek()
-		if err != nil {
-			return err
-		}
-		if ok {
-			live = append(live, c)
-		}
-	}
-	h.items = live
 	heap.Init(h)
 
 	// One stack of active cells and one arena holding their items per
@@ -584,14 +577,14 @@ func (j *joiner) scan(filesR, filesS []*diskio.File) error {
 		if err := j.cfg.Cancel.Point(); err != nil {
 			return err
 		}
-		c := h.items[0]
+		key, rel := h.items[0].pkKey, h.items[0].rel
+		code, level, lo, hi := keyCell(key)
 
-		// Retire stack cells that ended before the arriving one starts
-		// (pkLo is the start of its interval), before its items are read
-		// into the space they free.
+		// Retire stack cells that ended before the arriving one starts,
+		// before its items are read into the space they free.
 		for s := 0; s < 2; s++ {
 			st := stacks[s]
-			for len(st) > 0 && st[len(st)-1].hi <= c.pkLo {
+			for len(st) > 0 && st[len(st)-1].hi <= lo {
 				n := len(st[len(st)-1].items)
 				resident -= int64(n) * geom.KPESize
 				arena[s] = arena[s][:len(arena[s])-n]
@@ -600,42 +593,41 @@ func (j *joiner) scan(filesR, filesS []*diskio.File) error {
 			stacks[s] = st
 		}
 
-		held := len(arena[c.rel])
-		code, all, _, err := c.nextGroup(arena[c.rel])
-		if err != nil {
-			return err
+		// Gather the cell: the heap hands out the runs holding a part of
+		// it one after the other, in input order.
+		held := len(arena[rel])
+		for h.Len() > 0 && h.items[0].pkKey == key && h.items[0].rel == rel {
+			c := h.items[0]
+			var err error
+			if _, arena[rel], _, err = c.nextGroup(arena[rel]); err != nil {
+				return err
+			}
+			if c.peeked {
+				heap.Fix(h, 0)
+			} else {
+				heap.Pop(h)
+			}
 		}
-		arena[c.rel] = all
-		items := all[held:]
-		ok, err := c.fillPeek()
-		if err != nil {
-			return err
-		}
-		if ok {
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-		lo, hi := sfc.CodeInterval(code, c.level)
+		items := arena[rel][held:]
 		var ix, iy uint32
-		if c.level > 0 {
-			ix, iy = j.decodeCell(code, c.level)
+		if level > 0 {
+			ix, iy = j.decodeCell(code, level)
 		}
-		j.deeper = stackEntry{lo: lo, hi: hi, level: c.level, ix: ix, iy: iy, items: items}
+		j.deeper = stackEntry{lo: lo, hi: hi, level: level, ix: ix, iy: iy, items: items}
 
 		// Join the arriving cell against every active cell of the other
 		// relation — exactly the node-vs-root-path pairs of §4.1. The
 		// arriving cell is always the deeper (or equal) one, so the
 		// modified Reference Point Method tests against it.
-		for _, anc := range stacks[1-c.rel] {
-			if c.rel == 0 {
+		for _, anc := range stacks[1-rel] {
+			if rel == 0 {
 				j.alg.Join(items, anc.items, j.onPair)
 			} else {
 				j.alg.Join(anc.items, items, j.onPair)
 			}
 		}
 
-		stacks[c.rel] = append(stacks[c.rel], j.deeper)
+		stacks[rel] = append(stacks[rel], j.deeper)
 		resident += int64(len(items)) * geom.KPESize
 		if resident > j.stats.MaxResident {
 			j.stats.MaxResident = resident
@@ -667,9 +659,10 @@ func (j *joiner) candidate(r, s geom.KPE) {
 	j.deliver(geom.Pair{R: r.ID, S: s.ID})
 }
 
-// cursorHeap orders group cursors by the start of their next cell's code
-// interval, ancestors before descendants (shallower level first), R
-// before S — the order the synchronized pre-order traversal requires.
+// cursorHeap orders group cursors by scan key — the start of the next
+// cell's code interval, ancestors before descendants — then R before S,
+// then by run: the order the synchronized pre-order traversal requires,
+// with the parts of one cell in input order.
 type cursorHeap struct {
 	items []*groupCursor
 }
@@ -677,17 +670,14 @@ type cursorHeap struct {
 func (h *cursorHeap) Len() int { return len(h.items) }
 
 func (h *cursorHeap) Less(a, b int) bool {
-	// The interval start is cached on the cursor by fillPeek (computed
-	// once per lookahead record), so each heap comparison is three
-	// integer compares instead of two bit-interleaving expansions.
 	ca, cb := h.items[a], h.items[b]
-	if ca.pkLo != cb.pkLo {
-		return ca.pkLo < cb.pkLo
+	if ca.pkKey != cb.pkKey {
+		return ca.pkKey < cb.pkKey
 	}
-	if ca.level != cb.level {
-		return ca.level < cb.level
+	if ca.rel != cb.rel {
+		return ca.rel < cb.rel
 	}
-	return ca.rel < cb.rel
+	return ca.ord < cb.ord
 }
 
 func (h *cursorHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }

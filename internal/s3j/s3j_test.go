@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -19,6 +20,7 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/quadtree"
 	"spatialjoin/internal/sfc"
 	"spatialjoin/internal/sweep"
@@ -210,21 +212,45 @@ func TestAllInternalAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// TestSortPhaseChargesIO: every copy is written once, by the partitioners,
+// and read once, by the scan. The sort phase charges nothing at all while
+// the scan can hold a cursor on every run, and when it cannot, what it
+// charges is whole merge passes: it reads what it writes.
 func TestSortPhaseChargesIO(t *testing.T) {
 	R := datagen.LARR(17, 1500).KPEs
 	S := datagen.LAST(18, 1500).KPEs
-	_, st := run(t, R, S, Config{Memory: 16 << 10, Mode: ModeReplicate})
-	if st.PhaseIO[PhaseSort].CostUnits <= 0 {
-		t.Fatal("sort phase must charge I/O")
+	onePass := func(st Stats) (lo, hi int64) {
+		// The 49-byte volume in 1 KiB pages, plus framing and one partial
+		// page per run.
+		pages := (st.CopiesR + st.CopiesS) * levRecSize / 1024
+		return pages, pages + pages/20 + int64(st.SortRuns)
 	}
-	if st.PhaseIO[PhasePartition].PagesWritten <= 0 {
-		t.Fatal("partition phase must write level files")
+	_, fits := run(t, R, S, Config{Memory: 16 << 10, Mode: ModeReplicate})
+	lo, hi := onePass(fits)
+	if w := fits.PhaseIO[PhasePartition]; w.PagesWritten < lo || w.PagesWritten > hi || w.PagesRead != 0 {
+		t.Fatalf("partition phase wrote %d and read %d pages, want one write pass (%d..%d) and no read", w.PagesWritten, w.PagesRead, lo, hi)
 	}
-	if st.PhaseIO[PhaseJoin].PagesRead <= 0 {
-		t.Fatal("join phase must read level files")
+	if r := fits.PhaseIO[PhaseJoin]; r.PagesRead < lo || r.PagesRead > hi || r.PagesWritten != 0 {
+		t.Fatalf("join phase read %d and wrote %d pages, want one read pass (%d..%d) and no write", r.PagesRead, r.PagesWritten, lo, hi)
 	}
-	if st.SortRuns == 0 {
-		t.Fatal("sort statistics not recorded")
+	if fits.SortRuns < 4 || fits.SortRuns > 22 || fits.MergePasses != 0 {
+		t.Fatalf("%d runs, %d merge passes: want several runs that the scan's 22 cursors hold", fits.SortRuns, fits.MergePasses)
+	}
+	if fits.PhaseIO[PhaseSort] != (diskio.Stats{}) {
+		t.Fatalf("sort phase charged %+v although no merge was forced", fits.PhaseIO[PhaseSort])
+	}
+
+	_, forced := run(t, R, S, Config{Memory: 2 << 10, Mode: ModeReplicate})
+	m := forced.PhaseIO[PhaseSort]
+	if forced.SortRuns <= 22 || forced.MergePasses == 0 || m.CostUnits <= 0 {
+		t.Fatalf("%d runs, %d merge passes, %g sort units: more runs than cursors must force a merge", forced.SortRuns, forced.MergePasses, m.CostUnits)
+	}
+	// A merged run has fewer partial pages and frames than its inputs.
+	if m.PagesWritten > m.PagesRead || m.PagesWritten < m.PagesRead*9/10 {
+		t.Fatalf("forced merges read %d pages and wrote %d, want whole passes", m.PagesRead, m.PagesWritten)
+	}
+	if forced.CopiesR != fits.CopiesR || forced.CopiesS != fits.CopiesS || forced.Results != fits.Results || forced.Tests != fits.Tests {
+		t.Fatalf("the budget changed the join: %+v vs %+v", forced, fits)
 	}
 }
 
@@ -235,9 +261,9 @@ func TestExternalSortKicksInAtTinyMemory(t *testing.T) {
 	if small.MergePasses == 0 {
 		t.Fatal("tiny memory must force external merge passes")
 	}
-	if large.MergePasses != 0 {
-		t.Fatalf("large memory should sort level files in one run, got %d passes",
-			large.MergePasses)
+	if large.MergePasses != 0 || large.SortRuns > 2 {
+		t.Fatalf("large memory should write one run per relation and merge none, got %d runs, %d passes",
+			large.SortRuns, large.MergePasses)
 	}
 }
 
@@ -422,10 +448,10 @@ func nestInputs() (R, S []geom.KPE, nest int) {
 
 // TestScanArenaNest runs the nest of nestInputs against nested loops and
 // the MX-CIF quadtree join: every pair exactly once, one emission
-// sequence whatever the worker count and — the level sort being stable —
-// whatever the memory budget (two runs per level file, twenty, none), and
-// the resident high-water mark the scan had when every cell owned its
-// slice.
+// sequence whatever the worker count and — the run sort and the scan's
+// gathering being stable — whatever the memory budget (a few runs per
+// relation, more than the scan holds cursors for, one), and the resident
+// high-water mark the scan had when every cell owned its slice.
 func TestScanArenaNest(t *testing.T) {
 	R, S, nest := nestInputs()
 	want := naive(R, S)
@@ -440,10 +466,11 @@ func TestScanArenaNest(t *testing.T) {
 	quadtree.Join(tr, ts, func(r, s geom.KPE) { ref = append(ref, geom.Pair{R: r.ID, S: s.ID}) })
 	assertEqualPairs(t, ref, want)
 
-	// The deepest level file holds about 1 400 records of 49 bytes: two
-	// runs, more than twenty, one.
+	// A relation is about 4 000 records of 49 bytes: a few runs, more than
+	// twenty (the two lists exceed the scan's 22 cursors and are merged
+	// down first), one.
 	budgets := []struct{ mem, minRuns, maxRuns int64 }{
-		{40 << 10, 2, 2}, {3 << 10, 20, 1 << 30}, {4 << 20, 1, 1},
+		{40 << 10, 2, 8}, {3 << 10, 20, 1 << 30}, {4 << 20, 1, 1},
 	}
 	// Stats.MaxResident of these inputs before the arena, per mode.
 	parentResident := map[Mode]int64{ModeOriginal: 146206, ModeReplicate: 102828}
@@ -462,8 +489,10 @@ func TestScanArenaNest(t *testing.T) {
 				assertEqualPairs(t, slices.Clone(got), want)
 				if mode == ModeOriginal {
 					perRun := mem / levRecSize
-					if runs := (st.LevelRecordsR[DefaultLevels] + perRun - 1) / perRun; runs < b.minRuns || runs > b.maxRuns {
-						t.Fatalf("%s: %d runs from the deepest level file, want %d..%d", label, runs, b.minRuns, b.maxRuns)
+					runsR, runsS := (st.CopiesR+perRun-1)/perRun, (st.CopiesS+perRun-1)/perRun
+					if runsR < b.minRuns || runsR > b.maxRuns || int64(st.SortRuns) != runsR+runsS || (st.MergePasses > 0) != (runsR+runsS > 22) {
+						t.Fatalf("%s: %d runs (R %d + S %d by the chunk rule) and %d merge passes, want %d..%d per relation",
+							label, st.SortRuns, runsR, runsS, st.MergePasses, b.minRuns, b.maxRuns)
 					}
 					if st.MaxResident < int64(2*nest)*geom.KPESize {
 						t.Fatalf("%s: MaxResident %d, less than one whole nest of both relations (%d records)", label, st.MaxResident, 2*nest)
@@ -492,11 +521,11 @@ func (c *pollCtx) Err() error {
 }
 
 // TestSortAndScanCancellation cancels the join at checkpoints spread over
-// its whole poll range — mid index build, mid run write, between merge
-// groups, mid scan — at one and at four workers: each run must end
-// KindCanceled in the phase it was in (the sort phase and the join phase
-// must both be hit), emit no pair twice, and leave no goroutine and no
-// temp file behind.
+// its whole poll range — mid chunk fill and mid run write in the
+// partitioners, between the groups of a forced merge, mid scan — at one
+// and at four workers: each run must end KindCanceled in the phase it was
+// in (all three phases must be hit), emit no pair twice, and leave no
+// goroutine and no temp file behind.
 func TestSortAndScanCancellation(t *testing.T) {
 	R := datagen.LARR(31, 6000).KPEs
 	S := datagen.LAST(32, 6000).KPEs
@@ -514,7 +543,7 @@ func TestSortAndScanCancellation(t *testing.T) {
 			t.Fatalf("parallel=%d: probe run: %v", workers, err)
 		}
 		if st.SortRuns < 40 || st.MergePasses == 0 {
-			t.Fatalf("parallel=%d: %d runs, %d merge passes — the sort must be external", workers, st.SortRuns, st.MergePasses)
+			t.Fatalf("parallel=%d: %d runs, %d merge passes — merges must be forced", workers, st.SortRuns, st.MergePasses)
 		}
 		total := probe.polls.Load()
 		phases := map[string]int{}
@@ -553,8 +582,8 @@ func TestSortAndScanCancellation(t *testing.T) {
 				t.Fatalf("parallel=%d cancel@%d: %d temp files left behind: %v", workers, at, n, cfg.Disk.FileNames())
 			}
 		}
-		if phases[PhaseSort.String()] < 8 || phases[PhaseJoin.String()] < 8 {
-			t.Fatalf("parallel=%d: cancellations by phase %v, want the sort and the scan swept", workers, phases)
+		if phases[PhasePartition.String()] < 8 || phases[PhaseSort.String()] < 8 || phases[PhaseJoin.String()] < 8 {
+			t.Fatalf("parallel=%d: cancellations by phase %v, want the partitioners, the forced merges and the scan swept", workers, phases)
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -563,5 +592,74 @@ func TestSortAndScanCancellation(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("%d goroutines before, %d after the canceled joins", before, g)
+	}
+}
+
+// sampleCtx calls sample at every poll of the join's cancellation
+// checkpoint, which the partitioners, the forced merges and the scan all
+// reach; it never cancels.
+type sampleCtx struct {
+	context.Context
+	sample func()
+}
+
+func (c *sampleCtx) Err() error { c.sample(); return nil }
+
+// TestProgressIsMonotoneAndExact watches the progress estimator through a
+// join that forces merge passes and one that does not, at one and at four
+// workers: the fraction never moves backwards, it is under way before the
+// first result (the partitioners report every run they write), and the
+// join reports exactly the cost it declared — the fraction reads exactly
+// 1.0 when Join returns, without core's closing clamp.
+func TestProgressIsMonotoneAndExact(t *testing.T) {
+	R := datagen.LARR(33, 3000).KPEs
+	S := datagen.LAST(34, 3000).KPEs
+	for _, tc := range []struct {
+		mem    int64
+		forced bool
+	}{{4 << 10, true}, {64 << 10, false}} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("memory=%d/parallel=%d", tc.mem, workers)
+			reg := metrics.New()
+			prog := metrics.NewProgress(reg)
+			var mu sync.Mutex
+			var samples []float64
+			sample := func() {
+				mu.Lock()
+				samples = append(samples, prog.Fraction())
+				mu.Unlock()
+			}
+			atFirstResult := -1.0
+			st, err := Join(R, S, Config{
+				Disk: newDisk(), Memory: tc.mem, Mode: ModeReplicate, Parallel: workers,
+				Progress: prog, Cancel: govern.NewCheck(&sampleCtx{context.Background(), sample}),
+			}, func(geom.Pair) {
+				if atFirstResult < 0 {
+					atFirstResult = prog.Fraction()
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if (st.MergePasses > 0) != tc.forced {
+				t.Fatalf("%s: %d runs, %d merge passes, want forced merges: %v", label, st.SortRuns, st.MergePasses, tc.forced)
+			}
+			samples = append(samples, prog.Fraction())
+			for i := 1; i < len(samples); i++ {
+				if samples[i] < samples[i-1] {
+					t.Fatalf("%s: progress moved backwards: sample %d is %v after %v", label, i, samples[i], samples[i-1])
+				}
+			}
+			if atFirstResult <= 0.1 || atFirstResult >= 1 {
+				t.Fatalf("%s: progress %v at the first result, want the partition phase behind it and the scan ahead", label, atFirstResult)
+			}
+			if final := prog.Fraction(); final != 1 {
+				t.Fatalf("%s: progress %v when Join returned, want exactly 1", label, final)
+			}
+			total := reg.FloatGauge(metrics.JoinProgressTotal).Value()
+			if base := float64(len(R)+len(S)) + float64(st.CopiesR+st.CopiesS); total < base || (total > base) != tc.forced {
+				t.Fatalf("%s: declared total %v, want the %v of partition and scan plus forced-merge records only when forced", label, total, base)
+			}
+		}
 	}
 }

@@ -6,15 +6,14 @@ import (
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
+	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
 )
 
-// BenchmarkScanPhase measures just the synchronized scan (phase 3):
-// partitioning and sorting run once, then each iteration re-scans the
-// same sorted level files. The scan is dominated by the cursor heap, so
-// this benchmark shows the win from caching the code-interval start on
-// the cursor (computed once per record in fillPeek) instead of
-// recomputing the bit-interleaved interval in every heap comparison.
+// BenchmarkScanPhase measures just the synchronized scan (phase 3): the
+// partitioners write their runs once, then each iteration re-scans the
+// same runs. The scan is dominated by the cursor heap, which compares
+// one integer per cursor pair: the scan key stored with every record.
 func BenchmarkScanPhase(b *testing.B) {
 	R := datagen.Uniform(21, 20000, 0.004)
 	S := datagen.Uniform(22, 20000, 0.004)
@@ -25,26 +24,17 @@ func BenchmarkScanPhase(b *testing.B) {
 	j.start = time.Now()
 	j.emit = func(geom.Pair) {}
 	levels := cfg.levels()
-	filesR, _, err := j.partitionInput(R, levels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	filesS, _, err := j.partitionInput(S, levels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for l := 1; l <= levels; l++ {
-		if filesR[l], _, err = j.sortLevel(filesR[l], nil); err != nil {
-			b.Fatal(err)
-		}
-		if filesS[l], _, err = j.sortLevel(filesS[l], nil); err != nil {
+	var runs [2][]extsort.Run
+	for i, ks := range [][]geom.KPE{R, S} {
+		var err error
+		if runs[i], _, err = j.partitionInput(ks, levels, j.sortConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j.stats = Stats{}
-		if err := j.scan(filesR, filesS); err != nil {
+		if err := j.scan(runs); err != nil {
 			b.Fatal(err)
 		}
 	}

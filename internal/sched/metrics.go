@@ -4,7 +4,7 @@ import "spatialjoin/internal/metrics"
 
 // Metric names owned by package sched. Every family is a vec labeled
 // by pool name (Options.Name), so PBSM pair workers, SHJ bucket
-// workers, extsort runs/merges and S³J level sorts each get their own
+// workers, extsort runs/merges and S³J's partitioners each get their own
 // live series from the one shared scheduler.
 const (
 	// metUnitsQueued is the number of units not yet started in the pool.

@@ -1,6 +1,6 @@
 // Package sched is the shared work scheduler of the join stack: one
 // bounded worker pool implementation that every parallel phase runs on —
-// PBSM's partition pairs, SHJ's bucket joins, S³J's per-level sorts, and
+// PBSM's partition pairs, SHJ's bucket joins, S³J's two partitioners, and
 // extsort's run-formation chunks and merge groups. Centralizing the pool
 // gives the stack one set of parallel-execution invariants instead of
 // one bespoke worker loop per package:

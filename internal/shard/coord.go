@@ -59,8 +59,8 @@ type Config struct {
 	Transfer time.Duration
 
 	// WorkerCmd is the argv of a worker process; default
-	// {os.Executable(), "-shard-worker"}, which is what the sjoin and
-	// sjbench binaries expose. Test binaries install a helper-process
+	// {os.Executable(), "-shard-worker"}, which is what the sjoin
+	// binary exposes. Test binaries install a helper-process
 	// command via HelperWorkerCmd. WorkerEnv appends to the inherited
 	// environment.
 	WorkerCmd []string

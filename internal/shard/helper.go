@@ -87,7 +87,7 @@ func HelperListenCmd(testName string) (cmd, env []string) {
 // address with a stop function that kills and reaps the process. env
 // appends to the inherited environment. This is how benches and tests
 // stand up a real out-of-process worker fleet; production fleets run
-// sjworkerd (or sjoin/sjbench -worker-listen) directly.
+// sjworkerd (or sjoin -worker-listen) directly.
 func SpawnResidentWorker(argv, env []string) (addr string, stop func(), err error) {
 	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Env = append(os.Environ(), env...)

@@ -73,7 +73,7 @@ type endpoint struct {
 // lease, leased to one shard attempt at a time, and penalized — backoff,
 // then quarantine — when a lease fails, instead of being respawned. The
 // pool owns bookkeeping only; worker processes are external (sjworkerd,
-// sjoin/sjbench -worker-listen) and connections belong to their leases.
+// sjoin -worker-listen) and connections belong to their leases.
 // Safe for concurrent use by every shard of every join sharing it.
 type Pool struct {
 	cfg PoolConfig

@@ -98,9 +98,9 @@ func (l *netLink) StderrTail() []byte { return nil }
 // connection, concurrently. A connection opens with either a ping
 // (health check — answered with a beat) or a job frame; when the
 // conversation ends — done, fail, or a torn stream — the connection is
-// closed and the worker awaits the next lease. The sjoin and sjbench
-// binaries expose this behind -worker-listen; sjworkerd is the
-// standalone daemon.
+// closed and the worker awaits the next lease. The sjoin binary
+// exposes this behind -worker-listen; sjworkerd is the standalone
+// daemon.
 //
 // ServeWorker returns nil when ln is closed, which is the shutdown
 // signal.
