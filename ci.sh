@@ -3,8 +3,8 @@
 # cheapest to diagnose. Run from the repository root. Exits non-zero on
 # the first failure.
 #
-#   ./ci.sh          full gate (vet, build, race tests, chaos suite)
-#   ./ci.sh -short   skip the race run and the fault-injection sweeps
+#   ./ci.sh          full gate (lint, vet, build, race tests, smokes)
+#   ./ci.sh -short   skip the race run and the smokes
 set -eu
 
 short=${1:-}
@@ -27,17 +27,6 @@ echo "== sjlint ./... =="
 # goroutine join/cancel paths). See DESIGN.md §10.
 go run ./cmd/sjlint ./...
 
-echo "== sjlint -lockgraph smoke =="
-# The DOT debug export must render the real acquisition graph with the
-# documented shard -> sched contract edge in it.
-go run ./cmd/sjlint -lockgraph ./... | grep -q 'joinState.mu" -> "spatialjoin/internal/sched.Collector.mu"'
-
-echo "== sjlint -json smoke =="
-# The JSON output mode must always re-parse, including the empty-report
-# case; -checkjson validates the document shape and exits non-zero on a
-# malformed one.
-go run ./cmd/sjlint -json ./internal/tsv | go run ./cmd/sjlint -checkjson -
-
 # The default suite includes copylocks, which the mutex-guarded
 # Recorder/Span rely on: do not narrow it.
 echo "== go vet ./... =="
@@ -53,36 +42,22 @@ if [ "$short" = "-short" ]; then
     exit 0
 fi
 
-echo "== go test -race ./... =="
-go test -race -timeout 20m ./...
-
-echo "== chaos suite (fault-injection + cancellation + kill-a-shard sweeps) =="
+echo "== go test -race -count=1 ./... =="
+# One run of everything. -count=1: internal/shard and the kill sweeps of
+# internal/chaos spawn real worker processes and SIGKILL them at seeded
+# points, and process-level chaos must not be served from the test cache.
 # -timeout turns a cancellation hang (a checkpoint regression) into a
-# test failure with stacks instead of a stuck CI job. internal/shard and
-# the shard kill sweep in internal/chaos spawn real worker processes and
-# SIGKILL them at seeded points; -count=1 keeps the process-level chaos
-# uncached.
-go test -race -count=1 -timeout 10m ./internal/chaos/ ./internal/govern/ ./internal/core/ ./internal/diskio/ ./internal/shard/ ./internal/netfault/ ./internal/metrics/
-# The striped kernel folds its counters under the stats mutex from
-# concurrent scheduler units, with slot-owned buffers reused from unit to
-# unit: seam geometry x dup method x algorithm x workers against a
-# nested-loops oracle at P = 1 (stripes as units) and, x three memory
-# budgets, at P > 1 (stripes inside pairs, repartition and
-# memory-overflow leaves included), emission order through PairExec, and
-# cancellation at every kind of checkpoint on both paths.
-go test -race -count=1 -timeout 15m -run 'TestStripe' ./internal/pbsm/
-# Run formation sorts an index and writes the run through it from
-# concurrent scheduler units, and merge cursors break ties by run ordinal:
-# stability against sort.SliceStable at 1, 2 and 4 workers, run files
-# identical across worker counts, Sort pinned to its two exported halves
-# composed. S3J's two partitioners sort their chunks' indexes and write
-# scan-order runs concurrently, the scan's heap is the final merge and
-# keeps every stack cell's items in one arena per relation, and merge
-# passes are forced only at these tests' tiny budgets: the pinned emission
-# sequence at three budgets and two worker counts, the eleven-level nest
-# against the quadtree join, torn runs, and cancellation swept over the
-# partitioners, the forced merges and the scan.
-go test -race -count=1 -timeout 10m ./internal/extsort/ ./internal/s3j/
+# failure with stacks instead of a stuck CI job. -race: pbsm's striped
+# kernel folds its counters from concurrent scheduler units with
+# slot-owned buffers reused from unit to unit (TestStripe*: seam geometry
+# x dup method x algorithm x workers x budgets against nested loops,
+# emission order, cancellation at every kind of checkpoint); extsort forms
+# runs and s3j's partitioners write scan-order runs from concurrent units,
+# and merge cursors break ties by run ordinal (stability, run files
+# identical across worker counts, the pinned emission sequence, torn runs,
+# cancellation swept over partitioners, forced merges and scan). The lock
+# graph's shard -> sched contract edge is asserted by internal/lint here.
+go test -race -count=1 -timeout 20m ./...
 
 echo "== fuzz smoke (diskio extents against a flat byte-slice model) =="
 # Random-sized writes, flushes, positioned reads and range readers, with

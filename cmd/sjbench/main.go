@@ -19,7 +19,8 @@
 //
 // -dup selects the PBSM duplicate method of the instrumented 'phases' run
 // and rejects unknown values; -trace exports that run as a Chrome
-// trace_event file and self-validates it.
+// trace_event file, self-validates it and prints the run's counters and
+// histograms from its metrics registry.
 //
 // The -la-scale and -cal-scale flags scale the synthetic dataset
 // cardinalities relative to Table 1 of the paper (the CAL_ST self-join J5
@@ -36,6 +37,7 @@ import (
 	"time"
 
 	"spatialjoin/internal/bench"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 )
 
@@ -167,5 +169,6 @@ func writeAndValidateTrace(path string, runs []bench.PhasesRun) error {
 		return fmt.Errorf("trace %s: span tree covers only %.1f%% of wall time (need ≥95%%)", path, 100*cov)
 	}
 	fmt.Printf("trace OK: %s, %d events, coverage %.1f%% (%s run)\n", path, len(events), 100*cov, run.Name)
-	return nil
+	// The trace file holds time only; the run's counts are its registry's.
+	return metrics.WriteSummary(os.Stdout, run.Reg.Snapshot())
 }

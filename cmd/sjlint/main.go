@@ -8,9 +8,8 @@
 //
 // Usage:
 //
-//	sjlint [-json] [-analyzers a,b,...] [patterns...]
+//	sjlint [-analyzers a,b,...] [patterns...]
 //	sjlint -list
-//	sjlint -checkjson file.json   ("-" reads stdin)
 //	sjlint -lockgraph [patterns...]
 //
 // Patterns default to ./... and follow go-tool conventions: ./... walks
@@ -28,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"spatialjoin/internal/lint"
@@ -36,10 +34,8 @@ import (
 
 func main() {
 	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array instead of text")
 		analyzers = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 		list      = flag.Bool("list", false, "list the registered analyzers and exit")
-		checkJSON = flag.String("checkjson", "", "validate that `file` is well-formed sjlint -json output and exit")
 		lockgraph = flag.Bool("lockgraph", false, "dump the lock acquisition graph as Graphviz DOT instead of findings")
 	)
 	flag.Parse()
@@ -48,18 +44,6 @@ func main() {
 		for _, a := range lint.Analyzers() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
-		return
-	}
-	if *checkJSON != "" {
-		data, err := readInput(*checkJSON)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := lint.CheckJSON(data)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("sjlint: %s OK (%d findings)\n", *checkJSON, n)
 		return
 	}
 
@@ -105,23 +89,12 @@ func main() {
 		}
 		return
 	}
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fatal(err)
-		}
-	} else if err := lint.WriteText(os.Stdout, diags); err != nil {
+	if err := lint.WriteText(os.Stdout, diags); err != nil {
 		fatal(err)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-func readInput(path string) ([]byte, error) {
-	if path == "-" {
-		return io.ReadAll(os.Stdin)
-	}
-	return os.ReadFile(path)
 }
 
 func fatal(err error) {

@@ -30,10 +30,11 @@
 // -mem 2.5 reproduces the paper's standard LA-join budget.
 //
 // -stats prints the phase-tree summary of the instrumented run (wall
-// time, I/O delta and records per span, plus counters and histograms);
-// -trace writes the same run as a Chrome trace_event file loadable in
-// chrome://tracing or Perfetto; -pprof serves net/http/pprof on the
-// given address (e.g. localhost:6060) for live CPU/heap profiling.
+// time, I/O delta and records per span) followed by the join's counters
+// and histograms, read from the metrics registry; -trace writes the same
+// run as a Chrome trace_event file loadable in chrome://tracing or
+// Perfetto and prints the same counts; -pprof serves net/http/pprof on
+// the given address (e.g. localhost:6060) for live CPU/heap profiling.
 //
 // -progress prints a live percent-complete/ETA ticker to stderr, driven
 // by the cost-model progress estimator; -metrics-addr serves the live
@@ -251,10 +252,11 @@ func main() {
 		fail(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
-	// Metrics and progress share one process registry; the join publishes
-	// into it live, the HTTP handler and the stderr ticker only read.
+	// Metrics, progress and the counts printed under -stats and -trace
+	// share one process registry; the join publishes into it live, the
+	// HTTP handler, the stderr ticker and the summary only read.
 	var reg *metrics.Registry
-	if *metricsAddr != "" || *progress {
+	if *metricsAddr != "" || *progress || cfg.Trace != nil {
 		reg = metrics.New()
 		cfg.Metrics = reg
 	}
@@ -364,6 +366,13 @@ func main() {
 	if *stats {
 		fmt.Println()
 		if err := cfg.Trace.WriteTree(os.Stdout); err != nil {
+			fail(err)
+		}
+	}
+	if cfg.Trace != nil {
+		// Time is the recorder's, counts are the registry's: one join ran
+		// in this process, so the snapshot is that join's delta.
+		if err := metrics.WriteSummary(os.Stdout, reg.Snapshot()); err != nil {
 			fail(err)
 		}
 	}

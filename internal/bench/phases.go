@@ -6,18 +6,21 @@ import (
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
 	"spatialjoin/internal/trace"
 )
 
-// PhasesRun is one instrumented join: its Result plus the recorder that
+// PhasesRun is one instrumented join: its Result, the recorder that
 // captured the span tree, so callers (cmd/sjbench) can export the trace
-// in any of the trace package's formats.
+// in any of the trace package's formats, and the registry that holds the
+// join's counts.
 type PhasesRun struct {
 	Name string
 	Res  core.Result
 	Rec  *trace.Recorder
+	Reg  *metrics.Registry
 }
 
 // RunPhases runs one PBSM and one S³J join of two n-rectangle uniform
@@ -36,8 +39,8 @@ func RunPhases(s *Suite, n int, dup pbsm.DupMethod) ([]PhasesRun, *Table) {
 	mem := MemFrac(R, S, 0.25)
 
 	runs := []PhasesRun{
-		{Name: "PBSM", Res: core.Result{}, Rec: trace.New()},
-		{Name: "S3J", Res: core.Result{}, Rec: trace.New()},
+		{Name: "PBSM", Rec: trace.New(), Reg: metrics.New()},
+		{Name: "S3J", Rec: trace.New(), Reg: metrics.New()},
 	}
 	cfgs := []core.Config{
 		// Parallel: 1 keeps the span trees serial-shaped (one activation
@@ -47,7 +50,7 @@ func RunPhases(s *Suite, n int, dup pbsm.DupMethod) ([]PhasesRun, *Table) {
 	}
 	for i := range runs {
 		cfg := cfgs[i]
-		cfg.Trace = runs[i].Rec
+		cfg.Trace, cfg.Metrics = runs[i].Rec, runs[i].Reg
 		res, err := core.Join(R, S, cfg, func(geom.Pair) {})
 		if err != nil {
 			panic(err)

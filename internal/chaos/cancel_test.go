@@ -3,7 +3,7 @@
 // a canceled join unwinds with a clean JoinError of kind Canceled naming
 // method and phase, leaves zero temp files on the simulated disk, leaks
 // no goroutines, and its abort still leaves a coherent trace (closed
-// span tree, "cancel" instant event, join.aborted counter).
+// span tree, "cancel" instant event, core.joins.aborted counter).
 package chaos
 
 import (
@@ -19,6 +19,7 @@ import (
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/joinerr"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/trace"
 )
 
@@ -55,7 +56,7 @@ func (c *countdownCtx) sinceFired() time.Duration {
 // runCancelable runs one join that cancels itself at the n-th checkpoint
 // poll and returns the context, the disk (for orphan-file checks), the
 // recorder, the result pairs and the error.
-func runCancelable(v variant, n int64, rec *trace.Recorder) (*countdownCtx, *diskio.Disk, []geom.Pair, error) {
+func runCancelable(v variant, n int64, rec *trace.Recorder, reg *metrics.Registry) (*countdownCtx, *diskio.Disk, []geom.Pair, error) {
 	d := diskio.NewDisk(4096, 20, time.Microsecond)
 	ctx := &countdownCtx{remaining: n}
 	cfg := v.cfg
@@ -63,6 +64,7 @@ func runCancelable(v variant, n int64, rec *trace.Recorder) (*countdownCtx, *dis
 	cfg.Disk = d
 	cfg.Ctx = ctx
 	cfg.Trace = rec
+	cfg.Metrics = reg
 	R, S := dataset()
 	pairs, _, err := core.Collect(R, S, cfg)
 	return ctx, d, pairs, err
@@ -89,7 +91,7 @@ func TestCancellationSweep(t *testing.T) {
 			}
 			sortPairs(want)
 
-			probe, d, _, err := runCancelable(v, math.MaxInt64, nil)
+			probe, d, _, err := runCancelable(v, math.MaxInt64, nil, nil)
 			if err != nil {
 				t.Fatalf("probe run failed: %v", err)
 			}
@@ -106,7 +108,7 @@ func TestCancellationSweep(t *testing.T) {
 			var worst time.Duration // cancel-to-return wall time; logged, not asserted
 			for i := int64(0); i < schedule; i++ {
 				n := 1 + i*(total-1)/(schedule-1)
-				ctx, d, got, err := runCancelable(v, n, nil)
+				ctx, d, got, err := runCancelable(v, n, nil, nil)
 				if err != nil {
 					worst = max(worst, ctx.sinceFired())
 				}
@@ -159,31 +161,32 @@ func TestCancellationSweep(t *testing.T) {
 }
 
 // TestCanceledJoinTrace: an aborted join must still leave a coherent
-// trace — the root span closes, a "cancel" instant event names the dying
-// phase, join.aborted is counted, the checkpoint count that funds the
-// overhead budget is recorded, and Coverage still computes over the
-// closed tree.
+// footprint — in the trace the root span closes, a "cancel" instant
+// event names the dying phase and Coverage still computes over the closed
+// tree; in the registry core.joins.aborted is counted and the checkpoint
+// count that funds the overhead budget is recorded.
 func TestCanceledJoinTrace(t *testing.T) {
 	for _, v := range variants() {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			probe, _, _, err := runCancelable(v, math.MaxInt64, nil)
+			probe, _, _, err := runCancelable(v, math.MaxInt64, nil, nil)
 			if err != nil {
 				t.Fatalf("probe run failed: %v", err)
 			}
-			rec := trace.New()
-			_, _, _, err = runCancelable(v, atomic.LoadInt64(&probe.polls)/2, rec)
+			rec, reg := trace.New(), metrics.New()
+			_, _, _, err = runCancelable(v, atomic.LoadInt64(&probe.polls)/2, rec, reg)
 			if !joinerr.IsCanceled(err) {
 				t.Fatalf("mid-join cancel did not cancel: %v", err)
 			}
 			var je *joinerr.JoinError
 			errors.As(err, &je)
 
-			if got := rec.Counter("join.aborted"); got != 1 {
-				t.Fatalf("join.aborted = %d, want 1", got)
+			counts := reg.Snapshot() // a fresh registry: the snapshot is this join's delta
+			if got := counts.Value("core.joins.aborted"); got != 1 {
+				t.Fatalf("core.joins.aborted = %v, want 1", got)
 			}
-			if got := rec.Counter("cancel.checks"); got <= 0 {
-				t.Fatalf("cancel.checks = %d, want > 0 (funds the overhead budget)", got)
+			if got := counts.Value("core.cancel.checks"); got <= 0 {
+				t.Fatalf("core.cancel.checks = %v, want > 0 (funds the overhead budget)", got)
 			}
 			// The root span is named join:<method>; pbsm-parallel and
 			// pbsm-dupsort share pbsm's.

@@ -31,10 +31,11 @@ func sumLabeled(s metrics.Snapshot, name string) float64 {
 }
 
 // TestMetricsReconcileWithResultStats runs faulty PBSM joins with a
-// registry attached and requires every successful run's snapshot delta
-// to equal the join's own Result accounting: disk requests and retries,
-// healed partitions, suppressed duplicates, and a progress fraction
-// parked at exactly 1.
+// registry and a recorder attached and requires every successful run's
+// snapshot delta to equal the join's own Result accounting — disk
+// requests and retries, healed partitions, suppressed duplicates, and a
+// progress fraction parked at exactly 1 — and the trace of the same join
+// to show one "retry" instant per retry and one "heal" span per heal.
 func TestMetricsReconcileWithResultStats(t *testing.T) {
 	reg := metrics.New()
 	v := variant{"pbsm-parallel", core.Config{Method: core.PBSM, Parallel: 4}}
@@ -48,6 +49,8 @@ func TestMetricsReconcileWithResultStats(t *testing.T) {
 		cfg.Memory = memory
 		cfg.Disk = d
 		cfg.Metrics = reg
+		rec := trace.New()
+		cfg.Trace = rec
 		before := reg.Snapshot()
 		_, res, err := core.Collect(R, S, cfg)
 		if err != nil {
@@ -58,7 +61,7 @@ func TestMetricsReconcileWithResultStats(t *testing.T) {
 		check := func(name string, want int64) {
 			t.Helper()
 			if got := delta.Value(name); got != float64(want) {
-				t.Fatalf("seed %d: metric %s delta %.0f, Result says %d", seed, name, got, want)
+				t.Fatalf("seed %d: metric %s delta %.0f, want %d", seed, name, got, want)
 			}
 		}
 		check("diskio.retries", res.IO.Retries)
@@ -67,6 +70,8 @@ func TestMetricsReconcileWithResultStats(t *testing.T) {
 		check("pbsm.healed", int64(res.PBSMStats.Healed))
 		check("pbsm.dup.suppressed", res.PBSMStats.RawResults-res.PBSMStats.Results)
 		check("core.joins.completed", 1)
+		check("diskio.retries", int64(countSpans(rec, "retry")))
+		check("pbsm.healed", int64(countSpans(rec, "heal")))
 		if frac := reg.Snapshot().Value(metrics.JoinProgressFraction); frac != 1 {
 			t.Fatalf("seed %d: progress fraction %v after a completed join, want exactly 1", seed, frac)
 		}

@@ -125,12 +125,12 @@ type Config struct {
 	// the default.
 	BufPages int
 
-	// Trace receives the hierarchical span/counter record of the join:
-	// phase spans, I/O deltas, duplicate-elimination counters and fault
-	// events. Nil (the default) disables instrumentation; the join then
-	// pays only a nil pointer test per instrumentation site. A Recorder
-	// observes one disk at a time, so attach a separate Recorder to each
-	// concurrently-running join.
+	// Trace receives the hierarchical span record of the join: phase
+	// spans, I/O deltas and instant events (faults, cancellation). It
+	// holds no counts — those are Metrics'. Nil (the default) disables
+	// instrumentation; the join then pays only a nil pointer test per
+	// instrumentation site. A Recorder observes one disk at a time, so
+	// attach a separate Recorder to each concurrently-running join.
 	Trace *trace.Recorder
 
 	// Ctx, when non-nil, makes the join cancelable: every long-running
@@ -155,7 +155,8 @@ type Config struct {
 	// this join and every layer under it: disk request/byte/retry/fault
 	// counters, governor admission gauges, per-pool scheduler
 	// occupancy, method counters (replication copies, RPM tests,
-	// duplicates suppressed), shard supervision, and the per-join
+	// duplicates suppressed, sweep tests and touches, fill histograms),
+	// checkpoint counts, shard supervision, and the per-join
 	// progress estimator (join.progress.*) behind `sjoin -progress` and
 	// the /metrics endpoint. Share ONE Registry per process; because
 	// counters are process-lifetime totals, per-join deltas come from
@@ -366,13 +367,13 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	// The checkpoint count funds the overhead-budget test: per-site cost
 	// times this counter must stay within budget. Recorded on every exit.
 	defer func() {
-		root.Count("cancel.checks", chk.Calls())
-		root.Count("cancel.checks.now", chk.NowCalls())
+		jm.checks.Add(chk.Calls())
+		jm.checksNow.Add(chk.NowCalls())
 	}()
 
 	// fail routes every error exit through one place so aborted joins
-	// leave a trace footprint: a "cancel" instant event naming the dying
-	// phase plus a join.aborted counter.
+	// leave a footprint: a "cancel" instant event naming the dying phase
+	// in the trace and one more core.joins.aborted in the registry.
 	fail := func(err error) (Result, error) {
 		jm.end(0, err)
 		if joinerr.IsCanceled(err) {
@@ -382,7 +383,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 				phase = je.Phase
 			}
 			rec.Instant("cancel", trace.Attr{Key: "phase", Str: phase})
-			root.Count("join.aborted", 1)
+			jm.aborted.Inc()
 		}
 		return Result{}, err
 	}
@@ -443,6 +444,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			Gov:       cfg.Governor,
 			Trace:     root,
 			Cancel:    chk,
+			Metrics:   cfg.Metrics,
 		}, emit)
 		if err != nil {
 			return fail(err)

@@ -1,40 +1,24 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"testing"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
 	"spatialjoin/internal/sweep"
 )
 
-// naiveJoin is the quadratic ground-truth oracle.
-func naiveJoin(R, S []geom.KPE) []geom.Pair {
-	var out []geom.Pair
-	for _, r := range R {
-		for _, s := range S {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []geom.Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
-
 // checkJoin runs cfg on (R, S) and compares the result set against the
 // oracle, also asserting duplicate-freeness.
 func checkJoin(t *testing.T, R, S []geom.KPE, cfg Config) Result {
 	t.Helper()
-	want := naiveJoin(R, S)
+	want := jointest.Naive(R, S)
 	got, res, err := Collect(R, S, cfg)
 	if err != nil {
 		t.Fatalf("Join failed: %v", err)
@@ -46,7 +30,7 @@ func checkJoin(t *testing.T, R, S []geom.KPE, cfg Config) Result {
 		}
 		seen[p] = true
 	}
-	sortPairs(got)
+	jointest.SortPairs(got)
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
@@ -196,7 +180,7 @@ func TestConfigValidation(t *testing.T) {
 func TestIteratorDeliversAllResults(t *testing.T) {
 	R := datagen.Uniform(9, 300, 0.05)
 	S := datagen.Uniform(10, 300, 0.05)
-	want := naiveJoin(R, S)
+	want := jointest.Naive(R, S)
 	it := Open(R, S, Config{Method: PBSM, Memory: 8 * 1024})
 	var got []geom.Pair
 	for {
@@ -210,7 +194,7 @@ func TestIteratorDeliversAllResults(t *testing.T) {
 	if err := it.Err(); err != nil {
 		t.Fatalf("iterator error: %v", err)
 	}
-	sortPairs(got)
+	jointest.SortPairs(got)
 	if len(got) != len(want) {
 		t.Fatalf("iterator yielded %d pairs, want %d", len(got), len(want))
 	}
@@ -227,7 +211,7 @@ func TestIteratorDeliversAllResults(t *testing.T) {
 func TestIteratorWorksForEveryMethod(t *testing.T) {
 	R := datagen.Uniform(15, 200, 0.05)
 	S := datagen.Uniform(16, 200, 0.05)
-	want := int64(len(naiveJoin(R, S)))
+	want := int64(len(jointest.Naive(R, S)))
 	for _, m := range []Method{PBSM, S3J, SSSJ, SHJ} {
 		it := Open(R, S, Config{Method: m, Memory: 8 * 1024})
 		var n int64
@@ -291,4 +275,67 @@ func TestStatsArePopulated(t *testing.T) {
 	if res.S3JStats.CopiesR <= int64(len(R))/2 {
 		t.Fatalf("implausible replication count %d", res.S3JStats.CopiesR)
 	}
+}
+
+// TestRegistryHoldsEveryMethodTotal: the counts a join reports in its
+// Stats are readable from the registry under the series names the trace
+// recorder once kept — sweep work per algorithm, TLSP residue, S³J copies
+// per level, the three fill distributions, the sort's runs, the
+// checkpoints. (core.joins.aborted is chaos.TestCanceledJoinTrace's.)
+func TestRegistryHoldsEveryMethodTotal(t *testing.T) {
+	R := datagen.Uniform(13, 400, 0.05)
+	S := datagen.Uniform(14, 400, 0.05)
+	join := func(cfg Config) (Result, metrics.Snapshot) {
+		t.Helper()
+		cfg.Memory, cfg.Algorithm, cfg.Metrics = 8*1024, sweep.ListKind, metrics.New()
+		cfg.Ctx = context.Background()
+		_, res, err := Collect(R, S, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, cfg.Metrics.Snapshot()
+	}
+	sum := func(d metrics.Snapshot, name string) (total float64) {
+		for _, p := range d.Points {
+			if p.Name == name {
+				total += p.Value
+			}
+		}
+		return total
+	}
+	check := func(name string, got float64, want int64) {
+		t.Helper()
+		if got != float64(want) {
+			t.Errorf("%s = %v, Stats say %d", name, got, want)
+		}
+	}
+
+	res, d := join(Config{Method: PBSM, PBSMDup: pbsm.DupTLSP})
+	ps := res.PBSMStats
+	check("pbsm.sweep.tests", d.Value("pbsm.sweep.tests"), ps.Tests)
+	check("pbsm.sweep.touches", d.ValueL("pbsm.sweep.touches", "list"), ps.Touches)
+	check("pbsm.tlsp.ref.tests", d.Value("pbsm.tlsp.ref.tests"), ps.TLSPRefTests)
+	check("pbsm.partition.fill count", float64(d.Hist("pbsm.partition.fill").Count), int64(ps.P))
+	check("pbsm.partition.fill sum", d.Hist("pbsm.partition.fill").Sum, ps.CopiesR+ps.CopiesS)
+	if ps.Tests == 0 || d.Value("core.cancel.checks") <= 0 {
+		t.Errorf("vacuous: %d sweep tests, %v core.cancel.checks", ps.Tests, d.Value("core.cancel.checks"))
+	}
+
+	res, d = join(Config{Method: S3J, S3JMode: s3j.ModeReplicate})
+	ss := res.S3JStats
+	check("s3j.sweep.tests", d.Value("s3j.sweep.tests"), ss.Tests)
+	check("s3j.sweep.touches", d.ValueL("s3j.sweep.touches", "list"), ss.Touches)
+	check("s3j.copies.level", sum(d, "s3j.copies.level"), ss.CopiesR+ss.CopiesS)
+	check("s3j.level.fill count", float64(d.Hist("s3j.level.fill").Count), int64(len(ss.LevelRecordsR)))
+
+	res, d = join(Config{Method: SHJ})
+	check("shj.sweep.tests", d.Value("shj.sweep.tests"), res.SHJStats.Tests)
+	check("shj.sweep.touches", d.ValueL("shj.sweep.touches", "list"), res.SHJStats.Touches)
+	check("shj.bucket.fill count", float64(d.Hist("shj.bucket.fill").Count), int64(res.SHJStats.Buckets))
+
+	res, d = join(Config{Method: SSSJ})
+	check("sssj.sweep.tests", d.Value("sssj.sweep.tests"), res.SSSJStats.Tests)
+	check("sssj.sweep.touches", d.ValueL("sssj.sweep.touches", "list"), res.SSSJStats.Touches)
+	check("sssj.sort.runs", d.Value("sssj.sort.runs"), int64(res.SSSJStats.SortRuns))
+
 }

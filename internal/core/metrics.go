@@ -17,47 +17,54 @@ const (
 	metJoinsActive = "core.joins.active"
 	// metResults counts result pairs delivered to callers.
 	metResults = "core.results"
+	// metJoinsAborted counts joins that died of cancellation or a
+	// deadline — the subset of metJoinsFailed that also leaves a "cancel"
+	// instant in the trace.
+	metJoinsAborted = "core.joins.aborted"
+	// metCancelChecks counts cancellation checkpoints passed (strided
+	// and immediate); per-site cost times this counter is what the
+	// overhead budget bounds.
+	metCancelChecks = "core.cancel.checks"
+	// metCancelChecksNow counts the immediate (unstrided) polls among
+	// them.
+	metCancelChecksNow = "core.cancel.checks.now"
 )
 
-// joinMetrics is the per-Join handle set; nil without a registry, with
-// every method nil-safe.
+// joinMetrics is the per-Join handle set. Without a registry every
+// handle is nil, and nil handles are no-ops.
 type joinMetrics struct {
 	started   *metrics.Counter
 	completed *metrics.Counter
 	failed    *metrics.Counter
 	active    *metrics.Gauge
 	results   *metrics.Counter
+	aborted   *metrics.Counter
+	checks    *metrics.Counter
+	checksNow *metrics.Counter
 }
 
-// newJoinMetrics resolves the lifecycle handles, or nil without a
-// registry.
-func newJoinMetrics(r *metrics.Registry) *joinMetrics {
-	if r == nil {
-		return nil
-	}
-	return &joinMetrics{
+// newJoinMetrics resolves the lifecycle handles.
+func newJoinMetrics(r *metrics.Registry) joinMetrics {
+	return joinMetrics{
 		started:   r.Counter(metJoinsStarted),
 		completed: r.Counter(metJoinsCompleted),
 		failed:    r.Counter(metJoinsFailed),
 		active:    r.Gauge(metJoinsActive),
 		results:   r.Counter(metResults),
+		aborted:   r.Counter(metJoinsAborted),
+		checks:    r.Counter(metCancelChecks),
+		checksNow: r.Counter(metCancelChecksNow),
 	}
 }
 
 // begin marks one join entering execution.
 func (jm *joinMetrics) begin() {
-	if jm == nil {
-		return
-	}
 	jm.started.Inc()
 	jm.active.Add(1)
 }
 
 // end marks the join leaving execution, with its outcome.
 func (jm *joinMetrics) end(results int64, err error) {
-	if jm == nil {
-		return
-	}
 	jm.active.Add(-1)
 	if err != nil {
 		jm.failed.Inc()

@@ -7,6 +7,7 @@ import (
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
+	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/s3j"
 )
 
@@ -17,7 +18,7 @@ import (
 func TestDeviceParameterMatrix(t *testing.T) {
 	R := datagen.LARR(1, 600).KPEs
 	S := datagen.LAST(2, 600).KPEs
-	want := naiveJoin(R, S)
+	want := jointest.Naive(R, S)
 	for _, pageSize := range []int{128, 1024, 8192, 65536} {
 		for _, bufPages := range []int{1, 4, 16} {
 			for _, method := range []Method{PBSM, S3J, SSSJ, SHJ} {

@@ -5,13 +5,12 @@
 // relations of the underlying DBMS" — intermediate results have no
 // catalog statistics. This package supplies the missing pieces: cheap
 // samples, join-cardinality and selectivity estimates from sample-level
-// joins, a replication-rate estimate for a planned grid, and the
-// partition-count formula (1) itself, so an optimizer can configure the
-// join without scanning the inputs twice.
+// joins and a replication-rate estimate for a planned grid, so an
+// optimizer can configure the join without scanning the inputs twice.
+// (The partition-count formula (1) itself is pbsm.PlanGrid.)
 package estimate
 
 import (
-	"math"
 	"math/rand"
 
 	"spatialjoin/internal/geom"
@@ -67,22 +66,6 @@ func Selectivity(sampleR, sampleS []geom.KPE, fullR, fullS int) float64 {
 	}
 	return JoinCardinality(sampleR, sampleS, fullR, fullS) /
 		(float64(fullR) * float64(fullS))
-}
-
-// PartitionCount is PBSM's formula (1) with the paper's tuning factor t:
-// ceil(t · (nr+ns) · sizeof(KPE) / memory), at least 1.
-func PartitionCount(nr, ns int, memory int64, t float64) int {
-	if memory <= 0 {
-		return 1
-	}
-	if t <= 1 {
-		t = 1.25
-	}
-	p := int(math.Ceil(t * float64(int64(nr+ns)*geom.KPESize) / float64(memory)))
-	if p < 1 {
-		p = 1
-	}
-	return p
 }
 
 // ReplicationRate estimates PBSM's copies-per-element for a grid of

@@ -85,23 +85,6 @@ func TestSelectivityMatchesDefinition(t *testing.T) {
 	}
 }
 
-func TestPartitionCountFormula(t *testing.T) {
-	// 2000 KPEs × 41 B = 82000 B; 20 KiB memory; t = 1.25 →
-	// ceil(1.25 × 82000 / 20480) = ceil(5.004…) = 6.
-	if p := PartitionCount(1000, 1000, 20<<10, 1.25); p != 6 {
-		t.Fatalf("P = %d, want 6", p)
-	}
-	if p := PartitionCount(10, 10, 1<<30, 1.25); p != 1 {
-		t.Fatalf("tiny input must give P=1, got %d", p)
-	}
-	if p := PartitionCount(1000, 1000, 0, 1.25); p != 1 {
-		t.Fatalf("degenerate memory must give P=1, got %d", p)
-	}
-	if PartitionCount(1000, 1000, 20<<10, 0) != PartitionCount(1000, 1000, 20<<10, 1.25) {
-		t.Fatal("t ≤ 1 must select the default")
-	}
-}
-
 func TestReplicationRateGrowsWithGridResolution(t *testing.T) {
 	ks := datagen.LARR(6, 3000).KPEs
 	coarse := ReplicationRate(ks, 4, 4)

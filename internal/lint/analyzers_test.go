@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -187,38 +186,6 @@ func TestIgnoreDirectives(t *testing.T) {
 		if !want[line] {
 			t.Errorf("unexpected sjlint finding at line %d", line)
 		}
-	}
-}
-
-// TestJSONRoundTrip feeds WriteJSON's output back through CheckJSON,
-// for a non-empty report and for the empty one (which must encode as an
-// array, not null).
-func TestJSONRoundTrip(t *testing.T) {
-	diags, _ := runFixture(t, "joinwrap", "joinwrap")
-	if len(diags) == 0 {
-		t.Fatal("joinwrap fixture produced no findings to round-trip")
-	}
-	var buf bytes.Buffer
-	if err := lint.WriteJSON(&buf, diags); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	n, err := lint.CheckJSON(buf.Bytes())
-	if err != nil {
-		t.Fatalf("CheckJSON: %v", err)
-	}
-	if n != len(diags) {
-		t.Errorf("CheckJSON counted %d findings, want %d", n, len(diags))
-	}
-
-	buf.Reset()
-	if err := lint.WriteJSON(&buf, nil); err != nil {
-		t.Fatalf("WriteJSON(nil): %v", err)
-	}
-	if !strings.HasPrefix(strings.TrimSpace(buf.String()), "[") {
-		t.Errorf("empty report is not a JSON array: %q", buf.String())
-	}
-	if n, err := lint.CheckJSON(buf.Bytes()); err != nil || n != 0 {
-		t.Errorf("CheckJSON on empty report: n=%d err=%v", n, err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package lint is a stdlib-only static-analysis framework for the join
 // stack: a small driver (package loading, type checking, diagnostics,
-// //lint:ignore suppression, JSON output) plus the project-specific
+// //lint:ignore suppression) plus the project-specific
 // analyzers that turn the codebase's cross-cutting contracts — joinerr
 // propagation, paired trace spans, govern checkpoints, registry-managed
 // temp files — into machine-checked invariants.
@@ -24,15 +24,15 @@ import (
 type Diagnostic struct {
 	// File is the path of the offending file, relative to the module
 	// root.
-	File string `json:"file"`
+	File string
 	// Line and Col locate the finding (1-based; Col may be 0 when the
 	// position carries no column).
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int
+	Col  int
 	// Analyzer names the check that produced the finding.
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Message explains the violation and, where possible, the fix.
-	Message string `json:"message"`
+	Message string
 }
 
 // String renders the canonical "file:line: analyzer: message" form.

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"io"
@@ -95,7 +94,7 @@ func (d *Driver) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 }
 
 // sortDiags orders diagnostics by (file, line, col, analyzer, message)
-// — the one total order every output path (text, -json, golden tests)
+// — the one total order every output path (text, golden tests)
 // relies on. Map iteration anywhere upstream (package maps, the shared
 // lock graph) must never leak into output order.
 func sortDiags(out []Diagnostic) {
@@ -179,39 +178,4 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders diagnostics as an indented JSON array (an empty
-// slice encodes as [], so downstream parsers always see an array).
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
-}
-
-// CheckJSON validates that data is a well-formed sjlint -json document:
-// a JSON array of diagnostics whose entries carry a file, a positive
-// line and a known analyzer. It returns the number of findings.
-func CheckJSON(data []byte) (int, error) {
-	var diags []Diagnostic
-	if err := json.Unmarshal(data, &diags); err != nil {
-		return 0, fmt.Errorf("lint: JSON output does not re-parse: %w", err)
-	}
-	known := make(map[string]bool)
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	known["sjlint"] = true
-	for i, diag := range diags {
-		if diag.File == "" || diag.Line <= 0 {
-			return 0, fmt.Errorf("lint: entry %d lacks a file:line position", i)
-		}
-		if !known[diag.Analyzer] {
-			return 0, fmt.Errorf("lint: entry %d names unknown analyzer %q", i, diag.Analyzer)
-		}
-	}
-	return len(diags), nil
 }

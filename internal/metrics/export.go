@@ -155,6 +155,33 @@ func WriteJSONL(w io.Writer, s Snapshot) error {
 	return nil
 }
 
+// WriteSummary renders the counters and histograms of a snapshot (or a
+// Sub delta) for a reader at a terminal — the counts that follow the span
+// tree of sjoin -stats. Series that did not move are left out, and so are
+// gauges: an instantaneous reading says nothing once the join is over.
+func WriteSummary(w io.Writer, s Snapshot) error {
+	var counters, hists strings.Builder
+	for _, p := range s.Points {
+		name := p.Name + promLabel(p.LabelKey, p.Label)
+		switch {
+		case p.Kind == KindCounter && p.Value != 0:
+			fmt.Fprintf(&counters, "  %-32s %.0f\n", name, p.Value)
+		case p.Hist != nil && p.Hist.Count != 0:
+			fmt.Fprintf(&hists, "  %-32s n=%d min=%s mean=%s max=%s\n", name, p.Hist.Count,
+				promFloat(p.Hist.Min), promFloat(p.Hist.Mean()), promFloat(p.Hist.Max))
+		}
+	}
+	out := ""
+	if counters.Len() > 0 {
+		out += "counters:\n" + counters.String()
+	}
+	if hists.Len() > 0 {
+		out += "histograms:\n" + hists.String()
+	}
+	_, err := io.WriteString(w, out)
+	return err
+}
+
 // Handler serves the registry over HTTP: GET /metrics returns the
 // Prometheus text exposition, GET /metricsz the JSONL form. Intended
 // for sjoin -metrics-addr and the future sjserved daemon.

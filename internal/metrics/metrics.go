@@ -1,14 +1,17 @@
-// Package metrics is the live-observability layer of the join stack: a
-// zero-dependency, process-lifetime registry of counters, gauges and
-// power-of-two histograms with lock-cheap hot paths and two exposition
-// formats (Prometheus text and self-describing JSONL).
+// Package metrics is the one home of every count and distribution of the
+// join stack: a zero-dependency, process-lifetime registry of counters,
+// gauges and power-of-two histograms with lock-cheap hot paths and two
+// exposition formats (Prometheus text and self-describing JSONL).
 //
-// Where package trace answers "what happened in this join" after the
-// fact — a hierarchical span record, one recorder per join — metrics
-// answers "what is the process doing right now": admission queue depth,
-// worker occupancy, shard heartbeat age, join progress. One Registry
-// serves the whole process for its lifetime; every subsystem registers
-// named instruments against it and updates them from its hot paths.
+// Package trace records where one join's time went — a hierarchical span
+// record, one recorder per join — and keeps no counts. metrics holds the
+// counts: the paper's totals (duplicates suppressed, reference-point
+// tests, replication copies, sweep work, fills) next to what the process
+// is doing right now (admission queue depth, worker occupancy, shard
+// heartbeat age, join progress). One Registry serves the whole process
+// for its lifetime; every subsystem registers named instruments against
+// it and updates them from its hot paths. The counts of one join are the
+// delta Snapshot().Sub(before); its result is the method's Stats.
 //
 // # Handles, not name lookups
 //
@@ -199,8 +202,7 @@ func (g *FloatGauge) Value() float64 {
 }
 
 // NumBuckets is the bucket count of a Histogram: bucket 0 counts
-// observations v < 1 and bucket i ≥ 1 counts 2^(i-1) ≤ v < 2^i, the
-// same magnitude scheme as trace.Histogram.
+// observations v < 1 and bucket i ≥ 1 counts 2^(i-1) ≤ v < 2^i.
 const NumBuckets = 48
 
 // Histogram summarizes a stream of float64 observations with atomic

@@ -7,8 +7,9 @@ import (
 )
 
 // Metric names owned by package pbsm: the paper's redundancy /
-// duplicate accounting as live process-lifetime counters (the same
-// quantities the trace records per join), plus partition-pair progress.
+// duplicate accounting and the sweep's work as process-lifetime series
+// (the only home of these counts besides the join's own Stats), plus
+// partition-pair progress.
 const (
 	// metPairsDone counts top-level partition pairs completed.
 	metPairsDone = "pbsm.pairs.done"
@@ -28,6 +29,18 @@ const (
 	metHealed = "pbsm.healed"
 	// metRepartitions counts repartitioning splits.
 	metRepartitions = "pbsm.repartitions"
+	// metTLSPRefTests counts the residual DupTLSP candidates that still
+	// paid a reference-point test — against metTLSPSkipped, the TLSP
+	// savings.
+	metTLSPRefTests = "pbsm.tlsp.ref.tests"
+	// metSweepTests counts the internal algorithm's candidate tests.
+	metSweepTests = "pbsm.sweep.tests"
+	// metSweepTouches counts the status-structure nodes the internal
+	// algorithm visited, by "alg" label (list, trie, nested).
+	metSweepTouches = "pbsm.sweep.touches"
+	// metPartitionFill is the distribution of records (both relations)
+	// over the P top-level partitions: the fill skew.
+	metPartitionFill = "pbsm.partition.fill"
 )
 
 // resolveCounters resolves the joiner's live counter handles once up
@@ -44,17 +57,20 @@ func (j *joiner) resolveCounters() {
 	j.tlspSkipped = j.cfg.Metrics.Counter(metTLSPSkipped)
 }
 
-// publishMetrics adds this join's remaining redundancy/duplicate totals
-// to the process-lifetime counters; a no-op without a registry. The
+// publishMetrics adds this join's remaining totals to the
+// process-lifetime counters: how many raw join-phase results the
+// duplicate-elimination strategy suppressed, how much the partitioning
+// replicated, and what the internal algorithm's status structure cost in
+// traversal work. The handles of a nil registry are no-ops. The
 // per-result counters (RPM tests, TLSP skips) are NOT published here —
 // every sweep already added its share.
 func (j *joiner) publishMetrics() {
 	m := j.cfg.Metrics
-	if m == nil {
-		return
-	}
 	m.Counter(metDupSuppressed).Add(j.stats.RawResults - j.stats.Results)
+	m.Counter(metTLSPRefTests).Add(j.stats.TLSPRefTests)
 	m.Counter(metReplicationCopies).Add(j.stats.CopiesR + j.stats.CopiesS)
+	m.Counter(metSweepTests).Add(j.stats.Tests)
+	m.CounterVec(metSweepTouches, "alg").With(j.sl.alg.Name()).Add(j.stats.Touches)
 	m.Counter(metHealed).Add(int64(j.stats.Healed))
 	m.Counter(metRepartitions).Add(int64(j.stats.Repartitions))
 }

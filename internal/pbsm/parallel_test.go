@@ -7,6 +7,7 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/trace"
 )
 
@@ -17,8 +18,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
 			seq, _ := run(t, R, S, Config{Memory: 16 << 10, Dup: dup})
 			par, st := run(t, R, S, Config{Memory: 16 << 10, Dup: dup, Parallel: workers})
-			sortPairs(seq)
-			assertEqualPairs(t, par, seq)
+			jointest.SortPairs(seq)
+			jointest.AssertEqual(t, par, seq)
 			if st.Tests == 0 {
 				t.Fatal("parallel path must accumulate test counts")
 			}
@@ -98,7 +99,7 @@ func TestParallelIOEqualsSequentialIO(t *testing.T) {
 func TestParallelSinglePartitionFallsBack(t *testing.T) {
 	R := datagen.Uniform(6, 100, 0.05)
 	got, st := run(t, R, R, Config{Memory: 64 << 20, Parallel: 8})
-	assertEqualPairs(t, got, naive(R, R))
+	jointest.AssertEqual(t, got, jointest.Naive(R, R))
 	if st.P != 1 {
 		t.Fatalf("P = %d", st.P)
 	}

@@ -342,29 +342,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	err := j.run(R, S, emit)
 	j.stats.Tests += j.sl.alg.Tests()
 	j.stats.Touches += j.sl.alg.Touches()
-	if t := cfg.Trace; t != nil {
-		// The paper-specific totals: how many raw join-phase results the
-		// duplicate-elimination strategy suppressed (each raw result costs
-		// one reference-point test under RPM), how much the partitioning
-		// replicated, and what the internal algorithm's status structure
-		// cost in traversal work.
-		t.Count("pbsm.dup.suppressed", j.stats.RawResults-j.stats.Results)
-		if cfg.Dup == DupRPM {
-			t.Count("pbsm.rpm.tests", j.stats.RawResults)
-		}
-		if cfg.Dup == DupTLSP {
-			// The TLSP savings: candidates rejected by the class test
-			// alone versus the residual ones that still paid a
-			// reference-point test.
-			t.Count("pbsm.tlsp.pairs.skipped", j.stats.TLSPSkipped)
-			t.Count("pbsm.tlsp.ref.tests", j.stats.TLSPRefTests)
-		}
-		t.Count("pbsm.replication.copies", j.stats.CopiesR+j.stats.CopiesS)
-		t.Count("pbsm.sweep.tests", j.stats.Tests)
-		t.Count("pbsm.sweep.touches."+j.sl.alg.Name(), j.stats.Touches)
-		t.Count("pbsm.healed", int64(j.stats.Healed))
-		t.Count("pbsm.repartitions", int64(j.stats.Repartitions))
-	}
 	j.publishMetrics()
 	return j.stats, err
 }
@@ -566,14 +543,12 @@ func (j *joiner) partitionPhase() (filesR, filesS []*diskio.File, err error) {
 	if errR != nil {
 		return nil, nil, joinerr.Wrap("pbsm", PhasePartition.String(), errR)
 	}
-	if j.cfg.Trace != nil {
-		// Partition fill skew: records landing in each of the P
-		// partitions (both relations). NumKPEs is length-derived, so
-		// observing it here is free of I/O charge.
-		for i := range filesR {
-			j.cfg.Trace.Observe("pbsm.partition.fill",
-				float64(recfile.NumKPEs(filesR[i])+recfile.NumKPEs(filesS[i])))
-		}
+	// Partition fill skew: records landing in each of the P partitions
+	// (both relations). NumKPEs is length-derived, so observing it here is
+	// free of I/O charge.
+	fill := j.cfg.Metrics.Histogram(metPartitionFill)
+	for i := range filesR {
+		fill.Observe(float64(recfile.NumKPEs(filesR[i]) + recfile.NumKPEs(filesS[i])))
 	}
 	j.initProgress(filesR, filesS)
 	return filesR, filesS, nil

@@ -2,7 +2,6 @@ package pbsm
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,27 +10,11 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/sweep"
 )
 
 func newDisk() *diskio.Disk { return diskio.NewDisk(1024, 10, time.Millisecond) }
-
-func naive(rs, ss []geom.KPE) []geom.Pair {
-	var out []geom.Pair
-	for _, r := range rs {
-		for _, s := range ss {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []geom.Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
 
 func run(t *testing.T, R, S []geom.KPE, cfg Config) ([]geom.Pair, Stats) {
 	t.Helper()
@@ -44,19 +27,6 @@ func run(t *testing.T, R, S []geom.KPE, cfg Config) ([]geom.Pair, Stats) {
 		t.Fatalf("Join: %v", err)
 	}
 	return got, st
-}
-
-func assertEqualPairs(t *testing.T, got, want []geom.Pair) {
-	t.Helper()
-	sortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("got %d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: got %v want %v", i, got[i], want[i])
-		}
-	}
 }
 
 func TestConfigErrors(t *testing.T) {
@@ -83,8 +53,8 @@ func TestRPMMatchesSortExactly(t *testing.T) {
 	for _, mem := range []int64{4 << 10, 16 << 10, 64 << 10} {
 		rpm, _ := run(t, R, S, Config{Memory: mem, Dup: DupRPM})
 		srt, _ := run(t, R, S, Config{Memory: mem, Dup: DupSort})
-		sortPairs(rpm)
-		assertEqualPairs(t, srt, rpm)
+		jointest.SortPairs(rpm)
+		jointest.AssertEqual(t, srt, rpm)
 	}
 }
 
@@ -92,7 +62,7 @@ func TestRPMSuppressesDuplicatesNotResults(t *testing.T) {
 	R := datagen.LARR(3, 1500).KPEs
 	S := datagen.LAST(4, 1500).KPEs
 	got, st := run(t, R, S, Config{Memory: 8 << 10, Dup: DupRPM})
-	assertEqualPairs(t, got, naive(R, S))
+	jointest.AssertEqual(t, got, jointest.Naive(R, S))
 	if st.RawResults <= st.Results {
 		t.Fatalf("with replication, raw results (%d) must exceed unique results (%d)",
 			st.RawResults, st.Results)
@@ -159,7 +129,7 @@ func TestSinglePartitionNoIO(t *testing.T) {
 	S := datagen.Uniform(14, 200, 0.02)
 	d := newDisk()
 	got, st := run(t, R, S, Config{Disk: d, Memory: 64 << 20})
-	assertEqualPairs(t, got, naive(R, S))
+	jointest.AssertEqual(t, got, jointest.Naive(R, S))
 	if st.P != 1 {
 		t.Fatalf("P = %d, want 1", st.P)
 	}
@@ -197,7 +167,7 @@ func TestRepartitioningTriggersOnSkew(t *testing.T) {
 	}
 	R, S := mk(1500), mk(1500)
 	got, st := run(t, R, S, Config{Memory: 8 << 10})
-	assertEqualPairs(t, got, naive(R, S))
+	jointest.AssertEqual(t, got, jointest.Naive(R, S))
 	if st.Repartitions == 0 {
 		t.Fatal("skewed data at small memory must trigger repartitioning")
 	}
@@ -214,7 +184,7 @@ func TestRecursionCapStillCorrect(t *testing.T) {
 		ks[i] = geom.KPE{ID: uint64(i), Rect: geom.NewRect(0.5, 0.5, 0.500001, 0.500001)}
 	}
 	got, st := run(t, ks, ks, Config{Memory: 4 << 10, MaxRecurse: 2})
-	assertEqualPairs(t, got, naive(ks, ks))
+	jointest.AssertEqual(t, got, jointest.Naive(ks, ks))
 	if st.MemoryOverflows == 0 {
 		t.Fatal("expected memory overflows at the recursion cap")
 	}
@@ -223,10 +193,10 @@ func TestRecursionCapStillCorrect(t *testing.T) {
 func TestAllInternalAlgorithmsAgree(t *testing.T) {
 	R := datagen.LARR(18, 900).KPEs
 	S := datagen.LAST(19, 900).KPEs
-	want := naive(R, S)
+	want := jointest.Naive(R, S)
 	for _, alg := range []sweep.Kind{sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind} {
 		got, st := run(t, R, S, Config{Memory: 8 << 10, Algorithm: alg})
-		assertEqualPairs(t, got, want)
+		jointest.AssertEqual(t, got, want)
 		if st.Tests == 0 {
 			t.Fatalf("%s: no candidate tests recorded", alg)
 		}
@@ -294,8 +264,8 @@ func TestRPMExactlyOnceProperty(t *testing.T) {
 		if _, err := Join(R, S, cfg, func(p geom.Pair) { got = append(got, p) }); err != nil {
 			return false
 		}
-		want := naive(R, S)
-		sortPairs(got)
+		want := jointest.Naive(R, S)
+		jointest.SortPairs(got)
 		if len(got) != len(want) {
 			return false
 		}

@@ -8,6 +8,7 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 )
 
 // TestTLSPMatchesRPMResultSet is the central TLSP claim: the class test
@@ -27,8 +28,8 @@ func TestTLSPMatchesRPMResultSet(t *testing.T) {
 		for _, mem := range []int64{8 << 10, 24 << 10, 512 << 10} {
 			rpm, _ := run(t, tc.R, tc.S, Config{Memory: mem, Dup: DupRPM})
 			tlsp, st := run(t, tc.R, tc.S, Config{Memory: mem, Dup: DupTLSP})
-			sortPairs(rpm)
-			assertEqualPairs(t, tlsp, rpm)
+			jointest.SortPairs(rpm)
+			jointest.AssertEqual(t, tlsp, rpm)
 			sawSkip = sawSkip || st.TLSPSkipped > 0
 			sawResidual = sawResidual || st.TLSPRefTests > 0
 			if st.P > 1 && st.NT != st.P {
@@ -52,8 +53,8 @@ func TestTLSPMatchesSortExactly(t *testing.T) {
 	for _, mem := range []int64{4 << 10, 16 << 10, 64 << 10} {
 		srt, _ := run(t, R, S, Config{Memory: mem, Dup: DupSort})
 		tlsp, _ := run(t, R, S, Config{Memory: mem, Dup: DupTLSP})
-		sortPairs(srt)
-		assertEqualPairs(t, tlsp, srt)
+		jointest.SortPairs(srt)
+		jointest.AssertEqual(t, tlsp, srt)
 	}
 }
 
@@ -158,12 +159,12 @@ func TestTLSPIgnoresCallerClasses(t *testing.T) {
 	for i := range S {
 		S[i].Class = 3
 	}
-	want := naive(R, S)
+	want := jointest.Naive(R, S)
 	got, st := run(t, R, S, Config{Memory: 1 << 30, Dup: DupTLSP})
 	if st.P != 1 {
 		t.Fatalf("test setup: want P=1, got %d", st.P)
 	}
-	assertEqualPairs(t, got, want)
+	jointest.AssertEqual(t, got, want)
 }
 
 // TestPairExecTLSPMatchesJoin extends the pair-subset contract to TLSP:

@@ -19,6 +19,8 @@ import (
 	"spatialjoin/internal/estimate"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/iocost"
+	"spatialjoin/internal/pbsm"
+	"spatialjoin/internal/s3j"
 	"spatialjoin/internal/sfc"
 )
 
@@ -54,21 +56,19 @@ type Workload struct {
 // Reference Point Method (repartitioning, which the paper measures as a
 // minor contribution, is not modeled).
 func PBSM(w Workload, d Device) Prediction {
-	p := estimate.PartitionCount(w.NR, w.NS, w.Memory, 0)
-	// Grid shape as built by the partitioner: NT = 4P tiles, square-ish.
-	nt := 4 * p
-	nx := 1
-	for nx*nx < nt {
-		nx++
+	// The grid is the partitioner's own plan — formula (1) and the tile
+	// shape have one home — so a change to it moves the prediction too.
+	gs := pbsm.GridSpec{NX: 1, NY: 1, Parts: 1}
+	if w.Memory > 0 {
+		gs = pbsm.PlanGrid(w.NR, w.NS, pbsm.Config{Memory: w.Memory})
 	}
-	ny := (nt + nx - 1) / nx
 	rep := 1.0
 	if sample := append(append([]geom.KPE(nil), w.SampleR...), w.SampleS...); len(sample) > 0 {
-		rep = estimate.ReplicationRate(sample, nx, ny)
+		rep = estimate.ReplicationRate(sample, gs.NX, gs.NY)
 	}
 	vol := rep * float64(w.NR+w.NS) * geom.KPESize
 	pg := d.Pages(vol)
-	write := d.PassCost(pg, d.BufFor(w.Memory, p))
+	write := d.PassCost(pg, d.BufFor(w.Memory, gs.Parts))
 	read := d.PassCost(pg, d.BufPages)
 	return Prediction{
 		Method:      core.PBSM,
@@ -85,7 +85,7 @@ func PBSM(w Workload, d Device) Prediction {
 // fewer than one per level and relation — do forced merge passes add a
 // read and a write each.
 func S3J(w Workload, d Device) Prediction {
-	const levels = 10 // the s3j default
+	const levels = s3j.DefaultLevels
 	rep := 1.0
 	if sample := append(append([]geom.KPE(nil), w.SampleR...), w.SampleS...); len(sample) > 0 {
 		var copies float64

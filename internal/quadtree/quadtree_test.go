@@ -2,12 +2,12 @@ package quadtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 )
 
 func build(ks []geom.KPE, maxLevel int) *Tree {
@@ -18,30 +18,13 @@ func build(ks []geom.KPE, maxLevel int) *Tree {
 	return t
 }
 
-func naive(rs, ss []geom.KPE) []geom.Pair {
-	var out []geom.Pair
-	for _, r := range rs {
-		for _, s := range ss {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []geom.Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
-
 func treeJoin(rs, ss []geom.KPE, maxLevel int) []geom.Pair {
 	tr, ts := build(rs, maxLevel), build(ss, maxLevel)
 	var out []geom.Pair
 	Join(tr, ts, func(r, s geom.KPE) {
 		out = append(out, geom.Pair{R: r.ID, S: s.ID})
 	})
-	sortPairs(out)
+	jointest.SortPairs(out)
 	return out
 }
 
@@ -81,7 +64,7 @@ func TestQueryMatchesNaive(t *testing.T) {
 func TestJoinMatchesNaive(t *testing.T) {
 	rs := datagen.Uniform(4, 400, 0.04)
 	ss := datagen.Uniform(5, 400, 0.04)
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	got := treeJoin(rs, ss, 10)
 	if len(got) != len(want) {
 		t.Fatalf("got %d pairs, want %d", len(got), len(want))
@@ -113,7 +96,7 @@ func TestJoinProperty(t *testing.T) {
 		rs := randKPEs(rng, int(nr)%50+1)
 		ss := randKPEs(rng, int(ns)%50+1)
 		maxLevel := int(lvl)%10 + 1
-		want := naive(rs, ss)
+		want := jointest.Naive(rs, ss)
 		got := treeJoin(rs, ss, maxLevel)
 		if len(got) != len(want) {
 			return false

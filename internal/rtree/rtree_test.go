@@ -2,30 +2,13 @@ package rtree
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 )
-
-func naive(rs, ss []geom.KPE) []geom.Pair {
-	var out []geom.Pair
-	for _, r := range rs {
-		for _, s := range ss {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []geom.Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
 
 func insertAll(ks []geom.KPE) *Tree {
 	t := New(0, 0)
@@ -99,7 +82,7 @@ func TestQueryEmptyTree(t *testing.T) {
 func TestJoinMatchesNaive(t *testing.T) {
 	rs := datagen.LARR(5, 700).KPEs
 	ss := datagen.LAST(6, 700).KPEs
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	// All four build combinations.
 	builds := []struct {
 		name   string
@@ -114,7 +97,7 @@ func TestJoinMatchesNaive(t *testing.T) {
 		Join(b.tr, b.ts, func(r, s geom.KPE) {
 			got = append(got, geom.Pair{R: r.ID, S: s.ID})
 		})
-		sortPairs(got)
+		jointest.SortPairs(got)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d pairs, want %d", b.name, len(got), len(want))
 		}
@@ -131,22 +114,22 @@ func TestJoinDifferentHeights(t *testing.T) {
 	// descent.
 	rs := datagen.Uniform(7, 3000, 0.01)
 	ss := datagen.Uniform(8, 10, 0.3)
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	var got []geom.Pair
 	Join(Bulk(rs, 0, 0), Bulk(ss, 0, 0), func(r, s geom.KPE) {
 		got = append(got, geom.Pair{R: r.ID, S: s.ID})
 	})
-	sortPairs(got)
+	jointest.SortPairs(got)
 	if len(got) != len(want) {
 		t.Fatalf("%d pairs, want %d", len(got), len(want))
 	}
 	// And the mirror orientation.
-	want = naive(ss, rs)
+	want = jointest.Naive(ss, rs)
 	got = got[:0]
 	Join(Bulk(ss, 0, 0), Bulk(rs, 0, 0), func(r, s geom.KPE) {
 		got = append(got, geom.Pair{R: r.ID, S: s.ID})
 	})
-	sortPairs(got)
+	jointest.SortPairs(got)
 	if len(got) != len(want) {
 		t.Fatalf("mirror: %d pairs, want %d", len(got), len(want))
 	}
@@ -176,12 +159,12 @@ func TestJoinEmpty(t *testing.T) {
 func TestIndexNestedLoopMatchesNaive(t *testing.T) {
 	rs := datagen.LARR(12, 600).KPEs
 	ss := datagen.LAST(13, 600).KPEs
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	var got []geom.Pair
 	IndexNestedLoop(Bulk(rs, 0, 0), ss, func(r, s geom.KPE) {
 		got = append(got, geom.Pair{R: r.ID, S: s.ID})
 	})
-	sortPairs(got)
+	jointest.SortPairs(got)
 	if len(got) != len(want) {
 		t.Fatalf("%d pairs, want %d", len(got), len(want))
 	}
@@ -240,12 +223,12 @@ func TestBulkJoinProperty(t *testing.T) {
 		}
 		rs := mk(int(nr)%80 + 1)
 		ss := mk(int(ns)%80 + 1)
-		want := naive(rs, ss)
+		want := jointest.Naive(rs, ss)
 		var got []geom.Pair
 		Join(Bulk(rs, 0, 0), Bulk(ss, 0, 0), func(r, s geom.KPE) {
 			got = append(got, geom.Pair{R: r.ID, S: s.ID})
 		})
-		sortPairs(got)
+		jointest.SortPairs(got)
 		if len(got) != len(want) {
 			return false
 		}

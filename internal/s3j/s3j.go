@@ -277,27 +277,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	err := j.run(R, S, emit)
 	j.stats.Tests = j.alg.Tests()
 	j.stats.Touches = j.alg.Touches()
-	if t := cfg.Trace; t != nil {
-		t.Count("s3j.dup.suppressed", j.stats.RawResults-j.stats.Results)
-		if cfg.Mode == ModeReplicate {
-			t.Count("s3j.rpm.tests", j.stats.RawResults)
-		}
-		t.Count("s3j.replication.copies", j.stats.CopiesR+j.stats.CopiesS)
-		t.Count("s3j.sweep.tests", j.stats.Tests)
-		t.Count("s3j.sweep.touches."+j.alg.Name(), j.stats.Touches)
-		// Replication copies per level, the distribution behind Figure 8:
-		// one counter per level plus a histogram of level fills.
-		for l := range j.stats.LevelRecordsR {
-			n := j.stats.LevelRecordsR[l]
-			if l < len(j.stats.LevelRecordsS) {
-				n += j.stats.LevelRecordsS[l]
-			}
-			if n > 0 {
-				t.Count(fmt.Sprintf("s3j.copies.level%02d", l), n)
-			}
-			t.Observe("s3j.level.fill", float64(n))
-		}
-	}
 	j.publishMetrics()
 	return j.stats, err
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +19,7 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
+	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/quadtree"
 	"spatialjoin/internal/sfc"
@@ -27,23 +27,6 @@ import (
 )
 
 func newDisk() *diskio.Disk { return diskio.NewDisk(1024, 10, time.Millisecond) }
-
-func naive(rs, ss []geom.KPE) []geom.Pair {
-	var out []geom.Pair
-	for _, r := range rs {
-		for _, s := range ss {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []geom.Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
 
 func run(t *testing.T, R, S []geom.KPE, cfg Config) ([]geom.Pair, Stats) {
 	t.Helper()
@@ -58,19 +41,6 @@ func run(t *testing.T, R, S []geom.KPE, cfg Config) ([]geom.Pair, Stats) {
 	return got, st
 }
 
-func assertEqualPairs(t *testing.T, got, want []geom.Pair) {
-	t.Helper()
-	sortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("got %d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestConfigErrors(t *testing.T) {
 	if _, err := Join(nil, nil, Config{Memory: 1}, nil); err == nil {
 		t.Error("nil disk must error")
@@ -83,10 +53,10 @@ func TestConfigErrors(t *testing.T) {
 func TestBothModesMatchOracle(t *testing.T) {
 	R := datagen.LARR(1, 1200).KPEs
 	S := datagen.LAST(2, 1200).KPEs
-	want := naive(R, S)
+	want := jointest.Naive(R, S)
 	for _, mode := range []Mode{ModeOriginal, ModeReplicate} {
 		got, _ := run(t, R, S, Config{Memory: 16 << 10, Mode: mode})
-		assertEqualPairs(t, got, want)
+		jointest.AssertEqual(t, got, want)
 	}
 }
 
@@ -107,9 +77,9 @@ func TestMatchesQuadtreeReferenceJoin(t *testing.T) {
 	quadtree.Join(tr, ts, func(r, s geom.KPE) {
 		want = append(want, geom.Pair{R: r.ID, S: s.ID})
 	})
-	sortPairs(want)
+	jointest.SortPairs(want)
 	got, _ := run(t, R, S, Config{Memory: 16 << 10, Mode: ModeOriginal, Levels: levels})
-	assertEqualPairs(t, got, want)
+	jointest.AssertEqual(t, got, want)
 }
 
 func TestOriginalModeProducesNoRawDuplicates(t *testing.T) {
@@ -141,7 +111,7 @@ func TestModifiedRPMSuppressesDuplicates(t *testing.T) {
 	R := datagen.LARR(8, 1500).KPEs
 	S := datagen.LAST(9, 1500).KPEs
 	got, st := run(t, R, S, Config{Memory: 16 << 10, Mode: ModeReplicate})
-	assertEqualPairs(t, got, naive(R, S))
+	jointest.AssertEqual(t, got, jointest.Naive(R, S))
 	if st.RawResults <= st.Results {
 		t.Fatalf("replication must produce raw duplicates: raw=%d results=%d",
 			st.RawResults, st.Results)
@@ -193,8 +163,8 @@ func TestHilbertCurveGivesSameResults(t *testing.T) {
 	S := datagen.LAST(14, 1000).KPEs
 	gotP, stP := run(t, R, S, Config{Memory: 16 << 10, Mode: ModeReplicate, Curve: sfc.Peano})
 	gotH, stH := run(t, R, S, Config{Memory: 16 << 10, Mode: ModeReplicate, Curve: sfc.Hilbert})
-	sortPairs(gotP)
-	assertEqualPairs(t, gotH, gotP)
+	jointest.SortPairs(gotP)
+	jointest.AssertEqual(t, gotH, gotP)
 	if stP.Tests != stH.Tests {
 		t.Fatalf("curve changed the number of tests: peano=%d hilbert=%d", stP.Tests, stH.Tests)
 	}
@@ -203,11 +173,11 @@ func TestHilbertCurveGivesSameResults(t *testing.T) {
 func TestAllInternalAlgorithmsAgree(t *testing.T) {
 	R := datagen.LARR(15, 800).KPEs
 	S := datagen.LAST(16, 800).KPEs
-	want := naive(R, S)
+	want := jointest.Naive(R, S)
 	for _, alg := range []sweep.Kind{sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind} {
 		for _, mode := range []Mode{ModeOriginal, ModeReplicate} {
 			got, _ := run(t, R, S, Config{Memory: 16 << 10, Mode: mode, Algorithm: alg})
-			assertEqualPairs(t, got, want)
+			jointest.AssertEqual(t, got, want)
 		}
 	}
 }
@@ -281,7 +251,7 @@ func TestMaxResidentTracked(t *testing.T) {
 func TestLevelsCapRespected(t *testing.T) {
 	R := datagen.Uniform(21, 500, 0.001) // tiny rects want deep levels
 	got, st := run(t, R, R, Config{Memory: 16 << 10, Mode: ModeReplicate, Levels: 3})
-	assertEqualPairs(t, got, naive(R, R))
+	jointest.AssertEqual(t, got, jointest.Naive(R, R))
 	if len(st.LevelRecordsR) != 4 {
 		t.Fatalf("level files = %d, want 4 (levels 0..3)", len(st.LevelRecordsR))
 	}
@@ -330,8 +300,8 @@ func TestExactlyOnceProperty(t *testing.T) {
 		if _, err := Join(R, S, cfg, func(p geom.Pair) { got = append(got, p) }); err != nil {
 			return false
 		}
-		want := naive(R, S)
-		sortPairs(got)
+		want := jointest.Naive(R, S)
+		jointest.SortPairs(got)
 		if len(got) != len(want) {
 			return false
 		}
@@ -365,19 +335,19 @@ func TestDeepLevelsAndHilbertSelfJoin(t *testing.T) {
 	// Deep grids with Hilbert codes on a self-join stress the heap scan's
 	// interval ordering at maximum code widths.
 	R := datagen.Uniform(23, 800, 0.002)
-	want := naive(R, R)
+	want := jointest.Naive(R, R)
 	for _, lv := range []int{16, 20, 24} {
 		got, _ := run(t, R, R, Config{
 			Memory: 16 << 10, Mode: ModeReplicate, Levels: lv, Curve: sfc.Hilbert,
 		})
-		assertEqualPairs(t, got, want)
+		jointest.AssertEqual(t, got, want)
 	}
 }
 
 func TestLevelsClampedToMaxLevel(t *testing.T) {
 	R := datagen.Uniform(24, 200, 0.01)
 	got, st := run(t, R, R, Config{Memory: 16 << 10, Mode: ModeReplicate, Levels: 99})
-	assertEqualPairs(t, got, naive(R, R))
+	jointest.AssertEqual(t, got, jointest.Naive(R, R))
 	if len(st.LevelRecordsR) != sfc.MaxLevel+1 {
 		t.Fatalf("levels not clamped: %d files", len(st.LevelRecordsR))
 	}
@@ -454,7 +424,7 @@ func nestInputs() (R, S []geom.KPE, nest int) {
 // high-water mark the scan had when every cell owned its slice.
 func TestScanArenaNest(t *testing.T) {
 	R, S, nest := nestInputs()
-	want := naive(R, S)
+	want := jointest.Naive(R, S)
 	tr, ts := quadtree.New(DefaultLevels), quadtree.New(DefaultLevels)
 	for _, k := range R {
 		tr.Insert(k)
@@ -464,7 +434,7 @@ func TestScanArenaNest(t *testing.T) {
 	}
 	var ref []geom.Pair
 	quadtree.Join(tr, ts, func(r, s geom.KPE) { ref = append(ref, geom.Pair{R: r.ID, S: s.ID}) })
-	assertEqualPairs(t, ref, want)
+	jointest.AssertEqual(t, ref, want)
 
 	// A relation is about 4 000 records of 49 bytes: a few runs, more than
 	// twenty (the two lists exceed the scan's 22 cursors and are merged
@@ -486,7 +456,7 @@ func TestScanArenaNest(t *testing.T) {
 				} else if !slices.Equal(got, first) {
 					t.Fatalf("%s: emission sequence differs from the first run's", label)
 				}
-				assertEqualPairs(t, slices.Clone(got), want)
+				jointest.AssertEqual(t, slices.Clone(got), want)
 				if mode == ModeOriginal {
 					perRun := mem / levRecSize
 					runsR, runsS := (st.CopiesR+perRun-1)/perRun, (st.CopiesS+perRun-1)/perRun

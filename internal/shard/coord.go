@@ -285,7 +285,7 @@ func (st *joinState) sealLocked(part, shard int) {
 	st.sealed[part] = true
 	st.stats.Seals++
 	st.col.Done(part)
-	st.met.seal()
+	st.met.seals.Inc()
 	st.recoverLocked(shard)
 }
 
@@ -303,7 +303,7 @@ func (st *joinState) recoverLocked(shard int) {
 	if d > st.stats.MaxRecoveryNS {
 		st.stats.MaxRecoveryNS = d
 	}
-	st.met.recovered(float64(d) / float64(time.Second))
+	st.met.recovery.Observe(float64(d) / float64(time.Second))
 }
 
 // noteFailure discards the unsealed buffers of a failed attempt and
@@ -485,15 +485,15 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	dev := plan.Device{PageSize: cfg.PageSize, PT: cfg.PT, BufPages: cfg.BufPages}
-	if dev.PageSize <= 0 {
-		dev.PageSize = diskio.DefaultPageSize
+	dev := plan.DefaultDevice
+	if cfg.PageSize > 0 {
+		dev.PageSize = cfg.PageSize
 	}
-	if dev.PT <= 0 {
-		dev.PT = diskio.DefaultPT
+	if cfg.PT > 0 {
+		dev.PT = cfg.PT
 	}
-	if dev.BufPages < 1 {
-		dev.BufPages = 4
+	if cfg.BufPages >= 1 {
+		dev.BufPages = cfg.BufPages
 	}
 	shards := cfg.Shards
 	if shards < 1 {
@@ -585,7 +585,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	}
 	wg.Wait()
 	if firstErr != nil {
-		root.Count("shard.aborted", 1)
+		met.aborted.Inc()
 		return Result{}, firstErr
 	}
 	// The workers are joined, but the guarded-field contract is uniform:
@@ -606,11 +606,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	nominal := diskio.NewDisk(cfg.PageSize, cfg.PT, cfg.Transfer)
 	res.IOTime = nominal.CostTime(res.IO.CostUnits)
 	res.Total = res.CPU + res.IOTime
-	root.Count("shard.spawns", int64(res.Stats.Spawns))
-	root.Count("shard.kills", int64(res.Stats.Kills))
-	root.Count("shard.restarts", int64(res.Stats.Restarts))
-	root.Count("shard.absorbed", int64(res.Stats.Absorbed))
-	root.Count("shard.rederived", int64(res.Stats.Rederived))
 	return res, nil
 }
 
@@ -636,7 +631,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 		}
 		if attempt > 1 {
 			c.st.locked(func() { c.st.stats.Rederived += len(remaining) })
-			c.met.rederive(len(remaining))
+			c.met.rederived.Add(int64(len(remaining)))
 		}
 		var tr Transport = c.local
 		if remote {
@@ -653,7 +648,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 			// was shipped, nothing needs re-running. Degrade this
 			// shard to local spawns without consuming a restart.
 			c.st.locked(func() { c.st.stats.Degraded++ })
-			c.met.degrade()
+			c.met.degraded.Inc()
 			c.rec.Instant("shard-degrade",
 				trace.Attr{Key: "shard", Val: int64(id)},
 				trace.Attr{Key: "endpoints", Val: int64(connErr.Endpoints)})
@@ -665,7 +660,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 		var wexit *WorkerExitError
 		if errors.As(err, &wexit) {
 			c.st.locked(func() { c.st.stats.Kills++ })
-			c.met.kill()
+			c.met.kills.Inc()
 			c.rec.Instant("shard-kill",
 				trace.Attr{Key: "shard", Val: int64(id)},
 				trace.Attr{Key: "attempt", Val: int64(attempt)})
@@ -678,11 +673,11 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 		}
 		if attempt > c.cfg.maxRestarts() {
 			c.st.locked(func() { c.st.stats.Absorbed++ })
-			c.met.absorb()
+			c.met.absorbed.Inc()
 			c.rec.Instant("shard-absorb", trace.Attr{Key: "shard", Val: int64(id)})
 			left := c.st.unsealed(parts)
 			c.st.locked(func() { c.st.stats.Rederived += len(left) })
-			c.met.rederive(len(left))
+			c.met.rederived.Add(int64(len(left)))
 			if aerr := c.absorb(id, left); aerr != nil {
 				return aerr
 			}
@@ -690,7 +685,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 			return nil
 		}
 		c.st.locked(func() { c.st.stats.Restarts++ })
-		c.met.restart(id)
+		c.met.restarts.With(shardLabel(id)).Inc()
 		c.rec.Instant("shard-retry",
 			trace.Attr{Key: "shard", Val: int64(id)},
 			trace.Attr{Key: "attempt", Val: int64(attempt)})
@@ -767,7 +762,7 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	defer func() { link.Finish(retErr != nil) }()
 	if link.Endpoint() == "" {
 		c.st.locked(func() { c.st.stats.Spawns++ })
-		c.met.spawn()
+		c.met.spawns.Inc()
 	} else {
 		c.st.locked(func() { c.st.stats.RemoteLeases++ })
 	}
@@ -848,7 +843,8 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	}
 	watchdog := time.NewTicker(tickEvery)
 	defer watchdog.Stop()
-	defer c.met.heartbeat(id, 0) // no attempt in flight → age reads 0
+	beatAge := c.met.beatAge.With(shardLabel(id))
+	defer beatAge.Set(0) // no attempt in flight → age reads 0
 	var deadlineCh <-chan time.Time
 	if c.cfg.ShardDeadline > 0 {
 		dt := time.NewTimer(c.cfg.ShardDeadline)
@@ -895,7 +891,7 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 			}
 		case <-watchdog.C:
 			age := time.Duration(time.Now().UnixNano() - lastBeat.Load())
-			c.met.heartbeat(id, age.Seconds())
+			beatAge.Set(age.Seconds())
 			if age >= stallAfter && loopErr == nil && killedBy == "" {
 				killedBy = fmt.Sprintf("stalled: no frame for %v", age.Round(time.Millisecond))
 				kill()

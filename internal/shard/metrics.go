@@ -52,19 +52,24 @@ const (
 	// metNetReconnectSeconds is the latency histogram of leases that
 	// succeeded only after routing around at least one failure.
 	metNetReconnectSeconds = "shard.net.reconnect.seconds"
+	// metAborted counts sharded joins that ended in a fatal error
+	// (cancellation, deadline, admission) instead of a result.
+	metAborted = "shard.aborted"
 )
 
-// shardMetrics is the coordinator's handle set; nil without a registry,
-// with every method nil-safe — the same pattern as the trace recorder.
+// shardMetrics is the coordinator's handle set, resolved once per join
+// (or pool). Without a registry every handle is nil, and nil handles are
+// no-ops, so call sites update them unconditionally.
 type shardMetrics struct {
 	spawns    *metrics.Counter
 	kills     *metrics.Counter
-	restarts  *metrics.CounterVec
+	restarts  *metrics.CounterVec // by shard
 	absorbed  *metrics.Counter
 	rederived *metrics.Counter
 	seals     *metrics.Counter
-	beatAge   *metrics.FloatGaugeVec
-	recovery  *metrics.Histogram
+	aborted   *metrics.Counter
+	beatAge   *metrics.FloatGaugeVec // by shard; 0 when no attempt is in flight
+	recovery  *metrics.Histogram     // seconds, one closed failure window each
 
 	degraded        *metrics.Counter
 	netDials        *metrics.Counter
@@ -73,14 +78,11 @@ type shardMetrics struct {
 	netLeases       *metrics.Counter
 	netEvictions    *metrics.Counter
 	netQuarantined  *metrics.Counter
-	netReconnectH   *metrics.Histogram
+	netReconnectH   *metrics.Histogram // seconds, leases that routed around a failure
 }
 
-// newShardMetrics resolves the handles, or nil without a registry.
+// newShardMetrics resolves the handles.
 func newShardMetrics(r *metrics.Registry) *shardMetrics {
-	if r == nil {
-		return nil
-	}
 	return &shardMetrics{
 		spawns:    r.Counter(metSpawns),
 		kills:     r.Counter(metKills),
@@ -88,6 +90,7 @@ func newShardMetrics(r *metrics.Registry) *shardMetrics {
 		absorbed:  r.Counter(metAbsorbed),
 		rederived: r.Counter(metRederived),
 		seals:     r.Counter(metSeals),
+		aborted:   r.Counter(metAborted),
 		beatAge:   r.FloatGaugeVec(metHeartbeatAge, "shard"),
 		recovery:  r.Histogram(metRecoverySeconds),
 
@@ -103,105 +106,3 @@ func newShardMetrics(r *metrics.Registry) *shardMetrics {
 }
 
 func shardLabel(id int) string { return strconv.Itoa(id) }
-
-func (sm *shardMetrics) spawn() {
-	if sm != nil {
-		sm.spawns.Inc()
-	}
-}
-
-func (sm *shardMetrics) kill() {
-	if sm != nil {
-		sm.kills.Inc()
-	}
-}
-
-func (sm *shardMetrics) restart(id int) {
-	if sm != nil {
-		sm.restarts.With(shardLabel(id)).Inc()
-	}
-}
-
-func (sm *shardMetrics) absorb() {
-	if sm != nil {
-		sm.absorbed.Inc()
-	}
-}
-
-func (sm *shardMetrics) rederive(n int) {
-	if sm != nil {
-		sm.rederived.Add(int64(n))
-	}
-}
-
-func (sm *shardMetrics) seal() {
-	if sm != nil {
-		sm.seals.Inc()
-	}
-}
-
-// heartbeat publishes the age of shard id's last frame; the watchdog
-// calls it on every tick, and with 0 when the attempt ends.
-func (sm *shardMetrics) heartbeat(id int, ageSeconds float64) {
-	if sm != nil {
-		sm.beatAge.With(shardLabel(id)).Set(ageSeconds)
-	}
-}
-
-// recovered feeds one closed failure window into the shared latency
-// histogram.
-func (sm *shardMetrics) recovered(seconds float64) {
-	if sm != nil {
-		sm.recovery.Observe(seconds)
-	}
-}
-
-func (sm *shardMetrics) degrade() {
-	if sm != nil {
-		sm.degraded.Inc()
-	}
-}
-
-func (sm *shardMetrics) netDial() {
-	if sm != nil {
-		sm.netDials.Inc()
-	}
-}
-
-func (sm *shardMetrics) netDialFail() {
-	if sm != nil {
-		sm.netDialFailures.Inc()
-	}
-}
-
-func (sm *shardMetrics) netPingFail() {
-	if sm != nil {
-		sm.netPingFailures.Inc()
-	}
-}
-
-func (sm *shardMetrics) netLease() {
-	if sm != nil {
-		sm.netLeases.Inc()
-	}
-}
-
-func (sm *shardMetrics) netEvict() {
-	if sm != nil {
-		sm.netEvictions.Inc()
-	}
-}
-
-func (sm *shardMetrics) netQuarantine() {
-	if sm != nil {
-		sm.netQuarantined.Inc()
-	}
-}
-
-// netReconnect feeds one routed-around-failure lease into the latency
-// histogram.
-func (sm *shardMetrics) netReconnect(seconds float64) {
-	if sm != nil {
-		sm.netReconnectH.Observe(seconds)
-	}
-}

@@ -229,11 +229,11 @@ func (p *Pool) Lease(ctx context.Context) (*Lease, error) {
 			p.stats.ReconnectNS += time.Since(start).Nanoseconds()
 		}
 		p.mu.Unlock()
-		p.met.netLease()
+		p.met.netLeases.Inc()
 		if reconnected {
 			// The reconnect histogram measures how long the pool took
 			// to route around failures and produce a healthy link.
-			p.met.netReconnect(time.Since(start).Seconds())
+			p.met.netReconnectH.Observe(time.Since(start).Seconds())
 			p.rec.Instant("net-reconnect", trace.Attr{Key: "endpoint", Str: ep.addr})
 		}
 		return &Lease{pool: p, ep: ep, addr: ep.addr, conn: conn, fw: fw, fr: fr}, nil
@@ -271,7 +271,7 @@ func (p *Pool) connect(ctx context.Context, ep *endpoint) (net.Conn, *FrameWrite
 	p.mu.Lock()
 	p.stats.Dials++
 	p.mu.Unlock()
-	p.met.netDial()
+	p.met.netDials.Inc()
 	dctx, cancel := context.WithTimeout(ctx, p.dialTimeout())
 	defer cancel()
 	conn, err := p.dialFunc()(dctx, ep.addr)
@@ -279,7 +279,7 @@ func (p *Pool) connect(ctx context.Context, ep *endpoint) (net.Conn, *FrameWrite
 		p.mu.Lock()
 		p.stats.DialFailures++
 		p.mu.Unlock()
-		p.met.netDialFail()
+		p.met.netDialFailures.Inc()
 		return nil, nil, nil, joinerr.WrapAs("shard", "dial", joinerr.KindShard, err)
 	}
 	fw := NewFrameWriter(conn)
@@ -299,7 +299,7 @@ func (p *Pool) connect(ctx context.Context, ep *endpoint) (net.Conn, *FrameWrite
 		p.mu.Lock()
 		p.stats.PingFailures++
 		p.mu.Unlock()
-		p.met.netPingFail()
+		p.met.netPingFailures.Inc()
 		return nil, nil, nil, joinerr.WrapAs("shard", "ping", joinerr.KindShard, pingErr)
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -323,10 +323,10 @@ func (p *Pool) fail(ep *endpoint) {
 		quarantine = false
 	}
 	p.mu.Unlock()
-	p.met.netEvict()
+	p.met.netEvictions.Inc()
 	p.rec.Instant("net-evict", trace.Attr{Key: "endpoint", Str: ep.addr})
 	if quarantine {
-		p.met.netQuarantine()
+		p.met.netQuarantined.Inc()
 		p.rec.Instant("net-quarantine", trace.Attr{Key: "endpoint", Str: ep.addr})
 	}
 }

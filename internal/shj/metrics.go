@@ -14,21 +14,22 @@ const (
 	metOverflows = "shj.overflows"
 	// metBucketsDone counts joinable bucket pairs completed.
 	metBucketsDone = "shj.buckets.done"
+	// metSweepTests counts the internal algorithm's candidate tests.
+	metSweepTests = "shj.sweep.tests"
+	// metSweepTouches counts the status-structure nodes the internal
+	// algorithm visited, by "alg" label (list, trie, nested).
+	metSweepTouches = "shj.sweep.touches"
+	// metBucketFill is the distribution of records (build plus probe
+	// side) over the buckets.
+	metBucketFill = "shj.bucket.fill"
 )
 
 // publishMetrics adds one finished join's totals to the process-
-// lifetime counters; a no-op without a registry.
-func publishMetrics(m *metrics.Registry, st *Stats) {
-	if m == nil {
-		return
-	}
+// lifetime counters; the handles of a nil registry are no-ops.
+func publishMetrics(m *metrics.Registry, st *Stats, alg string) {
 	m.Counter(metReplicationCopies).Add(st.CopiesS)
 	m.Counter(metOrphans).Add(st.Orphans)
 	m.Counter(metOverflows).Add(int64(st.Overflows))
-}
-
-// bucketsDoneCounter resolves the live buckets-done counter (nil-safe
-// handle; nil without a registry).
-func bucketsDoneCounter(m *metrics.Registry) *metrics.Counter {
-	return m.Counter(metBucketsDone)
+	m.Counter(metSweepTests).Add(st.Tests)
+	m.CounterVec(metSweepTouches, "alg").With(alg).Add(st.Touches)
 }

@@ -279,6 +279,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	sp = cfg.Trace.Child(PhaseJoin.String())
 	var units []*bucket
 	var unitWeight []float64
+	bucketFill := cfg.Metrics.Histogram(metBucketFill)
 	for _, b := range buckets {
 		// A bucket pair is an expensive unit, so poll immediately:
 		// cancellation latency is bounded by one pair, not 256.
@@ -286,9 +287,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			break
 		}
 		nS := recfile.NumKPEs(b.fS)
-		if cfg.Trace != nil {
-			cfg.Trace.Observe("shj.bucket.fill", float64(int64(b.nR)+nS))
-		}
+		bucketFill.Observe(float64(int64(b.nR) + nS))
 		if b.nR == 0 || nS == 0 {
 			// nR is tracked in memory, but nS derives from the file
 			// length: a torn write can shrink the bucket's S file below
@@ -326,7 +325,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			emit(p)
 		})
 		recs := make([]int64, len(units))
-		bucketsDone := bucketsDoneCounter(cfg.Metrics)
+		bucketsDone := cfg.Metrics.Counter(metBucketsDone)
 		err = sched.Run(len(units), sched.Options{
 			Workers: workers,
 			Name:    "bucket-worker",
@@ -370,14 +369,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if err != nil {
 		return st, joinerr.Wrap("shj", PhaseJoin.String(), err)
 	}
-	if t := cfg.Trace; t != nil {
-		t.Count("shj.replication.copies", st.CopiesS)
-		t.Count("shj.orphans", st.Orphans)
-		t.Count("shj.sweep.tests", st.Tests)
-		t.Count("shj.sweep.touches."+alg.Name(), st.Touches)
-		t.Count("shj.overflows", int64(st.Overflows))
-	}
-	publishMetrics(cfg.Metrics, &st)
+	publishMetrics(cfg.Metrics, &st, alg.Name())
 	return st, nil
 }
 

@@ -27,6 +27,7 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/trace"
@@ -79,6 +80,9 @@ type Config struct {
 	// Gov, when non-nil, admission-controls the memory the extra
 	// parallel sort workers claim beyond the join's own budget.
 	Gov *govern.Governor
+	// Metrics, when non-nil, publishes the join's totals (sweep tests and
+	// touches, sort runs).
+	Metrics *metrics.Registry
 }
 
 func (c *Config) bufPages() int {
@@ -198,11 +202,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if err != nil {
 		return st, joinerr.Wrap("sssj", PhaseSweep.String(), err)
 	}
-	if cfg.Trace != nil {
-		cfg.Trace.Count("sssj.sweep.tests", st.Tests)
-		cfg.Trace.Count("sssj.sweep.touches."+string(kind), st.Touches)
-		cfg.Trace.Count("sssj.sort.runs", int64(st.SortRuns))
-	}
+	publishMetrics(cfg.Metrics, &st, string(kind))
 	return st, nil
 }
 

@@ -3,7 +3,6 @@ package sssj
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,27 +10,11 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/sweep"
 )
 
 func newDisk() *diskio.Disk { return diskio.NewDisk(1024, 10, time.Millisecond) }
-
-func naive(rs, ss []geom.KPE) []geom.Pair {
-	var out []geom.Pair
-	for _, r := range rs {
-		for _, s := range ss {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []geom.Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
 
 func run(t *testing.T, R, S []geom.KPE, cfg Config) ([]geom.Pair, Stats) {
 	t.Helper()
@@ -58,10 +41,10 @@ func TestConfigErrors(t *testing.T) {
 func TestMatchesOracle(t *testing.T) {
 	R := datagen.LARR(1, 1200).KPEs
 	S := datagen.LAST(2, 1200).KPEs
-	want := naive(R, S)
+	want := jointest.Naive(R, S)
 	for _, alg := range []sweep.Kind{sweep.ListKind, sweep.TrieKind, ""} {
 		got, st := run(t, R, S, Config{Memory: 16 << 10, Algorithm: alg})
-		sortPairs(got)
+		jointest.SortPairs(got)
 		if len(got) != len(want) {
 			t.Fatalf("alg=%q: %d pairs, want %d", alg, len(got), len(want))
 		}
@@ -174,8 +157,8 @@ func TestOracleProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := naive(R, S)
-		sortPairs(got)
+		want := jointest.Naive(R, S)
+		jointest.SortPairs(got)
 		if len(got) != len(want) {
 			return false
 		}

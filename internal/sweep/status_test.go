@@ -8,6 +8,7 @@ import (
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 )
 
 // statusSweep joins two slices through the streaming Status interface
@@ -35,14 +36,14 @@ func statusSweep(kind Kind, rs, ss []geom.KPE) []geom.Pair {
 			stS.Insert(s)
 		}
 	}
-	sortPairs(out)
+	jointest.SortPairs(out)
 	return out
 }
 
 func TestStatusSweepMatchesOracle(t *testing.T) {
 	rs := datagen.Uniform(1, 500, 0.04)
 	ss := datagen.Uniform(2, 500, 0.04)
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	for _, kind := range []Kind{ListKind, TrieKind, NestedLoopsKind} {
 		got := statusSweep(kind, rs, ss)
 		comparePairs(t, "status-"+string(kind), got, want)
@@ -94,7 +95,7 @@ func TestStatusEquivalenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rs := randomKPEs(rng, int(nr)%50+1)
 		ss := randomKPEs(rng, int(ns)%50+1)
-		want := naive(rs, ss)
+		want := jointest.Naive(rs, ss)
 		for _, kind := range []Kind{ListKind, TrieKind} {
 			got := statusSweep(kind, rs, ss)
 			if len(got) != len(want) {
@@ -162,7 +163,7 @@ func TestStatusTrieDegenerateExtentFallsBackToList(t *testing.T) {
 		rs[i] = geom.KPE{ID: uint64(i), Rect: geom.NewRect(x, 0.5, x+0.1, 0.5)}
 		ss[i] = geom.KPE{ID: uint64(100 + i), Rect: geom.NewRect(x+0.05, 0.5, x+0.12, 0.5)}
 	}
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	got := statusSweepExtent(TrieKind, 0.5, 0.5, rs, ss)
 	comparePairs(t, "degenerate-trie", got, want)
 }
@@ -191,6 +192,6 @@ func statusSweepExtent(kind Kind, ymin, ymax float64, rs, ss []geom.KPE) []geom.
 			stS.Insert(s)
 		}
 	}
-	sortPairs(out)
+	jointest.SortPairs(out)
 	return out
 }

@@ -2,31 +2,13 @@ package sweep
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
 )
-
-// naive computes the ground truth as sorted (R.ID, S.ID) pairs.
-func naive(rs, ss []geom.KPE) []geom.Pair {
-	var out []geom.Pair
-	for _, r := range rs {
-		for _, s := range ss {
-			if r.Rect.Intersects(s.Rect) {
-				out = append(out, geom.Pair{R: r.ID, S: s.ID})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-func sortPairs(ps []geom.Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
-}
 
 func collect(a Algorithm, rs, ss []geom.KPE) []geom.Pair {
 	// Copy inputs: Join may reorder.
@@ -36,7 +18,7 @@ func collect(a Algorithm, rs, ss []geom.KPE) []geom.Pair {
 	a.Join(rc, sc, func(r, s geom.KPE) {
 		out = append(out, geom.Pair{R: r.ID, S: s.ID})
 	})
-	sortPairs(out)
+	jointest.SortPairs(out)
 	return out
 }
 
@@ -59,7 +41,7 @@ func comparePairs(t *testing.T, name string, got, want []geom.Pair) {
 func TestAlgorithmsMatchOracleUniform(t *testing.T) {
 	rs := datagen.Uniform(1, 400, 0.06)
 	ss := datagen.Uniform(2, 400, 0.06)
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	if len(want) == 0 {
 		t.Fatal("test data produced no intersections")
 	}
@@ -71,7 +53,7 @@ func TestAlgorithmsMatchOracleUniform(t *testing.T) {
 func TestAlgorithmsMatchOracleClustered(t *testing.T) {
 	rs := datagen.LARR(3, 600).KPEs
 	ss := datagen.LAST(4, 600).KPEs
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	for _, a := range allAlgorithms() {
 		comparePairs(t, a.Name(), collect(a, rs, ss), want)
 	}
@@ -79,7 +61,7 @@ func TestAlgorithmsMatchOracleClustered(t *testing.T) {
 
 func TestAlgorithmsSelfJoin(t *testing.T) {
 	rs := datagen.Uniform(5, 300, 0.05)
-	want := naive(rs, rs)
+	want := jointest.Naive(rs, rs)
 	for _, a := range allAlgorithms() {
 		comparePairs(t, a.Name(), collect(a, rs, rs), want)
 	}
@@ -115,7 +97,7 @@ func TestAlgorithmsDegenerateRects(t *testing.T) {
 		{ID: 2, Rect: geom.NewRect(0.9, 0.5, 1.0, 0.5)}, // touches segment 1 endpoint
 		{ID: 3, Rect: geom.NewRect(0.0, 0.0, 0.1, 0.1)},
 	}
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	for _, a := range allAlgorithms() {
 		comparePairs(t, a.Name(), collect(a, rs, ss), want)
 	}
@@ -126,7 +108,7 @@ func TestAlgorithmsEquivalenceProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rs := randomKPEs(rng, int(nr)%60+1)
 		ss := randomKPEs(rng, int(ns)%60+1)
-		want := naive(rs, ss)
+		want := jointest.Naive(rs, ss)
 		for _, a := range allAlgorithms() {
 			got := collect(a, rs, ss)
 			if len(got) != len(want) {
@@ -215,7 +197,7 @@ func TestNewSelectsKinds(t *testing.T) {
 func TestTrieCustomDepth(t *testing.T) {
 	rs := datagen.Uniform(11, 200, 0.05)
 	ss := datagen.Uniform(12, 200, 0.05)
-	want := naive(rs, ss)
+	want := jointest.Naive(rs, ss)
 	for _, depth := range []int{1, 4, 24} {
 		a := &TrieSweep{Depth: depth}
 		comparePairs(t, "trie-depth", collect(a, rs, ss), want)

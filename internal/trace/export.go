@@ -9,53 +9,29 @@ import (
 	"time"
 )
 
-// snapshot returns spans sorted for tree traversal (by start, ties by
-// ID, so parents precede children), plus counters and histograms in
-// first-use order.
-func (r *Recorder) snapshot() (spans []SpanData, counters []struct {
-	Name string
-	Val  int64
-}, hists []struct {
-	Name string
-	H    Histogram
-}) {
-	if r == nil {
-		return nil, nil, nil
-	}
-	r.mu.Lock()
-	spans = make([]SpanData, len(r.spans))
-	copy(spans, r.spans)
-	for _, name := range r.corder {
-		counters = append(counters, struct {
-			Name string
-			Val  int64
-		}{name, r.counters[name]})
-	}
-	for _, name := range r.horder {
-		hists = append(hists, struct {
-			Name string
-			H    Histogram
-		}{name, *r.hists[name]})
-	}
-	r.mu.Unlock()
+// sorted returns the spans sorted for tree traversal: by start, ties by
+// ID, so parents precede children.
+func (r *Recorder) sorted() []SpanData {
+	spans := r.Spans()
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
 			return spans[i].Start < spans[j].Start
 		}
 		return spans[i].ID < spans[j].ID
 	})
-	return spans, counters, hists
+	return spans
 }
 
 // WriteTree renders the human-readable phase-tree summary: every span
 // with wall time, I/O delta (requests, pages, cost units) and record
-// count, nested under its parent, followed by counters and histograms.
+// count, nested under its parent, followed by a tally of the instant
+// events (I/O retries and faults, cancellation, shard supervision).
 func (r *Recorder) WriteTree(w io.Writer) error {
 	if r == nil {
 		_, err := fmt.Fprintln(w, "(no trace recorded)")
 		return err
 	}
-	spans, counters, hists := r.snapshot()
+	spans := r.sorted()
 	children := make(map[int64][]int)
 	events := make(map[string]int64)
 	var roots []int
@@ -110,50 +86,13 @@ func (r *Recorder) WriteTree(w io.Writer) error {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		fmt.Fprintf(w, "io events:")
+		fmt.Fprintf(w, "events:")
 		for _, n := range names {
 			fmt.Fprintf(w, " %s×%d", n, events[n])
 		}
 		fmt.Fprintln(w)
 	}
-	if len(counters) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, c := range counters {
-			fmt.Fprintf(w, "  %-32s %d\n", c.Name, c.Val)
-		}
-	}
-	if len(hists) > 0 {
-		fmt.Fprintln(w, "histograms:")
-		for _, h := range hists {
-			fmt.Fprintf(w, "  %-32s n=%d min=%.1f mean=%.1f max=%.1f\n",
-				h.Name, h.H.Count, h.H.Min, h.H.Mean(), h.H.Max)
-		}
-	}
 	return nil
-}
-
-// jsonlEvent is the JSONL event-stream schema: one object per line with
-// a "type" discriminator ("span", "event", "counter", "hist").
-type jsonlEvent struct {
-	Type    string           `json:"type"`
-	Name    string           `json:"name"`
-	ID      int64            `json:"id,omitempty"`
-	Parent  int64            `json:"parent,omitempty"`
-	StartUS float64          `json:"start_us,omitempty"`
-	DurUS   float64          `json:"dur_us,omitempty"`
-	IO      *IOStats         `json:"io,omitempty"`
-	Records int64            `json:"records,omitempty"`
-	Attrs   map[string]any   `json:"attrs,omitempty"`
-	Value   int64            `json:"value,omitempty"`
-	Hist    *histogramExport `json:"hist,omitempty"`
-}
-
-type histogramExport struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Min   float64 `json:"min"`
-	Mean  float64 `json:"mean"`
-	Max   float64 `json:"max"`
 }
 
 func attrMap(attrs []Attr) map[string]any {
@@ -169,46 +108,6 @@ func attrMap(attrs []Attr) map[string]any {
 		}
 	}
 	return m
-}
-
-// WriteJSONL emits the full trace as a JSON-Lines event stream: spans
-// and instant events in start order, then counters and histograms.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	spans, counters, hists := r.snapshot()
-	enc := json.NewEncoder(w)
-	for _, s := range spans {
-		ev := jsonlEvent{
-			Type:    "span",
-			Name:    s.Name,
-			ID:      s.ID,
-			Parent:  s.Parent,
-			StartUS: float64(s.Start) / float64(time.Microsecond),
-			DurUS:   float64(s.Dur) / float64(time.Microsecond),
-			Records: s.Records,
-			Attrs:   attrMap(s.Attrs),
-		}
-		if s.Instant {
-			ev.Type = "event"
-		} else {
-			io := s.IO
-			ev.IO = &io
-		}
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	for _, c := range counters {
-		if err := enc.Encode(jsonlEvent{Type: "counter", Name: c.Name, Value: c.Val}); err != nil {
-			return err
-		}
-	}
-	for _, h := range hists {
-		hx := &histogramExport{Count: h.H.Count, Sum: h.H.Sum, Min: h.H.Min, Mean: h.H.Mean(), Max: h.H.Max}
-		if err := enc.Encode(jsonlEvent{Type: "hist", Name: h.Name, Hist: hx}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // chromeEvent is one entry of the Chrome trace_event JSON array format
@@ -232,7 +131,7 @@ type chromeEvent struct {
 // lanes ("threads"): a span lands on its parent's lane when the parent
 // is the innermost open span there, otherwise on a fresh lane.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	spans, counters, hists := r.snapshot()
+	spans := r.sorted()
 
 	type openEntry struct {
 		id  int64
@@ -298,20 +197,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			PID: 1, TID: li + 1, Args: args,
 		})
 	}
-	if len(counters) > 0 || len(hists) > 0 {
-		args := map[string]any{}
-		for _, c := range counters {
-			args[c.Name] = c.Val
-		}
-		for _, h := range hists {
-			args[h.Name] = map[string]any{
-				"count": h.H.Count, "min": h.H.Min, "mean": h.H.Mean(), "max": h.H.Max,
-			}
-		}
-		events = append(events, chromeEvent{
-			Name: "counters", Phase: "i", TS: 0, PID: 1, TID: 0, Scope: "g", Args: args,
-		})
-	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
 }
@@ -322,7 +207,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 // well-instrumented join keeps this ≥0.95 — gaps mean unattributed
 // work. Returns 1 when there are no root spans with children.
 func (r *Recorder) Coverage() float64 {
-	spans, _, _ := r.snapshot()
+	spans := r.Spans()
 	children := make(map[int64][][2]time.Duration)
 	for _, s := range spans {
 		if s.Instant || s.Parent == 0 {

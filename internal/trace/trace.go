@@ -1,6 +1,6 @@
-// Package trace is the unified observability layer of the spatial-join
-// library: a zero-dependency recorder of hierarchical spans, counters and
-// histograms that every join method threads its phases through.
+// Package trace records where one join's time and I/O went: a
+// zero-dependency recorder of hierarchical spans and instant events that
+// every join method threads its phases through.
 //
 // The paper's claims are phase-level cost arguments — RPM removes the
 // final sort phase, the trie/list crossover moves with partition size,
@@ -11,10 +11,12 @@
 // span owns partition/sort/join/dup-removal phase spans, which own
 // per-pair, heal and external-sort spans.
 //
-// Counters record the paper-specific totals (duplicates suppressed by
-// the Reference Point Method, reference-point tests, replication copies
-// per S³J level, sweep node touches) and histograms record
-// distributions (partition fill, bucket fill).
+// Time lives here and nowhere else; counts do not live here at all. The
+// paper-specific totals (duplicates suppressed by the Reference Point
+// Method, reference-point tests, replication copies per S³J level, sweep
+// node touches) and distributions (partition fill, bucket fill) are
+// series of package metrics, the per-join result is the method's Stats,
+// and a per-join delta is Snapshot().Sub(before) — DESIGN.md §13.
 //
 // # Nil fast path
 //
@@ -28,7 +30,7 @@
 // # Concurrency
 //
 // A Recorder is safe for concurrent use: parallel PBSM workers open and
-// close spans and bump counters under the recorder's own mutex. A single
+// close spans under the recorder's own mutex. A single
 // Span, however, belongs to the goroutine that created it (Child is safe
 // to call concurrently on a shared parent; AddRecords/SetAttr/End are
 // not). A Recorder observes one disk at a time via SetIOSource — attach
@@ -98,62 +100,20 @@ type SpanData struct {
 // End returns the span's end offset from the recorder epoch.
 func (s *SpanData) End() time.Duration { return s.Start + s.Dur }
 
-// Histogram summarizes a stream of float64 observations: count, sum,
-// min, max and power-of-two magnitude buckets (bucket i counts values v
-// with 2^(i-1) ≤ v < 2^i; bucket 0 counts v < 1).
-type Histogram struct {
-	Count    int64
-	Sum      float64
-	Min, Max float64
-	Buckets  [48]int64
-}
-
-// Mean returns the average observation (0 for an empty histogram).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-func (h *Histogram) observe(v float64) {
-	if h.Count == 0 || v < h.Min {
-		h.Min = v
-	}
-	if h.Count == 0 || v > h.Max {
-		h.Max = v
-	}
-	h.Count++
-	h.Sum += v
-	b := 0
-	for x := v; x >= 1 && b < len(h.Buckets)-1; x /= 2 {
-		b++
-	}
-	h.Buckets[b]++
-}
-
-// Recorder collects spans, counters and histograms for one traced
+// Recorder collects the spans and instant events of one traced
 // workload. The zero value is not usable; call New. All methods are safe
 // on a nil receiver (no-ops) and safe for concurrent use otherwise.
 type Recorder struct {
-	mu       sync.Mutex
-	epoch    time.Time             // immutable after New
-	ioFn     func() IOStats        // guarded by mu
-	spans    []SpanData            // guarded by mu
-	counters map[string]int64      // guarded by mu
-	corder   []string              // guarded by mu
-	hists    map[string]*Histogram // guarded by mu
-	horder   []string              // guarded by mu
-	nextID   int64                 // guarded by mu
+	mu     sync.Mutex
+	epoch  time.Time      // immutable after New
+	ioFn   func() IOStats // guarded by mu
+	spans  []SpanData     // guarded by mu
+	nextID int64          // guarded by mu
 }
 
 // New returns an empty Recorder whose epoch is now.
 func New() *Recorder {
-	return &Recorder{
-		epoch:    time.Now(),
-		counters: make(map[string]int64),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Recorder{epoch: time.Now()}
 }
 
 // SetIOSource installs the snapshot function spans use to attribute I/O
@@ -197,65 +157,20 @@ func (r *Recorder) open(name string, parent int64) *Span {
 	return &Span{r: r, id: id, parent: parent, name: name, start: start, io0: io0}
 }
 
-// Count adds delta to the named counter.
-func (r *Recorder) Count(name string, delta int64) {
-	if r == nil || delta == 0 {
-		return
-	}
-	r.mu.Lock()
-	if _, ok := r.counters[name]; !ok {
-		r.corder = append(r.corder, name)
-	}
-	r.counters[name] += delta
-	r.mu.Unlock()
-}
-
-// Observe records one value into the named histogram.
-func (r *Recorder) Observe(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-		r.horder = append(r.horder, name)
-	}
-	h.observe(v)
-	r.mu.Unlock()
-}
-
 // IOEvent records an instant event attributed to the storage layer: a
 // request retry after a transient fault, an injected latency spike, a
 // torn write or bit flip. It implements the diskio.Tracer interface so a
 // *Recorder can be attached to a Disk directly. Events are stored as
-// zero-duration root spans and tallied under the "io." counter prefix.
+// zero-duration root spans; their tallies are the registry's
+// diskio.retries and diskio.faults.injected.
 func (r *Recorder) IOEvent(kind, file string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.nextID++
-	r.spans = append(r.spans, SpanData{
-		ID:      r.nextID,
-		Name:    kind,
-		Start:   time.Since(r.epoch),
-		Instant: true,
-		Attrs:   []Attr{{Key: "file", Str: file}},
-	})
-	if _, ok := r.counters["io."+kind]; !ok {
-		r.corder = append(r.corder, "io."+kind)
-	}
-	r.counters["io."+kind]++
-	r.mu.Unlock()
+	r.Instant(kind, Attr{Key: "file", Str: file})
 }
 
 // Instant records a zero-duration marker event with optional attributes
 // — the trace-visible footprint of a one-off occurrence that is not an
 // interval, such as a join aborted by cancellation (name "cancel", attr
-// "phase"). Events are stored as instant root spans like IOEvent's, but
-// without the "io." counter.
+// "phase"). Events are stored as instant root spans.
 func (r *Recorder) Instant(name string, attrs ...Attr) {
 	if r == nil {
 		return
@@ -270,31 +185,6 @@ func (r *Recorder) Instant(name string, attrs ...Attr) {
 		Attrs:   attrs,
 	})
 	r.mu.Unlock()
-}
-
-// Counter returns the current value of a counter (0 if absent).
-func (r *Recorder) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
-// Histogram returns a copy of the named histogram (nil if absent).
-func (r *Recorder) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		return nil
-	}
-	c := *h
-	return &c
 }
 
 // Spans returns a copy of all finished spans in completion order.
@@ -344,31 +234,6 @@ func (s *Span) SetAttr(key string, v int64) {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Val: v})
-}
-
-// Count forwards to the recorder's counter of the same name.
-func (s *Span) Count(name string, delta int64) {
-	if s == nil {
-		return
-	}
-	s.r.Count(name, delta)
-}
-
-// Observe forwards to the recorder's histogram of the same name.
-func (s *Span) Observe(name string, v float64) {
-	if s == nil {
-		return
-	}
-	s.r.Observe(name, v)
-}
-
-// Recorder returns the owning recorder (nil for a nil span), for sites
-// that need counters without holding a span.
-func (s *Span) Recorder() *Recorder {
-	if s == nil {
-		return nil
-	}
-	return s.r
 }
 
 // End closes the span, capturing its duration and I/O delta. Calling End

@@ -18,25 +18,16 @@ func TestNilRecorderAndSpanAreNoOps(t *testing.T) {
 	// None of these may panic.
 	sp.AddRecords(10)
 	sp.SetAttr("k", 1)
-	sp.Count("c", 1)
-	sp.Observe("h", 1)
 	sp.End()
 	child := sp.Child("x")
 	if child != nil {
 		t.Fatalf("nil span Child = %v, want nil", child)
 	}
-	if sp.Recorder() != nil {
-		t.Fatal("nil span Recorder() want nil")
-	}
-	r.Count("c", 1)
-	r.Observe("h", 1)
 	r.IOEvent("retry", "f")
+	r.Instant("cancel")
 	r.SetIOSource(nil)
-	if got := r.Counter("c"); got != 0 {
-		t.Fatalf("nil recorder Counter = %d", got)
-	}
-	if r.Spans() != nil || r.Histogram("h") != nil {
-		t.Fatal("nil recorder accessors must return nil")
+	if r.Spans() != nil {
+		t.Fatal("nil recorder Spans must return nil")
 	}
 	var buf bytes.Buffer
 	if err := r.WriteTree(&buf); err != nil {
@@ -88,58 +79,38 @@ func TestSpanHierarchyAndIODeltas(t *testing.T) {
 	}
 }
 
-func TestCountersAndHistograms(t *testing.T) {
-	r := New()
-	r.Count("rpm.suppressed", 7)
-	r.Count("rpm.suppressed", 3)
-	r.Count("zero", 0) // no-op, must not register
-	if got := r.Counter("rpm.suppressed"); got != 10 {
-		t.Fatalf("counter = %d, want 10", got)
-	}
-	if got := r.Counter("zero"); got != 0 {
-		t.Fatalf("zero counter = %d", got)
-	}
-	for _, v := range []float64{1, 2, 3, 10} {
-		r.Observe("fill", v)
-	}
-	h := r.Histogram("fill")
-	if h == nil || h.Count != 4 || h.Min != 1 || h.Max != 10 || h.Mean() != 4 {
-		t.Fatalf("histogram = %+v", h)
-	}
-}
-
 func TestIOEventCountsAndSurfacesInExports(t *testing.T) {
 	r := New()
 	sp := r.Begin("join")
 	r.IOEvent("retry", "part-3.rec")
 	r.IOEvent("retry", "part-4.rec")
+	r.Instant("shard-kill", Attr{Key: "shard", Val: 1})
 	sp.End()
-	if got := r.Counter("io.retry"); got != 2 {
-		t.Fatalf("io.retry counter = %d, want 2", got)
-	}
 	var tree bytes.Buffer
 	if err := r.WriteTree(&tree); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tree.String(), "retry×2") {
-		t.Fatalf("tree missing retry events:\n%s", tree.String())
+	// One tally line for every instant, I/O or not: a killed shard is not
+	// an I/O event.
+	if !strings.Contains(tree.String(), "\nevents: retry×2 shard-kill×1\n") {
+		t.Fatalf("tree missing the events line:\n%s", tree.String())
 	}
-	var jl bytes.Buffer
-	if err := r.WriteJSONL(&jl); err != nil {
+	var chrome bytes.Buffer
+	if err := r.WriteChromeTrace(&chrome); err != nil {
 		t.Fatal(err)
 	}
-	events := 0
-	for _, line := range strings.Split(strings.TrimSpace(jl.String()), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if ev["type"] == "event" && ev["name"] == "retry" {
-			events++
+	var events []map[string]any
+	if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	retries := 0
+	for _, ev := range events {
+		if ev["ph"] == "i" && ev["name"] == "retry" {
+			retries++
 		}
 	}
-	if events != 2 {
-		t.Fatalf("JSONL retry events = %d, want 2", events)
+	if retries != 2 {
+		t.Fatalf("Chrome trace retry instants = %d, want 2", retries)
 	}
 }
 
@@ -248,17 +219,12 @@ func TestRecorderConcurrentUse(t *testing.T) {
 				sp := root.Child("pair")
 				sp.AddRecords(1)
 				sp.End()
-				r.Count("n", 1)
-				r.Observe("h", float64(i))
 				r.IOEvent("retry", "f")
 			}
 		}()
 	}
 	wg.Wait()
 	root.End()
-	if got := r.Counter("n"); got != 800 {
-		t.Fatalf("counter = %d, want 800", got)
-	}
 	spans := r.Spans()
 	// 1 root + 800 pairs + 800 instant events.
 	if len(spans) != 1601 {
