@@ -81,9 +81,17 @@ go run ./benchmark -workload pbsm_mem -scale 0.05 -seconds 0 -trace 1 | grep -q 
 
 echo "== repository benchmark smoke (pbsm_ext, traced pass) =="
 # The external path through the same oracle and gates. At scale 0.25 the
-# top pairs hold about 8k records (K = 3), so the striped pair path and
-# repartitioning both run; at 0.05 neither does.
-go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
+# top pairs hold about 8k records (K = 3), so the striped pair path runs
+# (at 0.05 it does not). Repartitioning does not, and that is the
+# contract: the planner packs the tiles of this skewed input so that every
+# pair fits the budget, which the traced pass prints as zero repartitions
+# and zero memory overflows. (The fallback itself is covered by the pbsm
+# tests, which force it with a tile heavier than the budget.)
+extsmoke=$(mktemp /tmp/sjbench-ext.XXXXXX.txt)
+trap 'rm -f "$extsmoke"' EXIT
+go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | tee "$extsmoke" | grep -q '"correct":true'
+grep -Eq '^ +pbsm\.repartitions +0 count' "$extsmoke"
+grep -Eq '^ +pbsm\.memory_overflows +0 count' "$extsmoke"
 
 echo "== repository benchmark smoke (s3j_ext, traced pass) =="
 # S3J's external path through the same oracle and gates: the chunk index
@@ -95,7 +103,7 @@ go run ./benchmark -workload s3j_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '
 
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)
-trap 'rm -f "$tracefile"' EXIT
+trap 'rm -f "$extsmoke" "$tracefile"' EXIT
 # sjbench self-validates: re-reads the file, parses the JSON array and
 # checks span-tree coverage >= 95%, printing "trace OK" on success.
 # 8000 records, not fewer: the one join of a fresh process pays some

@@ -179,6 +179,12 @@ func TestFig6Shapes(t *testing.T) {
 		t.Fatalf("repartitioning must diminish with memory: %.2f -> %.2f",
 			small.RepartFrac, large.RepartFrac)
 	}
+	// The balanced plan beside the paper's never repartitions more.
+	for _, r := range rows {
+		if r.BalancedRepartitions > r.Repartitions {
+			t.Fatalf("mem %.3f: balanced plan repartitions %d times, hash plan %d", r.MemFrac, r.BalancedRepartitions, r.Repartitions)
+		}
+	}
 }
 
 func TestFig11Shapes(t *testing.T) {

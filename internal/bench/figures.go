@@ -39,14 +39,14 @@ type Fig3Row struct {
 
 // RunFig3 regenerates Figure 3: PBSM with sort-based duplicate removal vs.
 // PBSM with the Reference Point Method on joins J1–J4 at the paper's
-// 2.5 MB-equivalent memory budget.
+// 2.5 MB-equivalent memory budget, both on the paper's hash plan.
 func RunFig3(s *Suite) ([]Fig3Row, *Table) {
 	var rows []Fig3Row
 	for _, j := range []JoinID{J1, J2, J3, J4} {
 		R, S := s.Inputs(j)
 		mem := MemFrac(R, S, LAMemFrac)
-		pd := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, PBSMDup: pbsm.DupSort})
-		rp := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, PBSMDup: pbsm.DupRPM})
+		pd := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, PBSMDup: pbsm.DupSort, PBSMHashTiles: true})
+		rp := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, PBSMDup: pbsm.DupRPM, PBSMHashTiles: true})
 		st := pd.PBSMStats
 		rows = append(rows, Fig3Row{
 			Join:        j,
@@ -131,7 +131,8 @@ func RunFig4(s *Suite, joins []JoinID) ([]Fig4Row, *Table) {
 // does — it is measured on the kernel: ListTests/TrieTests come from
 // PBSM's own grid and partitions with each pair swept once, unstriped.
 // The Shipped columns are the production join beside it, which stripes
-// every loaded pair (pbsm/stripes.go) and flattens the list curve.
+// every loaded pair (pbsm/stripes.go) and flattens the list curve. Both
+// run the paper's hash plan (pbsm.PlanGrid, PBSMHashTiles).
 type Fig5Row struct {
 	MemFrac                            float64
 	PaperMB                            float64
@@ -182,8 +183,8 @@ func RunFig5(s *Suite, fracs []float64) ([]Fig5Row, *Table) {
 		mem := MemFrac(R, S, f)
 		gs := pbsm.PlanGrid(len(R), len(S), pbsm.Config{Memory: mem})
 		listTests, trieTests := pairSweepTests(R, S, gs)
-		list := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, Algorithm: sweep.ListKind})
-		trie := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, Algorithm: sweep.TrieKind})
+		list := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, Algorithm: sweep.ListKind, PBSMHashTiles: true})
+		trie := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, Algorithm: sweep.TrieKind, PBSMHashTiles: true})
 		rows = append(rows, Fig5Row{
 			MemFrac:          f,
 			PaperMB:          PaperMB(mem),
@@ -213,13 +214,32 @@ func RunFig5(s *Suite, fracs []float64) ([]Fig5Row, *Table) {
 }
 
 // Fig6Row reports the fraction of PBSM's total runtime spent
-// repartitioning at one memory budget (Figure 6).
+// repartitioning at one memory budget (Figure 6): on the paper's hash
+// plan, which is the figure's subject, and beside it on the balanced
+// plan the join runs by default (the Balanced fields).
 type Fig6Row struct {
 	MemFrac      float64
 	PaperMB      float64
 	Repartitions int
 	RepartFrac   float64 // repartition share of total (CPU+I/O) time
 	Total        time.Duration
+
+	BalancedRepartitions int
+	BalancedRepartFrac   float64
+	BalancedTotal        time.Duration
+}
+
+// repartShare is the share of res's total (CPU + simulated I/O) time the
+// repartition phase took.
+func repartShare(res core.Result) float64 {
+	if res.Total <= 0 || res.IO.CostUnits == 0 {
+		return 0
+	}
+	st := res.PBSMStats
+	perUnit := res.IOTime.Seconds() / res.IO.CostUnits
+	repart := st.PhaseCPU[pbsm.PhaseRepartition].Seconds() +
+		st.PhaseIO[pbsm.PhaseRepartition].CostUnits*perUnit
+	return repart / res.Total.Seconds()
 }
 
 // RunFig6 regenerates Figure 6 over the given memory fractions (nil
@@ -232,35 +252,33 @@ func RunFig6(s *Suite, fracs []float64) ([]Fig6Row, *Table) {
 	var rows []Fig6Row
 	for _, f := range fracs {
 		mem := MemFrac(R, S, f)
-		res := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, Algorithm: sweep.ListKind})
-		st := res.PBSMStats
-		disk := res.IOTime.Seconds() / res.IO.CostUnits // seconds per unit
-		if res.IO.CostUnits == 0 {
-			disk = 0
-		}
-		repart := st.PhaseCPU[pbsm.PhaseRepartition].Seconds() +
-			st.PhaseIO[pbsm.PhaseRepartition].CostUnits*disk
-		frac := 0.0
-		if res.Total > 0 {
-			frac = repart / res.Total.Seconds()
-		}
+		cfg := core.Config{Method: core.PBSM, Memory: mem, Algorithm: sweep.ListKind}
+		bal := s.runCore(R, S, cfg)
+		cfg.PBSMHashTiles = true
+		res := s.runCore(R, S, cfg)
 		rows = append(rows, Fig6Row{
 			MemFrac:      f,
 			PaperMB:      PaperMB(mem),
-			Repartitions: st.Repartitions,
-			RepartFrac:   frac,
+			Repartitions: res.PBSMStats.Repartitions,
+			RepartFrac:   repartShare(res),
 			Total:        res.Total,
+
+			BalancedRepartitions: bal.PBSMStats.Repartitions,
+			BalancedRepartFrac:   repartShare(bal),
+			BalancedTotal:        bal.Total,
 		})
 	}
 	t := &Table{
-		Title:  "Figure 6: share of PBSM runtime spent repartitioning (join J5)",
-		Note:   "paper: ~20% at very small memory, vanishing for larger memory",
-		Header: []string{"mem (frac)", "mem (paper MB)", "repartitions", "repart share", "total (s)"},
+		Title: "Figure 6: share of PBSM runtime spent repartitioning (join J5)",
+		Note: "paper: ~20% at very small memory, vanishing for larger memory. " +
+			"hash = the paper's plan (tiles hashed onto partitions); balanced = the default plan (tiles packed by their record counts)",
+		Header: []string{"mem (frac)", "mem (paper MB)", "repartitions", "repart share", "total (s)",
+			"balanced repartitions", "balanced share", "balanced total (s)"},
 	}
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%.3f", r.MemFrac), fmt.Sprintf("%.1f", r.PaperMB),
-			fmt.Sprintf("%d", r.Repartitions), fmt.Sprintf("%.1f%%", 100*r.RepartFrac),
-			fsec(r.Total))
+			fmt.Sprintf("%d", r.Repartitions), fmt.Sprintf("%.1f%%", 100*r.RepartFrac), fsec(r.Total),
+			fmt.Sprintf("%d", r.BalancedRepartitions), fmt.Sprintf("%.1f%%", 100*r.BalancedRepartFrac), fsec(r.BalancedTotal))
 	}
 	return rows, t
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // PlanRow compares the analytic I/O prediction of internal/plan with the
-// measured cost for one method.
+// measured cost for one method at one memory fraction.
 type PlanRow struct {
 	Method    core.Method
+	MemFrac   float64
 	Predicted float64
 	Measured  float64
 }
@@ -25,43 +26,52 @@ func (r PlanRow) Ratio() float64 {
 	return r.Predicted / r.Measured
 }
 
+// SkewMemFrac is the small budget of the plan check's last row: at 5 % of
+// the LA-like input the hash plan repartitioned dozens of times and the
+// model, which prices one write and one read of every copy, was several
+// times low; the balanced plan is what the model describes.
+const SkewMemFrac = 0.05
+
 // RunPlanCheck validates the cost model of internal/plan against
 // measured runs of join J1 at the standard memory fraction — the
-// optimizer-facing counterpart of Table 3.
+// optimizer-facing counterpart of Table 3 — and, for PBSM, at
+// SkewMemFrac, where the input's skew decides whether the plan fits.
 func RunPlanCheck(s *Suite) ([]PlanRow, *Table) {
 	R, S := s.Inputs(J1)
-	mem := MemFrac(R, S, LAMemFrac)
-	w := plan.Workload{
-		NR: len(R), NS: len(S),
-		SampleR: estimate.Sample(R, 1000, s.Seed+41),
-		SampleS: estimate.Sample(S, 1000, s.Seed+42),
-		Memory:  mem,
-	}
-	preds := map[core.Method]plan.Prediction{
-		core.PBSM: plan.PBSM(w, plan.DefaultDevice),
-		core.S3J:  plan.S3J(w, plan.DefaultDevice),
-		core.SSSJ: plan.SSSJ(w, plan.DefaultDevice),
-	}
-	var rows []PlanRow
-	for _, m := range []core.Method{core.PBSM, core.S3J, core.SSSJ} {
-		cfg := core.Config{Method: m, Memory: mem}
-		if m == core.S3J {
-			cfg.S3JMode = s3j.ModeReplicate
+	check := func(m core.Method, frac float64) PlanRow {
+		mem := MemFrac(R, S, frac)
+		w := plan.Workload{
+			NR: len(R), NS: len(S),
+			SampleR: estimate.Sample(R, 1000, s.Seed+41),
+			SampleS: estimate.Sample(S, 1000, s.Seed+42),
+			Memory:  mem,
 		}
-		res := s.runCore(R, S, cfg)
-		rows = append(rows, PlanRow{
-			Method:    m,
-			Predicted: preds[m].IOUnits,
-			Measured:  res.IO.CostUnits,
-		})
+		cfg := core.Config{Method: m, Memory: mem}
+		var pred plan.Prediction
+		switch m {
+		case core.PBSM:
+			pred = plan.PBSM(w, plan.DefaultDevice)
+		case core.S3J:
+			pred = plan.S3J(w, plan.DefaultDevice)
+			cfg.S3JMode = s3j.ModeReplicate
+		case core.SSSJ:
+			pred = plan.SSSJ(w, plan.DefaultDevice)
+		}
+		return PlanRow{Method: m, MemFrac: frac, Predicted: pred.IOUnits, Measured: s.runCore(R, S, cfg).IO.CostUnits}
+	}
+	rows := []PlanRow{
+		check(core.PBSM, LAMemFrac),
+		check(core.S3J, LAMemFrac),
+		check(core.SSSJ, LAMemFrac),
+		check(core.PBSM, SkewMemFrac),
 	}
 	t := &Table{
 		Title:  "Plan check: analytic I/O predictions vs measured (join J1)",
-		Note:   "internal/plan ranks methods for inputs without statistics (§3.2.3); tests require ratios within 2x",
-		Header: []string{"method", "predicted units", "measured units", "ratio"},
+		Note:   "internal/plan ranks methods for inputs without statistics (§3.2.3); tests require PBSM within [0.8, 1.25], the others within 2x",
+		Header: []string{"method", "mem (frac)", "predicted units", "measured units", "ratio"},
 	}
 	for _, r := range rows {
-		t.AddRow(string(r.Method), fmt.Sprintf("%.0f", r.Predicted),
+		t.AddRow(string(r.Method), fmt.Sprintf("%.2f", r.MemFrac), fmt.Sprintf("%.0f", r.Predicted),
 			fmt.Sprintf("%.0f", r.Measured), fmt.Sprintf("%.2f", r.Ratio()))
 	}
 	return rows, t

@@ -82,6 +82,11 @@ type Config struct {
 	PBSMTuneFactor        float64
 	PBSMTilesPerPartition int
 	PBSMMaxRecurse        int
+	// PBSMHashTiles selects the paper's tile→partition hash instead of
+	// the balanced table PBSM plans from the data (pbsm.Config.HashTiles);
+	// for reproducing figures that measure the hash plan. The sharded
+	// executor has no such mode: with Shards > 1 it is rejected.
+	PBSMHashTiles bool
 
 	// Shards, when > 1, executes the join as that many worker OS
 	// processes under the coordinator of package shard: each shard is
@@ -294,6 +299,10 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			return Result{}, joinerr.Wrap("core", "config",
 				fmt.Errorf("Shards=%d is incompatible with DupSort: sharded merge relies on duplicate-free-by-construction partition output (DupRPM or DupTLSP)", cfg.Shards))
 		}
+		if cfg.PBSMHashTiles {
+			return Result{}, joinerr.Wrap("core", "config",
+				fmt.Errorf("Shards=%d is incompatible with PBSMHashTiles: the hash plan exists for the single-process paper reproduction", cfg.Shards))
+		}
 		if sharder == nil {
 			return Result{}, joinerr.Wrap("core", "config",
 				fmt.Errorf("Shards=%d but no shard executor is linked in (import spatialjoin/internal/shard)", cfg.Shards))
@@ -397,6 +406,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			Dup:               cfg.PBSMDup,
 			TuneFactor:        cfg.PBSMTuneFactor,
 			TilesPerPartition: cfg.PBSMTilesPerPartition,
+			HashTiles:         cfg.PBSMHashTiles,
 			MaxRecurse:        cfg.PBSMMaxRecurse,
 			Parallel:          cfg.parallel(),
 			Gov:               cfg.Governor,

@@ -3,21 +3,30 @@ package pbsm
 import "spatialjoin/internal/geom"
 
 // grid is an equidistant tiling of the unit data space with nx × ny
-// tiles, plus the hash mapping tiles to partitions (§3.1). Assigning
+// tiles, plus the table mapping tiles to partitions (§3.1). Assigning
 // multiple tiles to a partition smooths data skew: a KPE goes into every
 // partition owning a tile its rectangle overlaps, which replicates KPEs
 // across partitions.
+//
+// The table is the whole plan, and partOf is one lookup in it. Who fills
+// it is the only thing that differs between grids: the [PD 96]
+// multiplicative hash, which knows nothing but the tile count (hashTiles:
+// PlanGrid and every repartition sub-grid); the identity of a TLSP grid,
+// whose tiles are its partitions (identityTiles); or the balanced packing
+// of an exact tile histogram (PlanGridFor). Partitioner, heal path,
+// PartitionSlices and the Reference Point Method's region test all read
+// the same table, so they agree whatever it holds.
 type grid struct {
 	nx, ny int
 	parts  int
+	assign []int32 // tile id → partition, nx·ny entries, each in [0, parts)
 	// tlsp marks a two-layer space-oriented partitioning grid (tlsp.go):
-	// tiles map 1:1 to partitions (identity instead of the multiplicative
-	// hash) and every copy carries a secondary class.
+	// every copy carries a secondary class.
 	tlsp bool
 }
 
 // newGrid builds a tiling with at least tiles cells, shaped as square as
-// possible, mapping onto parts partitions.
+// possible, hashed onto parts partitions.
 func newGrid(tiles, parts int) *grid {
 	if tiles < parts {
 		tiles = parts
@@ -27,13 +36,40 @@ func newGrid(tiles, parts int) *grid {
 		nx++
 	}
 	ny := (tiles + nx - 1) / nx
-	return &grid{nx: nx, ny: ny, parts: parts}
+	return &grid{nx: nx, ny: ny, parts: parts, assign: hashTiles(nx*ny, parts)}
 }
 
-// clampIdx maps a coordinate in [0,1] to a tile index in [0,n).
+// hashTiles fills a table with the multiplicative (Fibonacci) hash, the
+// mechanism [PD 96] suggests for balancing partitions when NT > P: it
+// spreads neighbouring tiles over different partitions and needs no
+// knowledge of the data.
+func hashTiles(tiles, parts int) []int32 {
+	assign := make([]int32, tiles)
+	for t := range assign {
+		assign[t] = int32(uint64(t) * 0x9E3779B97F4A7C15 % uint64(parts))
+	}
+	return assign
+}
+
+// identityTiles fills a table for a grid whose tiles are its partitions.
+func identityTiles(tiles int) []int32 {
+	assign := make([]int32, tiles)
+	for t := range assign {
+		assign[t] = int32(t)
+	}
+	return assign
+}
+
+// clampIdx maps a coordinate to a tile index in [0,n). It is total: the
+// data space is [0,1], but any float — 1e300, whose product with n no int
+// holds, or NaN — still lands in the first or last cell, because the index
+// goes straight into grid.assign and the planner's histogram.
 func clampIdx(v float64, n int) int {
-	if v <= 0 {
+	if !(v > 0) {
 		return 0
+	}
+	if v >= 1 {
+		return n - 1
 	}
 	i := int(v * float64(n))
 	if i >= n {
@@ -49,17 +85,8 @@ func (g *grid) tileOf(p geom.Point) int {
 	return clampIdx(p.Y, g.ny)*g.nx + clampIdx(p.X, g.nx)
 }
 
-// partOf maps a tile id to its partition via a multiplicative hash
-// (Fibonacci hashing), the mechanism [PD 96] suggests for balancing
-// partitions when NT > P. A TLSP grid has no second layer of hashing:
-// tiles are partitions.
-func (g *grid) partOf(tile int) int {
-	if g.tlsp {
-		return tile
-	}
-	h := uint64(tile) * 0x9E3779B97F4A7C15
-	return int(h % uint64(g.parts))
-}
+// partOf maps a tile id to its partition.
+func (g *grid) partOf(tile int) int { return int(g.assign[tile]) }
 
 // partition returns the partition owning the point p.
 func (g *grid) partition(p geom.Point) int { return g.partOf(g.tileOf(p)) }
@@ -102,7 +129,7 @@ type wholeSpace struct{}
 
 func (wholeSpace) contains(geom.Point) bool { return true }
 
-// gridRegion is the set of tiles of g hashed to partition part.
+// gridRegion is the set of tiles g's table gives to partition part.
 type gridRegion struct {
 	g    *grid
 	part int

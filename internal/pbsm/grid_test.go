@@ -1,6 +1,7 @@
 package pbsm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,19 @@ func TestClampIdx(t *testing.T) {
 		{1.0, 10, 9}, // far boundary clamps into the last cell
 		{2.0, 10, 9},
 		{0.5, 10, 5},
+		// Total: the index goes straight into the tile→partition table and
+		// the planner's histogram, so no float may leave [0, n) — not a
+		// finite one whose product with n overflows every int, not an
+		// infinity, not NaN.
+		{math.Nextafter(1, 0), 10, 9},
+		{1e19, 10, 9},
+		{1e300, 10, 9},
+		{1e300, 1 << 20, 1<<20 - 1},
+		{math.MaxFloat64, 1, 0},
+		{math.Inf(1), 10, 9},
+		{-1e300, 10, 0},
+		{math.Inf(-1), 10, 0},
+		{math.NaN(), 10, 0},
 	}
 	for _, c := range cases {
 		if got := clampIdx(c.v, c.n); got != c.want {
@@ -194,6 +208,49 @@ func TestEveryPointHasExactlyOneOwner(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryPointInDomainHasExactlyOneOwner is the property above where it
+// matters: points spread over the data space, every tile seam i/n, 0 and 1
+// included, and the out-of-domain corners, under a hashed table and under
+// an arbitrary one.
+func TestEveryPointInDomainHasExactlyOneOwner(t *testing.T) {
+	rng := rand.New(rand.NewSource(179))
+	for trial := 0; trial < 200; trial++ {
+		g := newGrid(rng.Intn(40)+1, rng.Intn(12)+1)
+		if trial%2 == 1 {
+			for tile := range g.assign {
+				g.assign[tile] = int32(rng.Intn(g.parts))
+			}
+		}
+		xs, ys := []float64{-1e300, 1e300}, []float64{-1e300, 1e300}
+		for i := 0; i < g.nx; i++ { // each column's left seam and a point inside it
+			xs = append(xs, float64(i)/float64(g.nx), (float64(i)+0.01+0.98*rng.Float64())/float64(g.nx))
+		}
+		for i := 0; i < g.ny; i++ {
+			ys = append(ys, float64(i)/float64(g.ny), (float64(i)+0.01+0.98*rng.Float64())/float64(g.ny))
+		}
+		xs, ys = append(xs, 1), append(ys, 1)
+		tilesHit := make(map[int]bool)
+		for _, x := range xs {
+			for _, y := range ys {
+				p := geom.Point{X: x, Y: y}
+				tilesHit[g.tileOf(p)] = true
+				owners := 0
+				for part := 0; part < g.parts; part++ {
+					if (gridRegion{g, part}).contains(p) {
+						owners++
+					}
+				}
+				if owners != 1 {
+					t.Fatalf("%dx%d grid, %d parts: point %v has %d owners", g.nx, g.ny, g.parts, p, owners)
+				}
+			}
+		}
+		if len(tilesHit) != g.nx*g.ny {
+			t.Fatalf("%dx%d grid: the points reached %d tiles", g.nx, g.ny, len(tilesHit))
+		}
 	}
 }
 

@@ -38,6 +38,11 @@ const (
 	// metSweepTouches counts the status-structure nodes the internal
 	// algorithm visited, by "alg" label (list, trie, nested).
 	metSweepTouches = "pbsm.sweep.touches"
+	// metPlanOversizedTiles counts tiles whose own records exceed Memory:
+	// no table can fit them, their partition repartitions whatever the
+	// planner does. Nonzero means "the plan could not fit", read directly
+	// instead of inferred from metRepartitions.
+	metPlanOversizedTiles = "pbsm.plan.oversized.tiles"
 	// metPartitionFill is the distribution of records (both relations)
 	// over the P top-level partitions: the fill skew.
 	metPartitionFill = "pbsm.partition.fill"

@@ -14,7 +14,7 @@ import (
 
 // This file is the pair-subset execution API the shard layer builds on:
 // a coordinator plans the top-level grid ONCE from the full inputs
-// (PlanGrid), derives any partition's records from source on demand
+// (PlanGridFor), derives any partition's records from source on demand
 // (PartitionSlices — the same scatter the partition phase and the heal
 // path run), and executes individual partition pairs through a
 // PairExec. Because the grid, the memory budget and the repartition
@@ -26,8 +26,8 @@ import (
 
 // GridSpec is a serializable description of the top-level PBSM grid: it
 // crosses the coordinator/worker process boundary in a job frame and
-// fully reconstructs the grid (tile geometry and tile→partition
-// hashing, or the TLSP identity mapping) on the other side.
+// fully reconstructs the grid (tile geometry and the tile→partition
+// table) on the other side.
 type GridSpec struct {
 	NX    int `json:"nx"`
 	NY    int `json:"ny"`
@@ -36,44 +36,82 @@ type GridSpec struct {
 	// 1:1 to partitions and every copy carries a secondary class
 	// (tlsp.go). Must agree with the executing Config.Dup.
 	TLSP bool `json:"tlsp,omitempty"`
+	// Assign is the tile→partition table, NX·NY entries in [0, Parts),
+	// tile id = row·NX + column. It is the plan: whoever holds the spec
+	// scatters and region-tests by this table and nothing else. Absent
+	// only where it could say nothing — Parts == 1 (no grid is used) and
+	// TLSP (the flag is the identity table).
+	Assign []int32 `json:"assign,omitempty"`
+}
+
+// partCount is formula (1) with the tuning factor: the number of
+// partitions whose pairs fit cfg.Memory if nr+ns records spread evenly.
+func partCount(nr, ns int, cfg *Config) int {
+	p := int(math.Ceil(cfg.tune() * float64(int64(nr+ns)*geom.KPESize) / float64(cfg.Memory)))
+	return max(p, 1)
 }
 
 // PlanGrid computes the top-level grid for joining nr+ns records under
-// cfg's memory budget — formula (1) with the tuning factor, exactly as
-// a single-process Join would. Parts == 1 means everything fits in
-// memory and no grid is used (the whole space is one partition).
-// Only cfg.Memory, TuneFactor, TilesPerPartition and Dup are consulted;
-// cfg.Memory must be positive.
+// cfg's memory budget from the counts alone — formula (1) with the
+// tuning factor, NT = TilesPerPartition × P square-ish tiles, and the
+// table filled with the [PD 96] hash (the identity for DupTLSP). Parts
+// == 1 means everything fits in memory and no grid is used (the whole
+// space is one partition). Only cfg.Memory, TuneFactor,
+// TilesPerPartition and Dup are consulted; cfg.Memory must be positive.
+// Join and the shard coordinator plan with PlanGridFor, which keeps this
+// grid and refills the table from the data.
 func PlanGrid(nr, ns int, cfg Config) GridSpec {
-	p := int(math.Ceil(cfg.tune() * float64(int64(nr+ns)*geom.KPESize) / float64(cfg.Memory)))
-	if p < 1 {
-		p = 1
-	}
+	p := partCount(nr, ns, &cfg)
 	tlsp := cfg.Dup == DupTLSP
 	if p == 1 {
 		return GridSpec{NX: 1, NY: 1, Parts: 1, TLSP: tlsp}
 	}
-	var g *grid
 	if tlsp {
-		g = newTLSPGrid(p)
-	} else {
-		g = newGrid(p*cfg.tilesPerPart(), p)
+		g := newTLSPGrid(p)
+		return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, TLSP: true}
 	}
-	return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, TLSP: tlsp}
+	g := newGrid(p*cfg.tilesPerPart(), p)
+	return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, Assign: g.assign}
 }
 
-// grid reconstructs the in-memory grid. Only meaningful for Parts > 1.
+// grid reconstructs the in-memory grid. Only meaningful for a Valid spec
+// with Parts > 1.
 func (s GridSpec) grid() *grid {
-	return &grid{nx: s.NX, ny: s.NY, parts: s.Parts, tlsp: s.TLSP}
+	g := &grid{nx: s.NX, ny: s.NY, parts: s.Parts, assign: s.Assign, tlsp: s.TLSP}
+	if s.TLSP {
+		g.assign = identityTiles(s.NX * s.NY)
+	}
+	return g
 }
 
-// Valid reports whether the spec describes a usable grid. A TLSP grid
-// additionally requires the 1:1 tile/partition mapping.
+// Valid reports whether the spec describes a usable grid: a TLSP grid
+// has the 1:1 tile/partition mapping and no table of its own, any other
+// grid of more than one partition a table of NX·NY entries in [0,
+// Parts).
 func (s GridSpec) Valid() bool {
-	if s.TLSP && s.NX*s.NY != s.Parts {
+	if s.Parts < 1 || s.NX < 1 || s.NY < 1 || s.NX*s.NY < s.Parts {
 		return false
 	}
-	return s.Parts >= 1 && s.NX >= 1 && s.NY >= 1 && s.NX*s.NY >= s.Parts
+	if s.TLSP {
+		return s.NX*s.NY == s.Parts && len(s.Assign) == 0
+	}
+	if s.Parts == 1 && len(s.Assign) == 0 {
+		return true
+	}
+	if len(s.Assign) != s.NX*s.NY {
+		return false
+	}
+	for _, p := range s.Assign {
+		if p < 0 || int(p) >= s.Parts {
+			return false
+		}
+	}
+	return true
+}
+
+// String describes the spec without spelling out the table.
+func (s GridSpec) String() string {
+	return fmt.Sprintf("{%d×%d tiles, %d parts, tlsp=%v, table of %d}", s.NX, s.NY, s.Parts, s.TLSP, len(s.Assign))
 }
 
 // PartitionSlices derives the records of the requested top-level
@@ -85,6 +123,9 @@ func (s GridSpec) Valid() bool {
 // allocated except in the Parts == 1 case, where the single slice
 // aliases ks; callers must treat the slices as read-only.
 func PartitionSlices(ks []geom.KPE, gs GridSpec, parts []int, chk *govern.Check) (map[int][]geom.KPE, error) {
+	if !gs.Valid() {
+		return nil, joinerr.Wrap("pbsm", "partition", fmt.Errorf("invalid grid spec %s", gs))
+	}
 	out := make(map[int][]geom.KPE, len(parts))
 	for _, p := range parts {
 		if p < 0 || p >= gs.Parts {
@@ -142,7 +183,7 @@ func NewPairExec(cfg Config, gs GridSpec) (*PairExec, error) {
 		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("pair-subset execution requires a duplicate-free-by-construction method (DupRPM or DupTLSP), got %v", cfg.Dup))
 	}
 	if !gs.Valid() {
-		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("invalid grid spec %+v", gs))
+		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("invalid grid spec %s", gs))
 	}
 	if gs.TLSP != (cfg.Dup == DupTLSP) {
 		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("grid spec TLSP=%v does not match Config.Dup %v", gs.TLSP, cfg.Dup))

@@ -11,13 +11,20 @@ import (
 )
 
 // TestPairExecMatchesJoin proves the pair-subset API's core contract:
-// planning the grid once, deriving each partition's slices from source
+// planning the grid once with the planner Join uses, deriving each partition's slices from source
 // and running every pair through a PairExec in partition order emits
 // EXACTLY the pair sequence the single-process Join emits — same set,
 // same order — including when pairs recurse through repartitioning.
 func TestPairExecMatchesJoin(t *testing.T) {
 	R := datagen.Uniform(71, 1200, 0.004)
 	S := datagen.Uniform(72, 1200, 0.004)
+	// A cluster no table can spread: one tile of the 5 KiB grid holds more
+	// than the budget, so its pair repartitions under any plan.
+	for i, k := range datagen.Uniform(73, 300, 0.1) {
+		r := k.Rect
+		k.ID, k.Rect = uint64(5000+i), geom.NewRect(0.3+r.XL/100, 0.3+r.YL/100, 0.3+r.XH/100, 0.3+r.YH/100)
+		R, S = append(R, k), append(S, k)
+	}
 	// Small memory forces several partitions and some repartitioning.
 	for _, memory := range []int64{5 << 10, 48 << 10, 4 << 20} {
 		serialDisk := diskio.NewDisk(4096, 20, time.Microsecond)
@@ -30,9 +37,13 @@ func TestPairExecMatchesJoin(t *testing.T) {
 		}
 
 		cfg := Config{Disk: diskio.NewDisk(4096, 20, time.Microsecond), Memory: memory}
-		gs := PlanGrid(len(R), len(S), cfg)
-		if gs.Parts != wantStats.P {
-			t.Fatalf("memory %d: PlanGrid parts = %d, serial P = %d", memory, gs.Parts, wantStats.P)
+		gs, err := PlanGridFor(R, S, cfg)
+		if err != nil {
+			t.Fatalf("memory %d: PlanGridFor: %v", memory, err)
+		}
+		if gs.Parts != wantStats.P || gs.Parts != PlanGrid(len(R), len(S), cfg).Parts {
+			t.Fatalf("memory %d: PlanGridFor parts = %d, PlanGrid %d, serial P = %d",
+				memory, gs.Parts, PlanGrid(len(R), len(S), cfg).Parts, wantStats.P)
 		}
 		parts := make([]int, gs.Parts)
 		for i := range parts {
@@ -83,8 +94,8 @@ func TestPairExecMatchesJoin(t *testing.T) {
 // TestScatterCallersAgree pins the single routing loop from its three
 // callers: per partition, the partition phase's file read back, the
 // PartitionSlices slice and the heal path's re-derived file hold the
-// same records in the same order with the same Class — on a hashed and
-// a TLSP grid, for rectangles on tile seams, at coordinates 0 and 1, and
+// same records in the same order with the same Class — on a hashed, a
+// hand-written and a TLSP table, for rectangles on tile seams, at coordinates 0 and 1, and
 // spanning the domain.
 func TestScatterCallersAgree(t *testing.T) {
 	ks := datagen.Uniform(73, 300, 0.3)
@@ -101,14 +112,15 @@ func TestScatterCallersAgree(t *testing.T) {
 		ks = append(ks, geom.KPE{ID: uint64(1000 + len(ks)), Rect: r})
 	}
 	for _, gs := range []GridSpec{
-		{NX: 4, NY: 4, Parts: 5},
+		{NX: 4, NY: 4, Parts: 5, Assign: hashTiles(16, 5)},
+		{NX: 4, NY: 4, Parts: 5, Assign: []int32{4, 4, 4, 4, 0, 1, 1, 0, 0, 1, 1, 0, 3, 3, 3, 3}}, // partition 2 empty
 		{NX: 4, NY: 3, Parts: 12, TLSP: true},
 	} {
 		d := newDisk()
 		j := &joiner{cfg: Config{Disk: d, Memory: 1 << 20}, reg: d.NewRegistry(), grid: gs.grid()}
 		files, copies, err := j.partitionInput(ks)
 		if err != nil {
-			t.Fatalf("%+v: partitionInput: %v", gs, err)
+			t.Fatalf("%v: partitionInput: %v", gs, err)
 		}
 		parts := make([]int, gs.Parts)
 		for i := range parts {
@@ -116,32 +128,32 @@ func TestScatterCallersAgree(t *testing.T) {
 		}
 		slices, err := PartitionSlices(ks, gs, parts, nil)
 		if err != nil {
-			t.Fatalf("%+v: PartitionSlices: %v", gs, err)
+			t.Fatalf("%v: PartitionSlices: %v", gs, err)
 		}
 		var total int64
 		for _, p := range parts {
 			total += int64(len(slices[p]))
 			healed, err := j.rederive(ks, p)
 			if err != nil {
-				t.Fatalf("%+v: rederive(%d): %v", gs, p, err)
+				t.Fatalf("%v: rederive(%d): %v", gs, p, err)
 			}
 			for name, f := range map[string]*diskio.File{"partition file": files[p], "rederived file": healed} {
 				got, err := recfile.ReadAllKPEs(nil, f, 2)
 				if err != nil {
-					t.Fatalf("%+v: reading %s %d: %v", gs, name, p, err)
+					t.Fatalf("%v: reading %s %d: %v", gs, name, p, err)
 				}
 				if len(got) != len(slices[p]) {
-					t.Fatalf("%+v: %s %d holds %d records, slice %d", gs, name, p, len(got), len(slices[p]))
+					t.Fatalf("%v: %s %d holds %d records, slice %d", gs, name, p, len(got), len(slices[p]))
 				}
 				for i := range got {
 					if got[i] != slices[p][i] {
-						t.Fatalf("%+v: %s %d record %d = %+v, slice has %+v", gs, name, p, i, got[i], slices[p][i])
+						t.Fatalf("%v: %s %d record %d = %+v, slice has %+v", gs, name, p, i, got[i], slices[p][i])
 					}
 				}
 			}
 		}
 		if copies != total || total <= int64(len(ks)) {
-			t.Fatalf("%+v: %d copies written, slices hold %d, input %d (want replication)", gs, copies, total, len(ks))
+			t.Fatalf("%v: %d copies written, slices hold %d, input %d (want replication)", gs, copies, total, len(ks))
 		}
 		j.reg.Sweep()
 	}

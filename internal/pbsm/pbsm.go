@@ -9,11 +9,16 @@
 // The algorithm proceeds in phases:
 //
 //  1. Partitioning — both relations are divided into P partitions using an
-//     equidistant grid of NT ≥ P tiles hashed onto partitions; a KPE is
-//     written to every partition owning a tile its rectangle overlaps
-//     (replication).
-//  2. Repartitioning — partition pairs exceeding the memory budget are
-//     recursively split with finer grids.
+//     equidistant grid of NT ≥ P tiles and a table mapping tiles to
+//     partitions; a KPE is written to every partition owning a tile its
+//     rectangle overlaps (replication). The table is planned from the
+//     data: an exact per-tile record count of both inputs, packed onto
+//     the partitions by LPT (PlanGridFor), so that skew formula (1) does
+//     not see is spread instead of repartitioned. Config.HashTiles keeps
+//     the paper's plan, the [PD 96] hash of the tile index.
+//  2. Repartitioning — partition pairs exceeding the memory budget (a
+//     tile hotter than the budget, or any skew under the hash plan) are
+//     recursively split with finer, hash-filled grids.
 //  3. Join — each partition pair is loaded and joined in memory.
 //  4. Duplicate removal — either the original external sort of the result
 //     pairs (DupSort), free of any extra phase with the Reference Point
@@ -150,6 +155,12 @@ type Config struct {
 	// TilesPerPartition sets NT = TilesPerPartition × P. Values < 1
 	// select the default 4.
 	TilesPerPartition int
+	// HashTiles plans the way the paper does: tiles go to partitions by
+	// the [PD 96] hash, which knows only the counts, instead of by the
+	// balanced packing of the exact tile histogram (PlanGridFor). The
+	// paper reproduction sets it where a figure measures the hash plan and
+	// the repartitioning it causes on skewed data; nothing else should.
+	HashTiles bool
 	// BufPages is the sequential I/O buffer size in pages for every file
 	// stream. Values < 1 select 4.
 	BufPages int
@@ -481,28 +492,34 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	j.startUnits = j.cfg.Disk.Stats().CostUnits
 	j.emit = emit
 
-	gs := PlanGrid(len(R), len(S), j.cfg)
-	j.stats.P = gs.Parts
-
 	var dupFile *diskio.File
 	if j.cfg.Dup == DupSort {
 		dupFile = j.reg.Create()
 		j.dupWriter = recfile.NewPairWriter(dupFile, j.cfg.bufPages())
 	}
 
-	if gs.Parts == 1 {
-		// Everything fits: no partition files, the striped in-memory join
-		// of stripes.go.
+	if partCount(len(R), len(S), &j.cfg) == 1 {
+		// Everything fits: no plan, no partition files, the striped
+		// in-memory join of stripes.go.
+		j.stats.P = 1
 		if err := j.joinInMemory(R, S, j.deliver); err != nil {
 			return err
 		}
 		j.pairsDone.Inc()
 	} else {
-		j.stats.NT = gs.NX * gs.NY
-		j.baseR, j.baseS, j.grid = R, S, gs.grid()
-		// Phase 1, then phases 2+3: repartition as needed and join each
-		// pair.
-		filesR, filesS, err := j.partitionPhase()
+		j.baseR, j.baseS = R, S
+		// Phase 1: plan the top grid from the data (a "plan" child span of
+		// the partition span) and scatter both inputs through it. Then
+		// phases 2+3: repartition as needed and join each pair.
+		pt := j.begin(PhasePartition)
+		pcfg := j.cfg
+		pcfg.Trace = pt.sp
+		gs, err := PlanGridFor(R, S, pcfg)
+		if err != nil {
+			pt.end()
+			return err
+		}
+		filesR, filesS, err := j.partitionPhase(gs, pt)
 		if err != nil {
 			return err
 		}
@@ -524,25 +541,43 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	return nil
 }
 
-// partitionPhase writes both base inputs into the top grid's partition
-// files and prices the resulting pairs for the progress estimator.
-// Partition files are registered at creation; the joiner's sweep removes
-// whatever this run leaves behind, on every exit path.
-func (j *joiner) partitionPhase() (filesR, filesS []*diskio.File, err error) {
-	pt := j.begin(PhasePartition)
+// partitionPhase writes both base inputs into the partition files of the
+// planned top grid gs, whatever table it holds, and prices the resulting
+// pairs for the progress estimator; it ends pt, the partition activation
+// the caller planned under. R and S are two ordered units on the shared
+// scheduler, inline at one worker; a unit creates and fills its own files,
+// so what a file holds and what the phase is charged do not depend on the
+// worker count. Partition files are registered at creation; the joiner's
+// sweep removes whatever this run leaves behind, on every exit path.
+func (j *joiner) partitionPhase(gs GridSpec, pt phaseTimer) (filesR, filesS []*diskio.File, err error) {
 	pt.sp.AddRecords(int64(len(j.baseR) + len(j.baseS)))
-	pt.sp.SetAttr("partitions", int64(j.grid.parts))
-	filesR, copiesR, errR := j.partitionInput(j.baseR)
-	filesS, copiesS, errS := j.partitionInput(j.baseS)
-	j.stats.CopiesR, j.stats.CopiesS = copiesR, copiesS
-	pt.sp.SetAttr("copies", copiesR+copiesS)
+	j.grid = gs.grid()
+	j.stats.P, j.stats.NT = gs.Parts, gs.NX*gs.NY
+	pt.sp.SetAttr("partitions", int64(gs.Parts))
+
+	inputs := [2][]geom.KPE{j.baseR, j.baseS}
+	var files [2][]*diskio.File
+	var copies [2]int64
+	err = sched.Run(2, sched.Options{
+		Workers: j.cfg.workers(),
+		Name:    "partition-input",
+		Span:    pt.sp,
+		Cancel:  j.cfg.Cancel,
+		Gov:     j.cfg.Gov,
+		// The second unit's output buffers; the inputs are the caller's.
+		UnitMem: int64(gs.Parts*j.cfg.bufPagesFor(gs.Parts)) * int64(j.cfg.Disk.PageSize()),
+		Metrics: j.cfg.Metrics,
+	}, func(_, i int) (err error) {
+		files[i], copies[i], err = j.partitionInput(inputs[i])
+		return err
+	})
+	j.stats.CopiesR, j.stats.CopiesS = copies[0], copies[1]
+	pt.sp.SetAttr("copies", copies[0]+copies[1])
 	pt.end()
-	if errR == nil {
-		errR = errS
+	if err != nil {
+		return nil, nil, joinerr.Wrap("pbsm", PhasePartition.String(), err)
 	}
-	if errR != nil {
-		return nil, nil, joinerr.Wrap("pbsm", PhasePartition.String(), errR)
-	}
+	filesR, filesS = files[0], files[1]
 	// Partition fill skew: records landing in each of the P partitions
 	// (both relations). NumKPEs is length-derived, so observing it here is
 	// free of I/O charge.

@@ -280,11 +280,12 @@ func TestStripeCancellation(t *testing.T) {
 
 // The hot block of pairInputs: hotR identical rectangles of R against
 // hotS of S, straddling y = 0.5 — a tile seam of every even grid and the
-// stripe seam of K = 2. Together they outweigh every budget of
-// pairMemories, so no repartitioning can split them and their leaf is
-// joined over budget, striped.
+// stripe seam of K = 2. On their own they outweigh every budget of
+// pairMemories (the planner gives their tile a partition to itself, so
+// nothing else can be counted on to push it over), no repartitioning can
+// split them, and their leaf is joined over budget, striped.
 const (
-	hotR = 7000
+	hotR = 8400
 	hotS = 3
 )
 
@@ -434,7 +435,10 @@ func TestStripePairsExactlyOnce(t *testing.T) {
 			t.Parallel()
 			for mi, mem := range pairMemories {
 				base := Config{Memory: mem, Dup: dup, MaxRecurse: 1}
-				gs := PlanGrid(len(R), len(S), base)
+				gs, err := PlanGridFor(R, S, base)
+				if err != nil {
+					t.Fatal(err)
+				}
 				parts := make([]int, gs.Parts)
 				for i := range parts {
 					parts[i] = i

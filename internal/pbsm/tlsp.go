@@ -40,9 +40,10 @@ import (
 // class pairs with a shared set bit are skipped outright (counted in
 // Stats.TLSPSkipped).
 //
-// Unlike the hashed RPM grid, a TLSP grid maps tiles to partitions 1:1
+// Unlike an RPM grid, whose table folds several tiles into a partition,
+// a TLSP grid maps tiles to partitions 1:1 — its table is the identity
 // (classes are a per-tile property, so folding several tiles into one
-// partition would erase the distinction) and writes one copy per
+// partition would erase the distinction) — and writes one copy per
 // overlapped tile. Partition output is globally duplicate-free by
 // construction — the property that lets the shard layer accept TLSP
 // exactly as it accepts RPM.
@@ -68,7 +69,7 @@ func newTLSPGrid(p int) *grid {
 		nx++
 	}
 	ny := (p + nx - 1) / nx
-	return &grid{nx: nx, ny: ny, parts: nx * ny, tlsp: true}
+	return &grid{nx: nx, ny: ny, parts: nx * ny, assign: identityTiles(nx * ny), tlsp: true}
 }
 
 // copyDest names one replicated destination of a KPE: the partition the
@@ -79,7 +80,7 @@ type copyDest struct {
 }
 
 // copiesOf appends to dst one entry per copy of r the partitioner must
-// write. For a hashed grid this is partitionsOf with class 0 on every
+// write. For an RPM grid this is partitionsOf with class 0 on every
 // copy (stamp/gen deduplicate partitions owning several overlapped
 // tiles); for a TLSP grid it is one classed copy per overlapped tile,
 // no dedup needed because tiles map 1:1 to partitions.

@@ -53,8 +53,11 @@ type Workload struct {
 }
 
 // PBSM predicts the partition-write plus join-read cost of PBSM with the
-// Reference Point Method (repartitioning, which the paper measures as a
-// minor contribution, is not modeled).
+// Reference Point Method: every copy written once, to the 2·P partition
+// files, and read once, file by file. That is what runs when the plan
+// fits, and the partitioner's planner (pbsm.PlanGridFor) packs tiles by
+// their exact record counts so that it does; repartitioning — left to a
+// tile that alone exceeds the budget — is not modeled.
 func PBSM(w Workload, d Device) Prediction {
 	// The grid is the partitioner's own plan — formula (1) and the tile
 	// shape have one home — so a change to it moves the prediction too.
@@ -67,9 +70,12 @@ func PBSM(w Workload, d Device) Prediction {
 		rep = estimate.ReplicationRate(sample, gs.NX, gs.NY)
 	}
 	vol := rep * float64(w.NR+w.NS) * geom.KPESize
-	pg := d.Pages(vol)
-	write := d.PassCost(pg, d.BufFor(w.Memory, gs.Parts))
-	read := d.PassCost(pg, d.BufPages)
+	// Evenly filled files: each ends in a partial page and a partial
+	// buffer of its own, which at small budgets is a visible share.
+	files := float64(2 * gs.Parts)
+	perFile := math.Ceil(d.Pages(vol) / files)
+	write := files * d.PassCost(perFile, d.BufFor(w.Memory, gs.Parts))
+	read := files * d.PassCost(perFile, d.BufPages)
 	return Prediction{
 		Method:      core.PBSM,
 		IOUnits:     write + read,

@@ -463,20 +463,26 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	root := rec.Begin("shard:join")
 	defer root.End()
 
-	pcfg := pbsm.Config{Memory: cfg.Memory, Dup: cfg.Dup, TuneFactor: cfg.TuneFactor, TilesPerPartition: cfg.TilesPerPartition}
-	gs := pbsm.PlanGrid(len(R), len(S), pcfg)
-
-	// The one scatter of the join: every partition's R and S slices,
+	// The one plan and the one scatter of the join: the grid with its
+	// tile→partition table, then every partition's R and S slices,
 	// read-only from here on. Attempts and absorbs index into them, so a
 	// retry re-ships instead of re-deriving. The two relations share
-	// nothing, so they scatter as two scheduler units.
+	// nothing, so they are counted and scattered as two scheduler units.
+	scatter := root.Child("shard-scatter")
+	scatter.AddRecords(int64(len(R) + len(S)))
+	gs, err := pbsm.PlanGridFor(R, S, pbsm.Config{
+		Memory: cfg.Memory, Dup: cfg.Dup, TuneFactor: cfg.TuneFactor, TilesPerPartition: cfg.TilesPerPartition,
+		Parallel: 2, Cancel: chk, Trace: scatter, Metrics: cfg.Metrics,
+	})
+	if err != nil {
+		scatter.End()
+		return Result{}, err
+	}
 	all := make([]int, gs.Parts)
 	for p := range all {
 		all[p] = p
 	}
 	in, sl := [2][]geom.KPE{R, S}, [2]map[int][]geom.KPE{}
-	scatter := root.Child("shard-scatter")
-	scatter.AddRecords(int64(len(R) + len(S)))
 	err = sched.Run(2, sched.Options{Workers: 2, Cancel: chk}, func(_, i int) (err error) {
 		sl[i], err = pbsm.PartitionSlices(in[i], gs, all, chk)
 		return err
@@ -733,6 +739,7 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	defer c.man.sweep(tmpDir)
 
 	spec := &JobSpec{
+		Proto:             ProtoVersion,
 		Shard:             id,
 		Attempt:           attempt,
 		Parts:             parts,

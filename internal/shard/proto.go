@@ -21,6 +21,15 @@ import (
 // the repartition arithmetic and must match the planning run — while
 // MemSlice is this shard's admission slice of it.
 type JobSpec struct {
+	// Proto is the version of the job's meaning, ProtoVersion on every
+	// frame this coordinator writes. It moves when a field changes what a
+	// worker must DO with a job that still decodes — version 2: the
+	// grid's tile→partition table (pbsm.GridSpec.Assign) is the routing,
+	// where a version-1 worker hashed tile ids itself. A worker refuses
+	// any other value with a fail frame instead of joining by its own
+	// idea of the plan.
+	Proto int `json:"proto,omitempty"`
+
 	Shard   int   `json:"shard"`
 	Attempt int   `json:"attempt"`
 	Parts   []int `json:"parts"` // assigned top-level partitions, ascending
@@ -58,6 +67,9 @@ type JobSpec struct {
 	// deferred cleanup, the pipe just tears.
 	Kill *KillSpec `json:"kill,omitempty"`
 }
+
+// ProtoVersion is the JobSpec.Proto this build writes and accepts.
+const ProtoVersion = 2
 
 // KillSpec says where a chaos worker kills itself.
 type KillSpec struct {

@@ -1,12 +1,15 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/shard"
 	"spatialjoin/internal/trace"
@@ -99,6 +102,11 @@ func TestShardJoinThroughCore(t *testing.T) {
 	_, _, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, PBSMDup: 1})
 	if err == nil {
 		t.Fatal("core.Join accepted Shards>1 with DupSort")
+	}
+	// The paper's hash plan is single-process only; asking for it sharded
+	// must fail instead of silently running the balanced plan.
+	if _, _, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, PBSMHashTiles: true}); err == nil {
+		t.Fatal("core.Join accepted Shards>1 with PBSMHashTiles")
 	}
 	// And the registered path works end to end when the worker command
 	// is the helper: exercise the adapter directly.
@@ -197,5 +205,54 @@ func TestShardJoinRejectsDupSort(t *testing.T) {
 	cfg.Dup = pbsm.DupMethod(9)
 	if _, err := shard.Join(r, s, cfg, func(geom.Pair) {}); err == nil {
 		t.Fatal("shard.Join accepted an unknown DupMethod")
+	}
+}
+
+// TestWorkerRefusesJobItCannotMean: a job frame that decodes but whose
+// routing this worker does not share is answered with a structured fail
+// frame (KindShard, phase config) before any input is read — one case
+// per direction a worker can detect. An older coordinator writes no
+// Proto and no tile→partition table; a newer one writes a Proto this
+// build does not know; and a current one whose hashed grid lost its table
+// has no routing to follow. (The fourth direction, an older worker under
+// this coordinator, ignores both fields and cannot be caught here:
+// DESIGN.md §12.)
+func TestWorkerRefusesJobItCannotMean(t *testing.T) {
+	hashed := pbsm.PlanGrid(testRecs, testRecs, pbsm.Config{Memory: testMemory})
+	if hashed.Parts < 2 || !hashed.Valid() {
+		t.Fatalf("test setup: grid %v", hashed)
+	}
+	bare := hashed
+	bare.Assign = nil
+	for name, spec := range map[string]shard.JobSpec{
+		"older coordinator": {Grid: bare, Memory: testMemory},
+		"newer coordinator": {Proto: shard.ProtoVersion + 1, Grid: hashed, Memory: testMemory},
+		"table lost":        {Proto: shard.ProtoVersion, Grid: bare, Memory: testMemory},
+	} {
+		job, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in, out bytes.Buffer
+		if err := shard.NewFrameWriter(&in).Write(shard.FrameJob, job); err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.WorkerMain(&in, &out); joinerr.KindOf(err) != joinerr.KindShard {
+			t.Fatalf("%s: WorkerMain returned %v, want a KindShard refusal", name, err)
+		}
+		typ, payload, err := shard.NewFrameReader(&out).Next()
+		if err != nil || typ != shard.FrameFail {
+			t.Fatalf("%s: worker answered frame %d (%v), want a fail frame", name, typ, err)
+		}
+		var fail struct {
+			Phase string `json:"phase"`
+			Kind  int    `json:"kind"`
+		}
+		if err := json.Unmarshal(payload, &fail); err != nil {
+			t.Fatalf("%s: fail payload: %v", name, err)
+		}
+		if fail.Phase != "config" || joinerr.Kind(fail.Kind) != joinerr.KindShard {
+			t.Fatalf("%s: fail frame says phase %q kind %v, want config/KindShard", name, fail.Phase, joinerr.Kind(fail.Kind))
+		}
 	}
 }

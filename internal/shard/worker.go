@@ -112,8 +112,16 @@ func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.K
 			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("first frame is type %d, want job or ping", t))
 		}
 	}
+	// A job that decodes but means something else must not run: a
+	// coordinator of another version routes by rules this worker does not
+	// have, and a grid without its table (Valid) has no routing at all.
+	// Joining anyway would put reference points in the wrong partitions
+	// silently.
+	if spec.Proto != ProtoVersion {
+		return nil, nil, nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job speaks protocol %d, this worker %d", spec.Proto, ProtoVersion))
+	}
 	if !spec.Grid.Valid() || spec.Memory <= 0 {
-		return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("job spec invalid: grid %+v, memory %d", spec.Grid, spec.Memory))
+		return nil, nil, nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job spec invalid: grid %s, memory %d", spec.Grid, spec.Memory))
 	}
 
 	// The journal marks the scratch dir live; the coordinator registered

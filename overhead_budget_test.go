@@ -58,7 +58,7 @@ func TestOverheadBudget(t *testing.T) {
 			// join runs under a context that never fires and adds
 			// chk.Calls() to the registry's "core.cancel.checks" on every exit.
 			name: "cancel", percent: 2, cfg: core.Config{Ctx: ctx, Metrics: reg},
-			cost: func(t *testing.T, _ *trace.Recorder, _ core.Result) time.Duration {
+			cost: func(t *testing.T, _ *trace.Recorder, res core.Result) time.Duration {
 				// ACTIVE checkpoints, each flavor measured on its own; all
 				// upper-bound the nil fast path. The per-record loops use
 				// loop-local Strides, measured as-is, forwards included.
@@ -94,13 +94,17 @@ func TestOverheadBudget(t *testing.T) {
 				}
 				// Stride iterations are loop-local and not individually
 				// counted; bound them structurally for this fault-free
-				// PBSM/RPM config: the strided loops are the partition
-				// scatter (one pass per input record) and repartitionPair
-				// (at most one more pass per record when a partition
-				// recurses) — re-derivation and DupSort never run here, and
-				// no stripe index is built: at 64 KiB every loaded pair is
-				// far below stripeRecords and is swept whole.
+				// PBSM/RPM config: the strided loops are the planner's tile
+				// count and the partition scatter (one pass per input record
+				// each) and repartitionPair (at most one more pass per
+				// record, and only when some pair recursed, which the join's
+				// own Stats say) — re-derivation and DupSort never run here,
+				// and no stripe index is built: at 64 KiB every loaded pair
+				// is far below stripeRecords and is swept whole.
 				strideIters := 2 * records
+				if res.PBSMStats.Repartitions > 0 {
+					strideIters += records
+				}
 				t.Logf("checks=%d (now=%d) stride-iters≤%d per-point=%v per-now=%v per-stride=%v",
 					checks, nows, strideIters, perPoint, perNow, perStride)
 				return perPoint*time.Duration(checks-nows) +
