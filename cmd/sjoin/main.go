@@ -55,8 +55,8 @@ import (
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
-	"spatialjoin/internal/estimate"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/plan"
@@ -277,12 +277,12 @@ func main() {
 	if *doPlan {
 		w := plan.Workload{
 			NR: len(R), NS: len(S),
-			SampleR: estimate.Sample(R, 1000, 1),
-			SampleS: estimate.Sample(S, 1000, 2),
+			SampleR: plan.Sample(R, 1000, 1),
+			SampleS: plan.Sample(S, 1000, 2),
 			Memory:  cfg.Memory,
 		}
 		fmt.Println("plan      predicted I/O cost per method:")
-		ranked := plan.Rank(w, plan.DefaultDevice)
+		ranked := plan.Rank(w, iocost.DefaultDevice)
 		for _, p := range ranked {
 			fmt.Printf("  %-5s %10.0f units  (%.1f passes, %.2fx replication)\n",
 				p.Method, p.IOUnits, p.Passes, p.Replication)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"spatialjoin/internal/core"
-	"spatialjoin/internal/estimate"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/plan"
 	"spatialjoin/internal/s3j"
 )
@@ -42,20 +42,20 @@ func RunPlanCheck(s *Suite) ([]PlanRow, *Table) {
 		mem := MemFrac(R, S, frac)
 		w := plan.Workload{
 			NR: len(R), NS: len(S),
-			SampleR: estimate.Sample(R, 1000, s.Seed+41),
-			SampleS: estimate.Sample(S, 1000, s.Seed+42),
+			SampleR: plan.Sample(R, 1000, s.Seed+41),
+			SampleS: plan.Sample(S, 1000, s.Seed+42),
 			Memory:  mem,
 		}
 		cfg := core.Config{Method: m, Memory: mem}
 		var pred plan.Prediction
 		switch m {
 		case core.PBSM:
-			pred = plan.PBSM(w, plan.DefaultDevice)
+			pred = plan.PBSM(w, iocost.DefaultDevice)
 		case core.S3J:
-			pred = plan.S3J(w, plan.DefaultDevice)
+			pred = plan.S3J(w, iocost.DefaultDevice)
 			cfg.S3JMode = s3j.ModeReplicate
 		case core.SSSJ:
-			pred = plan.SSSJ(w, plan.DefaultDevice)
+			pred = plan.SSSJ(w, iocost.DefaultDevice)
 		}
 		return PlanRow{Method: m, MemFrac: frac, Predicted: pred.IOUnits, Measured: s.runCore(R, S, cfg).IO.CostUnits}
 	}

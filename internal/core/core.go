@@ -64,9 +64,10 @@ type Config struct {
 	// choice per §3.2.2 and §4.4.1.
 	Algorithm sweep.Kind
 	// Parallel is the worker count for the parallel phases of every
-	// method (PBSM's partition pairs, SHJ's bucket joins, S³J's level
-	// sorts and the run formation and merge groups inside each external
-	// sort), all running on the shared scheduler of package sched. Zero
+	// method (PBSM's planner, two partitioners, partition pairs and
+	// stripes; SHJ's bucket joins; S³J's two partitioners; the run
+	// formation and merge groups of every external sort and forced
+	// merge), all running on the shared scheduler of package sched. Zero
 	// selects GOMAXPROCS; 1 (or negative) forces sequential execution.
 	// The result set, its emission order and the total simulated I/O are
 	// identical at every worker count. Wall-clock time is not, and nor is

@@ -53,6 +53,7 @@ import (
 
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
@@ -68,7 +69,7 @@ type Config struct {
 	Disk       *diskio.Disk
 	RecordSize int   // bytes per record
 	Memory     int64 // in-memory workspace budget in bytes
-	BufPages   int   // pages per sequential I/O buffer (default 4)
+	BufPages   int   // pages per sequential I/O buffer (values < 1: iocost.DefaultBufPages)
 	// Key and Less define the order; at least one is required. Key maps a
 	// record to a 64-bit prefix of the order (smaller sorts first) and is
 	// called once per record per pass; Less decides between records whose
@@ -97,20 +98,6 @@ type Config struct {
 	// Cancel is the owning join's cancellation checkpoint; nil disables
 	// cancellation. Run formation and merge passes poll it per record.
 	Cancel *govern.Check
-}
-
-func (c *Config) bufPages() int {
-	if c.BufPages < 1 {
-		return 4
-	}
-	return c.BufPages
-}
-
-func (c *Config) workers() int {
-	if c.Parallel < 2 {
-		return 1
-	}
-	return c.Parallel
 }
 
 // Stats reports what a Sort did.
@@ -171,7 +158,7 @@ func Sort(in *diskio.File, cfg Config) (*diskio.File, Stats, error) {
 		// Empty input: return an empty but finalized stream (exactly one
 		// end-of-stream frame), which readers verify as intact.
 		f := cfg.Reg.Create()
-		w := recfile.NewRecWriter(f, rs, cfg.bufPages())
+		w := recfile.NewRecWriter(f, rs, iocost.BufPages(cfg.BufPages))
 		if ferr := w.Flush(); ferr != nil {
 			cfg.Reg.Remove(f)
 			return nil, st, ferr
@@ -217,7 +204,7 @@ func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 	ph := cfg.Trace.Child("run-formation")
 	defer ph.End()
 	rs := cfg.RecordSize
-	maxRecs := min(max(cfg.Memory/int64(rs), 2), math.MaxUint32) // indexEntry.pos
+	maxRecs := cfg.ChunkRecs()
 	total := st.Records
 	if total == 0 {
 		return nil, nil
@@ -230,7 +217,7 @@ func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 	}
 	comps := make([]int64, n)
 	err := sched.Run(n, sched.Options{
-		Workers: cfg.workers(),
+		Workers: cfg.Parallel,
 		Name:    "sort-chunk",
 		Span:    ph,
 		Cancel:  cfg.Cancel,
@@ -245,6 +232,12 @@ func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 		st.Comparisons += c
 	}
 	return runs, err
+}
+
+// ChunkRecs is the number of records sorted and written as one run: what
+// Memory holds, at least two, and no more than indexEntry.pos can number.
+func (c *Config) ChunkRecs() int64 {
+	return min(max(c.Memory/int64(c.RecordSize), 2), math.MaxUint32)
 }
 
 // indexEntry stands for one record of a chunk while the chunk is sorted:
@@ -284,7 +277,7 @@ func (c *Config) tieBefore(a, b []byte, aEarlier bool, comps *int64) bool {
 // buffer (one copy: frame payload to chunk tail) and hands it to WriteRun.
 func formOneRun(in *diskio.File, run Run, lo int64, cfg Config) (int64, error) {
 	rs := cfg.RecordSize
-	r := recfile.NewRecRangeReader(in, rs, cfg.bufPages(), lo, lo+run.Recs)
+	r := recfile.NewRecRangeReader(in, rs, iocost.BufPages(cfg.BufPages), lo, lo+run.Recs)
 	chunk := make([]byte, run.Recs*int64(rs))
 	chk := cfg.Cancel.Stride()
 	for i := int64(0); i < run.Recs; i++ {
@@ -328,7 +321,7 @@ func WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
 		}
 		return 1
 	})
-	w := recfile.NewRecWriter(out, rs, cfg.bufPages())
+	w := recfile.NewRecWriter(out, rs, iocost.BufPages(cfg.BufPages))
 	chk := cfg.Cancel.Stride()
 	for _, e := range idx {
 		if err := chk.Point(); err != nil {
@@ -341,11 +334,10 @@ func WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
 	return comps, w.Flush()
 }
 
-// FanIn is the number of runs one merge reads at once: what the memory
-// budget holds of sequential buffers — one per input run plus one for the
-// output — and at least two.
+// FanIn is the number of runs one merge reads at once under this
+// configuration (iocost.Device.FanIn).
 func (c *Config) FanIn() int {
-	return max(int(c.Memory/int64(c.bufPages()*c.Disk.PageSize()))-1, 2)
+	return iocost.DeviceOf(c.Disk, c.BufPages).FanIn(c.Memory)
 }
 
 // mergePass merges groups of up to FanIn runs, each group into its own
@@ -357,7 +349,6 @@ func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
 	ph.SetAttr("pass", int64(st.MergePass))
 	ph.SetAttr("runs", int64(len(runs)))
 
-	bufBytes := int64(cfg.bufPages() * cfg.Disk.PageSize())
 	fanin := cfg.FanIn()
 	groups := (len(runs) + fanin - 1) / fanin
 	next := make([]Run, groups)
@@ -366,12 +357,12 @@ func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
 	}
 	comps := make([]int64, groups)
 	err := sched.Run(groups, sched.Options{
-		Workers: cfg.workers(),
+		Workers: cfg.Parallel,
 		Name:    "merge-group",
 		Span:    ph,
 		Cancel:  cfg.Cancel,
 		Gov:     cfg.Gov,
-		UnitMem: int64(fanin+1) * bufBytes,
+		UnitMem: int64((fanin+1)*iocost.BufPages(cfg.BufPages)) * int64(cfg.Disk.PageSize()),
 	}, func(w, gi int) error {
 		lo := gi * fanin
 		n, c, uerr := mergeRuns(next[gi].File, runs[lo:min(lo+fanin, len(runs))], cfg)
@@ -393,7 +384,7 @@ func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 	h := &mergeHeap{cfg: &cfg, comps: &comps}
 	for i, rr := range runs {
 		c := &cursor{
-			r:   recfile.NewRecRangeReader(rr.File, rs, cfg.bufPages(), 0, rr.Recs),
+			r:   recfile.NewRecRangeReader(rr.File, rs, iocost.BufPages(cfg.BufPages), 0, rr.Recs),
 			buf: make([]byte, rs),
 			cfg: &cfg,
 			ord: i,
@@ -407,7 +398,7 @@ func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 		}
 	}
 	heap.Init(h)
-	w := recfile.NewRecWriter(out, rs, cfg.bufPages())
+	w := recfile.NewRecWriter(out, rs, iocost.BufPages(cfg.BufPages))
 	var n int64
 	chk := cfg.Cancel.Stride()
 	for h.Len() > 0 {

@@ -11,6 +11,7 @@ import (
 const (
 	pathGeom    = "spatialjoin/internal/geom"
 	pathTrace   = "spatialjoin/internal/trace"
+	pathPhase   = "spatialjoin/internal/phase"
 	pathGovern  = "spatialjoin/internal/govern"
 	pathJoinerr = "spatialjoin/internal/joinerr"
 	pathDiskio  = "spatialjoin/internal/diskio"

@@ -11,7 +11,10 @@ import (
 // to a local variable) must be closed on every path out of its scope.
 // A leaked span never records its duration and silently drags trace
 // Coverage below the CI threshold, so the leak must fail loudly at lint
-// time instead.
+// time instead. A phase activation (phase.Ledger.Begin, or a joiner's
+// wrapper of it) owns a span and charges its phase when it ends, so it is
+// held to the same contract: an activation that is never ended leaks its
+// span and drops the phase's time and I/O from the join's Stats.
 //
 // The analysis is lexical, not a full CFG, and accepts three closing
 // patterns:
@@ -292,7 +295,9 @@ func spanCallType(info *types.Info, call *ast.CallExpr) types.Type {
 	return tv.Type
 }
 
-func isSpanType(t types.Type) bool { return t != nil && isNamed(t, pathTrace, "Span") }
+func isSpanType(t types.Type) bool {
+	return t != nil && (isNamed(t, pathTrace, "Span") || isNamed(t, pathPhase, "Activation"))
+}
 
 // spansEndedBy returns the span objects on which lit's body (at any
 // depth) calls End.
@@ -315,10 +320,12 @@ func spansEndedBy(info *types.Info, lit *ast.FuncLit) map[types.Object]bool {
 }
 
 // directEndReceiver returns the local object x for a call of the form
-// x.End() where End is (*trace.Span).End, else nil.
+// x.End() where End is (*trace.Span).End or (phase.Activation).End, else
+// nil.
 func directEndReceiver(info *types.Info, call *ast.CallExpr) types.Object {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !isMethodOn(calleeFunc(info, call), pathTrace, "Span", "End") {
+	fn := calleeFunc(info, call)
+	if !ok || !(isMethodOn(fn, pathTrace, "Span", "End") || isMethodOn(fn, pathPhase, "Activation", "End")) {
 		return nil
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)

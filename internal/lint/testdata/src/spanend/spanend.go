@@ -5,6 +5,7 @@ package spanfix
 import (
 	"errors"
 
+	"spatialjoin/internal/phase"
 	"spatialjoin/internal/trace"
 )
 
@@ -37,4 +38,26 @@ func leakOnReassign(rec *trace.Recorder) {
 // discard drops the span on the floor: it can never be ended.
 func discard(rec *trace.Recorder) {
 	rec.Begin("phase") // want spanend
+}
+
+// leakActivation ends the phase activation on the success path only: the
+// early return drops the phase's span and its charge.
+func leakActivation(led *phase.Ledger, fail bool) error {
+	pt := led.Begin(0, "partition") // want spanend
+	if fail {
+		return errBoom
+	}
+	pt.End()
+	return nil
+}
+
+// beginPhase is a joiner-style wrapper: its callers own what it returns.
+func beginPhase(led *phase.Ledger) phase.Activation {
+	return led.Begin(1, "join")
+}
+
+// leakWrapped never ends an activation it got through a wrapper.
+func leakWrapped(led *phase.Ledger) {
+	pt := beginPhase(led) // want spanend
+	pt.Span.AddRecords(1)
 }

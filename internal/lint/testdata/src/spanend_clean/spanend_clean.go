@@ -6,6 +6,7 @@ package spanfix
 import (
 	"errors"
 
+	"spatialjoin/internal/phase"
 	"spatialjoin/internal/trace"
 )
 
@@ -49,4 +50,19 @@ func child(parent *trace.Span) {
 	c := parent.Child("sub")
 	defer c.End()
 	c.AddRecords(1)
+}
+
+// activation: a phase activation follows the span contract — deferred, or
+// ended before each return and before it is reassigned to the next phase.
+func activation(led *phase.Ledger, fail bool) error {
+	pt := led.Begin(0, "partition")
+	if fail {
+		pt.End()
+		return errBoom
+	}
+	pt.End()
+	pt = led.Begin(1, "join")
+	defer pt.End()
+	pt.Span.AddRecords(1)
+	return nil
 }

@@ -88,11 +88,10 @@ func (j *joiner) initProgress(filesR, filesS []*diskio.File) {
 	if j.cfg.Progress == nil {
 		return
 	}
-	dev := iocost.Device{PageSize: j.cfg.Disk.PageSize(), PT: j.cfg.Disk.PT(), BufPages: j.cfg.bufPages()}
 	j.pairCost = make([]float64, len(filesR))
 	total := 0.0
 	for i := range filesR {
-		c := iocost.PairCost(recfile.NumKPEs(filesR[i]), recfile.NumKPEs(filesS[i]), j.cfg.Memory, dev)
+		c := iocost.PairCost(recfile.NumKPEs(filesR[i]), recfile.NumKPEs(filesS[i]), j.cfg.Memory, j.dev)
 		if c <= 0 {
 			c = 1 // empty pairs still count one unit so done can reach total
 		}

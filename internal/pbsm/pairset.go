@@ -3,11 +3,11 @@ package pbsm
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/recfile"
 )
@@ -44,13 +44,6 @@ type GridSpec struct {
 	Assign []int32 `json:"assign,omitempty"`
 }
 
-// partCount is formula (1) with the tuning factor: the number of
-// partitions whose pairs fit cfg.Memory if nr+ns records spread evenly.
-func partCount(nr, ns int, cfg *Config) int {
-	p := int(math.Ceil(cfg.tune() * float64(int64(nr+ns)*geom.KPESize) / float64(cfg.Memory)))
-	return max(p, 1)
-}
-
 // PlanGrid computes the top-level grid for joining nr+ns records under
 // cfg's memory budget from the counts alone — formula (1) with the
 // tuning factor, NT = TilesPerPartition × P square-ish tiles, and the
@@ -61,7 +54,7 @@ func partCount(nr, ns int, cfg *Config) int {
 // Join and the shard coordinator plan with PlanGridFor, which keeps this
 // grid and refills the table from the data.
 func PlanGrid(nr, ns int, cfg Config) GridSpec {
-	p := partCount(nr, ns, &cfg)
+	p := iocost.PartCount(int64(nr+ns), cfg.Memory, cfg.TuneFactor)
 	tlsp := cfg.Dup == DupTLSP
 	if p == 1 {
 		return GridSpec{NX: 1, NY: 1, Parts: 1, TLSP: tlsp}
@@ -72,6 +65,24 @@ func PlanGrid(nr, ns int, cfg Config) GridSpec {
 	}
 	g := newGrid(p*cfg.tilesPerPart(), p)
 	return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, Assign: g.assign}
+}
+
+// ReplicationRate estimates the grid's copies per record from a sample:
+// the average number of tiles a sample rectangle overlaps, from the
+// planner's own tile histogram (tileCounts, hence clampIdx), so
+// out-of-domain coordinates clamp here as they do in the scatter. It
+// drives the trade-off behind NT ≥ P — finer tiling balances partitions
+// but replicates more. An empty sample estimates 1.
+func (s GridSpec) ReplicationRate(sample []geom.KPE) float64 {
+	if len(sample) == 0 {
+		return 1
+	}
+	counts, _ := (&grid{nx: s.NX, ny: s.NY}).tileCounts(sample, nil) // no Check, no error
+	var copies float64
+	for _, c := range counts {
+		copies += c
+	}
+	return copies / float64(len(sample))
 }
 
 // grid reconstructs the in-memory grid. Only meaningful for a Valid spec
@@ -224,12 +235,12 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 	// would (same buffering policy), then run the standard per-pair
 	// machinery on them.
 	pt := j.begin(PhasePartition)
-	pt.sp.AddRecords(int64(len(rs) + len(ss)))
+	pt.Span.AddRecords(int64(len(rs) + len(ss)))
 	fr, errR := e.writeSide(rs)
 	fs, errS := e.writeSide(ss)
 	j.stats.CopiesR += int64(len(rs))
 	j.stats.CopiesS += int64(len(ss))
-	pt.end()
+	pt.End()
 	defer func() {
 		j.reg.Remove(fr)
 		j.reg.Remove(fs)
@@ -261,7 +272,7 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 // the partition phase's buffering policy.
 func (e *PairExec) writeSide(ks []geom.KPE) (*diskio.File, error) {
 	f := e.j.reg.Create()
-	w := recfile.NewKPEWriter(f, e.j.cfg.bufPagesFor(e.gs.Parts))
+	w := recfile.NewKPEWriter(f, e.j.dev.BufFor(e.j.cfg.Memory, e.gs.Parts))
 	st := e.j.cfg.Cancel.Stride()
 	for i := range ks {
 		if err := st.Point(); err != nil {

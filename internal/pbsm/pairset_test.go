@@ -116,8 +116,8 @@ func TestScatterCallersAgree(t *testing.T) {
 		{NX: 4, NY: 4, Parts: 5, Assign: []int32{4, 4, 4, 4, 0, 1, 1, 0, 0, 1, 1, 0, 3, 3, 3, 3}}, // partition 2 empty
 		{NX: 4, NY: 3, Parts: 12, TLSP: true},
 	} {
-		d := newDisk()
-		j := &joiner{cfg: Config{Disk: d, Memory: 1 << 20}, reg: d.NewRegistry(), grid: gs.grid()}
+		j := newJoiner(Config{Disk: newDisk(), Memory: 1 << 20})
+		j.grid = gs.grid()
 		files, copies, err := j.partitionInput(ks)
 		if err != nil {
 			t.Fatalf("%v: partitionInput: %v", gs, err)
@@ -166,5 +166,25 @@ func TestPairExecRejectsDupSort(t *testing.T) {
 	cfg := Config{Disk: diskio.NewDisk(4096, 20, time.Microsecond), Memory: 1 << 20, Dup: DupSort}
 	if _, err := NewPairExec(cfg, GridSpec{NX: 1, NY: 1, Parts: 1}); err == nil {
 		t.Fatal("NewPairExec accepted DupSort")
+	}
+}
+
+func TestReplicationRateGrowsWithGridResolution(t *testing.T) {
+	ks := datagen.LARR(6, 3000).KPEs
+	coarse := GridSpec{NX: 4, NY: 4}.ReplicationRate(ks)
+	fine := GridSpec{NX: 64, NY: 64}.ReplicationRate(ks)
+	if coarse < 1 || fine < coarse {
+		t.Fatalf("replication must grow with resolution: %g -> %g", coarse, fine)
+	}
+	if (GridSpec{NX: 8, NY: 8}).ReplicationRate(nil) != 1 {
+		t.Fatal("empty sample must estimate rate 1")
+	}
+}
+
+func TestReplicationRateExactOnKnownRect(t *testing.T) {
+	// One rect covering exactly 2x3 tiles of a 10x10 grid.
+	ks := []geom.KPE{{Rect: geom.NewRect(0.05, 0.05, 0.15, 0.25)}}
+	if r := (GridSpec{NX: 10, NY: 10}).ReplicationRate(ks); r != 6 {
+		t.Fatalf("rate = %g, want 6", r)
 	}
 }

@@ -40,7 +40,6 @@ package pbsm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -48,8 +47,10 @@ import (
 	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
+	"spatialjoin/internal/phase"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
 	"spatialjoin/internal/sweep"
@@ -150,7 +151,7 @@ type Config struct {
 	Dup DupMethod
 	// TuneFactor is the multiplier t > 1 applied to formula (1) before
 	// the ceiling (§3.2.3), avoiding partition pairs that just barely
-	// miss the memory budget. Values ≤ 1 select the default 1.25.
+	// miss the memory budget. Values ≤ 1 select iocost.DefaultTuneFactor.
 	TuneFactor float64
 	// TilesPerPartition sets NT = TilesPerPartition × P. Values < 1
 	// select the default 4.
@@ -162,7 +163,7 @@ type Config struct {
 	// the repartitioning it causes on skewed data; nothing else should.
 	HashTiles bool
 	// BufPages is the sequential I/O buffer size in pages for every file
-	// stream. Values < 1 select 4.
+	// stream. Values < 1 select iocost.DefaultBufPages.
 	BufPages int
 	// MaxRecurse bounds repartitioning recursion; beyond it a pair is
 	// joined in memory even if over budget (counted in MemoryOverflows).
@@ -198,13 +199,6 @@ type Config struct {
 	Progress *metrics.Progress
 }
 
-func (c *Config) tune() float64 {
-	if c.TuneFactor <= 1 {
-		return 1.25
-	}
-	return c.TuneFactor
-}
-
 func (c *Config) tilesPerPart() int {
 	if c.TilesPerPartition < 1 {
 		return 4
@@ -212,44 +206,11 @@ func (c *Config) tilesPerPart() int {
 	return c.TilesPerPartition
 }
 
-func (c *Config) bufPages() int {
-	if c.BufPages < 1 {
-		return 4
-	}
-	return c.BufPages
-}
-
 func (c *Config) maxRecurse() int {
 	if c.MaxRecurse < 1 {
 		return 8
 	}
 	return c.MaxRecurse
-}
-
-func (c *Config) workers() int {
-	if c.Parallel < 2 {
-		return 1
-	}
-	return c.Parallel
-}
-
-// bufPagesFor sizes each stream's I/O buffer when streams files are open
-// at once, so that the buffers together stay within the memory budget —
-// at a small M with many partitions, each output buffer shrinks to a
-// single page and every flush pays the positioning cost, which is exactly
-// how a real PBSM degrades at tiny memory.
-func (c *Config) bufPagesFor(streams int) int {
-	if streams < 1 {
-		streams = 1
-	}
-	per := int(c.Memory / int64(streams) / int64(c.Disk.PageSize()))
-	if per < 1 {
-		return 1
-	}
-	if per > c.bufPages() {
-		return c.bufPages()
-	}
-	return per
 }
 
 // validate rejects a Config no PBSM entry point can run: the one check
@@ -314,22 +275,10 @@ type Stats struct {
 }
 
 // TotalIO sums the per-phase I/O statistics.
-func (s *Stats) TotalIO() diskio.Stats {
-	var t diskio.Stats
-	for i := range s.PhaseIO {
-		t.Add(s.PhaseIO[i])
-	}
-	return t
-}
+func (s *Stats) TotalIO() diskio.Stats { return phase.TotalIO(s.PhaseIO[:]) }
 
 // TotalCPU sums the per-phase CPU times.
-func (s *Stats) TotalCPU() time.Duration {
-	var t time.Duration
-	for _, d := range s.PhaseCPU {
-		t += d
-	}
-	return t
-}
+func (s *Stats) TotalCPU() time.Duration { return phase.TotalCPU(s.PhaseCPU[:]) }
 
 // ReplicationRate returns copies-written / input-size for relation sizes
 // nr and ns, the redundancy measure of §5.1.
@@ -359,19 +308,20 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 
 type joiner struct {
 	cfg   Config
-	sl    slot // worker slot 0 of every runUnits, and PairExec's only one
+	dev   iocost.Device // cfg.Disk with the resolved buffer: every stream is sized from it
+	sl    slot          // worker slot 0 of every runUnits, and PairExec's only one
 	stats Stats
+	led   *phase.Ledger    // charges stats.PhaseCPU/PhaseIO and the first-result fields
 	reg   *diskio.Registry // every temp file of this join; swept on exit
 
-	start      time.Time // start of the whole join, for first-result stats
-	startUnits float64
-	emit       func(geom.Pair)
-	dupWriter  *recfile.PairWriter // result spool when Dup == DupSort
+	emit      func(geom.Pair)
+	dupWriter *recfile.PairWriter // result spool when Dup == DupSort
 
 	// par is true while the join phase runs on parallel workers; stats
 	// mutations inside the phase then go through mu (or, for result
-	// delivery, through the collector's own serialization). It is set
-	// before the workers start and cleared after they have all joined.
+	// delivery, through the collector's own serialization) and phase
+	// activations are span-only (led.SpanOnly). It is set before the
+	// workers start and cleared after they have all joined.
 	par bool
 	mu  sync.Mutex
 
@@ -395,9 +345,11 @@ type joiner struct {
 	tlspSkipped *metrics.Counter
 }
 
-// newJoiner builds the state Join and PairExec share; cfg is validated.
+// newJoiner builds the state Join and PairExec share, as the join begins;
+// cfg is validated.
 func newJoiner(cfg Config) *joiner {
-	j := &joiner{cfg: cfg, reg: cfg.Disk.NewRegistry()}
+	j := &joiner{cfg: cfg, dev: iocost.DeviceOf(cfg.Disk, cfg.BufPages), reg: cfg.Disk.NewRegistry()}
+	j.led = phase.New(cfg.Disk, cfg.Trace, j.stats.PhaseCPU[:], j.stats.PhaseIO[:], &j.stats.FirstResultCPU, &j.stats.FirstResultIO)
 	j.sl = j.newSlot()
 	j.resolveCounters()
 	return j
@@ -421,46 +373,10 @@ func markHealable(err error) error {
 	return &healableError{err: err}
 }
 
-// phaseTimer attributes wall-clock CPU and disk-cost deltas to a phase,
-// and mirrors the interval as a trace span when tracing is on. A phase
-// may begin/end many times (once per partition pair in the join phase),
-// so each activation is its own span while the Stats fields accumulate.
-type phaseTimer struct {
-	j        *joiner
-	phase    Phase
-	t0       time.Time
-	io0      diskio.Stats
-	sp       *trace.Span
-	statless bool
-}
-
-func (j *joiner) begin(p Phase) phaseTimer {
-	return j.beginNamed(p, p.String())
-}
-
-// beginNamed attributes costs to phase p but names the trace span
-// differently — the heal path charges the partition phase, yet must be
-// visible as "heal" in the trace. Activations opened inside the parallel
-// join region are span-only: the region's single outer timer charges the
-// phase once (overlapping workers would double-count wall time, and
-// concurrent writes to the Stats arrays would race).
-func (j *joiner) beginNamed(p Phase, name string) phaseTimer {
-	pt := phaseTimer{j: j, phase: p, sp: j.cfg.Trace.Child(name)}
-	if j.par {
-		pt.statless = true
-		return pt
-	}
-	pt.t0 = time.Now()
-	pt.io0 = j.cfg.Disk.Stats()
-	return pt
-}
-
-func (pt phaseTimer) end() {
-	if !pt.statless {
-		pt.j.stats.PhaseCPU[pt.phase] += time.Since(pt.t0)
-		pt.j.stats.PhaseIO[pt.phase].Add(pt.j.cfg.Disk.Stats().Sub(pt.io0))
-	}
-	pt.sp.End()
+// begin opens an activation of phase p under a span of the phase's name.
+// Activations opened inside the parallel join region are span-only.
+func (j *joiner) begin(p Phase) phase.Activation {
+	return j.led.Begin(int(p), p.String())
 }
 
 // bump mutates the rarely-updated Stats counters (Healed, Repartitions,
@@ -479,26 +395,21 @@ func (j *joiner) bump(f func()) {
 // time-to-first-result. In parallel mode it is only ever invoked as the
 // collector's sink, which serializes it.
 func (j *joiner) deliver(p geom.Pair) {
-	if j.stats.Results == 0 {
-		j.stats.FirstResultCPU = time.Since(j.start)
-		j.stats.FirstResultIO = j.cfg.Disk.Stats().CostUnits - j.startUnits
-	}
+	j.led.First()
 	j.stats.Results++
 	j.emit(p)
 }
 
 func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
-	j.start = time.Now()
-	j.startUnits = j.cfg.Disk.Stats().CostUnits
 	j.emit = emit
 
 	var dupFile *diskio.File
 	if j.cfg.Dup == DupSort {
 		dupFile = j.reg.Create()
-		j.dupWriter = recfile.NewPairWriter(dupFile, j.cfg.bufPages())
+		j.dupWriter = recfile.NewPairWriter(dupFile, j.dev.BufPages)
 	}
 
-	if partCount(len(R), len(S), &j.cfg) == 1 {
+	if iocost.PartCount(int64(len(R)+len(S)), j.cfg.Memory, j.cfg.TuneFactor) == 1 {
 		// Everything fits: no plan, no partition files, the striped
 		// in-memory join of stripes.go.
 		j.stats.P = 1
@@ -513,13 +424,13 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		// phases 2+3: repartition as needed and join each pair.
 		pt := j.begin(PhasePartition)
 		pcfg := j.cfg
-		pcfg.Trace = pt.sp
+		pcfg.Trace = pt.Span
 		gs, err := PlanGridFor(R, S, pcfg)
-		if err != nil {
-			pt.end()
-			return err
+		var filesR, filesS []*diskio.File
+		if err == nil {
+			filesR, filesS, err = j.partitionPhase(gs, pt.Span)
 		}
-		filesR, filesS, err := j.partitionPhase(gs, pt)
+		pt.End()
 		if err != nil {
 			return err
 		}
@@ -532,8 +443,8 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	// drop duplicates.
 	if j.cfg.Dup == DupSort {
 		pt := j.begin(PhaseDup)
-		err := j.dupSortPhase(dupFile, pt.sp)
-		pt.end()
+		err := j.dupSortPhase(dupFile, pt.Span)
+		pt.End()
 		if err != nil {
 			return joinerr.Wrap("pbsm", PhaseDup.String(), err)
 		}
@@ -543,37 +454,37 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 
 // partitionPhase writes both base inputs into the partition files of the
 // planned top grid gs, whatever table it holds, and prices the resulting
-// pairs for the progress estimator; it ends pt, the partition activation
-// the caller planned under. R and S are two ordered units on the shared
-// scheduler, inline at one worker; a unit creates and fills its own files,
-// so what a file holds and what the phase is charged do not depend on the
-// worker count. Partition files are registered at creation; the joiner's
-// sweep removes whatever this run leaves behind, on every exit path.
-func (j *joiner) partitionPhase(gs GridSpec, pt phaseTimer) (filesR, filesS []*diskio.File, err error) {
-	pt.sp.AddRecords(int64(len(j.baseR) + len(j.baseS)))
+// pairs for the progress estimator, under sp, the span of the partition
+// activation the caller planned in. R and S are two ordered units on the
+// shared scheduler, inline at one worker; a unit creates and fills its own
+// files, so what a file holds and what the phase is charged do not depend
+// on the worker count. Partition files are registered at creation; the
+// joiner's sweep removes whatever this run leaves behind, on every exit
+// path.
+func (j *joiner) partitionPhase(gs GridSpec, sp *trace.Span) (filesR, filesS []*diskio.File, err error) {
+	sp.AddRecords(int64(len(j.baseR) + len(j.baseS)))
 	j.grid = gs.grid()
 	j.stats.P, j.stats.NT = gs.Parts, gs.NX*gs.NY
-	pt.sp.SetAttr("partitions", int64(gs.Parts))
+	sp.SetAttr("partitions", int64(gs.Parts))
 
 	inputs := [2][]geom.KPE{j.baseR, j.baseS}
 	var files [2][]*diskio.File
 	var copies [2]int64
 	err = sched.Run(2, sched.Options{
-		Workers: j.cfg.workers(),
+		Workers: j.cfg.Parallel,
 		Name:    "partition-input",
-		Span:    pt.sp,
+		Span:    sp,
 		Cancel:  j.cfg.Cancel,
 		Gov:     j.cfg.Gov,
 		// The second unit's output buffers; the inputs are the caller's.
-		UnitMem: int64(gs.Parts*j.cfg.bufPagesFor(gs.Parts)) * int64(j.cfg.Disk.PageSize()),
+		UnitMem: int64(gs.Parts*j.dev.BufFor(j.cfg.Memory, gs.Parts)) * int64(j.dev.PageSize),
 		Metrics: j.cfg.Metrics,
 	}, func(_, i int) (err error) {
 		files[i], copies[i], err = j.partitionInput(inputs[i])
 		return err
 	})
 	j.stats.CopiesR, j.stats.CopiesS = copies[0], copies[1]
-	pt.sp.SetAttr("copies", copies[0]+copies[1])
-	pt.end()
+	sp.SetAttr("copies", copies[0]+copies[1])
 	if err != nil {
 		return nil, nil, joinerr.Wrap("pbsm", PhasePartition.String(), err)
 	}
@@ -599,11 +510,11 @@ func (j *joiner) partitionPhase(gs GridSpec, pt phaseTimer) (filesR, filesS []*d
 // read.
 func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
 	var span *trace.Span
-	if workers := j.cfg.workers(); workers > 1 {
+	if workers := j.cfg.Parallel; workers > 1 {
 		pt := j.begin(PhaseJoin)
-		defer pt.end()
-		pt.sp.SetAttr("workers", int64(workers))
-		span = pt.sp
+		defer pt.End()
+		pt.Span.SetAttr("workers", int64(workers))
+		span = pt.Span
 	}
 	return j.runUnits(len(filesR), "pair-worker", j.cfg.Memory, span, j.deliver,
 		func(sl *slot, col *sched.Collector, i int) error {
@@ -633,13 +544,14 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
 // of that by design and processPair trims it back afterwards.
 func (j *joiner) runUnits(n int, name string, unitMem int64, span *trace.Span, sink func(geom.Pair),
 	unit func(sl *slot, col *sched.Collector, i int) error) error {
-	workers := j.cfg.workers()
+	workers := max(j.cfg.Parallel, 1)
 	col := sched.NewCollector(n, sink)
 	extra := make([]slot, workers-1) // slots 1 and up; slot 0 is j.sl
 	for w := range extra {
 		extra[w] = j.newSlot()
 	}
 	j.par = workers > 1 && n > 1
+	j.led.SpanOnly = j.par
 	err := sched.Run(n, sched.Options{
 		Workers: workers,
 		Name:    name,
@@ -656,7 +568,7 @@ func (j *joiner) runUnits(n int, name string, unitMem int64, span *trace.Span, s
 		}
 		return unit(sl, col, i)
 	})
-	j.par = false
+	j.par, j.led.SpanOnly = false, false
 	for _, sl := range extra {
 		j.stats.Tests += sl.alg.Tests()
 		j.stats.Touches += sl.alg.Touches()
@@ -703,9 +615,9 @@ func (j *joiner) processTopPair(sl *slot, emit func([]geom.Pair), filesR, filesS
 // the in-memory base inputs, exactly as the partition phase would have
 // written them. Its I/O is charged to the partition phase.
 func (j *joiner) healPartition(part int) (fr, fs *diskio.File, err error) {
-	pt := j.beginNamed(PhasePartition, "heal")
-	pt.sp.SetAttr("part", int64(part))
-	defer pt.end()
+	pt := j.led.Begin(int(PhasePartition), "heal")
+	pt.Span.SetAttr("part", int64(part))
+	defer pt.End()
 	fr, err = j.rederive(j.baseR, part)
 	if err != nil {
 		return nil, nil, err
@@ -722,7 +634,7 @@ func (j *joiner) healPartition(part int) (fr, fs *diskio.File, err error) {
 // partition phase's scatter, filtered to one destination.
 func (j *joiner) rederive(ks []geom.KPE, part int) (*diskio.File, error) {
 	f := j.reg.Create()
-	w := recfile.NewKPEWriter(f, j.cfg.bufPages())
+	w := recfile.NewKPEWriter(f, j.dev.BufPages)
 	err := j.grid.scatter(ks, j.cfg.Cancel, func(p int, k geom.KPE) error {
 		if p != part {
 			return nil
@@ -749,7 +661,7 @@ func (j *joiner) dupSortPhase(dupFile *diskio.File, sp *trace.Span) error {
 		Disk:       j.cfg.Disk,
 		RecordSize: geom.PairSize,
 		Memory:     j.cfg.Memory,
-		BufPages:   j.cfg.bufPages(),
+		BufPages:   j.dev.BufPages,
 		Parallel:   j.cfg.Parallel,
 		Gov:        j.cfg.Gov,
 		Trace:      sp,
@@ -764,7 +676,7 @@ func (j *joiner) dupSortPhase(dupFile *diskio.File, sp *trace.Span) error {
 		return err
 	}
 	defer j.reg.Remove(sorted)
-	r := recfile.NewPairReader(sorted, j.cfg.bufPages())
+	r := recfile.NewPairReader(sorted, j.dev.BufPages)
 	var prev geom.Pair
 	first := true
 	chk := j.cfg.Cancel.Stride()
@@ -793,7 +705,7 @@ func (j *joiner) dupSortPhase(dupFile *diskio.File, sp *trace.Span) error {
 func (j *joiner) partitionInput(ks []geom.KPE) ([]*diskio.File, int64, error) {
 	files := make([]*diskio.File, j.grid.parts)
 	writers := make([]*recfile.KPEWriter, j.grid.parts)
-	buf := j.cfg.bufPagesFor(j.grid.parts)
+	buf := j.dev.BufFor(j.cfg.Memory, j.grid.parts)
 	for i := range files {
 		files[i] = j.reg.Create()
 		writers[i] = recfile.NewKPEWriter(files[i], buf)
@@ -821,12 +733,12 @@ func (j *joiner) partitionInput(ks []geom.KPE) ([]*diskio.File, int64, error) {
 // verification I/O (one page per empty side) is charged to the join
 // phase.
 func (j *joiner) verifyEmptySides(fr, fs *diskio.File) error {
-	pt := j.beginNamed(PhaseJoin, "verify-empty")
-	defer pt.end()
-	if err := recfile.VerifyEmptyKPEs(fr, j.cfg.bufPages()); err != nil {
+	pt := j.led.Begin(int(PhaseJoin), "verify-empty")
+	defer pt.End()
+	if err := recfile.VerifyEmptyKPEs(fr, j.dev.BufPages); err != nil {
 		return err
 	}
-	return recfile.VerifyEmptyKPEs(fs, j.cfg.bufPages())
+	return recfile.VerifyEmptyKPEs(fs, j.dev.BufPages)
 }
 
 // processPair joins the partition pair (fr, fs), repartitioning
@@ -860,12 +772,12 @@ func (j *joiner) processPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.Fi
 	}
 
 	pt := j.begin(PhaseJoin)
-	pt.sp.AddRecords(nr + ns)
-	defer pt.end()
+	pt.Span.AddRecords(nr + ns)
+	defer pt.End()
 	var err error
-	if sl.loadR, err = recfile.ReadAllKPEs(sl.loadR, fr, j.cfg.bufPages()); err == nil {
-		if sl.loadS, err = recfile.ReadAllKPEs(sl.loadS, fs, j.cfg.bufPages()); err == nil {
-			return j.joinLoadedPair(sl, emit, pt.sp, regR, regS)
+	if sl.loadR, err = recfile.ReadAllKPEs(sl.loadR, fr, j.dev.BufPages); err == nil {
+		if sl.loadS, err = recfile.ReadAllKPEs(sl.loadS, fs, j.dev.BufPages); err == nil {
+			return j.joinLoadedPair(sl, emit, pt.Span, regR, regS)
 		}
 	}
 	if depth == 0 {
@@ -881,11 +793,7 @@ func (j *joiner) processPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.Fi
 func (j *joiner) repartitionPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
 	j.bump(func() { j.stats.Repartitions++ })
 	nr, ns := recfile.NumKPEs(fr), recfile.NumKPEs(fs)
-	size := (nr + ns) * geom.KPESize
-	n := int(math.Ceil(j.cfg.tune() * float64(size) / float64(j.cfg.Memory)))
-	if n < 2 {
-		n = 2
-	}
+	n := max(iocost.PartCount(nr+ns, j.cfg.Memory, j.cfg.TuneFactor), 2)
 	sub := newGrid(n*j.cfg.tilesPerPart(), n)
 
 	splitR := nr >= ns
@@ -897,7 +805,7 @@ func (j *joiner) repartitionPair(sl *slot, emit func([]geom.Pair), fr, fs *diski
 	pt := j.begin(PhaseRepartition)
 	files := make([]*diskio.File, n)
 	writers := make([]*recfile.KPEWriter, n)
-	buf := j.cfg.bufPagesFor(n + 1)
+	buf := j.dev.BufFor(j.cfg.Memory, n+1)
 	for i := range files {
 		files[i] = j.reg.Create()
 		writers[i] = recfile.NewKPEWriter(files[i], buf)
@@ -941,7 +849,7 @@ func (j *joiner) repartitionPair(sl *slot, emit func([]geom.Pair), fr, fs *diski
 			}
 		}
 	}
-	pt.end()
+	pt.End()
 	if err != nil {
 		removeFrom(0)
 		if depth == 0 {

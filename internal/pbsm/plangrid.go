@@ -39,7 +39,7 @@ func PlanGridFor(R, S []geom.KPE, cfg Config) (GridSpec, error) {
 	inputs := [2][]geom.KPE{R, S}
 	var counts [2][]float64
 	err := sched.Run(2, sched.Options{
-		Workers: cfg.workers(),
+		Workers: cfg.Parallel,
 		Name:    "plan-input",
 		Span:    sp,
 		Cancel:  cfg.Cancel,

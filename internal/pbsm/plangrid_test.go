@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
@@ -69,14 +68,14 @@ func TestAnyTableExactlyOnce(t *testing.T) {
 func joinPlanned(R, S []geom.KPE, cfg Config, gs GridSpec) (got []geom.Pair, err error) {
 	j := newJoiner(cfg)
 	defer j.reg.Sweep()
-	j.start, j.emit = time.Now(), func(p geom.Pair) { got = append(got, p) }
+	j.emit = func(p geom.Pair) { got = append(got, p) }
 	j.baseR, j.baseS = R, S
 	var spool *diskio.File
 	if cfg.Dup == DupSort {
 		spool = j.reg.Create()
-		j.dupWriter = recfile.NewPairWriter(spool, cfg.bufPages())
+		j.dupWriter = recfile.NewPairWriter(spool, j.dev.BufPages)
 	}
-	filesR, filesS, err := j.partitionPhase(gs, j.begin(PhasePartition))
+	filesR, filesS, err := j.partitionPhase(gs, nil)
 	if err == nil {
 		err = j.joinTopPairs(filesR, filesS)
 	}
@@ -175,7 +174,7 @@ func TestPlanIndependentOfWorkers(t *testing.T) {
 		}
 		j := newJoiner(cfg)
 		j.baseR, j.baseS = R, S
-		filesR, filesS, err := j.partitionPhase(gs, j.begin(PhasePartition))
+		filesR, filesS, err := j.partitionPhase(gs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -332,18 +332,18 @@ func (j *joiner) joinLoadedPair(sl *slot, emit func([]geom.Pair), sp *trace.Span
 // is one sweep over the whole space. The inputs are not modified.
 func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
 	pt := j.begin(PhaseJoin)
-	defer pt.end()
-	pt.sp.AddRecords(int64(len(R) + len(S)))
+	defer pt.End()
+	pt.Span.AddRecords(int64(len(R) + len(S)))
 	k := stripeCount(len(R) + len(S))
-	pt.sp.SetAttr("stripes", int64(k))
+	pt.Span.SetAttr("stripes", int64(k))
 
 	// The two index builds share nothing, so they are the phase's first
 	// two scheduler units.
 	var ixR, ixS stripeIndex
 	err := sched.Run(2, sched.Options{
-		Workers: j.cfg.workers(),
+		Workers: j.cfg.Parallel,
 		Name:    "stripe-index",
-		Span:    pt.sp,
+		Span:    pt.Span,
 		Cancel:  j.cfg.Cancel,
 		Metrics: j.cfg.Metrics,
 	}, func(_, i int) error {
@@ -357,7 +357,7 @@ func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
 	}
 
 	j.cfg.Progress.SetTotal(float64(k))
-	return j.runUnits(k, "stripe-worker", int64(ixR.max+ixS.max)*geom.KPESize, pt.sp, sink,
+	return j.runUnits(k, "stripe-worker", int64(ixR.max+ixS.max)*geom.KPESize, pt.Span, sink,
 		func(sl *slot, col *sched.Collector, i int) error {
 			err := j.sweepStripe(sl, func(ps []geom.Pair) { col.EmitBatch(i, ps) }, R, S, &ixR, &ixS, i, wholeSpace{}, wholeSpace{})
 			if err == nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -14,6 +13,7 @@ import (
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/sweep"
@@ -368,7 +368,7 @@ func rawOracle(rs, ss []geom.KPE, cfg Config, depth int) int64 {
 		}
 		return n
 	}
-	n := max(2, int(math.Ceil(cfg.tune()*float64(size)/float64(cfg.Memory))))
+	n := max(2, iocost.PartCount(int64(len(rs)+len(ss)), cfg.Memory, cfg.TuneFactor))
 	sub := newGrid(n*cfg.tilesPerPart(), n)
 	splitR := len(rs) >= len(ss)
 	src := rs

@@ -48,15 +48,16 @@ package s3j
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"time"
 
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
+	"spatialjoin/internal/phase"
 	"spatialjoin/internal/sched"
 	"spatialjoin/internal/sfc"
 	"spatialjoin/internal/sweep"
@@ -130,7 +131,7 @@ type Config struct {
 	// level index). Values < 1 select DefaultLevels.
 	Levels int
 	// BufPages is the per-stream sequential buffer size in pages.
-	// Values < 1 select 4.
+	// Values < 1 select iocost.DefaultBufPages.
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.
@@ -174,28 +175,6 @@ func (c *Config) levels() int {
 	return c.Levels
 }
 
-func (c *Config) bufPages() int {
-	if c.BufPages < 1 {
-		return 4
-	}
-	return c.BufPages
-}
-
-// bufPagesFor sizes each stream's I/O buffer when streams files are open
-// at once so that the buffers together respect the memory budget; with
-// one cursor per run this matters only for very small budgets.
-func (c *Config) bufPagesFor(streams int) int {
-	per := int(c.Memory / int64(max(streams, 1)) / int64(c.Disk.PageSize()))
-	return min(max(per, 1), c.bufPages())
-}
-
-func (c *Config) workers() int {
-	if c.Parallel < 2 {
-		return 1
-	}
-	return c.Parallel
-}
-
 func (c *Config) algorithm() sweep.Algorithm {
 	if c.Algorithm == "" {
 		return sweep.New(sweep.NestedLoopsKind)
@@ -236,22 +215,10 @@ type Stats struct {
 }
 
 // TotalIO sums the per-phase I/O statistics.
-func (s *Stats) TotalIO() diskio.Stats {
-	var t diskio.Stats
-	for i := range s.PhaseIO {
-		t.Add(s.PhaseIO[i])
-	}
-	return t
-}
+func (s *Stats) TotalIO() diskio.Stats { return phase.TotalIO(s.PhaseIO[:]) }
 
 // TotalCPU sums the per-phase CPU times.
-func (s *Stats) TotalCPU() time.Duration {
-	var t time.Duration
-	for _, d := range s.PhaseCPU {
-		t += d
-	}
-	return t
-}
+func (s *Stats) TotalCPU() time.Duration { return phase.TotalCPU(s.PhaseCPU[:]) }
 
 // ReplicationRate returns records-written / input-size.
 func (s *Stats) ReplicationRate(nr, ns int) float64 {
@@ -270,7 +237,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if cfg.Memory <= 0 {
 		return Stats{}, joinerr.Wrap("s3j", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
-	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: cfg.Disk.NewRegistry()}
+	j := newJoiner(cfg)
 	// One sweep covers every exit path, so no run file outlives the join —
 	// success, failure or cancellation alike.
 	defer j.reg.Sweep()
@@ -285,11 +252,10 @@ type joiner struct {
 	cfg   Config
 	alg   sweep.Algorithm
 	stats Stats
+	led   *phase.Ledger    // charges stats.PhaseCPU/PhaseIO and the first-result fields
 	reg   *diskio.Registry // every temp file of this join; swept on exit
 
-	start      time.Time
-	startUnits float64
-	emit       func(geom.Pair)
+	emit func(geom.Pair)
 
 	// deeper is the arriving cell of the scan step in progress, the cell
 	// the duplicate test checks the reference point against; onPair is
@@ -298,44 +264,24 @@ type joiner struct {
 	onPair func(r, s geom.KPE)
 }
 
+// newJoiner builds the state of one join, as it begins; cfg.Disk is set.
+func newJoiner(cfg Config) *joiner {
+	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: cfg.Disk.NewRegistry()}
+	j.led = phase.New(cfg.Disk, cfg.Trace, j.stats.PhaseCPU[:], j.stats.PhaseIO[:], &j.stats.FirstResultCPU, &j.stats.FirstResultIO)
+	return j
+}
+
 func (j *joiner) deliver(p geom.Pair) {
-	if j.stats.Results == 0 {
-		j.stats.FirstResultCPU = time.Since(j.start)
-		j.stats.FirstResultIO = j.cfg.Disk.Stats().CostUnits - j.startUnits
-	}
+	j.led.First()
 	j.stats.Results++
 	j.emit(p)
 }
 
-// phaseTimer attributes wall-clock CPU and disk-cost deltas to a phase,
-// mirrored as a trace span when tracing is on.
-type phaseTimer struct {
-	j     *joiner
-	phase Phase
-	t0    time.Time
-	io0   diskio.Stats
-	sp    *trace.Span
-}
-
-func (j *joiner) begin(p Phase) phaseTimer {
-	return phaseTimer{
-		j:     j,
-		phase: p,
-		t0:    time.Now(),
-		io0:   j.cfg.Disk.Stats(),
-		sp:    j.cfg.Trace.Child(p.String()),
-	}
-}
-
-func (pt phaseTimer) end() {
-	pt.j.stats.PhaseCPU[pt.phase] += time.Since(pt.t0)
-	pt.j.stats.PhaseIO[pt.phase].Add(pt.j.cfg.Disk.Stats().Sub(pt.io0))
-	pt.sp.End()
+func (j *joiner) begin(p Phase) phase.Activation {
+	return j.led.Begin(int(p), p.String())
 }
 
 func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
-	j.start = time.Now()
-	j.startUnits = j.cfg.Disk.Stats().CostUnits
 	j.emit = emit
 	levels := j.cfg.levels()
 	inputs := [2][]geom.KPE{R, S}
@@ -351,16 +297,16 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	// independent units; a unit creates its run files one after the other,
 	// so what a run holds does not depend on the worker count.
 	pt := j.begin(PhasePartition)
-	pt.sp.AddRecords(int64(len(R) + len(S)))
+	pt.Span.AddRecords(int64(len(R) + len(S)))
 	var runs [2][]extsort.Run
 	var counts [2][]int64
 	err := sched.Run(len(inputs), sched.Options{
-		Workers: j.cfg.workers(),
+		Workers: j.cfg.Parallel,
 		Name:    "partition-input",
-		Span:    pt.sp,
+		Span:    pt.Span,
 		Cancel:  j.cfg.Cancel,
 		Gov:     j.cfg.Gov,
-		UnitMem: j.chunkRecs() * (levRecSize + 16), // the chunk and extsort's 16-byte index entries
+		UnitMem: sortCfg.ChunkRecs() * (levRecSize + 16), // the chunk and extsort's 16-byte index entries
 		Metrics: j.cfg.Metrics,
 	}, func(w, i int) error {
 		var perr error
@@ -368,7 +314,7 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		return perr
 	})
 	if err != nil {
-		pt.end()
+		pt.End()
 		return joinerr.Wrap("s3j", PhasePartition.String(), err)
 	}
 	j.stats.LevelRecordsR, j.stats.LevelRecordsS = counts[0], counts[1]
@@ -380,9 +326,9 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	}
 	copies := [2]int64{j.stats.CopiesR, j.stats.CopiesS}
 	j.stats.SortRuns = len(runs[0]) + len(runs[1])
-	pt.sp.SetAttr("copies", copies[0]+copies[1])
-	pt.sp.SetAttr("runs", int64(j.stats.SortRuns))
-	pt.end()
+	pt.Span.SetAttr("copies", copies[0]+copies[1])
+	pt.Span.SetAttr("runs", int64(j.stats.SortRuns))
+	pt.End()
 
 	// Phase 2 exists only when it is forced: the scan holds one cursor
 	// per run, as many as one merge of this budget reads at once — but
@@ -391,7 +337,7 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	// pass merges the longer list (any pass leaves fewer runs than it
 	// found, so "at most one fewer" asks for exactly one).
 	pt = j.begin(PhaseSort)
-	sortCfg.Trace = pt.sp
+	sortCfg.Trace = pt.Span
 	var st extsort.Stats
 	var merged float64
 	for limit := max(sortCfg.FanIn(), 2*(levels+1)); len(runs[0])+len(runs[1]) > limit; {
@@ -401,22 +347,22 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		}
 		runs[long], err = extsort.MergeDown(runs[long], len(runs[long])-1, sortCfg, &st)
 		if err != nil {
-			pt.end()
+			pt.End()
 			return joinerr.Wrap("s3j", PhaseSort.String(), err)
 		}
 		merged += float64(copies[long])
 	}
 	j.stats.MergePasses = st.MergePass
-	pt.end()
+	pt.End()
 	scanWork := float64(copies[0] + copies[1])
 	j.cfg.Progress.SetTotal(nIn + merged + scanWork)
 	j.cfg.Progress.Add(merged)
 
 	// Phase 3: synchronized scan.
 	pt = j.begin(PhaseJoin)
-	pt.sp.AddRecords(copies[0] + copies[1])
+	pt.Span.AddRecords(copies[0] + copies[1])
 	err = j.scan(runs)
-	pt.end()
+	pt.End()
 	if err == nil {
 		j.cfg.Progress.Add(scanWork)
 	}
@@ -431,7 +377,7 @@ func (j *joiner) sortConfig() extsort.Config {
 		Disk:       j.cfg.Disk,
 		RecordSize: levRecSize,
 		Memory:     j.cfg.Memory,
-		BufPages:   j.cfg.bufPages(),
+		BufPages:   j.cfg.BufPages,
 		Parallel:   j.cfg.Parallel,
 		Gov:        j.cfg.Gov,
 		Reg:        j.reg,
@@ -442,13 +388,6 @@ func (j *joiner) sortConfig() extsort.Config {
 	}
 }
 
-// chunkRecs is the number of level records a partitioner collects before
-// it sorts and writes them as one run: what Memory holds, the rule of
-// extsort's run formation.
-func (j *joiner) chunkRecs() int64 {
-	return min(max(j.cfg.Memory/levRecSize, 2), math.MaxUint32)
-}
-
 // partitionInput assigns every rectangle of ks its level and cells and
 // writes the level records as runs sorted by scan key, one per full chunk
 // and one for the rest. It returns the runs, in input order, plus the
@@ -457,7 +396,7 @@ func (j *joiner) chunkRecs() int64 {
 // atomic progress and metric handles).
 func (j *joiner) partitionInput(ks []geom.KPE, levels int, sortCfg extsort.Config) ([]extsort.Run, []int64, error) {
 	counts := make([]int64, levels+1)
-	maxRecs := j.chunkRecs()
+	maxRecs := sortCfg.ChunkRecs() // a partitioner's chunk is a run of extsort's size
 	bound := int64(len(ks))
 	if j.cfg.Mode == ModeReplicate {
 		bound *= 4 // §4.3: at most four copies of a rectangle
@@ -531,7 +470,7 @@ type stackEntry struct {
 // stack.
 func (j *joiner) scan(runs [2][]extsort.Run) error {
 	h := &cursorHeap{}
-	buf := j.cfg.bufPagesFor(len(runs[0]) + len(runs[1]))
+	buf := iocost.DeviceOf(j.cfg.Disk, j.cfg.BufPages).BufFor(j.cfg.Memory, len(runs[0])+len(runs[1]))
 	for rel := range runs {
 		for ord, run := range runs[rel] {
 			c := newGroupCursor(run, buf, rel, ord)

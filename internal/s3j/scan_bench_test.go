@@ -19,9 +19,8 @@ func BenchmarkScanPhase(b *testing.B) {
 	S := datagen.Uniform(22, 20000, 0.004)
 	d := diskio.NewDisk(1024, 10, time.Millisecond)
 	cfg := Config{Disk: d, Memory: 1 << 20, Mode: ModeReplicate}
-	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: d.NewRegistry()}
+	j := newJoiner(cfg)
 	defer j.reg.Sweep()
-	j.start = time.Now()
 	j.emit = func(geom.Pair) {}
 	levels := cfg.levels()
 	var runs [2][]extsort.Run

@@ -58,7 +58,8 @@ func TestTornRunIsCorruptNotShorter(t *testing.T) {
 	R := datagen.Uniform(41, 3000, 0.01)
 	d := diskio.NewDisk(256, 5, time.Microsecond)
 	cfg := Config{Disk: d, Memory: 32 << 10, Mode: ModeReplicate}
-	j := &joiner{cfg: cfg, alg: cfg.algorithm(), reg: d.NewRegistry(), emit: func(geom.Pair) {}}
+	j := newJoiner(cfg)
+	j.emit = func(geom.Pair) {}
 	defer j.reg.Sweep()
 	runs, _, err := j.partitionInput(R, cfg.levels(), j.sortConfig())
 	if err != nil || len(runs) < 3 {

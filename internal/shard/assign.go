@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/plan"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/sched"
 )
 
@@ -17,10 +17,10 @@ import (
 // comes back ascending: the worker executes — and seals — in partition
 // index order, which is what lets the coordinator's collector stream the
 // earliest unfinished partition with minimal buffering.
-func assignShards(rsl, ssl map[int][]geom.KPE, memory int64, dev plan.Device, n int) [][]int {
+func assignShards(rsl, ssl map[int][]geom.KPE, memory int64, dev iocost.Device, n int) [][]int {
 	costs := make([]float64, len(rsl))
 	for i := range costs {
-		costs[i] = plan.PairCost(int64(len(rsl[i])), int64(len(ssl[i])), memory, dev)
+		costs[i] = iocost.PairCost(int64(len(rsl[i])), int64(len(ssl[i])), memory, dev)
 	}
 	out := sched.PackLPT(costs, min(n, len(costs))) // n < 1 packs onto one shard
 	for _, ps := range out {

@@ -17,10 +17,10 @@ import (
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
-	"spatialjoin/internal/plan"
 	"spatialjoin/internal/sched"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/trace"
@@ -124,6 +124,41 @@ type Config struct {
 	// Governor admission-controls the join (the full Memory is claimed
 	// once, then sliced across shards); nil disables admission.
 	Governor *govern.Governor
+}
+
+// pbsmConfig is the PBSM configuration the coordinator plans with (no
+// disk) and absorbs shards with: what JobSpec.pbsmConfig makes of the job
+// frame, so it cannot differ from a worker's. The per-process handles
+// (Parallel, Cancel, Trace, Metrics) are the caller's to add.
+func (cfg *Config) pbsmConfig(disk *diskio.Disk) pbsm.Config {
+	return cfg.jobSpec(pbsm.GridSpec{}, 0, 0, nil, 0, "").pbsmConfig(disk)
+}
+
+// jobSpec is the job frame of one attempt: the shard's partitions, the
+// plan, and every PBSM and disk parameter the worker must share with the
+// coordinator.
+func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, slice int64, tmpDir string) *JobSpec {
+	return &JobSpec{
+		Proto:             ProtoVersion,
+		Shard:             id,
+		Attempt:           attempt,
+		Parts:             parts,
+		Grid:              gs,
+		Memory:            cfg.Memory,
+		MemSlice:          slice,
+		Dup:               int(cfg.Dup),
+		Algorithm:         cfg.Algorithm,
+		TuneFactor:        cfg.TuneFactor,
+		TilesPerPartition: cfg.TilesPerPartition,
+		MaxRecurse:        cfg.MaxRecurse,
+		BufPages:          cfg.BufPages,
+		PageSize:          cfg.PageSize,
+		PT:                cfg.PT,
+		TransferNS:        cfg.Transfer.Nanoseconds(),
+		HeartbeatNS:       cfg.heartbeat().Nanoseconds(),
+		TmpDir:            tmpDir,
+		Kill:              cfg.Chaos.lookup(id, attempt),
+	}
 }
 
 // ChaosKill schedules one deterministic worker self-kill.
@@ -470,10 +505,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	// nothing, so they are counted and scattered as two scheduler units.
 	scatter := root.Child("shard-scatter")
 	scatter.AddRecords(int64(len(R) + len(S)))
-	gs, err := pbsm.PlanGridFor(R, S, pbsm.Config{
-		Memory: cfg.Memory, Dup: cfg.Dup, TuneFactor: cfg.TuneFactor, TilesPerPartition: cfg.TilesPerPartition,
-		Parallel: 2, Cancel: chk, Trace: scatter, Metrics: cfg.Metrics,
-	})
+	pcfg := cfg.pbsmConfig(nil)
+	pcfg.Parallel, pcfg.Cancel, pcfg.Trace, pcfg.Metrics = 2, chk, scatter, cfg.Metrics
+	gs, err := pbsm.PlanGridFor(R, S, pcfg)
 	if err != nil {
 		scatter.End()
 		return Result{}, err
@@ -491,21 +525,14 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	dev := plan.DefaultDevice
-	if cfg.PageSize > 0 {
-		dev.PageSize = cfg.PageSize
-	}
-	if cfg.PT > 0 {
-		dev.PT = cfg.PT
-	}
-	if cfg.BufPages >= 1 {
-		dev.BufPages = cfg.BufPages
-	}
+	// The workers' disks are private; this one only stands for their
+	// parameters, in the cost model here and in Result.IOTime below.
+	nominal := diskio.NewDisk(cfg.PageSize, cfg.PT, cfg.Transfer)
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
 	}
-	assignment := assignShards(sl[0], sl[1], cfg.Memory, dev, shards)
+	assignment := assignShards(sl[0], sl[1], cfg.Memory, iocost.DeviceOf(nominal, cfg.BufPages), shards)
 	slices := govern.Slice(cfg.Memory, len(assignment))
 
 	tmpRoot, err := os.MkdirTemp(cfg.TmpRoot, "sjshard-")
@@ -609,7 +636,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			fmt.Errorf("internal: %d seal events for %d partitions — duplicate-free merge invariant violated",
 				res.Stats.Seals, res.Stats.Partitions))
 	}
-	nominal := diskio.NewDisk(cfg.PageSize, cfg.PT, cfg.Transfer)
 	res.IOTime = nominal.CostTime(res.IO.CostUnits)
 	res.Total = res.CPU + res.IOTime
 	return res, nil
@@ -738,27 +764,7 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	c.man.add(tmpDir)
 	defer c.man.sweep(tmpDir)
 
-	spec := &JobSpec{
-		Proto:             ProtoVersion,
-		Shard:             id,
-		Attempt:           attempt,
-		Parts:             parts,
-		Grid:              c.gs,
-		Memory:            c.cfg.Memory,
-		MemSlice:          slice,
-		Dup:               int(c.cfg.Dup),
-		Algorithm:         c.cfg.Algorithm,
-		TuneFactor:        c.cfg.TuneFactor,
-		TilesPerPartition: c.cfg.TilesPerPartition,
-		MaxRecurse:        c.cfg.MaxRecurse,
-		BufPages:          c.cfg.BufPages,
-		PageSize:          c.cfg.PageSize,
-		PT:                c.cfg.PT,
-		TransferNS:        c.cfg.Transfer.Nanoseconds(),
-		HeartbeatNS:       c.cfg.heartbeat().Nanoseconds(),
-		TmpDir:            tmpDir,
-		Kill:              c.cfg.Chaos.lookup(id, attempt),
-	}
+	spec := c.cfg.jobSpec(c.gs, id, attempt, parts, slice, tmpDir)
 
 	link, err := tr.Open(ctx, id, attempt)
 	if err != nil {
@@ -1037,17 +1043,9 @@ func (c *coordinator) absorb(id int, parts []int) error {
 		return nil
 	}
 	disk := diskio.NewDisk(c.cfg.PageSize, c.cfg.PT, c.cfg.Transfer)
-	ex, err := pbsm.NewPairExec(pbsm.Config{
-		Disk:              disk,
-		Memory:            c.cfg.Memory,
-		Algorithm:         c.cfg.Algorithm,
-		Dup:               c.cfg.Dup,
-		TuneFactor:        c.cfg.TuneFactor,
-		TilesPerPartition: c.cfg.TilesPerPartition,
-		BufPages:          c.cfg.BufPages,
-		MaxRecurse:        c.cfg.MaxRecurse,
-		Cancel:            c.chk,
-	}, c.gs)
+	pcfg := c.cfg.pbsmConfig(disk)
+	pcfg.Cancel = c.chk
+	ex, err := pbsm.NewPairExec(pcfg, c.gs)
 	if err != nil {
 		return err
 	}

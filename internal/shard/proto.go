@@ -68,6 +68,22 @@ type JobSpec struct {
 	Kill *KillSpec `json:"kill,omitempty"`
 }
 
+// pbsmConfig is the PBSM configuration the job describes, on disk: the one
+// mapping both sides of the process boundary execute pairs by (the
+// coordinator through Config.pbsmConfig).
+func (s *JobSpec) pbsmConfig(disk *diskio.Disk) pbsm.Config {
+	return pbsm.Config{
+		Disk:              disk,
+		Memory:            s.Memory,
+		Algorithm:         s.Algorithm,
+		Dup:               pbsm.DupMethod(s.Dup),
+		TuneFactor:        s.TuneFactor,
+		TilesPerPartition: s.TilesPerPartition,
+		BufPages:          s.BufPages,
+		MaxRecurse:        s.MaxRecurse,
+	}
+}
+
 // ProtoVersion is the JobSpec.Proto this build writes and accepts.
 const ProtoVersion = 2
 

@@ -187,16 +187,7 @@ func workerRun(spec *JobSpec, rsl, ssl map[int][]geom.KPE, fw *FrameWriter) (*Wo
 	defer release()
 
 	disk := diskio.NewDisk(spec.PageSize, spec.PT, spec.transfer())
-	ex, err := pbsm.NewPairExec(pbsm.Config{
-		Disk:              disk,
-		Memory:            spec.Memory,
-		Algorithm:         spec.Algorithm,
-		Dup:               pbsm.DupMethod(spec.Dup),
-		TuneFactor:        spec.TuneFactor,
-		TilesPerPartition: spec.TilesPerPartition,
-		BufPages:          spec.BufPages,
-		MaxRecurse:        spec.MaxRecurse,
-	}, spec.Grid)
+	ex, err := pbsm.NewPairExec(spec.pbsmConfig(disk), spec.Grid)
 	if err != nil {
 		return nil, err
 	}

@@ -21,8 +21,10 @@ import (
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
+	"spatialjoin/internal/phase"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
 	"spatialjoin/internal/sweep"
@@ -63,7 +65,7 @@ type Config struct {
 	// sweep.
 	Algorithm sweep.Kind
 	// BufPages is the per-stream sequential buffer size in pages.
-	// Values < 1 select 4.
+	// Values < 1 select iocost.DefaultBufPages.
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.
@@ -90,20 +92,6 @@ type Config struct {
 	Progress *metrics.Progress
 }
 
-func (c *Config) bufPages() int {
-	if c.BufPages < 1 {
-		return 4
-	}
-	return c.BufPages
-}
-
-func (c *Config) workers() int {
-	if c.Parallel < 2 {
-		return 1
-	}
-	return c.Parallel
-}
-
 // Stats reports what a spatial hash join did.
 type Stats struct {
 	Buckets   int
@@ -119,22 +107,10 @@ type Stats struct {
 }
 
 // TotalIO sums the per-phase I/O statistics.
-func (s *Stats) TotalIO() diskio.Stats {
-	var t diskio.Stats
-	for i := range s.PhaseIO {
-		t.Add(s.PhaseIO[i])
-	}
-	return t
-}
+func (s *Stats) TotalIO() diskio.Stats { return phase.TotalIO(s.PhaseIO[:]) }
 
 // TotalCPU sums the per-phase CPU times.
-func (s *Stats) TotalCPU() time.Duration {
-	var t time.Duration
-	for _, d := range s.PhaseCPU {
-		t += d
-	}
-	return t
-}
+func (s *Stats) TotalCPU() time.Duration { return phase.TotalCPU(s.PhaseCPU[:]) }
 
 // ReplicationRateS returns probe copies / |S|.
 func (s *Stats) ReplicationRateS(ns int) float64 {
@@ -174,24 +150,22 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	rg := cfg.Disk.NewRegistry()
 	defer rg.Sweep()
 
-	// Bucket count: like PBSM's formula (1), size bucket pairs for the
-	// memory budget, assuming S distributes like R.
-	n := int(math.Ceil(1.25 * float64(int64(len(R)+len(S))*geom.KPESize) / float64(cfg.Memory)))
-	if n < 1 {
-		n = 1
-	}
+	// Bucket count: PBSM's formula (1) at the default tuning factor sizes
+	// bucket pairs for the memory budget, assuming S distributes like R.
+	n := iocost.PartCount(int64(len(R)+len(S)), cfg.Memory, 0)
 	st.Buckets = n
+	dev := iocost.DeviceOf(cfg.Disk, cfg.BufPages)
+	led := phase.New(cfg.Disk, cfg.Trace, st.PhaseCPU[:], st.PhaseIO[:], nil, nil)
 
 	// Build phase: seed bucket extents from a systematic sample of R
 	// (every len(R)/n-th rectangle, spreading seeds across the data's own
 	// distribution), then assign each R rectangle to the bucket whose
 	// extent needs the least enlargement.
-	t0, io0 := time.Now(), cfg.Disk.Stats()
-	sp := cfg.Trace.Child(PhaseBuild.String())
-	sp.AddRecords(int64(len(R)))
-	sp.SetAttr("buckets", int64(n))
+	pt := led.Begin(int(PhaseBuild), PhaseBuild.String())
+	pt.Span.AddRecords(int64(len(R)))
+	pt.Span.SetAttr("buckets", int64(n))
 	buckets := seedBuckets(R, n)
-	buf := bufPagesFor(cfg, 2*n)
+	buf := dev.BufFor(cfg.Memory, 2*n)
 	for _, b := range buckets {
 		b.fR, b.fS = rg.Create(), rg.Create()
 		b.wR = recfile.NewKPEWriter(b.fR, buf)
@@ -217,9 +191,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			}
 		}
 	}
-	sp.End()
-	st.PhaseCPU[PhaseBuild] = time.Since(t0)
-	st.PhaseIO[PhaseBuild] = cfg.Disk.Stats().Sub(io0)
+	pt.End()
 	if err != nil {
 		return st, joinerr.Wrap("shj", PhaseBuild.String(), err)
 	}
@@ -227,9 +199,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	// Probe partition phase: replicate each S rectangle into every bucket
 	// whose (now final) extent it intersects. Rectangles overlapping no
 	// extent cannot join any R rectangle and are dropped (counted).
-	t0, io0 = time.Now(), cfg.Disk.Stats()
-	sp = cfg.Trace.Child(PhaseProbePartition.String())
-	sp.AddRecords(int64(len(S)))
+	pt = led.Begin(int(PhaseProbePartition), PhaseProbePartition.String())
+	pt.Span.AddRecords(int64(len(S)))
 	chk = cfg.Cancel.Stride()
 	for i := range S {
 		if err = chk.Point(); err != nil {
@@ -259,11 +230,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			}
 		}
 	}
-	sp.SetAttr("copies", st.CopiesS)
-	sp.SetAttr("orphans", st.Orphans)
-	sp.End()
-	st.PhaseCPU[PhaseProbePartition] = time.Since(t0)
-	st.PhaseIO[PhaseProbePartition] = cfg.Disk.Stats().Sub(io0)
+	pt.Span.SetAttr("copies", st.CopiesS)
+	pt.Span.SetAttr("orphans", st.Orphans)
+	pt.End()
 	if err != nil {
 		return st, joinerr.Wrap("shj", PhaseProbePartition.String(), err)
 	}
@@ -275,8 +244,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	// independent units on the shared scheduler; per-worker algorithms
 	// keep the sweep state private and the collector releases results in
 	// bucket order, identical to a sequential run's.
-	t0, io0 = time.Now(), cfg.Disk.Stats()
-	sp = cfg.Trace.Child(PhaseJoin.String())
+	pt = led.Begin(int(PhaseJoin), PhaseJoin.String())
 	var units []*bucket
 	var unitWeight []float64
 	bucketFill := cfg.Metrics.Histogram(metBucketFill)
@@ -295,7 +263,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			// before skipping. An empty R bucket received no S copies
 			// and can contribute no pairs regardless.
 			if b.nR > 0 && nS == 0 {
-				if err = recfile.VerifyEmptyKPEs(b.fS, cfg.bufPages()); err != nil {
+				if err = recfile.VerifyEmptyKPEs(b.fS, dev.BufPages); err != nil {
 					break
 				}
 			}
@@ -314,7 +282,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	}
 	cfg.Progress.SetTotal(total)
 	if err == nil {
-		workers := cfg.workers()
+		workers := max(cfg.Parallel, 1)
 		algs := make([]sweep.Algorithm, workers)
 		algs[0] = alg
 		for w := 1; w < workers; w++ {
@@ -329,7 +297,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		err = sched.Run(len(units), sched.Options{
 			Workers: workers,
 			Name:    "bucket-worker",
-			Span:    sp,
+			Span:    pt.Span,
 			Cancel:  cfg.Cancel,
 			Gov:     cfg.Gov,
 			UnitMem: cfg.Memory,
@@ -337,11 +305,11 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		}, func(w, i int) error {
 			defer col.Done(i)
 			b := units[i]
-			rs, uerr := recfile.ReadAllKPEs(nil, b.fR, cfg.bufPages())
+			rs, uerr := recfile.ReadAllKPEs(nil, b.fR, dev.BufPages)
 			if uerr != nil {
 				return uerr
 			}
-			ss, uerr := recfile.ReadAllKPEs(nil, b.fS, cfg.bufPages())
+			ss, uerr := recfile.ReadAllKPEs(nil, b.fS, dev.BufPages)
 			if uerr != nil {
 				return uerr
 			}
@@ -356,16 +324,14 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		// The span is not safe for concurrent AddRecords, so per-unit
 		// record counts accumulate in unit slots and post here.
 		for _, n := range recs {
-			sp.AddRecords(n)
+			pt.Span.AddRecords(n)
 		}
 		for _, a := range algs {
 			st.Tests += a.Tests()
 			st.Touches += a.Touches()
 		}
 	}
-	sp.End()
-	st.PhaseCPU[PhaseJoin] = time.Since(t0)
-	st.PhaseIO[PhaseJoin] = cfg.Disk.Stats().Sub(io0)
+	pt.End()
 	if err != nil {
 		return st, joinerr.Wrap("shj", PhaseJoin.String(), err)
 	}
@@ -416,20 +382,4 @@ func chooseBucket(buckets []*bucket, r geom.Rect) *bucket {
 		best.seeded = true
 	}
 	return best
-}
-
-// bufPagesFor sizes per-stream buffers against the memory budget like
-// the other partition-based joins do.
-func bufPagesFor(cfg Config, streams int) int {
-	if streams < 1 {
-		streams = 1
-	}
-	per := int(cfg.Memory / int64(streams) / int64(cfg.Disk.PageSize()))
-	if per < 1 {
-		return 1
-	}
-	if per > cfg.bufPages() {
-		return cfg.bufPages()
-	}
-	return per
 }

@@ -26,8 +26,10 @@ import (
 	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
+	"spatialjoin/internal/phase"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/trace"
@@ -65,7 +67,7 @@ type Config struct {
 	// tree-structured status; the default is the interval-trie sweep.
 	Algorithm sweep.Kind
 	// BufPages is the per-stream sequential buffer size in pages.
-	// Values < 1 select 4.
+	// Values < 1 select iocost.DefaultBufPages.
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.
@@ -83,13 +85,6 @@ type Config struct {
 	// Metrics, when non-nil, publishes the join's totals (sweep tests and
 	// touches, sort runs).
 	Metrics *metrics.Registry
-}
-
-func (c *Config) bufPages() int {
-	if c.BufPages < 1 {
-		return 4
-	}
-	return c.BufPages
 }
 
 // Stats reports what an SSSJ join did.
@@ -113,22 +108,10 @@ type Stats struct {
 }
 
 // TotalIO sums the per-phase I/O statistics.
-func (s *Stats) TotalIO() diskio.Stats {
-	var t diskio.Stats
-	for i := range s.PhaseIO {
-		t.Add(s.PhaseIO[i])
-	}
-	return t
-}
+func (s *Stats) TotalIO() diskio.Stats { return phase.TotalIO(s.PhaseIO[:]) }
 
 // TotalCPU sums the per-phase CPU times.
-func (s *Stats) TotalCPU() time.Duration {
-	var t time.Duration
-	for _, d := range s.PhaseCPU {
-		t += d
-	}
-	return t
-}
+func (s *Stats) TotalCPU() time.Duration { return phase.TotalCPU(s.PhaseCPU[:]) }
 
 // Join computes the spatial intersection join of R and S, delivering
 // each result pair exactly once to emit. The inputs are not modified.
@@ -140,8 +123,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		return Stats{}, joinerr.Wrap("sssj", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
 	var st Stats
-	start := time.Now()
-	startUnits := cfg.Disk.Stats().CostUnits
+	cfg.BufPages = iocost.BufPages(cfg.BufPages) // resolved once: every stream below reads it
+	led := phase.New(cfg.Disk, cfg.Trace, st.PhaseCPU[:], st.PhaseIO[:], &st.FirstResultCPU, &st.FirstResultIO)
 
 	// One sweep covers every exit path, so no raw copy or sorted run
 	// outlives the join — success, failure or cancellation alike.
@@ -151,18 +134,15 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	// Phase 1: externally sort both relations by the left edge. Writing
 	// the unsorted copy is charged too: unlike PBSM's partition files the
 	// sort needs a materialized input it may read several times.
-	t0, io0 := time.Now(), cfg.Disk.Stats()
-	sortSpan := cfg.Trace.Child(PhaseSort.String())
-	sortSpan.AddRecords(int64(len(R) + len(S)))
-	sortedR, errR := sortByXL(R, cfg, reg, &st, sortSpan)
+	pt := led.Begin(int(PhaseSort), PhaseSort.String())
+	pt.Span.AddRecords(int64(len(R) + len(S)))
+	sortedR, errR := sortByXL(R, cfg, reg, &st, pt.Span)
 	var sortedS *diskio.File
 	var errS error
 	if errR == nil {
-		sortedS, errS = sortByXL(S, cfg, reg, &st, sortSpan)
+		sortedS, errS = sortByXL(S, cfg, reg, &st, pt.Span)
 	}
-	sortSpan.End()
-	st.PhaseCPU[PhaseSort] = time.Since(t0)
-	st.PhaseIO[PhaseSort] = cfg.Disk.Stats().Sub(io0)
+	pt.End()
 	if errR != nil {
 		return st, joinerr.Wrap("sssj", PhaseSort.String(), errR)
 	}
@@ -171,19 +151,15 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	}
 
 	// Phase 2: one synchronized streaming sweep over the sorted runs.
-	t0, io0 = time.Now(), cfg.Disk.Stats()
-	sweepSpan := cfg.Trace.Child(PhaseSweep.String())
-	sweepSpan.AddRecords(int64(len(R) + len(S)))
+	pt = led.Begin(int(PhaseSweep), PhaseSweep.String())
+	pt.Span.AddRecords(int64(len(R) + len(S)))
 	sw := &streamSweep{
-		rs:  newPeekReader(recfile.NewKPEReader(sortedR, cfg.bufPages())),
-		ss:  newPeekReader(recfile.NewKPEReader(sortedS, cfg.bufPages())),
+		rs:  newPeekReader(recfile.NewKPEReader(sortedR, cfg.BufPages)),
+		ss:  newPeekReader(recfile.NewKPEReader(sortedS, cfg.BufPages)),
 		st:  &st,
 		chk: cfg.Cancel,
 		emit: func(p geom.Pair) {
-			if st.Results == 0 {
-				st.FirstResultCPU = time.Since(start)
-				st.FirstResultIO = cfg.Disk.Stats().CostUnits - startUnits
-			}
+			led.First()
 			st.Results++
 			emit(p)
 		},
@@ -195,10 +171,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	sw.statusR = sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches)
 	sw.statusS = sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches)
 	err := sw.run()
-	sweepSpan.SetAttr("maxResident", int64(st.MaxResident))
-	sweepSpan.End()
-	st.PhaseCPU[PhaseSweep] = time.Since(t0)
-	st.PhaseIO[PhaseSweep] = cfg.Disk.Stats().Sub(io0)
+	pt.Span.SetAttr("maxResident", int64(st.MaxResident))
+	pt.End()
 	if err != nil {
 		return st, joinerr.Wrap("sssj", PhaseSweep.String(), err)
 	}
@@ -210,7 +184,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 func sortByXL(ks []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, span *trace.Span) (*diskio.File, error) {
 	raw := reg.Create()
 	defer reg.Remove(raw)
-	w := recfile.NewKPEWriter(raw, cfg.bufPages())
+	w := recfile.NewKPEWriter(raw, cfg.BufPages)
 	chk := cfg.Cancel.Stride()
 	for _, k := range ks {
 		if err := chk.Point(); err != nil {
@@ -227,7 +201,7 @@ func sortByXL(ks []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, span *
 		Disk:       cfg.Disk,
 		RecordSize: geom.KPESize,
 		Memory:     cfg.Memory,
-		BufPages:   cfg.bufPages(),
+		BufPages:   cfg.BufPages,
 		Parallel:   cfg.Parallel,
 		Gov:        cfg.Gov,
 		Trace:      span,

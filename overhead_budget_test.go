@@ -8,11 +8,15 @@
 // representative PBSM join passes through from the join's own accounting,
 // and assert sites × per-site cost ≤ the row's share of the measured join
 // time. The inequality holds by orders of magnitude (ns-scale sites vs
-// ms-scale joins), which is exactly what makes it CI-safe.
+// ms-scale joins), which is exactly what makes it CI-safe. Both sides of
+// it are the minimum of three measurements: a loaded machine only ever
+// adds time, to the join and to a microbenchmark alike, and one inflated
+// sample of either once failed a row that holds with a 1.5× margin.
 package spatialjoin_test
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,29 +29,42 @@ import (
 )
 
 // nsPerOp microbenchmarks loop, which runs its primitive n times inline
-// (no call per iteration to inflate it), never reporting less than a
-// nanosecond.
+// (no call per iteration to inflate it), and reports the fastest of three
+// runs, never less than a nanosecond.
 func nsPerOp(loop func(n int)) time.Duration {
-	res := testing.Benchmark(func(b *testing.B) { loop(b.N) })
-	return max(time.Duration(res.NsPerOp()), time.Nanosecond)
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		res := testing.Benchmark(func(b *testing.B) { loop(b.N) })
+		best = min(best, time.Duration(res.NsPerOp()))
+	}
+	return max(best, time.Nanosecond)
 }
 
 func TestOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("microbenchmark-based budget check")
 	}
+	if raceDetector {
+		// The detector instruments exactly what the rows microbenchmark: a
+		// Stride.Point costs 17 ns under it (1 ns without), a Check.Now
+		// 400 ns (20 ns), while the join as a whole slows five- to tenfold
+		// — the ratio it yields is the detector's, not the budget's, and
+		// it straddles 1. ci.sh runs this test in a step without -race.
+		t.Skip("budgets are shares of a production build's join; the race detector multiplies the measured primitives, not the join")
+	}
 	R := datagen.Uniform(21, 4000, 0.004)
 	S := datagen.Uniform(22, 4000, 0.004)
 	records := int64(len(R) + len(S))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	reg := metrics.New() // the cancel row's join counts its checkpoints here
+	var reg *metrics.Registry // a counted row's join counts its checkpoints here
 
 	for _, row := range []struct {
 		name    string
 		percent int64
 		cfg     core.Config // beyond Method and Memory
 		traced  bool        // run the join under an active recorder
+		counted bool        // run the join with a registry of its own (reg)
 		// cost projects the disabled-path cost of the join just run.
 		cost func(t *testing.T, rec *trace.Recorder, res core.Result) time.Duration
 	}{
@@ -57,7 +74,7 @@ func TestOverheadBudget(t *testing.T) {
 			// per Point plus a context poll every CheckInterval calls. The
 			// join runs under a context that never fires and adds
 			// chk.Calls() to the registry's "core.cancel.checks" on every exit.
-			name: "cancel", percent: 2, cfg: core.Config{Ctx: ctx, Metrics: reg},
+			name: "cancel", percent: 2, cfg: core.Config{Ctx: ctx}, counted: true,
 			cost: func(t *testing.T, _ *trace.Recorder, res core.Result) time.Duration {
 				// ACTIVE checkpoints, each flavor measured on its own; all
 				// upper-bound the nil fast path. The per-record loops use
@@ -190,19 +207,30 @@ func TestOverheadBudget(t *testing.T) {
 		},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := row.cfg
-			cfg.Method, cfg.Memory = core.PBSM, 64<<10
+			// The fastest of three joins. Each has a recorder and a registry
+			// of its own; what they count is the same in every run, so the
+			// last run's stand for all three.
 			var rec *trace.Recorder
-			if row.traced {
-				rec = trace.New()
-				cfg.Trace = rec
+			var res core.Result
+			elapsed := time.Duration(math.MaxInt64)
+			for i := 0; i < 3; i++ {
+				cfg := row.cfg
+				cfg.Method, cfg.Memory = core.PBSM, 64<<10
+				if row.traced {
+					rec = trace.New()
+					cfg.Trace = rec
+				}
+				if row.counted {
+					reg = metrics.New()
+					cfg.Metrics = reg
+				}
+				start := time.Now()
+				var err error
+				if _, res, err = core.Collect(R, S, cfg); err != nil {
+					t.Fatal(err)
+				}
+				elapsed = min(elapsed, time.Since(start))
 			}
-			start := time.Now()
-			_, res, err := core.Collect(R, S, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			elapsed := time.Since(start)
 			cost := row.cost(t, rec, res)
 			budget := elapsed * time.Duration(row.percent) / 100
 			t.Logf("projected-cost=%v join=%v budget(%d%%)=%v", cost, elapsed, row.percent, budget)
