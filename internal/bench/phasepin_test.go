@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
+	"spatialjoin/internal/sweep"
 )
 
 // TestPhaseIOPinned pins what every method charges to each of its phases,
@@ -84,5 +87,63 @@ func TestPhaseIOPinned(t *testing.T) {
 				t.Errorf("phase I/O moved:\n got  %s\n want %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestPBSMStatsPinned pins PBSM's sweep and duplicate counters and its
+// emission sequence for every duplicate method × internal algorithm on J1,
+// at 5 % memory (partition pairs, each striped as loaded) and at 4× the
+// input (P = 1, the stripes as scheduler units), at one worker and at four.
+// The lines are counts and an order-dependent hash of the delivered pairs,
+// so they hold on any machine; a change to the in-memory kernel that moves
+// one has changed what PBSM tests, suppresses or emits, or in which order.
+func TestPBSMStatsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 joins of J1")
+	}
+	R, S := NewSuite(1, 0, 1).Inputs(J1)
+	cases := []struct {
+		frac float64
+		dup  pbsm.DupMethod
+		alg  sweep.Kind
+		want string
+	}{
+		{0.05, pbsm.DupRPM, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 skipped=0 reftests=0 results=61929 seq=0x8acb65371d36786c"},
+		{0.05, pbsm.DupRPM, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 skipped=0 reftests=0 results=61929 seq=0xbb5c17b3142b7f14"},
+		{0.05, pbsm.DupSort, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{0.05, pbsm.DupSort, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{0.05, pbsm.DupTLSP, sweep.ListKind, "tests=5175998 touches=5513545 raw=62573 skipped=272 reftests=15701 results=61929 seq=0x20ca6618757b44c8"},
+		{0.05, pbsm.DupTLSP, sweep.TrieKind, "tests=242336 touches=4109067 raw=62573 skipped=272 reftests=15701 results=61929 seq=0xc95c9788564f0560"},
+		{4, pbsm.DupRPM, sweep.ListKind, "tests=452123 touches=732789 raw=61929 skipped=0 reftests=0 results=61929 seq=0x3fc321a04400a220"},
+		{4, pbsm.DupRPM, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 skipped=0 reftests=0 results=61929 seq=0x7fb4b969af5c52a8"},
+		{4, pbsm.DupSort, sweep.ListKind, "tests=452123 touches=732789 raw=61929 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{4, pbsm.DupSort, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{4, pbsm.DupTLSP, sweep.ListKind, "tests=452123 touches=732789 raw=61929 skipped=0 reftests=0 results=61929 seq=0x3fc321a04400a220"},
+		{4, pbsm.DupTLSP, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 skipped=0 reftests=0 results=61929 seq=0x7fb4b969af5c52a8"},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("mem=%g/%v/%s/parallel=%d", c.frac, c.dup, c.alg, workers), func(t *testing.T) {
+				h := fnv.New64a()
+				var b [16]byte
+				res, err := core.Join(R, S, core.Config{
+					Method: core.PBSM, PBSMDup: c.dup, Algorithm: c.alg,
+					Memory: MemFrac(R, S, c.frac), Parallel: workers,
+				}, func(p geom.Pair) {
+					binary.LittleEndian.PutUint64(b[:8], p.R)
+					binary.LittleEndian.PutUint64(b[8:], p.S)
+					h.Write(b[:])
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.PBSMStats
+				got := fmt.Sprintf("tests=%d touches=%d raw=%d skipped=%d reftests=%d results=%d seq=%#x",
+					st.Tests, st.Touches, st.RawResults, st.TLSPSkipped, st.TLSPRefTests, st.Results, h.Sum64())
+				if got != c.want {
+					t.Errorf("PBSM's counters or emission sequence moved:\n got  %s\n want %s", got, c.want)
+				}
+			})
+		}
 	}
 }
