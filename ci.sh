@@ -60,11 +60,13 @@ echo "== go test -race -count=1 ./... =="
 # internal/chaos spawn real worker processes and SIGKILL them at seeded
 # points, and process-level chaos must not be served from the test cache.
 # -timeout turns a cancellation hang (a checkpoint regression) into a
-# failure with stacks instead of a stuck CI job. -race: pbsm's striped
-# kernel folds its counters from concurrent scheduler units with
-# slot-owned buffers reused from unit to unit (TestStripe*: seam geometry
-# x dup method x algorithm x workers x budgets against nested loops,
-# emission order, cancellation at every kind of checkpoint); extsort forms
+# failure with stacks instead of a stuck CI job. -race: the pair kernel of
+# internal/stripe, which PBSM and SHJ run on, hands concurrent scheduler
+# units slot-owned buffers reused from unit to unit and PBSM folds its
+# counters from them (TestStripe* in internal/stripe and internal/pbsm:
+# seam geometry and SHJ bucket bands x dup method x algorithm x workers x
+# budgets against nested loops, emission order, slot trimming,
+# cancellation at every kind of checkpoint); extsort forms
 # runs and s3j's partitioners write scan-order runs from concurrent units,
 # and merge cursors break ties by run ordinal (stability, run files
 # identical across worker counts, the pinned emission sequence, torn runs,

@@ -163,6 +163,26 @@ func RefPoint(r, s Rect) Point {
 	return Point{X: math.Max(r.XL, s.XL), Y: math.Min(r.YH, s.YH)}
 }
 
+// ClampIdx maps a coordinate of the unit interval to a cell index in
+// [0,n), half-open: a point on the seam i/n belongs to the cell above it,
+// and 1 to the last cell. It is the one seam function of PBSM's tile grid
+// and of every stripe layout (package stripe), so an index and the duplicate test that
+// reads it always agree. It is total — 1e300, whose product with n no int
+// holds, or NaN still lands in the first or last cell.
+func ClampIdx(v float64, n int) int {
+	if !(v > 0) {
+		return 0
+	}
+	if v >= 1 {
+		return n - 1
+	}
+	i := int(v * float64(n))
+	if i >= n {
+		i = n - 1
+	}
+	return i
+}
+
 // String formats r as [xl,yl x xh,yh].
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.6g,%.6g x %.6g,%.6g]", r.XL, r.YL, r.XH, r.YH)

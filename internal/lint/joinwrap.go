@@ -6,7 +6,7 @@ import (
 
 // AnalyzerJoinwrap enforces the joinerr contract at the API boundary of
 // the join packages: an exported function or method of pbsm, s3j, sssj,
-// shj, extsort, exec or core must not hand a bare fmt.Errorf or
+// shj, stripe, extsort or core must not hand a bare fmt.Errorf or
 // errors.New value to its caller. Those constructors carry no Method,
 // Phase or Kind, so a server embedding the library cannot route the
 // failure (retry? surface? back off?) the way the joinerr taxonomy

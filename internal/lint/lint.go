@@ -125,6 +125,7 @@ var joinPackages = map[string]bool{
 	"s3j":     true,
 	"sssj":    true,
 	"shj":     true,
+	"stripe":  true,
 	"extsort": true,
 	"core":    true,
 }

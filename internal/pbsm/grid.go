@@ -60,29 +60,11 @@ func identityTiles(tiles int) []int32 {
 	return assign
 }
 
-// clampIdx maps a coordinate to a tile index in [0,n). It is total: the
-// data space is [0,1], but any float — 1e300, whose product with n no int
-// holds, or NaN — still lands in the first or last cell, because the index
-// goes straight into grid.assign and the planner's histogram.
-func clampIdx(v float64, n int) int {
-	if !(v > 0) {
-		return 0
-	}
-	if v >= 1 {
-		return n - 1
-	}
-	i := int(v * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return i
-}
-
 // tileOf returns the tile id containing p, with far-boundary points
 // clamped into the last tile — the same convention the Reference Point
 // Method test uses, so partitioner and duplicate test always agree.
 func (g *grid) tileOf(p geom.Point) int {
-	return clampIdx(p.Y, g.ny)*g.nx + clampIdx(p.X, g.nx)
+	return geom.ClampIdx(p.Y, g.ny)*g.nx + geom.ClampIdx(p.X, g.nx)
 }
 
 // partOf maps a tile id to its partition.
@@ -93,8 +75,8 @@ func (g *grid) partition(p geom.Point) int { return g.partOf(g.tileOf(p)) }
 
 // tileRange returns the inclusive tile-coordinate ranges overlapped by r.
 func (g *grid) tileRange(r geom.Rect) (x0, x1, y0, y1 int) {
-	return clampIdx(r.XL, g.nx), clampIdx(r.XH, g.nx),
-		clampIdx(r.YL, g.ny), clampIdx(r.YH, g.ny)
+	return geom.ClampIdx(r.XL, g.nx), geom.ClampIdx(r.XH, g.nx),
+		geom.ClampIdx(r.YL, g.ny), geom.ClampIdx(r.YH, g.ny)
 }
 
 // partitionsOf appends to dst the distinct partitions whose tiles overlap

@@ -58,8 +58,8 @@ func TestClampIdx(t *testing.T) {
 		{math.NaN(), 10, 0},
 	}
 	for _, c := range cases {
-		if got := clampIdx(c.v, c.n); got != c.want {
-			t.Errorf("clampIdx(%g,%d) = %d, want %d", c.v, c.n, got, c.want)
+		if got := geom.ClampIdx(c.v, c.n); got != c.want {
+			t.Errorf("geom.ClampIdx(%g,%d) = %d, want %d", c.v, c.n, got, c.want)
 		}
 	}
 }
@@ -313,7 +313,7 @@ func TestBoundaryAgreementRPM(t *testing.T) {
 // TestBoundaryAgreementTLSP is the same seam for TLSP's half-open tile
 // extents: rectangles whose reference corner (xl, yh) sits exactly on a
 // shared edge — including the far-boundary clamp at 1.0 — must get
-// class A on exactly one copy, in the tile clampIdx assigns the corner
+// class A on exactly one copy, in the tile geom.ClampIdx assigns the corner
 // to, and a pair whose reference point is exactly on an edge must be
 // emitted by exactly one tile under the class-AND test.
 func TestBoundaryAgreementTLSP(t *testing.T) {
@@ -322,7 +322,7 @@ func TestBoundaryAgreementTLSP(t *testing.T) {
 	for _, ex := range edges {
 		for _, ey := range edges {
 			r := geom.NewRect(ex, maxf(ey-0.6, 0), minf(ex+0.6, 1), ey)
-			cornerTile := clampIdx(ey, g.ny)*g.nx + clampIdx(ex, g.nx)
+			cornerTile := geom.ClampIdx(ey, g.ny)*g.nx + geom.ClampIdx(ex, g.nx)
 			classA := 0
 			for _, d := range g.copiesOf(r, nil, nil, 0) {
 				if d.class != 0 {
@@ -330,7 +330,7 @@ func TestBoundaryAgreementTLSP(t *testing.T) {
 				}
 				classA++
 				if d.part != cornerTile {
-					t.Fatalf("corner (%g,%g): class A copy in tile %d, clampIdx says %d",
+					t.Fatalf("corner (%g,%g): class A copy in tile %d, geom.ClampIdx says %d",
 						ex, ey, d.part, cornerTile)
 				}
 			}

@@ -17,10 +17,10 @@ const (
 	// duplicate-elimination strategy.
 	metDupSuppressed = "pbsm.dup.suppressed"
 	// metRPMTests counts reference-point tests (one per raw result
-	// under DupRPM), added live, once per sweep.
+	// under DupRPM), added live, once per kernel call.
 	metRPMTests = "pbsm.rpm.tests"
 	// metTLSPSkipped counts candidates rejected by the TLSP class test
-	// alone (no region consulted), added live, once per sweep.
+	// alone (no region consulted), added live, once per kernel call.
 	metTLSPSkipped = "pbsm.tlsp.pairs.skipped"
 	// metReplicationCopies counts KPE copies written by partitioning.
 	metReplicationCopies = "pbsm.replication.copies"
@@ -48,36 +48,22 @@ const (
 	metPartitionFill = "pbsm.partition.fill"
 )
 
-// resolveCounters resolves the joiner's live counter handles once up
-// front (nil without a registry; the handles are nil-safe, so the join
-// phase updates them unconditionally). pbsm.rpm.tests and
-// pbsm.tlsp.pairs.skipped are per-result counts that every sweep adds
-// when it ends — once per stripe, never per candidate, which would pass
-// the counter's cache line between the cores as often as the stats mutex
-// once did — so a mid-flight /metrics scrape still sees them advance
-// with the join instead of reading 0 until the end.
-func (j *joiner) resolveCounters() {
-	j.pairsDone = j.cfg.Metrics.Counter(metPairsDone)
-	j.rpmTests = j.cfg.Metrics.Counter(metRPMTests)
-	j.tlspSkipped = j.cfg.Metrics.Counter(metTLSPSkipped)
-}
-
-// publishMetrics adds this join's remaining totals to the
+// publishMetrics adds the totals of st, this join's Stats, to the
 // process-lifetime counters: how many raw join-phase results the
 // duplicate-elimination strategy suppressed, how much the partitioning
 // replicated, and what the internal algorithm's status structure cost in
 // traversal work. The handles of a nil registry are no-ops. The
-// per-result counters (RPM tests, TLSP skips) are NOT published here —
-// every sweep already added its share.
-func (j *joiner) publishMetrics() {
+// per-result counters (RPM tests, TLSP skips) are not published here:
+// every kernel call already added its share (fold).
+func (j *joiner) publishMetrics(st *Stats) {
 	m := j.cfg.Metrics
-	m.Counter(metDupSuppressed).Add(j.stats.RawResults - j.stats.Results)
-	m.Counter(metTLSPRefTests).Add(j.stats.TLSPRefTests)
-	m.Counter(metReplicationCopies).Add(j.stats.CopiesR + j.stats.CopiesS)
-	m.Counter(metSweepTests).Add(j.stats.Tests)
-	m.CounterVec(metSweepTouches, "alg").With(j.sl.alg.Name()).Add(j.stats.Touches)
-	m.Counter(metHealed).Add(int64(j.stats.Healed))
-	m.Counter(metRepartitions).Add(int64(j.stats.Repartitions))
+	m.Counter(metDupSuppressed).Add(st.RawResults - st.Results)
+	m.Counter(metTLSPRefTests).Add(st.TLSPRefTests)
+	m.Counter(metReplicationCopies).Add(st.CopiesR + st.CopiesS)
+	m.Counter(metSweepTests).Add(st.Tests)
+	m.CounterVec(metSweepTouches, "alg").With(j.ex.Algorithm()).Add(st.Touches)
+	m.Counter(metHealed).Add(int64(st.Healed))
+	m.Counter(metRepartitions).Add(int64(st.Repartitions))
 }
 
 // initProgress prices every top-level partition pair with the same

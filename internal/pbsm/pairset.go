@@ -69,7 +69,7 @@ func PlanGrid(nr, ns int, cfg Config) GridSpec {
 
 // ReplicationRate estimates the grid's copies per record from a sample:
 // the average number of tiles a sample rectangle overlaps, from the
-// planner's own tile histogram (tileCounts, hence clampIdx), so
+// planner's own tile histogram (tileCounts, hence geom.ClampIdx), so
 // out-of-domain coordinates clamp here as they do in the scatter. It
 // drives the trade-off behind NT ≥ P — finer tiling balances partitions
 // but replicates more. An empty sample estimates 1.
@@ -252,7 +252,7 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 		return joinerr.Wrap("pbsm", PhasePartition.String(), errR)
 	}
 	reg := j.topRegion(part)
-	err := j.processPair(&j.sl, func(ps []geom.Pair) {
+	err := j.processPair(j.ex.Slot(), func(ps []geom.Pair) {
 		//lint:ignore checkpoint a batch is at most stripeBatch pairs, handed over between two of the stripe loop's own checkpoints
 		for _, p := range ps {
 			counted(p)
@@ -285,15 +285,8 @@ func (e *PairExec) writeSide(ks []geom.KPE) (*diskio.File, error) {
 	return f, w.Flush()
 }
 
-// Stats returns the executor's accumulated statistics. Call it once,
-// after the last RunPair: it folds in the internal algorithm's
-// cumulative counters.
-func (e *PairExec) Stats() Stats {
-	s := e.j.stats
-	s.Tests += e.j.sl.alg.Tests()
-	s.Touches += e.j.sl.alg.Touches()
-	return s
-}
+// Stats returns the executor's accumulated statistics.
+func (e *PairExec) Stats() Stats { return e.j.snapshot() }
 
 // Close sweeps the executor's temp files. Always call it; it is the
 // same every-exit-path sweep the full join performs.

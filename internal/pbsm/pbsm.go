@@ -29,12 +29,9 @@
 //     (tlsp.go).
 //
 // Whatever the join phase has in memory — a loaded partition pair, or
-// both inputs whole when formula (1) yields P = 1 and no phase touches
-// the disk — it joins through one kernel (stripes.go): the data space is
-// cut into cache-sized y-stripes, each stripe is swept on its own with
-// the internal algorithm, and a stripe never reports a candidate whose
-// reference point lies in another, so the duplicate method above only
-// ever sees the duplicates partitioning introduced.
+// both inputs whole when formula (1) yields P = 1 — it joins on the pair
+// kernel of package stripe, cut into cache-sized y-stripes, with the
+// duplicate method above as the kernel's hook (stripes.go).
 package pbsm
 
 import (
@@ -53,6 +50,7 @@ import (
 	"spatialjoin/internal/phase"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
+	"spatialjoin/internal/stripe"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/trace"
 )
@@ -300,16 +298,15 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	// so no partition, repartition, spool or sort file outlives the join.
 	defer j.reg.Sweep()
 	err := j.run(R, S, emit)
-	j.stats.Tests += j.sl.alg.Tests()
-	j.stats.Touches += j.sl.alg.Touches()
-	j.publishMetrics()
-	return j.stats, err
+	st := j.snapshot()
+	j.publishMetrics(&st)
+	return st, err
 }
 
 type joiner struct {
 	cfg   Config
 	dev   iocost.Device // cfg.Disk with the resolved buffer: every stream is sized from it
-	sl    slot          // worker slot 0 of every runUnits, and PairExec's only one
+	ex    *stripe.Exec  // the pair kernel's unit driver; its slot 0 is PairExec's only one
 	stats Stats
 	led   *phase.Ledger    // charges stats.PhaseCPU/PhaseIO and the first-result fields
 	reg   *diskio.Registry // every temp file of this join; swept on exit
@@ -317,13 +314,10 @@ type joiner struct {
 	emit      func(geom.Pair)
 	dupWriter *recfile.PairWriter // result spool when Dup == DupSort
 
-	// par is true while the join phase runs on parallel workers; stats
-	// mutations inside the phase then go through mu (or, for result
-	// delivery, through the collector's own serialization) and phase
-	// activations are span-only (led.SpanOnly). It is set before the
-	// workers start and cleared after they have all joined.
-	par bool
-	mu  sync.Mutex
+	// mu serializes stats mutations (bump) and, when Config.Parallel lets
+	// the join phase's units overlap, the DupSort spool; result delivery
+	// goes through the collector's own serialization.
+	mu sync.Mutex
 
 	// grid is the top-level grid (nil when P = 1): the partition phase
 	// scatters through it and topRegion reads it. baseR/baseS are kept for
@@ -336,9 +330,10 @@ type joiner struct {
 	// pairCost holds each top pair's planned iocost.PairCost (progress
 	// weights; nil without a Progress), read-only once the join phase
 	// starts. pairsDone, rpmTests and tlspSkipped are live counter
-	// handles resolved once up front (nil-safe, see resolveCounters);
-	// the latter two are bumped once per sweep so mid-flight /metrics
-	// scrapes see them move instead of jumping at join end.
+	// handles resolved once up front (nil-safe, nil without a registry);
+	// the latter two are added once per kernel call (fold) — never per
+	// candidate, which would pass their cache lines between the cores —
+	// so mid-flight /metrics scrapes see them move with the join.
 	pairCost    []float64
 	pairsDone   *metrics.Counter
 	rpmTests    *metrics.Counter
@@ -350,9 +345,19 @@ type joiner struct {
 func newJoiner(cfg Config) *joiner {
 	j := &joiner{cfg: cfg, dev: iocost.DeviceOf(cfg.Disk, cfg.BufPages), reg: cfg.Disk.NewRegistry()}
 	j.led = phase.New(cfg.Disk, cfg.Trace, j.stats.PhaseCPU[:], j.stats.PhaseIO[:], &j.stats.FirstResultCPU, &j.stats.FirstResultIO)
-	j.sl = j.newSlot()
-	j.resolveCounters()
+	j.ex = stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Gov: cfg.Gov, Metrics: cfg.Metrics})
+	j.pairsDone = cfg.Metrics.Counter(metPairsDone)
+	j.rpmTests = cfg.Metrics.Counter(metRPMTests)
+	j.tlspSkipped = cfg.Metrics.Counter(metTLSPSkipped)
 	return j
+}
+
+// snapshot is the join's Stats with the kernel's sweep counters: the one
+// place PBSM reads them.
+func (j *joiner) snapshot() Stats {
+	s := j.stats
+	s.Tests, s.Touches = j.ex.Counts()
+	return s
 }
 
 // healableError tags a corruption error that was detected before the
@@ -380,14 +385,11 @@ func (j *joiner) begin(p Phase) phase.Activation {
 }
 
 // bump mutates the rarely-updated Stats counters (Healed, Repartitions,
-// MemoryOverflows, and the candidate counts of one whole sweep): under
-// the stats mutex when the join phase is parallel, lock-free on the
-// serial path.
+// MemoryOverflows, and the candidate counts of one kernel call) under the
+// stats mutex.
 func (j *joiner) bump(f func()) {
-	if j.par {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	f()
 }
 
@@ -515,65 +517,17 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
 		defer pt.End()
 		pt.Span.SetAttr("workers", int64(workers))
 		span = pt.Span
+		j.led.SpanOnly = true
+		defer func() { j.led.SpanOnly = false }()
 	}
-	return j.runUnits(len(filesR), "pair-worker", j.cfg.Memory, span, j.deliver,
-		func(sl *slot, col *sched.Collector, i int) error {
-			err := j.processTopPair(sl, func(ps []geom.Pair) { col.EmitBatch(i, ps) }, filesR, filesS, i)
+	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(len(filesR), "pair-worker", j.cfg.Memory, span, j.deliver,
+		func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
+			err := j.processTopPair(sl, emit, filesR, filesS, i)
 			if err == nil {
 				j.pairDone(i)
 			}
 			return err
-		})
-}
-
-// runUnits is the package's one unit driver: it runs unit for every i in
-// [0, n) as ordered units on the shared scheduler behind a collector, so
-// sink sees unit order, then each unit's own order, at every worker
-// count (inline on the calling goroutine at one worker). It is the only
-// place that builds a collector, hands each worker slot the struct that
-// owns its internal algorithm and every buffer it reuses from unit to
-// unit (slot 0 is the joiner's own), toggles par around the region, and
-// folds the extra slots' sweep counters into Stats. unit must emit only
-// through col, as unit i; Done is called for it.
-//
-// unitMem is what each extra worker claims from the governor: the records
-// a unit holds at once — a loaded pair (Config.Memory) or two gathered
-// stripes. Beyond it a slot of the P > 1 path holds its pair's stripe
-// index, 4 bytes per copy, and two gathered stripes of about
-// stripeRecords records; a memory-overflow leaf grows the slot past all
-// of that by design and processPair trims it back afterwards.
-func (j *joiner) runUnits(n int, name string, unitMem int64, span *trace.Span, sink func(geom.Pair),
-	unit func(sl *slot, col *sched.Collector, i int) error) error {
-	workers := max(j.cfg.Parallel, 1)
-	col := sched.NewCollector(n, sink)
-	extra := make([]slot, workers-1) // slots 1 and up; slot 0 is j.sl
-	for w := range extra {
-		extra[w] = j.newSlot()
-	}
-	j.par = workers > 1 && n > 1
-	j.led.SpanOnly = j.par
-	err := sched.Run(n, sched.Options{
-		Workers: workers,
-		Name:    name,
-		Span:    span,
-		Cancel:  j.cfg.Cancel,
-		Gov:     j.cfg.Gov,
-		UnitMem: unitMem,
-		Metrics: j.cfg.Metrics,
-	}, func(w, i int) error {
-		defer col.Done(i)
-		sl := &j.sl
-		if w > 0 {
-			sl = &extra[w-1]
-		}
-		return unit(sl, col, i)
-	})
-	j.par, j.led.SpanOnly = false, false
-	for _, sl := range extra {
-		j.stats.Tests += sl.alg.Tests()
-		j.stats.Touches += sl.alg.Touches()
-	}
-	return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
+		}))
 }
 
 // topRegion is the region chain a top-level pair starts with. Under RPM
@@ -593,7 +547,7 @@ func (j *joiner) topRegion(part int) region {
 // before the pair emitted anything. It is safe as a concurrent scheduler
 // unit: it touches only slot i of the shared file slices, and its stats
 // mutations go through bump.
-func (j *joiner) processTopPair(sl *slot, emit func([]geom.Pair), filesR, filesS []*diskio.File, i int) error {
+func (j *joiner) processTopPair(sl *stripe.Slot, emit func([]geom.Pair), filesR, filesS []*diskio.File, i int) error {
 	reg := j.topRegion(i)
 	err := j.processPair(sl, emit, filesR[i], filesS[i], reg, reg, 0)
 	var he *healableError
@@ -744,9 +698,10 @@ func (j *joiner) verifyEmptySides(fr, fs *diskio.File) error {
 // processPair joins the partition pair (fr, fs), repartitioning
 // recursively when the pair exceeds the memory budget (§3.2.3). A pair
 // that fits (or has hit the recursion cap) is loaded into the slot's two
-// buffers and joined stripe by stripe; emit receives its results in
-// batches, the last one before processPair returns.
-func (j *joiner) processPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
+// buffers and joined stripe by stripe (stripe.Slot.JoinLoaded); emit
+// receives its results in batches, the last one before processPair
+// returns.
+func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
 	if err := j.cfg.Cancel.Now(); err != nil {
 		return err
 	}
@@ -765,19 +720,18 @@ func (j *joiner) processPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.Fi
 		return j.repartitionPair(sl, emit, fr, fs, regR, regS, depth)
 	}
 	if size > j.cfg.Memory {
+		// The slot outgrows the budget; JoinLoaded trims it back.
 		j.bump(func() { j.stats.MemoryOverflows++ })
-		// The slot is about to outgrow the budget; it must not stay that
-		// big for the pairs that follow.
-		defer sl.trim(int(2 * j.cfg.Memory / geom.KPESize))
 	}
 
 	pt := j.begin(PhaseJoin)
 	pt.Span.AddRecords(nr + ns)
 	defer pt.End()
 	var err error
-	if sl.loadR, err = recfile.ReadAllKPEs(sl.loadR, fr, j.dev.BufPages); err == nil {
-		if sl.loadS, err = recfile.ReadAllKPEs(sl.loadS, fs, j.dev.BufPages); err == nil {
-			return j.joinLoadedPair(sl, emit, pt.Span, regR, regS)
+	if sl.LoadR, err = recfile.ReadAllKPEs(sl.LoadR, fr, j.dev.BufPages); err == nil {
+		if sl.LoadS, err = recfile.ReadAllKPEs(sl.LoadS, fs, j.dev.BufPages); err == nil {
+			f := j.newFilter(regR, regS)
+			return j.fold(f, sl.JoinLoaded(emit, stripe.Unit, f.keep, j.cfg.Cancel, pt.Span))
 		}
 	}
 	if depth == 0 {
@@ -790,7 +744,7 @@ func (j *joiner) processPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.Fi
 
 // repartitionPair splits the larger side of an oversized pair with a
 // finer grid and recurses on each sub-pair against the unsplit side.
-func (j *joiner) repartitionPair(sl *slot, emit func([]geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
+func (j *joiner) repartitionPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *diskio.File, regR, regS region, depth int) error {
 	j.bump(func() { j.stats.Repartitions++ })
 	nr, ns := recfile.NumKPEs(fr), recfile.NumKPEs(fs)
 	n := max(iocost.PartCount(nr+ns, j.cfg.Memory, j.cfg.TuneFactor), 2)

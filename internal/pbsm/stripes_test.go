@@ -16,6 +16,8 @@ import (
 	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
+	"spatialjoin/internal/shj"
+	"spatialjoin/internal/stripe"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/trace"
 )
@@ -32,8 +34,8 @@ const seamSide = 6000
 // filler snapped to a 1/64 lattice so coincident edges abound.
 func seamInputs(t *testing.T) (R, S []geom.KPE) {
 	t.Helper()
-	if k := stripeCount(2 * seamSide); k != 4 {
-		t.Fatalf("test geometry assumes K = 4, stripeCount gives %d", k)
+	if k := stripe.Count(2 * seamSide); k != 4 {
+		t.Fatalf("test geometry assumes K = 4, stripe.Count gives %d", k)
 	}
 	rng := rand.New(rand.NewSource(12))
 	seams := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -92,52 +94,141 @@ func checkExactlyOnce(t *testing.T, label string, got, oracle []geom.Pair) {
 	}
 }
 
-// TestStripeSeamsExactlyOnce drives the striped P = 1 join over the
-// seam geometry for every duplicate method × internal algorithm × worker
-// count against a nested-loops oracle.
-func TestStripeSeamsExactlyOnce(t *testing.T) {
-	R, S := seamInputs(t)
-	oracle := jointest.Naive(R, S)
-	mem := int64(len(R)+len(S)) * geom.KPESize * 4
-	for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
-		for _, alg := range []sweep.Kind{sweep.ListKind, sweep.TrieKind, sweep.NestedLoopsKind} {
-			var first []geom.Pair
-			var firstSt Stats
-			for _, workers := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%v/%s/parallel=%d", dup, alg, workers)
-				got, st := run(t, R, S, Config{Memory: mem, Dup: dup, Algorithm: alg, Parallel: workers})
-				if st.P != 1 {
-					t.Fatalf("%s: P = %d, the test must run the in-memory path", label, st.P)
+// bandInputs builds n records a side for one SHJ bucket whose extent is
+// R's, [0, 1] × [lo, hi]: R lies on the seams lo + (hi − lo)·i/k of a
+// K = k band — from one seam to the next, zero-height on one, points on
+// one — with one rectangle spanning the whole band; S does the same and
+// reaches past the band on both sides, so reference points fall exactly
+// on band seams and S copies clamp into the end stripes. x is snapped to a
+// 1/256 lattice so coincident edges abound. lo == hi puts all of R on one
+// horizontal line.
+func bandInputs(lo, hi float64, k, n int) (R, S []geom.KPE) {
+	rng := rand.New(rand.NewSource(27))
+	seam := func(i int) float64 { return lo + (hi-lo)*float64(min(i, k))/float64(k) }
+	build := func(past bool) []geom.KPE {
+		ks := []geom.KPE{{Rect: geom.NewRect(0, lo, 1, hi)}}
+		for len(ks) < n {
+			x := float64(rng.Intn(256)) / 256
+			w := float64(rng.Intn(3)) / 256
+			i := rng.Intn(k + 1)
+			yl, yh := seam(i), seam(i+rng.Intn(2))
+			if past {
+				switch rng.Intn(4) {
+				case 0:
+					yl = max(0, lo-0.1)
+				case 1:
+					yh = min(1, hi+0.1)
 				}
-				if io := st.TotalIO(); dup != DupSort && io.CostUnits != 0 {
-					t.Fatalf("%s: in-memory join charged %g I/O units", label, io.CostUnits)
+			}
+			if rng.Intn(8) == 0 {
+				yl, w = yh, 0 // a point
+			}
+			ks = append(ks, geom.KPE{ID: uint64(len(ks)), Rect: geom.NewRect(x, yl, min(1, x+w), yh)})
+		}
+		return ks
+	}
+	return build(false), build(true)
+}
+
+// TestStripeSeamsExactlyOnce drives the kernel over seam geometry against
+// a nested-loops oracle: PBSM's unit-square stripes on its P = 1 path for
+// every duplicate method × internal algorithm × worker count, and SHJ's
+// bands — one bucket whose extent is R's, its stripes over that extent's
+// y-range — for every internal algorithm at one and four workers.
+func TestStripeSeamsExactlyOnce(t *testing.T) {
+	seamR, seamS := seamInputs(t)
+	bandR, bandS := bandInputs(0.25, 0.75, 4, 5000)
+	lineR, lineS := bandInputs(0.5, 0.5, 4, 2000)
+	thinR, thinS := bandInputs(0, 1e-310, 4, 2000)
+	for _, in := range []struct {
+		name string
+		R, S []geom.KPE
+		pbsm bool
+		k    int // SHJ's stripe count over the bucket
+	}{
+		// The bucket's extent is the unit square: coordinates at exactly
+		// 0 and 1, on the band's ends.
+		{"seams", seamR, seamS, true, 4},
+		// Reference points exactly on the seams 0.375, 0.5 and 0.625 of
+		// the band [0.25, 0.75], S copies reaching past both of its ends.
+		{"band", bandR, bandS, false, 4},
+		// All of R on one horizontal line: a zero-height band, whose
+		// 4000 records must not be cut into stripes.
+		{"zero-height band", lineR, lineS, false, 1},
+		// R within a subnormal height of y = 0: 1/(hi − lo) overflows.
+		{"subnormal-height band", thinR, thinS, false, 1},
+	} {
+		oracle := jointest.Naive(in.R, in.S)
+		mem := int64(len(in.R)+len(in.S)) * geom.KPESize * 4
+		for _, alg := range []sweep.Kind{sweep.ListKind, sweep.TrieKind, sweep.NestedLoopsKind} {
+			for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
+				if !in.pbsm {
+					break
+				}
+				var first []geom.Pair
+				var firstSt Stats
+				for _, workers := range []int{1, 2, 4} {
+					label := fmt.Sprintf("%s/%v/%s/parallel=%d", in.name, dup, alg, workers)
+					got, st := run(t, in.R, in.S, Config{Memory: mem, Dup: dup, Algorithm: alg, Parallel: workers})
+					if st.P != 1 {
+						t.Fatalf("%s: P = %d, the test must run the in-memory path", label, st.P)
+					}
+					if io := st.TotalIO(); dup != DupSort && io.CostUnits != 0 {
+						t.Fatalf("%s: in-memory join charged %g I/O units", label, io.CostUnits)
+					}
+					checkExactlyOnce(t, label, got, oracle)
+					if st.Results != int64(len(got)) {
+						t.Fatalf("%s: Stats.Results = %d, emitted %d", label, st.Results, len(got))
+					}
+					// Seam-crossing pairs meet in more than one stripe, but a
+					// stripe never reports a candidate whose reference point
+					// lies in another: without partitioning no duplicate method
+					// has anything to remove, and TLSP owes no region test.
+					if st.RawResults != st.Results {
+						t.Fatalf("%s: RawResults = %d, want Results = %d", label, st.RawResults, st.Results)
+					}
+					if st.TLSPRefTests != 0 || st.TLSPSkipped != 0 {
+						t.Fatalf("%s: TLSPRefTests = %d, TLSPSkipped = %d, want 0 and 0",
+							label, st.TLSPRefTests, st.TLSPSkipped)
+					}
+					if first == nil {
+						first, firstSt = got, st
+						continue
+					}
+					if !slices.Equal(got, first) {
+						t.Fatalf("%s: emission sequence differs from parallel=1", label)
+					}
+					if st.RawResults != firstSt.RawResults || st.Tests != firstSt.Tests {
+						t.Fatalf("%s: RawResults/Tests = %d/%d, parallel=1 had %d/%d",
+							label, st.RawResults, st.Tests, firstSt.RawResults, firstSt.Tests)
+					}
+				}
+			}
+			var first []geom.Pair
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("%s/shj/%s/parallel=%d", in.name, alg, workers)
+				rec := trace.New()
+				root := rec.Begin("join:shj")
+				var got []geom.Pair
+				st, err := shj.Join(in.R, in.S, shj.Config{Disk: newDisk(), Memory: mem, Algorithm: alg, Parallel: workers, Trace: root},
+					func(p geom.Pair) { got = append(got, p) })
+				root.End()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if st.Buckets != 1 {
+					t.Fatalf("%s: %d buckets, the test needs one whose extent is R's", label, st.Buckets)
+				}
+				for _, sp := range rec.Spans() {
+					if i := slices.IndexFunc(sp.Attrs, func(a trace.Attr) bool { return a.Key == "stripes" }); sp.Name == "bucket" && (i < 0 || sp.Attrs[i].Val != int64(in.k)) {
+						t.Fatalf("%s: bucket span carries attrs %v, want stripes = %d", label, sp.Attrs, in.k)
+					}
 				}
 				checkExactlyOnce(t, label, got, oracle)
-				if st.Results != int64(len(got)) {
-					t.Fatalf("%s: Stats.Results = %d, emitted %d", label, st.Results, len(got))
-				}
-				// Seam-crossing pairs meet in more than one stripe, but a
-				// stripe never reports a candidate whose reference point
-				// lies in another: without partitioning no duplicate method
-				// has anything to remove, and TLSP owes no region test.
-				if st.RawResults != st.Results {
-					t.Fatalf("%s: RawResults = %d, want Results = %d", label, st.RawResults, st.Results)
-				}
-				if st.TLSPRefTests != 0 || st.TLSPSkipped != 0 {
-					t.Fatalf("%s: TLSPRefTests = %d, TLSPSkipped = %d, want 0 and 0",
-						label, st.TLSPRefTests, st.TLSPSkipped)
-				}
-				if first == nil {
-					first, firstSt = got, st
-					continue
-				}
-				if !slices.Equal(got, first) {
+				if first != nil && !slices.Equal(got, first) {
 					t.Fatalf("%s: emission sequence differs from parallel=1", label)
 				}
-				if st.RawResults != firstSt.RawResults || st.Tests != firstSt.Tests {
-					t.Fatalf("%s: RawResults/Tests = %d/%d, parallel=1 had %d/%d",
-						label, st.RawResults, st.Tests, firstSt.RawResults, firstSt.Tests)
-				}
+				first = got
 			}
 		}
 	}
@@ -211,35 +302,33 @@ func TestStripeCancellation(t *testing.T) {
 		{"P=1", seamR, seamS, Config{Memory: int64(len(seamR)+len(seamS)) * geom.KPESize * 4}},
 		{"P>1", pairR, pairS, Config{Memory: pairMemories[1], MaxRecurse: 1}},
 	} {
+		// The window starts where the first result of the one-worker run
+		// arrives, when the join phase has begun: at P = 1 there is no
+		// other phase, and every phase before the join polls as often at
+		// any worker count. A start read off a four-worker run would depend
+		// on which unit happens to emit first — on a busy machine the unit
+		// that owns the first result can be the last one scheduled.
+		var from int64
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%s/parallel=%d", tc.name, workers)
 			probe := &pollCtx{Context: context.Background()}
 			cfg := tc.cfg
 			cfg.Disk, cfg.Parallel, cfg.Cancel = newDisk(), workers, govern.NewCheck(probe)
-			// The join phase has begun by the first result at the latest;
-			// at P = 1 there is no other phase. With four workers on a busy
-			// machine the unit that owns the first result can be the last
-			// one scheduled, which leaves no range to sweep: probe again.
-			var from, total int64
-			for try := 0; try < 5 && total-from < 8; try++ {
-				probe.polls.Store(0)
-				from = 0
-				st, err := Join(tc.R, tc.S, cfg, func(geom.Pair) {
-					if from == 0 {
-						from = probe.polls.Load()
-					}
-				})
-				if err != nil {
-					t.Fatalf("%s: probe run: %v", label, err)
+			st, err := Join(tc.R, tc.S, cfg, func(geom.Pair) {
+				if from == 0 {
+					from = probe.polls.Load()
 				}
-				if (st.P == 1) != (tc.name == "P=1") {
-					t.Fatalf("%s: P = %d", label, st.P)
-				}
-				if st.P == 1 {
-					from = 1
-				}
-				total = probe.polls.Load()
+			})
+			if err != nil {
+				t.Fatalf("%s: probe run: %v", label, err)
 			}
+			if (st.P == 1) != (tc.name == "P=1") {
+				t.Fatalf("%s: P = %d", label, st.P)
+			}
+			if st.P == 1 {
+				from = 1
+			}
+			total := probe.polls.Load()
 			if total-from < 8 {
 				t.Fatalf("%s: only %d checkpoint polls in the join phase", label, total-from)
 			}
@@ -290,7 +379,7 @@ const (
 )
 
 // pairMemories are budgets for pairInputs: at the first two, top pairs
-// that fit the budget hold more than stripeRecords records and are
+// that fit the budget hold more than stripe.Records records and are
 // striped as loaded; at the last only the overflow leaf is.
 var pairMemories = []int64{330 << 10, 250 << 10, 100 << 10}
 
@@ -406,9 +495,9 @@ func checkStripeAttrs(t *testing.T, label string, rec *trace.Recorder) {
 			continue // the region's outer timer, not a loaded pair
 		}
 		i := slices.IndexFunc(sp.Attrs, func(a trace.Attr) bool { return a.Key == "stripes" })
-		if i < 0 || sp.Attrs[i].Val != int64(stripeCount(int(sp.Records))) {
+		if i < 0 || sp.Attrs[i].Val != int64(stripe.Count(int(sp.Records))) {
 			t.Fatalf("%s: join span over %d records carries attrs %v, want stripes = %d",
-				label, sp.Records, sp.Attrs, stripeCount(int(sp.Records)))
+				label, sp.Records, sp.Attrs, stripe.Count(int(sp.Records)))
 		}
 		most = max(most, sp.Attrs[i].Val)
 	}
@@ -456,7 +545,7 @@ func TestStripePairsExactlyOnce(t *testing.T) {
 				for _, p := range parts {
 					wantRaw += rawOracle(slR[p], slS[p], base, 0)
 					n := len(slR[p]) + len(slS[p])
-					if stripeCount(n) > 1 && int64(n)*geom.KPESize <= mem {
+					if stripe.Count(n) > 1 && int64(n)*geom.KPESize <= mem {
 						striped++
 					}
 				}
@@ -539,25 +628,5 @@ func TestStripePairsExactlyOnce(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStripeSlotTrim: a slot that had to outgrow the budget for a
-// memory-overflow leaf gives the oversized buffers back and keeps the
-// rest.
-func TestStripeSlotTrim(t *testing.T) {
-	sl := &slot{
-		loadR: make([]geom.KPE, 0, 101),
-		loadS: make([]geom.KPE, 0, 100),
-		rs:    make([]geom.KPE, 0, 500),
-		ss:    make([]geom.KPE, 0, 7),
-	}
-	sl.ixR.pos, sl.ixS.pos = make([]uint32, 101), make([]uint32, 100)
-	sl.trim(100)
-	if sl.loadR != nil || sl.rs != nil || sl.ixR.pos != nil {
-		t.Fatal("buffers over the limit must be dropped")
-	}
-	if cap(sl.loadS) != 100 || cap(sl.ss) != 7 || len(sl.ixS.pos) != 100 {
-		t.Fatal("buffers within the limit must be kept")
 	}
 }

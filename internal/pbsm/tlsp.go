@@ -14,9 +14,8 @@ import (
 // corner geom.RefPoint is built from, i.e. the upper-left (xl, yh) per
 // §3.2.1 of the paper. (Sedona's DuplicatesFilter keys the same scheme
 // to the bottom-left; the corner choice is free as long as partitioner
-// and duplicate test use the SAME one — clampIdx half-open tile extents
-// put a corner sitting exactly on a shared edge into exactly one tile,
-// which is what keeps the two agreeing at seams.)
+// and duplicate test use the SAME one — geom.ClampIdx's half-open tile
+// extents put a corner on a shared edge into exactly one tile.)
 //
 //	class A (00): the tile contains the reference corner on both axes
 //	class B (01): corner column elsewhere (tile is right of the corner)
@@ -25,7 +24,7 @@ import (
 //
 // The join phase then emits a candidate (r, s) iff r.Class & s.Class ==
 // 0. Why that is exact: the reference point is (max(r.xl, s.xl),
-// min(r.yh, s.yh)), and clampIdx is monotone, so its tile coordinates
+// min(r.yh, s.yh)), and ClampIdx is monotone, so its tile coordinates
 // are (max(cxr, cxs), min(cyr, cys)) where (cx, cy) are the corner-tile
 // coordinates of each rectangle. A tile (ix, iy) holding copies of both
 // rectangles has ix ≥ max(cxr, cxs) and iy ≤ min(cyr, cys) (a copy only
@@ -36,24 +35,20 @@ import (
 // both rectangles), so each result is emitted exactly once, by the same
 // tile RPM would have credited it to — identical result set, no region
 // lookup on the fast path (the reference point itself is still computed:
-// the striped kernel of stripes.go asks it which stripe reports), and
+// the pair kernel of package stripe asks it which stripe reports), and
 // class pairs with a shared set bit are skipped outright (counted in
 // Stats.TLSPSkipped).
 //
-// Unlike an RPM grid, whose table folds several tiles into a partition,
-// a TLSP grid maps tiles to partitions 1:1 — its table is the identity
-// (classes are a per-tile property, so folding several tiles into one
-// partition would erase the distinction) — and writes one copy per
-// overlapped tile. Partition output is globally duplicate-free by
-// construction — the property that lets the shard layer accept TLSP
-// exactly as it accepts RPM.
+// Classes are a per-tile property, so a TLSP grid's tiles are its
+// partitions (newTLSPGrid). Its output is duplicate-free by construction,
+// which lets the shard layer accept TLSP as it accepts RPM (DESIGN.md §16).
 
 // TLSP class bits: set when the copy's tile does NOT contain the
 // rectangle's reference corner (upper-left, the RefPoint corner) on
 // that axis.
 const (
-	classXOut uint8 = 1 // corner column (clampIdx(xl)) is elsewhere
-	classYOut uint8 = 2 // corner row (clampIdx(yh)) is elsewhere
+	classXOut uint8 = 1 // corner column (geom.ClampIdx(xl)) is elsewhere
+	classYOut uint8 = 2 // corner row (geom.ClampIdx(yh)) is elsewhere
 )
 
 // newTLSPGrid builds a TLSP tiling with at least p partitions, shaped as
@@ -87,7 +82,7 @@ type copyDest struct {
 func (g *grid) copiesOf(r geom.Rect, dst []copyDest, stamp []int, gen int) []copyDest {
 	x0, x1, y0, y1 := g.tileRange(r)
 	if g.tlsp {
-		// The reference corner (xl, yh) sits in tile (x0, y1): clampIdx
+		// The reference corner (xl, yh) sits in tile (x0, y1): geom.ClampIdx
 		// of XL/YH are exactly the range's first column and last row, so
 		// the class bits reduce to "is this that column/row".
 		for iy := y0; iy <= y1; iy++ {

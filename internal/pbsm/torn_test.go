@@ -58,7 +58,7 @@ func TestTornEmptyLookingPartitionNotSkipped(t *testing.T) {
 		t.Fatalf("NumKPEs of torn file = %d, want 0 (precondition)", n)
 	}
 
-	err := j.processPair(&j.sl, func([]geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 0)
+	err := j.processPair(j.ex.Slot(), func([]geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 0)
 	if err == nil {
 		t.Fatal("torn-below-header partition file was skipped as empty")
 	}
@@ -70,7 +70,7 @@ func TestTornEmptyLookingPartitionNotSkipped(t *testing.T) {
 		t.Fatalf("top-level tear must be healable, got %v", err)
 	}
 
-	err = j.processPair(&j.sl, func([]geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 1)
+	err = j.processPair(j.ex.Slot(), func([]geom.Pair) {}, fr, fs, wholeSpace{}, wholeSpace{}, 1)
 	if err == nil || !recfile.IsCorrupt(err) {
 		t.Fatalf("sub-pair tear must surface as corruption, got %v", err)
 	}

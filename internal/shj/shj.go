@@ -27,6 +27,7 @@ import (
 	"spatialjoin/internal/phase"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
+	"spatialjoin/internal/stripe"
 	"spatialjoin/internal/sweep"
 	"spatialjoin/internal/trace"
 )
@@ -73,11 +74,10 @@ type Config struct {
 	// Cancel is the join's cancellation checkpoint; nil disables
 	// cancellation.
 	Cancel *govern.Check
-	// Parallel joins this many bucket pairs concurrently in the join
-	// phase (values < 2 keep it sequential) on the shared scheduler.
-	// Each worker uses a private internal algorithm; results are
-	// buffered per bucket and released in bucket order, so the emitted
-	// sequence is identical to a sequential run's.
+	// Parallel joins this many bucket pairs concurrently (values < 2 keep
+	// the join phase sequential) on the pair kernel's unit driver; results
+	// are released in bucket order, so the emitted sequence is identical
+	// to a sequential run's.
 	Parallel int
 	// Gov, when non-nil, admission-controls the memory the extra
 	// parallel workers claim beyond the join's own admission (one bucket
@@ -125,6 +125,7 @@ type bucket struct {
 	extent geom.Rect
 	seeded bool
 	nR     int
+	n      int64 // records of both sides, once the probe side is written
 	fR, fS *diskio.File
 	wR, wS *recfile.KPEWriter
 }
@@ -139,8 +140,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		return Stats{}, joinerr.Wrap("shj", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
 	var st Stats
-	alg := sweep.New(cfg.Algorithm)
-
 	if len(R) == 0 || len(S) == 0 {
 		return st, nil
 	}
@@ -237,16 +236,13 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		return st, joinerr.Wrap("shj", PhaseProbePartition.String(), err)
 	}
 
-	// Join phase: each bucket pair in memory. No duplicate handling is
-	// needed — every R rectangle exists exactly once. A serial pre-scan
-	// classifies the buckets — skipping (and tear-verifying) the empty
-	// ones, counting overflows — so the joinable pairs become
-	// independent units on the shared scheduler; per-worker algorithms
-	// keep the sweep state private and the collector releases results in
-	// bucket order, identical to a sequential run's.
+	// Join phase: a serial pre-scan classifies the buckets — skipping (and
+	// tear-verifying) the empty ones, counting overflows, weighing the
+	// rest — and the joinable pairs are the ordered units of the pair
+	// kernel, which releases results in bucket order at any worker count.
 	pt = led.Begin(int(PhaseJoin), PhaseJoin.String())
 	var units []*bucket
-	var unitWeight []float64
+	var total int64
 	bucketFill := cfg.Metrics.Histogram(metBucketFill)
 	for _, b := range buckets {
 		// A bucket pair is an expensive unit, so poll immediately:
@@ -255,7 +251,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			break
 		}
 		nS := recfile.NumKPEs(b.fS)
-		bucketFill.Observe(float64(int64(b.nR) + nS))
+		b.n = int64(b.nR) + nS
+		bucketFill.Observe(float64(b.n))
 		if b.nR == 0 || nS == 0 {
 			// nR is tracked in memory, but nS derives from the file
 			// length: a torn write can shrink the bucket's S file below
@@ -269,74 +266,55 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			}
 			continue
 		}
-		if (int64(b.nR)+nS)*geom.KPESize > cfg.Memory {
+		if b.n*geom.KPESize > cfg.Memory {
 			st.Overflows++
 		}
 		units = append(units, b)
-		unitWeight = append(unitWeight, float64(int64(b.nR)+nS))
+		total += b.n
 	}
 	// The joinable bucket pairs, record-weighted, are the planned cost.
-	total := 0.0
-	for _, w := range unitWeight {
-		total += w
-	}
-	cfg.Progress.SetTotal(total)
+	cfg.Progress.SetTotal(float64(total))
+	pt.Span.AddRecords(total)
+	ex := stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Gov: cfg.Gov, Metrics: cfg.Metrics})
 	if err == nil {
-		workers := max(cfg.Parallel, 1)
-		algs := make([]sweep.Algorithm, workers)
-		algs[0] = alg
-		for w := 1; w < workers; w++ {
-			algs[w] = sweep.New(cfg.Algorithm)
-		}
-		col := sched.NewCollector(len(units), func(p geom.Pair) {
+		bucketsDone := cfg.Metrics.Counter(metBucketsDone)
+		err = ex.Run(len(units), "bucket-worker", cfg.Memory, pt.Span, func(p geom.Pair) {
 			st.Results++
 			emit(p)
-		})
-		recs := make([]int64, len(units))
-		bucketsDone := cfg.Metrics.Counter(metBucketsDone)
-		err = sched.Run(len(units), sched.Options{
-			Workers: workers,
-			Name:    "bucket-worker",
-			Span:    pt.Span,
-			Cancel:  cfg.Cancel,
-			Gov:     cfg.Gov,
-			UnitMem: cfg.Memory,
-			Metrics: cfg.Metrics,
-		}, func(w, i int) error {
-			defer col.Done(i)
-			b := units[i]
-			rs, uerr := recfile.ReadAllKPEs(nil, b.fR, dev.BufPages)
-			if uerr != nil {
-				return uerr
+		}, func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
+			if err := joinBucket(sl, emit, units[i], cfg.Cancel, dev.BufPages, pt.Span); err != nil {
+				return err
 			}
-			ss, uerr := recfile.ReadAllKPEs(nil, b.fS, dev.BufPages)
-			if uerr != nil {
-				return uerr
-			}
-			recs[i] = int64(len(rs) + len(ss))
-			algs[w].Join(rs, ss, func(r, s geom.KPE) {
-				col.Emit(i, geom.Pair{R: r.ID, S: s.ID})
-			})
 			bucketsDone.Inc()
-			cfg.Progress.Add(unitWeight[i])
+			cfg.Progress.Add(float64(units[i].n))
 			return nil
 		})
-		// The span is not safe for concurrent AddRecords, so per-unit
-		// record counts accumulate in unit slots and post here.
-		for _, n := range recs {
-			pt.Span.AddRecords(n)
-		}
-		for _, a := range algs {
-			st.Tests += a.Tests()
-			st.Touches += a.Touches()
-		}
+		st.Tests, st.Touches = ex.Counts()
 	}
 	pt.End()
 	if err != nil {
 		return st, joinerr.Wrap("shj", PhaseJoin.String(), err)
 	}
-	publishMetrics(cfg.Metrics, &st, alg.Name())
+	publishMetrics(cfg.Metrics, &st, ex.Algorithm())
 	return st, nil
+}
+
+// joinBucket loads bucket b into the slot and joins it under a span of
+// its own, striped over its extent's y-range, which the probe copies may
+// reach past. Every R rectangle exists once, so no candidate needs a
+// duplicate test.
+func joinBucket(sl *stripe.Slot, emit func([]geom.Pair), b *bucket, cancel *govern.Check, bufPages int, parent *trace.Span) error {
+	sp := parent.Child("bucket")
+	defer sp.End()
+	sp.AddRecords(b.n)
+	var err error
+	if sl.LoadR, err = recfile.ReadAllKPEs(sl.LoadR, b.fR, bufPages); err != nil {
+		return err
+	}
+	if sl.LoadS, err = recfile.ReadAllKPEs(sl.LoadS, b.fS, bufPages); err != nil {
+		return err
+	}
+	return sl.JoinLoaded(emit, stripe.Over(b.extent.YL, b.extent.YH), nil, cancel, sp)
 }
 
 // seedBuckets returns n file-less buckets with extents seeded from a

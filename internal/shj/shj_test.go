@@ -2,6 +2,7 @@ package shj
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,7 +11,12 @@ import (
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/jointest"
+	"spatialjoin/internal/pbsm"
+	"spatialjoin/internal/recfile"
+	"spatialjoin/internal/sched"
+	"spatialjoin/internal/stripe"
 	"spatialjoin/internal/sweep"
+	"spatialjoin/internal/trace"
 )
 
 func newDisk() *diskio.Disk { return diskio.NewDisk(1024, 10, time.Millisecond) }
@@ -216,5 +222,91 @@ func TestOracleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBucketsAreStriped: a bucket larger than stripe.Records is swept in
+// stripes over its own y-extent, so SHJ tests no more candidates than PBSM
+// does on the same input and budget.
+func TestBucketsAreStriped(t *testing.T) {
+	R := datagen.LARR(1, 10000).KPEs
+	S := datagen.LAST(2, 10000).KPEs
+	mem := int64(len(R)+len(S)) * geom.KPESize / 2
+	rec := trace.New()
+	root := rec.Begin("join:shj")
+	got, st := run(t, R, S, Config{Memory: mem, Trace: root})
+	root.End()
+	jointest.AssertEqual(t, got, jointest.Naive(R, S))
+	buckets, striped := 0, 0
+	for _, sp := range rec.Spans() {
+		if sp.Name != "bucket" {
+			continue
+		}
+		buckets++
+		i := slices.IndexFunc(sp.Attrs, func(a trace.Attr) bool { return a.Key == "stripes" })
+		if i < 0 {
+			t.Fatalf("bucket span over %d records carries attrs %v, no stripe count", sp.Records, sp.Attrs)
+		}
+		if sp.Records > stripe.Records && sp.Attrs[i].Val < 2 {
+			t.Fatalf("bucket of %d records swept as %d stripe", sp.Records, sp.Attrs[i].Val)
+		}
+		if sp.Attrs[i].Val > 1 {
+			striped++
+		}
+	}
+	if buckets != st.Buckets || striped == 0 {
+		t.Fatalf("%d bucket spans for %d buckets, %d of them striped", buckets, st.Buckets, striped)
+	}
+	pst, err := pbsm.Join(R, S, pbsm.Config{Disk: newDisk(), Memory: mem}, func(geom.Pair) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Tests > pst.Tests {
+		t.Fatalf("SHJ ran %d sweep tests, PBSM %d on the same input and budget", st.Tests, pst.Tests)
+	}
+}
+
+// TestOverflowBucketTrimsSlot: SHJ's budget reaches the kernel's slots,
+// so a bucket over it hands the buffers it grew back, and a bucket within
+// it leaves them to the next one.
+func TestOverflowBucketTrimsSlot(t *testing.T) {
+	R := datagen.LARR(3, 3000).KPEs
+	S := datagen.LAST(4, 3000).KPEs
+	d := newDisk()
+	file := func(ks []geom.KPE) *diskio.File {
+		f := d.Create("")
+		w := recfile.NewKPEWriter(f, 2)
+		for _, k := range ks {
+			if err := w.Write(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	b := &bucket{extent: R[0].Rect, nR: len(R), n: int64(len(R) + len(S)), fR: file(R), fS: file(S)}
+	for _, k := range R {
+		b.extent = b.extent.Union(k.Rect)
+	}
+	want := jointest.Naive(R, S)
+	for _, c := range []struct {
+		mem     int64
+		trimmed bool
+	}{
+		{b.n * geom.KPESize, false},
+		{b.n * geom.KPESize / 8, true},
+	} {
+		sl := stripe.NewExec(sweep.ListKind, c.mem, sched.Options{}).Slot()
+		var got []geom.Pair
+		if err := joinBucket(sl, func(ps []geom.Pair) { got = append(got, ps...) }, b, nil, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		jointest.AssertEqual(t, got, want)
+		if (sl.LoadR == nil) != c.trimmed || (sl.LoadS == nil) != c.trimmed {
+			t.Fatalf("memory %d: load buffers of cap %d and %d after the bucket, want trimmed = %v",
+				c.mem, cap(sl.LoadR), cap(sl.LoadS), c.trimmed)
+		}
 	}
 }

@@ -117,7 +117,7 @@ func TestOverheadBudget(t *testing.T) {
 				// record, and only when some pair recursed, which the join's
 				// own Stats say) — re-derivation and DupSort never run here,
 				// and no stripe index is built: at 64 KiB every loaded pair
-				// is far below stripeRecords and is swept whole.
+				// is far below stripe.Records and is swept whole.
 				strideIters := 2 * records
 				if res.PBSMStats.Repartitions > 0 {
 					strideIters += records
