@@ -80,6 +80,12 @@ echo "== fuzz smoke (diskio extents against a flat byte-slice model) =="
 # land exactly on them.
 go test -run '^$' -fuzz FuzzFileExtents -fuzztime 10s ./internal/diskio/
 
+echo "== fuzz smoke (the sweep's key sort against its order and permutation properties) =="
+# Arbitrary left edges with exact ties, near-ties inside one high half of
+# the key, ±0 and subnormals: the output must hold every input record once,
+# in (geom.OrderedKey(XL), input position) order.
+go test -run '^$' -fuzz '^FuzzSortByXL$' -fuzztime 10s ./internal/sweep/
+
 echo "== metrics endpoint smoke (/metrics exposition + progress), overhead budgets =="
 # A latency-slowed PBSM join scraped mid-flight over metrics.Handler:
 # every response must parse as Prometheus text, the progress fraction

@@ -1,6 +1,10 @@
 package geom
 
-import "testing"
+import (
+	"cmp"
+	"math"
+	"testing"
+)
 
 // Fuzz targets for the geometric invariants the join algorithms build
 // on. The seed corpus runs as part of the normal test suite; `go test
@@ -25,6 +29,29 @@ func FuzzRefPoint(f *testing.F) {
 		}
 		if x != RefPoint(b, a) {
 			t.Fatalf("reference point not symmetric for %v, %v", a, b)
+		}
+	})
+}
+
+// FuzzOrderedKey checks that the unsigned order of the keys is the order
+// of the floats, as cmp.Compare gives it, on every pair of non-NaN values
+// but ±0, which cmp.Compare calls equal and the keys order −0 first.
+func FuzzOrderedKey(f *testing.F) {
+	f.Add(0.0, math.Copysign(0, -1))
+	f.Add(-1.5, 1.5)
+	f.Add(math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64)
+	f.Add(math.MaxFloat64, math.Inf(1))
+	f.Add(0.5, math.Nextafter(0.5, 1))
+	f.Fuzz(func(t *testing.T, a, b float64) {
+		if math.IsNaN(a) || math.IsNaN(b) {
+			t.Skip()
+		}
+		want := cmp.Compare(a, b)
+		if a == 0 && b == 0 {
+			want = cmp.Compare(math.Copysign(1, a), math.Copysign(1, b)) // −0 first
+		}
+		if got := cmp.Compare(OrderedKey(a), OrderedKey(b)); got != want {
+			t.Fatalf("keys of %g, %g compare %d, floats %d", a, b, got, want)
 		}
 	})
 }

@@ -193,3 +193,19 @@ func TestAreaWidthHeight(t *testing.T) {
 		t.Errorf("Area = %g", a)
 	}
 }
+
+// TestOrderedKeyOrder: the keys of strictly increasing floats increase
+// strictly, across the sign, the subnormals, the zeros (−0 before +0), the
+// largest finite values and the infinities.
+func TestOrderedKeyOrder(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	xs := []float64{
+		math.Inf(-1), -math.MaxFloat64, -2.5, -1e-300, -2 * sub, -sub, math.Copysign(0, -1),
+		0, sub, 2 * sub, 1e-300, 0.25, 0.5, math.Nextafter(0.5, 1), 1, math.MaxFloat64, math.Inf(1),
+	}
+	for i := 1; i < len(xs); i++ {
+		if a, b := OrderedKey(xs[i-1]), OrderedKey(xs[i]); a >= b {
+			t.Errorf("OrderedKey(%g) = %#x does not sort before OrderedKey(%g) = %#x", xs[i-1], a, xs[i], b)
+		}
+	}
+}

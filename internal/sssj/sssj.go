@@ -20,6 +20,7 @@ package sssj
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"spatialjoin/internal/diskio"
@@ -214,16 +215,11 @@ func sortByXL(ks []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, span *
 	return sorted, err
 }
 
-// xlKey maps a serialized KPE to the bit pattern of its rect.XL (the
-// second field: bytes 8..16) rearranged so that unsigned integer order is
-// the order of the floats: sign bit flipped for non-negative values, all
-// bits flipped for negative ones.
+// xlKey is the sort key of a serialized KPE: geom.OrderedKey of its
+// rect.XL, the second field (bytes 8..16). extsort breaks ties by input
+// position, so the runs are in the order sweep sorts a slice in.
 func xlKey(rec []byte) uint64 {
-	b := binary.LittleEndian.Uint64(rec[8:])
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
+	return geom.OrderedKey(math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])))
 }
 
 // peekReader adds one record of lookahead to a KPE stream so the sweep

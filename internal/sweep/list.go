@@ -21,6 +21,9 @@ type ListSweep struct {
 	// calls so that the hundreds of small joins of one partitioned run
 	// reuse one pair of backing arrays.
 	activeR, activeS []geom.KPE
+	// keys is the sort's scratch (sortByXL), reused the same way: it grows
+	// by doubling to the largest input so far and never shrinks.
+	keys []uint64
 }
 
 // Name implements Algorithm.
@@ -39,8 +42,13 @@ func (a *ListSweep) ResetTests() { a.tests, a.touches = 0, 0 }
 
 // Join implements Algorithm.
 func (a *ListSweep) Join(rs, ss []geom.KPE, emit Emit) {
-	sortByXL(rs)
-	sortByXL(ss)
+	a.keys = sortByXL(rs, a.keys)
+	a.keys = sortByXL(ss, a.keys)
+	a.sweep(rs, ss, emit)
+}
+
+// sweep joins rs and ss, each in sweep order.
+func (a *ListSweep) sweep(rs, ss []geom.KPE, emit Emit) {
 	activeR, activeS := a.activeR[:0], a.activeS[:0]
 	i, j := 0, 0
 	for i < len(rs) || j < len(ss) {

@@ -16,8 +16,8 @@ import (
 func statusSweep(kind Kind, rs, ss []geom.KPE) []geom.Pair {
 	rc := append([]geom.KPE(nil), rs...)
 	sc := append([]geom.KPE(nil), ss...)
-	sortByXL(rc)
-	sortByXL(sc)
+	sortByXL(rc, nil)
+	sortByXL(sc, nil)
 	var tests, touches int64
 	stR := NewStatus(kind, 0, 1, &tests, &touches)
 	stS := NewStatus(kind, 0, 1, &tests, &touches)
@@ -172,8 +172,8 @@ func TestStatusTrieDegenerateExtentFallsBackToList(t *testing.T) {
 func statusSweepExtent(kind Kind, ymin, ymax float64, rs, ss []geom.KPE) []geom.Pair {
 	rc := append([]geom.KPE(nil), rs...)
 	sc := append([]geom.KPE(nil), ss...)
-	sortByXL(rc)
-	sortByXL(sc)
+	sortByXL(rc, nil)
+	sortByXL(sc, nil)
 	var tests, touches int64
 	stR := NewStatus(kind, ymin, ymax, &tests, &touches)
 	stS := NewStatus(kind, ymin, ymax, &tests, &touches)

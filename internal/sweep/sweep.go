@@ -12,7 +12,8 @@
 package sweep
 
 import (
-	"cmp"
+	"fmt"
+	"math"
 	"slices"
 
 	"spatialjoin/internal/geom"
@@ -22,8 +23,10 @@ import (
 type Emit func(r, s geom.KPE)
 
 // Algorithm is an in-memory spatial intersection join. Join may reorder
-// the input slices (the plane sweeps sort by the rectangles' left edges)
-// but never adds or removes elements.
+// the input slices but never adds or removes elements. The plane sweeps
+// sort each input by (geom.OrderedKey(XL), input position): a total,
+// stable order in which equal left edges keep the order they came in and
+// −0 precedes +0. SSSJ's external sort orders its runs the same way.
 type Algorithm interface {
 	Name() string
 	// Join reports every intersecting pair between rs and ss.
@@ -99,8 +102,84 @@ func (a *NestedLoops) Join(rs, ss []geom.KPE, emit Emit) {
 	}
 }
 
-// sortByXL orders a slice of KPEs by the left edge of their rectangles,
-// the sweep order of both plane-sweep algorithms.
-func sortByXL(ks []geom.KPE) {
-	slices.SortFunc(ks, func(a, b geom.KPE) int { return cmp.Compare(a.Rect.XL, b.Rect.XL) })
+// lowHalf masks the low half of a sort word, where the position goes.
+const lowHalf = 1<<32 - 1
+
+// sortByXL puts ks in the sweep order, (geom.OrderedKey(XL), position in
+// ks), through keys, the scratch of the algorithm calling it, and returns
+// keys grown to len(ks) at least. It sorts one word per record instead of
+// the 48-byte records: the key's high half above the position. The records
+// then move once, in place, and every run of equal high halves is put in
+// order on the low half the same way — rare on real data, but the whole
+// input when every left edge lies within a few ulps of the others. Positions
+// are 32-bit, as in package stripe's index, so it panics on 2³² records
+// or more; no caller holds that many in memory (the stripe index refuses
+// them with an error before any sweep).
+func sortByXL(ks []geom.KPE, keys []uint64) []uint64 {
+	checkPositions(len(ks))
+	if cap(keys) < len(ks) {
+		keys = make([]uint64, max(len(ks), 2*cap(keys)))
+	}
+	keys = keys[:len(ks)]
+	for i := range ks {
+		keys[i] = geom.OrderedKey(ks[i].Rect.XL)&^lowHalf | uint64(i)
+	}
+	sortWords(ks, keys)
+	for a := 0; a < len(ks); {
+		b := a + 1
+		for b < len(ks) && keys[b]>>32 == keys[a]>>32 {
+			b++
+		}
+		if b-a > 1 {
+			sortRun(ks[a:b], keys[a:b])
+		}
+		a = b
+	}
+	return keys
+}
+
+// checkPositions panics on n ≥ 2³² records, the bound of the stripe
+// index too: past it a position no longer fits the low half of a word.
+func checkPositions(n int) {
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("sweep: %d records exceed the sort's 32-bit positions", n))
+	}
+}
+
+// sortRun orders a run of records whose keys share their high half, which
+// sortWords left in position order, by the low half; ties keep that order.
+func sortRun(ks []geom.KPE, keys []uint64) {
+	sorted := true
+	for i := range ks {
+		keys[i] = geom.OrderedKey(ks[i].Rect.XL)<<32 | uint64(i)
+		sorted = sorted && (i == 0 || keys[i] > keys[i-1])
+	}
+	if !sorted {
+		sortWords(ks, keys)
+	}
+}
+
+// sortWords sorts keys, words whose low halves are positions in ks, and
+// moves every record to where the word carrying its position ended up. The
+// moves follow the cycles of that permutation in place, so no second copy
+// of ks is needed; a word whose low half is its own index is done, which is
+// how each one is marked once its record has arrived. High halves survive.
+func sortWords(ks []geom.KPE, keys []uint64) {
+	slices.Sort(keys)
+	for i := range keys {
+		if int(keys[i]&lowHalf) == i {
+			continue
+		}
+		first := ks[i]
+		for j := i; ; {
+			src := int(keys[j] & lowHalf)
+			keys[j] = keys[j]&^lowHalf | uint64(j)
+			if src == i {
+				ks[j] = first
+				break
+			}
+			ks[j] = ks[src]
+			j = src
+		}
+	}
 }

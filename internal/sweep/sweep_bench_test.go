@@ -65,3 +65,22 @@ func BenchmarkListStatusInsertProbe(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSortByXL sorts one side of a stripe (stripe.Records/2 = 1 536
+// records) and a 300k relation of LA_RR segments in generation order;
+// ns/record includes restoring the input before each sort.
+func BenchmarkSortByXL(b *testing.B) {
+	for _, n := range []int{1536, 300_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			in := datagen.LARR(1, n).KPEs
+			ks := make([]geom.KPE, n)
+			var keys []uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(ks, in)
+				keys = sortByXL(ks, keys)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+		})
+	}
+}

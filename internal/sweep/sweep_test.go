@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -222,5 +225,179 @@ func TestJoinMayReorderButNotMutateContents(t *testing.T) {
 		if c != 0 {
 			t.Fatal("Join changed slice contents, not just order")
 		}
+	}
+}
+
+// xlOrder is the sweep order as a comparator, for a stable reference sort.
+func xlOrder(a, b geom.KPE) int {
+	return cmp.Compare(geom.OrderedKey(a.Rect.XL), geom.OrderedKey(b.Rect.XL))
+}
+
+// sweeper is what ListSweep and TrieSweep run once their inputs are sorted.
+type sweeper interface {
+	Algorithm
+	sweep(rs, ss []geom.KPE, emit Emit)
+}
+
+// TestSortByXLExactOrder: on ties, near-ties, signed zeros, coordinates
+// outside the unit square, tiny and presorted inputs the sort yields
+// exactly what a stable comparator sort by geom.OrderedKey(XL) yields (so
+// a permutation of the input, ties in input order). The list and trie
+// sweeps over such inputs report the nested-loops result, and their tests
+// and touches are those of the same sweep after the old comparator sort.
+func TestSortByXLExactOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	xls := func(n int, f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	perm := rng.Perm(5000)
+	cases := []struct {
+		name string
+		xs   []float64
+	}{
+		{"identical", xls(5000, func(int) float64 { return 0.3 })},
+		// 0.5 + k ulp for shuffled k < 2500: one run of equal high halves
+		// over the whole input, with ties inside it.
+		{"one-run", xls(5000, func(i int) float64 {
+			return math.Float64frombits(math.Float64bits(0.5) + uint64(perm[i]%2500))
+		})},
+		{"signed-zeros", xls(1000, func(int) float64 { return math.Copysign(0, float64(rng.Intn(2)*2-1)) })},
+		{"outside-unit", xls(3000, func(int) float64 { return (rng.Float64() - 0.5) * 6 })},
+		{"n=0", nil},
+		{"n=1", []float64{0.4}},
+		{"n=2", []float64{0.7, 0.2}},
+		{"n=2-tied", []float64{0.2, 0.2}},
+		{"sorted", xls(2000, func(i int) float64 { return float64(i) / 2000 })},
+		{"reversed", xls(2000, func(i int) float64 { return float64(2000-i) / 2000 })},
+	}
+	var keys []uint64 // one scratch across the cases, as in a slot
+	for _, tc := range cases {
+		ks := make([]geom.KPE, len(tc.xs))
+		for i, x := range tc.xs {
+			y := rng.Float64()
+			ks[i] = geom.KPE{ID: uint64(i), Rect: geom.Rect{XL: x, YL: y, XH: x + rng.Float64()*0.01, YH: y + 0.05}}
+		}
+		want := slices.Clone(ks)
+		slices.SortStableFunc(want, xlOrder)
+		got := slices.Clone(ks)
+		keys = sortByXL(got, keys)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: sort order differs from the stable reference", tc.name)
+		}
+
+		// Joins of the first 600 records, split by parity, so the
+		// identical case stays at 90 000 pairs.
+		var rs, ss []geom.KPE
+		for i, k := range ks[:min(len(ks), 600)] {
+			if i%2 == 0 {
+				rs = append(rs, k)
+			} else {
+				ss = append(ss, k)
+			}
+		}
+		if len(rs) == 0 || len(ss) == 0 {
+			continue
+		}
+		oracle := collect(&NestedLoops{}, rs, ss)
+		for _, a := range []sweeper{&ListSweep{}, &TrieSweep{}} {
+			comparePairs(t, tc.name+"/"+a.Name(), collect(a, rs, ss), oracle)
+			ref := New(Kind(a.Name())).(sweeper)
+			rc, sc := slices.Clone(rs), slices.Clone(ss)
+			for _, side := range [][]geom.KPE{rc, sc} {
+				slices.SortFunc(side, func(a, b geom.KPE) int { return cmp.Compare(a.Rect.XL, b.Rect.XL) })
+			}
+			ref.sweep(rc, sc, func(geom.KPE, geom.KPE) {})
+			if a.Tests() != ref.Tests() || a.Touches() != ref.Touches() {
+				t.Fatalf("%s/%s: tests/touches %d/%d, after a comparator sort %d/%d",
+					tc.name, a.Name(), a.Tests(), a.Touches(), ref.Tests(), ref.Touches())
+			}
+		}
+	}
+}
+
+// checkSweepOrder fails t unless got holds every record of in once, by ID,
+// in (geom.OrderedKey(XL), input position) order; in[i] has ID i.
+func checkSweepOrder(t *testing.T, in, got []geom.KPE) {
+	t.Helper()
+	if len(got) != len(in) {
+		t.Fatalf("%d records in, %d out", len(in), len(got))
+	}
+	seen := make([]bool, len(in))
+	for i, k := range got {
+		if k.ID >= uint64(len(in)) || seen[k.ID] || in[k.ID] != k {
+			t.Fatalf("position %d holds %v: not a permutation of the input", i, k)
+		}
+		seen[k.ID] = true
+		if i > 0 {
+			if c := xlOrder(got[i-1], k); c > 0 || c == 0 && got[i-1].ID > k.ID {
+				t.Fatalf("positions %d, %d: %v before %v", i-1, i, got[i-1], k)
+			}
+		}
+	}
+}
+
+// FuzzSortByXL sorts arbitrary left edges. Two bytes make one record: the
+// first adds to the high half of base's bits, the second's low seven bits
+// to the low half and its top bit negates, so inputs hold exact ties,
+// near-ties within one high half, far-apart keys and, from base 0, both
+// zeros and the subnormals.
+func FuzzSortByXL(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 1, 0, 0x81, 0, 0x80}, 0.0)
+	f.Add([]byte{0, 5, 0, 3, 0, 5, 1, 0, 0, 7, 0, 3}, 0.5)
+	f.Add([]byte{9, 1, 3, 0x82, 9, 1, 200, 4, 3, 0x82}, -1.0)
+	f.Add([]byte{255, 127, 0, 0, 255, 127}, 1e300)
+	f.Fuzz(func(t *testing.T, data []byte, base float64) {
+		in := make([]geom.KPE, len(data)/2)
+		for i := range in {
+			x := math.Float64frombits(math.Float64bits(base) + uint64(data[2*i])<<32 + uint64(data[2*i+1]&0x7f))
+			if data[2*i+1]&0x80 != 0 {
+				x = -x
+			}
+			if math.IsNaN(x) {
+				t.Skip()
+			}
+			in[i] = geom.KPE{ID: uint64(i), Rect: geom.Rect{XL: x, XH: x}}
+		}
+		got := slices.Clone(in)
+		sortByXL(got, nil)
+		checkSweepOrder(t, in, got)
+	})
+}
+
+// TestSortByXLRefusesHugeInputs: positions are 32-bit, so 2³² records or
+// more panic, as the stripe index refuses them, and one fewer does not.
+func TestSortByXLRefusesHugeInputs(t *testing.T) {
+	if math.MaxInt < 1<<32 {
+		t.Skip("int cannot count 2³² records here")
+	}
+	n := uint64(1) << 32
+	checkPositions(int(n - 1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("2³² records did not panic")
+		}
+	}()
+	checkPositions(int(n))
+}
+
+// TestListSweepReusesScratch: the sort's key scratch and the sweep's
+// status lists live in the algorithm, so a second join of inputs of the
+// same size allocates nothing.
+func TestListSweepReusesScratch(t *testing.T) {
+	rs := datagen.Uniform(15, 1536, 0.01)
+	ss := datagen.Uniform(16, 1536, 0.01)
+	rc, sc := make([]geom.KPE, len(rs)), make([]geom.KPE, len(ss))
+	a := &ListSweep{}
+	allocs := testing.AllocsPerRun(5, func() {
+		copy(rc, rs)
+		copy(sc, ss)
+		a.Join(rc, sc, func(geom.KPE, geom.KPE) {})
+	})
+	if allocs != 0 {
+		t.Fatalf("a repeated join allocates %v times", allocs)
 	}
 }

@@ -18,6 +18,8 @@ type TrieSweep struct {
 	// Depth is the maximum trie depth (bits of the normalized y-keys).
 	// Zero selects DefaultTrieDepth.
 	Depth int
+	// keys is the sort's scratch, as in ListSweep.
+	keys []uint64
 }
 
 // DefaultTrieDepth bounds the interval-trie depth. 16 bits resolve the
@@ -44,9 +46,13 @@ func (a *TrieSweep) Join(rs, ss []geom.KPE, emit Emit) {
 	if len(rs) == 0 || len(ss) == 0 {
 		return
 	}
-	sortByXL(rs)
-	sortByXL(ss)
+	a.keys = sortByXL(rs, a.keys)
+	a.keys = sortByXL(ss, a.keys)
+	a.sweep(rs, ss, emit)
+}
 
+// sweep joins rs and ss, each non-empty and in sweep order.
+func (a *TrieSweep) sweep(rs, ss []geom.KPE, emit Emit) {
 	depth := a.Depth
 	if depth <= 0 {
 		depth = DefaultTrieDepth
