@@ -30,13 +30,12 @@ fi
 
 echo "== sjlint ./... =="
 # The project's own analyzer suite (internal/lint) type-checks the tree
-# and enforces the cross-cutting contracts: joinerr wrapping at API
-# boundaries, paired trace spans, govern checkpoints in record loops,
-# registry-managed temp files (the type-accurate successor of the old
-# grep lints), exhaustive Kind switches, and %w over %v for error
-# operands — and the concurrency contracts of DESIGN.md §15 (guarded-by
-# fields, atomic/plain access mixes, the lock acquisition graph,
-# goroutine join/cancel paths). See DESIGN.md §10.
+# and enforces the cross-cutting contracts: joinerr wrapping at API and
+# shard process boundaries, paired trace spans, govern checkpoints in
+# record loops, registry-managed temp files (the type-accurate successor
+# of the old grep lints), exhaustive Kind switches, %w over %v for error
+# operands, and metric names. DESIGN.md §10 keeps each analyzer's
+# evidence; concurrency contracts are the race step's.
 go run ./cmd/sjlint ./...
 
 # The default suite includes copylocks, which the mutex-guarded
@@ -70,8 +69,17 @@ echo "== go test -race -count=1 ./... =="
 # runs and s3j's partitioners write scan-order runs from concurrent units,
 # and merge cursors break ties by run ordinal (stability, run files
 # identical across worker counts, the pinned emission sequence, torn runs,
-# cancellation swept over partitioners, forced merges and scan). The lock
-# graph's shard -> sched contract edge is asserted by internal/lint here.
+# cancellation swept over partitioners, forced merges and scan).
+# This step owns the concurrency contracts, the "guarded by mu"
+# annotations and the lock order included: every annotated struct has a
+# hammer here — internal/shard/pool_race_test.go (Pool, Lease),
+# internal/metrics/race_test.go and TestRegistryConcurrencyHammer
+# (Registry, vecs), sched.TestCollectorConcurrent,
+# trace.TestRecorderConcurrentUse, the govern tests (Governor, SetMetrics
+# included) and the shard and chaos joins (joinState, manifest; a
+# collector sink that took st.mu would deadlock their first seal), whose
+# goroutine-leak checks, with pbsm's and s3j's cancellation tests, also
+# stand for every go statement's join or cancel path.
 go test -race -count=1 -timeout 20m ./...
 
 echo "== fuzz smoke (diskio extents against a flat byte-slice model) =="

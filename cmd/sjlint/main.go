@@ -1,16 +1,14 @@
 // Command sjlint runs the project's static-analysis suite: the
 // type-accurate analyzers that enforce the join stack's cross-cutting
-// contracts (joinerr propagation, paired trace spans, govern
-// checkpoints, registry-managed temp files, exhaustive Kind switches,
-// chain-preserving %w wrapping) and its concurrency contracts
-// (guarded-by field annotations, atomic/plain access mixing, the
-// module-wide lock acquisition order, goroutine join/cancel paths).
+// contracts (joinerr propagation at the API and the shard process
+// boundary, paired trace spans, govern checkpoints, registry-managed
+// temp files, exhaustive Kind switches, chain-preserving %w wrapping,
+// metric naming). DESIGN.md §10 lists each analyzer with its evidence.
 //
 // Usage:
 //
 //	sjlint [-analyzers a,b,...] [patterns...]
 //	sjlint -list
-//	sjlint -lockgraph [patterns...]
 //
 // Patterns default to ./... and follow go-tool conventions: ./... walks
 // the module, dir/... walks a subtree, anything else names one package
@@ -36,7 +34,6 @@ func main() {
 	var (
 		analyzers = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 		list      = flag.Bool("list", false, "list the registered analyzers and exit")
-		lockgraph = flag.Bool("lockgraph", false, "dump the lock acquisition graph as Graphviz DOT instead of findings")
 	)
 	flag.Parse()
 
@@ -51,14 +48,6 @@ func main() {
 	if *analyzers != "" {
 		var err error
 		selected, err = lint.ByName(*analyzers)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *lockgraph {
-		// The graph is a lockorder byproduct; run just that analyzer.
-		var err error
-		selected, err = lint.ByName("lockorder")
 		if err != nil {
 			fatal(err)
 		}
@@ -82,13 +71,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *lockgraph {
-		fmt.Print(driver.LockGraphDOT())
-		if len(diags) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 	if err := lint.WriteText(os.Stdout, diags); err != nil {
 		fatal(err)
 	}

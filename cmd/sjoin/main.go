@@ -182,7 +182,7 @@ func main() {
 	}
 
 	if *pprofAddr != "" {
-		//lint:ignore goexit pprof HTTP daemon serves for the whole process lifetime and dies with it
+		// The pprof server serves for the whole process lifetime and dies with it.
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "sjoin: pprof server: %v\n", err)
@@ -265,7 +265,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		//lint:ignore goexit metrics HTTP daemon serves for the whole process lifetime and dies with it
+		// The metrics server serves for the whole process lifetime and dies with it.
 		go func() {
 			if serr := http.Serve(ln, metrics.Handler(reg)); serr != nil {
 				fmt.Fprintf(os.Stderr, "sjoin: metrics server: %v\n", serr)

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"spatialjoin/internal/metrics"
 )
 
 // TestCheckNilSafe: a nil Check is the free fast path — every method is
@@ -290,5 +292,65 @@ func TestGovernorUnlimited(t *testing.T) {
 	}
 	for _, r := range rs {
 		r()
+	}
+}
+
+// TestGovernorSetMetricsWhileAdmitting hammers the promise SetMetrics
+// documents — attach and detach are safe while joins are in flight —
+// under -race: joins and worker slots come and go while another
+// goroutine swaps the registry and scrapes Stats. Once everything is
+// released, a fresh attach must publish the drained state.
+func TestGovernorSetMetricsWhileAdmitting(t *testing.T) {
+	g := NewGovernor(2, 1000)
+	reg := metrics.New()
+	stop := make(chan struct{})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				g.SetMetrics(reg)
+			} else {
+				g.SetMetrics(nil)
+			}
+			_ = g.Stats()
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				release, err := g.Acquire(context.Background(), 100)
+				if err != nil {
+					t.Errorf("Acquire: %v", err)
+					return
+				}
+				if slot, ok := g.TryAcquire(100); ok {
+					slot()
+				}
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-swapped
+
+	if st := g.Stats(); st.Active != 0 || st.ActiveMemory != 0 || st.Queued != 0 || st.Admitted != 300 {
+		t.Fatalf("governor not drained after 300 joins: %+v", st)
+	}
+	g.SetMetrics(reg)
+	snap := reg.Snapshot()
+	for _, name := range []string{metQueueDepth, metActiveJoins, metActiveMemory} {
+		if v := snap.Value(name); v != 0 {
+			t.Fatalf("%s = %v after drain, want 0", name, v)
+		}
 	}
 }

@@ -1,9 +1,11 @@
 package lint_test
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -11,8 +13,6 @@ import (
 
 	"spatialjoin/internal/lint"
 )
-
-var analyzerNames = []string{"atomicmix", "checkpoint", "goexit", "guardedby", "joinwrap", "kindswitch", "lockorder", "metricname", "registry", "shardwrap", "spanend", "wrapverb"}
 
 var (
 	loadOnce sync.Once
@@ -33,6 +33,11 @@ func newDriver(t *testing.T) *lint.Driver {
 	return loaded.Fork()
 }
 
+// fixtureDir is the directory of one testdata fixture package.
+func fixtureDir(d *lint.Driver, fixture string) string {
+	return filepath.Join(d.ModuleRoot(), "internal", "lint", "testdata", "src", fixture)
+}
+
 // runFixture loads one testdata fixture package and runs a single
 // analyzer over it.
 func runFixture(t *testing.T, analyzer, fixture string) ([]lint.Diagnostic, *lint.Driver) {
@@ -42,8 +47,7 @@ func runFixture(t *testing.T, analyzer, fixture string) ([]lint.Diagnostic, *lin
 	if err != nil {
 		t.Fatalf("ByName(%q): %v", analyzer, err)
 	}
-	dir := filepath.Join(d.ModuleRoot(), "internal", "lint", "testdata", "src", fixture)
-	diags, err := d.Run([]string{dir}, as)
+	diags, err := d.Run([]string{fixtureDir(d, fixture)}, as)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", fixture, err)
 	}
@@ -103,15 +107,17 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// TestAnalyzersCatchSeededViolations is the golden suite: each analyzer
-// must report exactly the marked lines of its seeded fixture and
-// nothing at all on the clean twin.
+// TestAnalyzersCatchSeededViolations is the golden suite: each
+// registered analyzer must report exactly the marked lines of its
+// seeded fixture and nothing at all on the clean twin. The list is the
+// registry itself, so an analyzer without its testdata/src/<name> and
+// <name>_clean pair fails here.
 func TestAnalyzersCatchSeededViolations(t *testing.T) {
-	for _, name := range analyzerNames {
+	for _, a := range lint.Analyzers() {
+		name := a.Name
 		t.Run(name, func(t *testing.T) {
 			diags, d := runFixture(t, name, name)
-			dir := filepath.Join(d.ModuleRoot(), "internal", "lint", "testdata", "src", name)
-			want := wantMarkers(t, d.ModuleRoot(), dir, name)
+			want := wantMarkers(t, d.ModuleRoot(), fixtureDir(d, name), name)
 			if len(want) == 0 {
 				t.Fatalf("fixture %s carries no want markers", name)
 			}
@@ -141,6 +147,41 @@ func TestAnalyzersCatchSeededViolations(t *testing.T) {
 				t.Errorf("clean twin flagged: %s", diag)
 			}
 		})
+	}
+}
+
+// TestDiagnosticOrderDeterministic runs every analyzer over every
+// seeded fixture twice, in one Run each, and requires identical reports
+// in the one total order sortDiags defines: (file, line, col, analyzer,
+// message). Upstream map iteration — the package cache, the suppression
+// index, the analyzers' own maps — must never leak into output order.
+func TestDiagnosticOrderDeterministic(t *testing.T) {
+	run := func() []lint.Diagnostic {
+		d := newDriver(t)
+		var dirs []string
+		for _, a := range lint.Analyzers() {
+			dirs = append(dirs, fixtureDir(d, a.Name))
+		}
+		diags, err := d.Run(dirs, lint.Analyzers())
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return diags
+	}
+	first, second := run(), run()
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("two identical runs disagree:\nfirst:  %v\nsecond: %v", first, second)
+	}
+	if len(first) < len(lint.Analyzers()) {
+		t.Fatalf("fixture suite produced %d findings for %d analyzers; nothing much to order", len(first), len(lint.Analyzers()))
+	}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		order := cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col), strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
+		if order >= 0 {
+			t.Fatalf("report not strictly sorted by (file, line, col, analyzer, message): %s before %s", a, b)
+		}
 	}
 }
 

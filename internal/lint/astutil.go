@@ -41,18 +41,6 @@ func buildParents(f *ast.File) parentMap {
 	return parents
 }
 
-// enclosingFunc returns the innermost function literal or declaration
-// containing n (excluding n itself), or nil at top level.
-func (pm parentMap) enclosingFunc(n ast.Node) ast.Node {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
-		switch cur.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return cur
-		}
-	}
-	return nil
-}
-
 // container returns the innermost statement-list container (block,
 // case clause or comm clause) enclosing n.
 func (pm parentMap) container(n ast.Node) ast.Node {

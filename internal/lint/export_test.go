@@ -3,10 +3,9 @@ package lint
 // Fork returns a driver for one more Run over the packages d has already
 // loaded: it shares d's file set, importers and type-checked package
 // cache — the expensive part, a source type-check of the standard
-// library and the module — and starts with empty diagnostics,
-// suppression index and cross-package analyzer state. Test-only: the
-// tests of this package run sequentially, so the shared cache needs no
-// lock.
+// library and the module — and starts with no diagnostics. Test-only:
+// the tests of this package run sequentially, so the shared cache needs
+// no lock.
 func (d *Driver) Fork() *Driver {
 	return &Driver{
 		Fset:    d.Fset,

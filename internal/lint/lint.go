@@ -2,8 +2,11 @@
 // stack: a small driver (package loading, type checking, diagnostics,
 // //lint:ignore suppression) plus the project-specific
 // analyzers that turn the codebase's cross-cutting contracts — joinerr
-// propagation, paired trace spans, govern checkpoints, registry-managed
-// temp files — into machine-checked invariants.
+// propagation at the API and the shard process boundary, paired trace
+// spans, govern checkpoints, registry-managed temp files, exhaustive
+// Kind switches, %w wrapping, metric naming — into machine-checked
+// invariants. Concurrency contracts are not checked here: the race
+// detector and the race hammers own them (DESIGN.md §10).
 //
 // The framework deliberately uses only go/parser, go/ast, go/types and
 // go/importer: no golang.org/x/tools dependency, so the linter builds
@@ -51,11 +54,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one type-checked package.
 	Run func(*Pass)
-	// Finish, if set, runs once after every package has been analyzed.
-	// Its Pass carries no Files/Pkg/Info — only the Fset and the
-	// driver-shared state accumulated by the per-package Run calls.
-	// lockorder uses it to close the whole-module acquisition graph.
-	Finish func(*Pass)
 }
 
 // Pass carries everything an analyzer needs to inspect one package: the
@@ -83,36 +81,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Col:      position.Column,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Shared returns the driver-wide state slot for key, creating it with
-// mk on first use. Analyzers with a Finish phase use it to accumulate
-// facts across packages (the lock acquisition graph spans the module;
-// no single package sees all of it).
-func (p *Pass) Shared(key string, mk func() any) any {
-	if p.driver.shared == nil {
-		p.driver.shared = make(map[string]any)
-	}
-	v, ok := p.driver.shared[key]
-	if !ok {
-		v = mk()
-		p.driver.shared[key] = v
-	}
-	return v
-}
-
-// IgnoredAt reports whether a //lint:ignore directive for the named
-// analyzer covers pos (same line or the line above). Analyzers whose
-// findings are *about* a declaration — guardedby findings are about an
-// annotated struct field, not the access site — call this so a single
-// justification at the declaration suppresses every derived finding.
-func (p *Pass) IgnoredAt(pos token.Pos, analyzer string) bool {
-	position := p.Fset.Position(pos)
-	return suppressed(p.driver.ignores, Diagnostic{
-		File:     p.driver.relPath(position.Filename),
-		Line:     position.Line,
-		Analyzer: analyzer,
 	})
 }
 
@@ -148,13 +116,9 @@ func isJoinPackage(pkg *types.Package) bool { return joinPackages[pkg.Name()] }
 // Analyzers returns the full registry, sorted by name.
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
-		AnalyzerAtomicmix,
 		AnalyzerCheckpoint,
-		AnalyzerGoexit,
-		AnalyzerGuardedby,
 		AnalyzerJoinwrap,
 		AnalyzerKindswitch,
-		AnalyzerLockorder,
 		AnalyzerMetricname,
 		AnalyzerRegistry,
 		AnalyzerShardwrap,

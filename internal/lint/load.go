@@ -42,11 +42,6 @@ type Driver struct {
 	loading map[string]bool
 
 	diags []Diagnostic
-	// ignores is the //lint:ignore index (file -> line -> analyzer),
-	// built before analyzers run so Pass.IgnoredAt can consult it.
-	ignores map[string]map[int]map[string]bool
-	// shared holds cross-package analyzer state (Pass.Shared).
-	shared map[string]any
 }
 
 // NewDriver locates the module containing dir (any directory at or

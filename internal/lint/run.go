@@ -40,13 +40,10 @@ func (d *Driver) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	// The suppression index lives on the driver so analyzers can consult
-	// it mid-run (Pass.IgnoredAt) for findings anchored to a declaration
-	// rather than to the reported line.
-	d.ignores = make(map[string]map[int]map[string]bool) // file -> line -> analyzer
+	ignores := make(map[string]map[int]map[string]bool) // file -> line -> analyzer
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			d.collectIgnores(f, known, d.ignores)
+			d.collectIgnores(f, known, ignores)
 		}
 	}
 
@@ -62,20 +59,10 @@ func (d *Driver) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 			})
 		}
 	}
-	// Whole-module phase: analyzers that accumulate cross-package facts
-	// (the lock acquisition graph) report their findings here, after the
-	// last package. Their diagnostics flow through the same suppression,
-	// sort and dedupe below — ordering stays deterministic regardless of
-	// which phase produced a finding.
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			a.Finish(&Pass{Analyzer: a, Fset: d.Fset, driver: d})
-		}
-	}
 
 	var out []Diagnostic
 	for _, diag := range d.diags {
-		if suppressed(d.ignores, diag) {
+		if suppressed(ignores, diag) {
 			continue
 		}
 		out = append(out, diag)
@@ -95,8 +82,8 @@ func (d *Driver) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 
 // sortDiags orders diagnostics by (file, line, col, analyzer, message)
 // — the one total order every output path (text, golden tests)
-// relies on. Map iteration anywhere upstream (package maps, the shared
-// lock graph) must never leak into output order.
+// relies on. Map iteration anywhere upstream (package maps, the
+// suppression index) must never leak into output order.
 func sortDiags(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -9,7 +9,7 @@ import (
 )
 
 // filter is what PBSM adds to the pair kernel of package stripe, which it
-// runs over the unit square's band (DESIGN.md §17): its keep method is
+// runs over the unit square's band (DESIGN.md §16): its keep method is
 // the kernel's hook, the configured DupMethod over every candidate whose
 // reference point lies in the stripe being swept. Its counters are folded
 // into the shared Stats and the live metrics once per kernel call (fold),

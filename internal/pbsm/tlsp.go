@@ -41,7 +41,7 @@ import (
 //
 // Classes are a per-tile property, so a TLSP grid's tiles are its
 // partitions (newTLSPGrid). Its output is duplicate-free by construction,
-// which lets the shard layer accept TLSP as it accepts RPM (DESIGN.md §16).
+// which lets the shard layer accept TLSP as it accepts RPM (DESIGN.md §15).
 
 // TLSP class bits: set when the copy's tile does NOT contain the
 // rectangle's reference corner (upper-left, the RefPoint corner) on

@@ -266,8 +266,9 @@ type joinState struct {
 	// Aggregates folded in from worker reports and absorb runs.
 	ioAgg  diskio.Stats  // guarded by mu
 	cpuAgg time.Duration // guarded by mu
-	//lint:ignore guardedby incremented only inside the collector sink, which Emit/Done invoke with st.mu held
-	results int64 // guarded by mu; written only inside the collector sink
+	// results is written only by the collector sink, which Emit/Done
+	// invoke with st.mu held.
+	results int64 // guarded by mu
 }
 
 func (st *joinState) locked(f func()) {
@@ -457,7 +458,7 @@ func (c *Config) backoffPolicy() *diskio.Backoff {
 // single-process PBSM+RPM run of the same configuration, at any shard
 // count, under any schedule of worker failures the coordinator
 // survives.
-func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
+func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr error) {
 	if cfg.Memory <= 0 {
 		return Result{}, joinerr.Wrap("shard", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
@@ -481,6 +482,17 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 		ctx = context.Background()
 	}
 	chk := govern.NewCheck(ctx)
+
+	// A sharded join never reaches core's fail path, so shard.aborted is
+	// its only abort footprint: count every fatal exit from here on once,
+	// admission and scatter included, and nothing the supervisor
+	// survived.
+	met := newShardMetrics(cfg.Metrics)
+	defer func() {
+		if retErr != nil && fatalKind(retErr) {
+			met.aborted.Inc()
+		}
+	}()
 
 	if cfg.Governor != nil {
 		release, aerr := cfg.Governor.Acquire(ctx, cfg.Memory)
@@ -542,7 +554,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	man := &manifest{root: tmpRoot}
 	defer man.sweepRoot()
 
-	met := newShardMetrics(cfg.Metrics)
 	st := &joinState{
 		bufs:    make(map[int][]geom.Pair),
 		sealed:  make([]bool, gs.Parts),
@@ -618,11 +629,11 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	}
 	wg.Wait()
 	if firstErr != nil {
-		met.aborted.Inc()
 		return Result{}, firstErr
 	}
-	// The workers are joined, but the guarded-field contract is uniform:
-	// read the merge state under st.mu like every other reader.
+	// The workers are joined, so nothing else touches the merge state;
+	// reading it under st.mu anyway keeps every "guarded by mu" true
+	// without an exception to remember.
 	if left := st.unsealed(all); len(left) > 0 {
 		return Result{}, joinerr.WrapAs("shard", "merge", joinerr.KindShard,
 			fmt.Errorf("internal: partition %d never sealed", left[0]))

@@ -113,8 +113,8 @@ func SpawnResidentWorker(argv, env []string) (addr string, stop func(), err erro
 		return "", nil, joinerr.WrapAs("shard", "spawn", joinerr.KindShard,
 			errors.New("resident worker exited without announcing a listen address"))
 	}
-	// Keep draining stdout so the child can never block on a full pipe.
-	//lint:ignore goexit drain goroutine ends when stop() kills the child and the pipe hits EOF
+	// Keep draining stdout so the child can never block on a full pipe;
+	// the drain ends when stop() kills the child and the pipe hits EOF.
 	go func() {
 		for sc.Scan() {
 		}

@@ -9,7 +9,9 @@ import (
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/shard"
 	"spatialjoin/internal/trace"
@@ -133,15 +135,37 @@ func TestShardJoinThroughCore(t *testing.T) {
 	}
 }
 
+// TestShardJoinCancel: a sharded join that dies of a fatal kind —
+// canceled before the scatter, refused admission — fails with that kind
+// and counts shard.aborted exactly once, its only abort footprint (core's
+// fail path never sees a sharded join); a clean join counts nothing.
 func TestShardJoinCancel(t *testing.T) {
 	r, s := testData()
-	ctx, cancel := context.WithCancel(context.Background())
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := shardConfig(t, 2)
-	cfg.Ctx = ctx
-	_, err := shard.Join(r, s, cfg, func(geom.Pair) {})
-	if err == nil {
-		t.Fatal("canceled join succeeded")
+	for _, tc := range []struct {
+		name string
+		set  func(*shard.Config)
+		kind joinerr.Kind // the failure's kind, when want is 1
+		want float64      // shard.aborted after the join
+	}{
+		{"pre-canceled", func(c *shard.Config) { c.Ctx = canceled }, joinerr.KindCanceled, 1},
+		{"admission", func(c *shard.Config) { c.Governor = govern.NewGovernor(0, c.Memory-1) }, joinerr.KindAdmission, 1},
+		{"clean", func(*shard.Config) {}, 0, 0},
+	} {
+		cfg := shardConfig(t, 2)
+		cfg.Metrics = metrics.New()
+		tc.set(&cfg)
+		_, err := shard.Join(r, s, cfg, func(geom.Pair) {})
+		switch {
+		case tc.want == 0 && err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case tc.want != 0 && joinerr.KindOf(err) != tc.kind:
+			t.Fatalf("%s: got %v (kind %v), want kind %v", tc.name, err, joinerr.KindOf(err), tc.kind)
+		}
+		if got := cfg.Metrics.Snapshot().Value("shard.aborted"); got != tc.want {
+			t.Fatalf("%s: shard.aborted = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

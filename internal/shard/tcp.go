@@ -113,7 +113,8 @@ func ServeWorker(ln net.Listener) error {
 			}
 			return joinerr.WrapAs("shard", "accept", joinerr.KindShard, err)
 		}
-		//lint:ignore goexit conn-per-goroutine server: each handler ends with its connection, and closing ln stops the accept loop
+		// One goroutine per connection: each ends with its conversation,
+		// and closing ln stops the accept loop.
 		go func(c net.Conn) {
 			defer c.Close()
 			// Errors end the conversation; the structured part already

@@ -12,7 +12,7 @@
 // Slot owning its algorithm and buffers. A pair loaded into a slot runs
 // its stripes in a loop inside its unit (Slot.JoinLoaded); inputs joined
 // where they lie have their stripes as the units (Exec.Index,
-// Slot.JoinStripe). See DESIGN.md §17.
+// Slot.JoinStripe). See DESIGN.md §16.
 package stripe
 
 import (
