@@ -132,9 +132,22 @@ echo "== repository benchmark smoke (s3j_ext, traced pass) =="
 # 99 cursors, none).
 go run ./benchmark -workload s3j_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
 
+echo "== repository benchmark smoke (pbsm_shards2, traced pass) =="
+# The one workload that crosses the process boundary: two spawned worker
+# processes, the frame protocol both ways, the supervision loop and the
+# ordered merge, through the same oracle and gates. A clean run spawns
+# exactly one worker per shard, restarts none, and leaves no file on any
+# worker's disk.
+shardsmoke=$(mktemp /tmp/sjbench-shards.XXXXXX.txt)
+trap 'rm -f "$extsmoke" "$shardsmoke"' EXIT
+go run ./benchmark -workload pbsm_shards2 -scale 0.05 -seconds 0 -trace 1 | tee "$shardsmoke" | grep -q '"correct":true'
+grep -Eq '^ +shard\.spawns +2 count' "$shardsmoke"
+grep -Eq '^ +shard\.restarts +0 count' "$shardsmoke"
+grep -Eq '^ +shard\.worker_live_files +0 count' "$shardsmoke"
+
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)
-trap 'rm -f "$extsmoke" "$tracefile"' EXIT
+trap 'rm -f "$extsmoke" "$shardsmoke" "$tracefile"' EXIT
 # sjbench self-validates: re-reads the file, parses the JSON array and
 # checks span-tree coverage >= 95%, printing "trace OK" on success.
 # 8000 records, not fewer: the one join of a fresh process pays some

@@ -18,18 +18,6 @@ import (
 	"spatialjoin/internal/trace"
 )
 
-// sumLabeled totals a labeled counter family across its children in a
-// snapshot (Sub output included).
-func sumLabeled(s metrics.Snapshot, name string) float64 {
-	total := 0.0
-	for _, p := range s.Points {
-		if p.Name == name {
-			total += p.Value
-		}
-	}
-	return total
-}
-
 // TestMetricsReconcileWithResultStats runs faulty PBSM joins with a
 // registry and a recorder attached and requires every successful run's
 // snapshot delta to equal the join's own Result accounting — disk
@@ -91,9 +79,9 @@ func TestMetricsReconcileWithResultStats(t *testing.T) {
 
 // TestShardMetricsReconcileWithTrace SIGKILLs one worker mid-stream and
 // requires the shard metrics to agree with both the coordinator's Stats
-// and the trace's kill/retry instants: same kills, same restarts, one
-// recovery observation per closed failure window, one seal per
-// partition.
+// and the trace's kill/retry instants (assertViewsAgree: same kills, same
+// restarts, one recovery observation per closed failure window), and one
+// seal per partition.
 func TestShardMetricsReconcileWithTrace(t *testing.T) {
 	reg := metrics.New()
 	tmpRoot := t.TempDir()
@@ -111,34 +99,8 @@ func TestShardMetricsReconcileWithTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join did not self-heal: %v", err)
 	}
-	delta := reg.Snapshot().Sub(before)
-
-	if got, want := delta.Value("shard.kills"), float64(countInstants(rec, "shard-kill")); got != want {
-		t.Fatalf("metric shard.kills %.0f, trace records %.0f shard-kill instants", got, want)
-	}
-	if got, want := delta.Value("shard.kills"), float64(res.Stats.Kills); got != want {
-		t.Fatalf("metric shard.kills %.0f, stats say %d", got, res.Stats.Kills)
-	}
-	if got, want := sumLabeled(delta, "shard.restarts"), float64(countInstants(rec, "shard-retry")); got != want {
-		t.Fatalf("metric shard.restarts %.0f, trace records %.0f shard-retry instants", got, want)
-	}
-	if got, want := sumLabeled(delta, "shard.restarts"), float64(res.Stats.Restarts); got != want {
-		t.Fatalf("metric shard.restarts %.0f, stats say %d", got, res.Stats.Restarts)
-	}
-	if got, want := delta.Value("shard.spawns"), float64(res.Stats.Spawns); got != want {
-		t.Fatalf("metric shard.spawns %.0f, stats say %d", got, res.Stats.Spawns)
-	}
-	if got, want := delta.Value("shard.rederived"), float64(res.Stats.Rederived); got != want {
-		t.Fatalf("metric shard.rederived %.0f, stats say %d", got, res.Stats.Rederived)
-	}
-	if got, want := delta.Value("shard.seals"), float64(res.Stats.Partitions); got != want {
-		t.Fatalf("metric shard.seals %.0f, want one per partition (%d)", got, res.Stats.Partitions)
-	}
-	hv := delta.Hist("shard.recovery.seconds")
-	if got, want := hv.Count, int64(res.Stats.Recoveries); got != want {
-		t.Fatalf("recovery histogram has %d observations, stats say %d recoveries", got, want)
-	}
-	if res.Stats.Recoveries > 0 && hv.Sum <= 0 {
-		t.Fatalf("recovery histogram sum %v with %d recoveries", hv.Sum, res.Stats.Recoveries)
+	assertViewsAgree(t, "kill", res.Stats, reg.Snapshot().Sub(before), rec)
+	if res.Stats.Seals != res.Stats.Partitions {
+		t.Fatalf("%d seals, want one per partition (%d)", res.Stats.Seals, res.Stats.Partitions)
 	}
 }

@@ -5,8 +5,8 @@
 // of the protocol. The only acceptable outcome is the kill sweep's:
 // every injected fault ends in a completed join whose result sequence
 // is byte-identical to the single-process run, with zero orphaned temp
-// files, zero leaked goroutines, and pool stats that reconcile exactly
-// with the trace's evict/reconnect instants and the metric deltas.
+// files, zero leaked goroutines, and the pool's metric deltas agreeing
+// exactly with the trace's evict/reconnect instants (assertViewsAgree).
 package chaos
 
 import (
@@ -53,6 +53,24 @@ func deadAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 	return addr
+}
+
+// deadPool is a pool over one address nothing listens on that
+// quarantines it on the first failed dial, recording into reg and rec.
+func deadPool(t *testing.T, reg *metrics.Registry, rec *trace.Recorder) *shard.Pool {
+	t.Helper()
+	pool, err := shard.NewPool(shard.PoolConfig{
+		Endpoints:       []string{deadAddr(t)},
+		DialTimeout:     200 * time.Millisecond,
+		QuarantineAfter: 1,
+		Metrics:         reg,
+		Trace:           rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	return pool
 }
 
 // TestShardNetFaultSweep injects one scripted connection fault per cell
@@ -124,12 +142,12 @@ func TestShardNetFaultSweep(t *testing.T) {
 					if pol.Stats().Total() < 1 {
 						t.Fatalf("no fault was injected: %+v", pol.Stats())
 					}
-					st := pool.Stats()
-					if st.Evictions < 1 {
-						t.Fatalf("injected %s fault but the pool evicted nothing: %+v", fc.name, st)
+					delta := reg.Snapshot().Sub(mBefore)
+					if n := delta.Value("shard.net.evictions"); n < 1 {
+						t.Fatalf("injected %s fault but the pool evicted nothing (%.0f)", fc.name, n)
 					}
-					if fc.name == "drop-at-dial" && (st.Reconnects < 1 || st.ReconnectNS <= 0) {
-						t.Fatalf("dropped dial but no reconnect measured: %+v", st)
+					if h := delta.Hist("shard.net.reconnect.seconds"); fc.name == "drop-at-dial" && h.Count < 1 {
+						t.Fatalf("dropped dial but no reconnect measured: %+v", h)
 					}
 					if fc.name != "drop-at-dial" && (res.Stats.Kills < 1 || res.Stats.Restarts < 1) {
 						t.Fatalf("mid-stream reset must surface as a kill and restart: %+v", res.Stats)
@@ -138,27 +156,7 @@ func TestShardNetFaultSweep(t *testing.T) {
 						t.Fatalf("a single connection fault degraded %d shards", res.Stats.Degraded)
 					}
 
-					// Accounting must reconcile three ways: pool stats,
-					// trace instants, metric deltas.
-					delta := reg.Snapshot().Sub(mBefore)
-					if got, want := countInstants(rec, "net-evict"), st.Evictions; got != want {
-						t.Fatalf("trace records %d net-evict instants, pool says %d", got, want)
-					}
-					if got, want := delta.Value("shard.net.evictions"), float64(st.Evictions); got != want {
-						t.Fatalf("metric shard.net.evictions delta %.0f, pool says %.0f", got, want)
-					}
-					if got, want := delta.Value("shard.net.leases"), float64(st.Leases); got != want {
-						t.Fatalf("metric shard.net.leases delta %.0f, pool says %.0f", got, want)
-					}
-					if got, want := countInstants(rec, "net-reconnect"), st.Reconnects; got != want {
-						t.Fatalf("trace records %d net-reconnect instants, pool says %d", got, want)
-					}
-					if hv := delta.Hist("shard.net.reconnect.seconds"); int(hv.Count) != st.Reconnects {
-						t.Fatalf("reconnect histogram has %d observations, pool says %d", hv.Count, st.Reconnects)
-					}
-					if got, want := delta.Value("shard.kills"), float64(res.Stats.Kills); got != want {
-						t.Fatalf("metric shard.kills delta %.0f, stats say %.0f", got, want)
-					}
+					assertViewsAgree(t, fc.name, res.Stats, delta, rec)
 
 					if res.Stats.WorkerLiveFiles != 0 {
 						t.Fatalf("workers leaked %d simulated-disk files", res.Stats.WorkerLiveFiles)
@@ -182,9 +180,7 @@ func TestShardNetDegradeToLocal(t *testing.T) {
 	reg := metrics.New()
 	rec := trace.New()
 	cfg := shardChaosConfig(t, 2, tmpRoot)
-	cfg.Endpoints = []string{deadAddr(t)}
-	cfg.DialTimeout = 200 * time.Millisecond
-	cfg.QuarantineAfter = 1
+	cfg.Pool = deadPool(t, reg, rec)
 	cfg.Metrics = reg
 	cfg.Trace = rec
 
@@ -202,13 +198,7 @@ func TestShardNetDegradeToLocal(t *testing.T) {
 	if res.Stats.Restarts != 0 || res.Stats.Kills != 0 {
 		t.Fatalf("degradation consumed fault budget: %+v", res.Stats)
 	}
-	if got, want := countInstants(rec, "shard-degrade"), res.Stats.Degraded; got != want {
-		t.Fatalf("trace records %d shard-degrade instants, stats say %d", got, want)
-	}
-	delta := reg.Snapshot().Sub(mBefore)
-	if got, want := delta.Value("shard.degraded"), float64(res.Stats.Degraded); got != want {
-		t.Fatalf("metric shard.degraded delta %.0f, stats say %.0f", got, want)
-	}
+	assertViewsAgree(t, "degrade", res.Stats, reg.Snapshot().Sub(mBefore), rec)
 	if got := countInstants(rec, "net-quarantine"); got != 1 {
 		t.Fatalf("trace records %d net-quarantine instants, want 1", got)
 	}
@@ -224,15 +214,14 @@ func TestShardNetFullLadder(t *testing.T) {
 	want := shardBaseline(t)
 	before := runtime.NumGoroutine()
 	tmpRoot := t.TempDir()
+	reg := metrics.New()
 	rec := trace.New()
 	cfg := shardChaosConfig(t, 2, tmpRoot)
-	cfg.Endpoints = []string{deadAddr(t)}
-	cfg.DialTimeout = 200 * time.Millisecond
-	cfg.QuarantineAfter = 1
-	cfg.MaxRestarts = 1
+	cfg.Pool = deadPool(t, reg, rec)
+	cfg.Metrics = reg
 	cfg.Trace = rec
 	var kills []shard.ChaosKill
-	for attempt := 1; attempt <= cfg.MaxRestarts+1; attempt++ {
+	for attempt := 1; attempt <= shard.MaxRestarts+1; attempt++ {
 		kills = append(kills, shard.ChaosKill{
 			Shard: 0, Attempt: attempt,
 			Kill: shard.KillSpec{Point: shard.KillMidPairs, AfterParts: 1},
@@ -247,14 +236,15 @@ func TestShardNetFullLadder(t *testing.T) {
 		t.Fatalf("join did not walk the full degradation ladder: %v", err)
 	}
 	assertSameSequence(t, "ladder", got, want)
+	assertViewsAgree(t, "ladder", res.Stats, reg.Snapshot(), rec)
 	if res.Stats.Degraded != 2 {
 		t.Fatalf("Degraded=%d, want both shards", res.Stats.Degraded)
 	}
 	if res.Stats.Absorbed != 1 {
 		t.Fatalf("Absorbed=%d, want 1: %+v", res.Stats.Absorbed, res.Stats)
 	}
-	if res.Stats.Kills != cfg.MaxRestarts+1 {
-		t.Fatalf("Kills=%d, want %d", res.Stats.Kills, cfg.MaxRestarts+1)
+	if res.Stats.Kills != shard.MaxRestarts+1 {
+		t.Fatalf("Kills=%d, want %d", res.Stats.Kills, shard.MaxRestarts+1)
 	}
 	assertNoOrphans(t, "ladder", tmpRoot)
 	settleGoroutines(t, "ladder", before)

@@ -4,8 +4,8 @@
 // acceptable outcome is full self-healing: the coordinator restarts or
 // absorbs the dead shard and the result sequence (set AND order) is
 // byte-identical to the single-process join. Orphaned temp directories,
-// leaked goroutines, and stats that disagree with the trace's kill
-// events are all failures.
+// leaked goroutines, and stats, metrics and trace instants that disagree
+// (assertViewsAgree) are all failures.
 package chaos
 
 import (
@@ -16,6 +16,7 @@ import (
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/shard"
 	"spatialjoin/internal/trace"
 )
@@ -61,6 +62,69 @@ func countInstants(rec *trace.Recorder, name string) int {
 		}
 	}
 	return n
+}
+
+// seriesCount totals a series of a snapshot over its labels: a counter's
+// value, a histogram's observation count.
+func seriesCount(s metrics.Snapshot, name string) float64 {
+	n := 0.0
+	for _, p := range s.Points {
+		switch {
+		case p.Name != name:
+		case p.Hist != nil:
+			n += float64(p.Hist.Count)
+		default:
+			n += p.Value
+		}
+	}
+	return n
+}
+
+// view is one fact of a sharded join as each book records it: a field
+// of the coordinator's shard.Stats, a registry series (a histogram counts
+// its observations) and a trace instant. A nil stat or an empty instant
+// means that book does not record the fact.
+type view struct {
+	stat    func(shard.Stats) int
+	metric  string
+	instant string
+}
+
+// shardViews lists every fact of a sharded join that two books record.
+var shardViews = []view{
+	{func(s shard.Stats) int { return s.Spawns }, "shard.spawns", ""},
+	{func(s shard.Stats) int { return s.Kills }, "shard.kills", "shard-kill"},
+	{func(s shard.Stats) int { return s.Restarts }, "shard.restarts", "shard-retry"},
+	{func(s shard.Stats) int { return s.Rederived }, "shard.rederived", ""},
+	{func(s shard.Stats) int { return s.Absorbed }, "shard.absorbed", "shard-absorb"},
+	{func(s shard.Stats) int { return s.Degraded }, "shard.degraded", "shard-degrade"},
+	{func(s shard.Stats) int { return s.Seals }, "shard.seals", ""},
+	{func(s shard.Stats) int { return s.Recoveries }, "shard.recovery.seconds", ""},
+	{func(s shard.Stats) int { return s.RemoteLeases }, "shard.net.leases", ""},
+	{nil, "shard.net.evictions", "net-evict"},
+	{nil, "shard.net.quarantined", "net-quarantine"},
+	{nil, "shard.net.reconnect.seconds", "net-reconnect"},
+}
+
+// assertViewsAgree requires the books of one join to agree on every row
+// of shardViews: the join's Stats, the registry delta over the join (the
+// pool's included, which must share the registry) and the recorder's
+// instants. A latency histogram with observations must also have a
+// positive sum.
+func assertViewsAgree(t *testing.T, label string, st shard.Stats, delta metrics.Snapshot, rec *trace.Recorder) {
+	t.Helper()
+	for _, v := range shardViews {
+		n := seriesCount(delta, v.metric)
+		if v.stat != nil && n != float64(v.stat(st)) {
+			t.Fatalf("%s: metric %s delta %.0f, stats say %d", label, v.metric, n, v.stat(st))
+		}
+		if v.instant != "" && n != float64(countInstants(rec, v.instant)) {
+			t.Fatalf("%s: metric %s delta %.0f, trace records %d %s instants", label, v.metric, n, countInstants(rec, v.instant), v.instant)
+		}
+		if h := delta.Hist(v.metric); h.Count > 0 && h.Sum <= 0 {
+			t.Fatalf("%s: histogram %s has %d observations summing to %v", label, v.metric, h.Count, h.Sum)
+		}
+	}
 }
 
 // assertSameSequence requires got to equal want element-for-element.
@@ -119,7 +183,7 @@ func settleGoroutines(t *testing.T, label string, before int) {
 // kill point) cell, SIGKILL one worker at a deterministic instant and
 // require the join to self-heal to the exact single-process result
 // sequence with zero orphans and zero goroutine leaks, and with
-// coordinator stats agreeing with the trace's kill/retry events.
+// coordinator stats, metrics and trace instants agreeing.
 func TestShardKillSweep(t *testing.T) {
 	want := shardBaseline(t)
 	shardCounts := []int{1, 2, 4}
@@ -147,7 +211,9 @@ func TestShardKillSweep(t *testing.T) {
 						{Shard: seed % n, Attempt: 1, Kill: kill},
 					}}
 					rec := trace.New()
+					reg := metrics.New()
 					cfg.Trace = rec
+					cfg.Metrics = reg
 
 					before := runtime.NumGoroutine()
 					var got []geom.Pair
@@ -157,18 +223,13 @@ func TestShardKillSweep(t *testing.T) {
 						t.Fatalf("join did not self-heal: %v", err)
 					}
 					assertSameSequence(t, label, got, want)
+					assertViewsAgree(t, label, res.Stats, reg.Snapshot(), rec)
 
 					if res.Stats.Kills < 1 {
 						t.Fatalf("no kill recorded in stats: %+v", res.Stats)
 					}
 					if res.Stats.Restarts < 1 {
 						t.Fatalf("no restart recorded in stats: %+v", res.Stats)
-					}
-					if got, want := countInstants(rec, "shard-kill"), res.Stats.Kills; got != want {
-						t.Fatalf("trace records %d shard-kill instants, stats say %d", got, want)
-					}
-					if got, want := countInstants(rec, "shard-retry"), res.Stats.Restarts; got != want {
-						t.Fatalf("trace records %d shard-retry instants, stats say %d", got, want)
 					}
 					// A mid-emit kill always leaves its in-flight partition
 					// unsealed, so something must be re-derived. (Mid-pairs
@@ -203,9 +264,8 @@ func TestShardAbsorbAfterRepeatedKills(t *testing.T) {
 	want := shardBaseline(t)
 	tmpRoot := t.TempDir()
 	cfg := shardChaosConfig(t, 2, tmpRoot)
-	cfg.MaxRestarts = 1
 	var kills []shard.ChaosKill
-	for attempt := 1; attempt <= cfg.MaxRestarts+1; attempt++ {
+	for attempt := 1; attempt <= shard.MaxRestarts+1; attempt++ {
 		kills = append(kills, shard.ChaosKill{
 			Shard: 1, Attempt: attempt,
 			Kill: shard.KillSpec{Point: shard.KillMidPairs, AfterParts: 1},
@@ -213,7 +273,9 @@ func TestShardAbsorbAfterRepeatedKills(t *testing.T) {
 	}
 	cfg.Chaos = &shard.ChaosSpec{Kills: kills}
 	rec := trace.New()
+	reg := metrics.New()
 	cfg.Trace = rec
+	cfg.Metrics = reg
 
 	before := runtime.NumGoroutine()
 	var got []geom.Pair
@@ -223,14 +285,12 @@ func TestShardAbsorbAfterRepeatedKills(t *testing.T) {
 		t.Fatalf("join did not absorb the failing shard: %v", err)
 	}
 	assertSameSequence(t, "absorb", got, want)
+	assertViewsAgree(t, "absorb", res.Stats, reg.Snapshot(), rec)
 	if res.Stats.Absorbed != 1 {
 		t.Fatalf("Absorbed=%d, want 1: %+v", res.Stats.Absorbed, res.Stats)
 	}
-	if res.Stats.Kills != cfg.MaxRestarts+1 {
-		t.Fatalf("Kills=%d, want %d", res.Stats.Kills, cfg.MaxRestarts+1)
-	}
-	if got := countInstants(rec, "shard-absorb"); got != 1 {
-		t.Fatalf("trace records %d shard-absorb instants, want 1", got)
+	if res.Stats.Kills != shard.MaxRestarts+1 {
+		t.Fatalf("Kills=%d, want %d", res.Stats.Kills, shard.MaxRestarts+1)
 	}
 	assertNoOrphans(t, "absorb", tmpRoot)
 	settleGoroutines(t, "absorb", before)

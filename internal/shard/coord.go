@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -77,35 +76,10 @@ type Config struct {
 	// means the pipe transport only.
 	Endpoints []string
 	// Pool, when non-nil, supplies an existing resident worker pool
-	// (shared across joins) instead of building one from Endpoints. The
-	// join does NOT close a caller-supplied pool.
+	// (shared across joins, or one with its own dialer, timeouts or
+	// quarantine threshold) instead of building a default one from
+	// Endpoints. The join does NOT close a caller-supplied pool.
 	Pool *Pool
-	// Dial overrides the pool's dialer when the join builds its own pool
-	// from Endpoints — the netfault injection hook. nil means a plain
-	// net.Dialer.
-	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// DialTimeout, LeaseTimeout and QuarantineAfter parameterize the
-	// implicit pool; zero values select the pool defaults (2s, 30s, 3).
-	DialTimeout     time.Duration
-	LeaseTimeout    time.Duration
-	QuarantineAfter int
-
-	// MaxRestarts bounds restarts per shard; past it the shard is
-	// absorbed into the coordinator process. Default 2. Negative means
-	// absorb on first failure.
-	MaxRestarts int
-	// Heartbeat is the worker heartbeat interval; default 100ms.
-	Heartbeat time.Duration
-	// StallTimeout kills a worker that produced no frame for this long;
-	// default 5s (generous: heartbeats make healthy silence impossible).
-	StallTimeout time.Duration
-	// ShardDeadline bounds ONE attempt's wall clock; 0 means none. An
-	// overrun kills the worker and counts as a shard failure (retried),
-	// NOT as the join's deadline.
-	ShardDeadline time.Duration
-	// Backoff paces restarts; default capped exponential with jitter
-	// (base 5ms, cap 250ms, factor 2, jitter 0.5).
-	Backoff *diskio.Backoff
 
 	// Chaos injects deterministic worker self-kills; see ChaosSpec.
 	Chaos *ChaosSpec
@@ -131,13 +105,13 @@ type Config struct {
 // frame, so it cannot differ from a worker's. The per-process handles
 // (Parallel, Cancel, Trace, Metrics) are the caller's to add.
 func (cfg *Config) pbsmConfig(disk *diskio.Disk) pbsm.Config {
-	return cfg.jobSpec(pbsm.GridSpec{}, 0, 0, nil, 0, "").pbsmConfig(disk)
+	return cfg.jobSpec(pbsm.GridSpec{}, 0, 0, nil, "").pbsmConfig(disk)
 }
 
 // jobSpec is the job frame of one attempt: the shard's partitions, the
 // plan, and every PBSM and disk parameter the worker must share with the
 // coordinator.
-func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, slice int64, tmpDir string) *JobSpec {
+func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, tmpDir string) *JobSpec {
 	return &JobSpec{
 		Proto:             ProtoVersion,
 		Shard:             id,
@@ -145,7 +119,6 @@ func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, slice
 		Parts:             parts,
 		Grid:              gs,
 		Memory:            cfg.Memory,
-		MemSlice:          slice,
 		Dup:               int(cfg.Dup),
 		Algorithm:         cfg.Algorithm,
 		TuneFactor:        cfg.TuneFactor,
@@ -155,7 +128,6 @@ func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, slice
 		PageSize:          cfg.PageSize,
 		PT:                cfg.PT,
 		TransferNS:        cfg.Transfer.Nanoseconds(),
-		HeartbeatNS:       cfg.heartbeat().Nanoseconds(),
 		TmpDir:            tmpDir,
 		Kill:              cfg.Chaos.lookup(id, attempt),
 	}
@@ -210,9 +182,8 @@ type Stats struct {
 	RemoteLeases int // attempts executed on leased resident workers
 	Degraded     int // shards that fell from the TCP transport to local spawns
 
-	Recoveries    int   // failures recovered from (restart or absorb)
-	RecoveryNS    int64 // total detection→first-progress latency
-	MaxRecoveryNS int64 // worst single recovery
+	Recoveries int   // failures recovered from (restart or absorb)
+	RecoveryNS int64 // total detection→first-progress latency
 
 	WorkerLiveFiles int // files left on worker disks after their sweeps (leak if ≠ 0)
 }
@@ -240,14 +211,11 @@ type coordinator struct {
 	rec      *trace.Recorder
 	root     *trace.Span
 	man      *manifest
-	backoff  *diskio.Backoff
 	met      *shardMetrics
 	st       *joinState
-
-	// The transport ladder: remote (when a pool is configured) is tried
-	// first, local is the fallback and the default.
-	remote *NetTransport
-	local  *ProcTransport
+	// pool, when set, is the ladder's first rung: attempts lease resident
+	// workers from it before falling back to spawning local ones.
+	pool *Pool
 }
 
 // joinState is the shared, mutex-guarded merge state: per-partition
@@ -336,9 +304,6 @@ func (st *joinState) recoverLocked(shard int) {
 	d := time.Since(t).Nanoseconds()
 	st.stats.Recoveries++
 	st.stats.RecoveryNS += d
-	if d > st.stats.MaxRecoveryNS {
-		st.stats.MaxRecoveryNS = d
-	}
 	st.met.recovery.Observe(float64(d) / float64(time.Second))
 }
 
@@ -409,29 +374,22 @@ func (m *manifest) sweepRoot() {
 	}
 }
 
-func (c *Config) maxRestarts() int {
-	if c.MaxRestarts == 0 {
-		return 2
-	}
-	if c.MaxRestarts < 0 {
-		return 0
-	}
-	return c.MaxRestarts
-}
+// MaxRestarts bounds restarts per shard: past it the shard is absorbed
+// into the coordinator process.
+const MaxRestarts = 2
 
-func (c *Config) heartbeat() time.Duration {
-	if c.Heartbeat <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.Heartbeat
-}
+// heartbeatEvery is how often a worker sends a beat frame; the
+// coordinator kills a worker that sent no frame at all for stallTimeout,
+// which is generous because heartbeats make healthy silence impossible.
+// stallTimeout is a variable only so the watchdog's test can shorten it.
+const heartbeatEvery = 100 * time.Millisecond
 
-func (c *Config) stallTimeout() time.Duration {
-	if c.StallTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.StallTimeout
-}
+var stallTimeout = 5 * time.Second
+
+// restartBackoff paces shard restarts, and a pool's redials unless its
+// PoolConfig names another policy: capped exponential with deterministic
+// jitter.
+var restartBackoff = &diskio.Backoff{Base: 5 * time.Millisecond, Cap: 250 * time.Millisecond, Factor: 2, Jitter: 0.5, Seed: 1}
 
 func (c *Config) workerCmd() ([]string, error) {
 	if len(c.WorkerCmd) > 0 {
@@ -442,13 +400,6 @@ func (c *Config) workerCmd() ([]string, error) {
 		return nil, err
 	}
 	return []string{exe, "-shard-worker"}, nil
-}
-
-func (c *Config) backoffPolicy() *diskio.Backoff {
-	if c.Backoff != nil {
-		return c.Backoff
-	}
-	return &diskio.Backoff{Base: 5 * time.Millisecond, Cap: 250 * time.Millisecond, Factor: 2, Jitter: 0.5, Seed: 1}
 }
 
 // Join runs the sharded join: plan once, assign partitions to shards,
@@ -545,7 +496,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 		shards = 1
 	}
 	assignment := assignShards(sl[0], sl[1], cfg.Memory, iocost.DeviceOf(nominal, cfg.BufPages), shards)
-	slices := govern.Slice(cfg.Memory, len(assignment))
 
 	tmpRoot, err := os.MkdirTemp(cfg.TmpRoot, "sjshard-")
 	if err != nil {
@@ -569,38 +519,24 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	root.SetAttr("partitions", int64(gs.Parts))
 
 	c := &coordinator{
-		cfg:     cfg,
-		rsl:     sl[0],
-		ssl:     sl[1],
-		gs:      gs,
-		chk:     chk,
-		rec:     rec,
-		root:    root,
-		man:     man,
-		backoff: cfg.backoffPolicy(),
-		met:     met,
-		st:      st,
+		cfg:  cfg,
+		rsl:  sl[0],
+		ssl:  sl[1],
+		gs:   gs,
+		chk:  chk,
+		rec:  rec,
+		root: root,
+		man:  man,
+		met:  met,
+		st:   st,
+		pool: cfg.Pool,
 	}
-	c.local = &ProcTransport{Cmd: cfg.WorkerCmd, Env: cfg.WorkerEnv}
-	pool := cfg.Pool
-	if pool == nil && len(cfg.Endpoints) > 0 {
-		pool, err = NewPool(PoolConfig{
-			Endpoints:       cfg.Endpoints,
-			Dial:            cfg.Dial,
-			DialTimeout:     cfg.DialTimeout,
-			LeaseTimeout:    cfg.LeaseTimeout,
-			QuarantineAfter: cfg.QuarantineAfter,
-			Backoff:         cfg.Backoff,
-			Metrics:         cfg.Metrics,
-			Trace:           cfg.Trace,
-		})
+	if c.pool == nil && len(cfg.Endpoints) > 0 {
+		c.pool, err = NewPool(PoolConfig{Endpoints: cfg.Endpoints, Metrics: cfg.Metrics, Trace: cfg.Trace})
 		if err != nil {
 			return Result{}, err
 		}
-		defer pool.Close()
-	}
-	if pool != nil {
-		c.remote = NewNetTransport(pool)
+		defer c.pool.Close()
 	}
 
 	// One goroutine per shard; the first FATAL error cancels the rest.
@@ -615,9 +551,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	)
 	for id, parts := range assignment {
 		wg.Add(1)
-		go func(id int, parts []int, slice int64) {
+		go func(id int, parts []int) {
 			defer wg.Done()
-			if err := c.runShard(runCtx, id, parts, slice); err != nil {
+			if err := c.runShard(runCtx, id, parts); err != nil {
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -625,7 +561,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 				errMu.Unlock()
 				cancelRun()
 			}
-		}(id, parts, slices[id])
+		}(id, parts)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -661,8 +597,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 // Falling from the first rung to the second — the network transport
 // could not produce ANY usable link, so no worker ran — does not
 // consume a restart; every rung preserves the determinism contract.
-func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice int64) error {
-	remote := c.remote != nil
+func (c *coordinator) runShard(ctx context.Context, id int, parts []int) error {
+	remote := c.pool != nil
 	for attempt := 1; ; attempt++ {
 		remaining := c.st.unsealed(parts)
 		if len(remaining) == 0 && attempt > 1 {
@@ -676,11 +612,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 			c.st.locked(func() { c.st.stats.Rederived += len(remaining) })
 			c.met.rederived.Add(int64(len(remaining)))
 		}
-		var tr Transport = c.local
-		if remote {
-			tr = c.remote
-		}
-		err := c.runAttempt(ctx, tr, id, attempt, remaining, slice)
+		err := c.runAttempt(ctx, remote, id, attempt, remaining)
 		if err == nil {
 			c.st.locked(func() { c.st.recoverLocked(id) })
 			return nil
@@ -714,7 +646,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 		if cerr := ctx.Err(); cerr != nil {
 			return joinerr.Wrap("shard", "supervise", cerr)
 		}
-		if attempt > c.cfg.maxRestarts() {
+		if attempt > MaxRestarts {
 			c.st.locked(func() { c.st.stats.Absorbed++ })
 			c.met.absorbed.Inc()
 			c.rec.Instant("shard-absorb", trace.Attr{Key: "shard", Val: int64(id)})
@@ -732,7 +664,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int, slice i
 		c.rec.Instant("shard-retry",
 			trace.Attr{Key: "shard", Val: int64(id)},
 			trace.Attr{Key: "attempt", Val: int64(attempt)})
-		if serr := c.backoff.Sleep(fmt.Sprintf("shard-%d", id), attempt, c.chk.Now); serr != nil {
+		if serr := restartBackoff.Sleep(fmt.Sprintf("shard-%d", id), attempt, c.chk.Now); serr != nil {
 			return joinerr.Wrap("shard", "backoff", serr)
 		}
 	}
@@ -761,10 +693,10 @@ type workerEvent struct {
 	err    error // protocol/read error; nil with t==0 never happens
 }
 
-// runAttempt executes one worker attempt for shard id over parts, on
-// whatever link the transport produces. A nil return means the worker
-// completed cleanly and all its partitions sealed.
-func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt int, parts []int, slice int64) (retErr error) {
+// runAttempt executes one worker attempt for shard id over parts, on a
+// worker leased from the pool (remote) or spawned locally. A nil return
+// means the worker completed cleanly and all its partitions sealed.
+func (c *coordinator) runAttempt(ctx context.Context, remote bool, id, attempt int, parts []int) (retErr error) {
 	sp := c.root.Child("shard-attempt")
 	defer sp.End()
 	sp.SetAttr("shard", int64(id))
@@ -775,20 +707,28 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	c.man.add(tmpDir)
 	defer c.man.sweep(tmpDir)
 
-	spec := c.cfg.jobSpec(c.gs, id, attempt, parts, slice, tmpDir)
+	spec := c.cfg.jobSpec(c.gs, id, attempt, parts, tmpDir)
 
-	link, err := tr.Open(ctx, id, attempt)
+	var (
+		link Link
+		err  error
+	)
+	if remote {
+		link, err = leaseLink(ctx, c.pool)
+	} else {
+		link, err = spawnLink(c.cfg.WorkerCmd, c.cfg.WorkerEnv)
+	}
 	if err != nil {
 		return err
 	}
-	// The verdict reaches the transport through Finish: a pool returns
+	// The verdict reaches the link's owner through Finish: a pool returns
 	// the endpoint of a clean attempt and penalizes a failed one.
 	defer func() { link.Finish(retErr != nil) }()
-	if link.Endpoint() == "" {
+	if remote {
+		c.st.locked(func() { c.st.stats.RemoteLeases++ })
+	} else {
 		c.st.locked(func() { c.st.stats.Spawns++ })
 		c.met.spawns.Inc()
-	} else {
-		c.st.locked(func() { c.st.stats.RemoteLeases++ })
 	}
 
 	// Input shipper: job spec, partition chunks, go. A worker dying
@@ -855,26 +795,12 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 	// stall timeout. One clock serves observability and enforcement, so
 	// the gauge a scrape sees is exactly the quantity the supervisor
 	// acts on. Detection lags a true stall by at most one tick.
-	stallAfter := c.cfg.stallTimeout()
 	var lastBeat atomic.Int64
 	lastBeat.Store(time.Now().UnixNano())
-	tickEvery := stallAfter / 4
-	if tickEvery > time.Second {
-		tickEvery = time.Second
-	}
-	if tickEvery < time.Millisecond {
-		tickEvery = time.Millisecond
-	}
-	watchdog := time.NewTicker(tickEvery)
+	watchdog := time.NewTicker(min(stallTimeout/4, time.Second))
 	defer watchdog.Stop()
 	beatAge := c.met.beatAge.With(shardLabel(id))
 	defer beatAge.Set(0) // no attempt in flight → age reads 0
-	var deadlineCh <-chan time.Time
-	if c.cfg.ShardDeadline > 0 {
-		dt := time.NewTimer(c.cfg.ShardDeadline)
-		defer dt.Stop()
-		deadlineCh = dt.C
-	}
 
 	var (
 		report   *WorkerReport
@@ -916,14 +842,10 @@ func (c *coordinator) runAttempt(ctx context.Context, tr Transport, id, attempt 
 		case <-watchdog.C:
 			age := time.Duration(time.Now().UnixNano() - lastBeat.Load())
 			beatAge.Set(age.Seconds())
-			if age >= stallAfter && loopErr == nil && killedBy == "" {
+			if age >= stallTimeout && loopErr == nil && killedBy == "" {
 				killedBy = fmt.Sprintf("stalled: no frame for %v", age.Round(time.Millisecond))
 				kill()
 			}
-		case <-deadlineCh:
-			killedBy = fmt.Sprintf("attempt exceeded shard deadline %v", c.cfg.ShardDeadline)
-			deadlineCh = nil
-			kill()
 		case <-ctx.Done():
 			loopErr = joinerr.Wrap("shard", "supervise", ctx.Err())
 			kill()

@@ -1,13 +1,13 @@
 // Package shard executes a PBSM spatial join across multiple OS
 // processes, each a fault domain of its own: a shard is a subset of the
 // top-level partition pairs, executed by a worker process with its own
-// simulated disk, temp-file registry and governor memory slice. The
-// coordinator plans the grid once, assigns partitions to shards with
-// the cost model of package plan, ships each shard its input slices
-// over a CRC-checked frame protocol on stdin/stdout, supervises workers
-// with heartbeats and per-shard deadlines, and merges the returned
-// result streams back into the EXACT emission order of a single-process
-// run.
+// simulated disk and temp-file registry. The coordinator plans the grid
+// once, assigns partitions to shards by the pair costs of package
+// iocost, ships each shard its input slices over a CRC-checked frame
+// protocol (a spawned worker's stdin/stdout, or a TCP connection to a
+// resident one), supervises workers with a heartbeat watchdog, and
+// merges the returned result streams back into the EXACT emission order
+// of a single-process run.
 //
 // Fault model (DESIGN.md §12): a worker that is killed, crashes, stalls
 // or corrupts its frame stream is restarted with capped exponential

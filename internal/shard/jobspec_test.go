@@ -40,7 +40,7 @@ func TestJobSpecCarriesEveryPBSMParameter(t *testing.T) {
 		BufPages:          3,
 		MaxRecurse:        5,
 	}
-	raw, err := json.Marshal(cfg.jobSpec(pbsm.GridSpec{}, 0, 1, []int{0}, 1<<19, ""))
+	raw, err := json.Marshal(cfg.jobSpec(pbsm.GridSpec{}, 0, 1, []int{0}, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

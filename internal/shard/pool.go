@@ -23,9 +23,6 @@ type PoolConfig struct {
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// DialTimeout bounds one dial; default 2s.
 	DialTimeout time.Duration
-	// PingTimeout bounds the health-check round trip on a fresh
-	// connection; default 1s.
-	PingTimeout time.Duration
 	// LeaseTimeout bounds one Lease call's total wait for a usable
 	// link (endpoints busy with other shards, or backing off); default
 	// 30s. Past it the pool reports a ConnectError and the caller
@@ -37,28 +34,19 @@ type PoolConfig struct {
 	// into a prompt degradation to local execution.
 	QuarantineAfter int
 	// Backoff paces redials per endpoint; nil means the coordinator's
-	// default policy. Each endpoint is its own backoff key, so one
+	// restart policy. Each endpoint is its own backoff key, so one
 	// flapping host never slows its healthy siblings.
 	Backoff *diskio.Backoff
 	// Metrics publishes the pool's connection lifecycle counters and
-	// the reconnect latency histogram; nil disables.
+	// the reconnect latency histogram — the pool's only record of them;
+	// nil disables.
 	Metrics *metrics.Registry
 	// Trace receives evict/quarantine/reconnect instants; nil disables.
 	Trace *trace.Recorder
 }
 
-// PoolStats counts the pool's connection lifecycle events; the chaos
-// suite reconciles them against trace instants and metric deltas.
-type PoolStats struct {
-	Dials        int // connection attempts
-	DialFailures int // dials that returned an error
-	PingFailures int // fresh connections that failed the health check
-	Leases       int // healthy links handed out
-	Evictions    int // failure records against endpoints (connect or job)
-	Quarantines  int // endpoints quarantined after repeated failures
-	Reconnects   int // leases that succeeded only after at least one failure
-	ReconnectNS  int64
-}
+// pingTimeout bounds the health-check round trip on a fresh connection.
+const pingTimeout = time.Second
 
 // endpoint is one resident worker's pool-side state.
 type endpoint struct {
@@ -83,8 +71,7 @@ type Pool struct {
 
 	mu     sync.Mutex
 	eps    []*endpoint
-	closed bool      // guarded by mu
-	stats  PoolStats // guarded by mu
+	closed bool // guarded by mu
 }
 
 // NewPool builds a pool over the configured endpoints.
@@ -93,7 +80,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		return nil, joinerr.Wrap("shard", "pool", errors.New("pool has no endpoints"))
 	}
 	if cfg.Backoff == nil {
-		cfg.Backoff = (&Config{}).backoffPolicy()
+		cfg.Backoff = restartBackoff
 	}
 	p := &Pool{
 		cfg: cfg,
@@ -105,13 +92,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		p.eps = append(p.eps, &endpoint{addr: addr})
 	}
 	return p, nil
-}
-
-// Stats snapshots the lifecycle counters.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
 }
 
 // Close marks the pool unusable; in-flight leases keep their
@@ -127,13 +107,6 @@ func (p *Pool) dialTimeout() time.Duration {
 		return 2 * time.Second
 	}
 	return p.cfg.DialTimeout
-}
-
-func (p *Pool) pingTimeout() time.Duration {
-	if p.cfg.PingTimeout <= 0 {
-		return time.Second
-	}
-	return p.cfg.PingTimeout
 }
 
 func (p *Pool) leaseTimeout() time.Duration {
@@ -222,13 +195,6 @@ func (p *Pool) Lease(ctx context.Context) (*Lease, error) {
 			p.fail(ep)
 			continue
 		}
-		p.mu.Lock()
-		p.stats.Leases++
-		if reconnected {
-			p.stats.Reconnects++
-			p.stats.ReconnectNS += time.Since(start).Nanoseconds()
-		}
-		p.mu.Unlock()
 		p.met.netLeases.Inc()
 		if reconnected {
 			// The reconnect histogram measures how long the pool took
@@ -268,23 +234,17 @@ func (p *Pool) allQuarantinedLocked() bool {
 // writer are returned with the connection so the lease reuses them —
 // re-wrapping the conn would strand the reader's buffered bytes.
 func (p *Pool) connect(ctx context.Context, ep *endpoint) (net.Conn, *FrameWriter, *FrameReader, error) {
-	p.mu.Lock()
-	p.stats.Dials++
-	p.mu.Unlock()
 	p.met.netDials.Inc()
 	dctx, cancel := context.WithTimeout(ctx, p.dialTimeout())
 	defer cancel()
 	conn, err := p.dialFunc()(dctx, ep.addr)
 	if err != nil {
-		p.mu.Lock()
-		p.stats.DialFailures++
-		p.mu.Unlock()
 		p.met.netDialFailures.Inc()
 		return nil, nil, nil, joinerr.WrapAs("shard", "dial", joinerr.KindShard, err)
 	}
 	fw := NewFrameWriter(conn)
 	fr := NewFrameReader(conn)
-	_ = conn.SetDeadline(time.Now().Add(p.pingTimeout()))
+	_ = conn.SetDeadline(time.Now().Add(pingTimeout))
 	pingErr := fw.Write(FramePing, nil)
 	if pingErr == nil {
 		t, _, rerr := fr.Next()
@@ -296,9 +256,6 @@ func (p *Pool) connect(ctx context.Context, ep *endpoint) (net.Conn, *FrameWrite
 	}
 	if pingErr != nil {
 		_ = conn.Close()
-		p.mu.Lock()
-		p.stats.PingFailures++
-		p.mu.Unlock()
 		p.met.netPingFailures.Inc()
 		return nil, nil, nil, joinerr.WrapAs("shard", "ping", joinerr.KindShard, pingErr)
 	}
@@ -315,10 +272,8 @@ func (p *Pool) fail(ep *endpoint) {
 	p.mu.Lock()
 	ep.busy = false
 	ep.retryAt = time.Now().Add(delay)
-	p.stats.Evictions++
 	if quarantine && !ep.quarantined {
 		ep.quarantined = true
-		p.stats.Quarantines++
 	} else {
 		quarantine = false
 	}

@@ -5,21 +5,25 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"spatialjoin/internal/metrics"
 )
 
 // TestPoolConcurrentLeaseFailRelease hammers one pool from many
-// goroutines mixing clean releases, failed releases and Stats scrapes.
-// Under `go test -race` this exercises the Pool.closed/Pool.stats and
+// goroutines mixing clean releases, failed releases and scrapes of its
+// registry. Under `go test -race` this exercises the Pool.mu and
 // Lease.released guarded-by contracts; in any mode it checks the
 // endpoint accounting survives contention (every lease is returned, so
 // the fleet never wedges).
 func TestPoolConcurrentLeaseFailRelease(t *testing.T) {
 	addrs := []string{servePingWorker(t), servePingWorker(t), servePingWorker(t)}
+	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:       addrs,
 		Backoff:         fastBackoff(),
 		LeaseTimeout:    5 * time.Second,
 		QuarantineAfter: 1 << 20, // failures penalize but never kill the fleet
+		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +40,7 @@ func TestPoolConcurrentLeaseFailRelease(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = p.Stats()
+				_ = reg.Snapshot()
 			}
 		}
 	}()
@@ -73,9 +77,8 @@ func TestPoolConcurrentLeaseFailRelease(t *testing.T) {
 		t.Errorf("lease under contention: %v", lerr)
 	}
 
-	st := p.Stats()
-	if want := goroutines * iters; st.Leases != want {
-		t.Fatalf("stats %+v: want %d leases", st, want)
+	if c, want := poolCounts(reg), goroutines*iters; c[metNetLeases] != float64(want) {
+		t.Fatalf("counts %v: want %d leases", c, want)
 	}
 	// The fleet must be fully returned: with every lease released, a
 	// final lease succeeds once any backoff gates expire.

@@ -9,6 +9,7 @@ import (
 
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/joinerr"
+	"spatialjoin/internal/metrics"
 )
 
 // servePingWorker runs an in-process resident worker on a loopback
@@ -29,9 +30,24 @@ func fastBackoff() *diskio.Backoff {
 	return &diskio.Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Factor: 2, Jitter: 0, Seed: 1}
 }
 
+// poolCounts reads a pool's lifecycle counts from its registry, their
+// one record, by metric name; a histogram reads as its observation count.
+func poolCounts(reg *metrics.Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, p := range reg.Snapshot().Points {
+		if p.Hist != nil {
+			out[p.Name] = float64(p.Hist.Count)
+		} else {
+			out[p.Name] = p.Value
+		}
+	}
+	return out
+}
+
 func TestPoolLeaseHealthCheckAndRelease(t *testing.T) {
 	addr := servePingWorker(t)
-	p, err := NewPool(PoolConfig{Endpoints: []string{addr}, Backoff: fastBackoff()})
+	reg := metrics.New()
+	p, err := NewPool(PoolConfig{Endpoints: []string{addr}, Backoff: fastBackoff(), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +80,9 @@ func TestPoolLeaseHealthCheckAndRelease(t *testing.T) {
 	}
 	l2.Release(false)
 
-	st := p.Stats()
-	if st.Leases != 2 || st.Dials != 2 || st.Evictions != 0 || st.Reconnects != 0 {
-		t.Fatalf("stats %+v, want 2 leases, 2 dials, no evictions", st)
+	c := poolCounts(reg)
+	if c[metNetLeases] != 2 || c[metNetDials] != 2 || c[metNetEvictions] != 0 || c[metNetReconnectSeconds] != 0 {
+		t.Fatalf("counts %v, want 2 leases, 2 dials, no evictions", c)
 	}
 }
 
@@ -79,11 +95,13 @@ func TestPoolQuarantinesDeadEndpoint(t *testing.T) {
 	dead := ln.Addr().String()
 	_ = ln.Close()
 
+	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:       []string{dead},
 		Backoff:         fastBackoff(),
 		DialTimeout:     200 * time.Millisecond,
 		QuarantineAfter: 3,
+		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,15 +116,15 @@ func TestPoolQuarantinesDeadEndpoint(t *testing.T) {
 	if ce.Endpoints != 1 {
 		t.Fatalf("ConnectError.Endpoints=%d, want 1", ce.Endpoints)
 	}
-	st := p.Stats()
-	if st.Quarantines != 1 {
-		t.Fatalf("Quarantines=%d, want 1", st.Quarantines)
+	c := poolCounts(reg)
+	if c[metNetQuarantined] != 1 {
+		t.Fatalf("quarantined %v, want 1", c[metNetQuarantined])
 	}
-	if st.Evictions < 3 || st.DialFailures < 3 {
-		t.Fatalf("stats %+v: want >=3 evictions and dial failures before quarantine", st)
+	if c[metNetEvictions] < 3 || c[metNetDialFailures] < 3 {
+		t.Fatalf("counts %v: want >=3 evictions and dial failures before quarantine", c)
 	}
-	if st.Leases != 0 {
-		t.Fatalf("leases %d from a dead fleet", st.Leases)
+	if c[metNetLeases] != 0 {
+		t.Fatalf("leases %v from a dead fleet", c[metNetLeases])
 	}
 }
 
@@ -121,10 +139,12 @@ func TestPoolReconnectRoutesAroundFailure(t *testing.T) {
 	_ = ln.Close()
 	alive := servePingWorker(t)
 
+	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:   []string{dead, alive},
 		Backoff:     fastBackoff(),
 		DialTimeout: 200 * time.Millisecond,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,12 +159,11 @@ func TestPoolReconnectRoutesAroundFailure(t *testing.T) {
 		t.Fatalf("leased %q, want the live endpoint %q", l.addr, alive)
 	}
 	l.Release(false)
-	st := p.Stats()
-	if st.Reconnects != 1 || st.ReconnectNS <= 0 {
-		t.Fatalf("stats %+v: want exactly one reconnect with latency recorded", st)
+	if h := reg.Snapshot().Hist(metNetReconnectSeconds); h.Count != 1 || h.Sum <= 0 {
+		t.Fatalf("reconnect histogram %+v: want exactly one reconnect with latency recorded", h)
 	}
-	if st.Evictions < 1 {
-		t.Fatalf("stats %+v: the dead endpoint was never penalized", st)
+	if c := poolCounts(reg); c[metNetEvictions] < 1 {
+		t.Fatalf("counts %v: the dead endpoint was never penalized", c)
 	}
 }
 
@@ -208,10 +227,12 @@ func TestPoolClosedLease(t *testing.T) {
 
 func TestPoolFailedReleasePenalizes(t *testing.T) {
 	addr := servePingWorker(t)
+	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:       []string{addr},
 		Backoff:         fastBackoff(),
 		QuarantineAfter: 2,
+		Metrics:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +248,8 @@ func TestPoolFailedReleasePenalizes(t *testing.T) {
 		// it again rather than timing out.
 		time.Sleep(5 * time.Millisecond)
 	}
-	st := p.Stats()
-	if st.Evictions != 2 || st.Quarantines != 1 {
-		t.Fatalf("stats %+v: want 2 evictions quarantining the endpoint", st)
+	if c := poolCounts(reg); c[metNetEvictions] != 2 || c[metNetQuarantined] != 1 {
+		t.Fatalf("counts %v: want 2 evictions quarantining the endpoint", c)
 	}
 	if _, err := p.Lease(context.Background()); err == nil {
 		t.Fatal("quarantined fleet still leases")

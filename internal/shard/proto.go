@@ -9,7 +9,6 @@ import (
 
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/sweep"
@@ -18,8 +17,14 @@ import (
 // JobSpec is the first frame of every worker conversation: everything a
 // worker needs to execute its partition subset EXACTLY as the
 // single-process join would. Memory is the full join budget — it feeds
-// the repartition arithmetic and must match the planning run — while
-// MemSlice is this shard's admission slice of it.
+// the repartition arithmetic and must match the planning run.
+//
+// Older builds also wrote mem_slice (an admission slice a worker's own
+// governor always granted) and heartbeat_ns (always the 100 ms this
+// build's workers beat at). JSON decoding ignores unknown fields, and a
+// missing one decodes to zero, which the older workers read as "no limit"
+// and "100 ms": builds on either side of that change interoperate under
+// the same ProtoVersion.
 type JobSpec struct {
 	// Proto is the version of the job's meaning, ProtoVersion on every
 	// frame this coordinator writes. It moves when a field changes what a
@@ -34,9 +39,8 @@ type JobSpec struct {
 	Attempt int   `json:"attempt"`
 	Parts   []int `json:"parts"` // assigned top-level partitions, ascending
 
-	Grid     pbsm.GridSpec `json:"grid"`
-	Memory   int64         `json:"memory"`
-	MemSlice int64         `json:"mem_slice"`
+	Grid   pbsm.GridSpec `json:"grid"`
+	Memory int64         `json:"memory"`
 	// Dup is the duplicate-elimination method (int form of
 	// pbsm.DupMethod); zero is DupRPM, so legacy frames decode
 	// unchanged. The worker validates it against the shardable set and
@@ -51,8 +55,6 @@ type JobSpec struct {
 	PageSize          int        `json:"page_size,omitempty"`
 	PT                float64    `json:"pt,omitempty"`
 	TransferNS        int64      `json:"transfer_ns,omitempty"`
-
-	HeartbeatNS int64 `json:"heartbeat_ns,omitempty"`
 
 	// TmpDir is the scratch directory the coordinator created for this
 	// attempt and recorded in its sweep manifest BEFORE spawning the
@@ -112,15 +114,8 @@ const (
 // WorkerReport is the done-frame payload: what the worker did, for the
 // coordinator's aggregate accounting and the leak invariants.
 type WorkerReport struct {
-	Results   int64                `json:"results"`
-	IO        diskio.Stats         `json:"io"`
-	CPUNanos  int64                `json:"cpu_ns"`
-	P         int                  `json:"p"`
-	Reparts   int                  `json:"repartitions"`
-	Overflows int                  `json:"memory_overflows"`
-	Tests     int64                `json:"tests"`
-	Touches   int64                `json:"touches"`
-	Governor  govern.GovernorStats `json:"governor"`
+	IO       diskio.Stats `json:"io"`
+	CPUNanos int64        `json:"cpu_ns"`
 	// LiveFiles is the worker's disk file count after its registry
 	// sweep; anything but zero is a temp-file leak.
 	LiveFiles int `json:"live_files"`
@@ -319,11 +314,3 @@ func unmarshalJSON(payload []byte, v any) error {
 
 // transfer converts the wire nanoseconds back to a duration.
 func (j *JobSpec) transfer() time.Duration { return time.Duration(j.TransferNS) }
-
-// heartbeat returns the worker's heartbeat interval.
-func (j *JobSpec) heartbeat() time.Duration {
-	if j.HeartbeatNS <= 0 {
-		return 100 * time.Millisecond
-	}
-	return time.Duration(j.HeartbeatNS)
-}

@@ -39,22 +39,12 @@ func (e *ConnectError) Error() string {
 // Unwrap exposes the cause.
 func (e *ConnectError) Unwrap() error { return e.Err }
 
-// NetTransport leases resident workers from a Pool and speaks the frame
-// protocol over TCP.
-type NetTransport struct {
-	pool *Pool
-}
-
-// NewNetTransport wraps a pool. The transport does not own the pool —
-// callers sharing one pool across joins close it themselves.
-func NewNetTransport(pool *Pool) *NetTransport { return &NetTransport{pool: pool} }
-
-// Name implements Transport.
-func (t *NetTransport) Name() string { return "tcp" }
-
-// Open implements Transport: lease a healthy endpoint from the pool.
-func (t *NetTransport) Open(ctx context.Context, _, _ int) (Link, error) {
-	lease, err := t.pool.Lease(ctx)
+// leaseLink leases a healthy resident worker from pool and speaks the
+// frame protocol over its connection. A pool that cannot produce any
+// usable link returns a *ConnectError — the coordinator's signal to
+// degrade to a spawned worker instead of burning a restart.
+func leaseLink(ctx context.Context, pool *Pool) (Link, error) {
+	lease, err := pool.Lease(ctx)
 	if err != nil {
 		return nil, err
 	}

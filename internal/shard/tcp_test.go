@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/netfault"
 	"spatialjoin/internal/shard"
 )
@@ -80,7 +81,8 @@ func TestShardJoinOverTCPMatchesSerial(t *testing.T) {
 func TestShardJoinSharedPoolAcrossJoins(t *testing.T) {
 	r, s := testData()
 	want := serialPairs(t, r, s)
-	pool, err := shard.NewPool(shard.PoolConfig{Endpoints: residentWorkers(t, 2)})
+	reg := metrics.New()
+	pool, err := shard.NewPool(shard.PoolConfig{Endpoints: residentWorkers(t, 2), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +98,26 @@ func TestShardJoinSharedPoolAcrossJoins(t *testing.T) {
 	}
 	// The pool survived both joins: the resident workers were leased and
 	// returned, never consumed.
-	if st := pool.Stats(); st.Leases < 4 || st.Quarantines != 0 {
-		t.Fatalf("pool stats %+v: want >=4 clean leases across two joins", st)
+	m := reg.Snapshot()
+	if leases, quarantined := m.Value("shard.net.leases"), m.Value("shard.net.quarantined"); leases < 4 || quarantined != 0 {
+		t.Fatalf("pool leased %v times and quarantined %v endpoints: want >=4 clean leases across two joins", leases, quarantined)
 	}
 }
 
 func TestShardJoinDegradesToLocalWorkers(t *testing.T) {
 	r, s := testData()
 	want := serialPairs(t, r, s)
+	pool, err := shard.NewPool(shard.PoolConfig{
+		Endpoints:       []string{deadAddr(t)},
+		DialTimeout:     200 * time.Millisecond,
+		QuarantineAfter: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
 	cfg := shardConfig(t, 2)
-	cfg.Endpoints = []string{deadAddr(t)}
-	cfg.DialTimeout = 200 * time.Millisecond
-	cfg.QuarantineAfter = 1
+	cfg.Pool = pool
 	var got []geom.Pair
 	res, err := shard.Join(r, s, cfg, func(p geom.Pair) { got = append(got, p) })
 	if err != nil {
@@ -140,9 +150,13 @@ func TestShardJoinTCPConnFaultRetries(t *testing.T) {
 	// shards launch concurrently) and safely inside the worker's reply
 	// stream, which totals well under 1 KiB per shard here.
 	pol := netfault.New(netfault.Config{ResetReadAt: 512, MaxFaults: 1})
+	pool, err := shard.NewPool(shard.PoolConfig{Endpoints: residentWorkers(t, 2), Dial: pol.WrapDial(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
 	cfg := shardConfig(t, 2)
-	cfg.Endpoints = residentWorkers(t, 2)
-	cfg.Dial = pol.WrapDial(nil)
+	cfg.Pool = pool
 	var got []geom.Pair
 	res, err := shard.Join(r, s, cfg, func(p geom.Pair) { got = append(got, p) })
 	if err != nil {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"os"
 	"os/exec"
@@ -11,11 +10,11 @@ import (
 )
 
 // Link is one live frame conversation with a worker, whatever carries
-// it: a spawned process's stdin/stdout pipes or a TCP connection to a
-// resident worker. The coordinator's supervision loop is written
-// against this interface only — heartbeat watchdog, deadline, chaos and
-// verdict logic are identical on every transport, which is what makes
-// the determinism contract transport-independent.
+// it: a spawned process's stdin/stdout pipes (spawnLink) or a TCP
+// connection to a resident worker leased from a Pool (leaseLink). The
+// coordinator's supervision loop is written against this interface only
+// — heartbeat watchdog, chaos and verdict logic are identical on both,
+// which is what makes the determinism contract transport-independent.
 type Link interface {
 	// Send returns the frame writer toward the worker.
 	Send() *FrameWriter
@@ -23,8 +22,8 @@ type Link interface {
 	Recv() *FrameReader
 	// CloseSend signals end of coordinator→worker input after the job
 	// has been shipped. Best-effort: the protocol's go frame already
-	// marks the input boundary, so transports that cannot half-close
-	// may no-op.
+	// marks the input boundary, so links that cannot half-close may
+	// no-op.
 	CloseSend()
 	// Kill forcibly tears the link down: the process is killed, the
 	// connection closed. Idempotent.
@@ -34,46 +33,24 @@ type Link interface {
 	// spawned process, nil for a network link (a connection has no exit
 	// status; its death is visible on the frame stream instead).
 	Wait() error
-	// Finish releases the link's transport resources. failed reports
-	// the attempt's verdict so a pool can penalize or evict the
-	// endpoint behind a failed link and reset a healthy one.
+	// Finish releases the link's resources. failed reports the attempt's
+	// verdict so a pool can penalize or evict the endpoint behind a
+	// failed link and reset a healthy one.
 	Finish(failed bool)
 	// Endpoint names the remote worker ("host:port"), or "" for a
 	// locally spawned process.
 	Endpoint() string
 	// StderrTail returns captured worker diagnostics, valid after Wait;
-	// nil when the transport has no side channel.
+	// nil when the link has no side channel.
 	StderrTail() []byte
 }
 
-// Transport opens links to workers, one per shard attempt.
-type Transport interface {
-	// Open establishes a link for the given shard attempt. A transport
-	// that cannot currently produce ANY usable link returns a
-	// *ConnectError — the coordinator's signal to degrade to the next
-	// rung of the execution ladder instead of burning a restart.
-	Open(ctx context.Context, shard, attempt int) (Link, error)
-	// Name labels the transport in diagnostics ("pipe", "tcp").
-	Name() string
-}
-
-// ProcTransport spawns one local worker process per attempt and speaks
-// the frame protocol on its stdin/stdout — the original shard transport
-// lifted behind the Transport interface.
-type ProcTransport struct {
-	// Cmd is the worker argv; Env appends to the inherited environment.
-	Cmd []string
-	Env []string
-}
-
-// Name implements Transport.
-func (t *ProcTransport) Name() string { return "pipe" }
-
-// Open implements Transport: it spawns the worker process. ctx is
-// unused — a local spawn either succeeds immediately or fails.
-func (t *ProcTransport) Open(_ context.Context, _, _ int) (Link, error) {
-	cmd := exec.Command(t.Cmd[0], t.Cmd[1:]...)
-	cmd.Env = append(os.Environ(), t.Env...)
+// spawnLink starts one local worker process (argv, with env appended to
+// the inherited environment) and speaks the frame protocol on its
+// stdin/stdout.
+func spawnLink(argv, env []string) (Link, error) {
+	cmd := exec.Command(argv[0], argv[1:]...)
+	cmd.Env = append(os.Environ(), env...)
 	l := &procLink{cmd: cmd}
 	cmd.Stderr = &l.stderr
 	stdin, err := cmd.StdinPipe()
@@ -93,7 +70,7 @@ func (t *ProcTransport) Open(_ context.Context, _, _ int) (Link, error) {
 	return l, nil
 }
 
-// procLink is the pipe transport's link: one spawned worker process.
+// procLink is one spawned worker process.
 type procLink struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser

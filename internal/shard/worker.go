@@ -10,7 +10,6 @@ import (
 
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/pbsm"
 )
@@ -21,8 +20,8 @@ import (
 // disk, and exits. The binaries expose it behind a -shard-worker flag;
 // test packages reach it through RunHelperWorker.
 //
-// The conversation: read the JobSpec, acquire the shard's governor
-// slice, receive both relations' partition slices, then for each
+// The conversation: read the JobSpec, receive both relations' partition
+// slices in full, then for each
 // assigned partition (ascending) run the pair, stream its result pairs,
 // and seal it with a count cross-check. Heartbeats flow throughout on a
 // separate goroutine. A clean run ends with a done frame carrying the
@@ -54,7 +53,7 @@ func runConversation(fr *FrameReader, fw *FrameWriter) error {
 	beatDone := make(chan struct{})
 	go func() {
 		defer close(beatDone)
-		t := time.NewTicker(spec.heartbeat())
+		t := time.NewTicker(heartbeatEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -146,6 +145,15 @@ func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.K
 	for _, p := range spec.Parts {
 		rsl[p], ssl[p] = nil, nil
 	}
+	// A side is complete once its last chunk arrived. Joining before every
+	// side is complete would join against a short side and seal with a
+	// count that still matches, so a go frame ahead of a last chunk, or a
+	// chunk after one, is a protocol error.
+	type partSide struct {
+		part int
+		side byte
+	}
+	complete := make(map[partSide]bool, 2*len(rsl))
 	for {
 		t, payload, err := fr.Next()
 		if err != nil {
@@ -153,9 +161,12 @@ func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.K
 		}
 		switch t {
 		case FrameGo:
+			if len(complete) != 2*len(rsl) {
+				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("go frame with %d of %d partition sides complete", len(complete), 2*len(rsl)))
+			}
 			return spec, rsl, ssl, nil
 		case FramePart:
-			part, side, _, ks, err := decodePartChunk(payload)
+			part, side, last, ks, err := decodePartChunk(payload)
 			if err != nil {
 				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
 			}
@@ -166,7 +177,13 @@ func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.K
 			if _, ok := dst[part]; !ok {
 				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("part frame for unassigned partition %d", part))
 			}
+			if complete[partSide{part, side}] {
+				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("part frame for partition %d side %c after its last chunk", part, side))
+			}
 			dst[part] = append(dst[part], ks...)
+			if last {
+				complete[partSide{part, side}] = true
+			}
 		default:
 			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("unexpected frame type %d during input", t))
 		}
@@ -175,17 +192,6 @@ func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.K
 
 // workerRun executes the assigned pairs and streams results.
 func workerRun(spec *JobSpec, rsl, ssl map[int][]geom.KPE, fw *FrameWriter) (*WorkerReport, error) {
-	// The shard's governor slice: admission control over this worker's
-	// share of the join budget. The slice never feeds pair arithmetic —
-	// PairExec gets the full Memory so repartition recursion matches the
-	// single-process run exactly.
-	gov := govern.NewGovernor(1, spec.MemSlice)
-	release, err := gov.Acquire(nil, spec.MemSlice)
-	if err != nil {
-		return nil, joinerr.WrapAs("shard", "admission", joinerr.KindAdmission, err)
-	}
-	defer release()
-
 	disk := diskio.NewDisk(spec.PageSize, spec.PT, spec.transfer())
 	ex, err := pbsm.NewPairExec(spec.pbsmConfig(disk), spec.Grid)
 	if err != nil {
@@ -208,21 +214,12 @@ func workerRun(spec *JobSpec, rsl, ssl map[int][]geom.KPE, fw *FrameWriter) (*Wo
 		}
 	}
 
-	st := ex.Stats()
 	ex.Close()
-	report := &WorkerReport{
-		Results:   st.Results,
+	return &WorkerReport{
 		IO:        disk.Stats(),
 		CPUNanos:  time.Since(start).Nanoseconds(),
-		P:         st.P,
-		Reparts:   st.Repartitions,
-		Overflows: st.MemoryOverflows,
-		Tests:     st.Tests,
-		Touches:   st.Touches,
-		Governor:  gov.Stats(),
 		LiveFiles: disk.NumFiles(),
-	}
-	return report, nil
+	}, nil
 }
 
 // resultSender batches one partition's result pairs into pairs frames
