@@ -137,13 +137,17 @@ echo "== repository benchmark smoke (pbsm_shards2, traced pass) =="
 # processes, the frame protocol both ways, the supervision loop and the
 # ordered merge, through the same oracle and gates. A clean run spawns
 # exactly one worker per shard, restarts none, and leaves no file on any
-# worker's disk.
+# worker's disk. Every pair of this input fits the budget, so the workers
+# join each one from the records they received and never touch their
+# disks at all.
 shardsmoke=$(mktemp /tmp/sjbench-shards.XXXXXX.txt)
 trap 'rm -f "$extsmoke" "$shardsmoke"' EXIT
 go run ./benchmark -workload pbsm_shards2 -scale 0.05 -seconds 0 -trace 1 | tee "$shardsmoke" | grep -q '"correct":true'
 grep -Eq '^ +shard\.spawns +2 count' "$shardsmoke"
 grep -Eq '^ +shard\.restarts +0 count' "$shardsmoke"
 grep -Eq '^ +shard\.worker_live_files +0 count' "$shardsmoke"
+grep -Eq '^ +diskio\.pages_written +0 count' "$shardsmoke"
+grep -Eq '^ +diskio\.pages_read +0 count' "$shardsmoke"
 
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)

@@ -210,12 +210,16 @@ func NewPairExec(cfg Config, gs GridSpec) (*PairExec, error) {
 
 // RunPair joins top-level partition pair part, whose per-side records
 // rs and ss must be the partition's slices as derived by
-// PartitionSlices. Results go to sink in the exact order the
-// single-process join phase would emit them for this pair. The pair's
-// partition files are written, joined (with repartition recursion when
-// over budget) and removed within the call; corruption of those files
-// surfaces as an error — the caller retries the whole pair, which IS
-// the re-derivation heal at shard granularity.
+// PartitionSlices; it reads them and never modifies them. Results go to
+// sink in the exact order the single-process join phase would emit them
+// for this pair. A pair with an empty side emits nothing and touches no
+// disk. A pair that fits Memory is copied into the slot and joined there,
+// the leaf processPair reaches after reading the pair's files, so it
+// touches no disk either. Only an oversized pair has its partition files
+// written, joined with the repartition recursion and removed within the
+// call; corruption of those files surfaces as an error — the caller
+// retries the whole pair, which IS the re-derivation heal at shard
+// granularity.
 func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) error {
 	if part < 0 || part >= e.gs.Parts {
 		return joinerr.Wrap("pbsm", PhaseJoin.String(), fmt.Errorf("partition %d out of range [0, %d)", part, e.gs.Parts))
@@ -230,16 +234,39 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 		// path, hence the same emission order.
 		return j.joinInMemory(rs, ss, counted)
 	}
+	emit := func(ps []geom.Pair) {
+		//lint:ignore checkpoint a batch is at most stripeBatch pairs, handed over between two of the stripe loop's own checkpoints
+		for _, p := range ps {
+			counted(p)
+		}
+	}
+	j.stats.CopiesR += int64(len(rs))
+	j.stats.CopiesS += int64(len(ss))
+	if len(rs) == 0 || len(ss) == 0 {
+		// Nothing can join, and with no file written nothing can be torn:
+		// there is no empty side to verify.
+		return nil
+	}
+	reg := j.topRegion(part)
+	sl := j.ex.Slot()
+	if n := int64(len(rs) + len(ss)); n*geom.KPESize <= j.cfg.Memory {
+		// processPair's own test: this pair would be loaded, not split.
+		// Copy rather than alias: the kernel reorders its load buffers.
+		pt := j.begin(PhaseJoin)
+		pt.Span.AddRecords(n)
+		defer pt.End()
+		sl.LoadR = append(sl.LoadR[:0], rs...)
+		sl.LoadS = append(sl.LoadS[:0], ss...)
+		return joinerr.Wrap("pbsm", PhaseJoin.String(), j.joinLoaded(sl, emit, reg, reg, pt.Span))
+	}
 
 	// Write the pair's partition files exactly as the partition phase
 	// would (same buffering policy), then run the standard per-pair
-	// machinery on them.
+	// machinery on them: repartitioning is file-based.
 	pt := j.begin(PhasePartition)
 	pt.Span.AddRecords(int64(len(rs) + len(ss)))
 	fr, errR := e.writeSide(rs)
 	fs, errS := e.writeSide(ss)
-	j.stats.CopiesR += int64(len(rs))
-	j.stats.CopiesS += int64(len(ss))
 	pt.End()
 	defer func() {
 		j.reg.Remove(fr)
@@ -251,13 +278,7 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 	if errR != nil {
 		return joinerr.Wrap("pbsm", PhasePartition.String(), errR)
 	}
-	reg := j.topRegion(part)
-	err := j.processPair(j.ex.Slot(), func(ps []geom.Pair) {
-		//lint:ignore checkpoint a batch is at most stripeBatch pairs, handed over between two of the stripe loop's own checkpoints
-		for _, p := range ps {
-			counted(p)
-		}
-	}, fr, fs, reg, reg, 0)
+	err := j.processPair(sl, emit, fr, fs, reg, reg, 0)
 	// In-process healing re-derives from base inputs this executor does
 	// not hold; at shard granularity the retry-with-rederivation happens
 	// one level up, so the healable marker is stripped to its cause.

@@ -730,8 +730,7 @@ func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *di
 	var err error
 	if sl.LoadR, err = recfile.ReadAllKPEs(sl.LoadR, fr, j.dev.BufPages); err == nil {
 		if sl.LoadS, err = recfile.ReadAllKPEs(sl.LoadS, fs, j.dev.BufPages); err == nil {
-			f := j.newFilter(regR, regS)
-			return j.fold(f, sl.JoinLoaded(emit, stripe.Unit, f.keep, j.cfg.Cancel, pt.Span))
+			return j.joinLoaded(sl, emit, regR, regS, pt.Span)
 		}
 	}
 	if depth == 0 {
@@ -740,6 +739,15 @@ func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *di
 		err = markHealable(err)
 	}
 	return err
+}
+
+// joinLoaded joins the pair the slot holds in LoadR and LoadS, filtered
+// by the regions (regR, regS), inside the join-phase activation whose
+// span is sp. It is the leaf of processPair and of PairExec.RunPair's
+// in-memory path, so both emit the same sequence for the same records.
+func (j *joiner) joinLoaded(sl *stripe.Slot, emit func([]geom.Pair), regR, regS region, sp *trace.Span) error {
+	f := j.newFilter(regR, regS)
+	return j.fold(f, sl.JoinLoaded(emit, stripe.Unit, f.keep, j.cfg.Cancel, sp))
 }
 
 // repartitionPair splits the larger side of an oversized pair with a

@@ -622,6 +622,12 @@ func TestStripePairsExactlyOnce(t *testing.T) {
 						t.Fatalf("%v/%s/mem=%d: PairExec Results/RawResults/Tests = %d/%d/%d, Join had %d/%d/%d", dup, alg, mem,
 							st.Results, st.RawResults, st.Tests, firstSt.Results, firstSt.RawResults, firstSt.Tests)
 					}
+					// The pairs that fit join in memory, the hot block through
+					// its files: it must recurse exactly as Join's does.
+					if st.Repartitions != firstSt.Repartitions || st.MemoryOverflows != firstSt.MemoryOverflows {
+						t.Fatalf("%v/%s/mem=%d: PairExec Repartitions/MemoryOverflows = %d/%d, Join had %d/%d", dup, alg, mem,
+							st.Repartitions, st.MemoryOverflows, firstSt.Repartitions, firstSt.MemoryOverflows)
+					}
 					if n := cfg.Disk.NumFiles(); n != 0 {
 						t.Fatalf("%v/%s/mem=%d: %d temp files left after Close", dup, alg, mem, n)
 					}

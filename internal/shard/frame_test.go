@@ -103,19 +103,22 @@ func TestPartChunkCodec(t *testing.T) {
 		{ID: 99, Rect: geom.Rect{XL: 0.5, YL: 0.6, XH: 0.7, YH: 0.8}},
 	}
 	payload := encodePartChunk(nil, 5, 'S', true, ks)
-	part, side, last, got, err := decodePartChunk(payload)
+	c, err := decodePartChunk(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if part != 5 || side != 'S' || !last || len(got) != len(ks) {
-		t.Fatalf("decoded (%d, %q, %v, %d records)", part, side, last, len(got))
+	// appendTo extends what the side already holds.
+	prior := geom.KPE{ID: 7}
+	got := c.appendTo([]geom.KPE{prior})
+	if c.part != 5 || c.side != 'S' || !c.last || len(got) != 1+len(ks) || got[0] != prior {
+		t.Fatalf("decoded (%d, %q, %v, %d records after the prior one)", c.part, c.side, c.last, len(got)-1)
 	}
 	for i := range ks {
-		if got[i] != ks[i] {
-			t.Fatalf("record %d: %+v, want %+v", i, got[i], ks[i])
+		if got[1+i] != ks[i] {
+			t.Fatalf("record %d: %+v, want %+v", i, got[1+i], ks[i])
 		}
 	}
-	if _, _, _, _, err := decodePartChunk(payload[:len(payload)-1]); err == nil {
+	if _, err := decodePartChunk(payload[:len(payload)-1]); err == nil {
 		t.Fatal("short part chunk accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"spatialjoin/internal/diskio"
@@ -114,8 +115,11 @@ const (
 // WorkerReport is the done-frame payload: what the worker did, for the
 // coordinator's aggregate accounting and the leak invariants.
 type WorkerReport struct {
-	IO       diskio.Stats `json:"io"`
-	CPUNanos int64        `json:"cpu_ns"`
+	IO diskio.Stats `json:"io"`
+	// CPUNanos is the wall time the worker spent joining and sealing its
+	// pairs (PairExec.RunPair plus the seal), summed over the pairs; time
+	// spent waiting for input frames is not in it.
+	CPUNanos int64 `json:"cpu_ns"`
 	// LiveFiles is the worker's disk file count after its registry
 	// sweep; anything but zero is a temp-file leak.
 	LiveFiles int `json:"live_files"`
@@ -226,27 +230,43 @@ func encodePartChunk(buf []byte, part int, side byte, last bool, ks []geom.KPE) 
 	return buf
 }
 
-func decodePartChunk(payload []byte) (part int, side byte, last bool, ks []geom.KPE, err error) {
+// partChunk is a validated part frame: its header, and its records still
+// encoded, aliasing the frame payload.
+type partChunk struct {
+	part int
+	side byte // 'R' or 'S'
+	last bool
+	recs []byte // count × KPE
+}
+
+func decodePartChunk(payload []byte) (partChunk, error) {
 	if len(payload) < partChunkHeader {
-		return 0, 0, false, nil, protoErrf("part frame too short (%d bytes)", len(payload))
+		return partChunk{}, protoErrf("part frame too short (%d bytes)", len(payload))
 	}
-	part = int(binary.LittleEndian.Uint32(payload[0:]))
-	side = payload[4]
-	last = payload[5] == 1
+	c := partChunk{
+		part: int(binary.LittleEndian.Uint32(payload[0:])),
+		side: payload[4],
+		last: payload[5] == 1,
+		recs: payload[partChunkHeader:],
+	}
 	n := int(binary.LittleEndian.Uint32(payload[6:]))
-	if len(payload) != partChunkHeader+n*geom.KPESize {
-		return 0, 0, false, nil, protoErrf("part frame length %d does not match %d records", len(payload), n)
+	if len(c.recs) != n*geom.KPESize {
+		return partChunk{}, protoErrf("part frame length %d does not match %d records", len(payload), n)
 	}
-	if side != 'R' && side != 'S' {
-		return 0, 0, false, nil, protoErrf("part frame side %q", side)
+	if c.side != 'R' && c.side != 'S' {
+		return partChunk{}, protoErrf("part frame side %q", c.side)
 	}
-	ks = make([]geom.KPE, n)
-	off := partChunkHeader
-	for i := range ks {
-		ks[i] = geom.DecodeKPE(payload[off:])
-		off += geom.KPESize
+	return c, nil
+}
+
+// appendTo decodes the chunk's records onto dst: the one copy a shipped
+// record takes on its way into its side's slice.
+func (c partChunk) appendTo(dst []geom.KPE) []geom.KPE {
+	dst = slices.Grow(dst, len(c.recs)/geom.KPESize)
+	for off := 0; off < len(c.recs); off += geom.KPESize {
+		dst = append(dst, geom.DecodeKPE(c.recs[off:]))
 	}
-	return part, side, last, ks, nil
+	return dst
 }
 
 func encodePairs(buf []byte, part int, ps []geom.Pair) []byte {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
+	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
@@ -86,9 +88,42 @@ func TestShardJoinMatchesSerial(t *testing.T) {
 		if res.Stats.Spawns < res.Stats.Shards || res.Stats.RemoteLeases != 0 {
 			t.Fatalf("shards=%d: %d spawns and %d remote leases for %d pipe shards", n, res.Stats.Spawns, res.Stats.RemoteLeases, res.Stats.Shards)
 		}
-		if res.IO.CostUnits <= 0 || res.CPU <= 0 {
-			t.Fatalf("shards=%d: accounting empty: %+v", n, res)
+		// Every pair fits testMemory, so the workers join each one where
+		// it arrived, in memory, and their disks stay untouched.
+		if res.IO != (diskio.Stats{}) || res.CPU <= 0 {
+			t.Fatalf("shards=%d: want no worker I/O and some CPU: %+v", n, res)
 		}
+	}
+}
+
+// TestShardJoinSpoolsOversizedPair: a pair over the budget still takes
+// the file path inside the worker process — written, repartitioned, read
+// back — and the sharded join still reproduces the serial one at the same
+// budget, emission order included.
+func TestShardJoinSpoolsOversizedPair(t *testing.T) {
+	r, s := testData()
+	// A cluster no tile table can spread: one tile holds more records
+	// than testMemory, so its pair repartitions in whichever process runs
+	// it.
+	for i, k := range datagen.Uniform(73, 600, 0.1) {
+		c := k.Rect
+		k.ID, k.Rect = uint64(5000+i), geom.NewRect(0.3+c.XL/100, 0.3+c.YL/100, 0.3+c.XH/100, 0.3+c.YH/100)
+		r, s = append(r, k), append(s, k)
+	}
+	want := serialPairs(t, r, s)
+	var got []geom.Pair
+	res, err := shard.Join(r, s, shardConfig(t, 2), func(p geom.Pair) { got = append(got, p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d results, serial %d: set or emission order diverged", len(got), len(want))
+	}
+	if res.Stats.Kills != 0 || res.Stats.Absorbed != 0 || res.Stats.WorkerLiveFiles != 0 {
+		t.Fatalf("unexpected fault or leak stats %+v", res.Stats)
+	}
+	if res.IO.PagesWritten <= 0 || res.IO.PagesRead <= 0 {
+		t.Fatalf("the oversized pair charged no worker I/O: %+v", res.IO)
 	}
 }
 

@@ -20,15 +20,17 @@ import (
 // disk, and exits. The binaries expose it behind a -shard-worker flag;
 // test packages reach it through RunHelperWorker.
 //
-// The conversation: read the JobSpec, receive both relations' partition
-// slices in full, then for each
-// assigned partition (ascending) run the pair, stream its result pairs,
-// and seal it with a count cross-check. Heartbeats flow throughout on a
-// separate goroutine. A clean run ends with a done frame carrying the
-// worker's report; a failed run ends with a fail frame carrying the
-// structured error. The error returned by WorkerMain is for the
-// process's exit status only — everything the coordinator needs is on
-// the pipe.
+// The conversation: read the JobSpec, then the partitions' R and S
+// chunks. As soon as both sides of the next assigned partition
+// (ascending) are complete, run the pair, stream its result pairs, seal
+// it with a count cross-check and drop its records; the coordinator
+// ships R then S partition by partition, so the worker holds about one
+// pair at a time and its first seal follows its first pair. The go frame
+// ends the input. Heartbeats flow from the job on, on a separate
+// goroutine. A clean run ends with a done frame carrying the worker's
+// report; a failed run ends with a fail frame carrying the structured
+// error. The error returned by WorkerMain is for the process's exit
+// status only — everything the coordinator needs is on the pipe.
 func WorkerMain(in io.Reader, out io.Writer) error {
 	return runConversation(NewFrameReader(in), NewFrameWriter(out))
 }
@@ -38,7 +40,7 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 // resident worker (ServeWorker). The protocol is byte-identical on both
 // transports.
 func runConversation(fr *FrameReader, fw *FrameWriter) error {
-	spec, rsl, ssl, err := workerReceive(fr, fw)
+	spec, err := readJob(fr, fw)
 	if err != nil {
 		// Best effort: the coordinator learns more from a fail frame
 		// than from a bare exit, but a torn pipe can defeat both.
@@ -48,7 +50,8 @@ func runConversation(fr *FrameReader, fw *FrameWriter) error {
 
 	// Heartbeats: the watchdog on the other side resets on ANY frame,
 	// so the beat goroutine only needs to cover gaps between result
-	// flushes (a long repartition recursion, a big in-memory sweep).
+	// flushes (input still in flight, a long repartition recursion, a big
+	// in-memory sweep).
 	stop := make(chan struct{})
 	beatDone := make(chan struct{})
 	go func() {
@@ -71,7 +74,7 @@ func runConversation(fr *FrameReader, fw *FrameWriter) error {
 		<-beatDone
 	}()
 
-	report, err := workerRun(spec, rsl, ssl, fw)
+	report, err := workerRun(spec, fr, fw)
 	if err != nil {
 		_ = sendFail(fw, err)
 		return err
@@ -87,28 +90,28 @@ func runConversation(fr *FrameReader, fw *FrameWriter) error {
 	return nil
 }
 
-// workerReceive reads the job spec and both relations' partition
-// slices, honoring the spawn kill point. Ping frames ahead of the job
-// are health checks from a pool lease; each is answered with a beat.
-func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.KPE, map[int][]geom.KPE, error) {
+// readJob reads and validates the job spec, journals the attempt and
+// honors the spawn kill point. Ping frames ahead of the job are health
+// checks from a pool lease; each is answered with a beat.
+func readJob(fr *FrameReader, fw *FrameWriter) (*JobSpec, error) {
 	var spec *JobSpec
 	for spec == nil {
 		t, payload, err := fr.Next()
 		if err != nil {
-			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
+			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
 		}
 		switch t {
 		case FramePing:
 			if err := fw.Write(FrameBeat, nil); err != nil {
-				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
+				return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
 			}
 		case FrameJob:
 			spec = &JobSpec{}
 			if err := unmarshalJSON(payload, spec); err != nil {
-				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
+				return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
 			}
 		default:
-			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("first frame is type %d, want job or ping", t))
+			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("first frame is type %d, want job or ping", t))
 		}
 	}
 	// A job that decodes but means something else must not run: a
@@ -117,10 +120,10 @@ func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.K
 	// Joining anyway would put reference points in the wrong partitions
 	// silently.
 	if spec.Proto != ProtoVersion {
-		return nil, nil, nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job speaks protocol %d, this worker %d", spec.Proto, ProtoVersion))
+		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job speaks protocol %d, this worker %d", spec.Proto, ProtoVersion))
 	}
 	if !spec.Grid.Valid() || spec.Memory <= 0 {
-		return nil, nil, nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job spec invalid: grid %s, memory %d", spec.Grid, spec.Memory))
+		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job spec invalid: grid %s, memory %d", spec.Grid, spec.Memory))
 	}
 
 	// The journal marks the scratch dir live; the coordinator registered
@@ -128,70 +131,24 @@ func workerReceive(fr *FrameReader, fw *FrameWriter) (*JobSpec, map[int][]geom.K
 	// right here leaves nothing unaccounted for.
 	if spec.TmpDir != "" {
 		if err := os.MkdirAll(spec.TmpDir, 0o755); err != nil {
-			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
+			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
 		}
 		journal := fmt.Sprintf("shard %d attempt %d started\n", spec.Shard, spec.Attempt)
 		if err := os.WriteFile(filepath.Join(spec.TmpDir, "journal"), []byte(journal), 0o644); err != nil {
-			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
+			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
 		}
 	}
 
 	if k := spec.Kill; k != nil && k.Point == KillSpawn {
 		selfKill()
 	}
-
-	rsl := make(map[int][]geom.KPE, len(spec.Parts))
-	ssl := make(map[int][]geom.KPE, len(spec.Parts))
-	for _, p := range spec.Parts {
-		rsl[p], ssl[p] = nil, nil
-	}
-	// A side is complete once its last chunk arrived. Joining before every
-	// side is complete would join against a short side and seal with a
-	// count that still matches, so a go frame ahead of a last chunk, or a
-	// chunk after one, is a protocol error.
-	type partSide struct {
-		part int
-		side byte
-	}
-	complete := make(map[partSide]bool, 2*len(rsl))
-	for {
-		t, payload, err := fr.Next()
-		if err != nil {
-			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
-		}
-		switch t {
-		case FrameGo:
-			if len(complete) != 2*len(rsl) {
-				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("go frame with %d of %d partition sides complete", len(complete), 2*len(rsl)))
-			}
-			return spec, rsl, ssl, nil
-		case FramePart:
-			part, side, last, ks, err := decodePartChunk(payload)
-			if err != nil {
-				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
-			}
-			dst := rsl
-			if side == 'S' {
-				dst = ssl
-			}
-			if _, ok := dst[part]; !ok {
-				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("part frame for unassigned partition %d", part))
-			}
-			if complete[partSide{part, side}] {
-				return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("part frame for partition %d side %c after its last chunk", part, side))
-			}
-			dst[part] = append(dst[part], ks...)
-			if last {
-				complete[partSide{part, side}] = true
-			}
-		default:
-			return nil, nil, nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("unexpected frame type %d during input", t))
-		}
-	}
+	return spec, nil
 }
 
-// workerRun executes the assigned pairs and streams results.
-func workerRun(spec *JobSpec, rsl, ssl map[int][]geom.KPE, fw *FrameWriter) (*WorkerReport, error) {
+// workerRun receives the job's input and runs each assigned pair, in
+// spec.Parts order, as soon as both of its sides are complete; the go
+// frame ends the input and yields the report.
+func workerRun(spec *JobSpec, fr *FrameReader, fw *FrameWriter) (*WorkerReport, error) {
 	disk := diskio.NewDisk(spec.PageSize, spec.PT, spec.transfer())
 	ex, err := pbsm.NewPairExec(spec.pbsmConfig(disk), spec.Grid)
 	if err != nil {
@@ -199,27 +156,75 @@ func workerRun(spec *JobSpec, rsl, ssl map[int][]geom.KPE, fw *FrameWriter) (*Wo
 	}
 	defer ex.Close()
 
-	start := time.Now()
+	rsl := make(map[int][]geom.KPE, len(spec.Parts))
+	ssl := make(map[int][]geom.KPE, len(spec.Parts))
+	for _, p := range spec.Parts {
+		rsl[p], ssl[p] = nil, nil
+	}
+	// A side is complete once its last chunk arrived. Joining before both
+	// sides are complete would join against a short side and seal with a
+	// count that still matches, so a pair runs only then, and a go frame
+	// ahead of a last chunk, or a chunk after one, is a protocol error.
+	type partSide struct {
+		part int
+		side byte
+	}
+	complete := make(map[partSide]bool, 2*len(rsl))
 	sender := &resultSender{fw: fw, kill: spec.Kill}
-	for _, part := range spec.Parts {
-		sender.beginPart(part)
-		if err := ex.RunPair(part, rsl[part], ssl[part], sender.send); err != nil {
-			return nil, err
+	var busy time.Duration // joining and sealing, not waiting for input
+	next := 0              // spec.Parts[next] is the first pair not yet run
+	for {
+		t, payload, err := fr.Next()
+		if err != nil {
+			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
 		}
-		if sender.err != nil {
-			return nil, joinerr.WrapAs("shard", "emit", joinerr.KindShard, sender.err)
-		}
-		if err := sender.seal(); err != nil {
-			return nil, joinerr.WrapAs("shard", "emit", joinerr.KindShard, err)
+		switch t {
+		case FrameGo:
+			if next < len(spec.Parts) {
+				return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("go frame with %d of %d partition sides complete", len(complete), 2*len(rsl)))
+			}
+			ex.Close()
+			return &WorkerReport{
+				IO:        disk.Stats(),
+				CPUNanos:  busy.Nanoseconds(),
+				LiveFiles: disk.NumFiles(),
+			}, nil
+		case FramePart:
+			c, err := decodePartChunk(payload)
+			if err != nil {
+				return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
+			}
+			dst := rsl
+			if c.side == 'S' {
+				dst = ssl
+			}
+			if _, ok := dst[c.part]; !ok {
+				return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("part frame for unassigned partition %d", c.part))
+			}
+			if complete[partSide{c.part, c.side}] {
+				return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("part frame for partition %d side %c after its last chunk", c.part, c.side))
+			}
+			dst[c.part] = c.appendTo(dst[c.part])
+			if !c.last {
+				continue
+			}
+			complete[partSide{c.part, c.side}] = true
+			for ; next < len(spec.Parts); next++ {
+				p := spec.Parts[next]
+				if !complete[partSide{p, 'R'}] || !complete[partSide{p, 'S'}] {
+					break
+				}
+				start := time.Now()
+				if err := sender.runPair(ex, p, rsl[p], ssl[p]); err != nil {
+					return nil, err
+				}
+				busy += time.Since(start)
+				rsl[p], ssl[p] = nil, nil
+			}
+		default:
+			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, protoErrf("unexpected frame type %d during input", t))
 		}
 	}
-
-	ex.Close()
-	return &WorkerReport{
-		IO:        disk.Stats(),
-		CPUNanos:  time.Since(start).Nanoseconds(),
-		LiveFiles: disk.NumFiles(),
-	}, nil
 }
 
 // resultSender batches one partition's result pairs into pairs frames
@@ -240,10 +245,21 @@ type resultSender struct {
 
 const senderBatch = 512
 
-func (s *resultSender) beginPart(part int) {
+// runPair joins partition part, streams its results and seals it.
+func (s *resultSender) runPair(ex *pbsm.PairExec, part int, rs, ss []geom.KPE) error {
 	s.part = part
 	s.sent = 0
 	s.buf = s.buf[:0]
+	if err := ex.RunPair(part, rs, ss, s.send); err != nil {
+		return err
+	}
+	if s.err != nil {
+		return joinerr.WrapAs("shard", "emit", joinerr.KindShard, s.err)
+	}
+	if err := s.seal(); err != nil {
+		return joinerr.WrapAs("shard", "emit", joinerr.KindShard, err)
+	}
+	return nil
 }
 
 // send is the PairExec sink. It must not return an error (the sink

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net"
 	"testing"
+	"time"
 
 	"spatialjoin/internal/datagen"
+	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/pbsm"
@@ -94,5 +97,128 @@ func TestWorkerJoinsOnlyCompleteInput(t *testing.T) {
 		case !tc.refuse && (last != FrameDone || seals != 1 || sealed != pairs || pairs == 0):
 			t.Fatalf("%s: worker ended on frame %d after %d seals of %d pairs (%d sent), want one seal of some pairs and a done frame", tc.name, last, seals, sealed, pairs)
 		}
+	}
+}
+
+// TestWorkerStreamsPairs: a worker runs and seals a partition as soon as
+// both of its sides are complete, before the rest of its input or the go
+// frame arrives, and a shard whose pairs all fit Memory touches no disk.
+// The link is a synchronous net.Pipe: the seal must arrive while the
+// coordinator side still holds part 1.
+func TestWorkerStreamsPairs(t *testing.T) {
+	const memory = 32 << 10
+	R, S := datagen.Uniform(101, 1500, 0.004), datagen.Uniform(202, 1500, 0.004)
+	gs, err := pbsm.PlanGridFor(R, S, pbsm.Config{Memory: memory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := []int{0, 1}
+	rsl, err := pbsm.PartitionSlices(R, gs, parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssl, err := pbsm.PartitionSlices(S, gs, parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts {
+		if n := len(rsl[p]) + len(ssl[p]); len(rsl[p]) == 0 || len(ssl[p]) == 0 || n*geom.KPESize > memory {
+			t.Fatalf("test setup: partition %d holds %d+%d records against a budget of %d", p, len(rsl[p]), len(ssl[p]), memory/geom.KPESize)
+		}
+	}
+	job, err := json.Marshal(JobSpec{Proto: ProtoVersion, Parts: parts, Grid: gs, Memory: memory})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord, worker := net.Pipe()
+	defer coord.Close()
+	werr := make(chan error, 1)
+	go func() {
+		defer worker.Close()
+		werr <- WorkerMain(worker, worker)
+	}()
+	fw, fr := NewFrameWriter(coord), NewFrameReader(coord)
+	shipPart := func(p int) error {
+		if err := fw.Write(FramePart, encodePartChunk(nil, p, 'R', true, rsl[p])); err != nil {
+			return err
+		}
+		return fw.Write(FramePart, encodePartChunk(nil, p, 'S', true, ssl[p]))
+	}
+	// next reads up to the next frame that is not a beat.
+	next := func() (FrameType, []byte) {
+		t.Helper()
+		if err := coord.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			typ, payload, err := fr.Next()
+			if err != nil {
+				t.Fatalf("reading the worker: %v", err)
+			}
+			if typ != FrameBeat {
+				return typ, payload
+			}
+		}
+	}
+	// awaitSeal reads part's pairs frames up to its seal and checks the count.
+	awaitSeal := func(part int) {
+		t.Helper()
+		var pairs int64
+		for {
+			typ, payload := next()
+			switch typ {
+			case FramePairs:
+				p, ps, err := decodePairs(payload)
+				if err != nil || p != part {
+					t.Fatalf("pairs frame for partition %d (%v) while partition %d runs", p, err, part)
+				}
+				pairs += int64(len(ps))
+			case FrameSeal:
+				p, n, err := decodeSeal(payload)
+				if err != nil || p != part || n != pairs {
+					t.Fatalf("seal of partition %d with %d pairs (%v), want partition %d with %d", p, n, err, part, pairs)
+				}
+				return
+			default:
+				t.Fatalf("frame %d while partition %d runs", typ, part)
+			}
+		}
+	}
+
+	if err := fw.Write(FrameJob, job); err != nil {
+		t.Fatal(err)
+	}
+	if err := shipPart(0); err != nil {
+		t.Fatal(err)
+	}
+	awaitSeal(0)
+
+	// The pipe has no buffer: ship the rest while reading the results.
+	shipped := make(chan error, 1)
+	go func() {
+		err := shipPart(1)
+		if err == nil {
+			err = fw.Write(FrameGo, nil)
+		}
+		shipped <- err
+	}()
+	awaitSeal(1)
+	typ, payload := next()
+	if typ != FrameDone {
+		t.Fatalf("frame %d after the last seal, want done", typ)
+	}
+	var rep WorkerReport
+	if err := json.Unmarshal(payload, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.IO != (diskio.Stats{}) || rep.LiveFiles != 0 || rep.CPUNanos <= 0 {
+		t.Fatalf("report %+v, want no I/O, no files and some CPU", rep)
+	}
+	if err := <-shipped; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatal(err)
 	}
 }
