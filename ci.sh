@@ -124,6 +124,16 @@ go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | tee "$ex
 grep -Eq '^ +pbsm\.repartitions +0 count' "$extsmoke"
 grep -Eq '^ +pbsm\.memory_overflows +0 count' "$extsmoke"
 
+echo "== repository benchmark smoke (pbsm_dupsort, traced pass) =="
+# The paper's baseline, PBSM with the original sort-based duplicate
+# removal, through the same oracle and gates: the join phase writes its
+# results as sorted, deduplicated runs and the dup phase merges them into
+# the delivered result. No pair of this input outgrows the budget.
+dupsmoke=$(mktemp /tmp/sjbench-dup.XXXXXX.txt)
+trap 'rm -f "$extsmoke" "$dupsmoke"' EXIT
+go run ./benchmark -workload pbsm_dupsort -scale 0.1 -seconds 0 -trace 1 | tee "$dupsmoke" | grep -q '"correct":true'
+grep -Eq '^ +pbsm\.memory_overflows +0 count' "$dupsmoke"
+
 echo "== repository benchmark smoke (s3j_ext, traced pass) =="
 # S3J's external path through the same oracle and gates: the chunk index
 # sort in the partitioners, the heap merge in the scan and the scan arena.
@@ -141,7 +151,7 @@ echo "== repository benchmark smoke (pbsm_shards2, traced pass) =="
 # join each one from the records they received and never touch their
 # disks at all.
 shardsmoke=$(mktemp /tmp/sjbench-shards.XXXXXX.txt)
-trap 'rm -f "$extsmoke" "$shardsmoke"' EXIT
+trap 'rm -f "$extsmoke" "$dupsmoke" "$shardsmoke"' EXIT
 go run ./benchmark -workload pbsm_shards2 -scale 0.05 -seconds 0 -trace 1 | tee "$shardsmoke" | grep -q '"correct":true'
 grep -Eq '^ +shard\.spawns +2 count' "$shardsmoke"
 grep -Eq '^ +shard\.restarts +0 count' "$shardsmoke"
@@ -151,7 +161,7 @@ grep -Eq '^ +diskio\.pages_read +0 count' "$shardsmoke"
 
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)
-trap 'rm -f "$extsmoke" "$shardsmoke" "$tracefile"' EXIT
+trap 'rm -f "$extsmoke" "$dupsmoke" "$shardsmoke" "$tracefile"' EXIT
 # sjbench self-validates: re-reads the file, parses the JSON array and
 # checks span-tree coverage >= 95%, printing "trace OK" on success.
 # 8000 records, not fewer: the one join of a fresh process pays some

@@ -47,14 +47,15 @@ func RunFig3(s *Suite) ([]Fig3Row, *Table) {
 		mem := MemFrac(R, S, LAMemFrac)
 		pd := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, PBSMDup: pbsm.DupSort, PBSMHashTiles: true})
 		rp := s.runCore(R, S, core.Config{Method: core.PBSM, Memory: mem, PBSMDup: pbsm.DupRPM, PBSMHashTiles: true})
-		st := pd.PBSMStats
 		rows = append(rows, Fig3Row{
 			Join:        j,
 			Results:     rp.Results,
 			IOBaseUnits: rp.IO.CostUnits,
-			IODupUnits:  st.PhaseIO[pbsm.PhaseDup].CostUnits,
-			TotalPD:     pd.Total,
-			TotalRPM:    rp.Total,
+			// The runs are written in the join phase and read in the dup
+			// phase: the difference of the totals holds both.
+			IODupUnits: pd.IO.CostUnits - rp.IO.CostUnits,
+			TotalPD:    pd.Total,
+			TotalRPM:   rp.Total,
 		})
 	}
 	t := &Table{

@@ -45,7 +45,7 @@ func TestPhaseIOPinned(t *testing.T) {
 		{"pbsm-rpm", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupRPM},
 			"partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=360/0/1359/0/8559/0 dup=0/0/0/0/0/0 first=15571 total=360/694/1359/1359/23798/0 results=61929"},
 		{"pbsm-sort", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort},
-			"partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=360/30/1359/120/9279/0 dup=95/64/372/249/3801/0 first=27600 total=455/788/1731/1728/28319/0 results=61929"},
+			"partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=360/17/1359/66/8965/0 dup=32/15/123/57/1120/0 first=24609 total=392/726/1482/1482/25324/0 results=61929"},
 		{"pbsm-tlsp", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP},
 			"partition=0/691/0/1351/15171/0 repartition=262/279/1023/1041/12884/0 join=486/0/1781/0/11501/0 dup=0/0/0/0/0/0 first=15336 total=748/970/2804/2392/39556/0 results=61929"},
 		{"s3j-original", core.Config{Method: core.S3J, S3JMode: s3j.ModeOriginal},

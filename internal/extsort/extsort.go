@@ -2,18 +2,19 @@
 // records stored on the simulated disk of package diskio, in the
 // checksummed frame format of package recfile.
 //
-// Sort is used by the original duplicate-removal phase of PBSM (result
-// pairs ordered by ID, §3.1) and by SSSJ. Run formation reads the input
-// once and writes sorted runs once; when more than one run is produced,
-// multiway merge passes follow, each reading and writing the data once —
-// exactly the I/O behaviour §5.1 of the paper accounts for. Sort is the
-// composition of two halves that are exported on their own: WriteRun
-// sorts a chunk that is already in memory and writes it as one run, and
-// MergeDown merges a list of runs by whole passes. S³J (§4.2) uses the
-// halves directly: its partitioner fills the chunks itself, so no
-// unsorted file is ever written or read back, and its synchronized scan
-// is the final merge, so MergeDown runs only when there are more runs
-// than the scan may hold cursors for.
+// Sort is used by SSSJ. Run formation reads the input once and writes
+// sorted runs once; when more than one run is produced, multiway merge
+// passes follow, each reading and writing the data once — exactly the I/O
+// behaviour §5.1 of the paper accounts for. Sort is the composition of
+// halves that are exported on their own: WriteRun sorts a chunk that is
+// already in memory and writes it as one run, MergeDown merges a list of
+// runs by whole passes, and Merge streams one merge to a callback
+// instead of a file. S³J (§4.2) and PBSM's original duplicate removal
+// (result pairs ordered by ID, §3.1) use the halves directly: they fill
+// the chunks themselves, so no unsorted file is ever written or read
+// back, and their last merge delivers the results (S³J's synchronized
+// scan, PBSM's Merge), so MergeDown runs only when there are more runs
+// than that merge may hold cursors for.
 //
 // Run formation never moves a record while sorting: it sorts an index
 // of (key, position) entries — Config.Key's 64-bit prefix of the order,
@@ -379,6 +380,22 @@ func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
 // mergeRuns merges the given runs into out and returns the number of
 // records written plus the comparisons spent.
 func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
+	w := recfile.NewRecWriter(out, cfg.RecordSize, iocost.BufPages(cfg.BufPages))
+	comps, err := Merge(runs, cfg, w.Write)
+	if err == nil {
+		err = w.Flush()
+	}
+	return w.Count(), comps, err
+}
+
+// Merge reads runs, a list in input order, through one heap of one
+// cursor each and hands yield every record in sorted order; records
+// neither Key nor Less tells apart come in run order, so a merge of
+// consecutive runs is stable. rec is valid only until yield returns, and
+// an error from yield ends the merge with that error. Merge holds one
+// buffer of BufPages pages per run, creates no file and removes none. It
+// returns the calls of Less.
+func Merge(runs []Run, cfg Config, yield func(rec []byte) error) (int64, error) {
 	rs := cfg.RecordSize
 	var comps int64
 	h := &mergeHeap{cfg: &cfg, comps: &comps}
@@ -391,28 +408,25 @@ func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 		}
 		ok, err := c.advance()
 		if err != nil {
-			return 0, comps, err
+			return comps, err
 		}
 		if ok {
 			h.items = append(h.items, c)
 		}
 	}
 	heap.Init(h)
-	w := recfile.NewRecWriter(out, rs, iocost.BufPages(cfg.BufPages))
-	var n int64
 	chk := cfg.Cancel.Stride()
 	for h.Len() > 0 {
 		if err := chk.Point(); err != nil {
-			return n, comps, err
+			return comps, err
 		}
 		c := h.items[0]
-		if err := w.Write(c.buf); err != nil {
-			return n, comps, err
+		if err := yield(c.buf); err != nil {
+			return comps, err
 		}
-		n++
 		ok, err := c.advance()
 		if err != nil {
-			return n, comps, err
+			return comps, err
 		}
 		if ok {
 			heap.Fix(h, 0)
@@ -420,7 +434,7 @@ func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 			heap.Pop(h)
 		}
 	}
-	return n, comps, w.Flush()
+	return comps, nil
 }
 
 // cursor is one run's read position in a merge: its current record, that

@@ -3,8 +3,10 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -497,5 +499,55 @@ func TestMergeDownStopsAtK(t *testing.T) {
 	}
 	if total != 160 || cfg.Reg.Live() != 3 {
 		t.Fatalf("%d records in the merged runs, %d files registered; want 160 and 3", total, cfg.Reg.Live())
+	}
+}
+
+// TestMergeStreamsWhatMergeDownWrites: Merge hands yield the records, in
+// the order, that merging the same runs into one would write; it reads
+// the runs and writes nothing, and an error from yield ends it.
+func TestMergeStreamsWhatMergeDownWrites(t *testing.T) {
+	cfg := Config{
+		Disk: diskio.NewDisk(64, 5, time.Millisecond), RecordSize: recSize,
+		Memory: 4096, BufPages: 2, Less: u64Less,
+	}
+	cfg.Reg = cfg.Disk.NewRegistry()
+	var runs []Run
+	rec := make([]byte, 8*recSize)
+	for i := 0; i < 5; i++ {
+		for k := 0; k < 8; k++ {
+			binary.LittleEndian.PutUint64(rec[k*recSize:], uint64((i*7+k*13)%50))
+		}
+		f := cfg.Reg.Create()
+		if _, err := WriteRun(f, rec, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, Run{File: f, Recs: 8})
+	}
+	before := cfg.Disk.Stats()
+	var got []uint64
+	if _, err := Merge(runs, cfg, func(rec []byte) error {
+		got = append(got, binary.LittleEndian.Uint64(rec))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if io := cfg.Disk.Stats().Sub(before); io.PagesWritten != 0 || io.PagesRead == 0 {
+		t.Fatalf("Merge read %d pages and wrote %d, want reads only", io.PagesRead, io.PagesWritten)
+	}
+	merged, err := MergeDown(runs, 1, cfg, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := readU64s(merged[0].File); len(got) != 40 || !slices.Equal(got, want) {
+		t.Fatalf("Merge yielded %v, MergeDown wrote %v", got, want)
+	}
+	stop, n := errors.New("stop"), 0
+	if _, err := Merge(merged, cfg, func([]byte) error {
+		if n++; n == 3 {
+			return stop
+		}
+		return nil
+	}); !errors.Is(err, stop) || n != 3 {
+		t.Fatalf("yield's error after %d records: Merge returned %v", n, err)
 	}
 }

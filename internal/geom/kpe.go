@@ -96,3 +96,52 @@ func (p Pair) Less(q Pair) bool {
 	}
 	return p.S < q.S
 }
+
+// SortPairs sorts ps into Less's order with tmp, at least as long as
+// ps, as scratch space: a least-significant-digit radix sort, one stable
+// counting pass per byte of S and then of R, skipping every byte that is
+// the same in all pairs.
+func SortPairs(ps, tmp []Pair) {
+	var orR, orS uint64
+	andR, andS := ^uint64(0), ^uint64(0)
+	for _, p := range ps {
+		orR, andR = orR|p.R, andR&p.R
+		orS, andS = orS|p.S, andS&p.S
+	}
+	src, dst := ps, tmp[:len(ps)]
+	for _, w := range [...]struct {
+		s      bool   // the digits come from S, else from R
+		varies uint64 // the bits that differ between some two pairs
+	}{{true, orS ^ andS}, {false, orR ^ andR}} {
+		for shift := 0; shift < 64; shift += 8 {
+			if w.varies>>shift&0xff == 0 {
+				continue
+			}
+			var at [256]int
+			for _, p := range src {
+				at[p.digit(w.s, shift)]++
+			}
+			next := 0
+			for d, n := range at {
+				at[d], next = next, next+n
+			}
+			for _, p := range src {
+				d := p.digit(w.s, shift)
+				dst[at[d]] = p
+				at[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	if len(ps) > 0 && &src[0] != &ps[0] {
+		copy(ps, src)
+	}
+}
+
+// digit is byte shift/8 of p.S when s is set, of p.R otherwise.
+func (p Pair) digit(s bool, shift int) byte {
+	if s {
+		return byte(p.S >> shift)
+	}
+	return byte(p.R >> shift)
+}

@@ -3,6 +3,8 @@ package geom
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +69,31 @@ func TestPairLessLexicographic(t *testing.T) {
 	}
 	if (Pair{1, 3}).Less(Pair{1, 3}) {
 		t.Error("equal pairs are not Less")
+	}
+}
+
+// TestSortPairsAgreesWithLess: the radix sort leaves any pairs, with or
+// without equal ones, small or full-width IDs, in Less's order.
+func TestSortPairsAgreesWithLess(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, bits := range []uint{0, 1, 12, 33, 64} {
+		for _, n := range []int{0, 1, 2, 100, 5000} {
+			ps := make([]Pair, n)
+			for i := range ps {
+				// Every third pair repeats an earlier one.
+				if i > 0 && i%3 == 0 {
+					ps[i] = ps[rng.Intn(i)]
+					continue
+				}
+				ps[i] = Pair{R: rng.Uint64() >> (64 - bits), S: rng.Uint64() >> (64 - bits)}
+			}
+			want := slices.Clone(ps)
+			sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+			SortPairs(ps, make([]Pair, n+3))
+			if !slices.Equal(ps, want) {
+				t.Fatalf("%d pairs of %d-bit IDs: SortPairs disagrees with Less", n, bits)
+			}
+		}
 	}
 }
 

@@ -20,9 +20,11 @@
 //     tile hotter than the budget, or any skew under the hash plan) are
 //     recursively split with finer, hash-filled grids.
 //  3. Join — each partition pair is loaded and joined in memory.
-//  4. Duplicate removal — either the original external sort of the result
-//     pairs (DupSort), free of any extra phase with the Reference Point
-//     Method (DupRPM), which tests each produced pair on-line, or free by
+//  4. Duplicate removal — either the original sort of the result pairs
+//     (DupSort: the join phase writes them as sorted, deduplicated runs
+//     and this phase merges the runs into the result), free of any extra
+//     phase with the Reference Point Method (DupRPM), which tests each
+//     produced pair on-line, or free by
 //     construction with two-layer space-oriented partitioning (DupTLSP),
 //     which tags every replicated copy with a secondary class so that
 //     most candidate pairs are ruled out without any geometric test
@@ -35,8 +37,10 @@
 package pbsm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,9 +68,18 @@ const (
 	// of the partition pair being processed. No extra phase, no extra
 	// I/O, pipelining preserved.
 	DupRPM DupMethod = iota
-	// DupSort is the original PBSM strategy [PD 96]: all join-phase
-	// results are written to disk, sorted externally, and deduplicated in
-	// a final blocking phase.
+	// DupSort is the original PBSM strategy [PD 96]: the join phase's
+	// results are sorted and deduplicated in a final blocking phase. The
+	// join phase fills a chunk of Memory bytes with them, in partition
+	// order, and writes each full chunk, sorted and without equal pairs,
+	// as one run; the final phase writes the last chunk too, merges the
+	// runs (whole passes first when they outnumber the merge fan-in) and
+	// delivers every distinct pair once, in pair order. The chunk and the
+	// radix sort's scratch, as large again, are held beside the join
+	// phase's slots, outside the memory the governor admits (DESIGN.md
+	// §3). The collector sorts and writes a full chunk while it holds its
+	// mutex, so with Parallel > 1 every worker's emission waits for that
+	// run write.
 	DupSort
 	// DupTLSP is two-layer space-oriented partitioning (tlsp.go): each
 	// replicated copy carries a secondary class (A/B/C/D by which
@@ -265,7 +278,7 @@ type Stats struct {
 	// FirstResultCPU and FirstResultIO capture the elapsed CPU time and
 	// the simulated I/O cost units consumed when the first result reached
 	// the caller: the pipelining measure of §3.1 — with DupSort no result
-	// appears before the final sort starts scanning. With more than one
+	// appears before the final merge starts. With more than one
 	// worker FirstResultIO is timing-dependent: it includes whatever the
 	// other workers had charged by then, and differs from run to run.
 	FirstResultCPU time.Duration
@@ -295,7 +308,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	}
 	j := newJoiner(cfg)
 	// One sweep covers every exit path — success, failure, cancellation —
-	// so no partition, repartition, spool or sort file outlives the join.
+	// so no partition, repartition or run file outlives the join.
 	defer j.reg.Sweep()
 	err := j.run(R, S, emit)
 	st := j.snapshot()
@@ -311,13 +324,22 @@ type joiner struct {
 	led   *phase.Ledger    // charges stats.PhaseCPU/PhaseIO and the first-result fields
 	reg   *diskio.Registry // every temp file of this join; swept on exit
 
-	emit      func(geom.Pair)
-	dupWriter *recfile.PairWriter // result spool when Dup == DupSort
+	emit func(geom.Pair)
 
-	// mu serializes stats mutations (bump) and, when Config.Parallel lets
-	// the join phase's units overlap, the DupSort spool; result delivery
-	// goes through the collector's own serialization.
+	// mu serializes stats mutations (bump) and DupSort's spillErr; result
+	// delivery goes through the collector's own serialization.
 	mu sync.Mutex
+
+	// Under DupSort the collector hands the join phase's pairs to spill:
+	// chunk is the chunk it fills, up to chunkRecs pairs (extsort's run
+	// chunk, Memory bytes), scratch the radix sort's space for it, runs
+	// the sorted, deduplicated runs written so far, and spillErr the
+	// first error writing one, which fold returns (a sink cannot).
+	chunk     []geom.Pair
+	scratch   []geom.Pair
+	chunkRecs int
+	runs      []extsort.Run
+	spillErr  error
 
 	// grid is the top-level grid (nil when P = 1): the partition phase
 	// scatters through it and topRegion reads it. baseR/baseS are kept for
@@ -349,6 +371,8 @@ func newJoiner(cfg Config) *joiner {
 	j.pairsDone = cfg.Metrics.Counter(metPairsDone)
 	j.rpmTests = cfg.Metrics.Counter(metRPMTests)
 	j.tlspSkipped = cfg.Metrics.Counter(metTLSPSkipped)
+	sc := j.sortConfig(nil)
+	j.chunkRecs = int(sc.ChunkRecs())
 	return j
 }
 
@@ -404,54 +428,52 @@ func (j *joiner) deliver(p geom.Pair) {
 
 func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	j.emit = emit
+	if iocost.PartCount(int64(len(R)+len(S)), j.cfg.Memory, j.cfg.TuneFactor) > 1 {
+		return j.joinPlanned(R, S, func(sp *trace.Span) (GridSpec, error) {
+			pcfg := j.cfg
+			pcfg.Trace = sp
+			return PlanGridFor(R, S, pcfg)
+		})
+	}
+	// Everything fits: no plan, no partition files, the striped in-memory
+	// join of stripes.go.
+	j.stats.P = 1
+	if err := j.joinInMemory(R, S, j.sink()); err != nil {
+		return err
+	}
+	j.pairsDone.Inc()
+	return j.dupSortPhase()
+}
 
-	var dupFile *diskio.File
+// joinPlanned runs a P > 1 join of R and S over the top grid plan
+// returns. Phase 1 plans — plan gets the partition span, the parent of
+// PlanGridFor's "plan" span — and scatters both inputs through the grid;
+// phases 2+3 repartition as needed and join each pair; phase 4 follows.
+func (j *joiner) joinPlanned(R, S []geom.KPE, plan func(sp *trace.Span) (GridSpec, error)) error {
+	j.baseR, j.baseS = R, S
+	pt := j.begin(PhasePartition)
+	gs, err := plan(pt.Span)
+	var filesR, filesS []*diskio.File
+	if err == nil {
+		filesR, filesS, err = j.partitionPhase(gs, pt.Span)
+	}
+	pt.End()
+	if err != nil {
+		return err
+	}
+	if err := j.joinTopPairs(filesR, filesS, j.sink()); err != nil {
+		return err
+	}
+	return j.dupSortPhase()
+}
+
+// sink is where the join phase's collector hands its pairs, in partition
+// order: to the caller, or under DupSort into the runs of phase 4.
+func (j *joiner) sink() func(geom.Pair) {
 	if j.cfg.Dup == DupSort {
-		dupFile = j.reg.Create()
-		j.dupWriter = recfile.NewPairWriter(dupFile, j.dev.BufPages)
+		return j.spill
 	}
-
-	if iocost.PartCount(int64(len(R)+len(S)), j.cfg.Memory, j.cfg.TuneFactor) == 1 {
-		// Everything fits: no plan, no partition files, the striped
-		// in-memory join of stripes.go.
-		j.stats.P = 1
-		if err := j.joinInMemory(R, S, j.deliver); err != nil {
-			return err
-		}
-		j.pairsDone.Inc()
-	} else {
-		j.baseR, j.baseS = R, S
-		// Phase 1: plan the top grid from the data (a "plan" child span of
-		// the partition span) and scatter both inputs through it. Then
-		// phases 2+3: repartition as needed and join each pair.
-		pt := j.begin(PhasePartition)
-		pcfg := j.cfg
-		pcfg.Trace = pt.Span
-		gs, err := PlanGridFor(R, S, pcfg)
-		var filesR, filesS []*diskio.File
-		if err == nil {
-			filesR, filesS, err = j.partitionPhase(gs, pt.Span)
-		}
-		pt.End()
-		if err != nil {
-			return err
-		}
-		if err := j.joinTopPairs(filesR, filesS); err != nil {
-			return err
-		}
-	}
-
-	// Phase 4 (original PBSM only): sort the spooled result pairs and
-	// drop duplicates.
-	if j.cfg.Dup == DupSort {
-		pt := j.begin(PhaseDup)
-		err := j.dupSortPhase(dupFile, pt.Span)
-		pt.End()
-		if err != nil {
-			return joinerr.Wrap("pbsm", PhaseDup.String(), err)
-		}
-	}
-	return nil
+	return j.deliver
 }
 
 // partitionPhase writes both base inputs into the partition files of the
@@ -503,14 +525,15 @@ func (j *joiner) partitionPhase(gs GridSpec, sp *trace.Span) (filesR, filesS []*
 }
 
 // joinTopPairs runs phases 2+3: every top pair is one ordered unit on
-// the unit driver — including oversized pairs (their repartition
+// the unit driver, whose collector hands sink the pairs in pair order —
+// including oversized pairs (their repartition
 // recursion stays inside the unit) and corrupt ones (healing swaps only
 // the unit's own file slots). With more than one worker a single outer
 // timer charges the whole region to the join phase and the activations
 // inside are span-only; at one worker there is no outer timer and every
 // activation charges its own phase, which is the split Figures 3 and 6
 // read.
-func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
+func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File, sink func(geom.Pair)) error {
 	var span *trace.Span
 	if workers := j.cfg.Parallel; workers > 1 {
 		pt := j.begin(PhaseJoin)
@@ -520,7 +543,7 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File) error {
 		j.led.SpanOnly = true
 		defer func() { j.led.SpanOnly = false }()
 	}
-	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(len(filesR), "pair-worker", j.cfg.Memory, span, j.deliver,
+	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(len(filesR), "pair-worker", j.cfg.Memory, span, sink,
 		func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
 			err := j.processTopPair(sl, emit, filesR, filesS, i)
 			if err == nil {
@@ -605,13 +628,10 @@ func (j *joiner) rederive(ks []geom.KPE, part int) (*diskio.File, error) {
 	return f, nil
 }
 
-// dupSortPhase sorts the spooled result pairs and delivers them
-// duplicate-free.
-func (j *joiner) dupSortPhase(dupFile *diskio.File, sp *trace.Span) error {
-	if err := j.dupWriter.Flush(); err != nil {
-		return err
-	}
-	sorted, _, err := extsort.Sort(dupFile, extsort.Config{
+// sortConfig is the configuration of DupSort's runs: pair records in
+// pair order, chunks and merges sized from Memory, passes under sp.
+func (j *joiner) sortConfig(sp *trace.Span) extsort.Config {
+	return extsort.Config{
 		Disk:       j.cfg.Disk,
 		RecordSize: geom.PairSize,
 		Memory:     j.cfg.Memory,
@@ -625,32 +645,97 @@ func (j *joiner) dupSortPhase(dupFile *diskio.File, sp *trace.Span) error {
 		Less: func(a, b []byte) bool {
 			return geom.DecodePair(a).Less(geom.DecodePair(b))
 		},
-	})
-	if err != nil {
-		return err
 	}
-	defer j.reg.Remove(sorted)
-	r := recfile.NewPairReader(sorted, j.dev.BufPages)
-	var prev geom.Pair
-	first := true
+}
+
+// spill is DupSort's sink. The collector calls it in partition order,
+// so every chunk, hence every run and every I/O unit, is the same at any
+// Parallel. The chunk grows up to chunkRecs pairs; a full chunk is
+// written as one run and reused. A failed write is kept in spillErr,
+// under the stats mutex, for fold to end the join phase with.
+func (j *joiner) spill(p geom.Pair) {
+	if len(j.chunk) == cap(j.chunk) {
+		switch {
+		case len(j.chunk) < j.chunkRecs:
+			// Grow the way append would, but never past one chunk.
+			j.chunk = append(make([]geom.Pair, 0, min(2*len(j.chunk)+256, j.chunkRecs)), j.chunk...)
+		case j.spillErr != nil:
+			j.chunk = j.chunk[:0] // the join fails anyway
+		default:
+			if err := j.flushChunk(); err != nil {
+				j.bump(func() { j.spillErr = joinerr.Wrap("pbsm", PhaseJoin.String(), err) })
+			}
+		}
+	}
+	j.chunk = append(j.chunk, p)
+}
+
+// flushChunk writes the chunk as one run, sorted and without equal
+// pairs, and empties it.
+func (j *joiner) flushChunk() error {
+	if len(j.scratch) < len(j.chunk) {
+		j.scratch = make([]geom.Pair, len(j.chunk))
+	}
+	geom.SortPairs(j.chunk, j.scratch)
+	run := slices.Compact(j.chunk)
+	j.chunk = j.chunk[:0]
+	f := j.reg.Create()
+	w := recfile.NewPairWriter(f, j.dev.BufPages)
 	chk := j.cfg.Cancel.Stride()
-	for {
+	for _, p := range run {
 		if err := chk.Point(); err != nil {
 			return err
 		}
-		pr, ok, err := r.Next()
-		if err != nil {
+		if err := w.Write(p); err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		if first || pr != prev {
-			j.deliver(pr)
-		}
-		prev, first = pr, false
 	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	j.runs = append(j.runs, extsort.Run{File: f, Recs: int64(len(run))})
 	return nil
+}
+
+// dupSortPhase is phase 4 under DupSort and a no-op otherwise.
+func (j *joiner) dupSortPhase() error {
+	if j.cfg.Dup != DupSort {
+		return nil
+	}
+	pt := j.begin(PhaseDup)
+	defer pt.End()
+	return joinerr.Wrap("pbsm", PhaseDup.String(), j.mergeRuns(pt.Span))
+}
+
+// mergeRuns delivers every distinct pair of the runs and the chunk the
+// join phase left, once, in pair order: the chunk becomes the last run,
+// MergeDown brings the runs down to the merge fan-in, and the final merge
+// is the deduplicating reader.
+func (j *joiner) mergeRuns(sp *trace.Span) error {
+	if j.spillErr != nil {
+		return j.spillErr
+	}
+	if len(j.chunk) > 0 {
+		if err := j.flushChunk(); err != nil {
+			return err
+		}
+	}
+	j.chunk = nil
+	cfg := j.sortConfig(sp)
+	runs, err := extsort.MergeDown(j.runs, cfg.FanIn(), cfg, &extsort.Stats{})
+	if err != nil {
+		return err
+	}
+	var prev geom.Pair
+	_, err = extsort.Merge(runs, cfg, func(rec []byte) error {
+		// Results counts what was delivered: zero before the first pair.
+		if p := geom.DecodePair(rec); j.stats.Results == 0 || p != prev {
+			j.deliver(p)
+			prev = p
+		}
+		return nil
+	})
+	return err
 }
 
 // partitionInput writes each KPE of ks into every partition file whose
@@ -747,7 +832,8 @@ func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *di
 // in-memory path, so both emit the same sequence for the same records.
 func (j *joiner) joinLoaded(sl *stripe.Slot, emit func([]geom.Pair), regR, regS region, sp *trace.Span) error {
 	f := j.newFilter(regR, regS)
-	return j.fold(f, sl.JoinLoaded(emit, stripe.Unit, f.keep, j.cfg.Cancel, sp))
+	err := sl.JoinLoaded(emit, stripe.Unit, f.keep, j.cfg.Cancel, sp)
+	return cmp.Or(err, j.fold(f))
 }
 
 // repartitionPair splits the larger side of an oversized pair with a

@@ -1,6 +1,9 @@
 package pbsm
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,8 +13,11 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/govern"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/sweep"
+	"spatialjoin/internal/trace"
 )
 
 func newDisk() *diskio.Disk { return diskio.NewDisk(1024, 10, time.Millisecond) }
@@ -84,6 +90,118 @@ func TestSortDupRemovalChargesExtraIO(t *testing.T) {
 	}
 	if stSort.TotalIO().CostUnits <= stRPM.TotalIO().CostUnits {
 		t.Fatal("sort-based PBSM must cost more total I/O than RPM")
+	}
+}
+
+// TestDupSortRunsExactlyOnce drives DupSort's runs — the chunks the join
+// phase sorts and writes, and the merge that delivers them — at one and
+// four workers against nested loops: every pair once, in strictly
+// increasing order, Results counting them, and the same I/O charged at
+// either worker count. The inputs are 2000 small uniform rectangles a
+// side and one spanning the whole domain on each side, which meets every
+// other rectangle and has a copy in every partition: about 6000 results.
+func TestDupSortRunsExactlyOnce(t *testing.T) {
+	whole := geom.NewRect(0, 0, 1, 1)
+	R := append(datagen.Uniform(31, 2000, 0.02), geom.KPE{ID: 2000, Rect: whole})
+	S := append(datagen.Uniform(32, 2000, 0.02), geom.KPE{ID: 2000, Rect: whole})
+	oracle := jointest.Naive(R, S)
+	const manyRuns = 8 << 10 // 512-pair chunks, a merge fan-in of 2
+	for _, tc := range []struct {
+		name   string
+		memory int64
+		// merges: MergeDown runs before the final merge; oneRun: the raw
+		// result fits one chunk, which the dup phase writes as the only run.
+		merges, oneRun bool
+	}{
+		// 7 partitions, 7 copies of the whole-domain pair, three
+		// 2048-pair runs against a fan-in of 7.
+		{"copies straddle a chunk boundary", 32 << 10, false, false},
+		{"more runs than the fan-in", manyRuns, true, false},
+		// 2 partitions, 7680-pair chunks.
+		{"the result fits one chunk", 120 << 10, false, true},
+	} {
+		var firstIO diskio.Stats
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/parallel=%d", tc.name, workers)
+			rec := trace.New()
+			root := rec.Begin("join:pbsm")
+			got, st := run(t, R, S, Config{Memory: tc.memory, Dup: DupSort, Parallel: workers, Trace: root})
+			root.End()
+			checkExactlyOnce(t, label, got, oracle)
+			for i := 1; i < len(got); i++ {
+				if !got[i-1].Less(got[i]) {
+					t.Fatalf("%s: %v emitted after %v", label, got[i], got[i-1])
+				}
+			}
+			if st.Results != int64(len(got)) {
+				t.Fatalf("%s: Stats.Results = %d, emitted %d", label, st.Results, len(got))
+			}
+			passes := 0
+			for _, sp := range rec.Spans() {
+				if sp.Name == "merge-pass" {
+					passes++
+				}
+			}
+			if (passes > 0) != tc.merges {
+				t.Fatalf("%s: %d merge passes", label, passes)
+			}
+			if st.P < 2 || st.RawResults <= st.Results {
+				t.Fatalf("%s: P = %d, %d raw results for %d: no duplicates to remove", label, st.P, st.RawResults, st.Results)
+			}
+			// At one worker the join phase's writes are the full chunks'
+			// runs; the dup phase writes the last chunk's and reads them all.
+			dup, runPages := st.PhaseIO[PhaseDup], st.PhaseIO[PhaseJoin].PagesWritten
+			if dup.PagesWritten == 0 || dup.PagesRead == 0 || workers == 1 && tc.oneRun != (runPages == 0) {
+				t.Fatalf("%s: the dup phase wrote %d pages and read %d, the join phase wrote %d",
+					label, dup.PagesWritten, dup.PagesRead, runPages)
+			}
+			io := st.TotalIO()
+			if workers == 1 {
+				firstIO = io
+			} else if io != firstIO {
+				t.Fatalf("%s: charged %+v, parallel=1 %+v", label, io, firstIO)
+			}
+		}
+	}
+
+	// A cancel in the middle of the final merge: the join fails in phase
+	// 4, has delivered a strictly increasing prefix and leaves no file.
+	for _, workers := range []int{1, 4} {
+		label := fmt.Sprintf("cancel mid-merge/parallel=%d", workers)
+		probe := &pollCtx{Context: context.Background()}
+		cfg := Config{Disk: newDisk(), Memory: manyRuns, Dup: DupSort, Parallel: workers, Cancel: govern.NewCheck(probe)}
+		var from int64
+		if _, err := Join(R, S, cfg, func(geom.Pair) {
+			if from == 0 {
+				from = probe.polls.Load()
+			}
+		}); err != nil {
+			t.Fatalf("%s: probe run: %v", label, err)
+		}
+		total := probe.polls.Load()
+		if total-from < 16 {
+			t.Fatalf("%s: only %d checkpoint polls in the final merge", label, total-from)
+		}
+		ctx := &pollCtx{Context: context.Background()}
+		ctx.cancelAt.Store(from + (total-from)/2)
+		cfg.Disk, cfg.Cancel = newDisk(), govern.NewCheck(ctx)
+		var got []geom.Pair
+		_, err := Join(R, S, cfg, func(p geom.Pair) { got = append(got, p) })
+		var je *joinerr.JoinError
+		if !errors.As(err, &je) || je.Kind != joinerr.KindCanceled || je.Phase != PhaseDup.String() {
+			t.Fatalf("%s: got %v, want a KindCanceled error in phase %s", label, err, PhaseDup)
+		}
+		if len(got) == 0 || len(got) >= len(oracle) {
+			t.Fatalf("%s: %d of %d pairs delivered, want a proper prefix", label, len(got), len(oracle))
+		}
+		for i := 1; i < len(got); i++ {
+			if !got[i-1].Less(got[i]) {
+				t.Fatalf("%s: %v emitted after %v", label, got[i], got[i-1])
+			}
+		}
+		if n := cfg.Disk.NumFiles(); n != 0 {
+			t.Fatalf("%s: %d temp files left behind", label, n)
+		}
 	}
 }
 

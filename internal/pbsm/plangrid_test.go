@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spatialjoin/internal/datagen"
-	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/metrics"
@@ -63,25 +62,13 @@ func TestAnyTableExactlyOnce(t *testing.T) {
 	}
 }
 
-// joinPlanned is joiner.run with the planner's table replaced by gs: the
-// same phases over the same joiner, for a P > 1 plan.
+// joinPlanned is Join with the planner's table replaced by gs, for a
+// P > 1 plan.
 func joinPlanned(R, S []geom.KPE, cfg Config, gs GridSpec) (got []geom.Pair, err error) {
 	j := newJoiner(cfg)
 	defer j.reg.Sweep()
 	j.emit = func(p geom.Pair) { got = append(got, p) }
-	j.baseR, j.baseS = R, S
-	var spool *diskio.File
-	if cfg.Dup == DupSort {
-		spool = j.reg.Create()
-		j.dupWriter = recfile.NewPairWriter(spool, j.dev.BufPages)
-	}
-	filesR, filesS, err := j.partitionPhase(gs, nil)
-	if err == nil {
-		err = j.joinTopPairs(filesR, filesS)
-	}
-	if err == nil && cfg.Dup == DupSort {
-		err = j.dupSortPhase(spool, nil)
-	}
+	err = j.joinPlanned(R, S, func(*trace.Span) (GridSpec, error) { return gs, nil })
 	return got, err
 }
 

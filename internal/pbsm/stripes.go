@@ -1,8 +1,6 @@
 package pbsm
 
 import (
-	"cmp"
-
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/stripe"
@@ -14,8 +12,9 @@ import (
 // reference point lies in the stripe being swept. Its counters are folded
 // into the shared Stats and the live metrics once per kernel call (fold),
 // so parallel workers meet at the stats mutex and the counters' cache
-// lines per call and not per candidate; only DupSort's shared result spool
-// is still entered per candidate.
+// lines per call and not per candidate. DupSort keeps every candidate:
+// its duplicates go with the rest through the collector into the runs
+// of phase 4.
 type filter struct {
 	j          *joiner
 	regR, regS region
@@ -30,7 +29,6 @@ type filter struct {
 	needRef bool
 
 	raw, skipped, refTests int64
-	werr                   error
 }
 
 func (j *joiner) newFilter(regR, regS region) *filter {
@@ -41,20 +39,11 @@ func (j *joiner) newFilter(regR, regS region) *filter {
 
 func (f *filter) keep(r, s geom.KPE, x geom.Point) bool {
 	f.raw++
-	j := f.j
-	switch j.cfg.Dup {
+	switch f.j.cfg.Dup {
 	case DupRPM:
 		return f.regR.contains(x) && f.regS.contains(x)
 	case DupSort:
-		if f.werr == nil {
-			if j.cfg.Parallel > 1 {
-				j.mu.Lock()
-			}
-			f.werr = j.dupWriter.Write(geom.Pair{R: r.ID, S: s.ID})
-			if j.cfg.Parallel > 1 {
-				j.mu.Unlock()
-			}
-		}
+		return true
 	case DupTLSP:
 		if f.classed && r.Class&s.Class != 0 {
 			// Another tile holds both corners' max: this copy pair
@@ -71,10 +60,12 @@ func (f *filter) keep(r, s geom.KPE, x geom.Point) bool {
 	return false
 }
 
-// fold ends the kernel call f filtered, which returned err; the first
-// error wins.
-func (j *joiner) fold(f *filter, err error) error {
+// fold ends the kernel call f filtered. It returns the error of a failed
+// DupSort run write, if any, so the join phase ends at the next kernel
+// call after one.
+func (j *joiner) fold(f *filter) (err error) {
 	j.bump(func() {
+		err = j.spillErr
 		j.stats.RawResults += f.raw
 		j.stats.TLSPSkipped += f.skipped
 		j.stats.TLSPRefTests += f.refTests
@@ -83,7 +74,7 @@ func (j *joiner) fold(f *filter, err error) error {
 		j.rpmTests.Add(f.raw)
 	}
 	j.tlspSkipped.Add(f.skipped)
-	return cmp.Or(err, f.werr)
+	return err
 }
 
 // joinInMemory is the P = 1 driver: it joins R and S, which it does not
@@ -103,7 +94,7 @@ func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
 		func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
 			f := j.newFilter(wholeSpace{}, wholeSpace{})
 			sl.JoinStripe(emit, w, i, f.keep)
-			err := j.fold(f, nil)
+			err := j.fold(f)
 			if err == nil {
 				j.cfg.Progress.Add(1)
 			}

@@ -512,8 +512,8 @@ func checkStripeAttrs(t *testing.T, label string, rec *trace.Recorder) {
 // budget × worker count, and through PairExec.RunPair, against nested
 // loops: exactly-once, one emission sequence per budget whoever runs the
 // pairs, one result set whatever the budget, and a join phase that
-// produces exactly what unstriped leaves would (for DupSort: the spool
-// receives the same multiset).
+// produces exactly what unstriped leaves would (for DupSort: the runs
+// are formed from the same multiset).
 func TestStripePairsExactlyOnce(t *testing.T) {
 	R, S := pairInputs()
 	oracle := jointest.Naive(R, S)
