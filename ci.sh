@@ -117,12 +117,19 @@ echo "== repository benchmark smoke (pbsm_ext, traced pass) =="
 # contract: the planner packs the tiles of this skewed input so that every
 # pair fits the budget, which the traced pass prints as zero repartitions
 # and zero memory overflows. (The fallback itself is covered by the pbsm
-# tests, which force it with a tile heavier than the budget.)
+# tests, which force it with a tile heavier than the budget.) The request
+# counts are the sizing rules of internal/iocost at work, and they are
+# deterministic: the pair loads read with what each pair leaves of the
+# budget (LoadBuf: 142 reads, 342 at the fixed 4-page buffer), and the
+# partition writers split it (BufFor: 666 writes; at this scale the share
+# is below 4 pages, so no cap binds). A rule that slips back moves them.
 extsmoke=$(mktemp /tmp/sjbench-ext.XXXXXX.txt)
 trap 'rm -f "$extsmoke"' EXIT
 go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | tee "$extsmoke" | grep -q '"correct":true'
 grep -Eq '^ +pbsm\.repartitions +0 count' "$extsmoke"
 grep -Eq '^ +pbsm\.memory_overflows +0 count' "$extsmoke"
+grep -Eq '^ +diskio\.read_requests +142 count' "$extsmoke"
+grep -Eq '^ +diskio\.write_requests +666 count' "$extsmoke"
 
 echo "== repository benchmark smoke (pbsm_dupsort, traced pass) =="
 # The paper's baseline, PBSM with the original sort-based duplicate

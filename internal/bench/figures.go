@@ -5,19 +5,33 @@ import (
 	"time"
 
 	"spatialjoin/internal/core"
+	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
 	"spatialjoin/internal/sweep"
 )
+
+// paperBuf is the paper's fixed buffer: every stream of the reproduction
+// reads and writes in requests of this many pages, whatever M is.
+const paperBuf = iocost.DefaultBufPages
+
+// paperDevice is the device the reproduction runs on, for the predictions
+// that are checked against its runs.
+var paperDevice = iocost.Device{PageSize: diskio.DefaultPageSize, PT: diskio.DefaultPT, BufPages: paperBuf}
 
 // runCore executes one configured join on the suite's experiment disk
 // model and panics on configuration errors (the harness builds all
 // configs itself).
 func (s *Suite) runCore(R, S []geom.KPE, cfg core.Config) core.Result {
 	cfg.Transfer = s.transfer()
-	// The paper experiments measure the serial cost model.
+	// The paper experiments measure the serial cost model with the
+	// paper's buffer.
 	cfg.Parallel = 1
+	if cfg.BufPages == 0 {
+		cfg.BufPages = paperBuf
+	}
 	res, err := core.Join(R, S, cfg, func(geom.Pair) {})
 	if err != nil {
 		panic(err)

@@ -15,6 +15,20 @@ import (
 	"spatialjoin/internal/sweep"
 )
 
+// methodArms is every method and duplicate arm, on the default sizing.
+var methodArms = []struct {
+	name string
+	cfg  core.Config
+}{
+	{"pbsm-rpm", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupRPM}},
+	{"pbsm-sort", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort}},
+	{"pbsm-tlsp", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP}},
+	{"s3j-original", core.Config{Method: core.S3J, S3JMode: s3j.ModeOriginal}},
+	{"s3j-replicate", core.Config{Method: core.S3J, S3JMode: s3j.ModeReplicate}},
+	{"sssj", core.Config{Method: core.SSSJ}},
+	{"shj", core.Config{Method: core.SHJ}},
+}
+
 // TestPhaseIOPinned pins what every method charges to each of its phases,
 // the first-result I/O clock and Result.IO for a one-worker join of J1 at
 // 5 % memory. Every number is a count of the deterministic cost model, so
@@ -37,27 +51,16 @@ func TestPhaseIOPinned(t *testing.T) {
 		return b.String()
 	}
 
-	cases := []struct {
-		name string
-		cfg  core.Config
-		want string
-	}{
-		{"pbsm-rpm", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupRPM},
-			"partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=360/0/1359/0/8559/0 dup=0/0/0/0/0/0 first=15571 total=360/694/1359/1359/23798/0 results=61929"},
-		{"pbsm-sort", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort},
-			"partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=360/17/1359/66/8965/0 dup=32/15/123/57/1120/0 first=24609 total=392/726/1482/1482/25324/0 results=61929"},
-		{"pbsm-tlsp", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP},
-			"partition=0/691/0/1351/15171/0 repartition=262/279/1023/1041/12884/0 join=486/0/1781/0/11501/0 dup=0/0/0/0/0/0 first=15336 total=748/970/2804/2392/39556/0 results=61929"},
-		{"s3j-original", core.Config{Method: core.S3J, S3JMode: s3j.ModeOriginal},
-			"partition=0/407/0/1578/9718/0 sort=206/198/797/789/9666/0 join=399/0/1570/0/9550/0 first=19696 total=605/605/2367/2367/28934/0 results=61929"},
-		{"s3j-replicate", core.Config{Method: core.S3J, S3JMode: s3j.ModeReplicate},
-			"partition=0/819/0/3178/19558/0 sort=819/790/3178/3149/38507/0 join=790/0/3149/0/18949/0 first=58161 total=1609/1609/6327/6327/77014/0 results=61929"},
-		{"sssj", core.Config{Method: core.SSSJ},
-			"sort=680/994/2680/3937/40097/0 sweep=327/0/1308/0/7848/0 first=40145 total=1007/994/3988/3937/47945/0 results=61929"},
-		{"shj", core.Config{Method: core.SHJ},
-			"build=0/658/0/658/13818/0 probe=0/947/0/947/19887/0 join=426/0/1605/0/10125/0  total=426/1605/1605/1605/43830/0 results=61929"},
+	want := map[string]string{
+		"pbsm-rpm":      "partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=123/0/1359/0/3819/0 dup=0/0/0/0/0/0 first=15371 total=123/694/1359/1359/19058/0 results=61929",
+		"pbsm-sort":     "partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=123/17/1359/66/4225/0 dup=7/15/123/57/620/0 first=19903 total=130/726/1482/1482/20084/0 results=61929",
+		"pbsm-tlsp":     "partition=0/691/0/1351/15171/0 repartition=61/77/1023/1041/4824/0 join=201/0/1781/0/5801/0 dup=0/0/0/0/0/0 first=15236 total=262/768/2804/2392/25796/0 results=61929",
+		"s3j-original":  "partition=0/407/0/1578/9718/0 sort=206/198/797/789/9666/0 join=323/0/1570/0/8030/0 first=19709 total=529/605/2367/2367/27414/0 results=61929",
+		"s3j-replicate": "partition=0/819/0/3178/19558/0 sort=730/696/3178/3149/34847/0 join=199/0/3149/0/7129/0 first=54549 total=929/1515/6327/6327/61534/0 results=61929",
+		"sssj":          "sort=620/929/2680/3937/37597/0 sweep=327/0/1308/0/7848/0 first=37645 total=947/929/3988/3937/45445/0 results=61929",
+		"shj":           "build=0/658/0/658/13818/0 probe=0/947/0/947/19887/0 join=359/0/1605/0/8785/0  total=359/1605/1605/1605/42490/0 results=61929",
 	}
-	for _, c := range cases {
+	for _, c := range methodArms {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
 			cfg.Memory, cfg.Parallel = mem, 1
@@ -83,10 +86,48 @@ func TestPhaseIOPinned(t *testing.T) {
 				got = phases([]string{"build", "probe", "join"}, res.SHJStats.PhaseIO[:])
 			}
 			got += fmt.Sprintf(" total=%s results=%d", io(res.IO), res.Results)
-			if got != c.want {
-				t.Errorf("phase I/O moved:\n got  %s\n want %s", got, c.want)
+			if got != want[c.name] {
+				t.Errorf("phase I/O moved:\n got  %s\n want %s", got, want[c.name])
 			}
 		})
+	}
+}
+
+// TestUnsetBufferNeverCostsMore: every stream takes at least the buffer
+// the paper's fixed 4 pages give it, so on J1 at 1 %, 5 % and 25 % memory
+// every method and duplicate arm charges no more cost units with BufPages
+// unset than with BufPages 4, and delivers the same pairs in the same
+// order.
+func TestUnsetBufferNeverCostsMore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("42 joins of J1")
+	}
+	R, S := NewSuite(1, 0, 1).Inputs(J1)
+	for _, frac := range []float64{0.01, 0.05, 0.25} {
+		for _, c := range methodArms {
+			t.Run(fmt.Sprintf("mem=%g/%s", frac, c.name), func(t *testing.T) {
+				run := func(bufPages int) (float64, uint64) {
+					cfg := c.cfg
+					cfg.Memory, cfg.Parallel, cfg.BufPages = MemFrac(R, S, frac), 1, bufPages
+					h := fnv.New64a()
+					var b [16]byte
+					res, err := core.Join(R, S, cfg, func(p geom.Pair) {
+						binary.LittleEndian.PutUint64(b[:8], p.R)
+						binary.LittleEndian.PutUint64(b[8:], p.S)
+						h.Write(b[:])
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res.IO.CostUnits, h.Sum64()
+				}
+				units, seq := run(0)
+				paperUnits, paperSeq := run(4)
+				if units > paperUnits || seq != paperSeq {
+					t.Errorf("unset buffer: %g units, sequence %#x; BufPages 4: %g units, sequence %#x", units, seq, paperUnits, paperSeq)
+				}
+			})
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
-	"spatialjoin/internal/geom"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
@@ -43,19 +42,15 @@ func RunPhases(s *Suite, n int, dup pbsm.DupMethod) ([]PhasesRun, *Table) {
 		{Name: "S3J", Rec: trace.New(), Reg: metrics.New()},
 	}
 	cfgs := []core.Config{
-		// Parallel: 1 keeps the span trees serial-shaped (one activation
-		// per phase, no worker child spans).
-		{Method: core.PBSM, Memory: mem, PBSMDup: dup, Transfer: s.transfer(), Parallel: 1},
-		{Method: core.S3J, Memory: mem, S3JMode: s3j.ModeReplicate, Transfer: s.transfer(), Parallel: 1},
+		// runCore's Parallel 1 keeps the span trees serial-shaped (one
+		// activation per phase, no worker child spans).
+		{Method: core.PBSM, Memory: mem, PBSMDup: dup},
+		{Method: core.S3J, Memory: mem, S3JMode: s3j.ModeReplicate},
 	}
 	for i := range runs {
 		cfg := cfgs[i]
 		cfg.Trace, cfg.Metrics = runs[i].Rec, runs[i].Reg
-		res, err := core.Join(R, S, cfg, func(geom.Pair) {})
-		if err != nil {
-			panic(err)
-		}
-		runs[i].Res = res
+		runs[i].Res = s.runCore(R, S, cfg)
 	}
 
 	tab := &Table{

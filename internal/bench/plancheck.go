@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spatialjoin/internal/core"
-	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/plan"
 	"spatialjoin/internal/s3j"
 )
@@ -50,12 +49,12 @@ func RunPlanCheck(s *Suite) ([]PlanRow, *Table) {
 		var pred plan.Prediction
 		switch m {
 		case core.PBSM:
-			pred = plan.PBSM(w, iocost.DefaultDevice)
+			pred = plan.PBSM(w, paperDevice)
 		case core.S3J:
-			pred = plan.S3J(w, iocost.DefaultDevice)
+			pred = plan.S3J(w, paperDevice)
 			cfg.S3JMode = s3j.ModeReplicate
 		case core.SSSJ:
-			pred = plan.SSSJ(w, iocost.DefaultDevice)
+			pred = plan.SSSJ(w, paperDevice)
 		}
 		return PlanRow{Method: m, MemFrac: frac, Predicted: pred.IOUnits, Measured: s.runCore(R, S, cfg).IO.CostUnits}
 	}

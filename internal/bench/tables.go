@@ -67,16 +67,11 @@ func RunTable2(s *Suite) ([]Table2Row, *Table) {
 	var rows []Table2Row
 	for _, j := range []JoinID{J1, J2, J3, J4, J5} {
 		R, S := s.Inputs(j)
-		res, err := core.Join(R, S, core.Config{
+		res := s.runCore(R, S, core.Config{
 			Method:    core.PBSM,
 			Memory:    MemFrac(R, S, LAMemFrac),
 			Algorithm: sweep.TrieKind,
-			Transfer:  s.transfer(),
-			Parallel:  1, // paper tables use the serial cost model
-		}, func(geom.Pair) {})
-		if err != nil {
-			panic(err)
-		}
+		})
 		rows = append(rows, Table2Row{
 			Join:        j,
 			R:           names[j][0],
@@ -120,7 +115,7 @@ func RunTable3(s *Suite) ([]Table3Row, *Table) {
 	// phase (that is what later phases re-read). The PBSM rows run the
 	// paper's hash plan, the "PBSM balanced" rows the default one.
 	pbsmRows := func(method string, hashTiles bool) []Table3Row {
-		st, err := pbsm.Join(R, S, pbsm.Config{Disk: disk, Memory: mem, HashTiles: hashTiles}, func(geom.Pair) {})
+		st, err := pbsm.Join(R, S, pbsm.Config{Disk: disk, Memory: mem, HashTiles: hashTiles, BufPages: paperBuf}, func(geom.Pair) {})
 		if err != nil {
 			panic(err)
 		}
@@ -132,7 +127,7 @@ func RunTable3(s *Suite) ([]Table3Row, *Table) {
 		return rows
 	}
 
-	sst, err := s3j.Join(R, S, s3j.Config{Disk: disk, Memory: mem, Mode: s3j.ModeReplicate}, func(geom.Pair) {})
+	sst, err := s3j.Join(R, S, s3j.Config{Disk: disk, Memory: mem, Mode: s3j.ModeReplicate, BufPages: paperBuf}, func(geom.Pair) {})
 	if err != nil {
 		panic(err)
 	}

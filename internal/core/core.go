@@ -127,8 +127,10 @@ type Config struct {
 	PageSize int
 	PT       float64
 	Transfer time.Duration
-	// BufPages is the sequential I/O buffer size in pages; zero selects
-	// the default.
+	// BufPages caps every file stream's buffer at this many pages, the
+	// paper's fixed buffer; zero lets each stream take its share of
+	// Memory (iocost.Device.BufFor, LoadBuf), so the join makes fewer,
+	// larger requests.
 	BufPages int
 
 	// Trace receives the hierarchical span record of the join: phase

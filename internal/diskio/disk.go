@@ -572,13 +572,15 @@ func (w *Writer) flush() error {
 // Flush forces any buffered bytes to disk as one request.
 func (w *Writer) Flush() error { return w.flush() }
 
-// Reader scans a File (or a byte range of it) sequentially, fetching
-// bufPages pages per positioned read request.
+// Reader scans a File (or a byte range of it) sequentially, charging
+// one positioned read request per window of bufPages pages. It holds no
+// buffer: Read copies straight from the file's extents into the caller's
+// slice, so a wide window costs no memory.
 type Reader struct {
-	f        *File
-	buf      []byte
-	lo, hi   int64 // remaining unread range in the file
-	pos, end int   // valid window within buf
+	f      *File
+	window int64 // bytes per request
+	lo, hi int64 // unread range in the file
+	paid   int64 // end of the window charged so far
 }
 
 // NewReader returns a sequential Reader over the whole file.
@@ -597,7 +599,7 @@ func (f *File) NewRangeReader(bufPages int, lo, hi int64) *Reader {
 	if lo > hi {
 		lo = hi
 	}
-	return &Reader{f: f, buf: make([]byte, bufPages*f.d.pageSize), lo: lo, hi: hi}
+	return &Reader{f: f, window: int64(bufPages) * int64(f.d.pageSize), lo: lo, hi: hi, paid: lo}
 }
 
 // Read fills p with the next bytes of the range; it returns 0 at the
@@ -605,18 +607,14 @@ func (f *File) NewRangeReader(bufPages int, lo, hi int64) *Reader {
 // same Read can be retried.
 func (r *Reader) Read(p []byte) (int, error) {
 	total := 0
-	for len(p) > 0 {
-		if r.pos == r.end {
-			ok, err := r.fill()
-			if err != nil {
+	for len(p) > 0 && r.lo < r.hi {
+		if r.lo == r.paid {
+			if err := r.request(); err != nil {
 				return total, err
 			}
-			if !ok {
-				break
-			}
 		}
-		n := copy(p, r.buf[r.pos:r.end])
-		r.pos += n
+		n := r.f.copyAt(p[:min(int64(len(p)), r.paid-r.lo)], r.lo)
+		r.lo += int64(n)
 		total += n
 		p = p[n:]
 	}
@@ -634,31 +632,23 @@ func (r *Reader) ReadFull(p []byte) (bool, error) {
 	return n == len(p), nil
 }
 
-func (r *Reader) fill() (bool, error) {
-	if r.lo >= r.hi {
-		return false, nil
+// request issues the read of the next window: one cancel check, one
+// fault draw and one charge.
+func (r *Reader) request() error {
+	d := r.f.d
+	if err := d.checkCancel(); err != nil {
+		return err
 	}
-	if err := r.f.d.checkCancel(); err != nil {
-		return false, err
-	}
-	if fp := r.f.d.FaultPolicy(); fp != nil {
+	if fp := d.FaultPolicy(); fp != nil {
 		switch fp.onRead() {
 		case readTransient:
-			return false, &FaultError{Op: "read", File: r.f.name, Transient: true}
+			return &FaultError{Op: "read", File: r.f.name, Transient: true}
 		case readLatency:
-			r.f.d.chargeLatencySpike(r.f.name)
+			d.chargeLatencySpike(r.f.name)
 		}
 	}
-	want := int64(len(r.buf))
-	if want > r.hi-r.lo {
-		want = r.hi - r.lo
-	}
-	n := r.f.copyAt(r.buf[:want], r.lo)
-	r.f.d.chargeRead(n)
-	r.lo += int64(n)
-	r.pos, r.end = 0, n
-	return n > 0, nil
+	n := min(r.window, r.hi-r.lo)
+	d.chargeRead(int(n))
+	r.paid = r.lo + n
+	return nil
 }
-
-// Remaining returns how many bytes are left to read (buffered included).
-func (r *Reader) Remaining() int64 { return (r.hi - r.lo) + int64(r.end-r.pos) }

@@ -169,23 +169,123 @@ func TestRangeReader(t *testing.T) {
 	w.Flush()
 
 	r := f.NewRangeReader(2, 100, 300)
-	if r.Remaining() != 200 {
-		t.Fatalf("Remaining = %d", r.Remaining())
+	buf := make([]byte, 201)
+	if n, err := r.Read(buf); n != 200 || err != nil {
+		t.Fatalf("range read = (%d, %v), want 200 bytes", n, err)
 	}
-	buf := make([]byte, 200)
-	if ok, err := r.ReadFull(buf); !ok || err != nil {
-		t.Fatalf("short range read (ok=%v err=%v)", ok, err)
-	}
-	if !bytes.Equal(buf, data[100:300]) {
+	if !bytes.Equal(buf[:200], data[100:300]) {
 		t.Fatal("range contents wrong")
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("Remaining after read = %d", r.Remaining())
+	if n, _ := r.Read(buf); n != 0 {
+		t.Fatalf("read past the range returned %d bytes", n)
 	}
 	// Out-of-bounds ranges clamp.
 	r = f.NewRangeReader(2, 900, 5000)
-	if r.Remaining() != 100 {
-		t.Fatalf("clamped Remaining = %d", r.Remaining())
+	if n, err := r.Read(buf); n != 100 || err != nil || !bytes.Equal(buf[:n], data[900:]) {
+		t.Fatalf("clamped range read = (%d, %v), want the last 100 bytes", n, err)
+	}
+}
+
+// TestReaderWindows: a Reader charges one request per window of bufPages
+// pages, PT·⌈bytes/window⌉ + pages in all, whatever the window, wherever
+// the range starts and however it meets the extent seams; it copies the
+// range's bytes exactly once and nothing past it.
+func TestReaderWindows(t *testing.T) {
+	const page, pt = 512, 20
+	for _, size := range []int{1000, extentSize, 2*extentSize + 777} {
+		d := NewDisk(page, pt, 0)
+		f := d.Create("a")
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(data)
+		f.append(data)
+		for _, win := range []int{1, 3, 4, 64} {
+			for _, lo := range []int{0, 1, size / 3, max(size-extentSize/2, 0)} {
+				before := d.Stats()
+				r := f.NewRangeReader(win, int64(lo), int64(size)+99)
+				got := make([]byte, 0, size-lo+1)
+				for chunk := make([]byte, 1000); ; {
+					n, err := r.Read(chunk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n == 0 {
+						break
+					}
+					got = append(got, chunk[:n]...)
+				}
+				if !bytes.Equal(got, data[lo:]) {
+					t.Fatalf("size %d window %d from %d: read %d bytes, want the %d of the range", size, win, lo, len(got), size-lo)
+				}
+				n, wb := int64(size-lo), int64(win*page)
+				reqs, pages := (n+wb-1)/wb, (n+page-1)/page
+				st := d.Stats().Sub(before)
+				if st.ReadRequests != reqs || st.PagesRead != pages || st.CostUnits != float64(pt*reqs+pages) {
+					t.Errorf("size %d window %d from %d: %d requests, %d pages, %g units; want %d, %d, %d",
+						size, win, lo, st.ReadRequests, st.PagesRead, st.CostUnits, reqs, pages, pt*reqs+pages)
+				}
+			}
+		}
+	}
+}
+
+// TestReaderRetriesTheWindow: a transient fault on a window's request
+// returns what the earlier windows held and leaves the failed window
+// unread and uncharged, so the retry issues that same request.
+func TestReaderRetriesTheWindow(t *testing.T) {
+	const page, win = 100, 3
+	d := NewDisk(page, 20, 0)
+	f := d.Create("a")
+	data := make([]byte, 1000)
+	rand.New(rand.NewSource(1)).Read(data)
+	f.append(data)
+	// Every request faults once and then succeeds.
+	d.SetFaultPolicy(NewFaultPolicy(FaultConfig{Seed: 1, TransientReadRate: 1, MaxBurst: 1}))
+	r := f.NewReader(win)
+	got := make([]byte, len(data))
+	var at, faults int
+	for at < len(got) {
+		n, err := r.Read(got[at:])
+		if n%(win*page) != 0 && at+n != len(data) {
+			t.Fatalf("read of %d bytes from %d ends inside a window", n, at)
+		}
+		at += n
+		if err == nil {
+			continue
+		}
+		if !IsTransient(err) {
+			t.Fatal(err)
+		}
+		faults++
+		if st := d.Stats(); st.ReadRequests != int64(at/(win*page)) {
+			t.Fatalf("after %d bytes and a fault: %d requests charged, want %d", at, st.ReadRequests, at/(win*page))
+		}
+	}
+	wantReqs := int64((len(data) + win*page - 1) / (win * page))
+	if !bytes.Equal(got, data) || faults != int(wantReqs) || d.Stats().ReadRequests != wantReqs {
+		t.Fatalf("equal %v, %d faults, %d requests; want the data, %d and %d",
+			bytes.Equal(got, data), faults, d.Stats().ReadRequests, wantReqs, wantReqs)
+	}
+}
+
+// TestReaderWindowCostsNoMemory: a wide window allocates nothing a
+// one-page window does not — the Reader copies straight from the file.
+func TestReaderWindowCostsNoMemory(t *testing.T) {
+	d := NewDisk(512, 20, 0)
+	f := d.Create("a")
+	f.append(make([]byte, 3*extentSize+5))
+	buf := make([]byte, 4096)
+	scan := func(win int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			r := f.NewReader(win)
+			for {
+				if n, _ := r.Read(buf); n == 0 {
+					return
+				}
+			}
+		})
+	}
+	if one, wide := scan(1), scan(256); wide > one {
+		t.Fatalf("a 256-page window allocates %g per scan, a 1-page window %g", wide, one)
 	}
 }
 
@@ -420,9 +520,6 @@ func checkExtentOps(t testing.TB, pageSize, bufPages int, faultSeed int64, ops [
 			lo, hi := op.a, op.a+op.b
 			want := model[min(lo, len(model)):min(hi, len(model))]
 			r := f.NewRangeReader(1+i%3, int64(lo), int64(hi))
-			if r.Remaining() != int64(len(want)) {
-				t.Fatalf("op %d: range [%d, %d) of %d bytes: Remaining = %d, want %d", i, lo, hi, len(model), r.Remaining(), len(want))
-			}
 			got := make([]byte, len(want)+1)
 			if n, err := r.Read(got); n != len(want) || err != nil || !bytes.Equal(got[:n], want) {
 				t.Fatalf("op %d: range [%d, %d) of %d bytes read (%d, %v), want %d bytes of the model", i, lo, hi, len(model), n, err, len(want))

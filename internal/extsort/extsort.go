@@ -70,7 +70,11 @@ type Config struct {
 	Disk       *diskio.Disk
 	RecordSize int   // bytes per record
 	Memory     int64 // in-memory workspace budget in bytes
-	BufPages   int   // pages per sequential I/O buffer (values < 1: iocost.DefaultBufPages)
+	// BufPages caps every stream's buffer at this many pages. Values < 1
+	// let a merge's runs and output take their share of Memory
+	// (iocost.Device.BufFor); the run writes and the chunk reads, whose
+	// chunk already fills Memory, use iocost.DefaultBufPages.
+	BufPages int
 	// Key and Less define the order; at least one is required. Key maps a
 	// record to a 64-bit prefix of the order (smaller sorts first) and is
 	// called once per record per pass; Less decides between records whose
@@ -338,8 +342,16 @@ func WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
 // FanIn is the number of runs one merge reads at once under this
 // configuration (iocost.Device.FanIn).
 func (c *Config) FanIn() int {
-	return iocost.DeviceOf(c.Disk, c.BufPages).FanIn(c.Memory)
+	return c.dev().FanIn(c.Memory)
 }
+
+// mergeBuf is the buffer of each input and of the output of a merge of
+// n runs: their share of Memory (iocost.Device.BufFor).
+func (c *Config) mergeBuf(n int) int {
+	return c.dev().BufFor(c.Memory, n+1)
+}
+
+func (c *Config) dev() iocost.Device { return iocost.DeviceOf(c.Disk, c.BufPages) }
 
 // mergePass merges groups of up to FanIn runs, each group into its own
 // output file. Group boundaries depend only on the run list, never on the
@@ -363,7 +375,7 @@ func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
 		Span:    ph,
 		Cancel:  cfg.Cancel,
 		Gov:     cfg.Gov,
-		UnitMem: int64((fanin+1)*iocost.BufPages(cfg.BufPages)) * int64(cfg.Disk.PageSize()),
+		UnitMem: int64((fanin+1)*cfg.mergeBuf(fanin)) * int64(cfg.Disk.PageSize()),
 	}, func(w, gi int) error {
 		lo := gi * fanin
 		n, c, uerr := mergeRuns(next[gi].File, runs[lo:min(lo+fanin, len(runs))], cfg)
@@ -380,7 +392,7 @@ func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
 // mergeRuns merges the given runs into out and returns the number of
 // records written plus the comparisons spent.
 func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
-	w := recfile.NewRecWriter(out, cfg.RecordSize, iocost.BufPages(cfg.BufPages))
+	w := recfile.NewRecWriter(out, cfg.RecordSize, cfg.mergeBuf(len(runs)))
 	comps, err := Merge(runs, cfg, w.Write)
 	if err == nil {
 		err = w.Flush()
@@ -392,16 +404,17 @@ func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 // cursor each and hands yield every record in sorted order; records
 // neither Key nor Less tells apart come in run order, so a merge of
 // consecutive runs is stable. rec is valid only until yield returns, and
-// an error from yield ends the merge with that error. Merge holds one
-// buffer of BufPages pages per run, creates no file and removes none. It
-// returns the calls of Less.
+// an error from yield ends the merge with that error. Each run reads with
+// the share of Memory it would take beside an output stream (mergeBuf).
+// Merge creates no file and removes none. It returns the calls of Less.
 func Merge(runs []Run, cfg Config, yield func(rec []byte) error) (int64, error) {
 	rs := cfg.RecordSize
 	var comps int64
 	h := &mergeHeap{cfg: &cfg, comps: &comps}
+	buf := cfg.mergeBuf(len(runs))
 	for i, rr := range runs {
 		c := &cursor{
-			r:   recfile.NewRecRangeReader(rr.File, rs, iocost.BufPages(cfg.BufPages), 0, rr.Recs),
+			r:   recfile.NewRecRangeReader(rr.File, rs, buf, 0, rr.Recs),
 			buf: make([]byte, rs),
 			cfg: &cfg,
 			ord: i,

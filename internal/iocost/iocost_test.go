@@ -8,12 +8,12 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// TestRules pins every rule to the value its per-package copies produced
-// before they were folded in here (pbsm/s3j/shj bufPagesFor, the five
-// bufPages defaults, extsort's FanIn, pbsm's partCount and shj's inline
-// formula (1)).
+// TestRules pins every rule: the request unit, the per-stream share of M
+// (capped only where a Config sets BufPages), the pair load's buffer,
+// FanIn in unit buffers, and formula (1).
 func TestRules(t *testing.T) {
-	d := DefaultDevice // 8 KiB pages, PT 20, 4 buffer pages
+	d := DefaultDevice // 8 KiB pages, PT 20, uncapped
+	capped := Device{PageSize: d.PageSize, PT: d.PT, BufPages: 4}
 	const page = 8192
 
 	for _, c := range []struct{ in, want int }{{-3, 4}, {0, 4}, {1, 1}, {4, 4}, {64, 64}} {
@@ -21,27 +21,58 @@ func TestRules(t *testing.T) {
 			t.Errorf("BufPages(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
+	if d.Unit() != DefaultBufPages || (Device{BufPages: 9}).Unit() != 9 {
+		t.Errorf("Unit: default %d, capped at 9 %d", d.Unit(), (Device{BufPages: 9}).Unit())
+	}
 
 	for _, c := range []struct {
-		memory  int64
-		streams int
-		want    int
+		memory       int64
+		streams      int
+		want, capped int
 	}{
-		{4 << 10, 50, 1},        // tiny M: one page per stream, never zero
-		{50 * page, 50, 1},      // exactly one page each
-		{100 * page, 50, 2},     // the budget's share, below the cap
-		{100 * page, 49, 2},     // integer division, rounded down
-		{1 << 30, 50, 4},        // capped at the device's buffer
-		{16 * page, 0, 4},       // streams < 1 count as one
-		{16 * page, -7, 4},      //
-		{3*page + page/2, 1, 3}, // a partial page does not count
+		{4 << 10, 50, 1, 1},              // tiny M: one page per stream, never zero
+		{-page, 3, 1, 1},                 // nothing left: still one page
+		{50 * page, 50, 1, 1},            // exactly one page each
+		{100 * page, 50, 2, 2},           // the budget's share, below the cap
+		{100 * page, 49, 2, 2},           // integer division, rounded down
+		{1 << 30, 50, 2621, 4},           // the whole share, unless capped
+		{16 * page, 0, 16, 4},            // streams < 1 count as one
+		{16 * page, -7, 16, 4},           //
+		{3*page + page/2, 1, 3, 3},       // a partial page does not count
+		{250 * page, 25, 10, 4},          // pbsm_ext's partition writers
+		{250 * page, 100, 2, 2},          // below the cap, the cap changes nothing
+		{1<<30 + page - 1, 1, 131072, 4}, //
 	} {
 		if got := d.BufFor(c.memory, c.streams); got != c.want {
 			t.Errorf("BufFor(%d, %d) = %d, want %d", c.memory, c.streams, got, c.want)
 		}
+		if got := capped.BufFor(c.memory, c.streams); got != c.capped {
+			t.Errorf("capped BufFor(%d, %d) = %d, want %d", c.memory, c.streams, got, c.capped)
+		}
 	}
 	if got := (Device{PageSize: 256, PT: 5, BufPages: 16}).BufFor(1<<20, 2); got != 16 {
 		t.Errorf("BufFor cap follows the device's BufPages: got %d, want 16", got)
+	}
+
+	for _, c := range []struct {
+		memory, pair int64
+		want, capped int
+	}{
+		{250 * page, 0, 250, 4},         // an empty pair leaves all of M
+		{250 * page, 40 * page, 210, 4}, // what the pair leaves
+		{250 * page, 247 * page, 4, 4},  // never below the unit
+		{250 * page, 250 * page, 4, 4},  // a full pair overshoots by one unit
+		{250 * page, 300 * page, 4, 4},  // an overflowing pair too
+	} {
+		if got := d.LoadBuf(c.memory, c.pair); got != c.want {
+			t.Errorf("LoadBuf(%d, %d) = %d, want %d", c.memory, c.pair, got, c.want)
+		}
+		if got := capped.LoadBuf(c.memory, c.pair); got != c.capped {
+			t.Errorf("capped LoadBuf(%d, %d) = %d, want %d", c.memory, c.pair, got, c.capped)
+		}
+	}
+	if got := (Device{PageSize: page, BufPages: 2}).LoadBuf(250*page, 0); got != 2 {
+		t.Errorf("a cap below the default unit caps the load too: got %d, want 2", got)
 	}
 
 	for _, c := range []struct {
@@ -54,9 +85,14 @@ func TestRules(t *testing.T) {
 		{4 * 4 * page, 3},             // one buffer per input run plus the output's
 		{100*4*page + 4*page - 1, 99}, // a partial buffer does not count
 	} {
-		if got := d.FanIn(c.memory); got != c.want {
-			t.Errorf("FanIn(%d) = %d, want %d", c.memory, got, c.want)
+		// FanIn counts in unit buffers whether or not the streams are
+		// capped, so run counts and merge passes do not depend on it.
+		if got, gotCapped := d.FanIn(c.memory), capped.FanIn(c.memory); got != c.want || gotCapped != c.want {
+			t.Errorf("FanIn(%d) = %d, capped %d, want %d", c.memory, got, gotCapped, c.want)
 		}
+	}
+	if got := (Device{PageSize: page, BufPages: 1}).FanIn(100 * page); got != 99 {
+		t.Errorf("FanIn counts in the capped unit: got %d, want 99", got)
 	}
 
 	for _, c := range []struct {
@@ -80,11 +116,43 @@ func TestRules(t *testing.T) {
 	}
 }
 
-// TestDeviceOf: the device is the disk's own parameters plus the resolved
-// buffer, and the default device is the default disk's.
+// TestSharesStayInBudget: at a small budget, at J1's 5 % (533 885 bytes)
+// and at 1 GiB, the buffers the rules hand out fit M — s streams of
+// BufFor(M, s) whenever M holds a page for each, a merge of k ≤ FanIn
+// runs plus its output, and a loaded pair plus its load buffer, which may
+// pass M by at most one unit.
+func TestSharesStayInBudget(t *testing.T) {
+	d := DefaultDevice
+	page := int64(d.PageSize)
+	for _, m := range []int64{64 * page, 533885, 1 << 30} {
+		pages := m / page
+		for s := int64(1); s <= pages; s = s*3/2 + 1 {
+			if b := d.BufFor(m, int(s)); b < 1 || s*int64(b) > pages {
+				t.Errorf("M = %d: %d streams of %d pages exceed %d pages", m, s, b, pages)
+			}
+		}
+		for k := 1; k <= d.FanIn(m); k++ {
+			if b := d.BufFor(m, k+1); b < d.Unit() || int64(k+1)*int64(b) > pages {
+				t.Errorf("M = %d: a merge of %d runs takes %d pages per stream (unit %d), %d pages in all",
+					m, k, b, d.Unit(), int64(k+1)*int64(b))
+			}
+		}
+		for _, pair := range []int64{0, 1, m / 3, m - page, m - 1, m} {
+			if b := d.LoadBuf(m, pair); b < d.Unit() || pair+int64(b)*page > m+int64(d.Unit())*page {
+				t.Errorf("M = %d: a pair of %d bytes loads with %d pages", m, pair, b)
+			}
+		}
+	}
+}
+
+// TestDeviceOf: the device is the disk's own parameters plus the cap a
+// Config asks for, and the default device is the default disk's, uncapped.
 func TestDeviceOf(t *testing.T) {
 	if got := DeviceOf(diskio.NewDisk(0, 0, 0), 0); got != DefaultDevice {
 		t.Errorf("DeviceOf(default disk, 0) = %+v, want DefaultDevice %+v", got, DefaultDevice)
+	}
+	if got := DeviceOf(diskio.NewDisk(0, 0, 0), -3); got != DefaultDevice {
+		t.Errorf("DeviceOf(default disk, -3) = %+v, want DefaultDevice %+v", got, DefaultDevice)
 	}
 	got := DeviceOf(diskio.NewDisk(512, 7, time.Microsecond), 9)
 	if want := (Device{PageSize: 512, PT: 7, BufPages: 9}); got != want {

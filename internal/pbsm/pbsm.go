@@ -173,8 +173,11 @@ type Config struct {
 	// paper reproduction sets it where a figure measures the hash plan and
 	// the repartitioning it causes on skewed data; nothing else should.
 	HashTiles bool
-	// BufPages is the sequential I/O buffer size in pages for every file
-	// stream. Values < 1 select iocost.DefaultBufPages.
+	// BufPages caps every file stream's buffer at this many pages, the
+	// paper's fixed buffer. Values < 1 let each stream take its share of
+	// Memory (iocost.Device.BufFor, LoadBuf): the partition and
+	// repartition writers split the budget, and a pair load reads with
+	// what the pair leaves of it.
 	BufPages int
 	// MaxRecurse bounds repartitioning recursion; beyond it a pair is
 	// joined in memory even if over budget (counted in MemoryOverflows).
@@ -611,7 +614,7 @@ func (j *joiner) healPartition(part int) (fr, fs *diskio.File, err error) {
 // partition phase's scatter, filtered to one destination.
 func (j *joiner) rederive(ks []geom.KPE, part int) (*diskio.File, error) {
 	f := j.reg.Create()
-	w := recfile.NewKPEWriter(f, j.dev.BufPages)
+	w := recfile.NewKPEWriter(f, j.dev.Unit())
 	err := j.grid.scatter(ks, j.cfg.Cancel, func(p int, k geom.KPE) error {
 		if p != part {
 			return nil
@@ -635,7 +638,7 @@ func (j *joiner) sortConfig(sp *trace.Span) extsort.Config {
 		Disk:       j.cfg.Disk,
 		RecordSize: geom.PairSize,
 		Memory:     j.cfg.Memory,
-		BufPages:   j.dev.BufPages,
+		BufPages:   j.cfg.BufPages,
 		Parallel:   j.cfg.Parallel,
 		Gov:        j.cfg.Gov,
 		Trace:      sp,
@@ -680,7 +683,7 @@ func (j *joiner) flushChunk() error {
 	run := slices.Compact(j.chunk)
 	j.chunk = j.chunk[:0]
 	f := j.reg.Create()
-	w := recfile.NewPairWriter(f, j.dev.BufPages)
+	w := recfile.NewPairWriter(f, j.dev.Unit())
 	chk := j.cfg.Cancel.Stride()
 	for _, p := range run {
 		if err := chk.Point(); err != nil {
@@ -774,10 +777,10 @@ func (j *joiner) partitionInput(ks []geom.KPE) ([]*diskio.File, int64, error) {
 func (j *joiner) verifyEmptySides(fr, fs *diskio.File) error {
 	pt := j.led.Begin(int(PhaseJoin), "verify-empty")
 	defer pt.End()
-	if err := recfile.VerifyEmptyKPEs(fr, j.dev.BufPages); err != nil {
+	if err := recfile.VerifyEmptyKPEs(fr, j.dev.Unit()); err != nil {
 		return err
 	}
-	return recfile.VerifyEmptyKPEs(fs, j.dev.BufPages)
+	return recfile.VerifyEmptyKPEs(fs, j.dev.Unit())
 }
 
 // processPair joins the partition pair (fr, fs), repartitioning
@@ -812,9 +815,10 @@ func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *di
 	pt := j.begin(PhaseJoin)
 	pt.Span.AddRecords(nr + ns)
 	defer pt.End()
+	buf := j.dev.LoadBuf(j.cfg.Memory, size)
 	var err error
-	if sl.LoadR, err = recfile.ReadAllKPEs(sl.LoadR, fr, j.dev.BufPages); err == nil {
-		if sl.LoadS, err = recfile.ReadAllKPEs(sl.LoadS, fs, j.dev.BufPages); err == nil {
+	if sl.LoadR, err = recfile.ReadAllKPEs(sl.LoadR, fr, buf); err == nil {
+		if sl.LoadS, err = recfile.ReadAllKPEs(sl.LoadS, fs, buf); err == nil {
 			return j.joinLoaded(sl, emit, regR, regS, pt.Span)
 		}
 	}

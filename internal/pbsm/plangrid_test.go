@@ -213,14 +213,15 @@ func TestPlanIndependentOfWorkers(t *testing.T) {
 // reproduction: with it set, a join's counters, total I/O units and
 // emission sequence are the ones the join produced when the hash was the
 // only plan there was. The constants were recorded on this input at the
-// commit before the planner existed; they change only if the hash plan
+// commit before the planner existed, with the paper's fixed buffer the
+// reproduction runs with (BufPages 4); they change only if the hash plan
 // itself does.
 func TestHashTilesIsThePaperPlan(t *testing.T) {
 	R, S, mem := skewInputs(20000)
 	want := Stats{P: 25, NT: 100, Results: 8449, RawResults: 8925, CopiesR: 21205, CopiesS: 20673,
 		Repartitions: 51, MemoryOverflows: 2, Tests: 407733, Touches: 506804}
 	for _, workers := range []int{1, 4} {
-		got, st := run(t, R, S, Config{Memory: mem, HashTiles: true, Parallel: workers})
+		got, st := run(t, R, S, Config{Memory: mem, HashTiles: true, BufPages: 4, Parallel: workers})
 		seq := uint64(14695981039346656037) // FNV-1a over the pairs in emission order
 		for _, p := range got {
 			seq = (seq ^ p.R) * 1099511628211

@@ -87,11 +87,12 @@ func PBSM(w Workload, d iocost.Device) Prediction {
 	rep := gs.ReplicationRate(append(append([]geom.KPE(nil), w.SampleR...), w.SampleS...))
 	vol := rep * float64(w.NR+w.NS) * geom.KPESize
 	// Evenly filled files: each ends in a partial page and a partial
-	// buffer of its own, which at small budgets is a visible share.
+	// buffer of its own, which at small budgets is a visible share. The
+	// writers split M; a pair load reads with what the pair leaves of it.
 	files := float64(2 * gs.Parts)
 	perFile := math.Ceil(d.Pages(vol) / files)
 	write := files * d.PassCost(perFile, d.BufFor(w.Memory, gs.Parts))
-	read := files * d.PassCost(perFile, d.BufPages)
+	read := files * d.PassCost(perFile, d.LoadBuf(w.Memory, int64(vol)/int64(gs.Parts)))
 	return Prediction{
 		Method:      core.PBSM,
 		IOUnits:     write + read,
@@ -124,11 +125,11 @@ func S3J(w Workload, d iocost.Device) Prediction {
 	fanIn := d.FanIn(w.Memory)
 	cursors := float64(max(fanIn, 2*(levels+1)))
 	extra := mergePasses(runs, cursors, fanIn)
-	write := d.PassCost(pg, d.BufPages)
+	write := d.PassCost(pg, d.Unit())
 	read := d.PassCost(pg, d.BufFor(w.Memory, int(math.Min(runs, cursors))))
 	return Prediction{
 		Method:      core.S3J,
-		IOUnits:     write + read + 2*extra*d.PassCost(pg, d.BufPages),
+		IOUnits:     write + read + 2*extra*d.PassCost(pg, d.BufFor(w.Memory, fanIn+1)),
 		Passes:      2 + 2*extra,
 		Replication: rep,
 	}
@@ -145,15 +146,17 @@ func mergePasses(runs, target float64, fanIn int) float64 {
 
 // SSSJ predicts the materialize + external-sort + sweep-read cost of the
 // sweeping join (no replication; an extra merge pass when a relation
-// exceeds the sort workspace).
+// exceeds the sort workspace). Every pass streams in unit requests except
+// the merges, which read and write with their share of M.
 func SSSJ(w Workload, d iocost.Device) Prediction {
 	vol := float64(w.NR+w.NS) * geom.KPESize
 	pg := d.Pages(vol)
 	passes := 4.0 // write raw, sort read+write (run formation), sweep read
-	io := d.PassCost(pg, d.BufPages) * passes
+	io := d.PassCost(pg, d.Unit()) * passes
 	// Multi-run sorts add merge passes over the data.
-	if extra := mergePasses(vol/float64(w.Memory), 1, d.FanIn(w.Memory)); extra > 0 {
-		io += d.PassCost(pg, d.BufPages) * 2 * extra
+	runs, fanIn := vol/float64(w.Memory), d.FanIn(w.Memory)
+	if extra := mergePasses(runs, 1, fanIn); extra > 0 {
+		io += d.PassCost(pg, d.BufFor(w.Memory, min(int(math.Ceil(runs)), fanIn)+1)) * 2 * extra
 		passes += 2 * extra
 	}
 	return Prediction{Method: core.SSSJ, IOUnits: io, Passes: passes, Replication: 1}

@@ -130,8 +130,11 @@ type Config struct {
 	// Levels is the number of grid levels below the root (the deepest
 	// level index). Values < 1 select DefaultLevels.
 	Levels int
-	// BufPages is the per-stream sequential buffer size in pages.
-	// Values < 1 select iocost.DefaultBufPages.
+	// BufPages caps every file stream's buffer at this many pages.
+	// Values < 1 let the scan's cursors and any forced merge take their
+	// share of Memory (iocost.Device.BufFor); the partitioners' run
+	// writes, whose chunk already fills Memory, use
+	// iocost.DefaultBufPages.
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.

@@ -46,7 +46,10 @@ type Config struct {
 	Dup pbsm.DupMethod
 	// TuneFactor, TilesPerPartition, BufPages, MaxRecurse mirror the
 	// pbsm.Config knobs and must match the values a single-process run
-	// would use for the determinism contract to hold.
+	// would use for the determinism contract to hold. BufPages caps
+	// every stream of a worker; zero lets each take its share of Memory.
+	// Shard assignment ranks pairs in unit requests (iocost.PairCost)
+	// either way.
 	TuneFactor        float64
 	TilesPerPartition int
 	BufPages          int

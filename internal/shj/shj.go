@@ -65,8 +65,9 @@ type Config struct {
 	// Algorithm is the in-memory join for bucket pairs; default list
 	// sweep.
 	Algorithm sweep.Kind
-	// BufPages is the per-stream sequential buffer size in pages.
-	// Values < 1 select iocost.DefaultBufPages.
+	// BufPages caps every file stream's buffer at this many pages. Values
+	// < 1 let each stream take its share of Memory: the bucket writers
+	// split it, and a bucket load reads with what the bucket leaves of it.
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.
@@ -260,7 +261,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			// before skipping. An empty R bucket received no S copies
 			// and can contribute no pairs regardless.
 			if b.nR > 0 && nS == 0 {
-				if err = recfile.VerifyEmptyKPEs(b.fS, dev.BufPages); err != nil {
+				if err = recfile.VerifyEmptyKPEs(b.fS, dev.Unit()); err != nil {
 					break
 				}
 			}
@@ -282,7 +283,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 			st.Results++
 			emit(p)
 		}, func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
-			if err := joinBucket(sl, emit, units[i], cfg.Cancel, dev.BufPages, pt.Span); err != nil {
+			if err := joinBucket(sl, emit, units[i], cfg.Cancel, dev.LoadBuf(cfg.Memory, units[i].n*geom.KPESize), pt.Span); err != nil {
 				return err
 			}
 			bucketsDone.Inc()

@@ -67,8 +67,10 @@ type Config struct {
 	// ONE sweep over the full relations, so [APR+ 98] pair it with a
 	// tree-structured status; the default is the interval-trie sweep.
 	Algorithm sweep.Kind
-	// BufPages is the per-stream sequential buffer size in pages.
-	// Values < 1 select iocost.DefaultBufPages.
+	// BufPages caps every file stream's buffer at this many pages. Values
+	// < 1 select iocost.DefaultBufPages for the raw copies and the sweep's
+	// cursors, and let the sort's merges take their share of Memory
+	// (extsort.Config.BufPages).
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.
@@ -124,7 +126,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		return Stats{}, joinerr.Wrap("sssj", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
 	var st Stats
-	cfg.BufPages = iocost.BufPages(cfg.BufPages) // resolved once: every stream below reads it
+	// The sweep's two cursors read in unit requests; the external sort
+	// sizes its merges from Memory itself.
+	unit := iocost.BufPages(cfg.BufPages)
 	led := phase.New(cfg.Disk, cfg.Trace, st.PhaseCPU[:], st.PhaseIO[:], &st.FirstResultCPU, &st.FirstResultIO)
 
 	// One sweep covers every exit path, so no raw copy or sorted run
@@ -155,8 +159,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	pt = led.Begin(int(PhaseSweep), PhaseSweep.String())
 	pt.Span.AddRecords(int64(len(R) + len(S)))
 	sw := &streamSweep{
-		rs:  newPeekReader(recfile.NewKPEReader(sortedR, cfg.BufPages)),
-		ss:  newPeekReader(recfile.NewKPEReader(sortedS, cfg.BufPages)),
+		rs:  newPeekReader(recfile.NewKPEReader(sortedR, unit)),
+		ss:  newPeekReader(recfile.NewKPEReader(sortedS, unit)),
 		st:  &st,
 		chk: cfg.Cancel,
 		emit: func(p geom.Pair) {
@@ -181,11 +185,12 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	return st, nil
 }
 
-// sortByXL materializes ks on disk and externally sorts it by rect.XL.
+// sortByXL materializes ks on disk, in unit requests, and externally
+// sorts it by rect.XL.
 func sortByXL(ks []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, span *trace.Span) (*diskio.File, error) {
 	raw := reg.Create()
 	defer reg.Remove(raw)
-	w := recfile.NewKPEWriter(raw, cfg.BufPages)
+	w := recfile.NewKPEWriter(raw, iocost.BufPages(cfg.BufPages))
 	chk := cfg.Cancel.Stride()
 	for _, k := range ks {
 		if err := chk.Point(); err != nil {
