@@ -135,19 +135,29 @@ echo "== repository benchmark smoke (pbsm_dupsort, traced pass) =="
 # The paper's baseline, PBSM with the original sort-based duplicate
 # removal, through the same oracle and gates: the join phase writes its
 # results as sorted, deduplicated runs and the dup phase merges them into
-# the delivered result. No pair of this input outgrows the budget.
+# the delivered result. No pair of this input outgrows the budget. Each
+# run is written in the window of its chunk (iocost ChunkBuf), not in the
+# 4-page unit: 369 write requests (403 when the run writes took the unit).
+# A run write that slips back to the unit moves the count.
 dupsmoke=$(mktemp /tmp/sjbench-dup.XXXXXX.txt)
 trap 'rm -f "$extsmoke" "$dupsmoke"' EXIT
 go run ./benchmark -workload pbsm_dupsort -scale 0.1 -seconds 0 -trace 1 | tee "$dupsmoke" | grep -q '"correct":true'
 grep -Eq '^ +pbsm\.memory_overflows +0 count' "$dupsmoke"
+grep -Eq '^ +diskio\.write_requests +369 count' "$dupsmoke"
 
 echo "== repository benchmark smoke (s3j_ext, traced pass) =="
 # S3J's external path through the same oracle and gates: the chunk index
 # sort in the partitioners, the heap merge in the scan and the scan arena.
 # At scale 0.25 the budget holds 24 cursors and the partitioners write 26
 # runs, so one forced merge pass runs too (at full scale: 23 runs against
-# 99 cursors, none).
-go run ./benchmark -workload s3j_ext -scale 0.25 -seconds 0 -trace 1 | grep -q '"correct":true'
+# 99 cursors, none). The partitioners write each run in the window of its
+# chunk (iocost ChunkBuf): 272 write requests, partitioners and merge
+# pass together (855 when the run writes took the 4-page unit). A run
+# write that slips back to the unit moves the count.
+s3jsmoke=$(mktemp /tmp/sjbench-s3j.XXXXXX.txt)
+trap 'rm -f "$extsmoke" "$dupsmoke" "$s3jsmoke"' EXIT
+go run ./benchmark -workload s3j_ext -scale 0.25 -seconds 0 -trace 1 | tee "$s3jsmoke" | grep -q '"correct":true'
+grep -Eq '^ +diskio\.write_requests +272 count' "$s3jsmoke"
 
 echo "== repository benchmark smoke (pbsm_shards2, traced pass) =="
 # The one workload that crosses the process boundary: two spawned worker
@@ -158,7 +168,7 @@ echo "== repository benchmark smoke (pbsm_shards2, traced pass) =="
 # join each one from the records they received and never touch their
 # disks at all.
 shardsmoke=$(mktemp /tmp/sjbench-shards.XXXXXX.txt)
-trap 'rm -f "$extsmoke" "$dupsmoke" "$shardsmoke"' EXIT
+trap 'rm -f "$extsmoke" "$dupsmoke" "$s3jsmoke" "$shardsmoke"' EXIT
 go run ./benchmark -workload pbsm_shards2 -scale 0.05 -seconds 0 -trace 1 | tee "$shardsmoke" | grep -q '"correct":true'
 grep -Eq '^ +shard\.spawns +2 count' "$shardsmoke"
 grep -Eq '^ +shard\.restarts +0 count' "$shardsmoke"
@@ -168,7 +178,7 @@ grep -Eq '^ +diskio\.pages_read +0 count' "$shardsmoke"
 
 echo "== sjbench trace smoke (Chrome trace_event export) =="
 tracefile=$(mktemp /tmp/sjbench-trace.XXXXXX.json)
-trap 'rm -f "$extsmoke" "$dupsmoke" "$shardsmoke" "$tracefile"' EXIT
+trap 'rm -f "$extsmoke" "$dupsmoke" "$s3jsmoke" "$shardsmoke" "$tracefile"' EXIT
 # sjbench self-validates: re-reads the file, parses the JSON array and
 # checks span-tree coverage >= 95%, printing "trace OK" on success.
 # 8000 records, not fewer: the one join of a fresh process pays some

@@ -53,11 +53,11 @@ func TestPhaseIOPinned(t *testing.T) {
 
 	want := map[string]string{
 		"pbsm-rpm":      "partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=123/0/1359/0/3819/0 dup=0/0/0/0/0/0 first=15371 total=123/694/1359/1359/19058/0 results=61929",
-		"pbsm-sort":     "partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=123/17/1359/66/4225/0 dup=7/15/123/57/620/0 first=19903 total=130/726/1482/1482/20084/0 results=61929",
+		"pbsm-sort":     "partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=123/2/1359/66/3925/0 dup=7/1/123/57/340/0 first=19323 total=130/697/1482/1482/19504/0 results=61929",
 		"pbsm-tlsp":     "partition=0/691/0/1351/15171/0 repartition=61/77/1023/1041/4824/0 join=201/0/1781/0/5801/0 dup=0/0/0/0/0/0 first=15236 total=262/768/2804/2392/25796/0 results=61929",
-		"s3j-original":  "partition=0/407/0/1578/9718/0 sort=206/198/797/789/9666/0 join=323/0/1570/0/8030/0 first=19709 total=529/605/2367/2367/27414/0 results=61929",
-		"s3j-replicate": "partition=0/819/0/3178/19558/0 sort=730/696/3178/3149/34847/0 join=199/0/3149/0/7129/0 first=54549 total=929/1515/6327/6327/61534/0 results=61929",
-		"sssj":          "sort=620/929/2680/3937/37597/0 sweep=327/0/1308/0/7848/0 first=37645 total=947/929/3988/3937/45445/0 results=61929",
+		"s3j-original":  "partition=0/48/0/1578/2538/0 sort=206/198/797/789/9666/0 join=323/0/1570/0/8030/0 first=12529 total=529/246/2367/2367/20234/0 results=61929",
+		"s3j-replicate": "partition=0/96/0/3178/5098/0 sort=730/696/3178/3149/34847/0 join=199/0/3149/0/7129/0 first=40089 total=929/792/6327/6327/47074/0 results=61929",
+		"sssj":          "sort=320/629/2651/3937/25568/0 sweep=327/0/1308/0/7848/0 first=25616 total=647/629/3959/3937/33416/0 results=61929",
 		"shj":           "build=0/658/0/658/13818/0 probe=0/947/0/947/19887/0 join=359/0/1605/0/8785/0  total=359/1605/1605/1605/42490/0 results=61929",
 	}
 	for _, c := range methodArms {

@@ -129,8 +129,8 @@ type Config struct {
 	Transfer time.Duration
 	// BufPages caps every file stream's buffer at this many pages, the
 	// paper's fixed buffer; zero lets each stream take its share of
-	// Memory (iocost.Device.BufFor, LoadBuf), so the join makes fewer,
-	// larger requests.
+	// Memory (iocost.Device.BufFor, ChunkBuf, LoadBuf), so the join makes
+	// fewer, larger requests.
 	BufPages int
 
 	// Trace receives the hierarchical span record of the join: phase

@@ -13,7 +13,10 @@
 //
 // A file's bytes live in fixed-size extents (extentSize), so appending
 // never re-copies what is already written: the model says a byte moves
-// once per request, and the simulation now moves it once too.
+// once per request, and the simulation moves it once too. Neither the
+// Writer nor the Reader holds a buffer: a write stages its bytes in the
+// file's extents and a read copies straight out of them, so the width of
+// a request costs no memory.
 //
 // Cost accounting and the file directory are guarded by a mutex, so
 // multiple goroutines may read distinct files concurrently (the parallel
@@ -264,16 +267,6 @@ func (d *Disk) Stats() Stats {
 	return d.stats
 }
 
-// ResetStats zeroes the counters without touching file contents.
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
-}
-
-// SimTime converts the accumulated cost units into simulated wall time.
-func (d *Disk) SimTime() time.Duration { return d.CostTime(d.Stats().CostUnits) }
-
 // CostTime converts a cost-unit count into simulated wall time.
 func (d *Disk) CostTime(units float64) time.Duration {
 	return time.Duration(units * float64(d.transfer))
@@ -389,25 +382,27 @@ func (d *Disk) chargeLatencySpike(file string) {
 }
 
 // File is a simulated on-disk file: a byte sequence plus cost accounting.
-// Use NewWriter and NewReader for buffered sequential access, or ReadAt
-// for positioned reads (each ReadAt is one positioned request).
+// Use NewWriter and NewReader for sequential access, or ReadAt for
+// positioned reads (each ReadAt is one positioned request).
 type File struct {
 	d    *Disk
 	name string
 	// ext holds the contents: byte i lives in ext[i/extentSize][i%extentSize].
-	// Every extent but the last is full and the last holds the rest, so
-	// size is the sum of the extent lengths.
+	// Every extent but the last is full and the last holds the rest. The
+	// first size bytes are the file; past them lie the bytes an open
+	// Writer has staged for its next request, which no reader sees.
 	ext  [][]byte
 	size int
 }
 
-// extentSize is the unit a File's contents are allocated in. Appending
+// extentSize is the unit a File's contents are allocated in. Staging
 // fills the tail extent and then starts a new one, so no byte already
 // written is ever moved again.
 const extentSize = 64 << 10
 
-// append adds p at the end of the file.
-func (f *File) append(p []byte) {
+// stage appends p to the extents past everything already in them. The
+// staged bytes are not part of the file until commit takes them.
+func (f *File) stage(p []byte) {
 	for len(p) > 0 {
 		if len(f.ext) == 0 || len(f.ext[len(f.ext)-1]) == extentSize {
 			f.ext = append(f.ext, nil)
@@ -429,8 +424,19 @@ func (f *File) append(p []byte) {
 			*tail = grown
 		}
 		*tail = append(*tail, p[:n]...)
-		f.size += n
 		p = p[n:]
+	}
+}
+
+// commit makes the first n staged bytes part of the file and drops the
+// staged bytes past them.
+func (f *File) commit(n int) {
+	f.size += n
+	keep := (f.size + extentSize - 1) / extentSize
+	clear(f.ext[keep:])
+	f.ext = f.ext[:keep]
+	if keep > 0 {
+		f.ext[keep-1] = f.ext[keep-1][:f.size-(keep-1)*extentSize]
 	}
 }
 
@@ -438,6 +444,7 @@ func (f *File) append(p []byte) {
 // of p or of the file, and returns the number of bytes copied. off must
 // lie in [0, f.size].
 func (f *File) copyAt(p []byte, off int64) int {
+	p = p[:min(int64(len(p)), int64(f.size)-off)]
 	total := 0
 	for i, o := int(off/extentSize), int(off%extentSize); len(p) > 0 && i < len(f.ext); i, o = i+1, 0 {
 		n := copy(p, f.ext[i][o:])
@@ -490,35 +497,41 @@ func (f *File) Bytes() []byte {
 	return b
 }
 
-// Writer buffers sequential appends to a File, flushing whole buffers as
-// single positioned write requests of contiguous pages. The buffer size
-// is what the join algorithms account against their memory budget.
+// Writer appends sequentially to a File, charging one positioned write
+// request per window of bufPages pages. It holds no buffer: Write stages
+// the bytes in the file's tail extents, past the committed length, and
+// the request that covers them commits them. Until then Len, Pages,
+// ReadAt and every Reader see only committed bytes, so a wide window
+// costs no memory beyond the file itself.
 type Writer struct {
-	f   *File
-	buf []byte
-	n   int
+	f      *File
+	window int // bytes per request
+	n      int // bytes staged for the open request
 }
 
-// NewWriter returns a Writer with a buffer of bufPages pages (minimum 1).
+// NewWriter returns a Writer whose requests are bufPages pages wide
+// (minimum 1). Bytes an abandoned Writer left staged are dropped.
 func (f *File) NewWriter(bufPages int) *Writer {
 	if bufPages < 1 {
 		bufPages = 1
 	}
-	return &Writer{f: f, buf: make([]byte, bufPages*f.d.pageSize)}
+	f.commit(0)
+	return &Writer{f: f, window: bufPages * f.d.pageSize}
 }
 
-// Write appends p, flushing as buffers fill. It returns the number of
-// bytes consumed into the buffer; on a transient flush fault the
-// consumed bytes stay buffered, so calling Write again with the
+// Write appends p, issuing a request whenever a window fills. It
+// returns the number of bytes staged; on a transient fault the staged
+// bytes stay staged and uncommitted, so calling Write again with the
 // remaining slice (or Flush) retries the same device request.
 func (w *Writer) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
-		n := copy(w.buf[w.n:], p)
+		n := min(len(p), w.window-w.n)
+		w.f.stage(p[:n])
 		w.n += n
 		total += n
 		p = p[n:]
-		if w.n == len(w.buf) {
+		if w.n == w.window {
 			if err := w.flush(); err != nil {
 				return total, err
 			}
@@ -527,49 +540,47 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// flush issues the open request: one cancel check, one fault draw and
+// one charge.
 func (w *Writer) flush() error {
 	if w.n == 0 {
 		return nil
 	}
 	d := w.f.d
 	if err := d.checkCancel(); err != nil {
-		// The buffer stays intact, but a canceled join never retries:
-		// the context error propagates out of the record layers.
+		// The staged bytes stay, but a canceled join never retries: the
+		// context error propagates out of the record layers.
 		return err
 	}
+	keep, event := w.n, ""
 	if fp := d.FaultPolicy(); fp != nil {
 		act, arg := fp.onWrite(w.n)
 		switch act {
 		case writeTransient:
-			// Nothing persisted; the buffer is intact for a retry.
+			// Nothing committed; the staged bytes wait for the retry.
 			return &FaultError{Op: "write", File: w.f.name, Transient: true}
 		case writeTorn:
-			// Persist a prefix and report success — the silent partial
+			// Commit a prefix and report success — the silent partial
 			// write the checksummed frame format exists to catch.
-			w.f.append(w.buf[:arg])
-			d.chargeWrite(arg)
-			w.n = 0
-			d.emitEvent("torn-write", w.f.name)
-			return nil
+			keep, event = arg, "torn-write"
 		case writeFlip:
 			at := w.f.size + arg/8
-			w.f.append(w.buf[:w.n])
 			w.f.ext[at/extentSize][at%extentSize] ^= 1 << (arg % 8)
-			d.chargeWrite(w.n)
-			w.n = 0
-			d.emitEvent("bit-flip", w.f.name)
-			return nil
+			event = "bit-flip"
 		case writeLatency:
 			d.chargeLatencySpike(w.f.name)
 		}
 	}
-	w.f.append(w.buf[:w.n])
-	d.chargeWrite(w.n)
+	w.f.commit(keep)
+	d.chargeWrite(keep)
 	w.n = 0
+	if event != "" {
+		d.emitEvent(event, w.f.name)
+	}
 	return nil
 }
 
-// Flush forces any buffered bytes to disk as one request.
+// Flush issues the open request, if any bytes are staged.
 func (w *Writer) Flush() error { return w.flush() }
 
 // Reader scans a File (or a byte range of it) sequentially, charging

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -74,12 +76,12 @@ func TestSequentialReadBatchesPages(t *testing.T) {
 	w := f.NewWriter(8)
 	w.Write(make([]byte, 1600)) // 16 pages
 	w.Flush()
-	d.ResetStats()
+	before := d.Stats()
 
 	r := f.NewReader(8) // 8 pages per request
 	buf := make([]byte, 1600)
 	r.ReadFull(buf)
-	st := d.Stats()
+	st := d.Stats().Sub(before)
 	if st.ReadRequests != 2 {
 		t.Fatalf("ReadRequests = %d, want 2 (two 8-page requests)", st.ReadRequests)
 	}
@@ -116,12 +118,12 @@ func TestReadAtCharges(t *testing.T) {
 	w := f.NewWriter(4)
 	w.Write(make([]byte, 1000))
 	w.Flush()
-	d.ResetStats()
+	before := d.Stats()
 	buf := make([]byte, 250)
 	if n, err := f.ReadAt(buf, 100); n != 250 || err != nil {
 		t.Fatalf("ReadAt = (%d, %v)", n, err)
 	}
-	st := d.Stats()
+	st := d.Stats().Sub(before)
 	if st.ReadRequests != 1 || st.PagesRead != 3 { // 250 bytes = 3 pages of 100
 		t.Fatalf("stats = %+v", st)
 	}
@@ -289,6 +291,248 @@ func TestReaderWindowCostsNoMemory(t *testing.T) {
 	}
 }
 
+// append stages p and commits it: a file that holds p at its end, the
+// way a Writer leaves it after a healthy request.
+func (f *File) append(p []byte) {
+	f.stage(p)
+	f.commit(len(p))
+}
+
+// bufWriter is the buffered writer Writer replaced: it copies every byte
+// into a private buffer of one window and appends the buffer per request.
+// It stays here as the reference TestWriterMatchesBufferedReference
+// holds Writer to.
+type bufWriter struct {
+	f   *File
+	buf []byte
+	n   int
+}
+
+func (w *bufWriter) Write(p []byte) (int, error) {
+	total := 0
+	for len(p) > 0 {
+		n := copy(w.buf[w.n:], p)
+		w.n += n
+		total += n
+		p = p[n:]
+		if w.n == len(w.buf) {
+			if err := w.Flush(); err != nil {
+				return total, err
+			}
+		}
+	}
+	return total, nil
+}
+
+func (w *bufWriter) Flush() error {
+	if w.n == 0 {
+		return nil
+	}
+	d := w.f.d
+	if err := d.checkCancel(); err != nil {
+		return err
+	}
+	if fp := d.FaultPolicy(); fp != nil {
+		act, arg := fp.onWrite(w.n)
+		switch act {
+		case writeTransient:
+			return &FaultError{Op: "write", File: w.f.name, Transient: true}
+		case writeTorn:
+			w.f.append(w.buf[:arg])
+			d.chargeWrite(arg)
+			w.n = 0
+			d.emitEvent("torn-write", w.f.name)
+			return nil
+		case writeFlip:
+			at := w.f.size + arg/8
+			w.f.append(w.buf[:w.n])
+			w.f.ext[at/extentSize][at%extentSize] ^= 1 << (arg % 8)
+			d.chargeWrite(w.n)
+			w.n = 0
+			d.emitEvent("bit-flip", w.f.name)
+			return nil
+		case writeLatency:
+			d.chargeLatencySpike(w.f.name)
+		}
+	}
+	w.f.append(w.buf[:w.n])
+	d.chargeWrite(w.n)
+	w.n = 0
+	return nil
+}
+
+// TestWriterMatchesBufferedReference: over random write sizes, flushes
+// at random points, windows of 1, 3, 4 and 64 pages and fault schedules
+// with every kind of write fault, Writer leaves the same bytes, the same
+// Stats and the same fault draws as the buffered writer it replaced, each
+// retried the way the record layers retry a transient fault.
+func TestWriterMatchesBufferedReference(t *testing.T) {
+	const page = 100
+	type writer interface {
+		Write([]byte) (int, error)
+		Flush() error
+	}
+	for _, win := range []int{1, 3, 4, 64} {
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(seed*7 + int64(win)))
+			data := make([]byte, 3*extentSize+rng.Intn(extentSize))
+			rng.Read(data)
+			var cuts []int // write sizes; a negative one is a Flush
+			for left := len(data); left > 0; {
+				if rng.Intn(8) == 0 {
+					cuts = append(cuts, -1)
+				}
+				n := min(left, rng.Intn(3*page*win))
+				cuts = append(cuts, n)
+				left -= n
+			}
+			run := func(newWriter func(*File) writer) (*Disk, *File) {
+				d := NewDisk(page, 20, 0)
+				if seed > 0 {
+					d.SetFaultPolicy(NewFaultPolicy(FaultConfig{
+						Seed:               seed,
+						TransientWriteRate: 0.2,
+						TornWriteRate:      0.05,
+						BitFlipRate:        0.1,
+						LatencyRate:        0.1,
+					}))
+				}
+				f := d.Create("a")
+				w := newWriter(f)
+				flush := func() {
+					for {
+						err := w.Flush()
+						if err == nil {
+							return
+						}
+						if !IsTransient(err) {
+							t.Fatal(err)
+						}
+					}
+				}
+				at := 0
+				for _, c := range cuts {
+					if c < 0 {
+						flush()
+						continue
+					}
+					for p := data[at : at+c]; ; {
+						n, err := w.Write(p)
+						p = p[n:]
+						if err == nil {
+							break
+						}
+						if !IsTransient(err) {
+							t.Fatal(err)
+						}
+					}
+					at += c
+				}
+				flush()
+				return d, f
+			}
+			dg, fg := run(func(f *File) writer { return f.NewWriter(win) })
+			dw, fw := run(func(f *File) writer { return &bufWriter{f: f, buf: make([]byte, win*page)} })
+			if !bytes.Equal(fg.Bytes(), fw.Bytes()) || dg.Stats() != dw.Stats() {
+				t.Fatalf("window %d seed %d: %d bytes (equal %v), %+v; the reference %d bytes, %+v",
+					win, seed, fg.Len(), bytes.Equal(fg.Bytes(), fw.Bytes()), dg.Stats(), fw.Len(), dw.Stats())
+			}
+			if seed > 0 && dg.FaultPolicy().Stats() != dw.FaultPolicy().Stats() {
+				t.Fatalf("window %d seed %d: faults %+v, the reference %+v", win, seed, dg.FaultPolicy().Stats(), dw.FaultPolicy().Stats())
+			}
+		}
+	}
+}
+
+// TestWriterRetriesTheWindow: a transient fault on a window's request
+// leaves its bytes staged, where neither Len nor a reader sees them, and
+// the retry charges that request once.
+func TestWriterRetriesTheWindow(t *testing.T) {
+	const page, win = 100, 3
+	d := NewDisk(page, 20, 0)
+	f := d.Create("a")
+	data := make([]byte, 1000)
+	rand.New(rand.NewSource(1)).Read(data)
+	// Every request faults once and then succeeds.
+	fp := NewFaultPolicy(FaultConfig{Seed: 1, TransientWriteRate: 1, MaxBurst: 1})
+	w := f.NewWriter(win)
+	var at, faults int
+	check := func(staged int) {
+		t.Helper()
+		// Reads run without the policy: a read draw would reset its burst.
+		d.SetFaultPolicy(nil)
+		defer d.SetFaultPolicy(fp)
+		committed := at - staged
+		if f.Len() != committed || f.Pages() != int64((committed+page-1)/page) {
+			t.Fatalf("after %d bytes: Len %d, Pages %d; want %d committed", at, f.Len(), f.Pages(), committed)
+		}
+		got := make([]byte, len(data))
+		if n, _ := f.NewReader(64).Read(got); n != committed || !bytes.Equal(got[:n], data[:committed]) {
+			t.Fatalf("after %d bytes: a reader saw %d, want the %d committed", at, n, committed)
+		}
+		if n, err := f.ReadAt(got, 0); n != committed || err != io.EOF {
+			t.Fatalf("after %d bytes: ReadAt of the whole data = (%d, %v), want the %d committed", at, n, err, committed)
+		}
+		if st := d.Stats(); st.WriteRequests != int64(committed/(win*page)) {
+			t.Fatalf("after %d bytes: %d requests charged, want %d", at, st.WriteRequests, committed/(win*page))
+		}
+	}
+	d.SetFaultPolicy(fp)
+	for at < len(data) {
+		n, err := w.Write(data[at:])
+		at += n
+		if err == nil {
+			continue
+		}
+		if !IsTransient(err) {
+			t.Fatal(err)
+		}
+		faults++
+		check(win * page)
+	}
+	for {
+		err := w.Flush()
+		if err == nil {
+			break
+		}
+		faults++
+		check(len(data) % (win * page))
+	}
+	reqs := int64((len(data) + win*page - 1) / (win * page))
+	st := d.Stats()
+	if !bytes.Equal(f.Bytes(), data) || faults != int(reqs) || st.WriteRequests != reqs || st.PagesWritten != 10 {
+		t.Fatalf("equal %v, %d faults, %+v; want the data, %d faults, %d requests and 10 pages", bytes.Equal(f.Bytes(), data), faults, st, reqs, reqs)
+	}
+}
+
+// TestWriterWindowCostsNoMemory: writing a file through a wide window
+// allocates no more than through a one-page window — the Writer stages
+// its bytes in the file instead of a buffer of the window's size.
+func TestWriterWindowCostsNoMemory(t *testing.T) {
+	d := NewDisk(512, 20, 0)
+	rec := make([]byte, 4096)
+	write := func(win int) uint64 {
+		best := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for i := 0; i < 5; i++ {
+			f := d.Create("a")
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			w := f.NewWriter(win)
+			for n := 0; n < 3*extentSize+5; n += len(rec) {
+				w.Write(rec)
+			}
+			w.Flush()
+			runtime.ReadMemStats(&ms)
+			best = min(best, ms.TotalAlloc-before)
+		}
+		return best
+	}
+	if one, wide := write(1), write(256); wide > one {
+		t.Fatalf("writing through a 256-page window allocates %d bytes, through a 1-page window %d", wide, one)
+	}
+}
+
 func TestCreateRemoveOpen(t *testing.T) {
 	d := NewDisk(0, 0, 0)
 	f := d.Create("x")
@@ -312,8 +556,8 @@ func TestSimTimeConversion(t *testing.T) {
 	w := f.NewWriter(1)
 	w.Write(make([]byte, 100))
 	w.Flush() // cost = 21 units
-	if got, want := d.SimTime(), 21*time.Millisecond; got != want {
-		t.Fatalf("SimTime = %v, want %v", got, want)
+	if got, want := d.CostTime(d.Stats().CostUnits), 21*time.Millisecond; got != want {
+		t.Fatalf("CostTime = %v, want %v", got, want)
 	}
 }
 

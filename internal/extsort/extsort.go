@@ -6,10 +6,10 @@
 // sorted runs once; when more than one run is produced, multiway merge
 // passes follow, each reading and writing the data once — exactly the I/O
 // behaviour §5.1 of the paper accounts for. Sort is the composition of
-// halves that are exported on their own: WriteRun sorts a chunk that is
-// already in memory and writes it as one run, MergeDown merges a list of
-// runs by whole passes, and Merge streams one merge to a callback
-// instead of a file. S³J (§4.2) and PBSM's original duplicate removal
+// halves that are exported on their own: RunWriter.WriteRun sorts a
+// chunk that is already in memory and writes it as one run, MergeDown
+// merges a list of runs by whole passes, and Merge streams one merge to
+// a callback instead of a file. S³J (§4.2) and PBSM's original duplicate removal
 // (result pairs ordered by ID, §3.1) use the halves directly: they fill
 // the chunks themselves, so no unsorted file is ever written or read
 // back, and their last merge delivers the results (S³J's synchronized
@@ -24,11 +24,18 @@
 // caller (every key 0) runs the same path. The merge breaks ties the same
 // way with the run ordinal in place of the position, which keeps the
 // whole sort stable: runs and merge groups cover consecutive input
-// ranges. Chunks stay Memory/RecordSize records, so run counts, merge
-// passes and every I/O unit are what they were when records were swapped
-// in place; the index is 16 bytes per record of the chunk that a sort
-// worker holds BEYOND Memory, and it is part of the working set the
-// governor is asked for.
+// ranges. Chunks stay Memory/RecordSize records, so run counts and merge
+// passes are what they were when records were swapped in place; the
+// index is 16 bytes per record of the chunk that a sort worker holds
+// BEYOND Memory, and it is part of the working set the governor is asked
+// for. A RunWriter keeps its index from run to run, so a worker that
+// writes many runs allocates it once.
+//
+// A run's records are all in its chunk, inside Memory, when its write
+// begins, and the chunk read that fills a chunk lands in it directly;
+// neither stream needs a buffer of its own (diskio's Writer and Reader
+// hold none), so both move the chunk in requests as wide as the chunk's
+// own stream (iocost.Device.ChunkBuf).
 //
 // Both stages decompose into independent units — run-formation chunks
 // cover disjoint record ranges of the input, and the merge groups of one
@@ -70,10 +77,11 @@ type Config struct {
 	Disk       *diskio.Disk
 	RecordSize int   // bytes per record
 	Memory     int64 // in-memory workspace budget in bytes
-	// BufPages caps every stream's buffer at this many pages. Values < 1
-	// let a merge's runs and output take their share of Memory
-	// (iocost.Device.BufFor); the run writes and the chunk reads, whose
-	// chunk already fills Memory, use iocost.DefaultBufPages.
+	// BufPages caps every stream's requests at this many pages. Values
+	// < 1 let a merge's runs and output take their share of Memory
+	// (iocost.Device.BufFor), and the run writes and the chunk reads,
+	// whose chunk already fills Memory, the chunk's own window
+	// (iocost.Device.ChunkBuf).
 	BufPages int
 	// Key and Less define the order; at least one is required. Key maps a
 	// record to a 64-bit prefix of the order (smaller sorts first) and is
@@ -221,6 +229,7 @@ func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 		runs[i] = Run{File: cfg.Reg.Create(), Recs: min(lo+maxRecs, total) - lo}
 	}
 	comps := make([]int64, n)
+	writers := make([]RunWriter, max(min(cfg.Parallel, n), 1)) // one per worker slot
 	err := sched.Run(n, sched.Options{
 		Workers: cfg.Parallel,
 		Name:    "sort-chunk",
@@ -229,7 +238,7 @@ func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 		Gov:     cfg.Gov,
 		UnitMem: maxRecs * int64(rs+indexEntrySize),
 	}, func(w, i int) error {
-		c, uerr := formOneRun(in, runs[i], int64(i)*maxRecs, cfg)
+		c, uerr := formOneRun(&writers[w], in, runs[i], int64(i)*maxRecs, cfg)
 		comps[i] = c
 		return uerr
 	})
@@ -279,10 +288,11 @@ func (c *Config) tieBefore(a, b []byte, aEarlier bool, comps *int64) bool {
 }
 
 // formOneRun reads the chunk's record range directly into an in-memory
-// buffer (one copy: frame payload to chunk tail) and hands it to WriteRun.
-func formOneRun(in *diskio.File, run Run, lo int64, cfg Config) (int64, error) {
+// buffer (one copy: frame payload to chunk tail), in the chunk's window,
+// and hands it to rw.
+func formOneRun(rw *RunWriter, in *diskio.File, run Run, lo int64, cfg Config) (int64, error) {
 	rs := cfg.RecordSize
-	r := recfile.NewRecRangeReader(in, rs, iocost.BufPages(cfg.BufPages), lo, lo+run.Recs)
+	r := recfile.NewRecRangeReader(in, rs, cfg.chunkBuf(), lo, lo+run.Recs)
 	chunk := make([]byte, run.Recs*int64(rs))
 	chk := cfg.Cancel.Stride()
 	for i := int64(0); i < run.Recs; i++ {
@@ -300,16 +310,28 @@ func formOneRun(in *diskio.File, run Run, lo int64, cfg Config) (int64, error) {
 			return 0, &recfile.CorruptError{File: in.Name(), Detail: "record range shorter than the length-derived count"}
 		}
 	}
-	return WriteRun(run.File, chunk, cfg)
+	return rw.WriteRun(run.File, chunk, cfg)
+}
+
+// RunWriter writes sorted runs. It keeps its sort index from one run to
+// the next. The zero value is ready to use; one RunWriter serves one
+// goroutine at a time.
+type RunWriter struct {
+	idx []indexEntry
 }
 
 // WriteRun sorts the records that lie back to back in chunk — by Key,
 // then Less, then position, through an index that never moves a record —
-// and writes them to out as one run. It returns the calls of Less. The
-// index is 16 bytes per record that WriteRun holds beyond the chunk.
-func WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
+// and writes them to out as one run, in the chunk's window. It returns
+// the calls of Less. The index is 16 bytes per record that the RunWriter
+// holds beyond the chunk.
+func (rw *RunWriter) WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
 	rs := cfg.RecordSize
-	idx := make([]indexEntry, len(chunk)/rs)
+	n := len(chunk) / rs
+	if cap(rw.idx) < n {
+		rw.idx = make([]indexEntry, n)
+	}
+	idx := rw.idx[:n]
 	for i := range idx {
 		idx[i] = indexEntry{key: cfg.key(chunk[i*rs:][:rs]), pos: uint32(i)}
 	}
@@ -326,7 +348,7 @@ func WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
 		}
 		return 1
 	})
-	w := recfile.NewRecWriter(out, rs, iocost.BufPages(cfg.BufPages))
+	w := recfile.NewRecWriter(out, rs, cfg.chunkBuf())
 	chk := cfg.Cancel.Stride()
 	for _, e := range idx {
 		if err := chk.Point(); err != nil {
@@ -349,6 +371,12 @@ func (c *Config) FanIn() int {
 // n runs: their share of Memory (iocost.Device.BufFor).
 func (c *Config) mergeBuf(n int) int {
 	return c.dev().BufFor(c.Memory, n+1)
+}
+
+// chunkBuf is the window of a run's write and of the chunk read that
+// fills the chunk (iocost.Device.ChunkBuf).
+func (c *Config) chunkBuf() int {
+	return c.dev().ChunkBuf(c.Memory)
 }
 
 func (c *Config) dev() iocost.Device { return iocost.DeviceOf(c.Disk, c.BufPages) }

@@ -364,7 +364,7 @@ func TestSortRejectsAConfigWithoutAnOrder(t *testing.T) {
 }
 
 // TestSortIsItsExportedHalvesComposed: Sort is formRuns — which reads each
-// chunk and hands it to WriteRun — followed by MergeDown to one run.
+// chunk and hands it to RunWriter.WriteRun — followed by MergeDown to one run.
 // Composing the exported halves by hand over the same chunks must give
 // the same run files, the same output, the same passes and Less calls and
 // the same I/O charge for the halves' part, at every worker count; and
@@ -426,10 +426,11 @@ func TestSortIsItsExportedHalvesComposed(t *testing.T) {
 		perRun := int(cfg.Memory) / tieRecSize
 		var runs []Run
 		var hand Stats
+		var rw RunWriter // one index for every run
 		for lo := 0; lo < n; lo += perRun {
 			hi := min(lo+perRun, n)
 			f := cfg.Reg.Create()
-			c, err := WriteRun(f, recs[lo*tieRecSize:hi*tieRecSize], cfg)
+			c, err := rw.WriteRun(f, recs[lo*tieRecSize:hi*tieRecSize], cfg)
 			if err != nil {
 				t.Fatalf("parallel=%d: WriteRun: %v", workers, err)
 			}
@@ -473,7 +474,7 @@ func TestMergeDownStopsAtK(t *testing.T) {
 			binary.LittleEndian.PutUint64(rec[k*recSize:], uint64((i*7+k*13)%50))
 		}
 		f := cfg.Reg.Create()
-		if _, err := WriteRun(f, rec, cfg); err != nil {
+		if _, err := new(RunWriter).WriteRun(f, rec, cfg); err != nil {
 			t.Fatal(err)
 		}
 		runs = append(runs, Run{File: f, Recs: 8})
@@ -518,7 +519,7 @@ func TestMergeStreamsWhatMergeDownWrites(t *testing.T) {
 			binary.LittleEndian.PutUint64(rec[k*recSize:], uint64((i*7+k*13)%50))
 		}
 		f := cfg.Reg.Create()
-		if _, err := WriteRun(f, rec, cfg); err != nil {
+		if _, err := new(RunWriter).WriteRun(f, rec, cfg); err != nil {
 			t.Fatal(err)
 		}
 		runs = append(runs, Run{File: f, Recs: 8})

@@ -1,12 +1,13 @@
 // Package iocost is the rulebook: every rule that sizes a join from the
 // memory budget M and the §2 cost model (a request of n contiguous pages
 // costs PT + n) is written here once — the request unit, the buffer a
-// stream may hold when several are open, the buffer a pair load reads
-// with, the fan-in of a merge, formula (1) with its tuning factor — next
-// to the prices built from them (PassCost, PairCost). Because the model
-// rewards large requests, a stream takes its whole share of M unless a
-// Config sets BufPages, which caps every stream at that many pages the
-// way the paper's fixed buffer does. The join methods and extsort size
+// stream may hold when several are open, the window of a stream whose
+// chunk already fills M, the buffer a pair load reads with, the fan-in of
+// a merge, formula (1) with its tuning factor — next to the prices built
+// from them (PassCost, PairCost). Because the model rewards large
+// requests, a stream takes its whole share of M unless a Config sets
+// BufPages, which caps every stream at that many pages the way the
+// paper's fixed buffer does. The join methods and extsort size
 // themselves with these functions; the planner, the shard coordinator's
 // assignment and PBSM's progress estimator predict with the same ones, so
 // a prediction cannot disagree with the run about a rule. Costs are in
@@ -22,9 +23,9 @@ import (
 )
 
 // DefaultBufPages is the request unit where a Config leaves BufPages
-// unset: the buffer of the streams that are not sized from M (run and
-// chunk writes, heals, empty-file checks), the floor of a pair load and
-// the buffer FanIn counts in.
+// unset: the window of the streams that are not sized from M (SSSJ's raw
+// copies and sweep cursors, heals, empty-file checks), the floor of a
+// chunk's window and of a pair load, and the buffer FanIn counts in.
 const DefaultBufPages = 4
 
 // DefaultTuneFactor is the t of §3.2.3 where a Config leaves it unset.
@@ -44,7 +45,7 @@ type Device struct {
 	PageSize int     // bytes per page
 	PT       float64 // positioning-to-transfer ratio
 	// BufPages caps every stream's buffer, in pages; 0 lets each stream
-	// take its share of M (BufFor, LoadBuf).
+	// take its share of M (BufFor, ChunkBuf, LoadBuf).
 	BufPages int
 }
 
@@ -94,12 +95,21 @@ func (d Device) BufFor(memory int64, streams int) int {
 	return per
 }
 
+// ChunkBuf is the window of a stream whose records sit in a chunk that
+// fills memory — a sorted run's write and the chunk read that fills the
+// chunk: the chunk's own stream, BufFor(memory, 1), and never less than
+// the request unit. Neither diskio's Writer nor its Reader holds a
+// buffer, so the window costs no memory beside the chunk.
+func (d Device) ChunkBuf(memory int64) int {
+	return max(d.BufFor(memory, 1), d.Unit())
+}
+
 // LoadBuf is the buffer a pair or bucket load reads with: what the budget
 // leaves beside the pairBytes the loaded records take, and never less
 // than the request unit. A pair that fills M therefore overshoots it by
 // one unit.
 func (d Device) LoadBuf(memory, pairBytes int64) int {
-	return max(d.BufFor(memory-pairBytes, 1), d.Unit())
+	return d.ChunkBuf(memory - pairBytes)
 }
 
 // FanIn is the number of runs one merge reads at once: what the memory

@@ -9,8 +9,8 @@ import (
 )
 
 // TestRules pins every rule: the request unit, the per-stream share of M
-// (capped only where a Config sets BufPages), the pair load's buffer,
-// FanIn in unit buffers, and formula (1).
+// (capped only where a Config sets BufPages), the chunk's window, the
+// pair load's buffer, FanIn in unit buffers, and formula (1).
 func TestRules(t *testing.T) {
 	d := DefaultDevice // 8 KiB pages, PT 20, uncapped
 	capped := Device{PageSize: d.PageSize, PT: d.PT, BufPages: 4}
@@ -73,6 +73,24 @@ func TestRules(t *testing.T) {
 	}
 	if got := (Device{PageSize: page, BufPages: 2}).LoadBuf(250*page, 0); got != 2 {
 		t.Errorf("a cap below the default unit caps the load too: got %d, want 2", got)
+	}
+
+	for _, c := range []struct {
+		memory       int64
+		want, capped int
+	}{
+		{250 * page, 250, 4},          // the chunk's own stream
+		{3*page + page/2, 4, 4},       // never below the unit
+		{-page, 4, 4},                 //
+		{1<<30 + page - 1, 131072, 4}, // a partial page does not count
+		{5*page + page/2, 5, 4},       // just above the unit
+	} {
+		if got := d.ChunkBuf(c.memory); got != c.want {
+			t.Errorf("ChunkBuf(%d) = %d, want %d", c.memory, got, c.want)
+		}
+		if got := capped.ChunkBuf(c.memory); got != c.capped {
+			t.Errorf("capped ChunkBuf(%d) = %d, want %d", c.memory, got, c.capped)
+		}
 	}
 
 	for _, c := range []struct {

@@ -175,9 +175,10 @@ type Config struct {
 	HashTiles bool
 	// BufPages caps every file stream's buffer at this many pages, the
 	// paper's fixed buffer. Values < 1 let each stream take its share of
-	// Memory (iocost.Device.BufFor, LoadBuf): the partition and
-	// repartition writers split the budget, and a pair load reads with
-	// what the pair leaves of it.
+	// Memory (iocost.Device.BufFor, LoadBuf, ChunkBuf): the partition and
+	// repartition writers split the budget, a pair load reads with what
+	// the pair leaves of it, and DupSort writes each run in its chunk's
+	// window.
 	BufPages int
 	// MaxRecurse bounds repartitioning recursion; beyond it a pair is
 	// joined in memory even if over budget (counted in MemoryOverflows).
@@ -674,7 +675,7 @@ func (j *joiner) spill(p geom.Pair) {
 }
 
 // flushChunk writes the chunk as one run, sorted and without equal
-// pairs, and empties it.
+// pairs, in the chunk's window (iocost.Device.ChunkBuf), and empties it.
 func (j *joiner) flushChunk() error {
 	if len(j.scratch) < len(j.chunk) {
 		j.scratch = make([]geom.Pair, len(j.chunk))
@@ -683,7 +684,7 @@ func (j *joiner) flushChunk() error {
 	run := slices.Compact(j.chunk)
 	j.chunk = j.chunk[:0]
 	f := j.reg.Create()
-	w := recfile.NewPairWriter(f, j.dev.Unit())
+	w := recfile.NewPairWriter(f, j.dev.ChunkBuf(j.cfg.Memory))
 	chk := j.cfg.Cancel.Stride()
 	for _, p := range run {
 		if err := chk.Point(); err != nil {

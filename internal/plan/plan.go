@@ -102,11 +102,11 @@ func PBSM(w Workload, d iocost.Device) Prediction {
 }
 
 // S3J predicts the cost of the replicated S³J: the partitioners write
-// every copy once, in memory-sized runs sorted in scan order, and the scan
-// reads every copy once through one cursor per run. Only when there are
-// more runs than the scan holds cursors for — a merge's fan-in, but never
-// fewer than one per level and relation — do forced merge passes add a
-// read and a write each.
+// every copy once, in memory-sized runs sorted in scan order and in the
+// chunk's window, and the scan reads every copy once through one cursor
+// per run. Only when there are more runs than the scan holds cursors
+// for — a merge's fan-in, but never fewer than one per level and
+// relation — do forced merge passes add a read and a write each.
 func S3J(w Workload, d iocost.Device) Prediction {
 	const levels = s3j.DefaultLevels
 	rep := 1.0
@@ -125,7 +125,7 @@ func S3J(w Workload, d iocost.Device) Prediction {
 	fanIn := d.FanIn(w.Memory)
 	cursors := float64(max(fanIn, 2*(levels+1)))
 	extra := mergePasses(runs, cursors, fanIn)
-	write := d.PassCost(pg, d.Unit())
+	write := d.PassCost(pg, d.ChunkBuf(w.Memory))
 	read := d.PassCost(pg, d.BufFor(w.Memory, int(math.Min(runs, cursors))))
 	return Prediction{
 		Method:      core.S3J,
@@ -146,13 +146,14 @@ func mergePasses(runs, target float64, fanIn int) float64 {
 
 // SSSJ predicts the materialize + external-sort + sweep-read cost of the
 // sweeping join (no replication; an extra merge pass when a relation
-// exceeds the sort workspace). Every pass streams in unit requests except
-// the merges, which read and write with their share of M.
+// exceeds the sort workspace). The raw copy and the sweep stream in unit
+// requests, run formation reads and writes in the chunk's window, and
+// the merges read and write with their share of M.
 func SSSJ(w Workload, d iocost.Device) Prediction {
 	vol := float64(w.NR+w.NS) * geom.KPESize
 	pg := d.Pages(vol)
 	passes := 4.0 // write raw, sort read+write (run formation), sweep read
-	io := d.PassCost(pg, d.Unit()) * passes
+	io := d.PassCost(pg, d.Unit())*2 + d.PassCost(pg, d.ChunkBuf(w.Memory))*2
 	// Multi-run sorts add merge passes over the data.
 	runs, fanIn := vol/float64(w.Memory), d.FanIn(w.Memory)
 	if extra := mergePasses(runs, 1, fanIn); extra > 0 {

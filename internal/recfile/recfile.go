@@ -31,10 +31,10 @@
 // # Fault handling
 //
 // Transient faults injected by the diskio layer are retried here, up to
-// MaxRetries times per request; because diskio leaves writer buffers and
-// reader positions untouched on a transient fault, a retry re-issues the
-// identical request. Retries are counted on the Disk's Stats so they
-// surface in per-join results. Corruption (checksum mismatch, torn or
+// MaxRetries times per request; because diskio leaves a writer's staged
+// bytes and a reader's position untouched on a transient fault, a retry
+// re-issues the identical request. Retries are counted on the Disk's
+// Stats so they surface in per-join results. Corruption (checksum mismatch, torn or
 // misordered frames) is *not* retried: readers return a CorruptError and
 // the layers above decide whether to heal (PBSM re-derives partition
 // files) or fail cleanly.
@@ -161,7 +161,7 @@ type RecWriter struct {
 }
 
 // NewRecWriter creates a framed writer over f for recSize-byte records
-// with a buffer of bufPages pages.
+// that writes in requests of bufPages pages.
 func NewRecWriter(f *diskio.File, recSize, bufPages int) *RecWriter {
 	return &RecWriter{
 		f:        f,
@@ -308,13 +308,15 @@ func NewRecReader(f *diskio.File, recSize, bufPages int) *RecReader {
 
 // NewRecRangeReader creates a reader over records [lo, hi) of f. The
 // range addresses records by index; the reader seeks to the containing
-// frame and verifies checksums from there.
+// frame and verifies checksums from there. Its byte range ends with the
+// frame that holds record hi-1, so no request, however wide its window,
+// charges the pages of the records past the range.
 func NewRecRangeReader(f *diskio.File, recSize, bufPages int, lo, hi int64) *RecReader {
-	per := int64(recsPerFrame(recSize))
+	per, fb := int64(recsPerFrame(recSize)), int64(frameBytes(recSize))
 	startFrame := lo / per
 	return &RecReader{
 		f:         f,
-		r:         f.NewRangeReader(bufPages, startFrame*int64(frameBytes(recSize)), int64(f.Len())),
+		r:         f.NewRangeReader(bufPages, startFrame*fb, (hi+per-1)/per*fb),
 		rec:       recSize,
 		perFrame:  int(per),
 		payload:   make([]byte, int(per)*recSize),
@@ -473,7 +475,8 @@ type KPEWriter struct {
 	w *RecWriter
 }
 
-// NewKPEWriter creates a writer over f with a buffer of bufPages pages.
+// NewKPEWriter creates a writer over f that writes in requests of
+// bufPages pages.
 func NewKPEWriter(f *diskio.File, bufPages int) *KPEWriter {
 	return &KPEWriter{w: NewRecWriter(f, geom.KPESize, bufPages)}
 }
@@ -555,7 +558,8 @@ type PairWriter struct {
 	w *RecWriter
 }
 
-// NewPairWriter creates a writer over f with a buffer of bufPages pages.
+// NewPairWriter creates a writer over f that writes in requests of
+// bufPages pages.
 func NewPairWriter(f *diskio.File, bufPages int) *PairWriter {
 	return &PairWriter{w: NewRecWriter(f, geom.PairSize, bufPages)}
 }

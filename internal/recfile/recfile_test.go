@@ -116,6 +116,34 @@ func TestKPERangeReader(t *testing.T) {
 	}
 }
 
+// TestRangeReaderChargesOnlyItsFrames: a range reader's requests end with
+// the frame that holds its last record, so a window wider than the range
+// charges no page of the records after it.
+func TestRangeReaderChargesOnlyItsFrames(t *testing.T) {
+	d := newDisk()
+	f := d.Create("k")
+	w := NewKPEWriter(f, 2)
+	for i := 0; i < 2000; i++ {
+		w.Write(geom.KPE{ID: uint64(i)})
+	}
+	w.Flush()
+	per, fb := int64(recsPerFrame(geom.KPESize)), int64(frameBytes(geom.KPESize))
+	for _, rg := range [][2]int64{{250, 750}, {0, 1}, {per, 2 * per}, {1999, 2000}} {
+		lo, hi := rg[0], rg[1]
+		before := d.Stats()
+		r := NewKPERangeReader(f, 64, lo, hi)
+		for want := uint64(lo); want < uint64(hi); want++ {
+			if k, ok, err := r.Next(); err != nil || !ok || k.ID != want {
+				t.Fatalf("range [%d, %d): got (%v, %v, %v), want id %d", lo, hi, k, ok, err, want)
+			}
+		}
+		span := min((hi+per-1)/per*fb, int64(f.Len())) - lo/per*fb
+		if got, want := d.Stats().Sub(before).PagesRead, (span+255)/256; got != want {
+			t.Errorf("range [%d, %d): %d pages read, want the %d of its frames", lo, hi, got, want)
+		}
+	}
+}
+
 func TestPairWriterReaderRoundTrip(t *testing.T) {
 	d := newDisk()
 	f := d.Create("p")

@@ -130,11 +130,11 @@ type Config struct {
 	// Levels is the number of grid levels below the root (the deepest
 	// level index). Values < 1 select DefaultLevels.
 	Levels int
-	// BufPages caps every file stream's buffer at this many pages.
+	// BufPages caps every file stream's requests at this many pages.
 	// Values < 1 let the scan's cursors and any forced merge take their
-	// share of Memory (iocost.Device.BufFor); the partitioners' run
-	// writes, whose chunk already fills Memory, use
-	// iocost.DefaultBufPages.
+	// share of Memory (iocost.Device.BufFor), and the partitioners' run
+	// writes, whose chunk already fills Memory, the chunk's own window
+	// (iocost.Device.ChunkBuf).
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.
@@ -406,14 +406,15 @@ func (j *joiner) partitionInput(ks []geom.KPE, levels int, sortCfg extsort.Confi
 	}
 	chunk := make([]byte, min(maxRecs, bound)*levRecSize)
 	var runs []extsort.Run
-	var n int64  // records in the chunk
-	flushed := 0 // input records the written runs account for
+	var rw extsort.RunWriter // one sort index for all of this partitioner's runs
+	var n int64              // records in the chunk
+	flushed := 0             // input records the written runs account for
 	flush := func(upTo int) error {
 		if n == 0 {
 			return nil
 		}
 		f := j.reg.Create()
-		if _, err := extsort.WriteRun(f, chunk[:n*levRecSize], sortCfg); err != nil {
+		if _, err := rw.WriteRun(f, chunk[:n*levRecSize], sortCfg); err != nil {
 			return err
 		}
 		runs = append(runs, extsort.Run{File: f, Recs: n})

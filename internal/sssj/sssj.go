@@ -69,8 +69,8 @@ type Config struct {
 	Algorithm sweep.Kind
 	// BufPages caps every file stream's buffer at this many pages. Values
 	// < 1 select iocost.DefaultBufPages for the raw copies and the sweep's
-	// cursors, and let the sort's merges take their share of Memory
-	// (extsort.Config.BufPages).
+	// cursors, give the sort's run formation the chunk's window and let
+	// its merges take their share of Memory (extsort.Config.BufPages).
 	BufPages int
 	// Trace is the parent span phase spans nest under; nil disables
 	// instrumentation.
