@@ -10,17 +10,12 @@
 //
 //	sjbench [-format table|csv] [-exp all|<name>[,<name>...]]
 //	        [-la-scale 1.0] [-cal-scale 0.15] [-seed 1] [-maxp 10]
-//	        [-phases-n 10000] [-dup rpm|sort|tlsp] [-trace out.json]
 //
 // The experiments are table1..table3, fig3..fig6, fig11..fig14, the
 // ablations abl-tiles, abl-tune, abl-curve, abl-depth and abl-levels,
-// methods, methods-j5, robustness, plancheck and phases; -exp with an
-// unknown name lists them.
-//
-// -dup selects the PBSM duplicate method of the instrumented 'phases' run
-// and rejects unknown values; -trace exports that run as a Chrome
-// trace_event file, self-validates it and prints the run's counters and
-// histograms from its metrics registry.
+// methods, methods-j5, robustness and plancheck; -exp with an unknown
+// name lists them. The phase tree of a single join is `sjoin -stats`,
+// its Chrome trace `sjoin -trace out.json`.
 //
 // The -la-scale and -cal-scale flags scale the synthetic dataset
 // cardinalities relative to Table 1 of the paper (the CAL_ST self-join J5
@@ -29,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,8 +31,6 @@ import (
 	"time"
 
 	"spatialjoin/internal/bench"
-	"spatialjoin/internal/metrics"
-	"spatialjoin/internal/pbsm"
 )
 
 func main() {
@@ -47,32 +39,17 @@ func main() {
 	order := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6",
 		"fig11", "fig12", "table3", "fig13", "fig14",
 		"abl-tiles", "abl-tune", "abl-curve", "abl-depth", "abl-levels",
-		"methods", "methods-j5", "robustness", "plancheck", "phases"}
+		"methods", "methods-j5", "robustness", "plancheck"}
 	exp := flag.String("exp", "all", "experiments to run, comma-separated, or all: "+strings.Join(order, ", "))
 	laScale := flag.Float64("la-scale", 1.0, "scale of the LA_RR/LA_ST cardinalities")
 	calScale := flag.Float64("cal-scale", 0.15, "scale of the CAL_ST cardinality (join J5)")
 	seed := flag.Int64("seed", 1, "dataset generator seed")
 	maxP := flag.Int("maxp", 10, "largest p for figure 13")
 	format := flag.String("format", "table", "output format: table or csv")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event file of the instrumented 'phases' PBSM run and self-validate it")
-	phasesN := flag.Int("phases-n", 10000, "per-relation cardinality of the 'phases' experiment")
-	dupFlag := flag.String("dup", "rpm", "PBSM duplicate removal of the 'phases' experiment: rpm, sort or tlsp")
 	flag.Parse()
 
-	dupMethod, err := pbsm.ParseDupMethod(*dupFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sjbench: -dup: %v\n", err)
-		os.Exit(2)
-	}
-
 	s := bench.NewSuite(*laScale, *calScale, *seed)
-	var phasesRuns []bench.PhasesRun
 	runners := map[string]func() *bench.Table{
-		"phases": func() *bench.Table {
-			runs, t := bench.RunPhases(s, *phasesN, dupMethod)
-			phasesRuns = runs
-			return t
-		},
 		"table1":     func() *bench.Table { _, t := bench.RunTable1(s); return t },
 		"table2":     func() *bench.Table { _, t := bench.RunTable2(s); return t },
 		"table3":     func() *bench.Table { _, t := bench.RunTable3(s); return t },
@@ -122,53 +99,4 @@ func main() {
 		tab.Note += fmt.Sprintf(" | harness wall time %.1fs", time.Since(t0).Seconds())
 		tab.Fprint(os.Stdout)
 	}
-
-	if *traceOut != "" {
-		if phasesRuns == nil {
-			tab := runners["phases"]()
-			tab.Fprint(os.Stdout)
-		}
-		if err := writeAndValidateTrace(*traceOut, phasesRuns); err != nil {
-			fmt.Fprintf(os.Stderr, "sjbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeAndValidateTrace exports the instrumented PBSM run as a Chrome
-// trace_event file, then proves the artifact is usable: it re-reads the
-// file, parses it as the JSON array chrome://tracing expects, and checks
-// the recorder's span tree accounts for ≥95% of the measured wall time.
-func writeAndValidateTrace(path string, runs []bench.PhasesRun) error {
-	if len(runs) == 0 {
-		return fmt.Errorf("no instrumented runs to trace")
-	}
-	run := runs[0] // the PBSM run
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := run.Rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(raw, &events); err != nil {
-		return fmt.Errorf("trace %s does not parse as a Chrome trace_event array: %w", path, err)
-	}
-	cov := run.Rec.Coverage()
-	if cov < 0.95 {
-		return fmt.Errorf("trace %s: span tree covers only %.1f%% of wall time (need ≥95%%)", path, 100*cov)
-	}
-	fmt.Printf("trace OK: %s, %d events, coverage %.1f%% (%s run)\n", path, len(events), 100*cov, run.Name)
-	// The trace file holds time only; the run's counts are its registry's.
-	return metrics.WriteSummary(os.Stdout, run.Reg.Snapshot())
 }

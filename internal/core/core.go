@@ -346,7 +346,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	}
 	rec := cfg.Trace
 	if rec != nil {
-		rec.SetIOSource(func() trace.IOStats { return ioSnapshot(disk) })
+		rec.SetIOSource(disk.Stats)
 		disk.SetTracer(rec)
 		defer disk.SetTracer(nil)
 	}
@@ -518,23 +518,6 @@ var joinLocks sync.Map // *diskio.Disk -> *sync.Mutex
 func lockForDisk(d *diskio.Disk) *sync.Mutex {
 	mu, _ := joinLocks.LoadOrStore(d, &sync.Mutex{})
 	return mu.(*sync.Mutex)
-}
-
-// ioSnapshot adapts the disk's counters to the trace layer's
-// storage-agnostic snapshot type.
-func ioSnapshot(d *diskio.Disk) trace.IOStats {
-	s := d.Stats()
-	ps := int64(d.PageSize())
-	return trace.IOStats{
-		ReadRequests:  s.ReadRequests,
-		WriteRequests: s.WriteRequests,
-		PagesRead:     s.PagesRead,
-		PagesWritten:  s.PagesWritten,
-		BytesRead:     s.PagesRead * ps,
-		BytesWritten:  s.PagesWritten * ps,
-		Retries:       s.Retries,
-		CostUnits:     s.CostUnits,
-	}
 }
 
 // validateInput rejects geometry no join method can process correctly:

@@ -25,9 +25,7 @@
 package diskio
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,15 +47,13 @@ type Disk struct {
 	pt       float64
 	transfer time.Duration
 
-	mu      sync.Mutex
-	stats   Stats
-	files   map[string]*File
-	seq     int
-	fp      *FaultPolicy
-	tr      Tracer
-	cancel  func() error
-	latency time.Duration
-	backoff *Backoff
+	mu     sync.Mutex
+	stats  Stats
+	files  map[string]*File
+	seq    int
+	fp     *FaultPolicy
+	tr     Tracer
+	cancel func() error
 
 	// met holds the live-metrics handles installed by SetMetrics, read
 	// on every request with one atomic load so the disabled mode costs a
@@ -131,23 +127,6 @@ func NewDisk(pageSize int, pt float64, transfer time.Duration) *Disk {
 // PageSize returns the page size in bytes.
 func (d *Disk) PageSize() int { return d.pageSize }
 
-// SetLatency turns the accounting-only cost model into real wall-clock
-// latency: every subsequent request sleeps perUnit for each cost unit it
-// is charged (PT + pages transferred). Zero (the default) disables the
-// sleep and restores pure accounting.
-//
-// The sleep happens outside the Disk mutex, so requests from different
-// goroutines overlap — exactly the behavior of a device that can serve
-// queued requests while callers wait. The metrics endpoint smoke test
-// relies on this to stretch a join long enough to scrape mid-flight;
-// everything else (the paper experiments, the repository benchmark)
-// leaves the latency at zero so the simulation stays instantaneous.
-func (d *Disk) SetLatency(perUnit time.Duration) {
-	d.mu.Lock()
-	d.latency = perUnit
-	d.mu.Unlock()
-}
-
 // SetFaultPolicy installs (or, with nil, removes) a fault-injection
 // policy consulted on every subsequent read and write request.
 func (d *Disk) SetFaultPolicy(fp *FaultPolicy) {
@@ -182,7 +161,7 @@ func (d *Disk) tracer() Tracer {
 // non-nil error the request fails with it instead of touching the device
 // — so a canceled join stops issuing I/O within one request, the
 // "bounded number of page I/Os" half of the cancellation guarantee.
-// Create, Remove and Open never consult the hook: cleanup (sweeping temp
+// Create and Remove never consult the hook: cleanup (sweeping temp
 // files after an abort) must always succeed.
 func (d *Disk) SetCancel(fn func() error) {
 	d.mu.Lock()
@@ -215,46 +194,19 @@ func (d *Disk) emitEvent(kind, file string) {
 }
 
 // NoteRetry records one retry of a request against the named file after
-// a transient fault. The record layers (package recfile) call it so that
-// retry counts surface in the per-join Stats deltas and, when a Tracer
-// is attached, as retry events in the trace.
-func (d *Disk) NoteRetry(file string) {
+// a transient fault and returns the cancel hook's error, if any. The
+// record layers (package recfile) call it before re-issuing the request,
+// so retry counts surface in the per-join Stats deltas and, when a
+// Tracer is attached, as retry events in the trace, and a canceled join
+// stops retrying. Retries are immediate: the simulated device has no
+// state a pause would let recover.
+func (d *Disk) NoteRetry(file string) error {
 	d.mu.Lock()
 	d.stats.Retries++
 	d.mu.Unlock()
 	d.meterRetry()
 	d.emitEvent("retry", file)
-}
-
-// SetBackoff installs (or, with nil, removes) the retry backoff policy
-// the record layers consult between attempts via RetrySleep. The
-// default nil policy preserves the historical behavior: retries happen
-// immediately, with no pause.
-func (d *Disk) SetBackoff(b *Backoff) {
-	d.mu.Lock()
-	d.backoff = b
-	d.mu.Unlock()
-}
-
-// Backoff returns the installed retry policy, or nil.
-func (d *Disk) Backoff() *Backoff {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.backoff
-}
-
-// RetrySleep pauses before retry attempt (1-based) of a request against
-// the named file, according to the installed backoff policy. The sleep
-// is cancellation-aware: it polls the disk's cancel hook (SetCancel)
-// and returns its error early, so a canceled join does not serve out a
-// backoff it will never use. With no policy installed it only polls the
-// hook once — the legacy immediate retry.
-func (d *Disk) RetrySleep(file string, attempt int) error {
-	b := d.Backoff()
-	if b == nil {
-		return d.checkCancel()
-	}
-	return b.Sleep(file, attempt, d.checkCancel)
+	return d.checkCancel()
 }
 
 // PT returns the positioning-to-transfer ratio of the cost model.
@@ -315,13 +267,6 @@ func (d *Disk) FileNames() []string {
 	return names
 }
 
-// Open returns an existing file by name, or nil if absent.
-func (d *Disk) Open(name string) *File {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.files[name]
-}
-
 // pages returns the number of pages needed for n bytes.
 func (d *Disk) pages(n int) int64 {
 	if n <= 0 {
@@ -340,10 +285,8 @@ func (d *Disk) chargeRead(bytes int) {
 	d.stats.ReadRequests++
 	d.stats.PagesRead += p
 	d.stats.CostUnits += units
-	lat := d.latency
 	d.mu.Unlock()
 	d.meterRead(p)
-	sleepUnits(lat, units)
 }
 
 func (d *Disk) chargeWrite(bytes int) {
@@ -356,18 +299,8 @@ func (d *Disk) chargeWrite(bytes int) {
 	d.stats.WriteRequests++
 	d.stats.PagesWritten += p
 	d.stats.CostUnits += units
-	lat := d.latency
 	d.mu.Unlock()
 	d.meterWrite(p)
-	sleepUnits(lat, units)
-}
-
-// sleepUnits realizes a charged cost as wall-clock latency (SetLatency).
-// Called with the Disk mutex released so concurrent requests overlap.
-func sleepUnits(perUnit time.Duration, units float64) {
-	if perUnit > 0 {
-		time.Sleep(time.Duration(units * float64(perUnit)))
-	}
 }
 
 // chargeLatencySpike bills an extra positioning, the cost of an injected
@@ -375,15 +308,13 @@ func sleepUnits(perUnit time.Duration, units float64) {
 func (d *Disk) chargeLatencySpike(file string) {
 	d.mu.Lock()
 	d.stats.CostUnits += d.pt
-	lat := d.latency
 	d.mu.Unlock()
-	sleepUnits(lat, d.pt)
 	d.emitEvent("latency-fault", file)
 }
 
 // File is a simulated on-disk file: a byte sequence plus cost accounting.
-// Use NewWriter and NewReader for sequential access, or ReadAt for
-// positioned reads (each ReadAt is one positioned request).
+// Use NewWriter for sequential appends and NewReader or NewRangeReader
+// for sequential reads of the whole file or of a byte range.
 type File struct {
 	d    *Disk
 	name string
@@ -463,33 +394,6 @@ func (f *File) Disk() *Disk { return f.d }
 // Len returns the file length in bytes.
 func (f *File) Len() int { return f.size }
 
-// Pages returns the file length in pages (rounded up).
-func (f *File) Pages() int64 { return f.d.pages(f.size) }
-
-// ErrNegativeOffset is returned by ReadAt for offsets below zero, which
-// indicate a caller bug rather than an end-of-file condition.
-var ErrNegativeOffset = errors.New("diskio: negative read offset")
-
-// ReadAt copies len(p) bytes starting at off into p and charges one
-// positioned read request. It follows the io.ReaderAt contract: a
-// negative offset returns ErrNegativeOffset, an offset at or past end of
-// file returns (0, io.EOF), and a read cut short by end of file returns
-// the bytes copied together with io.EOF.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, ErrNegativeOffset
-	}
-	if off >= int64(f.size) {
-		return 0, io.EOF
-	}
-	n := f.copyAt(p, off)
-	f.d.chargeRead(n)
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
 // Bytes returns a copy of the contents for zero-cost inspection in tests.
 func (f *File) Bytes() []byte {
 	b := make([]byte, f.size)
@@ -500,9 +404,9 @@ func (f *File) Bytes() []byte {
 // Writer appends sequentially to a File, charging one positioned write
 // request per window of bufPages pages. It holds no buffer: Write stages
 // the bytes in the file's tail extents, past the committed length, and
-// the request that covers them commits them. Until then Len, Pages,
-// ReadAt and every Reader see only committed bytes, so a wide window
-// costs no memory beyond the file itself.
+// the request that covers them commits them. Until then Len and every
+// Reader see only committed bytes, so a wide window costs no memory
+// beyond the file itself.
 type Writer struct {
 	f      *File
 	window int // bytes per request
@@ -630,17 +534,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 		p = p[n:]
 	}
 	return total, nil
-}
-
-// ReadFull fills p entirely; ok is false at a clean end of range. A
-// short read (range ends mid-record) also reports ok == false with a nil
-// error — record framing above decides whether that is corruption.
-func (r *Reader) ReadFull(p []byte) (bool, error) {
-	n, err := r.Read(p)
-	if err != nil {
-		return false, err
-	}
-	return n == len(p), nil
 }
 
 // request issues the read of the next window: one cancel check, one

@@ -2,8 +2,6 @@ package diskio
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -38,7 +36,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	r := f.NewReader(2)
 	got := make([]byte, len(payload))
 	for i := 0; i < 100; i++ {
-		ok, err := r.ReadFull(got)
+		ok, err := readFull(r, got)
 		if err != nil || !ok {
 			t.Fatalf("short read at record %d (ok=%v err=%v)", i, ok, err)
 		}
@@ -46,7 +44,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 			t.Fatalf("record %d corrupted", i)
 		}
 	}
-	if ok, _ := r.ReadFull(got); ok {
+	if ok, _ := readFull(r, got); ok {
 		t.Fatal("read past end must fail")
 	}
 }
@@ -80,7 +78,7 @@ func TestSequentialReadBatchesPages(t *testing.T) {
 
 	r := f.NewReader(8) // 8 pages per request
 	buf := make([]byte, 1600)
-	r.ReadFull(buf)
+	readFull(r, buf)
 	st := d.Stats().Sub(before)
 	if st.ReadRequests != 2 {
 		t.Fatalf("ReadRequests = %d, want 2 (two 8-page requests)", st.ReadRequests)
@@ -112,6 +110,8 @@ func TestEmptyFlushIsFree(t *testing.T) {
 	}
 }
 
+// TestReadAtCharges: a read of 250 bytes at offset 100, through a range
+// reader whose window covers it, is one positioned request of 3 pages.
 func TestReadAtCharges(t *testing.T) {
 	d := NewDisk(100, 20, time.Millisecond)
 	f := d.Create("a")
@@ -120,8 +120,8 @@ func TestReadAtCharges(t *testing.T) {
 	w.Flush()
 	before := d.Stats()
 	buf := make([]byte, 250)
-	if n, err := f.ReadAt(buf, 100); n != 250 || err != nil {
-		t.Fatalf("ReadAt = (%d, %v)", n, err)
+	if n, err := f.NewRangeReader(4, 100, 350).Read(buf); n != 250 || err != nil {
+		t.Fatalf("Read = (%d, %v)", n, err)
 	}
 	st := d.Stats().Sub(before)
 	if st.ReadRequests != 1 || st.PagesRead != 3 { // 250 bytes = 3 pages of 100
@@ -129,10 +129,9 @@ func TestReadAtCharges(t *testing.T) {
 	}
 }
 
-// TestReadAtEdges pins the io.ReaderAt contract at the two boundary
-// conditions that used to be conflated: an offset at or past EOF is a
-// normal end-of-data condition (io.EOF), while a negative offset is a
-// caller bug and gets its own error.
+// TestReadAtEdges: a range reader clamps its range to the file. A read
+// at or past the end returns nothing and charges nothing; a read that
+// runs past the end returns the tail and charges only its pages.
 func TestReadAtEdges(t *testing.T) {
 	d := NewDisk(100, 20, time.Millisecond)
 	f := d.Create("a")
@@ -140,22 +139,23 @@ func TestReadAtEdges(t *testing.T) {
 	w.Write(make([]byte, 1000))
 	w.Flush()
 
+	before := d.Stats()
 	buf := make([]byte, 250)
-	if n, err := f.ReadAt(buf, int64(f.Len())); n != 0 || err != io.EOF {
-		t.Fatalf("ReadAt at EOF = (%d, %v), want (0, io.EOF)", n, err)
+	end := int64(f.Len())
+	if n, err := f.NewRangeReader(4, end, end+250).Read(buf); n != 0 || err != nil {
+		t.Fatalf("read at the end = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := f.ReadAt(buf, int64(f.Len())+1000); n != 0 || err != io.EOF {
-		t.Fatalf("ReadAt past EOF = (%d, %v), want (0, io.EOF)", n, err)
+	if n, err := f.NewRangeReader(4, end+1000, end+1250).Read(buf); n != 0 || err != nil {
+		t.Fatalf("read past the end = (%d, %v), want (0, nil)", n, err)
 	}
-	if n, err := f.ReadAt(buf, -1); n != 0 || !errors.Is(err, ErrNegativeOffset) {
-		t.Fatalf("ReadAt(-1) = (%d, %v), want (0, ErrNegativeOffset)", n, err)
+	if st := d.Stats().Sub(before); st != (Stats{}) {
+		t.Fatalf("reads at and past the end charged %+v", st)
 	}
-	if errors.Is(io.EOF, ErrNegativeOffset) || errors.Is(ErrNegativeOffset, io.EOF) {
-		t.Fatal("the two edge errors must be distinguishable")
+	if n, err := f.NewRangeReader(4, end-100, end+150).Read(buf); n != 100 || err != nil {
+		t.Fatalf("read over the tail = (%d, %v), want (100, nil)", n, err)
 	}
-	// A short read at the tail returns the data it could get plus io.EOF.
-	if n, err := f.ReadAt(buf, int64(f.Len())-100); n != 100 || err != io.EOF {
-		t.Fatalf("short tail ReadAt = (%d, %v), want (100, io.EOF)", n, err)
+	if st := d.Stats().Sub(before); st.ReadRequests != 1 || st.PagesRead != 1 {
+		t.Fatalf("read over the tail charged %+v, want one request of one page", st)
 	}
 }
 
@@ -289,6 +289,19 @@ func TestReaderWindowCostsNoMemory(t *testing.T) {
 	if one, wide := scan(1), scan(256); wide > one {
 		t.Fatalf("a 256-page window allocates %g per scan, a 1-page window %g", wide, one)
 	}
+}
+
+// readFull fills p from r; ok is false when the range ends first.
+func readFull(r *Reader, p []byte) (bool, error) {
+	n, err := r.Read(p)
+	return err == nil && n == len(p), err
+}
+
+// open returns the file named name on d, or nil if there is none.
+func (d *Disk) open(name string) *File {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.files[name]
 }
 
 // append stages p and commits it: a file that holds p at its end, the
@@ -463,15 +476,12 @@ func TestWriterRetriesTheWindow(t *testing.T) {
 		d.SetFaultPolicy(nil)
 		defer d.SetFaultPolicy(fp)
 		committed := at - staged
-		if f.Len() != committed || f.Pages() != int64((committed+page-1)/page) {
-			t.Fatalf("after %d bytes: Len %d, Pages %d; want %d committed", at, f.Len(), f.Pages(), committed)
+		if f.Len() != committed {
+			t.Fatalf("after %d bytes: Len %d; want %d committed", at, f.Len(), committed)
 		}
 		got := make([]byte, len(data))
 		if n, _ := f.NewReader(64).Read(got); n != committed || !bytes.Equal(got[:n], data[:committed]) {
 			t.Fatalf("after %d bytes: a reader saw %d, want the %d committed", at, n, committed)
-		}
-		if n, err := f.ReadAt(got, 0); n != committed || err != io.EOF {
-			t.Fatalf("after %d bytes: ReadAt of the whole data = (%d, %v), want the %d committed", at, n, err, committed)
 		}
 		if st := d.Stats(); st.WriteRequests != int64(committed/(win*page)) {
 			t.Fatalf("after %d bytes: %d requests charged, want %d", at, st.WriteRequests, committed/(win*page))
@@ -536,8 +546,8 @@ func TestWriterWindowCostsNoMemory(t *testing.T) {
 func TestCreateRemoveOpen(t *testing.T) {
 	d := NewDisk(0, 0, 0)
 	f := d.Create("x")
-	if d.Open("x") != f {
-		t.Fatal("Open must find created file")
+	if d.open("x") != f {
+		t.Fatal("a created file must be on the disk under its name")
 	}
 	a := d.Create("")
 	b := d.Create("")
@@ -545,7 +555,7 @@ func TestCreateRemoveOpen(t *testing.T) {
 		t.Fatal("anonymous files must get unique names")
 	}
 	d.Remove("x")
-	if d.Open("x") != nil {
+	if d.open("x") != nil {
 		t.Fatal("Remove must delete the file")
 	}
 }
@@ -592,7 +602,7 @@ func TestWriterReaderProperty(t *testing.T) {
 		got := make([]byte, len(all))
 		r := file.NewReader(int(bufR%7) + 1)
 		if len(all) > 0 {
-			if ok, err := r.ReadFull(got); !ok || err != nil {
+			if ok, err := readFull(r, got); !ok || err != nil {
 				return false
 			}
 		}
@@ -624,9 +634,9 @@ func TestConcurrentReadsAccountCorrectly(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			r := d.Open(name).NewReader(2) // 8 requests of 2 pages each
+			r := d.open(name).NewReader(2) // 8 requests of 2 pages each
 			buf := make([]byte, pagesPer*100)
-			if ok, err := r.ReadFull(buf); !ok || err != nil {
+			if ok, err := readFull(r, buf); !ok || err != nil {
 				t.Errorf("concurrent read failed (ok=%v err=%v)", ok, err)
 			}
 		}(names[i])
@@ -649,7 +659,7 @@ func TestConcurrentReadsAccountCorrectly(t *testing.T) {
 // picked by near, so most of them sit on an extent seam or one byte to
 // either side of it.
 type extOp struct {
-	kind byte // 0 write, 1 flush, 2 ReadAt, 3 range reader
+	kind byte // 0 write, 1 flush, 2 range read in pieces, 3 range read
 	a, b int
 }
 
@@ -746,18 +756,26 @@ func checkExtentOps(t testing.TB, pageSize, bufPages int, faultSeed int64, ops [
 			flush()
 		case 2:
 			// Reads run without the policy: a read request would draw from
-			// its generator and the twin would fall out of step.
+			// its generator and the twin would fall out of step. Pieces one
+			// byte longer than the one-page window make every Read cross a
+			// window boundary, each at a different offset into its piece.
 			d.SetFaultPolicy(nil)
-			off, p := int64(op.a), make([]byte, op.b)
-			n, err := f.ReadAt(p, off)
-			want := model[min(op.a, len(model)):min(op.a+op.b, len(model))]
-			wantErr := io.EOF
-			if len(want) == len(p) && op.a < len(model) {
-				wantErr = nil
+			lo, hi := op.a, op.a+op.b
+			want := model[min(lo, len(model)):min(hi, len(model))]
+			r := f.NewRangeReader(1, int64(lo), int64(hi))
+			var got []byte
+			for p := make([]byte, pageSize+1); ; {
+				n, err := r.Read(p)
+				if err != nil {
+					t.Fatalf("op %d: range [%d, %d) read in pieces: %v", i, lo, hi, err)
+				}
+				if n == 0 {
+					break
+				}
+				got = append(got, p[:n]...)
 			}
-			if n != len(want) || err != wantErr || !bytes.Equal(p[:n], want) {
-				t.Fatalf("op %d: ReadAt(len %d, off %d) on %d bytes = (%d, %v), want (%d, %v) and the model's bytes",
-					i, len(p), off, len(model), n, err, len(want), wantErr)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("op %d: range [%d, %d) of %d bytes read in pieces gave %d bytes, want %d bytes of the model", i, lo, hi, len(model), len(got), len(want))
 			}
 		case 3:
 			d.SetFaultPolicy(nil)
@@ -769,8 +787,8 @@ func checkExtentOps(t testing.TB, pageSize, bufPages int, faultSeed int64, ops [
 				t.Fatalf("op %d: range [%d, %d) of %d bytes read (%d, %v), want %d bytes of the model", i, lo, hi, len(model), n, err, len(want))
 			}
 		}
-		if f.Len() != len(model) || f.Pages() != int64((len(model)+pageSize-1)/pageSize) {
-			t.Fatalf("op %d: Len %d Pages %d on a model of %d bytes", i, f.Len(), f.Pages(), len(model))
+		if f.Len() != len(model) {
+			t.Fatalf("op %d: Len %d on a model of %d bytes", i, f.Len(), len(model))
 		}
 	}
 
@@ -811,8 +829,8 @@ func extOpsFromBytes(script []byte, pageSize int) []extOp {
 	return ops
 }
 
-// TestFileExtents drives files through writes, flushes, positioned reads
-// and range readers against a flat byte-slice model, with buffer sizes
+// TestFileExtents drives files through writes, flushes and range
+// readers against a flat byte-slice model, with buffer sizes
 // that divide an extent, equal it, span two, and share no factor with it,
 // healthy and under torn-write and bit-flip faults.
 func TestFileExtents(t *testing.T) {

@@ -2,8 +2,12 @@ package diskio
 
 import (
 	"bytes"
+	"errors"
+	"sync"
 	"testing"
 	"time"
+
+	"spatialjoin/internal/metrics"
 )
 
 // TestFaultScheduleDeterministic pins the core property the chaos suite
@@ -34,7 +38,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		r := f.NewReader(1)
 		buf := make([]byte, 64)
 		for {
-			ok, err := r.ReadFull(buf)
+			ok, err := readFull(r, buf)
 			if err != nil {
 				continue // transient; retry
 			}
@@ -218,5 +222,49 @@ func TestDisableFreezesPolicy(t *testing.T) {
 	}
 	if fp.Stats().Total() != 0 {
 		t.Fatal("disabled policy counted faults")
+	}
+}
+
+// eventLog is a Tracer that records the events it is handed.
+type eventLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *eventLog) IOEvent(kind, file string) {
+	l.mu.Lock()
+	l.events = append(l.events, kind+" "+file)
+	l.mu.Unlock()
+}
+
+// TestNoteRetry: a retry is counted on the disk's Stats and the live
+// registry and traced as a retry event, and NoteRetry hands back the
+// cancel hook's error so a canceled join stops retrying. The retry that
+// meets the cancellation is still counted: the request did fail.
+func TestNoteRetry(t *testing.T) {
+	d := NewDisk(64, 5, time.Millisecond)
+	log := &eventLog{}
+	reg := metrics.New()
+	d.SetTracer(log)
+	d.SetMetrics(reg)
+	if err := d.NoteRetry("f"); err != nil {
+		t.Fatalf("NoteRetry = %v, want nil", err)
+	}
+	boom := errors.New("canceled")
+	d.SetCancel(func() error { return boom })
+	if err := d.NoteRetry("g"); !errors.Is(err, boom) {
+		t.Fatalf("NoteRetry on a canceled disk = %v, want the hook's error", err)
+	}
+	if got := d.Stats().Retries; got != 2 {
+		t.Fatalf("Stats().Retries = %d, want 2", got)
+	}
+	if got := reg.Snapshot().Value(metRetries); got != 2 {
+		t.Fatalf("%s = %v, want 2", metRetries, got)
+	}
+	if want := []string{"retry f", "retry g"}; len(log.events) != 2 || log.events[0] != want[0] || log.events[1] != want[1] {
+		t.Fatalf("traced %q, want %q", log.events, want)
+	}
+	if st := d.Stats(); st.ReadRequests+st.WriteRequests != 0 || st.CostUnits != 0 {
+		t.Fatalf("a retry charged the device: %+v", st)
 	}
 }

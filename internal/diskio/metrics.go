@@ -4,7 +4,8 @@ import "spatialjoin/internal/metrics"
 
 // Metric names owned by package diskio. Process-lifetime totals across
 // every disk a registry is attached to; per-join deltas remain the job
-// of Stats / trace.IOStats, and chaos reconciles the two exactly.
+// of Stats (a join's Result.IO, and the delta every trace span carries),
+// and chaos reconciles the two exactly.
 const (
 	// metReadRequests counts positioned read requests.
 	metReadRequests = "diskio.read.requests"

@@ -27,9 +27,6 @@ func (d *Disk) NewRegistry() *Registry {
 	return &Registry{d: d, live: make(map[string]struct{})}
 }
 
-// Disk returns the device the registry creates files on.
-func (r *Registry) Disk() *Disk { return r.d }
-
 // Create makes a new uniquely-named temp file and registers it.
 func (r *Registry) Create() *File {
 	f := r.d.Create("")
@@ -50,29 +47,6 @@ func (r *Registry) Remove(f *File) {
 	delete(r.live, f.Name())
 	r.mu.Unlock()
 	r.d.Remove(f.Name())
-}
-
-// Adopt registers an existing file (created elsewhere, e.g. handed over
-// by a nested sort) so Sweep covers it.
-func (r *Registry) Adopt(f *File) {
-	if f == nil {
-		return
-	}
-	r.mu.Lock()
-	r.live[f.Name()] = struct{}{}
-	r.mu.Unlock()
-}
-
-// Forget unregisters a file without deleting it: ownership transfers to
-// the caller (a sort returning its output file into the parent join's
-// registry).
-func (r *Registry) Forget(f *File) {
-	if f == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.live, f.Name())
-	r.mu.Unlock()
 }
 
 // Live returns how many registered files have not been removed yet.

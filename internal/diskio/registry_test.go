@@ -22,7 +22,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatalf("NumFiles = %d, want 3", got)
 	}
 	r.Remove(b)
-	if d.Open(b.Name()) != nil {
+	if d.open(b.Name()) != nil {
 		t.Fatal("Remove left the file on disk")
 	}
 	if got := r.Live(); got != 2 {
@@ -34,7 +34,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if got := d.NumFiles(); got != 0 {
 		t.Fatalf("NumFiles after sweep = %d (%v), want 0", got, d.FileNames())
 	}
-	if d.Open(a.Name()) != nil || d.Open(c.Name()) != nil {
+	if d.open(a.Name()) != nil || d.open(c.Name()) != nil {
 		t.Fatal("swept files still open")
 	}
 	// Sweep is idempotent.
@@ -43,35 +43,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-// TestRegistryForgetAndAdopt: Forget transfers ownership out (Sweep must
-// not delete), Adopt transfers it in.
-func TestRegistryForgetAndAdopt(t *testing.T) {
-	d := testDisk()
-	r := d.NewRegistry()
-	f := r.Create()
-	r.Forget(f)
-	if n := r.Sweep(); n != 0 {
-		t.Fatalf("Sweep removed %d forgotten files", n)
-	}
-	if d.Open(f.Name()) == nil {
-		t.Fatal("forgotten file was deleted")
-	}
-	r.Adopt(f)
-	if n := r.Sweep(); n != 1 {
-		t.Fatalf("Sweep removed %d, want 1 adopted file", n)
-	}
-	if d.NumFiles() != 0 {
-		t.Fatal("adopted file survived the sweep")
-	}
-}
-
 // TestRegistryNilFiles: nil files are ignored everywhere, so error paths
 // can call unconditionally.
 func TestRegistryNilFiles(t *testing.T) {
 	r := testDisk().NewRegistry()
 	r.Remove(nil)
-	r.Adopt(nil)
-	r.Forget(nil)
 	if r.Live() != 0 {
 		t.Fatal("nil file was registered")
 	}

@@ -183,8 +183,8 @@ func WriteSummary(w io.Writer, s Snapshot) error {
 }
 
 // Handler serves the registry over HTTP: GET /metrics returns the
-// Prometheus text exposition, GET /metricsz the JSONL form. Intended
-// for sjoin -metrics-addr and the future sjserved daemon.
+// Prometheus text exposition, GET /metricsz the JSONL form. sjoin
+// -metrics-addr serves it.
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

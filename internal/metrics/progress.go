@@ -100,11 +100,3 @@ func (p *Progress) Fraction() float64 {
 	}
 	return p.frac.Value()
 }
-
-// ETA returns the current remaining-time estimate.
-func (p *Progress) ETA() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return time.Duration(p.eta.Value() * float64(time.Second))
-}

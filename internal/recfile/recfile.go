@@ -240,8 +240,7 @@ func (w *RecWriter) emit(last bool) error {
 			return err
 		}
 		retries++
-		w.f.Disk().NoteRetry(w.f.Name())
-		if err := w.f.Disk().RetrySleep(w.f.Name(), retries); err != nil {
+		if err := w.f.Disk().NoteRetry(w.f.Name()); err != nil {
 			return err
 		}
 	}
@@ -270,8 +269,7 @@ func (w *RecWriter) Flush() error {
 			return err
 		}
 		retries++
-		w.f.Disk().NoteRetry(w.f.Name())
-		if err := w.f.Disk().RetrySleep(w.f.Name(), retries); err != nil {
+		if err := w.f.Disk().NoteRetry(w.f.Name()); err != nil {
 			return err
 		}
 	}
@@ -291,7 +289,6 @@ type RecReader struct {
 	rangeMode bool
 	remaining int64 // records left to serve in range mode
 	skip      int   // records to skip in the first loaded frame
-	served    int64
 	hdr       [frameHeaderSize]byte
 }
 
@@ -349,8 +346,7 @@ func (r *RecReader) readRetry(p []byte) (int, error) {
 			return got, err
 		}
 		retries++
-		r.f.Disk().NoteRetry(r.f.Name())
-		if err := r.f.Disk().RetrySleep(r.f.Name(), retries); err != nil {
+		if err := r.f.Disk().NoteRetry(r.f.Name()); err != nil {
 			return got, err
 		}
 	}
@@ -453,20 +449,10 @@ func (r *RecReader) NextRef() ([]byte, bool, error) {
 	}
 	p := r.payload[r.pos*r.rec : (r.pos+1)*r.rec : (r.pos+1)*r.rec]
 	r.pos++
-	r.served++
 	if r.rangeMode {
 		r.remaining--
 	}
 	return p, true, nil
-}
-
-// Left returns the number of unread records: exact for range readers,
-// length-derived for whole-file readers.
-func (r *RecReader) Left() int64 {
-	if r.rangeMode {
-		return r.remaining
-	}
-	return NumRecs(r.f, r.rec) - r.served
 }
 
 // KPEWriter appends KPE records to a disk file through checksummed
@@ -491,9 +477,6 @@ func (w *KPEWriter) Write(k geom.KPE) error {
 	return w.w.Commit()
 }
 
-// Count returns the number of records written so far.
-func (w *KPEWriter) Count() int { return int(w.w.Count()) }
-
 // Flush finalizes the stream and forces buffered records to disk.
 func (w *KPEWriter) Flush() error { return w.w.Flush() }
 
@@ -508,11 +491,6 @@ func NewKPEReader(f *diskio.File, bufPages int) *KPEReader {
 	return &KPEReader{r: NewRecReader(f, geom.KPESize, bufPages)}
 }
 
-// NewKPERangeReader creates a reader over records [lo, hi) of f.
-func NewKPERangeReader(f *diskio.File, bufPages int, lo, hi int64) *KPEReader {
-	return &KPEReader{r: NewRecRangeReader(f, geom.KPESize, bufPages, lo, hi)}
-}
-
 // Next returns the next record; ok is false at end of stream or on
 // error.
 func (r *KPEReader) Next() (geom.KPE, bool, error) {
@@ -522,9 +500,6 @@ func (r *KPEReader) Next() (geom.KPE, bool, error) {
 	}
 	return geom.DecodeKPE(p), true, nil
 }
-
-// RecordsLeft returns the number of unread records.
-func (r *KPEReader) RecordsLeft() int64 { return r.r.Left() }
 
 // NumKPEs returns the number of KPE records stored in f.
 func NumKPEs(f *diskio.File) int64 { return NumRecs(f, geom.KPESize) }
@@ -574,27 +549,5 @@ func (w *PairWriter) Write(p geom.Pair) error {
 	return w.w.Commit()
 }
 
-// Count returns the number of records written so far.
-func (w *PairWriter) Count() int { return int(w.w.Count()) }
-
 // Flush finalizes the stream and forces buffered records to disk.
 func (w *PairWriter) Flush() error { return w.w.Flush() }
-
-// PairReader scans Pair records sequentially from a disk file.
-type PairReader struct {
-	r *RecReader
-}
-
-// NewPairReader creates a reader over the whole of f.
-func NewPairReader(f *diskio.File, bufPages int) *PairReader {
-	return &PairReader{r: NewRecReader(f, geom.PairSize, bufPages)}
-}
-
-// Next returns the next pair; ok is false at end of stream or on error.
-func (r *PairReader) Next() (geom.Pair, bool, error) {
-	p, ok, err := r.r.NextRef()
-	if !ok || err != nil {
-		return geom.Pair{}, false, err
-	}
-	return geom.DecodePair(p), true, nil
-}

@@ -29,18 +29,12 @@ func TestKPEWriterReaderRoundTrip(t *testing.T) {
 		w.Write(k)
 		want = append(want, k)
 	}
-	if w.Count() != 500 {
-		t.Fatalf("Count = %d", w.Count())
-	}
 	w.Flush()
 	if NumKPEs(f) != 500 {
 		t.Fatalf("NumKPEs = %d", NumKPEs(f))
 	}
 
 	r := NewKPEReader(f, 3)
-	if r.RecordsLeft() != 500 {
-		t.Fatalf("RecordsLeft = %d", r.RecordsLeft())
-	}
 	for i, k := range want {
 		got, ok, err := r.Next()
 		if err != nil || !ok {
@@ -104,14 +98,14 @@ func TestKPERangeReader(t *testing.T) {
 		w.Write(geom.KPE{ID: uint64(i)})
 	}
 	w.Flush()
-	r := NewKPERangeReader(f, 2, 10, 20)
+	r := NewRecRangeReader(f, geom.KPESize, 2, 10, 20)
 	for want := uint64(10); want < 20; want++ {
-		k, ok, err := r.Next()
-		if err != nil || !ok || k.ID != want {
-			t.Fatalf("range read got (%v,%v,%v), want id %d", k, ok, err, want)
+		p, ok, err := r.NextRef()
+		if err != nil || !ok || geom.DecodeKPE(p).ID != want {
+			t.Fatalf("range read got (%v,%v,%v), want id %d", p, ok, err, want)
 		}
 	}
-	if _, ok, err := r.Next(); ok || err != nil {
+	if _, ok, err := r.NextRef(); ok || err != nil {
 		t.Fatalf("range must end at record 20 (ok=%v err=%v)", ok, err)
 	}
 }
@@ -131,10 +125,10 @@ func TestRangeReaderChargesOnlyItsFrames(t *testing.T) {
 	for _, rg := range [][2]int64{{250, 750}, {0, 1}, {per, 2 * per}, {1999, 2000}} {
 		lo, hi := rg[0], rg[1]
 		before := d.Stats()
-		r := NewKPERangeReader(f, 64, lo, hi)
+		r := NewRecRangeReader(f, geom.KPESize, 64, lo, hi)
 		for want := uint64(lo); want < uint64(hi); want++ {
-			if k, ok, err := r.Next(); err != nil || !ok || k.ID != want {
-				t.Fatalf("range [%d, %d): got (%v, %v, %v), want id %d", lo, hi, k, ok, err, want)
+			if p, ok, err := r.NextRef(); err != nil || !ok || geom.DecodeKPE(p).ID != want {
+				t.Fatalf("range [%d, %d): got (%v, %v, %v), want id %d", lo, hi, p, ok, err, want)
 			}
 		}
 		span := min((hi+per-1)/per*fb, int64(f.Len())) - lo/per*fb
@@ -155,17 +149,17 @@ func TestPairWriterReaderRoundTrip(t *testing.T) {
 		want = append(want, p)
 	}
 	w.Flush()
-	if w.Count() != 300 {
-		t.Fatalf("Count = %d", w.Count())
+	if n := NumRecs(f, geom.PairSize); n != 300 {
+		t.Fatalf("NumRecs = %d", n)
 	}
-	r := NewPairReader(f, 2)
+	r := NewRecReader(f, geom.PairSize, 2)
 	for i, p := range want {
-		got, ok, err := r.Next()
-		if err != nil || !ok || got != p {
+		got, ok, err := r.NextRef()
+		if err != nil || !ok || geom.DecodePair(got) != p {
 			t.Fatalf("pair %d: got (%v,%v,%v)", i, got, ok, err)
 		}
 	}
-	if _, ok, err := r.Next(); ok || err != nil {
+	if _, ok, err := r.NextRef(); ok || err != nil {
 		t.Fatalf("stream must end cleanly (ok=%v err=%v)", ok, err)
 	}
 }

@@ -392,7 +392,7 @@ var stallTimeout = 5 * time.Second
 // restartBackoff paces shard restarts, and a pool's redials unless its
 // PoolConfig names another policy: capped exponential with deterministic
 // jitter.
-var restartBackoff = &diskio.Backoff{Base: 5 * time.Millisecond, Cap: 250 * time.Millisecond, Factor: 2, Jitter: 0.5, Seed: 1}
+var restartBackoff = &Backoff{Base: 5 * time.Millisecond, Cap: 250 * time.Millisecond, Factor: 2, Jitter: 0.5, Seed: 1}
 
 func (c *Config) workerCmd() ([]string, error) {
 	if len(c.WorkerCmd) > 0 {

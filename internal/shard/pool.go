@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/trace"
@@ -36,7 +35,7 @@ type PoolConfig struct {
 	// Backoff paces redials per endpoint; nil means the coordinator's
 	// restart policy. Each endpoint is its own backoff key, so one
 	// flapping host never slows its healthy siblings.
-	Backoff *diskio.Backoff
+	Backoff *Backoff
 	// Metrics publishes the pool's connection lifecycle counters and
 	// the reconnect latency histogram — the pool's only record of them;
 	// nil disables.
@@ -65,7 +64,7 @@ type endpoint struct {
 // Safe for concurrent use by every shard of every join sharing it.
 type Pool struct {
 	cfg PoolConfig
-	kb  *diskio.KeyedBackoff
+	kb  *KeyedBackoff
 	met *shardMetrics
 	rec *trace.Recorder
 
@@ -84,7 +83,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	p := &Pool{
 		cfg: cfg,
-		kb:  diskio.NewKeyedBackoff(cfg.Backoff),
+		kb:  NewKeyedBackoff(cfg.Backoff),
 		met: newShardMetrics(cfg.Metrics),
 		rec: cfg.Trace,
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
 )
@@ -26,8 +25,8 @@ func servePingWorker(t *testing.T) string {
 }
 
 // fastBackoff keeps pool tests quick: no sleeps worth noticing.
-func fastBackoff() *diskio.Backoff {
-	return &diskio.Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Factor: 2, Jitter: 0, Seed: 1}
+func fastBackoff() *Backoff {
+	return &Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Factor: 2, Jitter: 0, Seed: 1}
 }
 
 // poolCounts reads a pool's lifecycle counts from its registry, their

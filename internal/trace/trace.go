@@ -1,22 +1,23 @@
 // Package trace records where one join's time and I/O went: a
-// zero-dependency recorder of hierarchical spans and instant events that
-// every join method threads its phases through.
+// recorder of hierarchical spans and instant events that every join
+// method threads its phases through.
 //
 // The paper's claims are phase-level cost arguments — RPM removes the
 // final sort phase, the trie/list crossover moves with partition size,
 // S³J pays replication in its partition phase — so the unit of
 // observation here is the *span*: a named interval of one join with wall
-// time, an I/O delta (requests, pages, retries, cost units) and a record
-// count captured between Begin/Child and End. Spans nest: a join root
-// span owns partition/sort/join/dup-removal phase spans, which own
-// per-pair, heal and external-sort spans.
+// time, the delta of its disk's diskio.Stats (requests, pages, retries,
+// cost units) and a record count, captured between Begin/Child and End.
+// Spans nest: a join root span owns partition/sort/join/dup-removal phase
+// spans, which own per-pair, heal and external-sort spans.
 //
-// Time lives here and nowhere else; counts do not live here at all. The
-// paper-specific totals (duplicates suppressed by the Reference Point
-// Method, reference-point tests, replication copies per S³J level, sweep
-// node touches) and distributions (partition fill, bucket fill) are
-// series of package metrics, the per-join result is the method's Stats,
-// and a per-join delta is Snapshot().Sub(before) — DESIGN.md §13.
+// Time lives here and nowhere else. Apart from that Stats delta and the
+// record count a span holds no counts: the paper-specific totals
+// (duplicates suppressed by the Reference Point Method, reference-point
+// tests, replication copies per S³J level, sweep node touches) and
+// distributions (partition fill, bucket fill) are series of package
+// metrics, the per-join result is the method's Stats, and a per-join
+// delta is Snapshot().Sub(before) — DESIGN.md §13.
 //
 // # Nil fast path
 //
@@ -40,39 +41,9 @@ package trace
 import (
 	"sync"
 	"time"
+
+	"spatialjoin/internal/diskio"
 )
-
-// IOStats is a snapshot (or delta) of I/O activity. It mirrors the
-// counters of diskio.Stats without importing it, so the storage layer
-// can stay observability-free.
-type IOStats struct {
-	ReadRequests  int64
-	WriteRequests int64
-	PagesRead     int64
-	PagesWritten  int64
-	BytesRead     int64
-	BytesWritten  int64
-	Retries       int64
-	CostUnits     float64
-}
-
-// Sub returns s minus other, the delta between two snapshots.
-func (s IOStats) Sub(other IOStats) IOStats {
-	return IOStats{
-		ReadRequests:  s.ReadRequests - other.ReadRequests,
-		WriteRequests: s.WriteRequests - other.WriteRequests,
-		PagesRead:     s.PagesRead - other.PagesRead,
-		PagesWritten:  s.PagesWritten - other.PagesWritten,
-		BytesRead:     s.BytesRead - other.BytesRead,
-		BytesWritten:  s.BytesWritten - other.BytesWritten,
-		Retries:       s.Retries - other.Retries,
-		CostUnits:     s.CostUnits - other.CostUnits,
-	}
-}
-
-// Seeks returns the positioned-request count, the seek proxy of the cost
-// model (every request pays one positioning time PT).
-func (s IOStats) Seeks() int64 { return s.ReadRequests + s.WriteRequests }
 
 // Attr is one key/value annotation on a span. Val carries numeric
 // values; Str carries string values (file names); exactly one is used.
@@ -89,7 +60,7 @@ type SpanData struct {
 	Name    string
 	Start   time.Duration // offset from the recorder epoch
 	Dur     time.Duration
-	IO      IOStats // delta consumed while the span was open
+	IO      diskio.Stats // the disk's counters consumed while the span was open
 	Records int64
 	Attrs   []Attr
 	// Instant marks a zero-duration event (a retry, an injected fault)
@@ -105,10 +76,10 @@ func (s *SpanData) End() time.Duration { return s.Start + s.Dur }
 // on a nil receiver (no-ops) and safe for concurrent use otherwise.
 type Recorder struct {
 	mu     sync.Mutex
-	epoch  time.Time      // immutable after New
-	ioFn   func() IOStats // guarded by mu
-	spans  []SpanData     // guarded by mu
-	nextID int64          // guarded by mu
+	epoch  time.Time           // immutable after New
+	ioFn   func() diskio.Stats // guarded by mu
+	spans  []SpanData          // guarded by mu
+	nextID int64               // guarded by mu
 }
 
 // New returns an empty Recorder whose epoch is now.
@@ -117,9 +88,9 @@ func New() *Recorder {
 }
 
 // SetIOSource installs the snapshot function spans use to attribute I/O
-// deltas (typically a closure over diskio.Disk.Stats). Passing nil
-// detaches it; spans then record zero I/O.
-func (r *Recorder) SetIOSource(fn func() IOStats) {
+// deltas: the Stats method of the join's disk. Passing nil detaches it;
+// spans then record zero I/O.
+func (r *Recorder) SetIOSource(fn func() diskio.Stats) {
 	if r == nil {
 		return
 	}
@@ -128,12 +99,12 @@ func (r *Recorder) SetIOSource(fn func() IOStats) {
 	r.mu.Unlock()
 }
 
-func (r *Recorder) ioNow() IOStats {
+func (r *Recorder) ioNow() diskio.Stats {
 	r.mu.Lock()
 	fn := r.ioFn
 	r.mu.Unlock()
 	if fn == nil {
-		return IOStats{}
+		return diskio.Stats{}
 	}
 	return fn()
 }
@@ -207,7 +178,7 @@ type Span struct {
 	parent  int64
 	name    string
 	start   time.Duration
-	io0     IOStats
+	io0     diskio.Stats
 	records int64
 	attrs   []Attr
 }

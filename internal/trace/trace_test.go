@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"spatialjoin/internal/diskio"
 )
 
 func TestNilRecorderAndSpanAreNoOps(t *testing.T) {
@@ -40,8 +42,8 @@ func TestNilRecorderAndSpanAreNoOps(t *testing.T) {
 
 func TestSpanHierarchyAndIODeltas(t *testing.T) {
 	r := New()
-	var fake IOStats
-	r.SetIOSource(func() IOStats { return fake })
+	var fake diskio.Stats
+	r.SetIOSource(func() diskio.Stats { return fake })
 
 	root := r.Begin("join")
 	p := root.Child("partition")

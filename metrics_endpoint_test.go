@@ -1,10 +1,10 @@
-// End-to-end smoke of the exposition layer: a real PBSM join, slowed to
-// scrapeable speed by realized disk latency, is watched through the same
-// HTTP handler sjoin -metrics-addr serves. Every mid-flight /metrics
-// response must be well-formed Prometheus text, the progress fraction
-// must be monotone nondecreasing across scrapes, and after the join
-// returns it must read exactly 1. /metricsz must yield one valid JSON
-// object per line.
+// End-to-end smoke of the exposition layer: a real PBSM join is watched
+// through the same HTTP handler sjoin -metrics-addr serves, scraped from
+// inside its result stream. Every mid-flight /metrics response must be
+// well-formed Prometheus text, the progress fraction must be monotone
+// nondecreasing across scrapes and take at least two distinct values
+// strictly between 0 and 1, and after the join returns it must read
+// exactly 1. /metricsz must yield one valid JSON object per line.
 package spatialjoin_test
 
 import (
@@ -16,11 +16,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
-	"spatialjoin/internal/diskio"
+	"spatialjoin/internal/geom"
 	"spatialjoin/internal/metrics"
 )
 
@@ -93,40 +92,39 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	srv := httptest.NewServer(metrics.Handler(reg))
 	defer srv.Close()
 
-	// Realized latency stretches the join into scrapeable territory
-	// without inflating its accounting.
-	d := diskio.NewDisk(4096, 20, time.Microsecond)
-	d.SetLatency(2 * time.Microsecond)
-	R := datagen.Uniform(41, 3000, 0.004)
-	S := datagen.Uniform(42, 3000, 0.004)
-	cfg := core.Config{
-		Method: core.PBSM, Memory: 32 << 10, Parallel: 4,
-		Disk: d, Metrics: reg,
-	}
+	R := datagen.Uniform(41, 3000, 0.01)
+	S := datagen.Uniform(42, 3000, 0.01)
+	cfg := core.Config{Method: core.PBSM, Memory: 32 << 10, Parallel: 1, Metrics: reg}
 
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := core.Collect(R, S, cfg)
-		done <- err
-	}()
-
-	// Scrape until the join finishes; the fraction series must never
-	// move backwards no matter when the samples land.
+	// Scrape from inside the result stream, every scrapeEvery-th pair: the
+	// join is mid-flight by construction, however fast it runs, and the
+	// fraction series must never move backwards. A serial join completes
+	// its pairs in emission order, so the samples are the same on every
+	// run, and it calls emit on this goroutine, where scrape may fail the
+	// test.
+	const scrapeEvery = 25
 	var fractions []float64
-	running := true
-	for running {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("join: %v", err)
-			}
-			running = false
-		case <-time.After(2 * time.Millisecond):
-			body := scrape(t, srv.URL+"/metrics")
-			if f, ok := parseExposition(t, body, "join_progress_fraction"); ok {
-				fractions = append(fractions, f)
-			}
+	pairs := 0
+	_, err := core.Join(R, S, cfg, func(geom.Pair) {
+		if pairs++; pairs%scrapeEvery != 0 {
+			return
 		}
+		if f, ok := parseExposition(t, scrape(t, srv.URL+"/metrics"), "join_progress_fraction"); ok {
+			fractions = append(fractions, f)
+		}
+	})
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	midFlight := map[float64]bool{}
+	for _, f := range fractions {
+		if f > 0 && f < 1 {
+			midFlight[f] = true
+		}
+	}
+	if len(midFlight) < 2 {
+		t.Fatalf("%d scrapes over %d pairs saw %d distinct fractions strictly between 0 and 1, want at least 2: %v",
+			len(fractions), pairs, len(midFlight), fractions)
 	}
 
 	final, ok := parseExposition(t, scrape(t, srv.URL+"/metrics"), "join_progress_fraction")
@@ -142,7 +140,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	if final != 1 {
 		t.Fatalf("final progress fraction %v, want exactly 1", final)
 	}
-	t.Logf("collected %d fraction samples, final %v", len(fractions), final)
+	t.Logf("collected %d fraction samples, %d distinct mid-flight, final %v", len(fractions), len(midFlight), final)
 
 	// JSONL view: one well-formed object per line, progress present.
 	sawFraction := false

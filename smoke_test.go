@@ -1,7 +1,12 @@
 package spatialjoin_test
 
 import (
+	"encoding/json"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -52,6 +57,44 @@ func TestCommandsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("commands skipped in -short mode")
 	}
+	// Not parallel: the coverage gate measures wall time, and the other
+	// subtests would share the processors with it.
+	t.Run("sjoin-trace", func(t *testing.T) {
+		// One PBSM join of 8 000 x 8 000 uniform rectangles with memory at
+		// about a quarter of the input (0.076 paper-MB = 4 000 KPEs). Not
+		// fewer records: the one join of a fresh process pays some 80 us
+		// of cold-start set-up before its first phase span opens, a share
+		// that grows as the join gets faster.
+		path := filepath.Join(t.TempDir(), "trace.json")
+		out := runBinary(t, "./cmd/sjoin", "-r", "uniform", "-s", "uniform", "-n", "8000",
+			"-method", "pbsm", "-mem", "0.076", "-trace", path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []map[string]any
+		if err := json.Unmarshal(raw, &events); err != nil {
+			t.Fatalf("%s does not parse as a Chrome trace_event array: %v", path, err)
+		}
+		spans := 0
+		for _, e := range events {
+			if e["ph"] == "X" {
+				spans++
+			}
+		}
+		if spans == 0 {
+			t.Fatalf("%s holds %d events and no complete (\"ph\":\"X\") span", path, len(events))
+		}
+		m := regexp.MustCompile(`coverage ([0-9.]+)%`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("sjoin -trace printed no coverage:\n%s", out)
+		}
+		cov, _ := strconv.ParseFloat(m[1], 64)
+		if cov < 95 {
+			t.Fatalf("the span tree covers %.1f%% of the join's wall time, want at least 95%%", cov)
+		}
+		t.Logf("%d spans, coverage %.1f%%", spans, cov)
+	})
 	t.Run("sjoin", func(t *testing.T) {
 		t.Parallel()
 		out := runBinary(t, "./cmd/sjoin", "-n", "2000", "-method", "s3j")
