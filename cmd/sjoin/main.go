@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -226,7 +227,6 @@ func main() {
 		Algorithm: sweep.Kind(*alg),
 		Parallel:  *parallel,
 		Shards:    *shards,
-		Deadline:  *timeout,
 	}
 	if *shardEndpoints != "" {
 		for _, ep := range strings.Split(*shardEndpoints, ",") {
@@ -291,6 +291,11 @@ func main() {
 		fmt.Printf("          choosing %s\n", cfg.Method)
 	}
 
+	if *timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		defer cancel()
+		cfg.Ctx = ctx
+	}
 	var stopProgress func()
 	if *progress {
 		stopProgress = startProgressTicker(reg)

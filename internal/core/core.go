@@ -78,11 +78,10 @@ type Config struct {
 	// PBSMDup selects PBSM's duplicate-elimination strategy; default
 	// DupRPM (the paper's improvement). Ignored for S³J.
 	PBSMDup pbsm.DupMethod
-	// PBSMTuneFactor, PBSMTilesPerPartition and PBSMMaxRecurse tune
-	// PBSM's partitioning; zero values select the package defaults.
+	// PBSMTuneFactor and PBSMTilesPerPartition tune PBSM's
+	// partitioning; zero values select the package defaults.
 	PBSMTuneFactor        float64
 	PBSMTilesPerPartition int
-	PBSMMaxRecurse        int
 	// PBSMHashTiles selects the paper's tile→partition hash instead of
 	// the balanced table PBSM plans from the data (pbsm.Config.HashTiles);
 	// for reproducing figures that measure the hash plan. The sharded
@@ -91,13 +90,12 @@ type Config struct {
 
 	// Shards, when > 1, executes the join as that many worker OS
 	// processes under the coordinator of package shard: each shard is
-	// its own fault domain with a private disk, temp-file registry and
-	// governor memory slice, supervised with heartbeats and restarted
-	// (or absorbed) on failure. Requires Method PBSM with DupRPM or
-	// DupTLSP — a per-partition output that is globally duplicate-free
-	// on its own is what makes multi-process merge correct, so DupSort
-	// is rejected — and the shard package linked in (importing it
-	// registers the executor). The
+	// its own fault domain with a private disk and temp-file registry,
+	// supervised with heartbeats and restarted (or absorbed) on failure.
+	// Requires Method PBSM with DupRPM or DupTLSP — a per-partition
+	// output that is globally duplicate-free on its own is what makes
+	// multi-process merge correct, so DupSort is rejected — and the
+	// shard package linked in (importing it registers the executor). The
 	// result set AND its emission order are identical at every shard
 	// count. Fields Disk and Trace's I/O attribution do not apply to
 	// the worker processes' private disks; I/O is aggregated in
@@ -144,46 +142,24 @@ type Config struct {
 	// Ctx, when non-nil, makes the join cancelable: every long-running
 	// loop and every disk request checks it cooperatively, and a canceled
 	// join unwinds with a JoinError of kind Canceled (or DeadlineExceeded)
-	// naming the phase it died in, having swept all its temp files. Nil
-	// (the default) disables cancellation at no cost.
+	// naming the phase it died in, having swept all its temp files. A
+	// wall-time bound is a context.WithTimeout. Nil (the default)
+	// disables cancellation at no cost.
 	Ctx context.Context
-	// Deadline, when positive, bounds the join's wall time: the join runs
-	// under Ctx (or a fresh background context) with this timeout and
-	// fails with kind DeadlineExceeded when it expires.
-	Deadline time.Duration
-	// Governor, when non-nil, admission-controls the join: it must
-	// acquire its Memory claim (and a join slot) before starting, queueing
-	// while the governor is at capacity — honoring Ctx/Deadline while
-	// queued — and failing fast with a JoinError{Phase: "admission"} when
-	// the claim alone exceeds the governor's budget. Share one Governor
-	// across the joins of one machine.
-	Governor *Governor
 
 	// Metrics, when non-nil, publishes live process-lifetime series for
 	// this join and every layer under it: disk request/byte/retry/fault
-	// counters, governor admission gauges, per-pool scheduler
-	// occupancy, method counters (replication copies, RPM tests,
-	// duplicates suppressed, sweep tests and touches, fill histograms),
-	// checkpoint counts, shard supervision, and the per-join
-	// progress estimator (join.progress.*) behind `sjoin -progress` and
-	// the /metrics endpoint. Share ONE Registry per process; because
+	// counters, per-pool scheduler occupancy, method counters
+	// (replication copies, RPM tests, duplicates suppressed, sweep tests
+	// and touches, fill histograms), checkpoint counts, shard
+	// supervision, and the per-join progress estimator (join.progress.*)
+	// behind `sjoin -progress` and the /metrics endpoint. Share ONE Registry per process; because
 	// counters are process-lifetime totals, per-join deltas come from
 	// Snapshot().Sub(before). The progress gauges describe one join at
 	// a time — concurrent joins sharing a registry still get exact
 	// counters but an interleaved progress signal. Nil (the default)
 	// disables everything at one pointer test per site.
 	Metrics *metrics.Registry
-}
-
-// Governor re-exports the admission controller of package govern so
-// embedding servers need only import core.
-type Governor = govern.Governor
-
-// NewGovernor creates an admission controller capping concurrent joins
-// and their aggregate memory claim; non-positive values leave the
-// respective dimension unlimited.
-func NewGovernor(maxJoins int, maxMemory int64) *Governor {
-	return govern.NewGovernor(maxJoins, maxMemory)
 }
 
 func (c *Config) method() Method {
@@ -256,21 +232,10 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
 
-	// Derive the cancellation context first: the caller's Ctx, a
-	// Deadline, or both (the deadline nests inside the caller's
-	// context). Input validation below is a per-record scan over
-	// arbitrarily large inputs, so it honors the same checkpoints as
-	// every other record loop.
-	ctx := cfg.Ctx
-	if cfg.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
-	chk := govern.NewCheck(ctx)
+	// Input validation below is a per-record scan over arbitrarily large
+	// inputs, so it honors the same checkpoints as every other record
+	// loop.
+	chk := govern.NewCheck(cfg.Ctx)
 
 	// The two relations validate independently, as two scheduler units:
 	// against an in-memory join the serial scan was a tenth of the wall
@@ -289,10 +254,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	}
 
 	// Sharded execution delegates to the registered multi-process
-	// executor before this process's disk, spans or admission are
-	// touched: the shard coordinator performs its own admission (the
-	// full Memory claim, then sliced across workers) and its own
-	// tracing against cfg.Trace.
+	// executor before this process's disk or spans are touched: the
+	// shard coordinator does its own tracing against cfg.Trace.
 	if cfg.Shards > 1 {
 		if cfg.method() != PBSM {
 			return Result{}, joinerr.Wrap("core", "config",
@@ -310,27 +273,11 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			return Result{}, joinerr.Wrap("core", "config",
 				fmt.Errorf("Shards=%d but no shard executor is linked in (import spatialjoin/internal/shard)", cfg.Shards))
 		}
-		cfg.Ctx, cfg.Deadline = ctx, 0
 		return sharder(R, S, cfg, emit)
 	}
 	if len(cfg.ShardEndpoints) > 0 {
 		return Result{}, joinerr.Wrap("core", "config",
 			fmt.Errorf("ShardEndpoints requires Shards > 1, got Shards=%d", cfg.Shards))
-	}
-
-	// Admission comes first: a join that will queue or be rejected must
-	// not touch the disk or open spans. The queue wait honors ctx, so a
-	// deadline bounds time-to-admission too.
-	if cfg.Governor != nil {
-		release, aerr := cfg.Governor.Acquire(ctx, cfg.Memory)
-		if aerr != nil {
-			kind := joinerr.Classify(aerr)
-			if errors.Is(aerr, govern.ErrOverCapacity) {
-				kind = joinerr.KindAdmission
-			}
-			return Result{}, joinerr.WrapAs(string(cfg.method()), "admission", kind, aerr)
-		}
-		defer release()
 	}
 
 	disk := cfg.disk()
@@ -364,9 +311,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if cfg.Metrics != nil {
 		disk.SetMetrics(cfg.Metrics)
 		defer disk.SetMetrics(nil)
-		if cfg.Governor != nil {
-			cfg.Governor.SetMetrics(cfg.Metrics)
-		}
 	}
 	jm := newJoinMetrics(cfg.Metrics)
 	jm.begin()
@@ -410,9 +354,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			TuneFactor:        cfg.PBSMTuneFactor,
 			TilesPerPartition: cfg.PBSMTilesPerPartition,
 			HashTiles:         cfg.PBSMHashTiles,
-			MaxRecurse:        cfg.PBSMMaxRecurse,
 			Parallel:          cfg.parallel(),
-			Gov:               cfg.Governor,
 			BufPages:          cfg.BufPages,
 			Trace:             root,
 			Cancel:            chk,
@@ -435,7 +377,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			Levels:    cfg.S3JLevels,
 			BufPages:  cfg.BufPages,
 			Parallel:  cfg.parallel(),
-			Gov:       cfg.Governor,
 			Trace:     root,
 			Cancel:    chk,
 			Metrics:   cfg.Metrics,
@@ -454,7 +395,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			Algorithm: cfg.algorithm(),
 			BufPages:  cfg.BufPages,
 			Parallel:  cfg.parallel(),
-			Gov:       cfg.Governor,
 			Trace:     root,
 			Cancel:    chk,
 			Metrics:   cfg.Metrics,
@@ -472,7 +412,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			Algorithm: cfg.algorithm(),
 			BufPages:  cfg.BufPages,
 			Parallel:  cfg.parallel(),
-			Gov:       cfg.Governor,
 			Trace:     root,
 			Cancel:    chk,
 			Metrics:   cfg.Metrics,
@@ -586,28 +525,14 @@ func Open(R, S []geom.KPE, cfg Config) *Iterator {
 		done:  make(chan struct{}),
 		fin:   make(chan struct{}),
 	}
-	// Derive the cancellation context here, once, and hand the derived
-	// context to the join (zeroing Deadline so Join does not derive a
-	// second one): the producer's emit path must honor the same context,
-	// or a canceled join with an absent consumer would block forever on a
-	// full pairs channel.
-	ctx := cfg.Ctx
-	var cancel context.CancelFunc
-	if cfg.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		cfg.Ctx, cfg.Deadline = ctx, 0
-	}
+	// The producer's emit path honors the join's context, or a canceled
+	// join with an absent consumer would block forever on a full pairs
+	// channel.
 	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
+	if cfg.Ctx != nil {
+		ctxDone = cfg.Ctx.Done()
 	}
 	go func() {
-		if cancel != nil {
-			defer cancel()
-		}
 		defer close(it.fin)
 		defer close(it.pairs)
 		// Registered last so it runs first: err must be set before the

@@ -5,7 +5,7 @@ import "spatialjoin/internal/metrics"
 // Metric names owned by package core: whole-join lifecycle counters,
 // the process-level view a daemon scrapes to see joins flowing.
 const (
-	// metJoinsStarted counts joins that passed validation + admission.
+	// metJoinsStarted counts joins that passed validation.
 	metJoinsStarted = "core.joins.started"
 	// metJoinsCompleted counts joins that returned success.
 	metJoinsCompleted = "core.joins.completed"
@@ -13,7 +13,7 @@ const (
 	// cancellation).
 	metJoinsFailed = "core.joins.failed"
 	// metJoinsActive is the number of joins currently executing in this
-	// process (post-admission, pre-return).
+	// process (post-validation, pre-return).
 	metJoinsActive = "core.joins.active"
 	// metResults counts result pairs delivered to callers.
 	metResults = "core.results"

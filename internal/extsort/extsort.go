@@ -27,9 +27,8 @@
 // ranges. Chunks stay Memory/RecordSize records, so run counts and merge
 // passes are what they were when records were swapped in place; the
 // index is 16 bytes per record of the chunk that a sort worker holds
-// BEYOND Memory, and it is part of the working set the governor is asked
-// for. A RunWriter keeps its index from run to run, so a worker that
-// writes many runs allocates it once.
+// BEYOND Memory. A RunWriter keeps its index from run to run, so a
+// worker that writes many runs allocates it once.
 //
 // A run's records are all in its chunk, inside Memory, when its write
 // begins, and the chunk read that fills a chunk lands in it directly;
@@ -92,13 +91,8 @@ type Config struct {
 	Less Less
 	// Parallel is the worker count for run formation and the merge
 	// groups of each pass (< 2 = sequential). Parallel workers hold one
-	// memory-budget-sized working set EACH; gate the overshoot with Gov
-	// when several sorts share a machine.
+	// memory-budget-sized working set EACH.
 	Parallel int
-	// Gov, when non-nil, admission-controls the extra parallel worker
-	// slots: each claims its working set via TryAcquire and silently
-	// degrades to fewer workers when the machine is over-committed.
-	Gov *govern.Governor
 	// Trace is the parent span the sort nests its run-formation and
 	// merge-pass spans under; nil disables instrumentation.
 	Trace *trace.Span
@@ -216,7 +210,6 @@ func MergeDown(runs []Run, k int, cfg Config, st *Stats) ([]Run, error) {
 func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 	ph := cfg.Trace.Child("run-formation")
 	defer ph.End()
-	rs := cfg.RecordSize
 	maxRecs := cfg.ChunkRecs()
 	total := st.Records
 	if total == 0 {
@@ -235,8 +228,6 @@ func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 		Name:    "sort-chunk",
 		Span:    ph,
 		Cancel:  cfg.Cancel,
-		Gov:     cfg.Gov,
-		UnitMem: maxRecs * int64(rs+indexEntrySize),
 	}, func(w, i int) error {
 		c, uerr := formOneRun(&writers[w], in, runs[i], int64(i)*maxRecs, cfg)
 		comps[i] = c
@@ -260,8 +251,6 @@ type indexEntry struct {
 	key uint64
 	pos uint32
 }
-
-const indexEntrySize = 16 // unsafe.Sizeof(indexEntry{})
 
 // key returns the record's sort key, 0 for a Less-only sort.
 func (c *Config) key(rec []byte) uint64 {
@@ -402,8 +391,6 @@ func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
 		Name:    "merge-group",
 		Span:    ph,
 		Cancel:  cfg.Cancel,
-		Gov:     cfg.Gov,
-		UnitMem: int64((fanin+1)*cfg.mergeBuf(fanin)) * int64(cfg.Disk.PageSize()),
 	}, func(w, gi int) error {
 		lo := gi * fanin
 		n, c, uerr := mergeRuns(next[gi].File, runs[lo:min(lo+fanin, len(runs))], cfg)

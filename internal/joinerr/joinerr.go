@@ -17,7 +17,7 @@ import (
 // Kind classifies why a join unwound, so a server embedding the library
 // can route the outcomes differently: I/O failures are retryable
 // elsewhere, cancellations are the caller's own doing, deadline
-// overruns want a bigger budget, admission rejections want backoff.
+// overruns want a bigger budget.
 type Kind int
 
 const (
@@ -31,15 +31,14 @@ const (
 	// KindDeadlineExceeded means the join's deadline passed before it
 	// finished.
 	KindDeadlineExceeded
-	// KindAdmission means the join never ran: the governor rejected it
-	// (it alone exceeds the aggregate budget).
-	KindAdmission
 	// KindShard means a shard worker process failed — it was killed, it
 	// exited abnormally, it stalled past its heartbeat window, or its
 	// frame stream failed to decode — and the coordinator exhausted its
 	// restart budget. The cause chain carries the worker's exit status
-	// (shard.WorkerExitError) when the process died.
-	KindShard
+	// (shard.WorkerExitError) when the process died. Its value is
+	// written out because workerFailure.Kind carries the number across
+	// processes.
+	KindShard Kind = 4
 )
 
 // String names the kind. Unknown values print as "io", the safe
@@ -50,8 +49,6 @@ func (k Kind) String() string {
 		return "canceled"
 	case KindDeadlineExceeded:
 		return "deadline-exceeded"
-	case KindAdmission:
-		return "admission"
 	case KindShard:
 		return "shard-failed"
 	default:
@@ -59,13 +56,13 @@ func (k Kind) String() string {
 	}
 }
 
-// JoinError reports an I/O, integrity, cancellation or admission failure
+// JoinError reports an I/O, integrity, cancellation or shard failure
 // inside a join method.
 type JoinError struct {
 	// Method is the join method name ("pbsm", "s3j", "sssj", "shj").
 	Method string
 	// Phase is the method phase during which the failure occurred
-	// ("partition", "sort", "join", "admission", ...).
+	// ("partition", "sort", "join", ...).
 	Phase string
 	// File names the simulated disk file involved, when known.
 	File string
@@ -101,7 +98,7 @@ func Wrap(method, phase string, err error) error {
 }
 
 // WrapAs is Wrap with an explicit kind, for failures whose cause does
-// not self-classify (an admission rejection is a plain error).
+// not self-classify (a worker failure is a plain error).
 func WrapAs(method, phase string, kind Kind, err error) error {
 	if err == nil {
 		return nil
@@ -141,7 +138,7 @@ func KindOf(err error) Kind {
 }
 
 // IsCanceled reports whether err is a cooperative abort: a cancellation
-// or a deadline overrun (but not an admission rejection or I/O failure).
+// or a deadline overrun (but not a shard or I/O failure).
 func IsCanceled(err error) bool {
 	k := KindOf(err)
 	return k == KindCanceled || k == KindDeadlineExceeded

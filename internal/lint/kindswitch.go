@@ -11,7 +11,7 @@ import (
 // package-level constants enumerate every legal value, so a switch that
 // misses one and has no default silently misroutes it. joinerr.Kind is
 // how embedders route outcomes (retry I/O failures, surface
-// cancellations, back off on admission rejects); pbsm.DupMethod is the
+// cancellations, requeue shard failures); pbsm.DupMethod is the
 // duplicate-handling axis (rpm/sort/tlsp), where a fall-through would
 // silently drop a method's dedup entirely.
 var enumSwitchTypes = []struct{ pkgPath, name string }{

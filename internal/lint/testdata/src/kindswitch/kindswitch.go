@@ -4,7 +4,7 @@ package kindfix
 
 import "spatialjoin/internal/joinerr"
 
-// Route silently drops KindAdmission and KindDeadlineExceeded.
+// Route silently drops KindDeadlineExceeded and KindShard.
 func Route(k joinerr.Kind) string {
 	switch k { // want kindswitch
 	case joinerr.KindIO:

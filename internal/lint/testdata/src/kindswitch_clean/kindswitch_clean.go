@@ -11,8 +11,6 @@ func RouteAll(k joinerr.Kind) string {
 		return "retry"
 	case joinerr.KindCanceled, joinerr.KindDeadlineExceeded:
 		return "surface"
-	case joinerr.KindAdmission:
-		return "back off"
 	case joinerr.KindShard:
 		return "requeue"
 	}

@@ -7,7 +7,7 @@
 // record, one recorder per join — and keeps no counts. metrics holds the
 // counts: the paper's totals (duplicates suppressed, reference-point
 // tests, replication copies, sweep work, fills) next to what the process
-// is doing right now (admission queue depth, worker occupancy, shard
+// is doing right now (scheduler queue depth, worker occupancy, shard
 // heartbeat age, join progress). One Registry serves the whole process
 // for its lifetime; every subsystem registers named instruments against
 // it and updates them from its hot paths. The counts of one join are the
@@ -34,7 +34,7 @@
 // # Naming
 //
 // Metric names are dotted lowercase ("diskio.read.requests",
-// "govern.queue.depth") and must be declared as constants in the owning
+// "sched.units.queued") and must be declared as constants in the owning
 // package's metrics registration file (metrics.go or *_metrics.go) —
 // the sjlint "metricname" analyzer enforces this, so the full metric
 // namespace of the process is greppable from a handful of files. The

@@ -76,10 +76,9 @@ const (
 	// runs (whole passes first when they outnumber the merge fan-in) and
 	// delivers every distinct pair once, in pair order. The chunk and the
 	// radix sort's scratch, as large again, are held beside the join
-	// phase's slots, outside the memory the governor admits (DESIGN.md
-	// §3). The collector sorts and writes a full chunk while it holds its
-	// mutex, so with Parallel > 1 every worker's emission waits for that
-	// run write.
+	// phase's slots, outside Memory (DESIGN.md §3). The collector sorts
+	// and writes a full chunk while it holds its mutex, so with Parallel
+	// > 1 every worker's emission waits for that run write.
 	DupSort
 	// DupTLSP is two-layer space-oriented partitioning (tlsp.go): each
 	// replicated copy carries a secondary class (A/B/C/D by which
@@ -194,10 +193,6 @@ type Config struct {
 	// change wall-clock time and how that total splits over the phases
 	// (see Stats.PhaseIO).
 	Parallel int
-	// Gov, when non-nil, admission-controls the memory the extra
-	// parallel workers claim beyond the join's own admission (one
-	// partition pair's working set each).
-	Gov *govern.Governor
 	// Trace is the parent span phase/pair/heal spans nest under; nil
 	// disables instrumentation.
 	Trace *trace.Span
@@ -371,7 +366,7 @@ type joiner struct {
 func newJoiner(cfg Config) *joiner {
 	j := &joiner{cfg: cfg, dev: iocost.DeviceOf(cfg.Disk, cfg.BufPages), reg: cfg.Disk.NewRegistry()}
 	j.led = phase.New(cfg.Disk, cfg.Trace, j.stats.PhaseCPU[:], j.stats.PhaseIO[:], &j.stats.FirstResultCPU, &j.stats.FirstResultIO)
-	j.ex = stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Gov: cfg.Gov, Metrics: cfg.Metrics})
+	j.ex = stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Metrics: cfg.Metrics})
 	j.pairsDone = cfg.Metrics.Counter(metPairsDone)
 	j.rpmTests = cfg.Metrics.Counter(metRPMTests)
 	j.tlspSkipped = cfg.Metrics.Counter(metTLSPSkipped)
@@ -503,9 +498,6 @@ func (j *joiner) partitionPhase(gs GridSpec, sp *trace.Span) (filesR, filesS []*
 		Name:    "partition-input",
 		Span:    sp,
 		Cancel:  j.cfg.Cancel,
-		Gov:     j.cfg.Gov,
-		// The second unit's output buffers; the inputs are the caller's.
-		UnitMem: int64(gs.Parts*j.dev.BufFor(j.cfg.Memory, gs.Parts)) * int64(j.dev.PageSize),
 		Metrics: j.cfg.Metrics,
 	}, func(_, i int) (err error) {
 		files[i], copies[i], err = j.partitionInput(inputs[i])
@@ -547,7 +539,7 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File, sink func(geom.Pair
 		j.led.SpanOnly = true
 		defer func() { j.led.SpanOnly = false }()
 	}
-	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(len(filesR), "pair-worker", j.cfg.Memory, span, sink,
+	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(len(filesR), "pair-worker", span, sink,
 		func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
 			err := j.processTopPair(sl, emit, filesR, filesS, i)
 			if err == nil {
@@ -641,7 +633,6 @@ func (j *joiner) sortConfig(sp *trace.Span) extsort.Config {
 		Memory:     j.cfg.Memory,
 		BufPages:   j.cfg.BufPages,
 		Parallel:   j.cfg.Parallel,
-		Gov:        j.cfg.Gov,
 		Trace:      sp,
 		Reg:        j.reg,
 		Cancel:     j.cfg.Cancel,

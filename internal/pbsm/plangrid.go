@@ -24,7 +24,7 @@ import (
 // identity by construction, and Config.HashTiles asks for the paper's
 // plan: all three return PlanGrid's spec untouched. The work runs under a
 // "plan" child span of cfg.Trace. Beyond PlanGrid's fields, cfg.Parallel,
-// Gov, Cancel, Trace and Metrics are consulted.
+// Cancel, Trace and Metrics are consulted.
 func PlanGridFor(R, S []geom.KPE, cfg Config) (GridSpec, error) {
 	gs := PlanGrid(len(R), len(S), cfg)
 	if gs.Parts == 1 || gs.TLSP || cfg.HashTiles {
@@ -43,8 +43,6 @@ func PlanGridFor(R, S []geom.KPE, cfg Config) (GridSpec, error) {
 		Name:    "plan-input",
 		Span:    sp,
 		Cancel:  cfg.Cancel,
-		Gov:     cfg.Gov,
-		UnitMem: int64(tiles) * 8,
 		Metrics: cfg.Metrics,
 	}, func(_, i int) (err error) {
 		counts[i], err = g.tileCounts(inputs[i], cfg.Cancel)

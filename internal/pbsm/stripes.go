@@ -90,7 +90,7 @@ func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
 		return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
 	}
 	j.cfg.Progress.SetTotal(float64(w.Stripes()))
-	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(w.Stripes(), "stripe-worker", w.UnitMem(), pt.Span, sink,
+	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(w.Stripes(), "stripe-worker", pt.Span, sink,
 		func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
 			f := j.newFilter(wholeSpace{}, wholeSpace{})
 			sl.JoinStripe(emit, w, i, f.keep)

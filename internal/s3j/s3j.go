@@ -148,11 +148,9 @@ type Config struct {
 	// merge groups of a forced merge pass are units too. The scan is
 	// sequential by construction (one globally ordered scan). Results,
 	// run contents and I/O units are identical at every worker count.
+	// Each extra worker holds a second chunk plus its sort index, or the
+	// buffers of a second merge group, beyond Memory.
 	Parallel int
-	// Gov, when non-nil, admission-controls the memory the extra
-	// parallel workers claim beyond the join's own budget: a second
-	// chunk plus its sort index, the buffers of a second merge group.
-	Gov *govern.Governor
 	// Metrics, when non-nil, publishes live counters (duplicates
 	// suppressed, RPM tests, replication copies, runs written) and feeds
 	// the per-pool scheduler series.
@@ -308,8 +306,6 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		Name:    "partition-input",
 		Span:    pt.Span,
 		Cancel:  j.cfg.Cancel,
-		Gov:     j.cfg.Gov,
-		UnitMem: sortCfg.ChunkRecs() * (levRecSize + 16), // the chunk and extsort's 16-byte index entries
 		Metrics: j.cfg.Metrics,
 	}, func(w, i int) error {
 		var perr error
@@ -382,7 +378,6 @@ func (j *joiner) sortConfig() extsort.Config {
 		Memory:     j.cfg.Memory,
 		BufPages:   j.cfg.BufPages,
 		Parallel:   j.cfg.Parallel,
-		Gov:        j.cfg.Gov,
 		Reg:        j.reg,
 		Cancel:     j.cfg.Cancel,
 		// The scan key is the whole order; records of one cell keep the

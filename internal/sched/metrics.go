@@ -14,8 +14,7 @@ const (
 	// metUnitsDone counts units retired (success or error).
 	metUnitsDone = "sched.units.done"
 	// metWorkersActive is the number of live worker slots, including
-	// slot 0; it exposes governor-degraded pools (fewer slots granted
-	// than requested) directly.
+	// slot 0.
 	metWorkersActive = "sched.workers.active"
 )
 

@@ -10,11 +10,6 @@
 //   - Error propagation: the first error wins, later units are skipped,
 //     and Run returns after every worker has wound down — no goroutine
 //     outlives the call.
-//   - Memory accounting: worker slot 0 is covered by the join's own
-//     governor admission; each EXTRA slot claims Options.UnitMem from
-//     the governor via TryAcquire and simply does not start when the
-//     claim is denied. An over-committed machine degrades to fewer
-//     workers (ultimately serial) instead of thrashing.
 //   - Tracing: each parallel worker runs under its own child span, so
 //     per-worker wall time and I/O deltas land in the trace tree.
 //     Worker spans overlap in time; their I/O deltas are snapshots of
@@ -51,14 +46,6 @@ type Options struct {
 	// Cancel is the owning join's cancellation checkpoint, polled
 	// immediately before every unit; nil disables cancellation.
 	Cancel *govern.Check
-	// Gov, when non-nil, admission-controls the extra worker slots:
-	// slot 0 always runs (the join's own admission claim covers one
-	// serial working set), and each further slot must TryAcquire
-	// UnitMem bytes or it is not started.
-	Gov *govern.Governor
-	// UnitMem is the worst-case working-set bytes one concurrent unit
-	// adds beyond the join's serial claim; only meaningful with Gov.
-	UnitMem int64
 	// Metrics, when non-nil, publishes per-pool live series (units
 	// queued/running/done, worker occupancy) labeled by Name.
 	Metrics *metrics.Registry
@@ -133,26 +120,12 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		// Slot 0 is funded by the join's own admission; every extra
-		// slot multiplies the working set and must claim the overshoot.
-		// A denied claim is not an error — the pool just stays smaller.
-		var release func()
-		if w > 0 && o.Gov != nil {
-			rel, ok := o.Gov.TryAcquire(o.UnitMem)
-			if !ok {
-				break
-			}
-			release = rel
-		}
 		wg.Add(1)
 		if pm != nil {
 			pm.workers.Add(1)
 		}
-		go func(w int, release func()) {
+		go func(w int) {
 			defer wg.Done()
-			if release != nil {
-				defer release()
-			}
 			if pm != nil {
 				defer pm.workers.Add(-1)
 			}
@@ -175,7 +148,7 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 					return
 				}
 			}
-		}(w, release)
+		}(w)
 	}
 	wg.Wait()
 	errMu.Lock()

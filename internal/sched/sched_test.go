@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -113,52 +112,6 @@ func TestRunHonorsCancellation(t *testing.T) {
 		if ran != 0 {
 			t.Fatalf("workers=%d: %d units ran under a canceled context", workers, ran)
 		}
-	}
-}
-
-// TestRunGovernorCapsWorkers: with a governor that can only fund one
-// extra slot, at most two workers run; declined slots surface in the
-// governor stats and all memory is returned after the run.
-func TestRunGovernorCapsWorkers(t *testing.T) {
-	g := govern.NewGovernor(0, 100)
-	release, err := g.Acquire(context.Background(), 50) // the join's own claim
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-
-	var cur, peak atomic.Int32
-	var mu sync.Mutex
-	slots := map[int]bool{}
-	err = Run(32, Options{Workers: 4, Gov: g, UnitMem: 50}, func(w, i int) error {
-		mu.Lock()
-		slots[w] = true
-		mu.Unlock()
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		cur.Add(-1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("governor funded %d concurrent workers, budget allows 2", p)
-	}
-	st := g.Stats()
-	if st.WorkerGrants != 1 {
-		t.Fatalf("WorkerGrants = %d, want 1", st.WorkerGrants)
-	}
-	if st.WorkerDeclined == 0 {
-		t.Fatal("no slot was declined; cap assertion vacuous")
-	}
-	if st.ActiveMemory != 50 {
-		t.Fatalf("ActiveMemory = %d after run, want 50 (worker grants not released)", st.ActiveMemory)
 	}
 }
 

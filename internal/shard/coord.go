@@ -44,7 +44,7 @@ type Config struct {
 	// output globally duplicate-free on its own, so per-pair sequences
 	// merge without a cross-shard dedup phase. DupSort is rejected.
 	Dup pbsm.DupMethod
-	// TuneFactor, TilesPerPartition, BufPages, MaxRecurse mirror the
+	// TuneFactor, TilesPerPartition and BufPages mirror the
 	// pbsm.Config knobs and must match the values a single-process run
 	// would use for the determinism contract to hold. BufPages caps
 	// every stream of a worker; zero lets each take its share of Memory.
@@ -53,7 +53,6 @@ type Config struct {
 	TuneFactor        float64
 	TilesPerPartition int
 	BufPages          int
-	MaxRecurse        int
 	// PageSize, PT, Transfer parameterize each worker's private
 	// simulated disk; non-positive values select the diskio defaults.
 	PageSize int
@@ -98,9 +97,6 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Ctx cancels the whole join; nil means background.
 	Ctx context.Context
-	// Governor admission-controls the join (the full Memory is claimed
-	// once, then sliced across shards); nil disables admission.
-	Governor *govern.Governor
 }
 
 // pbsmConfig is the PBSM configuration the coordinator plans with (no
@@ -126,7 +122,6 @@ func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, tmpDi
 		Algorithm:         cfg.Algorithm,
 		TuneFactor:        cfg.TuneFactor,
 		TilesPerPartition: cfg.TilesPerPartition,
-		MaxRecurse:        cfg.MaxRecurse,
 		BufPages:          cfg.BufPages,
 		PageSize:          cfg.PageSize,
 		PT:                cfg.PT,
@@ -439,26 +434,13 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 
 	// A sharded join never reaches core's fail path, so shard.aborted is
 	// its only abort footprint: count every fatal exit from here on once,
-	// admission and scatter included, and nothing the supervisor
-	// survived.
+	// the scatter included, and nothing the supervisor survived.
 	met := newShardMetrics(cfg.Metrics)
 	defer func() {
 		if retErr != nil && fatalKind(retErr) {
 			met.aborted.Inc()
 		}
 	}()
-
-	if cfg.Governor != nil {
-		release, aerr := cfg.Governor.Acquire(ctx, cfg.Memory)
-		if aerr != nil {
-			kind := joinerr.Classify(aerr)
-			if errors.Is(aerr, govern.ErrOverCapacity) {
-				kind = joinerr.KindAdmission
-			}
-			return Result{}, joinerr.WrapAs("shard", "admission", kind, aerr)
-		}
-		defer release()
-	}
 
 	rec := cfg.Trace
 	root := rec.Begin("shard:join")
@@ -674,11 +656,11 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int) error {
 }
 
 // fatalKind reports whether a shard failure must propagate instead of
-// being retried: cooperative aborts and admission rejections are the
-// caller's signal, not a fault domain's.
+// being retried: cooperative aborts are the caller's signal, not a fault
+// domain's.
 func fatalKind(err error) bool {
 	switch joinerr.KindOf(err) {
-	case joinerr.KindCanceled, joinerr.KindDeadlineExceeded, joinerr.KindAdmission:
+	case joinerr.KindCanceled, joinerr.KindDeadlineExceeded:
 		return true
 	default:
 		return false

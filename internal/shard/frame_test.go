@@ -150,7 +150,7 @@ func TestPairsAndSealCodec(t *testing.T) {
 func TestWorkerFailureRoundTrip(t *testing.T) {
 	// A joinerr-wrapped failure keeps its Kind across the process
 	// boundary; that Kind is what the coordinator's retry policy reads.
-	for _, kind := range []joinerr.Kind{joinerr.KindShard, joinerr.KindCanceled, joinerr.KindAdmission} {
+	for _, kind := range []joinerr.Kind{joinerr.KindShard, joinerr.KindCanceled} {
 		cause := joinerr.WrapAs("shard", "worker", kind, errors.New("boom"))
 		back := failureFromError(cause).toError()
 		if got := joinerr.KindOf(back); got != kind {

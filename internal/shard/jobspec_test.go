@@ -20,14 +20,14 @@ import (
 func TestJobSpecCarriesEveryPBSMParameter(t *testing.T) {
 	const perProcess = "per-process handle: coordinator and worker each attach their own"
 	excluded := map[string]string{
-		"Disk":      perProcess,
-		"Gov":       perProcess,
-		"Trace":     perProcess,
-		"Cancel":    perProcess,
-		"Metrics":   perProcess,
-		"Progress":  perProcess,
-		"Parallel":  "per-process: a PairExec runs its pairs on one goroutine; the planner's count is the same at every worker count",
-		"HashTiles": "core.Join rejects PBSMHashTiles with Shards > 1; the sharded executor always plans from the data",
+		"Disk":       perProcess,
+		"Trace":      perProcess,
+		"Cancel":     perProcess,
+		"Metrics":    perProcess,
+		"Progress":   perProcess,
+		"Parallel":   "per-process: a PairExec runs its pairs on one goroutine; the planner's count is the same at every worker count",
+		"HashTiles":  "core.Join rejects PBSMHashTiles with Shards > 1; the sharded executor always plans from the data",
+		"MaxRecurse": "a worker runs the default cap; only pbsm's tests lower it",
 	}
 	// Every shipped parameter gets a value that is neither zero nor the
 	// default, so a dropped field cannot pass as an equal one.
@@ -38,7 +38,6 @@ func TestJobSpecCarriesEveryPBSMParameter(t *testing.T) {
 		TuneFactor:        1.75,
 		TilesPerPartition: 9,
 		BufPages:          3,
-		MaxRecurse:        5,
 	}
 	raw, err := json.Marshal(cfg.jobSpec(pbsm.GridSpec{}, 0, 1, []int{0}, ""))
 	if err != nil {

@@ -53,7 +53,7 @@ const (
 	// succeeded only after routing around at least one failure.
 	metNetReconnectSeconds = "shard.net.reconnect.seconds"
 	// metAborted counts sharded joins that ended in a fatal error
-	// (cancellation, deadline, admission) instead of a result.
+	// (cancellation, deadline) instead of a result.
 	metAborted = "shard.aborted"
 )
 

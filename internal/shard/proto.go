@@ -21,10 +21,11 @@ import (
 // the repartition arithmetic and must match the planning run.
 //
 // Older builds also wrote mem_slice (an admission slice a worker's own
-// governor always granted) and heartbeat_ns (always the 100 ms this
-// build's workers beat at). JSON decoding ignores unknown fields, and a
-// missing one decodes to zero, which the older workers read as "no limit"
-// and "100 ms": builds on either side of that change interoperate under
+// governor always granted), heartbeat_ns (always the 100 ms this build's
+// workers beat at) and max_recurse (a recursion cap no caller set). JSON
+// decoding ignores unknown fields, and a missing one decodes to zero,
+// which the older workers read as "no limit", "100 ms" and "the default
+// cap": builds on either side of that change interoperate under
 // the same ProtoVersion.
 type JobSpec struct {
 	// Proto is the version of the job's meaning, ProtoVersion on every
@@ -51,7 +52,6 @@ type JobSpec struct {
 	Algorithm         sweep.Kind `json:"algorithm,omitempty"`
 	TuneFactor        float64    `json:"tune_factor,omitempty"`
 	TilesPerPartition int        `json:"tiles_per_partition,omitempty"`
-	MaxRecurse        int        `json:"max_recurse,omitempty"`
 	BufPages          int        `json:"buf_pages,omitempty"`
 	PageSize          int        `json:"page_size,omitempty"`
 	PT                float64    `json:"pt,omitempty"`
@@ -83,7 +83,6 @@ func (s *JobSpec) pbsmConfig(disk *diskio.Disk) pbsm.Config {
 		TuneFactor:        s.TuneFactor,
 		TilesPerPartition: s.TilesPerPartition,
 		BufPages:          s.BufPages,
-		MaxRecurse:        s.MaxRecurse,
 	}
 }
 

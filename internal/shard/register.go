@@ -24,7 +24,6 @@ func coreJoin(R, S []geom.KPE, cfg core.Config, emit func(geom.Pair)) (core.Resu
 		Dup:               cfg.PBSMDup,
 		TuneFactor:        cfg.PBSMTuneFactor,
 		TilesPerPartition: cfg.PBSMTilesPerPartition,
-		MaxRecurse:        cfg.PBSMMaxRecurse,
 		BufPages:          cfg.BufPages,
 		PageSize:          cfg.PageSize,
 		PT:                cfg.PT,
@@ -32,7 +31,6 @@ func coreJoin(R, S []geom.KPE, cfg core.Config, emit func(geom.Pair)) (core.Resu
 		Trace:             cfg.Trace,
 		Metrics:           cfg.Metrics,
 		Ctx:               cfg.Ctx,
-		Governor:          cfg.Governor,
 	}, emit)
 	if err != nil {
 		return core.Result{}, err

@@ -11,7 +11,6 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
@@ -171,7 +170,7 @@ func TestShardJoinThroughCore(t *testing.T) {
 }
 
 // TestShardJoinCancel: a sharded join that dies of a fatal kind —
-// canceled before the scatter, refused admission — fails with that kind
+// canceled before the scatter — fails with that kind
 // and counts shard.aborted exactly once, its only abort footprint (core's
 // fail path never sees a sharded join); a clean join counts nothing.
 func TestShardJoinCancel(t *testing.T) {
@@ -185,7 +184,6 @@ func TestShardJoinCancel(t *testing.T) {
 		want float64      // shard.aborted after the join
 	}{
 		{"pre-canceled", func(c *shard.Config) { c.Ctx = canceled }, joinerr.KindCanceled, 1},
-		{"admission", func(c *shard.Config) { c.Governor = govern.NewGovernor(0, c.Memory-1) }, joinerr.KindAdmission, 1},
 		{"clean", func(*shard.Config) {}, 0, 0},
 	} {
 		cfg := shardConfig(t, 2)

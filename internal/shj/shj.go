@@ -78,12 +78,9 @@ type Config struct {
 	// Parallel joins this many bucket pairs concurrently (values < 2 keep
 	// the join phase sequential) on the pair kernel's unit driver; results
 	// are released in bucket order, so the emitted sequence is identical
-	// to a sequential run's.
+	// to a sequential run's. Each extra worker holds one bucket pair
+	// beyond Memory.
 	Parallel int
-	// Gov, when non-nil, admission-controls the memory the extra
-	// parallel workers claim beyond the join's own admission (one bucket
-	// pair's working set each).
-	Gov *govern.Governor
 	// Metrics, when non-nil, publishes live counters (replication
 	// copies, orphans, overflows, buckets completed) and feeds the
 	// per-pool scheduler series.
@@ -276,10 +273,10 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	// The joinable bucket pairs, record-weighted, are the planned cost.
 	cfg.Progress.SetTotal(float64(total))
 	pt.Span.AddRecords(total)
-	ex := stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Gov: cfg.Gov, Metrics: cfg.Metrics})
+	ex := stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Metrics: cfg.Metrics})
 	if err == nil {
 		bucketsDone := cfg.Metrics.Counter(metBucketsDone)
-		err = ex.Run(len(units), "bucket-worker", cfg.Memory, pt.Span, func(p geom.Pair) {
+		err = ex.Run(len(units), "bucket-worker", pt.Span, func(p geom.Pair) {
 			st.Results++
 			emit(p)
 		}, func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {

@@ -82,9 +82,6 @@ type Config struct {
 	// of the two input sorts (< 2 = serial); the sweep is one ordered
 	// pass. Results and I/O units are identical at every worker count.
 	Parallel int
-	// Gov, when non-nil, admission-controls the memory the extra
-	// parallel sort workers claim beyond the join's own budget.
-	Gov *govern.Governor
 	// Metrics, when non-nil, publishes the join's totals (sweep tests and
 	// touches, sort runs).
 	Metrics *metrics.Registry
@@ -209,7 +206,6 @@ func sortByXL(ks []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, span *
 		Memory:     cfg.Memory,
 		BufPages:   cfg.BufPages,
 		Parallel:   cfg.Parallel,
-		Gov:        cfg.Gov,
 		Trace:      span,
 		Reg:        reg,
 		Cancel:     cfg.Cancel,

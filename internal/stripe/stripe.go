@@ -136,10 +136,6 @@ type Indexed struct {
 // Stripes is K.
 func (w *Indexed) Stripes() int { return w.k }
 
-// UnitMem is what one unit of a join over w's stripes holds at once: two
-// gathered stripes at their fullest.
-func (w *Indexed) UnitMem() int64 { return int64(w.ixR.max+w.ixS.max) * geom.KPESize }
-
 // gather copies stripe i of ks into dst[:0], which grows straight to the
 // index's fullest stripe when it is short. It has no checkpoint of its
 // own: the sweep after it is many times longer and cannot have one, so
@@ -272,13 +268,13 @@ func (sl *Slot) JoinLoaded(emit func([]geom.Pair), band Band, keep Keep, chk *go
 // of them all. Slot 0 lives as long as the Exec, the others one Run.
 type Exec struct {
 	kind           sweep.Kind
-	opt            sched.Options // Workers, Cancel, Gov and Metrics of every Run
+	opt            sched.Options // Workers, Cancel and Metrics of every Run
 	sl             Slot          // slot 0
 	tests, touches int64         // of the extra slots of every finished Run
 }
 
 // NewExec prepares the driver of a join with the budget memory: slots run
-// alg, units run under opt's Workers, Cancel, Gov and Metrics.
+// alg, units run under opt's Workers, Cancel and Metrics.
 func NewExec(alg sweep.Kind, memory int64, opt sched.Options) *Exec {
 	return &Exec{kind: alg, opt: opt, sl: Slot{alg: sweep.New(alg), memory: memory}}
 }
@@ -289,10 +285,8 @@ func (x *Exec) Slot() *Slot { return &x.sl }
 // Run runs unit for every i in [0, n) as ordered units on the shared
 // scheduler behind a collector, so sink sees unit order, then each unit's
 // own order, at every worker count. A unit emits through the emit it is
-// handed. unitMem is what each extra worker claims from the governor: a
-// loaded pair, or two gathered stripes; beyond it a slot holds a pair's
-// stripe index and two stripes of about Records records (trim: the rest).
-func (x *Exec) Run(n int, name string, unitMem int64, span *trace.Span, sink func(geom.Pair),
+// handed.
+func (x *Exec) Run(n int, name string, span *trace.Span, sink func(geom.Pair),
 	unit func(sl *Slot, emit func([]geom.Pair), i int) error) error {
 	col := sched.NewCollector(n, sink)
 	extra := make([]Slot, max(x.opt.Workers, 1)-1) // slots 1 and up
@@ -300,7 +294,7 @@ func (x *Exec) Run(n int, name string, unitMem int64, span *trace.Span, sink fun
 		extra[w] = Slot{alg: sweep.New(x.kind), memory: x.sl.memory}
 	}
 	opt := x.opt
-	opt.Name, opt.Span, opt.UnitMem = name, span, unitMem
+	opt.Name, opt.Span = name, span
 	err := sched.Run(n, opt, func(w, i int) error {
 		defer col.Done(i)
 		sl := &x.sl
@@ -323,7 +317,7 @@ func (x *Exec) Index(R, S []geom.KPE, band Band, sp *trace.Span) (*Indexed, erro
 	w := &Indexed{r: R, s: S, band: band, k: band.stripes(len(R) + len(S))}
 	sp.SetAttr("stripes", int64(w.k))
 	opt := x.opt
-	opt.Name, opt.Span, opt.Gov = "stripe-index", sp, nil
+	opt.Name, opt.Span = "stripe-index", sp
 	err := sched.Run(2, opt, func(_, i int) error {
 		if i == 0 {
 			return w.ixR.build(R, band, w.k, x.opt.Cancel)

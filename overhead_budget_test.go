@@ -169,7 +169,7 @@ func TestOverheadBudget(t *testing.T) {
 				// stripe's records took at least one read request of their
 				// own to load, so the read requests bound the sweeps), plus
 				// a constant for the per-join sites (join counters, progress
-				// init, publishMetrics, governor/shard probes).
+				// init, publishMetrics, shard probes).
 				sites := 2*(res.IO.ReadRequests+res.IO.WriteRequests) +
 					res.IO.Retries +
 					8*int64(res.PBSMStats.P) +

@@ -2,6 +2,7 @@ package spatialjoin_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -100,6 +101,29 @@ func TestCommandsRun(t *testing.T) {
 		out := runBinary(t, "./cmd/sjoin", "-n", "2000", "-method", "s3j")
 		if !strings.Contains(out, "results") || !strings.Contains(out, "s3j") {
 			t.Fatalf("unexpected sjoin output:\n%s", out)
+		}
+	})
+	t.Run("sjoin-timeout", func(t *testing.T) {
+		// A deadline that has passed before the first checkpoint: the join
+		// must fail with status 1 and a structured error naming its phase,
+		// and print no result.
+		t.Parallel()
+		bin := filepath.Join(t.TempDir(), "sjoin")
+		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/sjoin").CombinedOutput(); err != nil {
+			t.Fatalf("go build: %v\n%s", err, out)
+		}
+		var stdout, stderr strings.Builder
+		cmd := exec.Command(bin, "-n", "20000", "-timeout", "1ns")
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		var ee *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("sjoin -timeout 1ns: %v, want exit status 1\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "phase:") || !strings.Contains(msg, "deadline exceeded") {
+			t.Fatalf("stderr names no phase or no deadline:\n%s", msg)
+		}
+		if regexp.MustCompile(`(?m)^results`).MatchString(stdout.String()) {
+			t.Fatalf("a timed-out join printed its results:\n%s", &stdout)
 		}
 	})
 	t.Run("sjdatagen", func(t *testing.T) {
