@@ -7,7 +7,7 @@
 //
 //	sjoin [-r la_rr] [-s la_st] [-rfile data.tsv] [-sfile data.tsv]
 //	      [-n 20000] [-p 1] [-seed 1]
-//	      [-method pbsm|s3j|sssj|shj] [-alg list|trie|nested] [-dup rpm|sort|tlsp]
+//	      [-method pbsm|s3j|sssj|shj] [-alg list|trie|nested] [-dup rpm|sort]
 //	      [-mode replicate|original] [-mem 2.5] [-parallel 1] [-shards 1]
 //	      [-plan] [-v] [-timeout 0] [-trace out.json] [-stats] [-pprof addr]
 //	      [-progress] [-metrics-addr addr]
@@ -144,7 +144,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	method := flag.String("method", "pbsm", "join method: pbsm, s3j, sssj or shj")
 	alg := flag.String("alg", "", "internal algorithm: list, trie or nested (default per method)")
-	dup := flag.String("dup", "rpm", "PBSM duplicate removal: rpm, sort or tlsp")
+	dup := flag.String("dup", "rpm", "PBSM duplicate removal: rpm or sort")
 	mode := flag.String("mode", "replicate", "S3J mode: replicate or original")
 	memMB := flag.Float64("mem", 2.5, "memory budget in paper MB (20-byte KPEs)")
 	parallel := flag.Int("parallel", 1, "workers of the parallel phases of every method (0 = all processors, 1 = sequential)")

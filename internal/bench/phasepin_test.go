@@ -22,7 +22,6 @@ var methodArms = []struct {
 }{
 	{"pbsm-rpm", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupRPM}},
 	{"pbsm-sort", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort}},
-	{"pbsm-tlsp", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP}},
 	{"s3j-original", core.Config{Method: core.S3J, S3JMode: s3j.ModeOriginal}},
 	{"s3j-replicate", core.Config{Method: core.S3J, S3JMode: s3j.ModeReplicate}},
 	{"sssj", core.Config{Method: core.SSSJ}},
@@ -54,7 +53,6 @@ func TestPhaseIOPinned(t *testing.T) {
 	want := map[string]string{
 		"pbsm-rpm":      "partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=123/0/1359/0/3819/0 dup=0/0/0/0/0/0 first=15371 total=123/694/1359/1359/19058/0 results=61929",
 		"pbsm-sort":     "partition=0/694/0/1359/15239/0 repartition=0/0/0/0/0/0 join=123/2/1359/66/3925/0 dup=7/1/123/57/340/0 first=19323 total=130/697/1482/1482/19504/0 results=61929",
-		"pbsm-tlsp":     "partition=0/691/0/1351/15171/0 repartition=61/77/1023/1041/4824/0 join=201/0/1781/0/5801/0 dup=0/0/0/0/0/0 first=15236 total=262/768/2804/2392/25796/0 results=61929",
 		"s3j-original":  "partition=0/48/0/1578/2538/0 sort=206/198/797/789/9666/0 join=323/0/1570/0/8030/0 first=12529 total=529/246/2367/2367/20234/0 results=61929",
 		"s3j-replicate": "partition=0/96/0/3178/5098/0 sort=730/696/3178/3149/34847/0 join=199/0/3149/0/7129/0 first=40089 total=929/792/6327/6327/47074/0 results=61929",
 		"sssj":          "sort=320/629/2651/3937/25568/0 sweep=327/0/1308/0/7848/0 first=25616 total=647/629/3959/3937/33416/0 results=61929",
@@ -100,7 +98,7 @@ func TestPhaseIOPinned(t *testing.T) {
 // order.
 func TestUnsetBufferNeverCostsMore(t *testing.T) {
 	if testing.Short() {
-		t.Skip("42 joins of J1")
+		t.Skip("36 joins of J1")
 	}
 	R, S := NewSuite(1, 0, 1).Inputs(J1)
 	for _, frac := range []float64{0.01, 0.05, 0.25} {
@@ -140,7 +138,7 @@ func TestUnsetBufferNeverCostsMore(t *testing.T) {
 // one has changed what PBSM tests, suppresses or emits, or in which order.
 func TestPBSMStatsPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("24 joins of J1")
+		t.Skip("16 joins of J1")
 	}
 	R, S := NewSuite(1, 0, 1).Inputs(J1)
 	cases := []struct {
@@ -149,18 +147,14 @@ func TestPBSMStatsPinned(t *testing.T) {
 		alg  sweep.Kind
 		want string
 	}{
-		{0.05, pbsm.DupRPM, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 skipped=0 reftests=0 results=61929 seq=0x8acb65371d36786c"},
-		{0.05, pbsm.DupRPM, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 skipped=0 reftests=0 results=61929 seq=0xbb5c17b3142b7f14"},
-		{0.05, pbsm.DupSort, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
-		{0.05, pbsm.DupSort, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
-		{0.05, pbsm.DupTLSP, sweep.ListKind, "tests=5175998 touches=5513545 raw=62573 skipped=272 reftests=15701 results=61929 seq=0x20ca6618757b44c8"},
-		{0.05, pbsm.DupTLSP, sweep.TrieKind, "tests=242336 touches=4109067 raw=62573 skipped=272 reftests=15701 results=61929 seq=0xc95c9788564f0560"},
-		{4, pbsm.DupRPM, sweep.ListKind, "tests=452123 touches=732789 raw=61929 skipped=0 reftests=0 results=61929 seq=0x3fc321a04400a220"},
-		{4, pbsm.DupRPM, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 skipped=0 reftests=0 results=61929 seq=0x7fb4b969af5c52a8"},
-		{4, pbsm.DupSort, sweep.ListKind, "tests=452123 touches=732789 raw=61929 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
-		{4, pbsm.DupSort, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 skipped=0 reftests=0 results=61929 seq=0xe0b5e79e98d6e72c"},
-		{4, pbsm.DupTLSP, sweep.ListKind, "tests=452123 touches=732789 raw=61929 skipped=0 reftests=0 results=61929 seq=0x3fc321a04400a220"},
-		{4, pbsm.DupTLSP, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 skipped=0 reftests=0 results=61929 seq=0x7fb4b969af5c52a8"},
+		{0.05, pbsm.DupRPM, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 results=61929 seq=0x8acb65371d36786c"},
+		{0.05, pbsm.DupRPM, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 results=61929 seq=0xbb5c17b3142b7f14"},
+		{0.05, pbsm.DupSort, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{0.05, pbsm.DupSort, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{4, pbsm.DupRPM, sweep.ListKind, "tests=452123 touches=732789 raw=61929 results=61929 seq=0x3fc321a04400a220"},
+		{4, pbsm.DupRPM, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 results=61929 seq=0x7fb4b969af5c52a8"},
+		{4, pbsm.DupSort, sweep.ListKind, "tests=452123 touches=732789 raw=61929 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{4, pbsm.DupSort, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 results=61929 seq=0xe0b5e79e98d6e72c"},
 	}
 	for _, c := range cases {
 		for _, workers := range []int{1, 4} {
@@ -179,8 +173,8 @@ func TestPBSMStatsPinned(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := res.PBSMStats
-				got := fmt.Sprintf("tests=%d touches=%d raw=%d skipped=%d reftests=%d results=%d seq=%#x",
-					st.Tests, st.Touches, st.RawResults, st.TLSPSkipped, st.TLSPRefTests, st.Results, h.Sum64())
+				got := fmt.Sprintf("tests=%d touches=%d raw=%d results=%d seq=%#x",
+					st.Tests, st.Touches, st.RawResults, st.Results, h.Sum64())
 				if got != c.want {
 					t.Errorf("PBSM's counters or emission sequence moved:\n got  %s\n want %s", got, c.want)
 				}

@@ -1,8 +1,7 @@
 // Package chaos is a fault-injection test harness for the four join
 // methods. It sweeps seeded, deterministic fault schedules — transient
 // read/write errors, torn writes, bit flips, latency spikes — across
-// PBSM (sequential, parallel, original-DupSort, and TLSP), S³J, SSSJ
-// and SHJ,
+// PBSM (sequential, parallel and original-DupSort), S³J, SSSJ and SHJ,
 // and asserts the only two acceptable outcomes:
 //
 //   - the join completes and its result set is EXACTLY the fault-free
@@ -55,8 +54,6 @@ func variants() []variant {
 		{"pbsm-parallel", core.Config{Method: core.PBSM, Parallel: 4}},
 		{"pbsm-dupsort", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort, Parallel: 1}},
 		{"pbsm-dupsort-parallel", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupSort, Parallel: 4}},
-		{"pbsm-tlsp", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP, Parallel: 1}},
-		{"pbsm-tlsp-parallel", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP, Parallel: 4}},
 		{"s3j", core.Config{Method: core.S3J, Parallel: 1}},
 		{"s3j-parallel", core.Config{Method: core.S3J, Parallel: 4}},
 		{"sssj", core.Config{Method: core.SSSJ, Parallel: 1}},
@@ -382,46 +379,4 @@ func hashPairs(ps []geom.Pair) uint64 {
 		set += h
 	}
 	return set
-}
-
-// TestTLSPMatchesRPMUnderChaos pins the dup-axis agreement inside the
-// fault harness: at every worker count, under clean and faulty disks
-// alike, the TLSP class test and the Reference Point Method produce
-// byte-identical result sets.
-func TestTLSPMatchesRPMUnderChaos(t *testing.T) {
-	rpmBase, _, err := runOnce(variant{"pbsm", core.Config{Method: core.PBSM, Parallel: 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortPairs(rpmBase)
-	wantHash := hashPairs(rpmBase)
-	for _, workers := range []int{1, 2, 4} {
-		v := variant{"pbsm-tlsp", core.Config{Method: core.PBSM, PBSMDup: pbsm.DupTLSP, Parallel: workers}}
-		clean, _, err := runOnce(v, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: clean TLSP run failed: %v", workers, err)
-		}
-		if h := hashPairs(clean); h != wantHash {
-			t.Fatalf("workers=%d: clean TLSP hash %x, RPM %x", workers, h, wantHash)
-		}
-		completed := 0
-		for seed := int64(1); seed <= 10; seed++ {
-			fp := diskio.NewFaultPolicy(faultConfig(seed))
-			got, _, err := runOnce(v, fp)
-			if err != nil {
-				var je *joinerr.JoinError
-				if !errors.As(err, &je) {
-					t.Fatalf("workers=%d seed %d: unstructured error: %v", workers, seed, err)
-				}
-				continue
-			}
-			if h := hashPairs(got); h != wantHash {
-				t.Fatalf("workers=%d seed %d: faulty TLSP hash %x, RPM %x", workers, seed, h, wantHash)
-			}
-			completed++
-		}
-		if completed == 0 {
-			t.Fatalf("workers=%d: no faulty schedule completed", workers)
-		}
-	}
 }

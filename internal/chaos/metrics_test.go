@@ -84,8 +84,7 @@ func TestMetricsReconcileWithResultStats(t *testing.T) {
 // seal per partition.
 func TestShardMetricsReconcileWithTrace(t *testing.T) {
 	reg := metrics.New()
-	tmpRoot := t.TempDir()
-	cfg := shardChaosConfig(t, 2, tmpRoot)
+	cfg := shardChaosConfig(t, 2)
 	cfg.Chaos = &shard.ChaosSpec{Kills: []shard.ChaosKill{
 		{Shard: 0, Attempt: 1, Kill: shard.KillSpec{Point: shard.KillMidPairs, AfterParts: 1}},
 	}}

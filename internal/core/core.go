@@ -92,9 +92,9 @@ type Config struct {
 	// processes under the coordinator of package shard: each shard is
 	// its own fault domain with a private disk and temp-file registry,
 	// supervised with heartbeats and restarted (or absorbed) on failure.
-	// Requires Method PBSM with DupRPM or DupTLSP — a per-partition
-	// output that is globally duplicate-free on its own is what makes
-	// multi-process merge correct, so DupSort is rejected — and the
+	// Requires Method PBSM with DupRPM — a per-partition output that is
+	// globally duplicate-free on its own is what makes multi-process
+	// merge correct, so DupSort is rejected — and the
 	// shard package linked in (importing it registers the executor). The
 	// result set AND its emission order are identical at every shard
 	// count. Fields Disk and Trace's I/O attribution do not apply to
@@ -261,9 +261,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			return Result{}, joinerr.Wrap("core", "config",
 				fmt.Errorf("Shards=%d requires Method PBSM, got %q", cfg.Shards, cfg.method()))
 		}
-		if cfg.PBSMDup == pbsm.DupSort {
+		if cfg.PBSMDup != pbsm.DupRPM {
 			return Result{}, joinerr.Wrap("core", "config",
-				fmt.Errorf("Shards=%d is incompatible with DupSort: sharded merge relies on duplicate-free-by-construction partition output (DupRPM or DupTLSP)", cfg.Shards))
+				fmt.Errorf("Shards=%d requires PBSMDup %v, got %v: sharded merge relies on partition output that is duplicate-free on its own", cfg.Shards, pbsm.DupRPM, cfg.PBSMDup))
 		}
 		if cfg.PBSMHashTiles {
 			return Result{}, joinerr.Wrap("core", "config",

@@ -50,7 +50,7 @@ func checkJoin(t *testing.T, R, S []geom.KPE, cfg Config) Result {
 func configsUnderTest(memory int64) []Config {
 	var cfgs []Config
 	for _, alg := range []sweep.Kind{sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind} {
-		for _, dup := range []pbsm.DupMethod{pbsm.DupRPM, pbsm.DupSort, pbsm.DupTLSP} {
+		for _, dup := range []pbsm.DupMethod{pbsm.DupRPM, pbsm.DupSort} {
 			cfgs = append(cfgs, Config{Method: PBSM, Memory: memory, Algorithm: alg, PBSMDup: dup})
 		}
 		for _, mode := range []s3j.Mode{s3j.ModeOriginal, s3j.ModeReplicate} {
@@ -279,7 +279,7 @@ func TestStatsArePopulated(t *testing.T) {
 
 // TestRegistryHoldsEveryMethodTotal: the counts a join reports in its
 // Stats are readable from the registry under the series names the trace
-// recorder once kept — sweep work per algorithm, TLSP residue, S³J copies
+// recorder once kept — sweep work per algorithm, RPM tests, S³J copies
 // per level, the three fill distributions, the sort's runs, the
 // checkpoints. (core.joins.aborted is chaos.TestCanceledJoinTrace's.)
 func TestRegistryHoldsEveryMethodTotal(t *testing.T) {
@@ -310,11 +310,12 @@ func TestRegistryHoldsEveryMethodTotal(t *testing.T) {
 		}
 	}
 
-	res, d := join(Config{Method: PBSM, PBSMDup: pbsm.DupTLSP})
+	res, d := join(Config{Method: PBSM, PBSMDup: pbsm.DupRPM})
 	ps := res.PBSMStats
 	check("pbsm.sweep.tests", d.Value("pbsm.sweep.tests"), ps.Tests)
 	check("pbsm.sweep.touches", d.ValueL("pbsm.sweep.touches", "list"), ps.Touches)
-	check("pbsm.tlsp.ref.tests", d.Value("pbsm.tlsp.ref.tests"), ps.TLSPRefTests)
+	check("pbsm.rpm.tests", d.Value("pbsm.rpm.tests"), ps.RawResults)
+	check("pbsm.dup.suppressed", d.Value("pbsm.dup.suppressed"), ps.RawResults-ps.Results)
 	check("pbsm.partition.fill count", float64(d.Hist("pbsm.partition.fill").Count), int64(ps.P))
 	check("pbsm.partition.fill sum", d.Hist("pbsm.partition.fill").Sum, ps.CopiesR+ps.CopiesS)
 	if ps.Tests == 0 || d.Value("core.cancel.checks") <= 0 {

@@ -58,8 +58,9 @@ func FuzzOrderedKey(f *testing.F) {
 
 // FuzzDecodeKPE feeds arbitrary byte slices to the decoder: any input of
 // at least KPESize bytes must decode without panicking and re-encode to
-// the identical bytes (the decoder has no hidden normalization that
-// corruption could exploit).
+// the identical identifier and coordinate bytes (the decoder has no
+// hidden normalization that corruption could exploit), with the reserved
+// last byte zero.
 func FuzzDecodeKPE(f *testing.F) {
 	f.Add(make([]byte, KPESize))
 	flip := make([]byte, KPESize)
@@ -75,10 +76,13 @@ func FuzzDecodeKPE(f *testing.F) {
 		k := DecodeKPE(data)
 		var buf [KPESize]byte
 		EncodeKPE(buf[:], k)
-		for i := range buf {
+		for i := range buf[:KPESize-1] {
 			if buf[i] != data[i] {
 				t.Fatalf("decode/encode not byte-identical at %d for corrupt input", i)
 			}
+		}
+		if buf[KPESize-1] != 0 {
+			t.Fatalf("reserved byte re-encoded as %#x, want 0", buf[KPESize-1])
 		}
 	})
 }

@@ -13,20 +13,12 @@ import (
 type KPE struct {
 	ID   uint64
 	Rect Rect
-	// Class is the copy's secondary class under two-layer space-oriented
-	// partitioning (TLSP, internal/pbsm): two bits recording whether the
-	// tile a replicated copy was written to also contains the rectangle's
-	// reference corner (upper-left, the RefPoint corner of §3.2.1), per
-	// axis. It is a property of a COPY, not of the object — the
-	// partitioner assigns it per destination — and it travels with the
-	// copy through partition files and shard frames. Zero outside TLSP
-	// joins.
-	Class uint8
 }
 
 // KPESize is the serialized size of a KPE in bytes: an 8-byte identifier,
-// four 8-byte float64 coordinates, and one class byte. Memory budgets and
-// PBSM's partition-count formula (1) are expressed in these units.
+// four 8-byte float64 coordinates, and one reserved byte, written as zero
+// and never read. Memory budgets and PBSM's partition-count formula (1)
+// are expressed in these units.
 const KPESize = 8 + 4*8 + 1
 
 // EncodeKPE serializes k into buf, which must be at least KPESize bytes,
@@ -38,7 +30,7 @@ func EncodeKPE(buf []byte, k KPE) int {
 	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(k.Rect.YL))
 	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(k.Rect.XH))
 	binary.LittleEndian.PutUint64(buf[32:], math.Float64bits(k.Rect.YH))
-	buf[40] = k.Class
+	buf[40] = 0
 	return KPESize
 }
 
@@ -54,7 +46,6 @@ func DecodeKPE(buf []byte) KPE {
 			XH: math.Float64frombits(binary.LittleEndian.Uint64(buf[24:])),
 			YH: math.Float64frombits(binary.LittleEndian.Uint64(buf[32:])),
 		},
-		Class: buf[40],
 	}
 }
 

@@ -7,13 +7,14 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKPERoundTrip(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 1000,
 		Values: func(vals []reflect.Value, rng *rand.Rand) {
-			vals[0] = reflect.ValueOf(KPE{ID: rng.Uint64(), Rect: genRect(rng), Class: uint8(rng.Intn(256))})
+			vals[0] = reflect.ValueOf(KPE{ID: rng.Uint64(), Rect: genRect(rng)})
 		},
 	}
 	f := func(k KPE) bool {
@@ -99,8 +100,16 @@ func TestSortPairsAgreesWithLess(t *testing.T) {
 
 func TestKPESizeMatchesEncoding(t *testing.T) {
 	// The memory model (formula (1) of the paper) relies on this size.
-	var buf [KPESize]byte
-	if n := EncodeKPE(buf[:], KPE{}); n != 41 {
+	buf := [KPESize]byte{40: 0xFF}
+	if n := EncodeKPE(buf[:], KPE{ID: 1, Rect: Rect{0.25, 0.5, 0.75, 1}}); n != 41 {
 		t.Fatalf("KPESize = %d, want 41", n)
+	}
+	// The last byte is reserved: written as zero, whatever it held.
+	if buf[40] != 0 {
+		t.Fatalf("byte 40 encoded as %#x, want 0", buf[40])
+	}
+	// In memory a KPE is its identifier and rectangle, nothing more.
+	if n := unsafe.Sizeof(KPE{}); n != 40 {
+		t.Fatalf("unsafe.Sizeof(KPE{}) = %d, want 40", n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // misses one and has no default silently misroutes it. joinerr.Kind is
 // how embedders route outcomes (retry I/O failures, surface
 // cancellations, requeue shard failures); pbsm.DupMethod is the
-// duplicate-handling axis (rpm/sort/tlsp), where a fall-through would
+// duplicate-handling axis (rpm/sort), where a fall-through would
 // silently drop a method's dedup entirely.
 var enumSwitchTypes = []struct{ pkgPath, name string }{
 	{pathJoinerr, "Kind"},

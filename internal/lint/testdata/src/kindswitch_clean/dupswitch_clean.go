@@ -11,8 +11,6 @@ func DedupAll(d pbsm.DupMethod) string {
 		return "reference point"
 	case pbsm.DupSort:
 		return "sort phase"
-	case pbsm.DupTLSP:
-		return "secondary classes"
 	}
 	return "unreachable"
 }
@@ -20,8 +18,8 @@ func DedupAll(d pbsm.DupMethod) string {
 // DedupDefault fails loudly on unknown methods.
 func DedupDefault(d pbsm.DupMethod) string {
 	switch d {
-	case pbsm.DupRPM, pbsm.DupTLSP:
-		return "duplicate-free by construction"
+	case pbsm.DupRPM:
+		return "duplicate-free on its own"
 	default:
 		return "reject"
 	}

@@ -1,6 +1,9 @@
 package pbsm
 
-import "spatialjoin/internal/geom"
+import (
+	"spatialjoin/internal/geom"
+	"spatialjoin/internal/govern"
+)
 
 // grid is an equidistant tiling of the unit data space with nx × ny
 // tiles, plus the table mapping tiles to partitions (§3.1). Assigning
@@ -11,18 +14,14 @@ import "spatialjoin/internal/geom"
 // The table is the whole plan, and partOf is one lookup in it. Who fills
 // it is the only thing that differs between grids: the [PD 96]
 // multiplicative hash, which knows nothing but the tile count (hashTiles:
-// PlanGrid and every repartition sub-grid); the identity of a TLSP grid,
-// whose tiles are its partitions (identityTiles); or the balanced packing
-// of an exact tile histogram (PlanGridFor). Partitioner, heal path,
+// PlanGrid and every repartition sub-grid), or the balanced packing of an
+// exact tile histogram (PlanGridFor). Partitioner, heal path,
 // PartitionSlices and the Reference Point Method's region test all read
 // the same table, so they agree whatever it holds.
 type grid struct {
 	nx, ny int
 	parts  int
 	assign []int32 // tile id → partition, nx·ny entries, each in [0, parts)
-	// tlsp marks a two-layer space-oriented partitioning grid (tlsp.go):
-	// every copy carries a secondary class.
-	tlsp bool
 }
 
 // newGrid builds a tiling with at least tiles cells, shaped as square as
@@ -47,15 +46,6 @@ func hashTiles(tiles, parts int) []int32 {
 	assign := make([]int32, tiles)
 	for t := range assign {
 		assign[t] = int32(uint64(t) * 0x9E3779B97F4A7C15 % uint64(parts))
-	}
-	return assign
-}
-
-// identityTiles fills a table for a grid whose tiles are its partitions.
-func identityTiles(tiles int) []int32 {
-	assign := make([]int32, tiles)
-	for t := range assign {
-		assign[t] = int32(t)
 	}
 	return assign
 }
@@ -95,6 +85,33 @@ func (g *grid) partitionsOf(r geom.Rect, dst []int, stamp []int, gen int) []int 
 		}
 	}
 	return dst
+}
+
+// scatter is the one routing loop of the package: it calls visit once
+// per copy the partitioner owes, in input order (a record's copies in
+// partitionsOf order). The partition phase, the heal path and
+// PartitionSlices are all callers, so the exactly-once argument has this
+// one function to be read against. chk is polled on its stride; a visit
+// error stops the scan.
+func (g *grid) scatter(ks []geom.KPE, chk *govern.Check, visit func(part int, k geom.KPE) error) error {
+	stamp := make([]int, g.parts)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	parts := make([]int, 0, 8)
+	st := chk.Stride()
+	for idx := range ks {
+		if err := st.Point(); err != nil {
+			return err
+		}
+		parts = g.partitionsOf(ks[idx].Rect, parts[:0], stamp, idx)
+		for _, p := range parts {
+			if err := visit(p, ks[idx]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // region is a predicate over the data space: the set of tiles owned by

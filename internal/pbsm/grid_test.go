@@ -310,74 +310,6 @@ func TestBoundaryAgreementRPM(t *testing.T) {
 	}
 }
 
-// TestBoundaryAgreementTLSP is the same seam for TLSP's half-open tile
-// extents: rectangles whose reference corner (xl, yh) sits exactly on a
-// shared edge — including the far-boundary clamp at 1.0 — must get
-// class A on exactly one copy, in the tile geom.ClampIdx assigns the corner
-// to, and a pair whose reference point is exactly on an edge must be
-// emitted by exactly one tile under the class-AND test.
-func TestBoundaryAgreementTLSP(t *testing.T) {
-	g := newTLSPGrid(16) // 4×4, tiles are partitions
-	edges := []float64{0, 0.25, 0.5, 0.75, 1.0}
-	for _, ex := range edges {
-		for _, ey := range edges {
-			r := geom.NewRect(ex, maxf(ey-0.6, 0), minf(ex+0.6, 1), ey)
-			cornerTile := geom.ClampIdx(ey, g.ny)*g.nx + geom.ClampIdx(ex, g.nx)
-			classA := 0
-			for _, d := range g.copiesOf(r, nil, nil, 0) {
-				if d.class != 0 {
-					continue
-				}
-				classA++
-				if d.part != cornerTile {
-					t.Fatalf("corner (%g,%g): class A copy in tile %d, geom.ClampIdx says %d",
-						ex, ey, d.part, cornerTile)
-				}
-			}
-			if classA != 1 {
-				t.Fatalf("corner exactly on edge (%g,%g): %d class-A copies, want 1", ex, ey, classA)
-			}
-		}
-	}
-	// Pair-level agreement: reference points exactly on shared edges.
-	for _, ex := range edges {
-		for _, ey := range edges {
-			r := geom.NewRect(ex, maxf(ey-0.3, 0), minf(ex+0.3, 1), 1)
-			s := geom.NewRect(maxf(ex-0.3, 0), maxf(ey-0.3, 0), minf(ex+0.3, 1), ey)
-			x := geom.RefPoint(r, s)
-			refTile := g.tileOf(x)
-			emitted := 0
-			for tile := 0; tile < g.parts; tile++ {
-				var cr, cs uint8
-				okR, okS := false, false
-				for _, d := range g.copiesOf(r, nil, nil, 0) {
-					if d.part == tile {
-						cr, okR = d.class, true
-					}
-				}
-				for _, d := range g.copiesOf(s, nil, nil, 0) {
-					if d.part == tile {
-						cs, okS = d.class, true
-					}
-				}
-				if !okR || !okS {
-					continue
-				}
-				if cr&cs == 0 {
-					emitted++
-					if tile != refTile {
-						t.Fatalf("refpoint (%g,%g): class test emits in tile %d, RefPoint tile is %d",
-							ex, ey, tile, refTile)
-					}
-				}
-			}
-			if emitted != 1 {
-				t.Fatalf("refpoint exactly on edge (%g,%g): emitted by %d tiles, want 1", ex, ey, emitted)
-			}
-		}
-	}
-}
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a

@@ -19,9 +19,6 @@ const (
 	// metRPMTests counts reference-point tests (one per raw result
 	// under DupRPM), added live, once per kernel call.
 	metRPMTests = "pbsm.rpm.tests"
-	// metTLSPSkipped counts candidates rejected by the TLSP class test
-	// alone (no region consulted), added live, once per kernel call.
-	metTLSPSkipped = "pbsm.tlsp.pairs.skipped"
 	// metReplicationCopies counts KPE copies written by partitioning.
 	metReplicationCopies = "pbsm.replication.copies"
 	// metHealed counts partition pairs re-derived after checksum
@@ -29,10 +26,6 @@ const (
 	metHealed = "pbsm.healed"
 	// metRepartitions counts repartitioning splits.
 	metRepartitions = "pbsm.repartitions"
-	// metTLSPRefTests counts the residual DupTLSP candidates that still
-	// paid a reference-point test — against metTLSPSkipped, the TLSP
-	// savings.
-	metTLSPRefTests = "pbsm.tlsp.ref.tests"
 	// metSweepTests counts the internal algorithm's candidate tests.
 	metSweepTests = "pbsm.sweep.tests"
 	// metSweepTouches counts the status-structure nodes the internal
@@ -53,12 +46,11 @@ const (
 // duplicate-elimination strategy suppressed, how much the partitioning
 // replicated, and what the internal algorithm's status structure cost in
 // traversal work. The handles of a nil registry are no-ops. The
-// per-result counters (RPM tests, TLSP skips) are not published here:
-// every kernel call already added its share (fold).
+// per-result RPM test counter is not published here: every kernel call
+// already added its share (fold).
 func (j *joiner) publishMetrics(st *Stats) {
 	m := j.cfg.Metrics
 	m.Counter(metDupSuppressed).Add(st.RawResults - st.Results)
-	m.Counter(metTLSPRefTests).Add(st.TLSPRefTests)
 	m.Counter(metReplicationCopies).Add(st.CopiesR + st.CopiesS)
 	m.Counter(metSweepTests).Add(st.Tests)
 	m.CounterVec(metSweepTouches, "alg").With(j.ex.Algorithm()).Add(st.Touches)

@@ -32,36 +32,26 @@ type GridSpec struct {
 	NX    int `json:"nx"`
 	NY    int `json:"ny"`
 	Parts int `json:"parts"`
-	// TLSP marks a two-layer space-oriented partitioning grid: tiles map
-	// 1:1 to partitions and every copy carries a secondary class
-	// (tlsp.go). Must agree with the executing Config.Dup.
-	TLSP bool `json:"tlsp,omitempty"`
 	// Assign is the tile→partition table, NX·NY entries in [0, Parts),
 	// tile id = row·NX + column. It is the plan: whoever holds the spec
 	// scatters and region-tests by this table and nothing else. Absent
-	// only where it could say nothing — Parts == 1 (no grid is used) and
-	// TLSP (the flag is the identity table).
+	// only where it could say nothing: Parts == 1, where no grid is used.
 	Assign []int32 `json:"assign,omitempty"`
 }
 
 // PlanGrid computes the top-level grid for joining nr+ns records under
 // cfg's memory budget from the counts alone — formula (1) with the
 // tuning factor, NT = TilesPerPartition × P square-ish tiles, and the
-// table filled with the [PD 96] hash (the identity for DupTLSP). Parts
-// == 1 means everything fits in memory and no grid is used (the whole
-// space is one partition). Only cfg.Memory, TuneFactor,
-// TilesPerPartition and Dup are consulted; cfg.Memory must be positive.
+// table filled with the [PD 96] hash. Parts == 1 means everything fits in
+// memory and no grid is used (the whole space is one partition). Only
+// cfg.Memory, TuneFactor and TilesPerPartition are consulted; cfg.Memory
+// must be positive.
 // Join and the shard coordinator plan with PlanGridFor, which keeps this
 // grid and refills the table from the data.
 func PlanGrid(nr, ns int, cfg Config) GridSpec {
 	p := iocost.PartCount(int64(nr+ns), cfg.Memory, cfg.TuneFactor)
-	tlsp := cfg.Dup == DupTLSP
 	if p == 1 {
-		return GridSpec{NX: 1, NY: 1, Parts: 1, TLSP: tlsp}
-	}
-	if tlsp {
-		g := newTLSPGrid(p)
-		return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, TLSP: true}
+		return GridSpec{NX: 1, NY: 1, Parts: 1}
 	}
 	g := newGrid(p*cfg.tilesPerPart(), p)
 	return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, Assign: g.assign}
@@ -88,23 +78,14 @@ func (s GridSpec) ReplicationRate(sample []geom.KPE) float64 {
 // grid reconstructs the in-memory grid. Only meaningful for a Valid spec
 // with Parts > 1.
 func (s GridSpec) grid() *grid {
-	g := &grid{nx: s.NX, ny: s.NY, parts: s.Parts, assign: s.Assign, tlsp: s.TLSP}
-	if s.TLSP {
-		g.assign = identityTiles(s.NX * s.NY)
-	}
-	return g
+	return &grid{nx: s.NX, ny: s.NY, parts: s.Parts, assign: s.Assign}
 }
 
-// Valid reports whether the spec describes a usable grid: a TLSP grid
-// has the 1:1 tile/partition mapping and no table of its own, any other
-// grid of more than one partition a table of NX·NY entries in [0,
-// Parts).
+// Valid reports whether the spec describes a usable grid: a grid of more
+// than one partition has a table of NX·NY entries in [0, Parts).
 func (s GridSpec) Valid() bool {
 	if s.Parts < 1 || s.NX < 1 || s.NY < 1 || s.NX*s.NY < s.Parts {
 		return false
-	}
-	if s.TLSP {
-		return s.NX*s.NY == s.Parts && len(s.Assign) == 0
 	}
 	if s.Parts == 1 && len(s.Assign) == 0 {
 		return true
@@ -122,7 +103,7 @@ func (s GridSpec) Valid() bool {
 
 // String describes the spec without spelling out the table.
 func (s GridSpec) String() string {
-	return fmt.Sprintf("{%d×%d tiles, %d parts, tlsp=%v, table of %d}", s.NX, s.NY, s.Parts, s.TLSP, len(s.Assign))
+	return fmt.Sprintf("{%d×%d tiles, %d parts, table of %d}", s.NX, s.NY, s.Parts, len(s.Assign))
 }
 
 // PartitionSlices derives the records of the requested top-level
@@ -170,11 +151,10 @@ func PartitionSlices(ks []geom.KPE, gs GridSpec, parts []int, chk *govern.Check)
 // tuning as the planning run, so each pair emits exactly the sequence
 // the single-process join would emit for it.
 //
-// Only the duplicate-free-by-construction methods are supported — DupRPM
-// and DupTLSP both make each pair's output globally duplicate-free on
-// its own, which is what allows pairs to be executed by different
-// processes without a cross-pair dedup phase; DupSort would need exactly
-// that phase and is rejected.
+// Only DupRPM is supported: it makes each pair's output globally
+// duplicate-free on its own, which is what allows pairs to be executed
+// by different processes without a cross-pair dedup phase; DupSort would
+// need exactly that phase and is rejected.
 // A PairExec is not safe for concurrent use; one goroutine runs pairs
 // sequentially.
 type PairExec struct {
@@ -184,20 +164,16 @@ type PairExec struct {
 
 // NewPairExec validates cfg against gs and prepares an executor.
 // cfg.Disk and a positive cfg.Memory are required; cfg.Dup must be
-// DupRPM (the default) or DupTLSP, matching the TLSP-ness of the
-// planned grid.
+// DupRPM, the default.
 func NewPairExec(cfg Config, gs GridSpec) (*PairExec, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Dup == DupSort {
-		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("pair-subset execution requires a duplicate-free-by-construction method (DupRPM or DupTLSP), got %v", cfg.Dup))
+		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("pair-subset execution requires DupRPM, whose pairs are duplicate-free on their own, got %v", cfg.Dup))
 	}
 	if !gs.Valid() {
 		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("invalid grid spec %s", gs))
-	}
-	if gs.TLSP != (cfg.Dup == DupTLSP) {
-		return nil, joinerr.Wrap("pbsm", "config", fmt.Errorf("grid spec TLSP=%v does not match Config.Dup %v", gs.TLSP, cfg.Dup))
 	}
 	e := &PairExec{j: newJoiner(cfg), gs: gs}
 	e.j.stats.P = gs.Parts
@@ -247,7 +223,7 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 		// there is no empty side to verify.
 		return nil
 	}
-	reg := j.topRegion(part)
+	reg := gridRegion{g: j.grid, part: part}
 	sl := j.ex.Slot()
 	if n := int64(len(rs) + len(ss)); n*geom.KPESize <= j.cfg.Memory {
 		// processPair's own test: this pair would be loaded, not split.

@@ -94,9 +94,9 @@ func TestPairExecMatchesJoin(t *testing.T) {
 // TestScatterCallersAgree pins the single routing loop from its three
 // callers: per partition, the partition phase's file read back, the
 // PartitionSlices slice and the heal path's re-derived file hold the
-// same records in the same order with the same Class — on a hashed, a
-// hand-written and a TLSP table, for rectangles on tile seams, at coordinates 0 and 1, and
-// spanning the domain.
+// same records in the same order — on a hashed, a hand-written and an
+// identity table, for rectangles on tile seams, at coordinates 0 and 1,
+// and spanning the domain.
 func TestScatterCallersAgree(t *testing.T) {
 	ks := datagen.Uniform(73, 300, 0.3)
 	for _, r := range []geom.Rect{
@@ -114,7 +114,7 @@ func TestScatterCallersAgree(t *testing.T) {
 	for _, gs := range []GridSpec{
 		{NX: 4, NY: 4, Parts: 5, Assign: hashTiles(16, 5)},
 		{NX: 4, NY: 4, Parts: 5, Assign: []int32{4, 4, 4, 4, 0, 1, 1, 0, 0, 1, 1, 0, 3, 3, 3, 3}}, // partition 2 empty
-		{NX: 4, NY: 3, Parts: 12, TLSP: true},
+		{NX: 4, NY: 3, Parts: 12, Assign: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},          // tiles are partitions
 	} {
 		j := newJoiner(Config{Disk: newDisk(), Memory: 1 << 20})
 		j.grid = gs.grid()
@@ -166,6 +166,28 @@ func TestPairExecRejectsDupSort(t *testing.T) {
 	cfg := Config{Disk: diskio.NewDisk(4096, 20, time.Microsecond), Memory: 1 << 20, Dup: DupSort}
 	if _, err := NewPairExec(cfg, GridSpec{NX: 1, NY: 1, Parts: 1}); err == nil {
 		t.Fatal("NewPairExec accepted DupSort")
+	}
+}
+
+// TestPairExecDupValidation pins the fail-loud matrix: DupSort and
+// unknown methods are rejected, and so is a grid of several partitions
+// without its table; RPM over a planned grid constructs.
+func TestPairExecDupValidation(t *testing.T) {
+	disk := diskio.NewDisk(4096, 20, time.Microsecond)
+	rpmGrid := GridSpec{NX: 2, NY: 2, Parts: 3, Assign: hashTiles(4, 3)}
+	if _, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20, Dup: DupSort}, rpmGrid); err == nil {
+		t.Error("DupSort must be rejected")
+	}
+	if _, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20, Dup: DupMethod(5)}, rpmGrid); err == nil {
+		t.Error("unknown Dup must be rejected")
+	}
+	if _, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20}, GridSpec{NX: 2, NY: 2, Parts: 4}); err == nil {
+		t.Error("a grid of several partitions without its table must be rejected")
+	}
+	if ex, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20, Dup: DupRPM}, rpmGrid); err != nil {
+		t.Errorf("RPM exec over a planned grid must construct: %v", err)
+	} else {
+		ex.Close()
 	}
 }
 

@@ -15,7 +15,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	R := datagen.LARR(1, 3000).KPEs
 	S := datagen.LAST(2, 3000).KPEs
 	for _, workers := range []int{2, 4, 8} {
-		for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
+		for _, dup := range []DupMethod{DupRPM, DupSort} {
 			seq, _ := run(t, R, S, Config{Memory: 16 << 10, Dup: dup})
 			par, st := run(t, R, S, Config{Memory: 16 << 10, Dup: dup, Parallel: workers})
 			jointest.SortPairs(seq)
@@ -47,7 +47,7 @@ func TestParallelWithRepartitioning(t *testing.T) {
 		st.FirstResultCPU, st.FirstResultIO = 0, 0
 		return st
 	}
-	for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
+	for _, dup := range []DupMethod{DupRPM, DupSort} {
 		rec := trace.New()
 		root := rec.Begin("join")
 		seq, seqSt := run(t, R, R, Config{Memory: 8 << 10, Dup: dup, Trace: root})

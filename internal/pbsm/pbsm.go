@@ -22,13 +22,9 @@
 //  3. Join — each partition pair is loaded and joined in memory.
 //  4. Duplicate removal — either the original sort of the result pairs
 //     (DupSort: the join phase writes them as sorted, deduplicated runs
-//     and this phase merges the runs into the result), free of any extra
-//     phase with the Reference Point Method (DupRPM), which tests each
-//     produced pair on-line, or free by
-//     construction with two-layer space-oriented partitioning (DupTLSP),
-//     which tags every replicated copy with a secondary class so that
-//     most candidate pairs are ruled out without any geometric test
-//     (tlsp.go).
+//     and this phase merges the runs into the result), or free of any
+//     extra phase with the Reference Point Method (DupRPM), which tests
+//     each produced pair on-line.
 //
 // Whatever the join phase has in memory — a loaded partition pair, or
 // both inputs whole when formula (1) yields P = 1 — it joins on the pair
@@ -80,13 +76,6 @@ const (
 	// and writes a full chunk while it holds its mutex, so with Parallel
 	// > 1 every worker's emission waits for that run write.
 	DupSort
-	// DupTLSP is two-layer space-oriented partitioning (tlsp.go): each
-	// replicated copy carries a secondary class (A/B/C/D by which
-	// overlapped tile holds the rectangle's bottom-left corner), and the
-	// join emits a candidate only when the two classes share no set bit —
-	// duplicate-free by construction, with the reference-point test
-	// needed only on repartitioned residual pairs.
-	DupTLSP
 )
 
 // String names the method. Unknown values are named dup(N) rather than
@@ -98,8 +87,6 @@ func (d DupMethod) String() string {
 		return "rpm"
 	case DupSort:
 		return "sort"
-	case DupTLSP:
-		return "tlsp"
 	}
 	return fmt.Sprintf("dup(%d)", int(d))
 }
@@ -113,10 +100,8 @@ func ParseDupMethod(s string) (DupMethod, error) {
 		return DupRPM, nil
 	case "sort":
 		return DupSort, nil
-	case "tlsp":
-		return DupTLSP, nil
 	}
-	return 0, joinerr.Wrap("pbsm", "config", fmt.Errorf("unknown duplicate method %q (valid: rpm, sort, tlsp)", s))
+	return 0, joinerr.Wrap("pbsm", "config", fmt.Errorf("unknown duplicate method %q (valid: rpm, sort)", s))
 }
 
 // Phase indexes the per-phase statistics.
@@ -233,11 +218,11 @@ func (c *Config) validate() error {
 		return joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Memory must be positive, got %d", c.Memory))
 	}
 	switch c.Dup {
-	case DupRPM, DupSort, DupTLSP:
+	case DupRPM, DupSort:
 		return nil
 	}
 	return joinerr.Wrap("pbsm", "config",
-		fmt.Errorf("unknown Config.Dup %v (valid: %v, %v, %v)", c.Dup, DupRPM, DupSort, DupTLSP))
+		fmt.Errorf("unknown Config.Dup %v (valid: %v, %v)", c.Dup, DupRPM, DupSort))
 }
 
 // Stats reports what a PBSM join did. Simulated I/O and measured CPU are
@@ -255,14 +240,6 @@ type Stats struct {
 	Healed          int   // partition pairs re-derived after a checksum failure
 	Tests           int64 // candidate tests of the internal algorithm
 	Touches         int64 // status node touches of the internal algorithm
-
-	// TLSPSkipped counts candidates rejected by the TLSP class test
-	// alone — each one a duplicate suppressed without consulting a
-	// region. TLSPRefTests counts the residual candidates that still
-	// needed the reference-point test against the pair's regions (only
-	// repartitioned pairs have any). Both are zero unless Dup == DupTLSP.
-	TLSPSkipped  int64
-	TLSPRefTests int64
 
 	// PhaseIO and PhaseCPU split the join's I/O and wall time over the
 	// phases. Only the totals are invariant under Config.Parallel: with
@@ -341,24 +318,23 @@ type joiner struct {
 	spillErr  error
 
 	// grid is the top-level grid (nil when P = 1): the partition phase
-	// scatters through it and topRegion reads it. baseR/baseS are kept for
-	// self-healing: when a top-level partition file fails checksum
-	// verification before its pair emitted anything, the partition is
-	// re-derived from the base inputs.
+	// scatters through it and the top pairs' regions read it. baseR/baseS
+	// are kept for self-healing: when a top-level partition file fails
+	// checksum verification before its pair emitted anything, the
+	// partition is re-derived from the base inputs.
 	baseR, baseS []geom.KPE
 	grid         *grid
 
 	// pairCost holds each top pair's planned iocost.PairCost (progress
 	// weights; nil without a Progress), read-only once the join phase
-	// starts. pairsDone, rpmTests and tlspSkipped are live counter
-	// handles resolved once up front (nil-safe, nil without a registry);
-	// the latter two are added once per kernel call (fold) — never per
-	// candidate, which would pass their cache lines between the cores —
-	// so mid-flight /metrics scrapes see them move with the join.
-	pairCost    []float64
-	pairsDone   *metrics.Counter
-	rpmTests    *metrics.Counter
-	tlspSkipped *metrics.Counter
+	// starts. pairsDone and rpmTests are live counter handles resolved
+	// once up front (nil-safe, nil without a registry); rpmTests is added
+	// once per kernel call (fold) — never per candidate, which would pass
+	// its cache line between the cores — so mid-flight /metrics scrapes
+	// see it move with the join.
+	pairCost  []float64
+	pairsDone *metrics.Counter
+	rpmTests  *metrics.Counter
 }
 
 // newJoiner builds the state Join and PairExec share, as the join begins;
@@ -369,7 +345,6 @@ func newJoiner(cfg Config) *joiner {
 	j.ex = stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Metrics: cfg.Metrics})
 	j.pairsDone = cfg.Metrics.Counter(metPairsDone)
 	j.rpmTests = cfg.Metrics.Counter(metRPMTests)
-	j.tlspSkipped = cfg.Metrics.Counter(metTLSPSkipped)
 	sc := j.sortConfig(nil)
 	j.chunkRecs = int(sc.ChunkRecs())
 	return j
@@ -549,25 +524,13 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File, sink func(geom.Pair
 		}))
 }
 
-// topRegion is the region chain a top-level pair starts with. Under RPM
-// it is the partition's tile set, consulted per raw result. Under TLSP
-// the top-level dedup is the class test — the chain starts empty and
-// only repartitioning adds inner regions for the residual
-// reference-point test.
-func (j *joiner) topRegion(part int) region {
-	if j.cfg.Dup == DupTLSP {
-		return wholeSpace{}
-	}
-	return gridRegion{g: j.grid, part: part}
-}
-
 // processTopPair joins top-level partition pair i, healing it once by
 // re-derivation from the base inputs if a checksum failure is detected
 // before the pair emitted anything. It is safe as a concurrent scheduler
 // unit: it touches only slot i of the shared file slices, and its stats
 // mutations go through bump.
 func (j *joiner) processTopPair(sl *stripe.Slot, emit func([]geom.Pair), filesR, filesS []*diskio.File, i int) error {
-	reg := j.topRegion(i)
+	reg := gridRegion{g: j.grid, part: i}
 	err := j.processPair(sl, emit, filesR[i], filesS[i], reg, reg, 0)
 	var he *healableError
 	if err == nil || !errors.As(err, &he) {
@@ -827,7 +790,7 @@ func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *di
 // span is sp. It is the leaf of processPair and of PairExec.RunPair's
 // in-memory path, so both emit the same sequence for the same records.
 func (j *joiner) joinLoaded(sl *stripe.Slot, emit func([]geom.Pair), regR, regS region, sp *trace.Span) error {
-	f := j.newFilter(regR, regS)
+	f := &filter{j: j, regR: regR, regS: regS}
 	err := sl.JoinLoaded(emit, stripe.Unit, f.keep, j.cfg.Cancel, sp)
 	return cmp.Or(err, j.fold(f))
 }

@@ -400,13 +400,13 @@ func TestRPMExactlyOnceProperty(t *testing.T) {
 }
 
 func TestDupMethodString(t *testing.T) {
-	if DupRPM.String() != "rpm" || DupSort.String() != "sort" || DupTLSP.String() != "tlsp" {
+	if DupRPM.String() != "rpm" || DupSort.String() != "sort" {
 		t.Fatal("dup method names changed")
 	}
 	// An out-of-range method must NOT masquerade as a real one in stats,
 	// traces or bench artifacts.
-	if got := DupMethod(7).String(); got != "dup(7)" {
-		t.Fatalf("unknown method stringified as %q, want dup(7)", got)
+	if got := DupMethod(2).String(); got != "dup(2)" {
+		t.Fatalf("unknown method stringified as %q, want dup(2)", got)
 	}
 	if got := DupMethod(-1).String(); got != "dup(-1)" {
 		t.Fatalf("unknown method stringified as %q, want dup(-1)", got)
@@ -414,16 +414,17 @@ func TestDupMethodString(t *testing.T) {
 }
 
 func TestParseDupMethod(t *testing.T) {
-	for s, want := range map[string]DupMethod{"rpm": DupRPM, "sort": DupSort, "tlsp": DupTLSP} {
+	for s, want := range map[string]DupMethod{"rpm": DupRPM, "sort": DupSort} {
 		got, err := ParseDupMethod(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseDupMethod(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	for _, s := range []string{"", "rmp", "RPM", "tslp", "none"} {
+	// The name of a deleted third method must fail like a typo.
+	for _, s := range []string{"", "rmp", "RPM", "tlsp", "none"} {
 		if _, err := ParseDupMethod(s); err == nil {
 			t.Fatalf("ParseDupMethod(%q) must error", s)
-		} else if !strings.Contains(err.Error(), "rpm, sort, tlsp") {
+		} else if !strings.Contains(err.Error(), "(valid: rpm, sort)") {
 			t.Fatalf("ParseDupMethod(%q) error must list the valid methods, got %q", s, err)
 		}
 	}

@@ -20,14 +20,13 @@ import (
 // and repartitions through the unchanged fallback (counted in
 // pbsm.plan.oversized.tiles).
 //
-// With P = 1 there is nothing to plan, a TLSP grid's table is the
-// identity by construction, and Config.HashTiles asks for the paper's
-// plan: all three return PlanGrid's spec untouched. The work runs under a
+// With P = 1 there is nothing to plan, and Config.HashTiles asks for the
+// paper's plan: both return PlanGrid's spec untouched. The work runs under a
 // "plan" child span of cfg.Trace. Beyond PlanGrid's fields, cfg.Parallel,
 // Cancel, Trace and Metrics are consulted.
 func PlanGridFor(R, S []geom.KPE, cfg Config) (GridSpec, error) {
 	gs := PlanGrid(len(R), len(S), cfg)
-	if gs.Parts == 1 || gs.TLSP || cfg.HashTiles {
+	if gs.Parts == 1 || cfg.HashTiles {
 		return gs, nil
 	}
 	sp := cfg.Trace.Child("plan")

@@ -135,7 +135,7 @@ func TestPlanTakesOutOfDomainCoordinates(t *testing.T) {
 		S = append(S, geom.KPE{ID: uint64(1<<21 + i), Rect: r})
 	}
 	oracle := jointest.Naive(R, S)
-	for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
+	for _, dup := range []DupMethod{DupRPM, DupSort} {
 		got, st := run(t, R, S, Config{Memory: mem, Dup: dup})
 		if st.P < 2 {
 			t.Fatalf("%v: test setup: P = %d, the grid is not used", dup, st.P)

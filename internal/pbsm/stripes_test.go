@@ -161,7 +161,7 @@ func TestStripeSeamsExactlyOnce(t *testing.T) {
 		oracle := jointest.Naive(in.R, in.S)
 		mem := int64(len(in.R)+len(in.S)) * geom.KPESize * 4
 		for _, alg := range []sweep.Kind{sweep.ListKind, sweep.TrieKind, sweep.NestedLoopsKind} {
-			for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
+			for _, dup := range []DupMethod{DupRPM, DupSort} {
 				if !in.pbsm {
 					break
 				}
@@ -183,13 +183,9 @@ func TestStripeSeamsExactlyOnce(t *testing.T) {
 					// Seam-crossing pairs meet in more than one stripe, but a
 					// stripe never reports a candidate whose reference point
 					// lies in another: without partitioning no duplicate method
-					// has anything to remove, and TLSP owes no region test.
+					// has anything to remove.
 					if st.RawResults != st.Results {
 						t.Fatalf("%s: RawResults = %d, want Results = %d", label, st.RawResults, st.Results)
-					}
-					if st.TLSPRefTests != 0 || st.TLSPSkipped != 0 {
-						t.Fatalf("%s: TLSPRefTests = %d, TLSPSkipped = %d, want 0 and 0",
-							label, st.TLSPRefTests, st.TLSPSkipped)
 					}
 					if first == nil {
 						first, firstSt = got, st
@@ -239,33 +235,31 @@ func TestStripeSeamsExactlyOnce(t *testing.T) {
 func TestStripeOrderThroughPairExec(t *testing.T) {
 	R, S := seamInputs(t)
 	mem := int64(len(R)+len(S)) * geom.KPESize * 4
-	for _, dup := range []DupMethod{DupRPM, DupTLSP} {
-		cfg := Config{Disk: newDisk(), Memory: mem, Dup: dup}
-		want, wantSt := run(t, R, S, cfg)
-		gs := PlanGrid(len(R), len(S), cfg)
-		if gs.Parts != 1 {
-			t.Fatalf("%v: planned %d partitions, want 1", dup, gs.Parts)
+	cfg := Config{Disk: newDisk(), Memory: mem}
+	want, wantSt := run(t, R, S, cfg)
+	gs := PlanGrid(len(R), len(S), cfg)
+	if gs.Parts != 1 {
+		t.Fatalf("planned %d partitions, want 1", gs.Parts)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg.Parallel = workers
+		ex, err := NewPairExec(cfg, gs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			cfg.Parallel = workers
-			ex, err := NewPairExec(cfg, gs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []geom.Pair
-			err = ex.RunPair(0, R, S, func(p geom.Pair) { got = append(got, p) })
-			st := ex.Stats()
-			ex.Close()
-			if err != nil {
-				t.Fatalf("%v/parallel=%d: RunPair: %v", dup, workers, err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%v/parallel=%d: RunPair's emission sequence differs from Join's", dup, workers)
-			}
-			if st.Results != wantSt.Results || st.RawResults != wantSt.RawResults || st.Tests != wantSt.Tests {
-				t.Fatalf("%v/parallel=%d: Results/RawResults/Tests = %d/%d/%d, Join had %d/%d/%d", dup, workers,
-					st.Results, st.RawResults, st.Tests, wantSt.Results, wantSt.RawResults, wantSt.Tests)
-			}
+		var got []geom.Pair
+		err = ex.RunPair(0, R, S, func(p geom.Pair) { got = append(got, p) })
+		st := ex.Stats()
+		ex.Close()
+		if err != nil {
+			t.Fatalf("parallel=%d: RunPair: %v", workers, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("parallel=%d: RunPair's emission sequence differs from Join's", workers)
+		}
+		if st.Results != wantSt.Results || st.RawResults != wantSt.RawResults || st.Tests != wantSt.Tests {
+			t.Fatalf("parallel=%d: Results/RawResults/Tests = %d/%d/%d, Join had %d/%d/%d", workers,
+				st.Results, st.RawResults, st.Tests, wantSt.Results, wantSt.RawResults, wantSt.Tests)
 		}
 	}
 }
@@ -518,8 +512,8 @@ func TestStripePairsExactlyOnce(t *testing.T) {
 	R, S := pairInputs()
 	oracle := jointest.Naive(R, S)
 	wantHash := setHash(oracle)
-	for _, dup := range []DupMethod{DupRPM, DupSort, DupTLSP} {
-		// The three methods share nothing but the read-only inputs.
+	for _, dup := range []DupMethod{DupRPM, DupSort} {
+		// The two methods share nothing but the read-only inputs.
 		t.Run(dup.String(), func(t *testing.T) {
 			t.Parallel()
 			for mi, mem := range pairMemories {
@@ -597,7 +591,7 @@ func TestStripePairsExactlyOnce(t *testing.T) {
 						}
 					}
 					if dup == DupSort {
-						continue // PairExec needs a duplicate-free-by-construction method
+						continue // PairExec needs the Reference Point Method
 					}
 					// RunPair joins a P > 1 pair on its one slot whatever
 					// Config.Parallel says, so one worker count covers it.

@@ -170,13 +170,3 @@ func Rank(w Workload, d iocost.Device) []Prediction {
 	sort.Slice(preds, func(i, j int) bool { return preds[i].IOUnits < preds[j].IOUnits })
 	return preds
 }
-
-// Choose returns a ready-to-run Config for the cheapest predicted
-// method, with the internal algorithm picked by core.Recommend's
-// memory-ratio rule when PBSM wins.
-func Choose(w Workload, d iocost.Device) core.Config {
-	best := Rank(w, d)[0]
-	cfg := core.Recommend(w.NR, w.NS, w.Memory)
-	cfg.Method = best.Method
-	return cfg
-}

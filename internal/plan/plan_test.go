@@ -116,20 +116,6 @@ func TestPredictionStructure(t *testing.T) {
 	}
 }
 
-func TestChooseReturnsRunnableConfig(t *testing.T) {
-	R := datagen.LARR(6, 3000).KPEs
-	S := datagen.LAST(7, 3000).KPEs
-	mem := int64(len(R)+len(S)) * geom.KPESize / 2
-	cfg := Choose(workload(R, S, mem), iocost.DefaultDevice)
-	pairs, _, err := core.Collect(R, S, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) == 0 {
-		t.Fatal("chosen config produced no results")
-	}
-}
-
 // TestPBSMPredictionTakesOutOfDomainCoordinates: core admits any finite
 // rectangle, so a sample may hold coordinates no tile index exists for
 // (the rectangles of pbsm.TestPlanTakesOutOfDomainCoordinates, plus edges

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +24,10 @@ import (
 	"spatialjoin/internal/trace"
 )
 
-// Config controls a sharded join.
+// Config controls a sharded join. Duplicates are always eliminated with
+// the Reference Point Method: it makes every top-level partition pair's
+// output globally duplicate-free on its own, so per-pair sequences merge
+// without a cross-shard dedup phase.
 type Config struct {
 	// Shards is the number of worker processes. Values < 2 still run
 	// the full coordinator/worker machinery with one worker; the shard
@@ -38,12 +40,6 @@ type Config struct {
 	Memory int64
 	// Algorithm selects the internal plane-sweep; default list sweep.
 	Algorithm sweep.Kind
-	// Dup selects PBSM's duplicate-elimination strategy; default DupRPM.
-	// Only the duplicate-free-by-construction methods are shardable:
-	// DupRPM and DupTLSP both make every top-level partition pair's
-	// output globally duplicate-free on its own, so per-pair sequences
-	// merge without a cross-shard dedup phase. DupSort is rejected.
-	Dup pbsm.DupMethod
 	// TuneFactor, TilesPerPartition and BufPages mirror the
 	// pbsm.Config knobs and must match the values a single-process run
 	// would use for the determinism contract to hold. BufPages caps
@@ -66,10 +62,6 @@ type Config struct {
 	// environment.
 	WorkerCmd []string
 	WorkerEnv []string
-
-	// TmpRoot hosts the per-run scratch directory; "" means the OS
-	// default temp dir.
-	TmpRoot string
 
 	// Endpoints lists resident worker addresses (host:port). When set,
 	// shards run over the TCP transport against those workers, falling
@@ -104,13 +96,13 @@ type Config struct {
 // frame, so it cannot differ from a worker's. The per-process handles
 // (Parallel, Cancel, Trace, Metrics) are the caller's to add.
 func (cfg *Config) pbsmConfig(disk *diskio.Disk) pbsm.Config {
-	return cfg.jobSpec(pbsm.GridSpec{}, 0, 0, nil, "").pbsmConfig(disk)
+	return cfg.jobSpec(pbsm.GridSpec{}, 0, 0, nil).pbsmConfig(disk)
 }
 
 // jobSpec is the job frame of one attempt: the shard's partitions, the
 // plan, and every PBSM and disk parameter the worker must share with the
 // coordinator.
-func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, tmpDir string) *JobSpec {
+func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int) *JobSpec {
 	return &JobSpec{
 		Proto:             ProtoVersion,
 		Shard:             id,
@@ -118,7 +110,6 @@ func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, tmpDi
 		Parts:             parts,
 		Grid:              gs,
 		Memory:            cfg.Memory,
-		Dup:               int(cfg.Dup),
 		Algorithm:         cfg.Algorithm,
 		TuneFactor:        cfg.TuneFactor,
 		TilesPerPartition: cfg.TilesPerPartition,
@@ -126,7 +117,6 @@ func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int, tmpDi
 		PageSize:          cfg.PageSize,
 		PT:                cfg.PT,
 		TransferNS:        cfg.Transfer.Nanoseconds(),
-		TmpDir:            tmpDir,
 		Kill:              cfg.Chaos.lookup(id, attempt),
 	}
 }
@@ -165,8 +155,8 @@ type Stats struct {
 	Partitions int // top-level partitions
 
 	// Seals counts partition seal events. Exactly one seal per
-	// partition is the invariant that lets a duplicate-free-by-
-	// construction method (DupRPM, DupTLSP) shard at all: the merge
+	// partition is the invariant that lets the Reference Point Method
+	// shard at all: the merge
 	// concatenates sealed buffers without any cross-partition dedup, so
 	// Join cross-checks Seals == Partitions before reporting success.
 	Seals int
@@ -208,7 +198,6 @@ type coordinator struct {
 	chk      *govern.Check
 	rec      *trace.Recorder
 	root     *trace.Span
-	man      *manifest
 	met      *shardMetrics
 	st       *joinState
 	// pool, when set, is the ladder's first rung: attempts lease resident
@@ -333,45 +322,6 @@ func (st *joinState) unsealed(parts []int) []int {
 	return out
 }
 
-// manifest tracks every scratch directory the run may create, so the
-// coordinator can sweep them after ANY worker exit — clean, crashed or
-// SIGKILLed. Directories are registered BEFORE the owning worker is
-// spawned; there is no window in which an abnormal exit orphans files.
-type manifest struct {
-	mu   sync.Mutex
-	root string
-	dirs map[string]bool // guarded by mu
-}
-
-func (m *manifest) add(dir string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.dirs == nil {
-		m.dirs = make(map[string]bool)
-	}
-	m.dirs[dir] = true
-}
-
-// sweep removes one registered directory (after its worker exited).
-func (m *manifest) sweep(dir string) {
-	m.mu.Lock()
-	delete(m.dirs, dir)
-	m.mu.Unlock()
-	_ = os.RemoveAll(dir)
-}
-
-// sweepRoot removes the per-run root and everything beneath it — the
-// backstop covering coordinator unwinding with workers mid-flight.
-func (m *manifest) sweepRoot() {
-	m.mu.Lock()
-	m.dirs = nil
-	root := m.root
-	m.mu.Unlock()
-	if root != "" {
-		_ = os.RemoveAll(root)
-	}
-}
-
 // MaxRestarts bounds restarts per shard: past it the shard is absorbed
 // into the coordinator process.
 const MaxRestarts = 2
@@ -410,15 +360,6 @@ func (c *Config) workerCmd() ([]string, error) {
 func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr error) {
 	if cfg.Memory <= 0 {
 		return Result{}, joinerr.Wrap("shard", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
-	}
-	switch cfg.Dup {
-	case pbsm.DupRPM, pbsm.DupTLSP:
-	case pbsm.DupSort:
-		return Result{}, joinerr.Wrap("shard", "config",
-			fmt.Errorf("sharded execution requires a duplicate-free-by-construction method (DupRPM or DupTLSP), got %v", cfg.Dup))
-	default:
-		return Result{}, joinerr.Wrap("shard", "config",
-			fmt.Errorf("unknown Config.Dup %v (valid: %v, %v, %v)", cfg.Dup, pbsm.DupRPM, pbsm.DupSort, pbsm.DupTLSP))
 	}
 	workerCmd, err := cfg.workerCmd()
 	if err != nil {
@@ -482,13 +423,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	}
 	assignment := assignShards(sl[0], sl[1], cfg.Memory, iocost.DeviceOf(nominal, cfg.BufPages), shards)
 
-	tmpRoot, err := os.MkdirTemp(cfg.TmpRoot, "sjshard-")
-	if err != nil {
-		return Result{}, joinerr.WrapAs("shard", "setup", joinerr.KindShard, err)
-	}
-	man := &manifest{root: tmpRoot}
-	defer man.sweepRoot()
-
 	st := &joinState{
 		bufs:    make(map[int][]geom.Pair),
 		sealed:  make([]bool, gs.Parts),
@@ -511,7 +445,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 		chk:  chk,
 		rec:  rec,
 		root: root,
-		man:  man,
 		met:  met,
 		st:   st,
 		pool: cfg.Pool,
@@ -688,11 +621,7 @@ func (c *coordinator) runAttempt(ctx context.Context, remote bool, id, attempt i
 	sp.SetAttr("attempt", int64(attempt))
 	sp.AddRecords(int64(len(parts)))
 
-	tmpDir := filepath.Join(c.man.root, fmt.Sprintf("shard-%d-a%d", id, attempt))
-	c.man.add(tmpDir)
-	defer c.man.sweep(tmpDir)
-
-	spec := c.cfg.jobSpec(c.gs, id, attempt, parts, tmpDir)
+	spec := c.cfg.jobSpec(c.gs, id, attempt, parts)
 
 	var (
 		link Link

@@ -28,18 +28,18 @@ func TestJobSpecCarriesEveryPBSMParameter(t *testing.T) {
 		"Parallel":   "per-process: a PairExec runs its pairs on one goroutine; the planner's count is the same at every worker count",
 		"HashTiles":  "core.Join rejects PBSMHashTiles with Shards > 1; the sharded executor always plans from the data",
 		"MaxRecurse": "a worker runs the default cap; only pbsm's tests lower it",
+		"Dup":        "a sharded join runs the Reference Point Method, Dup's zero value, on both sides; core.Join rejects every other PBSMDup with Shards > 1",
 	}
 	// Every shipped parameter gets a value that is neither zero nor the
 	// default, so a dropped field cannot pass as an equal one.
 	cfg := Config{
 		Memory:            1 << 20,
 		Algorithm:         sweep.TrieKind,
-		Dup:               pbsm.DupTLSP,
 		TuneFactor:        1.75,
 		TilesPerPartition: 9,
 		BufPages:          3,
 	}
-	raw, err := json.Marshal(cfg.jobSpec(pbsm.GridSpec{}, 0, 1, []int{0}, ""))
+	raw, err := json.Marshal(cfg.jobSpec(pbsm.GridSpec{}, 0, 1, []int{0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,11 @@ import (
 // decoding ignores unknown fields, and a missing one decodes to zero,
 // which the older workers read as "no limit", "100 ms" and "the default
 // cap": builds on either side of that change interoperate under
-// the same ProtoVersion.
+// the same ProtoVersion. The same holds for dup (the duplicate method,
+// zero for the Reference Point Method, the only one this build shards)
+// and tmp_dir (a host scratch directory no worker needs, its disk being
+// simulated). A job whose dup named a third method came with a grid
+// that has no table, and Grid.Valid refuses it.
 type JobSpec struct {
 	// Proto is the version of the job's meaning, ProtoVersion on every
 	// frame this coordinator writes. It moves when a field changes what a
@@ -43,11 +47,6 @@ type JobSpec struct {
 
 	Grid   pbsm.GridSpec `json:"grid"`
 	Memory int64         `json:"memory"`
-	// Dup is the duplicate-elimination method (int form of
-	// pbsm.DupMethod); zero is DupRPM, so legacy frames decode
-	// unchanged. The worker validates it against the shardable set and
-	// against Grid.TLSP.
-	Dup int `json:"dup,omitempty"`
 
 	Algorithm         sweep.Kind `json:"algorithm,omitempty"`
 	TuneFactor        float64    `json:"tune_factor,omitempty"`
@@ -56,13 +55,6 @@ type JobSpec struct {
 	PageSize          int        `json:"page_size,omitempty"`
 	PT                float64    `json:"pt,omitempty"`
 	TransferNS        int64      `json:"transfer_ns,omitempty"`
-
-	// TmpDir is the scratch directory the coordinator created for this
-	// attempt and recorded in its sweep manifest BEFORE spawning the
-	// worker; the worker writes its journal there. Registering the name
-	// first is what closes the orphan window — there is no instant at
-	// which the worker owns files the coordinator does not know about.
-	TmpDir string `json:"tmp_dir,omitempty"`
 
 	// Kill, when set, makes the worker SIGKILL itself at the specified
 	// point — the deterministic chaos hook. A self-delivered SIGKILL is
@@ -79,7 +71,6 @@ func (s *JobSpec) pbsmConfig(disk *diskio.Disk) pbsm.Config {
 		Disk:              disk,
 		Memory:            s.Memory,
 		Algorithm:         s.Algorithm,
-		Dup:               pbsm.DupMethod(s.Dup),
 		TuneFactor:        s.TuneFactor,
 		TilesPerPartition: s.TilesPerPartition,
 		BufPages:          s.BufPages,

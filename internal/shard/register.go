@@ -21,7 +21,6 @@ func coreJoin(R, S []geom.KPE, cfg core.Config, emit func(geom.Pair)) (core.Resu
 		Endpoints:         cfg.ShardEndpoints,
 		Memory:            cfg.Memory,
 		Algorithm:         cfg.Algorithm,
-		Dup:               cfg.PBSMDup,
 		TuneFactor:        cfg.PBSMTuneFactor,
 		TilesPerPartition: cfg.PBSMTilesPerPartition,
 		BufPages:          cfg.BufPages,

@@ -53,7 +53,6 @@ func shardConfig(t *testing.T, n int) shard.Config {
 		Memory:    testMemory,
 		WorkerCmd: cmd,
 		WorkerEnv: env,
-		TmpRoot:   t.TempDir(),
 	}
 }
 
@@ -134,10 +133,14 @@ func TestShardJoinThroughCore(t *testing.T) {
 	// for the command but verify the core dispatch path with the real
 	// os.Executable default being impossible here (test binary would
 	// rerun the whole suite). Instead prove core.Join validates and
-	// delegates: a DupSort config must be rejected.
+	// delegates: a DupSort config must be rejected, and so must an
+	// unknown duplicate method.
 	_, _, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, PBSMDup: 1})
 	if err == nil {
 		t.Fatal("core.Join accepted Shards>1 with DupSort")
+	}
+	if _, _, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, PBSMDup: 9}); err == nil {
+		t.Fatal("core.Join accepted Shards>1 with an unknown PBSMDup")
 	}
 	// The paper's hash plan is single-process only; asking for it sharded
 	// must fail instead of silently running the balanced plan.
@@ -151,8 +154,7 @@ func TestShardJoinThroughCore(t *testing.T) {
 	res, err := shard.Join(r, s, shard.Config{
 		Shards: 2, Memory: testMemory,
 		WorkerCmd: cmd, WorkerEnv: env,
-		TmpRoot: t.TempDir(),
-		Trace:   rec,
+		Trace: rec,
 	}, func(p geom.Pair) { got = append(got, p) })
 	if err != nil {
 		t.Fatal(err)
@@ -209,71 +211,18 @@ func TestShardJoinConfigErrors(t *testing.T) {
 	}
 }
 
-// TestShardJoinTLSP pins the property that admits TLSP to sharded
-// execution: its partition output is globally duplicate-free by
-// construction, so a sharded TLSP join reproduces the single-process
-// TLSP join exactly — set AND emission order — at every shard count,
-// with exactly one seal per partition.
-func TestShardJoinTLSP(t *testing.T) {
-	r, s := testData()
-	want, _, err := core.Collect(r, s, core.Config{
-		Memory: testMemory, Parallel: 1, PBSMDup: pbsm.DupTLSP,
-	})
-	if err != nil {
-		t.Fatalf("serial TLSP join: %v", err)
-	}
-	rpm := serialPairs(t, r, s)
-	if len(want) != len(rpm) {
-		t.Fatalf("test setup: TLSP found %d pairs, RPM %d", len(want), len(rpm))
-	}
-	for _, n := range []int{1, 2, 4} {
-		cfg := shardConfig(t, n)
-		cfg.Dup = pbsm.DupTLSP
-		var got []geom.Pair
-		res, err := shard.Join(r, s, cfg, func(p geom.Pair) { got = append(got, p) })
-		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d results, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: result %d is %+v, want %+v — emission order diverged",
-					n, i, got[i], want[i])
-			}
-		}
-		if res.Stats.Seals != res.Stats.Partitions {
-			t.Fatalf("shards=%d: %d seals for %d partitions", n, res.Stats.Seals, res.Stats.Partitions)
-		}
-	}
-}
-
-// TestShardJoinRejectsDupSort pins the fail-loud arm of the dup axis at
-// the shard layer itself (core's own rejection is tested separately):
-// sort-based dedup cannot shard, and unknown methods are refused.
-func TestShardJoinRejectsDupSort(t *testing.T) {
-	r, s := testData()
-	cfg := shardConfig(t, 2)
-	cfg.Dup = pbsm.DupSort
-	if _, err := shard.Join(r, s, cfg, func(geom.Pair) {}); err == nil {
-		t.Fatal("shard.Join accepted DupSort")
-	}
-	cfg.Dup = pbsm.DupMethod(9)
-	if _, err := shard.Join(r, s, cfg, func(geom.Pair) {}); err == nil {
-		t.Fatal("shard.Join accepted an unknown DupMethod")
-	}
-}
-
 // TestWorkerRefusesJobItCannotMean: a job frame that decodes but whose
 // routing this worker does not share is answered with a structured fail
 // frame (KindShard, phase config) before any input is read — one case
 // per direction a worker can detect. An older coordinator writes no
 // Proto and no tile→partition table; a newer one writes a Proto this
-// build does not know; and a current one whose hashed grid lost its table
-// has no routing to follow. (The fourth direction, an older worker under
-// this coordinator, ignores both fields and cannot be caught here:
-// DESIGN.md §12.)
+// build does not know; a current one whose hashed grid lost its table
+// has no routing to follow; and a coordinator of the build that still had
+// a third duplicate method sent it as dup 2, over a grid whose tiles were
+// its partitions, flagged and without a table. This worker ignores both
+// of that job's unknown fields and refuses the grid. (The fifth
+// direction, an older worker under this coordinator, ignores the table
+// and cannot be caught here: DESIGN.md §12.)
 func TestWorkerRefusesJobItCannotMean(t *testing.T) {
 	hashed := pbsm.PlanGrid(testRecs, testRecs, pbsm.Config{Memory: testMemory})
 	if hashed.Parts < 2 || !hashed.Valid() {
@@ -281,6 +230,10 @@ func TestWorkerRefusesJobItCannotMean(t *testing.T) {
 	}
 	bare := hashed
 	bare.Assign = nil
+	jobs := map[string][]byte{
+		"three-method coordinator": []byte(`{"proto":2,"shard":0,"attempt":1,"parts":[0],` +
+			`"grid":{"nx":3,"ny":3,"parts":9,"tlsp":true},"memory":32768,"dup":2}`),
+	}
 	for name, spec := range map[string]shard.JobSpec{
 		"older coordinator": {Grid: bare, Memory: testMemory},
 		"newer coordinator": {Proto: shard.ProtoVersion + 1, Grid: hashed, Memory: testMemory},
@@ -290,6 +243,9 @@ func TestWorkerRefusesJobItCannotMean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		jobs[name] = job
+	}
+	for name, job := range jobs {
 		var in, out bytes.Buffer
 		if err := shard.NewFrameWriter(&in).Write(shard.FrameJob, job); err != nil {
 			t.Fatal(err)

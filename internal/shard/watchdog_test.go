@@ -66,7 +66,7 @@ func TestStallWatchdogKillsSilentWorker(t *testing.T) {
 	}
 	rec := trace.New()
 	var got []geom.Pair
-	res, err := Join(r, s, Config{Shards: 2, Memory: memory, TmpRoot: t.TempDir(), Pool: pool, Trace: rec},
+	res, err := Join(r, s, Config{Shards: 2, Memory: memory, Pool: pool, Trace: rec},
 		func(p geom.Pair) { got = append(got, p) })
 	if err != nil {
 		t.Fatalf("join did not recover from the stalled worker: %v", err)

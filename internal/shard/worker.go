@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -90,9 +88,9 @@ func runConversation(fr *FrameReader, fw *FrameWriter) error {
 	return nil
 }
 
-// readJob reads and validates the job spec, journals the attempt and
-// honors the spawn kill point. Ping frames ahead of the job are health
-// checks from a pool lease; each is answered with a beat.
+// readJob reads and validates the job spec and honors the spawn kill
+// point. Ping frames ahead of the job are health checks from a pool
+// lease; each is answered with a beat.
 func readJob(fr *FrameReader, fw *FrameWriter) (*JobSpec, error) {
 	var spec *JobSpec
 	for spec == nil {
@@ -124,19 +122,6 @@ func readJob(fr *FrameReader, fw *FrameWriter) (*JobSpec, error) {
 	}
 	if !spec.Grid.Valid() || spec.Memory <= 0 {
 		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job spec invalid: grid %s, memory %d", spec.Grid, spec.Memory))
-	}
-
-	// The journal marks the scratch dir live; the coordinator registered
-	// the dir in its manifest before we were spawned, so even a SIGKILL
-	// right here leaves nothing unaccounted for.
-	if spec.TmpDir != "" {
-		if err := os.MkdirAll(spec.TmpDir, 0o755); err != nil {
-			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
-		}
-		journal := fmt.Sprintf("shard %d attempt %d started\n", spec.Shard, spec.Attempt)
-		if err := os.WriteFile(filepath.Join(spec.TmpDir, "journal"), []byte(journal), 0o644); err != nil {
-			return nil, joinerr.WrapAs("shard", "worker", joinerr.KindShard, err)
-		}
 	}
 
 	if k := spec.Kill; k != nil && k.Point == KillSpawn {

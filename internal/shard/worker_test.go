@@ -100,6 +100,64 @@ func TestWorkerJoinsOnlyCompleteInput(t *testing.T) {
 	}
 }
 
+// TestWorkerNeedsNoHostDirectory: a worker's disk is simulated, so a
+// job touches nothing on the worker's host. A job from an older
+// coordinator that still names a per-attempt scratch directory — here
+// one no process can create — runs and seals its pair like any other.
+func TestWorkerNeedsNoHostDirectory(t *testing.T) {
+	const memory = 32 << 10
+	gs := pbsm.PlanGrid(1500, 1500, pbsm.Config{Memory: memory})
+	job, err := json.Marshal(struct {
+		JobSpec
+		TmpDir string `json:"tmp_dir"`
+	}{JobSpec{Proto: ProtoVersion, Parts: []int{0}, Grid: gs, Memory: memory}, "/dev/null/x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, ss := datagen.Uniform(101, 200, 0.05), datagen.Uniform(202, 200, 0.05)
+	var in, out bytes.Buffer
+	fw := NewFrameWriter(&in)
+	for _, f := range []struct {
+		t FrameType
+		p []byte
+	}{
+		{FrameJob, job},
+		{FramePart, encodePartChunk(nil, 0, 'R', true, rs)},
+		{FramePart, encodePartChunk(nil, 0, 'S', true, ss)},
+		{FrameGo, nil},
+	} {
+		if err := fw.Write(f.t, f.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := runConversation(NewFrameReader(&in), NewFrameWriter(&out)); err != nil {
+		t.Fatalf("runConversation: %v", err)
+	}
+	var pairs, sealed int64 = 0, -1
+	fr := NewFrameReader(&out)
+	for {
+		typ, payload, err := fr.Next()
+		if err != nil {
+			break
+		}
+		switch typ {
+		case FramePairs:
+			_, ps, derr := decodePairs(payload)
+			if derr != nil {
+				t.Fatal(derr)
+			}
+			pairs += int64(len(ps))
+		case FrameSeal:
+			if _, sealed, err = decodeSeal(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if pairs == 0 || sealed != pairs {
+		t.Fatalf("sealed %d of %d pairs, want a seal of every pair and some pairs", sealed, pairs)
+	}
+}
+
 // TestWorkerStreamsPairs: a worker runs and seals a partition as soon as
 // both of its sides are complete, before the rest of its input or the go
 // frame arrives, and a shard whose pairs all fit Memory touches no disk.

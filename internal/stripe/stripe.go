@@ -28,7 +28,7 @@ import (
 
 // Records is the number of records, R and S together, a stripe holds on
 // average: two gathered sides of this size sort and sweep inside a core's
-// L2 cache (3072 × 48 B ≈ 144 KiB). It follows from the cache, not from
+// L2 cache (3072 × 40 B ≈ 120 KiB). It follows from the cache, not from
 // the workload — anywhere in 2–4k measures the same — so it is no knob.
 const Records = 3072
 
@@ -158,9 +158,9 @@ func gather(dst, ks []geom.KPE, ix *index, i int) []geom.KPE {
 // buffer stays small on a stripe where everything intersects everything.
 const batch = 1024
 
-// Keep decides a candidate (r, s) whose reference point x lies in the
-// stripe being swept: true reports it. A nil Keep reports every one.
-type Keep func(r, s geom.KPE, x geom.Point) bool
+// Keep decides a candidate whose reference point x lies in the stripe
+// being swept: true reports it. A nil Keep reports every one.
+type Keep func(x geom.Point) bool
 
 // Slot is everything one worker slot of the unit driver owns, so that no
 // unit allocates what the unit before it on the slot already had: its
@@ -208,7 +208,7 @@ func (sl *Slot) sweep(emit func([]geom.Pair), rs, ss []geom.KPE, band Band, k, i
 	out := sl.out[:0]
 	sl.alg.Join(rs, ss, func(r, s geom.KPE) {
 		x := geom.RefPoint(r.Rect, s.Rect)
-		if k > 1 && band.of(x.Y, k) != i || keep != nil && !keep(r, s, x) {
+		if k > 1 && band.of(x.Y, k) != i || keep != nil && !keep(x) {
 			return
 		}
 		if out = append(out, geom.Pair{R: r.ID, S: s.ID}); len(out) == batch {

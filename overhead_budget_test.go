@@ -164,10 +164,10 @@ func TestOverheadBudget(t *testing.T) {
 				// for slack), each retry one more, each top-level partition
 				// pair a handful of nil-handle calls (its fill observation,
 				// pairDone, progress, scheduler bookkeeping; 8 is generous),
-				// each sweep two live dup counters (pbsm.rpm.tests and
-				// pbsm.tlsp.pairs.skipped are folded once per stripe; a
-				// stripe's records took at least one read request of their
-				// own to load, so the read requests bound the sweeps), plus
+				// each sweep its live dup counter (pbsm.rpm.tests is folded
+				// once per stripe, counted twice for slack; a stripe's
+				// records took at least one read request of their own to
+				// load, so the read requests bound the sweeps), plus
 				// a constant for the per-join sites (join counters, progress
 				// init, publishMetrics, shard probes).
 				sites := 2*(res.IO.ReadRequests+res.IO.WriteRequests) +
