@@ -94,6 +94,18 @@ echo "== fuzz smoke (the sweep's key sort against its order and permutation prop
 # in (geom.OrderedKey(XL), input position) order.
 go test -run '^$' -fuzz '^FuzzSortByXL$' -fuzztime 10s ./internal/sweep/
 
+echo "== fuzz smoke (S3J's size level against its defining inequality) =="
+# Arbitrary rectangles clamped to the unit square: the level is the
+# largest k with both extents ≤ 2^-k, exactly, with no float slack, and
+# replication stays within four cells.
+go test -run '^$' -fuzz '^FuzzLevelAssignments$' -fuzztime 10s ./internal/sfc/
+
+echo "== fuzz smoke (extsort's key-only run radix against the comparator path) =="
+# Arbitrary keys with whole bytes zeroed, so that ties and skipped radix
+# passes are common: a key-only run must be byte-identical to the run the
+# comparator path writes, and hold the chunk stably sorted by key.
+go test -run '^$' -fuzz '^FuzzWriteRunKeyOrder$' -fuzztime 10s ./internal/extsort/
+
 echo "== metrics endpoint smoke (/metrics exposition + progress), overhead budgets =="
 # A PBSM join scraped over metrics.Handler from inside its result stream:
 # every response must parse as Prometheus text, the progress fraction

@@ -109,8 +109,9 @@ type Config struct {
 	// Requires Shards > 1; empty means local worker processes only.
 	ShardEndpoints []string
 
-	// S3JMode selects original or replicated S³J; default ModeReplicate
-	// (the paper's improvement). Ignored for PBSM.
+	// S3JMode selects original or replicated S³J (ModeReplicate is the
+	// paper's improvement); the zero value is ModeOriginal. Ignored for
+	// PBSM.
 	S3JMode s3j.Mode
 	// S3JLevels is the number of grid levels; zero selects the default.
 	S3JLevels int

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/jointest"
+	"spatialjoin/internal/s3j"
 )
 
 // TestJoinRejectsInvalidGeometry: every method must refuse NaN/Inf
@@ -62,6 +64,40 @@ func TestJoinAcceptsDegenerateButValidGeometry(t *testing.T) {
 	}
 	if len(pairs) != 1 {
 		t.Fatalf("point-in-rect join returned %d pairs", len(pairs))
+	}
+}
+
+// TestReplicatedS3JJoinsAnOverflowingRectangle: a rectangle with finite
+// corners whose width overflows to +Inf passes validation, so replicated
+// S³J must place it (at the root, the level of every extent ≥ 1) and
+// join it like any other, not spin on its size level.
+func TestReplicatedS3JJoinsAnOverflowingRectangle(t *testing.T) {
+	R := []geom.KPE{
+		{ID: 1, Rect: geom.Rect{XL: -math.MaxFloat64, YL: 0.25, XH: math.MaxFloat64, YH: 0.5}},
+		{ID: 2, Rect: geom.NewRect(0.8, 0.8, 0.9, 0.9)},
+	}
+	S := []geom.KPE{
+		{ID: 3, Rect: geom.NewRect(0.1, 0.3, 0.2, 0.4)},
+		{ID: 4, Rect: geom.NewRect(0.6, 0.45, 0.7, 0.6)},
+		{ID: 5, Rect: geom.NewRect(0.6, 0.6, 0.7, 0.7)},
+	}
+	type out struct {
+		pairs []geom.Pair
+		err   error
+	}
+	done := make(chan out, 1)
+	go func() {
+		pairs, _, err := Collect(R, S, Config{Method: S3J, S3JMode: s3j.ModeReplicate, Memory: 1 << 20})
+		done <- out{pairs, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		jointest.AssertEqual(t, o.pairs, jointest.Naive(R, S))
+	case <-time.After(20 * time.Second):
+		t.Fatal("replicated S3J did not return within 20 s")
 	}
 }
 

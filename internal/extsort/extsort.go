@@ -16,12 +16,16 @@
 // scan, PBSM's Merge), so MergeDown runs only when there are more runs
 // than that merge may hold cursors for.
 //
-// Run formation never moves a record while sorting: it sorts an index
-// of (key, position) entries — Config.Key's 64-bit prefix of the order,
-// extracted once per record — and writes the run through the index.
-// Entries compare by key, then by Config.Less when it is set, then by
-// position, so the order is total, the sort is stable, and a Less-only
-// caller (every key 0) runs the same path. The merge breaks ties the same
+// Run formation never moves a record while sorting: it orders the
+// chunk's positions by Config.Key's 64-bit prefix of the order, extracted
+// once per record, then by Config.Less when it is set, then by position,
+// and writes the run through that order. The order is total and the sort
+// stable. Without Less — S³J's and SSSJ's sorts — a least-significant-digit
+// radix sorts the positions, one stable pass per byte of the key that
+// varies in the chunk, over an 8-byte key and two 4-byte position arrays
+// per record; with Less (a Less-only caller has every key 0)
+// slices.SortFunc sorts a 16-byte (key, position) entry per record. Both
+// give the same run for the same order. The merge breaks ties the same
 // way with the run ordinal in place of the position, which keeps the
 // whole sort stable: runs and merge groups cover consecutive input
 // ranges. Chunks stay Memory/RecordSize records, so run counts and merge
@@ -240,13 +244,14 @@ func formRuns(in *diskio.File, cfg Config, st *Stats) ([]Run, error) {
 }
 
 // ChunkRecs is the number of records sorted and written as one run: what
-// Memory holds, at least two, and no more than indexEntry.pos can number.
+// Memory holds, at least two, and no more than a 32-bit position can
+// number.
 func (c *Config) ChunkRecs() int64 {
 	return min(max(c.Memory/int64(c.RecordSize), 2), math.MaxUint32)
 }
 
-// indexEntry stands for one record of a chunk while the chunk is sorted:
-// its key and its position in the chunk.
+// indexEntry stands for one record of a chunk while the comparator path
+// sorts the chunk: its key and its position in the chunk.
 type indexEntry struct {
 	key uint64
 	pos uint32
@@ -303,18 +308,101 @@ func formOneRun(rw *RunWriter, in *diskio.File, run Run, lo int64, cfg Config) (
 }
 
 // RunWriter writes sorted runs. It keeps its sort index from one run to
-// the next. The zero value is ready to use; one RunWriter serves one
-// goroutine at a time.
+// the next: the radix path's keys and positions for a Config without
+// Less, the comparator path's entries for one with it, 16 bytes per
+// record either way. The zero value is ready to use; one RunWriter serves
+// one goroutine at a time.
 type RunWriter struct {
-	idx []indexEntry
+	idx   []indexEntry // the comparator path's index (Config.Less set)
+	words []uint32     // the radix path's index: four arrays of one word per record
 }
 
 // WriteRun sorts the records that lie back to back in chunk — by Key,
 // then Less, then position, through an index that never moves a record —
 // and writes them to out as one run, in the chunk's window. It returns
-// the calls of Less. The index is 16 bytes per record that the RunWriter
-// holds beyond the chunk.
+// the calls of Less. Without Less the index is sorted by a stable radix
+// over the bytes of Key that vary in the chunk (sortByKey), with Less by
+// slices.SortFunc; either way it is 16 bytes per record that the
+// RunWriter holds beyond the chunk.
 func (rw *RunWriter) WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64, error) {
+	rs := cfg.RecordSize
+	n := len(chunk) / rs
+	var comps int64
+	var order []uint32
+	if cfg.Less == nil {
+		order = rw.sortByKey(chunk, cfg)
+	} else {
+		comps = rw.sortByLess(chunk, cfg)
+	}
+	w := recfile.NewRecWriter(out, rs, cfg.chunkBuf())
+	chk := cfg.Cancel.Stride()
+	for i := range n {
+		if err := chk.Point(); err != nil {
+			return comps, err
+		}
+		var p int
+		if cfg.Less == nil {
+			p = int(order[i])
+		} else {
+			p = int(rw.idx[i].pos)
+		}
+		if err := w.Write(chunk[p*rs:][:rs]); err != nil {
+			return comps, err
+		}
+	}
+	return comps, w.Flush()
+}
+
+// sortByKey returns the chunk's positions in (key, position) order: a
+// least-significant-digit radix sort of the positions, one stable
+// counting pass per byte of the key, skipping every byte that is the same
+// in all keys of the chunk. Each key is extracted once, as two 32-bit
+// halves kept by chunk position; a pass reads its byte from one half, and
+// counts it over the half in chunk order, since a permutation does not
+// change the counts. Halves and the two position arrays share one
+// allocation of 16 bytes per record.
+func (rw *RunWriter) sortByKey(chunk []byte, cfg Config) []uint32 {
+	rs := cfg.RecordSize
+	n := len(chunk) / rs
+	if cap(rw.words) < 4*n {
+		rw.words = make([]uint32, 4*n)
+	}
+	w := rw.words[:4*n]
+	halves := [2][]uint32{w[:n], w[n : 2*n]} // bits 0..31 and 32..63 of each key
+	src, dst := w[2*n:3*n], w[3*n:]
+	or, and := uint64(0), ^uint64(0)
+	for i := range n {
+		k := cfg.key(chunk[i*rs:][:rs])
+		halves[0][i], halves[1][i], src[i] = uint32(k), uint32(k>>32), uint32(i)
+		or, and = or|k, and&k
+	}
+	varies := or ^ and // the bits that differ between some two keys
+	for shift := 0; shift < 64; shift += 8 {
+		if varies>>shift&0xff == 0 {
+			continue
+		}
+		half, sh := halves[shift/32], shift%32
+		var at [256]uint32
+		for _, h := range half {
+			at[byte(h>>sh)]++
+		}
+		next := uint32(0)
+		for d, c := range at {
+			at[d], next = next, next+c
+		}
+		for _, p := range src {
+			d := byte(half[p] >> sh)
+			dst[at[d]] = p
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// sortByLess orders the comparator path's index by key, then Less, then
+// position, and returns the calls of Less.
+func (rw *RunWriter) sortByLess(chunk []byte, cfg Config) int64 {
 	rs := cfg.RecordSize
 	n := len(chunk) / rs
 	if cap(rw.idx) < n {
@@ -330,24 +418,14 @@ func (rw *RunWriter) WriteRun(out *diskio.File, chunk []byte, cfg Config) (int64
 		switch {
 		case a.key != b.key:
 			return cmp.Compare(a.key, b.key)
-		case cfg.Less == nil || a.pos == b.pos:
+		case a.pos == b.pos:
 			return cmp.Compare(a.pos, b.pos)
 		case cfg.tieBefore(at(a), at(b), a.pos < b.pos, &comps):
 			return -1
 		}
 		return 1
 	})
-	w := recfile.NewRecWriter(out, rs, cfg.chunkBuf())
-	chk := cfg.Cancel.Stride()
-	for _, e := range idx {
-		if err := chk.Point(); err != nil {
-			return comps, err
-		}
-		if err := w.Write(at(e)); err != nil {
-			return comps, err
-		}
-	}
-	return comps, w.Flush()
+	return comps
 }
 
 // FanIn is the number of runs one merge reads at once under this

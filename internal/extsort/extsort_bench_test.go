@@ -39,6 +39,39 @@ func BenchmarkSort(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteRun sorts and writes one 64k-record chunk of S³J level
+// records (an 8-byte scan key and a 41-byte KPE) as a run: key-only is the
+// path S³J's partitioners and SSSJ's run formation take, key+less the
+// comparator path the same chunk takes when Less is set (neverLess keeps
+// the order).
+func BenchmarkWriteRun(b *testing.B) {
+	const n, rs = 64 << 10, 49
+	chunk := s3jChunk(rand.New(rand.NewSource(1)), n, rs)
+	for _, tc := range []struct {
+		name string
+		less Less
+	}{
+		{"key-only", nil},
+		{"key+less", neverLess},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			d := diskio.NewDisk(8192, 20, time.Microsecond)
+			cfg := Config{Disk: d, RecordSize: rs, Memory: int64(len(chunk)), Key: s3jKeyOf, Less: tc.less}
+			var rw RunWriter
+			b.SetBytes(int64(len(chunk)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := d.Create("")
+				if _, err := rw.WriteRun(f, chunk, cfg); err != nil {
+					b.Fatal(err)
+				}
+				d.Remove(f.Name())
+			}
+		})
+	}
+}
+
 func u64LessBench(a, bb []byte) bool {
 	return binary.LittleEndian.Uint64(a) < binary.LittleEndian.Uint64(bb)
 }

@@ -552,3 +552,151 @@ func TestMergeStreamsWhatMergeDownWrites(t *testing.T) {
 		t.Fatalf("yield's error after %d records: Merge returned %v", n, err)
 	}
 }
+
+// s3jKey draws a scan key shaped like S³J's: the start of a level-l cell's
+// depth-24 code interval over the level in the low 5 bits, levels 1..12.
+func s3jKey(rng *rand.Rand) uint64 {
+	l := 1 + rng.Intn(12)
+	code := rng.Uint64() & (1<<(2*l) - 1)
+	return code<<(2*(24-l))<<5 | uint64(l)
+}
+
+// s3jKeyOf is the sort key of a record that s3jChunk wrote.
+func s3jKeyOf(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) }
+
+// s3jChunk returns n records of rs ≥ 8 bytes: an S³J-shaped key, then
+// random payload bytes.
+func s3jChunk(rng *rand.Rand, n, rs int) []byte {
+	chunk := make([]byte, n*rs)
+	rng.Read(chunk)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(chunk[i*rs:], s3jKey(rng))
+	}
+	return chunk
+}
+
+// neverLess is a Less that tells no two records apart: with it a Key
+// sort takes the comparator path and gives that path's (key, position)
+// order.
+func neverLess(a, b []byte) bool { return false }
+
+// keyedChunk returns one 16-byte record per key: the key, then the
+// record's position, so that every record is distinct and byte equality
+// of two runs is equality of their orders.
+func keyedChunk(keys []uint64) []byte {
+	chunk := make([]byte, len(keys)*tieRecSize)
+	for i, k := range keys {
+		binary.LittleEndian.PutUint64(chunk[i*tieRecSize:], k)
+		binary.LittleEndian.PutUint64(chunk[i*tieRecSize+8:], uint64(i))
+	}
+	return chunk
+}
+
+// checkKeyOrderRun writes chunk as one run through the key-only path and
+// through the comparator path, and fails unless the two runs are byte
+// for byte the same file and hold the chunk's records stably sorted by
+// key.
+func checkKeyOrderRun(t *testing.T, chunk []byte) {
+	t.Helper()
+	d := diskio.NewDisk(64, 5, time.Millisecond)
+	var rw RunWriter
+	run := func(less Less) *diskio.File {
+		cfg := Config{Disk: d, RecordSize: tieRecSize, Memory: 1024, Key: s3jKeyOf, Less: less}
+		f := d.Create("")
+		if _, err := rw.WriteRun(f, chunk, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	keyOnly, withLess := run(nil), run(neverLess)
+	if !bytes.Equal(keyOnly.Bytes(), withLess.Bytes()) {
+		t.Fatalf("the key-only run differs from the comparator path's")
+	}
+	want := make([][]byte, len(chunk)/tieRecSize)
+	for i := range want {
+		want[i] = chunk[i*tieRecSize:][:tieRecSize]
+	}
+	sort.SliceStable(want, func(i, j int) bool { return s3jKeyOf(want[i]) < s3jKeyOf(want[j]) })
+	if !bytes.Equal(readRecs(keyOnly, tieRecSize), bytes.Join(want, nil)) {
+		t.Fatalf("the key-only run is not the chunk stably sorted by key")
+	}
+}
+
+// TestWriteRunKeyOnlyIsTheComparatorOrder: a Key-only WriteRun, which
+// sorts with a radix over the bytes that vary, writes the run the
+// comparator path writes for the same chunk, on the shapes where a radix
+// can slip: no pass at all, one pass on the top or the bottom byte,
+// heavy ties and S³J's scan keys. Sort composes such runs, at every
+// worker count, into the comparator path's output.
+func TestWriteRunKeyOnlyIsTheComparatorOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	draw := func(n int, f func(i int) uint64) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = f(i)
+		}
+		return keys
+	}
+	for _, tc := range []struct {
+		name string
+		keys []uint64
+	}{
+		{"n=0", nil},
+		{"n=1", []uint64{42}},
+		{"n=2", []uint64{7, 3}},
+		{"n=2 equal", []uint64{3, 3}},
+		{"all equal", draw(300, func(int) uint64 { return 0xdeadbeef })},
+		{"byte 7 only", draw(300, func(int) uint64 { return uint64(rng.Intn(256))<<56 | 0x55 })},
+		{"byte 0 only", draw(300, func(int) uint64 { return 0xaa<<56 | uint64(rng.Intn(256)) })},
+		{"heavy ties", draw(300, func(int) uint64 { return uint64(rng.Intn(4)) << (8 * rng.Intn(8)) })},
+		{"s3j keys", draw(1000, func(int) uint64 { return s3jKey(rng) })},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkKeyOrderRun(t, keyedChunk(tc.keys)) })
+	}
+
+	chunk := keyedChunk(draw(3000, func(int) uint64 { return s3jKey(rng) >> (5 + 2*rng.Intn(20)) }))
+	for _, workers := range []int{1, 4} {
+		var outs [2][]byte
+		for i, less := range []Less{nil, neverLess} {
+			// 64 records per run: 47 runs and two merge passes.
+			cfg := Config{
+				Disk: diskio.NewDisk(64, 5, time.Millisecond), RecordSize: tieRecSize,
+				Memory: 1024, BufPages: 2, Key: s3jKeyOf, Less: less, Parallel: workers,
+			}
+			out, st, err := Sort(writeRecs(cfg.Disk, chunk, tieRecSize), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Runs != 47 || st.MergePass != 2 {
+				t.Fatalf("parallel=%d: %d runs, %d passes; want 47 and 2", workers, st.Runs, st.MergePass)
+			}
+			outs[i] = out.Bytes()
+		}
+		if !bytes.Equal(outs[0], outs[1]) {
+			t.Fatalf("parallel=%d: the key-only Sort differs from the comparator path's", workers)
+		}
+	}
+}
+
+// FuzzWriteRunKeyOrder: for arbitrary keys — eight bytes each, spread
+// over a few bytes of the word so that ties and skipped bytes are common
+// — the key-only run is the comparator path's run and the chunk stably
+// sorted by key.
+func FuzzWriteRunKeyOrder(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1}, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, mask uint8) {
+		keys := make([]uint64, len(raw)/8)
+		for i := range keys {
+			k := binary.LittleEndian.Uint64(raw[i*8:])
+			for b := 0; b < 8; b++ {
+				if mask>>b&1 != 0 {
+					k &^= 0xff << (8 * b) // byte b is 0 in every key
+				}
+			}
+			keys[i] = k
+		}
+		checkKeyOrderRun(t, keyedChunk(keys))
+	})
+}

@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math"
 	"testing"
 
 	"spatialjoin/internal/geom"
@@ -8,8 +9,9 @@ import (
 
 // FuzzLevelAssignments checks the structural invariants of both level
 // rules for arbitrary rectangles: the containment cell really covers the
-// rectangle, the size level satisfies its defining inequality, and the
-// replicated cell set stays within the paper's bound of four.
+// rectangle, the size level is the largest that satisfies its defining
+// inequality exactly, and the replicated cell set stays within the
+// paper's bound of four.
 func FuzzLevelAssignments(f *testing.F) {
 	f.Add(0.1, 0.1, 0.2, 0.2)
 	f.Add(0.0, 0.0, 1.0, 1.0)
@@ -25,9 +27,12 @@ func FuzzLevelAssignments(f *testing.F) {
 			t.Fatalf("containment cell (%d,%d)@%d does not cover %v", ix, iy, level, r)
 		}
 		k := SizeLevel(r, MaxLevel)
-		size := CellRect(0, 0, k).Width()
-		if r.Width() > size+1e-15 || r.Height() > size+1e-15 {
+		e := max(r.Width(), r.Height())
+		if e > math.Ldexp(1, -k) {
 			t.Fatalf("size level %d violates the defining inequality for %v", k, r)
+		}
+		if k < MaxLevel && e <= math.Ldexp(1, -(k+1)) {
+			t.Fatalf("size level %d is not the largest for %v: level %d fits too", k, r, k+1)
 		}
 		cells := OverlapCells(r, k, nil)
 		if len(cells) == 0 || len(cells) > 4 {

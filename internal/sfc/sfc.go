@@ -113,28 +113,22 @@ func ContainmentLevel(r geom.Rect, maxLevel int) (level int, ix, iy uint32) {
 //
 //	max{ k | xh−xl ≤ 2^−k  ∧  yh−yl ≤ 2^−k }
 //
-// capped to [0, maxLevel]. Degenerate rectangles land on maxLevel.
+// capped to [0, maxLevel]. Degenerate rectangles land on maxLevel. The
+// level is read off the float exponent of the larger extent e: with
+// e = frac·2^exp and frac in [½, 1), e ≤ 2^−k holds exactly for
+// k ≤ −exp, and for k ≤ −exp+1 when e is the power of two ½·2^exp. An
+// infinite extent gets level 0.
 func SizeLevel(r geom.Rect, maxLevel int) int {
 	e := math.Max(r.Width(), r.Height())
 	if e <= 0 {
 		return maxLevel
 	}
-	k := int(math.Floor(-math.Log2(e)))
-	// Floating-point log can be off by one near powers of two; fix up so
-	// the defining inequality holds exactly.
-	for k > 0 && math.Ldexp(1, -k) < e {
-		k--
-	}
-	for math.Ldexp(1, -(k+1)) >= e {
+	frac, exp := math.Frexp(e)
+	k := -exp
+	if frac == 0.5 {
 		k++
 	}
-	if k < 0 {
-		k = 0
-	}
-	if k > maxLevel {
-		k = maxLevel
-	}
-	return k
+	return min(max(k, 0), maxLevel)
 }
 
 // OverlapCells appends to dst the (ix, iy) coordinates of every level-l

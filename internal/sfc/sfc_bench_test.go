@@ -1,6 +1,8 @@
 package sfc
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"spatialjoin/internal/geom"
@@ -36,11 +38,24 @@ func BenchmarkContainmentLevel(b *testing.B) {
 	benchSink = uint64(sink)
 }
 
+// BenchmarkSizeLevel cycles over 1024 rectangles whose extents spread
+// over every level, powers of two among them, so that neither the branch
+// predictor nor a level-specific shortcut sees one shape.
 func BenchmarkSizeLevel(b *testing.B) {
-	r := geom.NewRect(0.312, 0.401, 0.313, 0.402)
+	rng := rand.New(rand.NewSource(1))
+	rs := make([]geom.Rect, 1024)
+	for i := range rs {
+		w := math.Ldexp(1, -rng.Intn(MaxLevel+2))
+		if i%4 != 0 {
+			w *= 0.5 + rng.Float64()/2
+		}
+		x, y := rng.Float64()*(1-w), rng.Float64()*(1-w)
+		rs[i] = geom.NewRect(x, y, x+w, y+w*rng.Float64())
+	}
 	var sink int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += SizeLevel(r, MaxLevel)
+		sink += SizeLevel(rs[i&1023], MaxLevel)
 	}
 	benchSink = uint64(sink)
 }

@@ -1,10 +1,12 @@
 package sfc
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spatialjoin/internal/geom"
 )
@@ -176,6 +178,57 @@ func TestSizeLevelDefinition(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSizeLevelExact checks the defining inequality and, below
+// maxLevel, maximality on the extents where a float rule can slip: every
+// power of two 2^−k from the root to past MaxLevel and both float
+// neighbours of each, subnormals, extents of 1 and more, and 0.
+func TestSizeLevelExact(t *testing.T) {
+	var extents []float64
+	for k := 0; k <= MaxLevel+2; k++ {
+		e := math.Ldexp(1, -k)
+		extents = append(extents, math.Nextafter(e, 0), e, math.Nextafter(e, 2))
+	}
+	extents = append(extents, math.SmallestNonzeroFloat64, 0x1p-1030, 0x1p-1022-0x1p-1074,
+		1, 1.5, 2, 1e300, math.MaxFloat64)
+	for _, e := range extents {
+		for _, r := range []geom.Rect{{XH: e, YH: e / 2}, {XH: e / 4, YH: e}} {
+			k := SizeLevel(r, MaxLevel)
+			if k < 0 || k > MaxLevel {
+				t.Fatalf("SizeLevel(%v) = %d, outside [0, %d]", r, k, MaxLevel)
+			}
+			if e < 1 && e > math.Ldexp(1, -k) {
+				t.Errorf("extent %g at level %d: larger than the cell 2^-%d", e, k, k)
+			}
+			if e >= 1 && k != 0 {
+				t.Errorf("extent %g at level %d, want the root", e, k)
+			}
+			if k < MaxLevel && e <= math.Ldexp(1, -(k+1)) {
+				t.Errorf("extent %g at level %d: it fits level %d too", e, k, k+1)
+			}
+		}
+	}
+	if k := SizeLevel(geom.Rect{XL: 0.25, YL: 0.25, XH: 0.25, YH: 0.25}, MaxLevel); k != MaxLevel {
+		t.Errorf("a point is at level %d, want %d", k, MaxLevel)
+	}
+}
+
+// TestSizeLevelOfAnOverflowingExtent: a rectangle with finite corners
+// whose width overflows to +Inf is at the root. A level rule built on
+// −Log2 turns +Inf into the smallest int and never finishes fixing it up.
+func TestSizeLevelOfAnOverflowingExtent(t *testing.T) {
+	r := geom.Rect{XL: -math.MaxFloat64, YL: 0.25, XH: math.MaxFloat64, YH: 0.5}
+	got := make(chan int, 1)
+	go func() { got <- SizeLevel(r, MaxLevel) }()
+	select {
+	case k := <-got:
+		if k != 0 {
+			t.Fatalf("SizeLevel(%v) = %d, want 0", r, k)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("SizeLevel(%v) did not return within 5 s", r)
 	}
 }
 
