@@ -124,17 +124,21 @@ go run ./benchmark -workload pbsm_mem -scale 0.05 -seconds 0 -trace 1 | grep -q 
 
 echo "== repository benchmark smoke (pbsm_ext, traced pass) =="
 # The external path through the same oracle and gates. At scale 0.25 the
-# top pairs hold about 8k records (K = 3), so the striped pair path runs
-# (at 0.05 it does not). Repartitioning does not, and that is the
-# contract: the planner packs the tiles of this skewed input so that every
-# pair fits the budget, which the traced pass prints as zero repartitions
-# and zero memory overflows. (The fallback itself is covered by the pbsm
+# top pairs hold about 8k records each, and the striped pair path cuts
+# every one into the join's K = 82 stripe rows. Repartitioning does not
+# run, and that is the contract: the planner packs the tiles of this
+# skewed input so that every pair fits the budget, which the traced pass
+# prints as zero repartitions and zero memory overflows. (The fallback itself is covered by the pbsm
 # tests, which force it with a tile heavier than the budget.) The request
 # counts are the sizing rules of internal/iocost at work, and they are
 # deterministic: the pair loads read with what each pair leaves of the
 # budget (LoadBuf: 142 reads, 342 at the fixed 4-page buffer), and the
 # partition writers split it (BufFor: 666 writes; at this scale the share
 # is below 4 pages, so no cap binds). A rule that slips back moves them.
+# So is the sweep's candidate count: every loaded pair is cut into the
+# stripe rows of the whole join (pbsm.GridSpec.Rows), 426 902 list tests
+# (2 984 760 when each pair was cut by its own record count). A stripe
+# rule that slips back moves it.
 extsmoke=$(mktemp /tmp/sjbench-ext.XXXXXX.txt)
 trap 'rm -f "$extsmoke"' EXIT
 go run ./benchmark -workload pbsm_ext -scale 0.25 -seconds 0 -trace 1 | tee "$extsmoke" | grep -q '"correct":true'
@@ -142,6 +146,7 @@ grep -Eq '^ +pbsm\.repartitions +0 count' "$extsmoke"
 grep -Eq '^ +pbsm\.memory_overflows +0 count' "$extsmoke"
 grep -Eq '^ +diskio\.read_requests +142 count' "$extsmoke"
 grep -Eq '^ +diskio\.write_requests +666 count' "$extsmoke"
+grep -Eq '^ +pbsm\.sweep_tests +426902 count' "$extsmoke"
 
 echo "== repository benchmark smoke (pbsm_dupsort, traced pass) =="
 # The paper's baseline, PBSM with the original sort-based duplicate

@@ -131,8 +131,9 @@ func TestUnsetBufferNeverCostsMore(t *testing.T) {
 
 // TestPBSMStatsPinned pins PBSM's sweep and duplicate counters and its
 // emission sequence for every duplicate method × internal algorithm on J1,
-// at 5 % memory (partition pairs, each striped as loaded) and at 4× the
-// input (P = 1, the stripes as scheduler units), at one worker and at four.
+// at 5 % memory (partition pairs, each cut into the join's stripe rows as
+// loaded) and at 4× the input (P = 1, the stripes as scheduler units), at
+// one worker and at four.
 // The lines are counts and an order-dependent hash of the delivered pairs,
 // so they hold on any machine; a change to the in-memory kernel that moves
 // one has changed what PBSM tests, suppresses or emits, or in which order.
@@ -147,10 +148,10 @@ func TestPBSMStatsPinned(t *testing.T) {
 		alg  sweep.Kind
 		want string
 	}{
-		{0.05, pbsm.DupRPM, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 results=61929 seq=0x8acb65371d36786c"},
-		{0.05, pbsm.DupRPM, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 results=61929 seq=0xbb5c17b3142b7f14"},
-		{0.05, pbsm.DupSort, sweep.ListKind, "tests=3183695 touches=3447943 raw=62364 results=61929 seq=0xe0b5e79e98d6e72c"},
-		{0.05, pbsm.DupSort, sweep.TrieKind, "tests=229499 touches=3609303 raw=62364 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{0.05, pbsm.DupRPM, sweep.ListKind, "tests=445578 touches=720804 raw=62364 results=61929 seq=0xeca32186639bd3ac"},
+		{0.05, pbsm.DupRPM, sweep.TrieKind, "tests=143434 touches=2917400 raw=62364 results=61929 seq=0xea342a281907a14"},
+		{0.05, pbsm.DupSort, sweep.ListKind, "tests=445578 touches=720804 raw=62364 results=61929 seq=0xe0b5e79e98d6e72c"},
+		{0.05, pbsm.DupSort, sweep.TrieKind, "tests=143434 touches=2917400 raw=62364 results=61929 seq=0xe0b5e79e98d6e72c"},
 		{4, pbsm.DupRPM, sweep.ListKind, "tests=452123 touches=732789 raw=61929 results=61929 seq=0x3fc321a04400a220"},
 		{4, pbsm.DupRPM, sweep.TrieKind, "tests=147286 touches=7075642 raw=61929 results=61929 seq=0x7fb4b969af5c52a8"},
 		{4, pbsm.DupSort, sweep.ListKind, "tests=452123 touches=732789 raw=61929 results=61929 seq=0xe0b5e79e98d6e72c"},

@@ -10,6 +10,7 @@ import (
 	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/recfile"
+	"spatialjoin/internal/stripe"
 )
 
 // This file is the pair-subset execution API the shard layer builds on:
@@ -37,15 +38,23 @@ type GridSpec struct {
 	// scatters and region-tests by this table and nothing else. Absent
 	// only where it could say nothing: Parts == 1, where no grid is used.
 	Assign []int32 `json:"assign,omitempty"`
+	// Rows is the stripe count of every loaded pair, repartition leaves
+	// included: stripe.Count of the whole join's records, over the unit
+	// square, so that every pair is cut along the data space's own rows
+	// at the one-partition join's density (package stripe). A pair's own
+	// count would cut its records, spread over tiles across the whole
+	// space, into stripes P times too tall. Zero when Parts == 1, whose
+	// one pair is the join and counts its own records.
+	Rows int `json:"rows,omitempty"`
 }
 
 // PlanGrid computes the top-level grid for joining nr+ns records under
 // cfg's memory budget from the counts alone — formula (1) with the
 // tuning factor, NT = TilesPerPartition × P square-ish tiles, and the
-// table filled with the [PD 96] hash. Parts == 1 means everything fits in
-// memory and no grid is used (the whole space is one partition). Only
-// cfg.Memory, TuneFactor and TilesPerPartition are consulted; cfg.Memory
-// must be positive.
+// table filled with the [PD 96] hash, plus the join's stripe rows. Parts
+// == 1 means everything fits in memory and no grid is used (the whole
+// space is one partition). Only cfg.Memory, TuneFactor and
+// TilesPerPartition are consulted; cfg.Memory must be positive.
 // Join and the shard coordinator plan with PlanGridFor, which keeps this
 // grid and refills the table from the data.
 func PlanGrid(nr, ns int, cfg Config) GridSpec {
@@ -54,7 +63,7 @@ func PlanGrid(nr, ns int, cfg Config) GridSpec {
 		return GridSpec{NX: 1, NY: 1, Parts: 1}
 	}
 	g := newGrid(p*cfg.tilesPerPart(), p)
-	return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, Assign: g.assign}
+	return GridSpec{NX: g.nx, NY: g.ny, Parts: g.parts, Assign: g.assign, Rows: stripe.Count(nr + ns)}
 }
 
 // ReplicationRate estimates the grid's copies per record from a sample:
@@ -82,7 +91,8 @@ func (s GridSpec) grid() *grid {
 }
 
 // Valid reports whether the spec describes a usable grid: a grid of more
-// than one partition has a table of NX·NY entries in [0, Parts).
+// than one partition has a table of NX·NY entries in [0, Parts) and its
+// stripe rows.
 func (s GridSpec) Valid() bool {
 	if s.Parts < 1 || s.NX < 1 || s.NY < 1 || s.NX*s.NY < s.Parts {
 		return false
@@ -90,7 +100,7 @@ func (s GridSpec) Valid() bool {
 	if s.Parts == 1 && len(s.Assign) == 0 {
 		return true
 	}
-	if len(s.Assign) != s.NX*s.NY {
+	if len(s.Assign) != s.NX*s.NY || s.Rows < 1 {
 		return false
 	}
 	for _, p := range s.Assign {
@@ -103,7 +113,7 @@ func (s GridSpec) Valid() bool {
 
 // String describes the spec without spelling out the table.
 func (s GridSpec) String() string {
-	return fmt.Sprintf("{%d×%d tiles, %d parts, table of %d}", s.NX, s.NY, s.Parts, len(s.Assign))
+	return fmt.Sprintf("{%d×%d tiles, %d parts, table of %d, %d rows}", s.NX, s.NY, s.Parts, len(s.Assign), s.Rows)
 }
 
 // PartitionSlices derives the records of the requested top-level
@@ -178,8 +188,7 @@ func NewPairExec(cfg Config, gs GridSpec) (*PairExec, error) {
 	e := &PairExec{j: newJoiner(cfg), gs: gs}
 	e.j.stats.P = gs.Parts
 	if gs.Parts > 1 {
-		e.j.grid = gs.grid()
-		e.j.stats.NT = gs.NX * gs.NY
+		e.j.setGrid(gs)
 	}
 	return e, nil
 }

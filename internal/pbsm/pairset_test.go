@@ -1,12 +1,14 @@
 package pbsm
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/recfile"
 )
 
@@ -112,9 +114,9 @@ func TestScatterCallersAgree(t *testing.T) {
 		ks = append(ks, geom.KPE{ID: uint64(1000 + len(ks)), Rect: r})
 	}
 	for _, gs := range []GridSpec{
-		{NX: 4, NY: 4, Parts: 5, Assign: hashTiles(16, 5)},
-		{NX: 4, NY: 4, Parts: 5, Assign: []int32{4, 4, 4, 4, 0, 1, 1, 0, 0, 1, 1, 0, 3, 3, 3, 3}}, // partition 2 empty
-		{NX: 4, NY: 3, Parts: 12, Assign: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},          // tiles are partitions
+		{NX: 4, NY: 4, Parts: 5, Assign: hashTiles(16, 5), Rows: 1},
+		{NX: 4, NY: 4, Parts: 5, Assign: []int32{4, 4, 4, 4, 0, 1, 1, 0, 0, 1, 1, 0, 3, 3, 3, 3}, Rows: 1}, // partition 2 empty
+		{NX: 4, NY: 3, Parts: 12, Assign: []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, Rows: 1},          // tiles are partitions
 	} {
 		j := newJoiner(Config{Disk: newDisk(), Memory: 1 << 20})
 		j.grid = gs.grid()
@@ -171,10 +173,11 @@ func TestPairExecRejectsDupSort(t *testing.T) {
 
 // TestPairExecDupValidation pins the fail-loud matrix: DupSort and
 // unknown methods are rejected, and so is a grid of several partitions
-// without its table; RPM over a planned grid constructs.
+// without its table or without its stripe rows; RPM over a planned grid
+// constructs.
 func TestPairExecDupValidation(t *testing.T) {
 	disk := diskio.NewDisk(4096, 20, time.Microsecond)
-	rpmGrid := GridSpec{NX: 2, NY: 2, Parts: 3, Assign: hashTiles(4, 3)}
+	rpmGrid := GridSpec{NX: 2, NY: 2, Parts: 3, Assign: hashTiles(4, 3), Rows: 2}
 	if _, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20, Dup: DupSort}, rpmGrid); err == nil {
 		t.Error("DupSort must be rejected")
 	}
@@ -183,6 +186,12 @@ func TestPairExecDupValidation(t *testing.T) {
 	}
 	if _, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20}, GridSpec{NX: 2, NY: 2, Parts: 4}); err == nil {
 		t.Error("a grid of several partitions without its table must be rejected")
+	}
+	rowless := rpmGrid
+	rowless.Rows = 0
+	var je *joinerr.JoinError
+	if _, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20}, rowless); !errors.As(err, &je) || je.Phase != "config" {
+		t.Errorf("a grid of several partitions without its stripe rows: got %v, want a config error", err)
 	}
 	if ex, err := NewPairExec(Config{Disk: disk, Memory: 1 << 20, Dup: DupRPM}, rpmGrid); err != nil {
 		t.Errorf("RPM exec over a planned grid must construct: %v", err)

@@ -318,12 +318,15 @@ type joiner struct {
 	spillErr  error
 
 	// grid is the top-level grid (nil when P = 1): the partition phase
-	// scatters through it and the top pairs' regions read it. baseR/baseS
-	// are kept for self-healing: when a top-level partition file fails
-	// checksum verification before its pair emitted anything, the
-	// partition is re-derived from the base inputs.
+	// scatters through it and the top pairs' regions read it. band is the
+	// unit square in the grid's stripe rows (GridSpec.Rows), which every
+	// loaded pair and repartition leaf is cut over. baseR/baseS are kept
+	// for self-healing: when a top-level partition file fails checksum
+	// verification before its pair emitted anything, the partition is
+	// re-derived from the base inputs.
 	baseR, baseS []geom.KPE
 	grid         *grid
+	band         stripe.Band
 
 	// pairCost holds each top pair's planned iocost.PairCost (progress
 	// weights; nil without a Progress), read-only once the join phase
@@ -450,6 +453,14 @@ func (j *joiner) sink() func(geom.Pair) {
 	return j.deliver
 }
 
+// setGrid makes gs, a valid spec with Parts > 1, the join's top grid:
+// its table for the scatter and the regions, its rows for every pair.
+func (j *joiner) setGrid(gs GridSpec) {
+	j.grid = gs.grid()
+	j.band = stripe.Unit.Rows(gs.Rows)
+	j.stats.NT = gs.NX * gs.NY
+}
+
 // partitionPhase writes both base inputs into the partition files of the
 // planned top grid gs, whatever table it holds, and prices the resulting
 // pairs for the progress estimator, under sp, the span of the partition
@@ -461,8 +472,8 @@ func (j *joiner) sink() func(geom.Pair) {
 // path.
 func (j *joiner) partitionPhase(gs GridSpec, sp *trace.Span) (filesR, filesS []*diskio.File, err error) {
 	sp.AddRecords(int64(len(j.baseR) + len(j.baseS)))
-	j.grid = gs.grid()
-	j.stats.P, j.stats.NT = gs.Parts, gs.NX*gs.NY
+	j.setGrid(gs)
+	j.stats.P = gs.Parts
 	sp.SetAttr("partitions", int64(gs.Parts))
 
 	inputs := [2][]geom.KPE{j.baseR, j.baseS}
@@ -787,11 +798,12 @@ func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *di
 
 // joinLoaded joins the pair the slot holds in LoadR and LoadS, filtered
 // by the regions (regR, regS), inside the join-phase activation whose
-// span is sp. It is the leaf of processPair and of PairExec.RunPair's
-// in-memory path, so both emit the same sequence for the same records.
+// span is sp, cut into the join's stripe rows. It is the leaf of
+// processPair and of PairExec.RunPair's in-memory path, so both emit the
+// same sequence for the same records.
 func (j *joiner) joinLoaded(sl *stripe.Slot, emit func([]geom.Pair), regR, regS region, sp *trace.Span) error {
 	f := &filter{j: j, regR: regR, regS: regS}
-	err := sl.JoinLoaded(emit, stripe.Unit, f.keep, j.cfg.Cancel, sp)
+	err := sl.JoinLoaded(emit, j.band, f.keep, j.cfg.Cancel, sp)
 	return cmp.Or(err, j.fold(f))
 }
 

@@ -36,9 +36,11 @@ type JobSpec struct {
 	// frame this coordinator writes. It moves when a field changes what a
 	// worker must DO with a job that still decodes — version 2: the
 	// grid's tile→partition table (pbsm.GridSpec.Assign) is the routing,
-	// where a version-1 worker hashed tile ids itself. A worker refuses
-	// any other value with a fail frame instead of joining by its own
-	// idea of the plan.
+	// where a version-1 worker hashed tile ids itself; version 3: the
+	// grid's Rows is every pair's stripe count, where a version-2 worker
+	// cut each pair by its own record count and emitted its results in
+	// another order. A worker refuses any other value with a fail frame
+	// instead of joining by its own idea of the plan.
 	Proto int `json:"proto,omitempty"`
 
 	Shard   int   `json:"shard"`
@@ -78,7 +80,7 @@ func (s *JobSpec) pbsmConfig(disk *diskio.Disk) pbsm.Config {
 }
 
 // ProtoVersion is the JobSpec.Proto this build writes and accepts.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // KillSpec says where a chaos worker kills itself.
 type KillSpec struct {

@@ -215,29 +215,35 @@ func TestShardJoinConfigErrors(t *testing.T) {
 // routing this worker does not share is answered with a structured fail
 // frame (KindShard, phase config) before any input is read — one case
 // per direction a worker can detect. An older coordinator writes no
-// Proto and no tile→partition table; a newer one writes a Proto this
-// build does not know; a current one whose hashed grid lost its table
-// has no routing to follow; and a coordinator of the build that still had
-// a third duplicate method sent it as dup 2, over a grid whose tiles were
-// its partitions, flagged and without a table. This worker ignores both
-// of that job's unknown fields and refuses the grid. (The fifth
-// direction, an older worker under this coordinator, ignores the table
-// and cannot be caught here: DESIGN.md §12.)
+// Proto and no tile→partition table; a protocol-2 coordinator writes a
+// table but no stripe rows, and its workers cut each pair by its own
+// record count; a newer one writes a Proto this build does not know; a
+// current one whose hashed grid lost its table has no routing to follow,
+// and one whose grid lost its rows has no stripes; and a coordinator of
+// the build that still had a third duplicate method sent it as dup 2,
+// over a grid whose tiles were its partitions, flagged and without a
+// table, at protocol 2. (The last direction, an older worker under this
+// coordinator, ignores the table and the rows and cannot be caught here:
+// DESIGN.md §12.)
 func TestWorkerRefusesJobItCannotMean(t *testing.T) {
 	hashed := pbsm.PlanGrid(testRecs, testRecs, pbsm.Config{Memory: testMemory})
-	if hashed.Parts < 2 || !hashed.Valid() {
+	if hashed.Parts < 2 || hashed.Rows < 1 || !hashed.Valid() {
 		t.Fatalf("test setup: grid %v", hashed)
 	}
 	bare := hashed
 	bare.Assign = nil
+	rowless := hashed
+	rowless.Rows = 0
 	jobs := map[string][]byte{
 		"three-method coordinator": []byte(`{"proto":2,"shard":0,"attempt":1,"parts":[0],` +
 			`"grid":{"nx":3,"ny":3,"parts":9,"tlsp":true},"memory":32768,"dup":2}`),
 	}
 	for name, spec := range map[string]shard.JobSpec{
-		"older coordinator": {Grid: bare, Memory: testMemory},
-		"newer coordinator": {Proto: shard.ProtoVersion + 1, Grid: hashed, Memory: testMemory},
-		"table lost":        {Proto: shard.ProtoVersion, Grid: bare, Memory: testMemory},
+		"older coordinator":   {Grid: bare, Memory: testMemory},
+		"proto-2 coordinator": {Proto: 2, Grid: rowless, Memory: testMemory},
+		"newer coordinator":   {Proto: shard.ProtoVersion + 1, Grid: hashed, Memory: testMemory},
+		"table lost":          {Proto: shard.ProtoVersion, Grid: bare, Memory: testMemory},
+		"rows lost":           {Proto: shard.ProtoVersion, Grid: rowless, Memory: testMemory},
 	} {
 		job, err := json.Marshal(spec)
 		if err != nil {

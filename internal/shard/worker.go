@@ -114,8 +114,9 @@ func readJob(fr *FrameReader, fw *FrameWriter) (*JobSpec, error) {
 	}
 	// A job that decodes but means something else must not run: a
 	// coordinator of another version routes by rules this worker does not
-	// have, and a grid without its table (Valid) has no routing at all.
-	// Joining anyway would put reference points in the wrong partitions
+	// have, and a grid without its table or its rows (Valid) has no
+	// routing or no stripes at all. Joining anyway would put reference
+	// points in the wrong partitions, or results in another order,
 	// silently.
 	if spec.Proto != ProtoVersion {
 		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job speaks protocol %d, this worker %d", spec.Proto, ProtoVersion))

@@ -226,8 +226,9 @@ func TestOracleProperty(t *testing.T) {
 }
 
 // TestBucketsAreStriped: a bucket larger than stripe.Records is swept in
-// stripes over its own y-extent, so SHJ tests no more candidates than PBSM
-// does on the same input and budget.
+// stripes over its own y-extent, so SHJ tests no more candidates than
+// PBSM's one-partition join of the same input, whose stripes hold about
+// stripe.Records records each — the density PBSM cuts every pair to.
 func TestBucketsAreStriped(t *testing.T) {
 	R := datagen.LARR(1, 10000).KPEs
 	S := datagen.LAST(2, 10000).KPEs
@@ -257,12 +258,15 @@ func TestBucketsAreStriped(t *testing.T) {
 	if buckets != st.Buckets || striped == 0 {
 		t.Fatalf("%d bucket spans for %d buckets, %d of them striped", buckets, st.Buckets, striped)
 	}
-	pst, err := pbsm.Join(R, S, pbsm.Config{Disk: newDisk(), Memory: mem}, func(geom.Pair) {})
+	pst, err := pbsm.Join(R, S, pbsm.Config{Disk: newDisk(), Memory: 4 * mem}, func(geom.Pair) {})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if pst.P != 1 {
+		t.Fatalf("PBSM's reference join has P = %d, want 1", pst.P)
+	}
 	if st.Tests > pst.Tests {
-		t.Fatalf("SHJ ran %d sweep tests, PBSM %d on the same input and budget", st.Tests, pst.Tests)
+		t.Fatalf("SHJ ran %d sweep tests, PBSM's one-partition join %d on the same input", st.Tests, pst.Tests)
 	}
 }
 

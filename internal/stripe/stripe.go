@@ -1,12 +1,17 @@
 // Package stripe is the in-memory pair kernel of the partitioned joins,
 // PBSM and SHJ: the one place their internal algorithm runs. A y-range,
-// the band, is cut into K equal-height stripes of about Records records,
-// a rectangle belongs to every stripe its y-extent overlaps, each stripe
-// is swept on its own, and a candidate pair survives only in the stripe
-// holding its reference point — the paper's partition-and-RPM recipe one
-// level down, which keeps the list sweep's status short (§3.2.2, Figure
-// 5). What becomes of a survivor is the caller's to decide through a Keep
-// hook: PBSM's duplicate method, or nothing at all for SHJ.
+// the band, is cut into K equal-height stripes, a rectangle belongs to
+// every stripe its y-extent overlaps, each stripe is swept on its own, and
+// a candidate pair survives only in the stripe holding its reference point
+// — the paper's partition-and-RPM recipe one level down, which keeps the
+// list sweep's status short (§3.2.2, Figure 5). K is set by density: an
+// input that fills its band, SHJ's bucket or PBSM's whole join, gets
+// stripes of about Records records (Count); a PBSM partition pair, whose
+// records are spread thin over its tiles across the data space, gets the
+// rows of the join it belongs to (Band.Rows), so every stripe of every
+// pair has the one-partition join's density. What becomes of a survivor
+// is the caller's to decide through a Keep hook: PBSM's duplicate method,
+// or nothing at all for SHJ.
 //
 // Units run on one ordered driver (Exec.Run) that hands every worker a
 // Slot owning its algorithm and buffers. A pair loaded into a slot runs
@@ -41,8 +46,12 @@ func Count(n int) int {
 // geom.ClampIdx((y − lo)·inv, K), with inv = 1/(hi − lo). Both steps are
 // monotone in y, so a reference point, which lies in the y-extents of both
 // of its rectangles, lies in a stripe both were indexed into whatever the
-// band, and records reaching past it clamp into the end stripes.
-type Band struct{ lo, inv float64 }
+// band, and records reaching past it clamp into the end stripes. K is the
+// band's own when it has one (Rows), else Count of the records cut.
+type Band struct {
+	lo, inv float64
+	k       int // fixed stripe count, or 0
+}
 
 // Unit is the band of the unit square: (y − 0)·1 is y bit for bit, so its
 // stripes are the data space's own K rows, seam for seam.
@@ -51,11 +60,21 @@ var Unit = Band{lo: 0, inv: 1}
 // Over is the band from lo to hi.
 func Over(lo, hi float64) Band { return Band{lo: lo, inv: 1 / (hi - lo)} }
 
+// Rows is b cut into k stripes whatever the records of a pair: the rows of
+// a whole join, shared by every pair of it, sparse or dense.
+func (b Band) Rows(k int) Band {
+	b.k = k
+	return b
+}
+
 // stripes is K for n records over the band. A band of zero height, or one
 // so thin that 1/(hi − lo) overflows, has no scale to cut by: one stripe.
 func (b Band) stripes(n int) int {
-	if !(b.inv > 0 && b.inv <= math.MaxFloat64) {
+	switch {
+	case !(b.inv > 0 && b.inv <= math.MaxFloat64):
 		return 1
+	case b.k > 0:
+		return b.k
 	}
 	return Count(n)
 }
@@ -84,20 +103,24 @@ func resized[T any](s []T, n int) []T {
 }
 
 // build indexes ks over k stripes of band in one count pass and one
-// scatter pass.
+// scatter pass. Each pass polls chk once per block of
+// govern.CheckInterval records: the latency bound of a Stride, without a
+// per-record step in passes that a PBSM join runs over every copy it
+// loads.
 func (x *index) build(ks []geom.KPE, band Band, k int, chk *govern.Check) error {
 	if uint64(len(ks)) > math.MaxUint32 {
 		return fmt.Errorf("in-memory join of %d records exceeds the stripe index's 32-bit positions", len(ks))
 	}
 	x.off = resized(x.off, k+1)
 	clear(x.off)
-	st := chk.Stride()
-	for i := range ks {
-		if err := st.Point(); err != nil {
+	for lo := 0; lo < len(ks); lo += govern.CheckInterval {
+		if err := chk.Now(); err != nil {
 			return err
 		}
-		for s, hi := band.of(ks[i].Rect.YL, k), band.of(ks[i].Rect.YH, k); s <= hi; s++ {
-			x.off[s+1]++
+		for i, end := lo, min(lo+govern.CheckInterval, len(ks)); i < end; i++ {
+			for s, hi := band.of(ks[i].Rect.YL, k), band.of(ks[i].Rect.YH, k); s <= hi; s++ {
+				x.off[s+1]++
+			}
 		}
 	}
 	x.max = 0
@@ -107,13 +130,15 @@ func (x *index) build(ks []geom.KPE, band Band, k int, chk *govern.Check) error 
 	}
 	x.pos = resized(x.pos, x.off[k])
 	x.next = append(x.next[:0], x.off[:k]...)
-	for i := range ks {
-		if err := st.Point(); err != nil {
+	for lo := 0; lo < len(ks); lo += govern.CheckInterval {
+		if err := chk.Now(); err != nil {
 			return err
 		}
-		for s, hi := band.of(ks[i].Rect.YL, k), band.of(ks[i].Rect.YH, k); s <= hi; s++ {
-			x.pos[x.next[s]] = uint32(i)
-			x.next[s]++
+		for i, end := lo, min(lo+govern.CheckInterval, len(ks)); i < end; i++ {
+			for s, hi := band.of(ks[i].Rect.YL, k), band.of(ks[i].Rect.YH, k); s <= hi; s++ {
+				x.pos[x.next[s]] = uint32(i)
+				x.next[s]++
+			}
 		}
 	}
 	return nil
@@ -231,11 +256,14 @@ func (sl *Slot) JoinStripe(emit func([]geom.Pair), w *Indexed, i int, keep Keep)
 	sl.sweep(emit, sl.rs, sl.ss, w.band, w.k, i, keep)
 }
 
-// JoinLoaded joins the pair the slot has loaded over band, stripe after
-// stripe inside the caller's unit (the pairs keep every worker busy), so
-// emit sees stripe order, then sweep order; sp, the pair's span, is told
-// the stripe count. The load buffers may be reordered; over the budget
-// they are dropped afterwards, with all else the pair grew (trim).
+// JoinLoaded joins the pair the slot has loaded over band, in the band's
+// own K stripes (Rows) or Count of the pair's records, stripe after stripe
+// inside the caller's unit (the pairs keep every worker busy), so emit
+// sees stripe order, then sweep order; sp, the pair's span, is told the
+// stripe count. A stripe one side never reaches costs its two offsets and
+// no sweep, so the index is O(K + n). The load buffers may be reordered;
+// over the budget they are dropped afterwards, with all else the pair grew
+// (trim).
 func (sl *Slot) JoinLoaded(emit func([]geom.Pair), band Band, keep Keep, chk *govern.Check, sp *trace.Span) error {
 	if int64(len(sl.LoadR)+len(sl.LoadS))*geom.KPESize > sl.memory {
 		defer sl.trim(int(2 * sl.memory / geom.KPESize))

@@ -115,9 +115,10 @@ func TestOverheadBudget(t *testing.T) {
 				// count and the partition scatter (one pass per input record
 				// each) and repartitionPair (at most one more pass per
 				// record, and only when some pair recursed, which the join's
-				// own Stats say) — re-derivation and DupSort never run here,
-				// and no stripe index is built: at 64 KiB every loaded pair
-				// is far below stripe.Records and is swept whole.
+				// own Stats say) — re-derivation and DupSort never run here.
+				// The stripe index every loaded pair builds (the join's
+				// 8 000 records make K = 3 stripe rows) polls with Now once
+				// per block of records, so its polls are in the counts above.
 				strideIters := 2 * records
 				if res.PBSMStats.Repartitions > 0 {
 					strideIters += records
@@ -164,10 +165,11 @@ func TestOverheadBudget(t *testing.T) {
 				// for slack), each retry one more, each top-level partition
 				// pair a handful of nil-handle calls (its fill observation,
 				// pairDone, progress, scheduler bookkeeping; 8 is generous),
-				// each sweep its live dup counter (pbsm.rpm.tests is folded
-				// once per stripe, counted twice for slack; a stripe's
-				// records took at least one read request of their own to
-				// load, so the read requests bound the sweeps), plus
+				// each loaded pair its live dup counter (pbsm.rpm.tests is
+				// folded once per kernel call, which is a whole loaded pair
+				// at P > 1, counted twice for slack; a pair's records took
+				// at least one read request of their own to load, so the
+				// read requests bound the kernel calls), plus
 				// a constant for the per-join sites (join counters, progress
 				// init, publishMetrics, shard probes).
 				sites := 2*(res.IO.ReadRequests+res.IO.WriteRequests) +
