@@ -75,10 +75,11 @@ echo "== go test -race -count=1 ./... =="
 # hammer here — internal/shard/pool_race_test.go (Pool, Lease),
 # internal/metrics/race_test.go and TestRegistryConcurrencyHammer
 # (Registry, vecs), sched.TestCollectorConcurrent,
-# trace.TestRecorderConcurrentUse and the shard and chaos joins
-# (joinState, manifest; a collector sink that took st.mu would deadlock
-# their first seal), whose
-# goroutine-leak checks, with pbsm's and s3j's cancellation tests, also
+# trace.TestRecorderConcurrentUse,
+# shard.TestJoinStateConcurrentShards (joinState: one goroutine per
+# simulated shard adds frames and seals, and the merge must emit in
+# partition order on every run) and the shard and chaos joins
+# (manifest), whose goroutine-leak checks, with pbsm's and s3j's cancellation tests, also
 # stand for every go statement's join or cancel path.
 go test -race -count=1 -timeout 20m ./...
 

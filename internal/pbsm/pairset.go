@@ -121,9 +121,13 @@ func (s GridSpec) String() string {
 // the same derivation the partition phase streams to disk and the heal
 // path re-runs after corruption. Every requested partition is present
 // in the result, empty ones included (an empty partition still joins —
-// and seals — as an empty pair). The returned slices are freshly
-// allocated except in the Parts == 1 case, where the single slice
-// aliases ks; callers must treat the slices as read-only.
+// and seals — as an empty pair). The scatter runs twice: once to count
+// each requested partition's copies, once to write them into one flat
+// buffer per call at prefix-sum offsets, so every copy is allocated
+// once. Each slice is a cap-clipped window of that buffer, so an append
+// to one partition reallocates instead of spilling into its neighbour.
+// In the Parts == 1 case the single slice aliases ks; callers must
+// treat the slices as read-only.
 func PartitionSlices(ks []geom.KPE, gs GridSpec, parts []int, chk *govern.Check) (map[int][]geom.KPE, error) {
 	if !gs.Valid() {
 		return nil, joinerr.Wrap("pbsm", "partition", fmt.Errorf("invalid grid spec %s", gs))
@@ -141,14 +145,41 @@ func PartitionSlices(ks []geom.KPE, gs GridSpec, parts []int, chk *govern.Check)
 		}
 		return out, nil
 	}
-	err := gs.grid().scatter(ks, chk, func(part int, k geom.KPE) error {
-		if slice, ok := out[part]; ok {
-			out[part] = append(slice, k)
+	g := gs.grid()
+	count := make([]int, gs.Parts)
+	if err := g.scatter(ks, chk, func(part int, _ geom.KPE) error {
+		count[part]++
+		return nil
+	}); err != nil {
+		return nil, joinerr.Wrap("pbsm", "partition", err)
+	}
+	// next[p] is where partition p's next copy goes; requested partitions
+	// take consecutive windows of flat, the others none.
+	next := make([]int, gs.Parts)
+	total := 0
+	for p := range next {
+		if _, ok := out[p]; ok {
+			next[p] = total
+			total += count[p]
+		} else {
+			next[p] = -1
+		}
+	}
+	flat := make([]geom.KPE, total)
+	if err := g.scatter(ks, chk, func(part int, k geom.KPE) error {
+		if i := next[part]; i >= 0 {
+			flat[i] = k
+			next[part] = i + 1
 		}
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, joinerr.Wrap("pbsm", "partition", err)
+	}
+	for p := range out {
+		if n := count[p]; n > 0 {
+			hi := next[p]
+			out[p] = flat[hi-n : hi : hi]
+		}
 	}
 	return out, nil
 }

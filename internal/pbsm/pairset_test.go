@@ -2,8 +2,10 @@ package pbsm
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
@@ -158,6 +160,54 @@ func TestScatterCallersAgree(t *testing.T) {
 			t.Fatalf("%v: %d copies written, slices hold %d, input %d (want replication)", gs, copies, total, len(ks))
 		}
 		j.reg.Sweep()
+	}
+}
+
+// TestPartitionSlicesAllocatesOnce pins the counted scatter: one call
+// allocates its copies once, in one flat buffer, plus bookkeeping that
+// grows with P and not with the input; and every partition's slice is
+// cap-clipped, so an append to one partition cannot overwrite the first
+// record of the partition laid out after it.
+func TestPartitionSlicesAllocatesOnce(t *testing.T) {
+	ks := datagen.Uniform(74, 20000, 0.02)
+	gs := GridSpec{NX: 16, NY: 16, Parts: 7, Assign: hashTiles(256, 7), Rows: 1}
+	all := []int{0, 1, 2, 3, 4, 5, 6}
+	for _, parts := range [][]int{all, {1, 3, 4, 6}} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sl, err := PartitionSlices(ks, gs, parts, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("parts %v: %v", parts, err)
+		}
+		var copies int
+		for _, p := range parts {
+			copies += len(sl[p])
+			if cap(sl[p]) != len(sl[p]) {
+				t.Errorf("parts %v: partition %d has len %d, cap %d: an append would spill into its neighbour", parts, p, len(sl[p]), cap(sl[p]))
+			}
+		}
+		if copies <= len(ks)*len(parts)/len(all) {
+			t.Fatalf("parts %v: %d copies of %d records, want replication", parts, copies, len(ks))
+		}
+		// Slack: the runtime rounds a large object up to whole 8 KiB pages,
+		// and the map, counters and scatter state take O(P).
+		limit := uint64(copies)*uint64(unsafe.Sizeof(geom.KPE{})) + 8192 + 4096 + 256*uint64(gs.Parts)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("parts %v: PartitionSlices allocated %d B for %d copies, limit %d B", parts, got, copies, limit)
+		}
+		// Partitions are laid out in index order: appending to parts[0]
+		// must leave parts[1]'s first record where it was.
+		p, q := parts[0], parts[1]
+		if len(sl[p]) == 0 || len(sl[q]) == 0 {
+			t.Fatalf("parts %v: partitions %d and %d must both hold records", parts, p, q)
+		}
+		first := sl[q][0]
+		sl[p] = append(sl[p], geom.KPE{ID: 1 << 40})
+		if sl[q][0] != first {
+			t.Fatalf("parts %v: appending to partition %d overwrote partition %d's first record", parts, p, q)
+		}
 	}
 }
 

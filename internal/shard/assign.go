@@ -15,8 +15,8 @@ import (
 // assignment is a pure function of (costs, n) and a restarted
 // coordinator run reassigns identically. Each shard's partition list
 // comes back ascending: the worker executes — and seals — in partition
-// index order, which is what lets the coordinator's collector stream the
-// earliest unfinished partition with minimal buffering.
+// index order, so the coordinator's merge, which releases sealed
+// partitions in index order, holds back as few of them as it can.
 func assignShards(rsl, ssl map[int][]geom.KPE, memory int64, dev iocost.Device, n int) [][]int {
 	costs := make([]float64, len(rsl))
 	for i := range costs {

@@ -192,7 +192,8 @@ type Result struct {
 type coordinator struct {
 	cfg Config
 	// rsl/ssl hold every top-level partition's records, scattered once at
-	// plan time; read-only, shared by all attempts and absorbs.
+	// plan time into one flat buffer per relation (pbsm.PartitionSlices);
+	// read-only, shared by all attempts and absorbs.
 	rsl, ssl map[int][]geom.KPE
 	gs       pbsm.GridSpec
 	chk      *govern.Check
@@ -206,24 +207,39 @@ type coordinator struct {
 }
 
 // joinState is the shared, mutex-guarded merge state: per-partition
-// result buffers, seal flags, and the collector that restores serial
-// emission order. Lock order: st.mu before the collector's internal
-// mutex (seal calls Emit/Done while holding st.mu); the sink must take
-// no locks.
+// pairs frames as they arrived, seal flags, and the release head that
+// restores serial emission order. A sealed partition's frames are
+// emitted once every lower partition is sealed too, so the sequence is
+// the partitions' in index order. The sink runs with st.mu held and must
+// take no locks.
 type joinState struct {
 	mu      sync.Mutex
-	col     *sched.Collector
-	bufs    map[int][]geom.Pair // guarded by mu
-	sealed  []bool              // guarded by mu
-	stats   Stats               // guarded by mu
+	emit    func(geom.Pair)
+	frames  [][][]geom.Pair // guarded by mu; partition → pairs frames, unreleased
+	counts  []int64         // guarded by mu; partition → pairs in its frames
+	sealed  []bool          // guarded by mu
+	head    int             // guarded by mu; lowest partition not yet released
+	stats   Stats           // guarded by mu
 	met     *shardMetrics
 	pending map[int]time.Time // guarded by mu; shard → failure detection time
 	// Aggregates folded in from worker reports and absorb runs.
-	ioAgg  diskio.Stats  // guarded by mu
-	cpuAgg time.Duration // guarded by mu
-	// results is written only by the collector sink, which Emit/Done
-	// invoke with st.mu held.
-	results int64 // guarded by mu
+	ioAgg   diskio.Stats  // guarded by mu
+	cpuAgg  time.Duration // guarded by mu
+	results int64         // guarded by mu; pairs handed to emit
+}
+
+// newJoinState prepares the merge of a join of parts partitions, whose
+// pairs go to emit in partition order.
+func newJoinState(parts int, stats Stats, met *shardMetrics, emit func(geom.Pair)) *joinState {
+	return &joinState{
+		emit:    emit,
+		frames:  make([][][]geom.Pair, parts),
+		counts:  make([]int64, parts),
+		sealed:  make([]bool, parts),
+		stats:   stats,
+		met:     met,
+		pending: make(map[int]time.Time),
+	}
 }
 
 func (st *joinState) locked(f func()) {
@@ -232,8 +248,9 @@ func (st *joinState) locked(f func()) {
 	f()
 }
 
-// addPairs buffers a pairs frame. The partition must be in the
-// attempt's assignment and unsealed.
+// addPairs keeps a pairs frame as it arrived; ps must not be reused by
+// the caller. The partition must be in the attempt's assignment and
+// unsealed.
 func (st *joinState) addPairs(part int, allowed map[int]bool, ps []geom.Pair) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -243,14 +260,14 @@ func (st *joinState) addPairs(part int, allowed map[int]bool, ps []geom.Pair) er
 	if st.sealed[part] {
 		return protoErrf("pairs frame for already-sealed partition %d", part)
 	}
-	st.bufs[part] = append(st.bufs[part], ps...)
+	st.frames[part] = append(st.frames[part], ps)
+	st.counts[part] += int64(len(ps))
 	return nil
 }
 
 // seal finalizes one partition: cross-checks the worker's count,
-// releases the buffered pairs through the collector (which emits in
-// partition order), and records recovery latency when the owning shard
-// had a pending failure.
+// releases every partition the seal completes in index order, and
+// records recovery latency when the owning shard had a pending failure.
 func (st *joinState) seal(part, shard int, allowed map[int]bool, count int64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -260,24 +277,29 @@ func (st *joinState) seal(part, shard int, allowed map[int]bool, count int64) er
 	if st.sealed[part] {
 		return protoErrf("seal frame for already-sealed partition %d", part)
 	}
-	if int64(len(st.bufs[part])) != count {
-		return protoErrf("partition %d sealed with %d pairs but %d arrived", part, count, len(st.bufs[part]))
+	if st.counts[part] != count {
+		return protoErrf("partition %d sealed with %d pairs but %d arrived", part, count, st.counts[part])
 	}
 	st.sealLocked(part, shard)
 	return nil
 }
 
-// sealLocked releases partition part; caller holds st.mu.
+// sealLocked seals partition part and emits the frames of every sealed
+// partition from the head on; caller holds st.mu.
 func (st *joinState) sealLocked(part, shard int) {
-	for _, p := range st.bufs[part] {
-		st.col.Emit(part, p)
-	}
-	delete(st.bufs, part)
 	st.sealed[part] = true
 	st.stats.Seals++
-	st.col.Done(part)
 	st.met.seals.Inc()
 	st.recoverLocked(shard)
+	for ; st.head < len(st.sealed) && st.sealed[st.head]; st.head++ {
+		for _, ps := range st.frames[st.head] {
+			st.results += int64(len(ps))
+			for _, p := range ps {
+				st.emit(p)
+			}
+		}
+		st.frames[st.head] = nil
+	}
 }
 
 // recoverLocked closes a pending failure window for shard: detection →
@@ -301,7 +323,7 @@ func (st *joinState) noteFailure(shard int, parts []int) {
 	defer st.mu.Unlock()
 	for _, p := range parts {
 		if !st.sealed[p] {
-			delete(st.bufs, p)
+			st.frames[p], st.counts[p] = nil, 0
 		}
 	}
 	if _, ok := st.pending[shard]; !ok {
@@ -423,17 +445,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	}
 	assignment := assignShards(sl[0], sl[1], cfg.Memory, iocost.DeviceOf(nominal, cfg.BufPages), shards)
 
-	st := &joinState{
-		bufs:    make(map[int][]geom.Pair),
-		sealed:  make([]bool, gs.Parts),
-		stats:   Stats{Shards: len(assignment), Partitions: gs.Parts},
-		met:     met,
-		pending: make(map[int]time.Time),
-	}
-	st.col = sched.NewCollector(gs.Parts, func(p geom.Pair) {
-		st.results++
-		emit(p)
-	})
+	st := newJoinState(gs.Parts, Stats{Shards: len(assignment), Partitions: gs.Parts}, met, emit)
 	root.SetAttr("shards", int64(len(assignment)))
 	root.SetAttr("partitions", int64(gs.Parts))
 
@@ -897,16 +909,17 @@ func (c *coordinator) absorb(id int, parts []int) error {
 		return err
 	}
 	start := time.Now()
-	var buf []geom.Pair
 	for _, part := range parts {
-		buf = buf[:0]
+		var buf []geom.Pair
 		if rerr := ex.RunPair(part, c.rsl[part], c.ssl[part], func(p geom.Pair) {
 			buf = append(buf, p)
 		}); rerr != nil {
 			return rerr
 		}
+		// The failure that led here dropped the partition's unsealed
+		// frames; the run's buffer is its one frame.
 		c.st.mu.Lock()
-		c.st.bufs[part] = append([]geom.Pair(nil), buf...)
+		c.st.frames[part], c.st.counts[part] = [][]geom.Pair{buf}, int64(len(buf))
 		c.st.sealLocked(part, id)
 		c.st.mu.Unlock()
 	}

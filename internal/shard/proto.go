@@ -285,6 +285,8 @@ func decodePairs(payload []byte) (part int, ps []geom.Pair, err error) {
 	if len(payload) != pairsHeader+n*geom.PairSize {
 		return 0, nil, protoErrf("pairs frame length %d does not match %d pairs", len(payload), n)
 	}
+	// A fresh slice, never a view of payload: the frame reader reuses
+	// payload, and the merge keeps ps until its partition is released.
 	ps = make([]geom.Pair, n)
 	off := pairsHeader
 	for i := range ps {
