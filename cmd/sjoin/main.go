@@ -17,11 +17,8 @@
 // result sequence is identical to -shards 1 at any N.
 //
 // -shard-endpoints host:port,... points -shards at resident workers
-// over TCP (start them with sjworkerd or sjoin -worker-listen addr);
-// an unreachable fleet degrades to local worker processes, never a
-// failed join. -worker-listen addr turns this process into such a
-// resident worker: it prints "listening <addr>" and serves one job
-// conversation per connection until killed.
+// over TCP (start them with sjworkerd); an unreachable fleet degrades to
+// local worker processes, never a failed join.
 //
 // -timeout bounds the join's wall time; an overrun aborts with a clean
 // deadline-exceeded error naming the phase, having swept all temp files.
@@ -150,7 +147,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "workers of the parallel phases of every method (0 = all processors, 1 = sequential)")
 	shards := flag.Int("shards", 1, "worker OS processes (PBSM+RPM only; >1 re-executes this binary with -shard-worker per shard)")
 	flag.Bool("shard-worker", false, "run as a shard worker process (frame protocol on stdin/stdout); handled before flag parsing")
-	workerListen := flag.String("worker-listen", "", "serve as a resident shard worker on this TCP address (e.g. :9400 or 127.0.0.1:0) instead of joining; prints 'listening <addr>' to stdout")
 	shardEndpoints := flag.String("shard-endpoints", "", "comma-separated resident worker addresses for -shards (host:port,...); unreachable fleets degrade to local worker processes")
 	timeout := flag.Duration("timeout", 0, "abort the join after this wall time (0 = no deadline)")
 	doPlan := flag.Bool("plan", false, "print the analytic cost ranking and pick the cheapest method")
@@ -165,21 +161,6 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "sjoin: %v\n", err)
 		os.Exit(1)
-	}
-
-	// Resident worker mode: bind, announce the bound address on stdout
-	// (coordinators and scripts scan for the "listening " line), and
-	// serve one job conversation per accepted connection until killed.
-	if *workerListen != "" {
-		ln, err := net.Listen("tcp", *workerListen)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("listening %s\n", ln.Addr())
-		if err := shard.ServeWorker(ln); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	if *pprofAddr != "" {

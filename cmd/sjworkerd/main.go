@@ -20,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
 	"os"
 
 	"spatialjoin/internal/shard"
@@ -30,13 +29,7 @@ func main() {
 	listen := flag.String("listen", ":9400", "TCP address to serve shard jobs on (host:port; :0 picks a free port)")
 	flag.Parse()
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sjworkerd: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("listening %s\n", ln.Addr())
-	if err := shard.ServeWorker(ln); err != nil {
+	if err := shard.ListenAndServe(*listen, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "sjworkerd: %v\n", err)
 		os.Exit(1)
 	}

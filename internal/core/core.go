@@ -103,9 +103,9 @@ type Config struct {
 	Shards int
 	// ShardEndpoints lists resident worker addresses (host:port) for
 	// sharded execution: shards then run over the TCP transport against
-	// those workers (started with sjworkerd, or sjoin
-	// -worker-listen), degrading to locally spawned processes — and
-	// finally to in-process absorption — when the fleet is unreachable.
+	// those workers (started with sjworkerd), degrading to locally
+	// spawned processes — and finally to in-process absorption — when
+	// the fleet is unreachable.
 	// Requires Shards > 1; empty means local worker processes only.
 	ShardEndpoints []string
 

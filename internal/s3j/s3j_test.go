@@ -21,7 +21,6 @@ import (
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/metrics"
-	"spatialjoin/internal/quadtree"
 	"spatialjoin/internal/sfc"
 	"spatialjoin/internal/sweep"
 )
@@ -61,25 +60,17 @@ func TestBothModesMatchOracle(t *testing.T) {
 }
 
 func TestMatchesQuadtreeReferenceJoin(t *testing.T) {
-	// §4.1: S³J is the external version of the MX-CIF quadtree join; with
-	// the same level cap they must agree exactly.
+	// §4.1: S³J is the external version of the MX-CIF quadtree join, so
+	// a shallow level cap changes only where rectangles sit, never the
+	// result: both modes must still agree exactly with nested loops.
 	R := datagen.Uniform(3, 700, 0.02)
 	S := datagen.Uniform(4, 700, 0.02)
 	const levels = 6
-	tr, ts := quadtree.New(levels), quadtree.New(levels)
-	for _, k := range R {
-		tr.Insert(k)
+	want := jointest.Naive(R, S)
+	for _, mode := range []Mode{ModeOriginal, ModeReplicate} {
+		got, _ := run(t, R, S, Config{Memory: 16 << 10, Mode: mode, Levels: levels})
+		jointest.AssertEqual(t, got, want)
 	}
-	for _, k := range S {
-		ts.Insert(k)
-	}
-	var want []geom.Pair
-	quadtree.Join(tr, ts, func(r, s geom.KPE) {
-		want = append(want, geom.Pair{R: r.ID, S: s.ID})
-	})
-	jointest.SortPairs(want)
-	got, _ := run(t, R, S, Config{Memory: 16 << 10, Mode: ModeOriginal, Levels: levels})
-	jointest.AssertEqual(t, got, want)
 }
 
 func TestOriginalModeProducesNoRawDuplicates(t *testing.T) {
@@ -416,8 +407,8 @@ func nestInputs() (R, S []geom.KPE, nest int) {
 	return mk(1), mk(1 << 20), nest
 }
 
-// TestScanArenaNest runs the nest of nestInputs against nested loops and
-// the MX-CIF quadtree join: every pair exactly once, one emission
+// TestScanArenaNest runs the nest of nestInputs against nested loops:
+// every pair exactly once, one emission
 // sequence whatever the worker count and — the run sort and the scan's
 // gathering being stable — whatever the memory budget (a few runs per
 // relation, more than the scan holds cursors for, one), and the resident
@@ -425,16 +416,6 @@ func nestInputs() (R, S []geom.KPE, nest int) {
 func TestScanArenaNest(t *testing.T) {
 	R, S, nest := nestInputs()
 	want := jointest.Naive(R, S)
-	tr, ts := quadtree.New(DefaultLevels), quadtree.New(DefaultLevels)
-	for _, k := range R {
-		tr.Insert(k)
-	}
-	for _, k := range S {
-		ts.Insert(k)
-	}
-	var ref []geom.Pair
-	quadtree.Join(tr, ts, func(r, s geom.KPE) { ref = append(ref, geom.Pair{R: r.ID, S: s.ID}) })
-	jointest.AssertEqual(t, ref, want)
 
 	// A relation is about 4 000 records of 49 bytes: a few runs, more than
 	// twenty (the two lists exceed the scan's 22 cursors and are merged

@@ -356,11 +356,6 @@ const heartbeatEvery = 100 * time.Millisecond
 
 var stallTimeout = 5 * time.Second
 
-// restartBackoff paces shard restarts, and a pool's redials unless its
-// PoolConfig names another policy: capped exponential with deterministic
-// jitter.
-var restartBackoff = &Backoff{Base: 5 * time.Millisecond, Cap: 250 * time.Millisecond, Factor: 2, Jitter: 0.5, Seed: 1}
-
 func (c *Config) workerCmd() ([]string, error) {
 	if len(c.WorkerCmd) > 0 {
 		return c.WorkerCmd, nil
@@ -594,7 +589,7 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int) error {
 		c.rec.Instant("shard-retry",
 			trace.Attr{Key: "shard", Val: int64(id)},
 			trace.Attr{Key: "attempt", Val: int64(attempt)})
-		if serr := restartBackoff.Sleep(fmt.Sprintf("shard-%d", id), attempt, c.chk.Now); serr != nil {
+		if serr := sleepRetry(fmt.Sprintf("shard-%d", id), attempt, c.chk.Now); serr != nil {
 			return joinerr.Wrap("shard", "backoff", serr)
 		}
 	}

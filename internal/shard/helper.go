@@ -3,8 +3,6 @@ package shard
 import (
 	"bufio"
 	"errors"
-	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -38,29 +36,17 @@ const (
 // killed (listen mode).
 func RunHelperWorker() {
 	if addr := os.Getenv(helperListenEnv); addr != "" {
-		runHelperListener(addr)
+		if err := ListenAndServe(addr, os.Stdout); err != nil {
+			os.Stderr.WriteString("shard listen helper: " + err.Error() + "\n")
+			os.Exit(1)
+		}
+		os.Exit(0)
 	}
 	if os.Getenv(helperEnv) != "1" {
 		return
 	}
 	if err := WorkerMain(os.Stdin, os.Stdout); err != nil {
 		os.Stderr.WriteString(err.Error() + "\n")
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// runHelperListener is the listen-mode body: bind, announce, serve.
-func runHelperListener(addr string) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		os.Stderr.WriteString("shard listen helper: " + err.Error() + "\n")
-		os.Exit(1)
-	}
-	// The parent scans stdout for this line to learn the bound port.
-	fmt.Printf("listening %s\n", ln.Addr())
-	if err := ServeWorker(ln); err != nil {
-		os.Stderr.WriteString("shard listen helper: " + err.Error() + "\n")
 		os.Exit(1)
 	}
 	os.Exit(0)
@@ -87,7 +73,7 @@ func HelperListenCmd(testName string) (cmd, env []string) {
 // address with a stop function that kills and reaps the process. env
 // appends to the inherited environment. This is how benches and tests
 // stand up a real out-of-process worker fleet; production fleets run
-// sjworkerd (or sjoin -worker-listen) directly.
+// sjworkerd directly.
 func SpawnResidentWorker(argv, env []string) (addr string, stop func(), err error) {
 	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Env = append(os.Environ(), env...)

@@ -18,7 +18,7 @@ type PoolConfig struct {
 	// Endpoints lists the resident workers' TCP addresses. Required.
 	Endpoints []string
 	// Dial overrides the dialer — the netfault injection hook and the
-	// test seam. nil means a plain net.Dialer.
+	// test seam. nil means a plain TCP dial.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// DialTimeout bounds one dial; default 2s.
 	DialTimeout time.Duration
@@ -32,10 +32,6 @@ type PoolConfig struct {
 	// 3. Quarantine is what turns a dead host from a retry treadmill
 	// into a prompt degradation to local execution.
 	QuarantineAfter int
-	// Backoff paces redials per endpoint; nil means the coordinator's
-	// restart policy. Each endpoint is its own backoff key, so one
-	// flapping host never slows its healthy siblings.
-	Backoff *Backoff
 	// Metrics publishes the pool's connection lifecycle counters and
 	// the reconnect latency histogram — the pool's only record of them;
 	// nil disables.
@@ -47,11 +43,14 @@ type PoolConfig struct {
 // pingTimeout bounds the health-check round trip on a fresh connection.
 const pingTimeout = time.Second
 
-// endpoint is one resident worker's pool-side state.
+// endpoint is one resident worker's pool-side state, guarded by
+// Pool.mu. Its failure streak paces its own redials (retryDelay keyed
+// by addr), so one flapping host never slows its healthy siblings.
 type endpoint struct {
 	addr        string
 	busy        bool
 	quarantined bool
+	failures    int       // consecutive failures; a clean release resets it
 	retryAt     time.Time // backoff gate after a failure
 }
 
@@ -59,12 +58,11 @@ type endpoint struct {
 // construction, are health-checked with a ping/beat round trip on every
 // lease, leased to one shard attempt at a time, and penalized — backoff,
 // then quarantine — when a lease fails, instead of being respawned. The
-// pool owns bookkeeping only; worker processes are external (sjworkerd,
-// sjoin -worker-listen) and connections belong to their leases.
+// pool owns bookkeeping only; worker processes are external (sjworkerd)
+// and connections belong to their leases.
 // Safe for concurrent use by every shard of every join sharing it.
 type Pool struct {
-	cfg PoolConfig
-	kb  *KeyedBackoff
+	cfg PoolConfig // defaults resolved by NewPool
 	met *shardMetrics
 	rec *trace.Recorder
 
@@ -78,12 +76,20 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if len(cfg.Endpoints) == 0 {
 		return nil, joinerr.Wrap("shard", "pool", errors.New("pool has no endpoints"))
 	}
-	if cfg.Backoff == nil {
-		cfg.Backoff = restartBackoff
+	if cfg.Dial == nil {
+		cfg.Dial = dialTCP
+	}
+	if cfg.DialTimeout <= 0 {
+		cfg.DialTimeout = 2 * time.Second
+	}
+	if cfg.LeaseTimeout <= 0 {
+		cfg.LeaseTimeout = 30 * time.Second
+	}
+	if cfg.QuarantineAfter <= 0 {
+		cfg.QuarantineAfter = 3
 	}
 	p := &Pool{
 		cfg: cfg,
-		kb:  NewKeyedBackoff(cfg.Backoff),
 		met: newShardMetrics(cfg.Metrics),
 		rec: cfg.Trace,
 	}
@@ -101,40 +107,14 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 }
 
-func (p *Pool) dialTimeout() time.Duration {
-	if p.cfg.DialTimeout <= 0 {
-		return 2 * time.Second
+// dialTCP is the default dialer: a plain TCP dial.
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, joinerr.WrapAs("shard", "dial", joinerr.KindShard, err)
 	}
-	return p.cfg.DialTimeout
-}
-
-func (p *Pool) leaseTimeout() time.Duration {
-	if p.cfg.LeaseTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return p.cfg.LeaseTimeout
-}
-
-func (p *Pool) quarantineAfter() int {
-	if p.cfg.QuarantineAfter <= 0 {
-		return 3
-	}
-	return p.cfg.QuarantineAfter
-}
-
-// dialFunc resolves the dialer.
-func (p *Pool) dialFunc() func(ctx context.Context, addr string) (net.Conn, error) {
-	if p.cfg.Dial != nil {
-		return p.cfg.Dial
-	}
-	return func(ctx context.Context, addr string) (net.Conn, error) {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return nil, joinerr.WrapAs("shard", "dial", joinerr.KindShard, err)
-		}
-		return conn, nil
-	}
+	return conn, nil
 }
 
 // Lease hands out a healthy, exclusively-held link to a resident
@@ -148,7 +128,7 @@ func (p *Pool) dialFunc() func(ctx context.Context, addr string) (net.Conn, erro
 // as a ConnectError: a canceled join must propagate, not degrade.
 func (p *Pool) Lease(ctx context.Context) (*Lease, error) {
 	start := time.Now()
-	deadline := start.Add(p.leaseTimeout())
+	deadline := start.Add(p.cfg.LeaseTimeout)
 	reconnected := false
 	var lastErr error
 	for {
@@ -159,7 +139,7 @@ func (p *Pool) Lease(ctx context.Context) (*Lease, error) {
 			p.mu.Lock()
 			n := len(p.eps)
 			p.mu.Unlock()
-			return nil, &ConnectError{Endpoints: n, Err: fmt.Errorf("lease wait exceeded %v", p.leaseTimeout())}
+			return nil, &ConnectError{Endpoints: n, Err: fmt.Errorf("lease wait exceeded %v", p.cfg.LeaseTimeout)}
 		}
 		p.mu.Lock()
 		if p.closed {
@@ -201,7 +181,7 @@ func (p *Pool) Lease(ctx context.Context) (*Lease, error) {
 			p.met.netReconnectH.Observe(time.Since(start).Seconds())
 			p.rec.Instant("net-reconnect", trace.Attr{Key: "endpoint", Str: ep.addr})
 		}
-		return &Lease{pool: p, ep: ep, addr: ep.addr, conn: conn, fw: fw, fr: fr}, nil
+		return &Lease{pool: p, ep: ep, conn: conn, fw: fw, fr: fr}, nil
 	}
 }
 
@@ -234,9 +214,9 @@ func (p *Pool) allQuarantinedLocked() bool {
 // re-wrapping the conn would strand the reader's buffered bytes.
 func (p *Pool) connect(ctx context.Context, ep *endpoint) (net.Conn, *FrameWriter, *FrameReader, error) {
 	p.met.netDials.Inc()
-	dctx, cancel := context.WithTimeout(ctx, p.dialTimeout())
+	dctx, cancel := context.WithTimeout(ctx, p.cfg.DialTimeout)
 	defer cancel()
-	conn, err := p.dialFunc()(dctx, ep.addr)
+	conn, err := p.cfg.Dial(dctx, ep.addr)
 	if err != nil {
 		p.met.netDialFailures.Inc()
 		return nil, nil, nil, joinerr.WrapAs("shard", "dial", joinerr.KindShard, err)
@@ -263,18 +243,16 @@ func (p *Pool) connect(ctx context.Context, ep *endpoint) (net.Conn, *FrameWrite
 }
 
 // fail records one failure against an endpoint: release it, gate its
-// next dial behind the endpoint-keyed backoff, and quarantine it once
-// the consecutive-failure count crosses the threshold.
+// next dial behind its own retry delay, and quarantine it once the
+// consecutive-failure count reaches the threshold.
 func (p *Pool) fail(ep *endpoint) {
-	delay := p.kb.Fail(ep.addr)
-	quarantine := p.kb.Attempts(ep.addr) >= p.quarantineAfter()
 	p.mu.Lock()
 	ep.busy = false
-	ep.retryAt = time.Now().Add(delay)
-	if quarantine && !ep.quarantined {
+	ep.failures++
+	ep.retryAt = time.Now().Add(retryDelay(ep.addr, ep.failures))
+	quarantine := !ep.quarantined && ep.failures >= p.cfg.QuarantineAfter
+	if quarantine {
 		ep.quarantined = true
-	} else {
-		quarantine = false
 	}
 	p.mu.Unlock()
 	p.met.netEvictions.Inc()
@@ -291,7 +269,6 @@ func (p *Pool) fail(ep *endpoint) {
 type Lease struct {
 	pool *Pool
 	ep   *endpoint
-	addr string
 	conn net.Conn
 	fw   *FrameWriter
 	fr   *FrameReader
@@ -317,9 +294,9 @@ func (l *Lease) Release(failed bool) {
 		l.pool.fail(l.ep)
 		return
 	}
-	l.pool.kb.Reset(l.addr)
 	l.pool.mu.Lock()
 	l.ep.busy = false
+	l.ep.failures = 0
 	l.ep.retryAt = time.Time{}
 	l.pool.mu.Unlock()
 }

@@ -20,7 +20,6 @@ func TestPoolConcurrentLeaseFailRelease(t *testing.T) {
 	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:       addrs,
-		Backoff:         fastBackoff(),
 		LeaseTimeout:    5 * time.Second,
 		QuarantineAfter: 1 << 20, // failures penalize but never kill the fleet
 		Metrics:         reg,

@@ -11,23 +11,28 @@ import (
 	"spatialjoin/internal/metrics"
 )
 
-// servePingWorker runs an in-process resident worker on a loopback
-// listener and returns its address; the listener closes with the test.
-func servePingWorker(t *testing.T) string {
+// ResidentWorkers serves n in-process resident workers on loopback
+// listeners and returns their addresses; the listeners close with the
+// test. In-process workers give the race detector both sides of the
+// protocol. It lives in a test file, so it exists only in test builds,
+// and is exported for the external tests of tcp_test.go.
+func ResidentWorkers(t testing.TB, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ln.Close() })
+		go func() { _ = ServeWorker(ln) }()
+		addrs[i] = ln.Addr().String()
 	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() { _ = ServeWorker(ln) }()
-	return ln.Addr().String()
+	return addrs
 }
 
-// fastBackoff keeps pool tests quick: no sleeps worth noticing.
-func fastBackoff() *Backoff {
-	return &Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Factor: 2, Jitter: 0, Seed: 1}
-}
+// servePingWorker serves one resident worker and returns its address.
+func servePingWorker(t *testing.T) string { return ResidentWorkers(t, 1)[0] }
 
 // poolCounts reads a pool's lifecycle counts from its registry, their
 // one record, by metric name; a histogram reads as its observation count.
@@ -46,7 +51,7 @@ func poolCounts(reg *metrics.Registry) map[string]float64 {
 func TestPoolLeaseHealthCheckAndRelease(t *testing.T) {
 	addr := servePingWorker(t)
 	reg := metrics.New()
-	p, err := NewPool(PoolConfig{Endpoints: []string{addr}, Backoff: fastBackoff(), Metrics: reg})
+	p, err := NewPool(PoolConfig{Endpoints: []string{addr}, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +61,8 @@ func TestPoolLeaseHealthCheckAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	if l.addr != addr {
-		t.Fatalf("lease addr %q, want %q", l.addr, addr)
+	if l.ep.addr != addr {
+		t.Fatalf("lease addr %q, want %q", l.ep.addr, addr)
 	}
 	// The health check already ran; the link must carry a fresh job
 	// conversation: ping again by hand and expect a beat on the SAME
@@ -97,7 +102,6 @@ func TestPoolQuarantinesDeadEndpoint(t *testing.T) {
 	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:       []string{dead},
-		Backoff:         fastBackoff(),
 		DialTimeout:     200 * time.Millisecond,
 		QuarantineAfter: 3,
 		Metrics:         reg,
@@ -141,7 +145,6 @@ func TestPoolReconnectRoutesAroundFailure(t *testing.T) {
 	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:   []string{dead, alive},
-		Backoff:     fastBackoff(),
 		DialTimeout: 200 * time.Millisecond,
 		Metrics:     reg,
 	})
@@ -154,8 +157,8 @@ func TestPoolReconnectRoutesAroundFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
-	if l.addr != alive {
-		t.Fatalf("leased %q, want the live endpoint %q", l.addr, alive)
+	if l.ep.addr != alive {
+		t.Fatalf("leased %q, want the live endpoint %q", l.ep.addr, alive)
 	}
 	l.Release(false)
 	if h := reg.Snapshot().Hist(metNetReconnectSeconds); h.Count != 1 || h.Sum <= 0 {
@@ -168,7 +171,7 @@ func TestPoolReconnectRoutesAroundFailure(t *testing.T) {
 
 func TestPoolLeaseCancelIsNotConnectError(t *testing.T) {
 	addr := servePingWorker(t)
-	p, err := NewPool(PoolConfig{Endpoints: []string{addr}, Backoff: fastBackoff()})
+	p, err := NewPool(PoolConfig{Endpoints: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +192,6 @@ func TestPoolLeaseTimeoutWhenBusy(t *testing.T) {
 	addr := servePingWorker(t)
 	p, err := NewPool(PoolConfig{
 		Endpoints:    []string{addr},
-		Backoff:      fastBackoff(),
 		LeaseTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -229,7 +231,6 @@ func TestPoolFailedReleasePenalizes(t *testing.T) {
 	reg := metrics.New()
 	p, err := NewPool(PoolConfig{
 		Endpoints:       []string{addr},
-		Backoff:         fastBackoff(),
 		QuarantineAfter: 2,
 		Metrics:         reg,
 	})
@@ -253,6 +254,69 @@ func TestPoolFailedReleasePenalizes(t *testing.T) {
 	if _, err := p.Lease(context.Background()); err == nil {
 		t.Fatal("quarantined fleet still leases")
 	}
+}
+
+// TestPoolFailureStreakIsPerEndpoint proves each endpoint keeps its own
+// failure streak: one endpoint's failures gate and finally quarantine
+// it alone, never delaying its healthy sibling, and a clean release
+// resets the streak, so only consecutive failures quarantine.
+func TestPoolFailureStreakIsPerEndpoint(t *testing.T) {
+	flaky, healthy := servePingWorker(t), servePingWorker(t)
+	p, err := NewPool(PoolConfig{Endpoints: []string{flaky, healthy}, QuarantineAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	state := func(i int) endpoint {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return *p.eps[i]
+	}
+	// One round: wait out the flaky endpoint's gate so the first lease
+	// takes it and the second its sibling, then release the flaky one
+	// as failed or clean and the healthy one clean.
+	round := func(flakyFails bool) {
+		t.Helper()
+		time.Sleep(time.Until(state(0).retryAt))
+		la, err := p.Lease(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := p.Lease(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if la.ep.addr != flaky || lb.ep.addr != healthy {
+			t.Fatalf("leased %s and %s, want %s then %s", la.ep.addr, lb.ep.addr, flaky, healthy)
+		}
+		la.Release(flakyFails)
+		lb.Release(false)
+		if h := state(1); h.failures != 0 || !h.retryAt.IsZero() || h.quarantined {
+			t.Fatalf("healthy sibling %+v after the flaky one's release: want no streak, no gate", h)
+		}
+	}
+	for i, c := range []struct {
+		fails       bool
+		failures    int
+		quarantined bool
+	}{
+		{true, 1, false},
+		{false, 0, false}, // a clean release resets the streak
+		{true, 1, false},  // so this failure is the first again
+		{true, 2, true},
+	} {
+		round(c.fails)
+		f := state(0)
+		if gated := !f.retryAt.IsZero(); f.failures != c.failures || f.quarantined != c.quarantined || gated != c.fails {
+			t.Fatalf("round %d: flaky endpoint %+v, want %d failures, quarantined %v", i, f, c.failures, c.quarantined)
+		}
+	}
+	// The quarantined endpoint is skipped; its sibling still leases.
+	l, err := p.Lease(context.Background())
+	if err != nil || l.ep.addr != healthy {
+		t.Fatalf("lease after quarantine: %v, want the healthy endpoint", err)
+	}
+	l.Release(false)
 }
 
 func TestNewPoolRequiresEndpoints(t *testing.T) {

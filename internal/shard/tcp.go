@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 
 	"spatialjoin/internal/joinerr"
@@ -80,7 +81,7 @@ func (l *netLink) Wait() error { return nil }
 // Finish returns the lease; a failed attempt penalizes the endpoint.
 func (l *netLink) Finish(failed bool) { l.lease.Release(failed) }
 
-func (l *netLink) Endpoint() string   { return l.lease.addr }
+func (l *netLink) Endpoint() string   { return l.lease.ep.addr }
 func (l *netLink) StderrTail() []byte { return nil }
 
 // ServeWorker turns the current process into a resident shard worker:
@@ -88,9 +89,8 @@ func (l *netLink) StderrTail() []byte { return nil }
 // connection, concurrently. A connection opens with either a ping
 // (health check — answered with a beat) or a job frame; when the
 // conversation ends — done, fail, or a torn stream — the connection is
-// closed and the worker awaits the next lease. The sjoin binary
-// exposes this behind -worker-listen; sjworkerd is the standalone
-// daemon.
+// closed and the worker awaits the next lease. ListenAndServe wraps it
+// for the sjworkerd daemon.
 //
 // ServeWorker returns nil when ln is closed, which is the shutdown
 // signal.
@@ -113,4 +113,21 @@ func ServeWorker(ln net.Listener) error {
 			_ = runConversation(NewFrameReader(c), NewFrameWriter(c))
 		}(conn)
 	}
+}
+
+// ListenAndServe is a resident worker's whole life: bind addr, announce
+// the bound address on announce as a "listening <addr>" line (what
+// SpawnResidentWorker and scripts scan for to learn a kernel-chosen
+// port), then ServeWorker until the listener fails. sjworkerd and the
+// test helper's listen mode run it.
+func ListenAndServe(addr string, announce io.Writer) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return joinerr.WrapAs("shard", "listen", joinerr.KindShard, err)
+	}
+	if _, err := fmt.Fprintf(announce, "listening %s\n", ln.Addr()); err != nil {
+		_ = ln.Close()
+		return joinerr.WrapAs("shard", "listen", joinerr.KindShard, err)
+	}
+	return ServeWorker(ln)
 }

@@ -11,24 +11,8 @@ import (
 	"spatialjoin/internal/shard"
 )
 
-// residentWorkers serves n in-process resident workers on loopback
-// listeners and returns their addresses. In-process workers give the
-// race detector both sides of the protocol; they are torn down with the
-// test.
-func residentWorkers(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = ln.Close() })
-		go func() { _ = shard.ServeWorker(ln) }()
-		addrs[i] = ln.Addr().String()
-	}
-	return addrs
-}
+// residentWorkers is the package's loopback worker helper (pool_test.go).
+func residentWorkers(t *testing.T, n int) []string { return shard.ResidentWorkers(t, n) }
 
 // deadAddr returns a loopback address nothing listens on.
 func deadAddr(t *testing.T) string {

@@ -1,6 +1,7 @@
 package spatialjoin_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"os"
@@ -124,6 +125,53 @@ func TestCommandsRun(t *testing.T) {
 		}
 		if regexp.MustCompile(`(?m)^results`).MatchString(stdout.String()) {
 			t.Fatalf("a timed-out join printed its results:\n%s", &stdout)
+		}
+	})
+	t.Run("sjworkerd", func(t *testing.T) {
+		// The resident worker daemon end to end: a sharded join against
+		// it must print the serial join's results line, and its stats
+		// must show the shards leased from the daemon, not degraded to
+		// local worker processes.
+		t.Parallel()
+		dir := t.TempDir()
+		for _, name := range []string{"sjworkerd", "sjoin"} {
+			if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name).CombinedOutput(); err != nil {
+				t.Fatalf("go build %s: %v\n%s", name, err, out)
+			}
+		}
+		daemon := exec.Command(filepath.Join(dir, "sjworkerd"), "-listen", "127.0.0.1:0")
+		stdout, err := daemon.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := daemon.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			_ = daemon.Process.Kill()
+			_ = daemon.Wait()
+		})
+		line, err := bufio.NewReader(stdout).ReadString('\n')
+		addr, ok := strings.CutPrefix(strings.TrimSpace(line), "listening ")
+		if err != nil || !ok {
+			t.Fatalf("sjworkerd announced %q (%v), want a listening line", line, err)
+		}
+		sjoin := func(args ...string) string {
+			t.Helper()
+			out, err := exec.Command(filepath.Join(dir, "sjoin"), args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("sjoin %v: %v\n%s", args, err, out)
+			}
+			return string(out)
+		}
+		resultsLine := regexp.MustCompile(`(?m)^results .*$`)
+		serial := sjoin("-n", "2000")
+		sharded := sjoin("-n", "2000", "-shards", "2", "-shard-endpoints", addr, "-stats")
+		if want, got := resultsLine.FindString(serial), resultsLine.FindString(sharded); want == "" || got != want {
+			t.Fatalf("against sjworkerd: %q, want the serial %q", got, want)
+		}
+		if !regexp.MustCompile(`(?m)^ +shard\.net\.leases +[1-9]`).MatchString(sharded) || strings.Contains(sharded, "shard.degraded") {
+			t.Fatalf("the sharded join did not run on sjworkerd:\n%s", sharded)
 		}
 	})
 	t.Run("sjdatagen", func(t *testing.T) {
