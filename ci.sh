@@ -67,9 +67,11 @@ echo "== go test -race -count=1 ./... =="
 # budgets against nested loops, emission order, slot trimming,
 # cancellation at every kind of checkpoint); extsort forms
 # runs and s3j's partitioners write scan-order runs from concurrent units,
-# and merge cursors break ties by run ordinal (stability, run files
-# identical across worker counts, the pinned emission sequence, torn runs,
-# cancellation swept over partitioners, forced merges and scan).
+# and extsort.Merge, the one k-way merge behind the forced merges, the
+# S3J scan, DupSort and the SSSJ sweep, breaks ties by run ordinal
+# (stability, run files identical across worker counts, the pinned
+# emission sequence, torn runs, cancellation swept over partitioners,
+# forced merges and scan).
 # This step owns the concurrency contracts, the "guarded by mu"
 # annotations and the lock order included: every annotated struct has a
 # hammer here — internal/shard/pool_race_test.go (Pool, Lease),
@@ -165,7 +167,7 @@ grep -Eq '^ +diskio\.write_requests +369 count' "$dupsmoke"
 
 echo "== repository benchmark smoke (s3j_ext, traced pass) =="
 # S3J's external path through the same oracle and gates: the chunk index
-# sort in the partitioners, the heap merge in the scan and the scan arena.
+# sort in the partitioners, the scan's extsort.Merge and the scan arena.
 # At scale 0.25 the budget holds 24 cursors and the partitioners write 26
 # runs, so one forced merge pass runs too (at full scale: 23 runs against
 # 99 cursors, none). The partitioners write each run in the window of its

@@ -9,12 +9,20 @@
 // halves that are exported on their own: RunWriter.WriteRun sorts a
 // chunk that is already in memory and writes it as one run, MergeDown
 // merges a list of runs by whole passes, and Merge streams one merge to
-// a callback instead of a file. S³J (§4.2) and PBSM's original duplicate removal
-// (result pairs ordered by ID, §3.1) use the halves directly: they fill
-// the chunks themselves, so no unsorted file is ever written or read
-// back, and their last merge delivers the results (S³J's synchronized
-// scan, PBSM's Merge), so MergeDown runs only when there are more runs
-// than that merge may hold cursors for.
+// a callback instead of a file. S³J (§4.2) and PBSM's original duplicate
+// removal (result pairs ordered by ID, §3.1) use the halves directly:
+// they fill the chunks themselves, so no unsorted file is ever written or
+// read back, and their last merge delivers the results, so MergeDown runs
+// only when there are more runs than that merge may hold cursors for.
+//
+// Merge is the tree's one k-way merge of sorted record streams. Every
+// merge pass runs through it, and so do S³J's synchronized scan, which
+// merges the runs of both relations and tells them apart by the run
+// index Merge hands it, PBSM's duplicate-removing final merge, and SSSJ's
+// sweep, a merge of the two sorted relations. Each caller sizes the
+// cursors' requests, since their rules differ: a merge pass and DupSort
+// share Memory with an output stream, the scan's cursors share it among
+// themselves, SSSJ's sweep reads in unit requests.
 //
 // Run formation never moves a record while sorting: it orders the
 // chunk's positions by Config.Key's 64-bit prefix of the order, extracted
@@ -434,12 +442,6 @@ func (c *Config) FanIn() int {
 	return c.dev().FanIn(c.Memory)
 }
 
-// mergeBuf is the buffer of each input and of the output of a merge of
-// n runs: their share of Memory (iocost.Device.BufFor).
-func (c *Config) mergeBuf(n int) int {
-	return c.dev().BufFor(c.Memory, n+1)
-}
-
 // chunkBuf is the window of a run's write and of the chunk read that
 // fills the chunk (iocost.Device.ChunkBuf).
 func (c *Config) chunkBuf() int {
@@ -483,10 +485,12 @@ func mergePass(runs []Run, cfg Config, st *Stats) ([]Run, error) {
 }
 
 // mergeRuns merges the given runs into out and returns the number of
-// records written plus the comparisons spent.
+// records written plus the comparisons spent. The runs and the output
+// each take their share of Memory (iocost.Device.BufFor).
 func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
-	w := recfile.NewRecWriter(out, cfg.RecordSize, cfg.mergeBuf(len(runs)))
-	comps, err := Merge(runs, cfg, w.Write)
+	buf := cfg.dev().BufFor(cfg.Memory, len(runs)+1)
+	w := recfile.NewRecWriter(out, cfg.RecordSize, buf)
+	comps, err := Merge(runs, buf, cfg, func(rec []byte, _ int) error { return w.Write(rec) })
 	if err == nil {
 		err = w.Flush()
 	}
@@ -494,21 +498,19 @@ func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 }
 
 // Merge reads runs, a list in input order, through one heap of one
-// cursor each and hands yield every record in sorted order; records
-// neither Key nor Less tells apart come in run order, so a merge of
-// consecutive runs is stable. rec is valid only until yield returns, and
-// an error from yield ends the merge with that error. Each run reads with
-// the share of Memory it would take beside an output stream (mergeBuf).
-// Merge creates no file and removes none. It returns the calls of Less.
-func Merge(runs []Run, cfg Config, yield func(rec []byte) error) (int64, error) {
-	rs := cfg.RecordSize
+// cursor each, every cursor in requests of bufPages pages, and hands
+// yield every record in sorted order with the index in runs of the run
+// that holds it; records neither Key nor Less tells apart come in run
+// order, so a merge of consecutive runs is stable. rec is valid only
+// until yield returns, and an error from yield ends the merge with that
+// error. Merge creates no file and removes none. It returns the calls of
+// Less.
+func Merge(runs []Run, bufPages int, cfg Config, yield func(rec []byte, run int) error) (int64, error) {
 	var comps int64
 	h := &mergeHeap{cfg: &cfg, comps: &comps}
-	buf := cfg.mergeBuf(len(runs))
 	for i, rr := range runs {
 		c := &cursor{
-			r:   recfile.NewRecRangeReader(rr.File, rs, buf, 0, rr.Recs),
-			buf: make([]byte, rs),
+			r:   recfile.NewRecRangeReader(rr.File, cfg.RecordSize, bufPages, 0, rr.Recs),
 			cfg: &cfg,
 			ord: i,
 		}
@@ -527,37 +529,42 @@ func Merge(runs []Run, cfg Config, yield func(rec []byte) error) (int64, error) 
 			return comps, err
 		}
 		c := h.items[0]
-		if err := yield(c.buf); err != nil {
+		if err := yield(c.rec, c.ord); err != nil {
 			return comps, err
 		}
+		key := c.key
 		ok, err := c.advance()
-		if err != nil {
+		switch {
+		case err != nil:
 			return comps, err
-		}
-		if ok {
-			heap.Fix(h, 0)
-		} else {
+		case !ok:
 			heap.Pop(h)
+		// Without Less, (key, ordinal) is the whole order: a record that
+		// repeats its predecessor's key is still the least, and the heap
+		// stays as it is.
+		case c.key != key || cfg.Less != nil:
+			heap.Fix(h, 0)
 		}
 	}
 	return comps, nil
 }
 
-// cursor is one run's read position in a merge: its current record, that
-// record's key (extracted once, when the record is read) and the run's
-// ordinal in the group, the last tie-break.
+// cursor is one run's read position in a merge: its current record (a
+// view into the reader's frame), that record's key (extracted once, when
+// the record is read) and the run's ordinal in the merge, the last
+// tie-break.
 type cursor struct {
 	r   *recfile.RecReader
-	buf []byte
+	rec []byte
 	key uint64
 	cfg *Config
 	ord int
 }
 
 func (c *cursor) advance() (bool, error) {
-	ok, err := c.r.Next(c.buf)
+	rec, ok, err := c.r.NextRef()
 	if ok && err == nil {
-		c.key = c.cfg.key(c.buf)
+		c.rec, c.key = rec, c.cfg.key(rec)
 	}
 	return ok, err
 }
@@ -574,7 +581,7 @@ func (h *mergeHeap) Less(i, j int) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
-	return h.cfg.tieBefore(a.buf, b.buf, a.ord < b.ord, h.comps)
+	return h.cfg.tieBefore(a.rec, b.rec, a.ord < b.ord, h.comps)
 }
 func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
 func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(*cursor)) }

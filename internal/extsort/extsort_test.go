@@ -505,7 +505,8 @@ func TestMergeDownStopsAtK(t *testing.T) {
 
 // TestMergeStreamsWhatMergeDownWrites: Merge hands yield the records, in
 // the order, that merging the same runs into one would write; it reads
-// the runs and writes nothing, and an error from yield ends it.
+// the runs and writes nothing, and an error from yield ends it. Each
+// record comes with the index of its run, also where runs share keys.
 func TestMergeStreamsWhatMergeDownWrites(t *testing.T) {
 	cfg := Config{
 		Disk: diskio.NewDisk(64, 5, time.Millisecond), RecordSize: recSize,
@@ -526,7 +527,7 @@ func TestMergeStreamsWhatMergeDownWrites(t *testing.T) {
 	}
 	before := cfg.Disk.Stats()
 	var got []uint64
-	if _, err := Merge(runs, cfg, func(rec []byte) error {
+	if _, err := Merge(runs, cfg.BufPages, cfg, func(rec []byte, _ int) error {
 		got = append(got, binary.LittleEndian.Uint64(rec))
 		return nil
 	}); err != nil {
@@ -543,13 +544,48 @@ func TestMergeStreamsWhatMergeDownWrites(t *testing.T) {
 		t.Fatalf("Merge yielded %v, MergeDown wrote %v", got, want)
 	}
 	stop, n := errors.New("stop"), 0
-	if _, err := Merge(merged, cfg, func([]byte) error {
+	if _, err := Merge(merged, cfg.BufPages, cfg, func([]byte, int) error {
 		if n++; n == 3 {
 			return stop
 		}
 		return nil
 	}); !errors.Is(err, stop) || n != 3 {
 		t.Fatalf("yield's error after %d records: Merge returned %v", n, err)
+	}
+
+	// Runs that share keys, one key repeated inside a run that the other
+	// runs hold too, merged by Key alone: each record comes with the index
+	// of its run, in (key, run, position) order.
+	kcfg := Config{Disk: cfg.Disk, RecordSize: tieRecSize, Memory: 4096, BufPages: 2, Key: s3jKeyOf}
+	var shared []Run
+	var want [][3]uint64 // key, run, position
+	for ri, keys := range [][]uint64{{1, 4, 4, 4, 9}, {4, 4, 7}, {0, 4, 9, 9}, {}, {4}} {
+		chunk := make([]byte, len(keys)*tieRecSize)
+		for p, k := range keys {
+			binary.LittleEndian.PutUint64(chunk[p*tieRecSize:], k)
+			binary.LittleEndian.PutUint64(chunk[p*tieRecSize+8:], uint64(ri)<<32|uint64(p))
+			want = append(want, [3]uint64{k, uint64(ri), uint64(p)})
+		}
+		f := cfg.Reg.Create()
+		if _, err := new(RunWriter).WriteRun(f, chunk, kcfg); err != nil {
+			t.Fatal(err)
+		}
+		shared = append(shared, Run{File: f, Recs: int64(len(keys))})
+	}
+	slices.SortFunc(want, func(a, b [3]uint64) int { return slices.Compare(a[:], b[:]) })
+	var order [][3]uint64
+	if _, err := Merge(shared, kcfg.BufPages, kcfg, func(rec []byte, run int) error {
+		tag := binary.LittleEndian.Uint64(rec[8:])
+		if uint64(run) != tag>>32 {
+			t.Fatalf("record %#x of run %d yielded with run index %d", tag, tag>>32, run)
+		}
+		order = append(order, [3]uint64{s3jKeyOf(rec), uint64(run), tag & (1<<32 - 1)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("Merge of runs sharing keys yielded %v, want %v", order, want)
 	}
 }
 

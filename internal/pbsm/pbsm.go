@@ -696,7 +696,10 @@ func (j *joiner) mergeRuns(sp *trace.Span) error {
 		return err
 	}
 	var prev geom.Pair
-	_, err = extsort.Merge(runs, cfg, func(rec []byte) error {
+	// Each cursor takes the share of Memory a merge pass gives it beside
+	// its output stream, although this merge writes none.
+	buf := j.dev.BufFor(j.cfg.Memory, len(runs)+1)
+	_, err = extsort.Merge(runs, buf, cfg, func(rec []byte, _ int) error {
 		// Results counts what was delivered: zero before the first pair.
 		if p := geom.DecodePair(rec); j.stats.Results == 0 || p != prev {
 			j.deliver(p)

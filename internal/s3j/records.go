@@ -2,10 +2,10 @@ package s3j
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sfc"
 )
 
@@ -53,61 +53,30 @@ func decodeLevRec(buf []byte) (uint64, geom.KPE) {
 	return decodeLevKey(buf), geom.DecodeKPE(buf[8:])
 }
 
-// groupCursor scans one run of a relation and yields one group at a
-// time: the maximal sequence of records sharing a scan key, which is the
-// part of one MX-CIF cell that lies in this run. It keeps a one-record
-// lookahead. The run is read as the record range the partitioner (or a
-// forced merge) counted, so a torn run is a recfile.CorruptError from the
-// reader, never a shorter cell.
-type groupCursor struct {
-	r      *recfile.RecReader
-	peeked bool
-	pkKey  uint64 // the cursor's heap key
-	pkKPE  geom.KPE
-	rel    int // 0 = R, 1 = S
-	ord    int // the run's place in its relation's list, which is input order
-}
-
-func newGroupCursor(run extsort.Run, bufPages, rel, ord int) *groupCursor {
-	return &groupCursor{r: recfile.NewRecRangeReader(run.File, levRecSize, bufPages, 0, run.Recs), rel: rel, ord: ord}
-}
-
-// fillPeek loads the lookahead record; it reports false at the end of
-// the run or on an I/O error.
-func (c *groupCursor) fillPeek() (bool, error) {
-	if c.peeked {
-		return true, nil
-	}
-	rec, ok, err := c.r.NextRef()
-	if !ok || err != nil {
-		return false, err
-	}
-	c.pkKey, c.pkKPE = decodeLevRec(rec)
-	c.peeked = true
-	return true, nil
-}
-
-// nextGroup consumes the next same-key group and appends it to dst; it
-// leaves the lookahead on the record after the group, so c.peeked says
-// whether the run has more.
-func (c *groupCursor) nextGroup(dst []geom.KPE) (key uint64, items []geom.KPE, ok bool, err error) {
-	ok, err = c.fillPeek()
-	if !ok || err != nil {
-		return 0, dst, false, err
-	}
-	key = c.pkKey
-	items = append(dst, c.pkKPE)
-	c.peeked = false
-	for {
-		ok, err = c.fillPeek()
-		if err != nil {
-			return 0, items, false, err
+// mergeCells reads the runs of both relations through one
+// extsort.Merge, R's runs first, so the level records come by scan key,
+// then R before S, then run. A cell is the consecutive records of one
+// scan key and one relation; its parts come from the runs that hold
+// them, in input order. open is called at a cell's first record, before
+// any of the cell's records is appended to arena[rel], so it may
+// truncate the arena; then every record of the cell is appended there. A
+// run is read as the record range the partitioner (or a forced merge)
+// counted, so a torn run is a recfile.CorruptError, never a shorter cell.
+func mergeCells(runs [2][]extsort.Run, bufPages int, cfg extsort.Config, arena *[2][]geom.KPE, open func(key uint64, rel int)) error {
+	var key uint64
+	cur := -1 // the relation of the cell being gathered; none yet
+	_, err := extsort.Merge(slices.Concat(runs[0], runs[1]), bufPages, cfg, func(rec []byte, run int) error {
+		k, kpe := decodeLevRec(rec)
+		rel := 0
+		if run >= len(runs[0]) {
+			rel = 1
 		}
-		if !ok || c.pkKey != key {
-			break
+		if rel != cur || k != key {
+			open(k, rel)
+			key, cur = k, rel
 		}
-		items = append(items, c.pkKPE)
-		c.peeked = false
-	}
-	return key, items, true, nil
+		arena[rel] = append(arena[rel], kpe)
+		return nil
+	})
+	return err
 }

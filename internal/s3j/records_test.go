@@ -2,6 +2,7 @@ package s3j
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -80,68 +81,97 @@ func TestScanKeyIsCellPreOrder(t *testing.T) {
 	}
 }
 
+// cell is one cell mergeCells delivered: its key, relation and records.
+type cell struct {
+	key   uint64
+	rel   int
+	items []geom.KPE
+}
+
+// cellsOf merges runs through mergeCells, each cursor reading in requests
+// of bufPages pages, and returns the cells it delivered, in order.
+func cellsOf(t *testing.T, runs [2][]extsort.Run, bufPages int) []cell {
+	t.Helper()
+	var arena [2][]geom.KPE
+	var cells []cell
+	var start int
+	closeLast := func() {
+		if n := len(cells); n > 0 {
+			cells[n-1].items = arena[cells[n-1].rel][start:]
+		}
+	}
+	cfg := extsort.Config{RecordSize: levRecSize, Key: decodeLevKey}
+	if err := mergeCells(runs, bufPages, cfg, &arena, func(key uint64, rel int) {
+		closeLast()
+		cells, start = append(cells, cell{key: key, rel: rel}), len(arena[rel])
+	}); err != nil {
+		t.Fatal(err)
+	}
+	closeLast()
+	return cells
+}
+
 func TestGroupCursorGroupsByCode(t *testing.T) {
 	d := diskio.NewDisk(256, 5, time.Millisecond)
-	// Three groups: key 3 (two records), key 7 (one), key 9 (three).
+	// Three cells: key 3 (two records), key 7 (one), key 9 (three).
 	run := writeRun(d, 2, []uint64{3, 3, 7, 9, 9, 9}, nil)
-
-	c := newGroupCursor(run, 2, 0, 0)
-	if ok, err := c.fillPeek(); err != nil || !ok || c.pkKey != 3 {
-		t.Fatalf("peek = (%d,%v,%v), want (3,true)", c.pkKey, ok, err)
-	}
-	wantGroups := []struct {
+	got := cellsOf(t, [2][]extsort.Run{{run}, nil}, 2)
+	want := []struct {
 		code uint64
 		n    int
 	}{{3, 2}, {7, 1}, {9, 3}}
-	for _, wg := range wantGroups {
-		code, items, ok, err := c.nextGroup(nil)
-		if err != nil || !ok || code != wg.code || len(items) != wg.n {
-			t.Fatalf("group = (%d, %d items, %v, %v), want (%d, %d)", code, len(items), ok, err, wg.code, wg.n)
-		}
+	if len(got) != len(want) {
+		t.Fatalf("%d cells, want %d", len(got), len(want))
 	}
-	if _, _, ok, err := c.nextGroup(nil); ok || err != nil || c.peeked {
-		t.Fatalf("cursor must end after last group (ok=%v err=%v peeked=%v)", ok, err, c.peeked)
+	for i, w := range want {
+		if got[i].key != w.code || got[i].rel != 0 || len(got[i].items) != w.n {
+			t.Fatalf("cell %d = (%d, rel %d, %d items), want (%d, rel 0, %d)", i, got[i].key, got[i].rel, len(got[i].items), w.code, w.n)
+		}
 	}
 }
 
 func TestGroupCursorEmptyFile(t *testing.T) {
 	d := diskio.NewDisk(256, 5, time.Millisecond)
-	c := newGroupCursor(writeRun(d, 2, nil, nil), 2, 1, 0)
-	if ok, err := c.fillPeek(); ok || err != nil {
-		t.Fatalf("empty file must not peek (ok=%v err=%v)", ok, err)
-	}
-	if _, _, ok, err := c.nextGroup(nil); ok || err != nil {
-		t.Fatalf("empty file must yield no groups (ok=%v err=%v)", ok, err)
+	if got := cellsOf(t, [2][]extsort.Run{nil, {writeRun(d, 2, nil, nil)}}, 2); len(got) != 0 {
+		t.Fatalf("empty run must yield no cells, got %d", len(got))
 	}
 }
 
 func TestGroupCursorSingleGroupWholeFile(t *testing.T) {
-	// The level-0 case: every key zero, one group holding the whole run.
+	// The level-0 case: every key zero, one cell holding the whole run.
 	d := diskio.NewDisk(256, 5, time.Millisecond)
 	const n = 500
-	c := newGroupCursor(writeRun(d, 2, make([]uint64, n), nil), 2, 0, 0)
-	code, items, ok, err := c.nextGroup(nil)
-	if err != nil || !ok || code != 0 || len(items) != n {
-		t.Fatalf("level-0 group = (%d, %d items, %v, %v)", code, len(items), ok, err)
+	got := cellsOf(t, [2][]extsort.Run{{writeRun(d, 2, make([]uint64, n), nil)}, nil}, 2)
+	if len(got) != 1 || got[0].key != 0 || len(got[0].items) != n {
+		t.Fatalf("level-0 cells = %d, want one of %d records", len(got), n)
 	}
-	for i, k := range items {
+	for i, k := range got[0].items {
 		if k.ID != uint64(i) {
 			t.Fatalf("record order broken at %d", i)
 		}
 	}
 }
 
+// TestGroupCursorReuseDst: the records land in the caller's arena, and a
+// cell appended after open truncated the arena (as the scan's retiring
+// does) takes the space the earlier cell freed.
 func TestGroupCursorReuseDst(t *testing.T) {
 	d := diskio.NewDisk(256, 5, time.Millisecond)
-	c := newGroupCursor(writeRun(d, 2, []uint64{1, 2}, []uint64{10, 20}), 2, 0, 0)
+	run := writeRun(d, 2, []uint64{1, 2}, []uint64{10, 20})
 	buf := make([]geom.KPE, 0, 8)
-	_, items, _, _ := c.nextGroup(buf)
-	if len(items) != 1 || items[0].ID != 10 {
-		t.Fatal("dst reuse broke the first group")
+	arena := [2][]geom.KPE{buf, nil}
+	opened := 0
+	cfg := extsort.Config{RecordSize: levRecSize, Key: decodeLevKey}
+	if err := mergeCells([2][]extsort.Run{{run}, nil}, 2, cfg, &arena, func(uint64, int) {
+		if opened++; opened == 2 && (len(arena[0]) != 1 || arena[0][0].ID != 10) {
+			t.Fatal("arena reuse broke the first cell")
+		}
+		arena[0] = arena[0][:0] // the caller may reuse the arena after copying out
+	}); err != nil {
+		t.Fatal(err)
 	}
-	_, items2, _, _ := c.nextGroup(buf) // caller may reuse after copying out
-	if len(items2) != 1 || items2[0].ID != 20 {
-		t.Fatal("dst reuse broke the second group")
+	if len(arena[0]) != 1 || arena[0][0].ID != 20 || &arena[0][0] != &buf[:1][0] {
+		t.Fatal("arena reuse broke the second cell")
 	}
 }
 
@@ -149,7 +179,7 @@ func TestGroupCursorRandomized(t *testing.T) {
 	f := func(seed int64, nGroups uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := diskio.NewDisk(128, 5, time.Millisecond)
-		// Ascending keys with random group sizes, as after sorting.
+		// Ascending keys with random cell sizes, as after sorting.
 		var wantCodes, keys []uint64
 		var wantSizes []int
 		code := uint64(0)
@@ -162,17 +192,47 @@ func TestGroupCursorRandomized(t *testing.T) {
 				keys = append(keys, code)
 			}
 		}
-		c := newGroupCursor(writeRun(d, 1+rng.Intn(4), keys, nil), 2, 1, 0)
+		got := cellsOf(t, [2][]extsort.Run{nil, {writeRun(d, 1+rng.Intn(4), keys, nil)}}, 2)
+		if len(got) != len(wantCodes) {
+			return false
+		}
 		for i := range wantCodes {
-			gc, items, ok, err := c.nextGroup(nil)
-			if err != nil || !ok || gc != wantCodes[i] || len(items) != wantSizes[i] {
+			if got[i].key != wantCodes[i] || got[i].rel != 1 || len(got[i].items) != wantSizes[i] {
 				return false
 			}
 		}
-		_, _, ok, err := c.nextGroup(nil)
-		return !ok && err == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMergeCellsOrder: a cell whose records lie in several runs is
+// gathered from them in run order, R's cell of a key comes before S's,
+// and a key that only one relation holds is one cell.
+func TestMergeCellsOrder(t *testing.T) {
+	d := diskio.NewDisk(256, 5, time.Millisecond)
+	runs := [2][]extsort.Run{
+		{writeRun(d, 2, []uint64{2, 5, 5}, []uint64{1, 2, 3}), writeRun(d, 2, []uint64{5, 8}, []uint64{4, 5})},
+		{writeRun(d, 2, []uint64{5, 5}, []uint64{6, 7}), writeRun(d, 2, []uint64{2}, []uint64{8})},
+	}
+	want := []struct {
+		key uint64
+		rel int
+		ids []uint64
+	}{{2, 0, []uint64{1}}, {2, 1, []uint64{8}}, {5, 0, []uint64{2, 3, 4}}, {5, 1, []uint64{6, 7}}, {8, 0, []uint64{5}}}
+	got := cellsOf(t, runs, 2)
+	if len(got) != len(want) {
+		t.Fatalf("%d cells, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		var ids []uint64
+		for _, k := range got[i].items {
+			ids = append(ids, k.ID)
+		}
+		if got[i].key != w.key || got[i].rel != w.rel || !slices.Equal(ids, w.ids) {
+			t.Fatalf("cell %d = (%d, rel %d, ids %v), want (%d, rel %d, ids %v)", i, got[i].key, got[i].rel, ids, w.key, w.rel, w.ids)
+		}
 	}
 }

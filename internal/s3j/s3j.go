@@ -11,14 +11,15 @@
 // the moment the partitioner has its level and code. So the partitioner
 // here collects the records of ALL levels in one Memory-sized chunk,
 // sorts the chunk by scan key and writes it as one run per flush; the
-// scan opens one cursor per (relation, run) and its heap is the final
-// merge. Every copy is written once and read once. A cell whose records
-// lie in several runs is gathered from them in run order, and runs are
-// consecutive ranges of the input, so a cell holds its records in input
-// order — the same cells with the same contents in the same sequence as
-// the per-level files gave. Only when there are more runs than the scan
-// may hold cursors for does a sort phase exist: it merges runs by whole
-// passes (extsort.MergeDown) until they fit.
+// scan reads the runs of both relations through one extsort.Merge, R's
+// runs first, so that the run index tells the relations apart; it is the
+// final merge. Every copy is written once and read once. A cell whose
+// records lie in several runs is gathered from them in run order, and
+// runs are consecutive ranges of the input, so a cell holds its records
+// in input order — the same cells with the same contents in the same
+// sequence as the per-level files gave. Only when there are more runs
+// than the scan may hold cursors for does a sort phase exist: it merges
+// runs by whole passes (extsort.MergeDown) until they fit.
 //
 // The original algorithm assigns a rectangle to the deepest cell that
 // *contains* it, so it never replicates data and produces no duplicates —
@@ -37,8 +38,8 @@
 // cell arrives are exactly the top entries, whose items are the tail of
 // the arena, so retiring truncates the arena and the arriving group is
 // appended into the space just freed — in that order, which is why the
-// scan retires on the cursor's cached interval start before it reads the
-// group. When an append outgrows the arena and reallocates, the entries
+// scan retires at a cell's first record, before the cell's records are
+// appended. When an append outgrows the arena and reallocates, the entries
 // already on the stack keep pointing into the old backing array; nothing
 // writes to it again, the garbage collector keeps it alive for as long as
 // an entry refers to it, and every later truncation and append works on
@@ -46,7 +47,6 @@
 package s3j
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -461,45 +461,50 @@ type stackEntry struct {
 	items  []geom.KPE
 }
 
-// scan performs the heap-driven synchronized scan of the runs (§4.4.3): a
-// heap over one cursor per (relation, run) yields the cells of both
-// relations in space-filling-curve order; two stacks hold the cells of
-// the current root path per relation; each arriving cell is gathered from
-// the runs that hold a part of it and joined against the other relation's
-// stack.
+// scan performs the synchronized scan of the runs (§4.4.3): one merge
+// of all runs (mergeCells) yields the cells of both relations in
+// space-filling-curve order; two stacks hold the cells of the current
+// root path per relation; each cell, once gathered, is joined against the
+// other relation's stack.
 func (j *joiner) scan(runs [2][]extsort.Run) error {
-	h := &cursorHeap{}
 	buf := iocost.DeviceOf(j.cfg.Disk, j.cfg.BufPages).BufFor(j.cfg.Memory, len(runs[0])+len(runs[1]))
-	for rel := range runs {
-		for ord, run := range runs[rel] {
-			c := newGroupCursor(run, buf, rel, ord)
-			ok, err := c.fillPeek()
-			if err != nil {
-				return err
-			}
-			if ok {
-				h.items = append(h.items, c)
-			}
-		}
-	}
-	heap.Init(h)
 
 	// One stack of active cells and one arena holding their items per
-	// relation (see the package comment for why that is sound).
+	// relation (see the package comment for why that is sound). The cell
+	// being gathered is j.deeper, of relation rel; its items are the tail
+	// of arena[rel] from held on.
 	var stacks [2][]stackEntry
 	var arena [2][]geom.KPE
 	var resident int64
+	rel, held := -1, 0
 	j.onPair = j.candidate
-	for h.Len() > 0 {
-		if err := j.cfg.Cancel.Point(); err != nil {
-			return err
-		}
-		key, rel := h.items[0].pkKey, h.items[0].rel
-		code, level, lo, hi := keyCell(key)
 
+	// finish joins the gathered cell against every active cell of the
+	// other relation — exactly the node-vs-root-path pairs of §4.1 — and
+	// pushes it. The gathered cell is always the deeper (or equal) one,
+	// so the modified Reference Point Method tests against it.
+	finish := func() {
+		items := arena[rel][held:]
+		j.deeper.items = items
+		for _, anc := range stacks[1-rel] {
+			if rel == 0 {
+				j.alg.Join(items, anc.items, j.onPair)
+			} else {
+				j.alg.Join(anc.items, items, j.onPair)
+			}
+		}
+		stacks[rel] = append(stacks[rel], j.deeper)
+		resident += int64(len(items)) * geom.KPESize
+		j.stats.MaxResident = max(j.stats.MaxResident, resident)
+	}
+	err := mergeCells(runs, buf, j.sortConfig(), &arena, func(key uint64, r int) {
+		if rel >= 0 {
+			finish()
+		}
+		code, level, lo, hi := keyCell(key)
 		// Retire stack cells that ended before the arriving one starts,
-		// before its items are read into the space they free.
-		for s := 0; s < 2; s++ {
+		// before its items are appended into the space they free.
+		for s := range stacks {
 			st := stacks[s]
 			for len(st) > 0 && st[len(st)-1].hi <= lo {
 				n := len(st[len(st)-1].items)
@@ -509,48 +514,17 @@ func (j *joiner) scan(runs [2][]extsort.Run) error {
 			}
 			stacks[s] = st
 		}
-
-		// Gather the cell: the heap hands out the runs holding a part of
-		// it one after the other, in input order.
-		held := len(arena[rel])
-		for h.Len() > 0 && h.items[0].pkKey == key && h.items[0].rel == rel {
-			c := h.items[0]
-			var err error
-			if _, arena[rel], _, err = c.nextGroup(arena[rel]); err != nil {
-				return err
-			}
-			if c.peeked {
-				heap.Fix(h, 0)
-			} else {
-				heap.Pop(h)
-			}
-		}
-		items := arena[rel][held:]
 		var ix, iy uint32
 		if level > 0 {
 			ix, iy = j.decodeCell(code, level)
 		}
-		j.deeper = stackEntry{lo: lo, hi: hi, level: level, ix: ix, iy: iy, items: items}
-
-		// Join the arriving cell against every active cell of the other
-		// relation — exactly the node-vs-root-path pairs of §4.1. The
-		// arriving cell is always the deeper (or equal) one, so the
-		// modified Reference Point Method tests against it.
-		for _, anc := range stacks[1-rel] {
-			if rel == 0 {
-				j.alg.Join(items, anc.items, j.onPair)
-			} else {
-				j.alg.Join(anc.items, items, j.onPair)
-			}
-		}
-
-		stacks[rel] = append(stacks[rel], j.deeper)
-		resident += int64(len(items)) * geom.KPESize
-		if resident > j.stats.MaxResident {
-			j.stats.MaxResident = resident
-		}
+		j.deeper = stackEntry{lo: lo, hi: hi, level: level, ix: ix, iy: iy}
+		rel, held = r, len(arena[r])
+	})
+	if err == nil && rel >= 0 {
+		finish()
 	}
-	return nil
+	return err
 }
 
 // decodeCell recovers grid coordinates from a locational code.
@@ -574,35 +548,4 @@ func (j *joiner) candidate(r, s geom.KPE) {
 		}
 	}
 	j.deliver(geom.Pair{R: r.ID, S: s.ID})
-}
-
-// cursorHeap orders group cursors by scan key — the start of the next
-// cell's code interval, ancestors before descendants — then R before S,
-// then by run: the order the synchronized pre-order traversal requires,
-// with the parts of one cell in input order.
-type cursorHeap struct {
-	items []*groupCursor
-}
-
-func (h *cursorHeap) Len() int { return len(h.items) }
-
-func (h *cursorHeap) Less(a, b int) bool {
-	ca, cb := h.items[a], h.items[b]
-	if ca.pkKey != cb.pkKey {
-		return ca.pkKey < cb.pkKey
-	}
-	if ca.rel != cb.rel {
-		return ca.rel < cb.rel
-	}
-	return ca.ord < cb.ord
-}
-
-func (h *cursorHeap) Swap(a, b int)      { h.items[a], h.items[b] = h.items[b], h.items[a] }
-func (h *cursorHeap) Push(x interface{}) { h.items = append(h.items, x.(*groupCursor)) }
-func (h *cursorHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

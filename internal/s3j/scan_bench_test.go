@@ -12,7 +12,7 @@ import (
 
 // BenchmarkScanPhase measures just the synchronized scan (phase 3): the
 // partitioners write their runs once, then each iteration re-scans the
-// same runs. The scan is dominated by the cursor heap, which compares
+// same runs. The scan is dominated by extsort.Merge, whose heap compares
 // one integer per cursor pair: the scan key stored with every record.
 func BenchmarkScanPhase(b *testing.B) {
 	R := datagen.Uniform(21, 20000, 0.004)

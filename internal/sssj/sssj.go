@@ -152,27 +152,39 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		return st, joinerr.Wrap("sssj", PhaseSort.String(), errS)
 	}
 
-	// Phase 2: one synchronized streaming sweep over the sorted runs.
+	// Phase 2: one sweep over the two sorted files, read as one merge by
+	// left edge, R before S on equal keys. Each arriving rectangle probes
+	// the other relation's sweep-line status (expiring passed rectangles
+	// lazily) and then joins its own. Only the rectangles currently
+	// stabbed by the sweep line are resident — the memory property SSSJ is
+	// named for.
 	pt = led.Begin(int(PhaseSweep), PhaseSweep.String())
 	pt.Span.AddRecords(int64(len(R) + len(S)))
-	sw := &streamSweep{
-		rs:  newPeekReader(recfile.NewKPEReader(sortedR, unit)),
-		ss:  newPeekReader(recfile.NewKPEReader(sortedS, unit)),
-		st:  &st,
-		chk: cfg.Cancel,
-		emit: func(p geom.Pair) {
-			led.First()
-			st.Results++
-			emit(p)
-		},
-	}
 	kind := cfg.Algorithm
 	if kind == "" || kind == sweep.NestedLoopsKind {
 		kind = sweep.TrieKind
 	}
-	sw.statusR = sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches)
-	sw.statusS = sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches)
-	err := sw.run()
+	status := [2]sweep.Status{
+		sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches),
+		sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches),
+	}
+	sorted := []extsort.Run{{File: sortedR, Recs: int64(len(R))}, {File: sortedS, Recs: int64(len(S))}}
+	mcfg := extsort.Config{Disk: cfg.Disk, RecordSize: geom.KPESize, Cancel: cfg.Cancel, Key: xlKey}
+	_, err := extsort.Merge(sorted, unit, mcfg, func(rec []byte, rel int) error {
+		k := geom.DecodeKPE(rec)
+		status[1-rel].Probe(k, func(m geom.KPE) {
+			p := geom.Pair{R: k.ID, S: m.ID}
+			if rel == 1 {
+				p = geom.Pair{R: m.ID, S: k.ID}
+			}
+			led.First()
+			st.Results++
+			emit(p)
+		})
+		status[rel].Insert(k)
+		st.MaxResident = max(st.MaxResident, status[0].Len()+status[1].Len())
+		return nil
+	})
 	pt.Span.SetAttr("maxResident", int64(st.MaxResident))
 	pt.End()
 	if err != nil {
@@ -221,77 +233,4 @@ func sortByXL(ks []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, span *
 // position, so the runs are in the order sweep sorts a slice in.
 func xlKey(rec []byte) uint64 {
 	return geom.OrderedKey(math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])))
-}
-
-// peekReader adds one record of lookahead to a KPE stream so the sweep
-// can always pick the stream with the smaller next left edge. A read
-// error is sticky: it surfaces from peek and stops the sweep.
-type peekReader struct {
-	r      *recfile.KPEReader
-	head   geom.KPE
-	loaded bool
-	err    error
-}
-
-func newPeekReader(r *recfile.KPEReader) *peekReader {
-	p := &peekReader{r: r}
-	p.head, p.loaded, p.err = r.Next()
-	return p
-}
-
-func (p *peekReader) peek() (geom.KPE, bool, error) { return p.head, p.loaded, p.err }
-
-func (p *peekReader) next() geom.KPE {
-	k := p.head
-	p.head, p.loaded, p.err = p.r.Next()
-	return k
-}
-
-// streamSweep merges the two xl-sorted streams and keeps one sweep-line
-// status per relation: each arriving rectangle probes the other side's
-// status (expiring passed rectangles lazily) and then joins its own.
-// Only the rectangles currently stabbed by the sweep line are resident —
-// the memory property SSSJ is named for.
-type streamSweep struct {
-	rs, ss           *peekReader
-	statusR, statusS sweep.Status
-	st               *Stats
-	chk              *govern.Check
-	emit             func(geom.Pair)
-}
-
-func (s *streamSweep) run() error {
-	chk := s.chk.Stride()
-	for {
-		if err := chk.Point(); err != nil {
-			return err
-		}
-		rk, rok, rerr := s.rs.peek()
-		if rerr != nil {
-			return rerr
-		}
-		sk, sok, serr := s.ss.peek()
-		if serr != nil {
-			return serr
-		}
-		switch {
-		case !rok && !sok:
-			return nil
-		case rok && (!sok || rk.Rect.XL <= sk.Rect.XL):
-			r := s.rs.next()
-			s.statusS.Probe(r, func(m geom.KPE) {
-				s.emit(geom.Pair{R: r.ID, S: m.ID})
-			})
-			s.statusR.Insert(r)
-		default:
-			sv := s.ss.next()
-			s.statusR.Probe(sv, func(m geom.KPE) {
-				s.emit(geom.Pair{R: m.ID, S: sv.ID})
-			})
-			s.statusS.Insert(sv)
-		}
-		if resident := s.statusR.Len() + s.statusS.Len(); resident > s.st.MaxResident {
-			s.st.MaxResident = resident
-		}
-	}
 }
