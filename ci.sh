@@ -31,7 +31,8 @@ fi
 echo "== sjlint ./... =="
 # The project's own analyzer suite (internal/lint) type-checks the tree
 # and enforces the cross-cutting contracts: joinerr wrapping at API and
-# shard process boundaries, paired trace spans, govern checkpoints in
+# shard process boundaries, trace spans and phase activations ended by
+# "defer x.End()" on the line after they open, govern checkpoints in
 # record loops, registry-managed temp files (the type-accurate successor
 # of the old grep lints), exhaustive Kind switches, %w over %v for error
 # operands, and metric names. DESIGN.md §10 keeps each analyzer's

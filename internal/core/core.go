@@ -319,8 +319,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	before := disk.Stats()
 	res := Result{Method: cfg.method()}
 	root := rec.Begin("join:" + string(res.Method))
-	root.AddRecords(int64(len(R) + len(S)))
 	defer root.End()
+	root.AddRecords(int64(len(R) + len(S)))
 	// The checkpoint count funds the overhead-budget test: per-site cost
 	// times this counter must stay within budget. Recorded on every exit.
 	defer func() {

@@ -19,57 +19,7 @@ const (
 	pathPBSM    = "spatialjoin/internal/pbsm"
 )
 
-// parentMap records the immediate parent of every node in a file, the
-// minimal structure needed to answer "which blocks enclose this
-// statement" without an x/tools inspector.
-type parentMap map[ast.Node]ast.Node
-
-func buildParents(f *ast.File) parentMap {
-	parents := make(parentMap)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// container returns the innermost statement-list container (block,
-// case clause or comm clause) enclosing n.
-func (pm parentMap) container(n ast.Node) ast.Node {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
-		switch cur.(type) {
-		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-			return cur
-		}
-	}
-	return nil
-}
-
-// containerChain returns every statement-list container enclosing n,
-// innermost first, stopping at (and including) the body of the
-// enclosing function.
-func (pm parentMap) containerChain(n ast.Node) []ast.Node {
-	var chain []ast.Node
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
-		switch cur.(type) {
-		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-			chain = append(chain, cur)
-		case *ast.FuncDecl, *ast.FuncLit:
-			return chain
-		}
-	}
-	return chain
-}
-
-// funcFor is ast.Inspect restricted to one function body: it walks body
+// inspectShallow is ast.Inspect restricted to one function body: it walks body
 // but does not descend into nested function literals, which have their
 // own scopes and are analyzed separately.
 func inspectShallow(body ast.Node, fn func(ast.Node) bool) {
@@ -145,57 +95,4 @@ var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Inte
 // implementsError reports whether t satisfies the error interface.
 func implementsError(t types.Type) bool {
 	return t != nil && types.Implements(t, errorIface)
-}
-
-// terminates reports, conservatively, whether stmt never falls through
-// to the next statement: returns, panics, and branching statements all
-// of whose arms terminate. Used to accept span-closing patterns where
-// every path out of a block is an explicit (already-checked) return.
-func terminates(info *types.Info, stmt ast.Stmt) bool {
-	switch s := stmt.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return s.Tok.String() == "goto" || s.Tok.String() == "break" || s.Tok.String() == "continue"
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		return ok && id.Name == "panic" && info.Uses[id] == types.Universe.Lookup("panic")
-	case *ast.BlockStmt:
-		return len(s.List) > 0 && terminates(info, s.List[len(s.List)-1])
-	case *ast.IfStmt:
-		if s.Else == nil {
-			return false
-		}
-		return terminates(info, s.Body) && terminates(info, s.Else)
-	case *ast.SwitchStmt:
-		return switchTerminates(info, s.Body)
-	case *ast.TypeSwitchStmt:
-		return switchTerminates(info, s.Body)
-	case *ast.ForStmt:
-		// for {} without condition only exits via break/return, which
-		// the per-return checks cover.
-		return s.Cond == nil
-	}
-	return false
-}
-
-func switchTerminates(info *types.Info, body *ast.BlockStmt) bool {
-	hasDefault := false
-	for _, clause := range body.List {
-		cc, ok := clause.(*ast.CaseClause)
-		if !ok {
-			return false
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		if len(cc.Body) == 0 || !terminates(info, cc.Body[len(cc.Body)-1]) {
-			return false
-		}
-	}
-	return hasDefault
 }

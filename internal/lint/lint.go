@@ -2,10 +2,10 @@
 // stack: a small driver (package loading, type checking, diagnostics,
 // //lint:ignore suppression) plus the project-specific
 // analyzers that turn the codebase's cross-cutting contracts — joinerr
-// propagation at the API and the shard process boundary, paired trace
-// spans, govern checkpoints, registry-managed temp files, exhaustive
-// Kind switches, %w wrapping, metric naming — into machine-checked
-// invariants. Concurrency contracts are not checked here: the race
+// propagation at the API and the shard process boundary, trace spans and
+// phase activations ended by defer, govern checkpoints, registry-managed
+// temp files, exhaustive Kind switches, %w wrapping, metric naming — into
+// machine-checked invariants. Concurrency contracts are not checked here: the race
 // detector and the race hammers own them (DESIGN.md §10).
 //
 // The framework deliberately uses only go/parser, go/ast, go/types and

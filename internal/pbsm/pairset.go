@@ -269,8 +269,8 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 		// processPair's own test: this pair would be loaded, not split.
 		// Copy rather than alias: the kernel reorders its load buffers.
 		pt := j.begin(PhaseJoin)
-		pt.Span.AddRecords(n)
 		defer pt.End()
+		pt.Span.AddRecords(n)
 		sl.LoadR = append(sl.LoadR[:0], rs...)
 		sl.LoadS = append(sl.LoadS[:0], ss...)
 		return joinerr.Wrap("pbsm", PhaseJoin.String(), j.joinLoaded(sl, emit, reg, reg, pt.Span))
@@ -279,22 +279,15 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 	// Write the pair's partition files exactly as the partition phase
 	// would (same buffering policy), then run the standard per-pair
 	// machinery on them: repartitioning is file-based.
-	pt := j.begin(PhasePartition)
-	pt.Span.AddRecords(int64(len(rs) + len(ss)))
-	fr, errR := e.writeSide(rs)
-	fs, errS := e.writeSide(ss)
-	pt.End()
+	fr, fs, err := e.writeSides(rs, ss)
 	defer func() {
 		j.reg.Remove(fr)
 		j.reg.Remove(fs)
 	}()
-	if errR == nil {
-		errR = errS
+	if err != nil {
+		return joinerr.Wrap("pbsm", PhasePartition.String(), err)
 	}
-	if errR != nil {
-		return joinerr.Wrap("pbsm", PhasePartition.String(), errR)
-	}
-	err := j.processPair(sl, emit, fr, fs, reg, reg, 0)
+	err = j.processPair(sl, emit, fr, fs, reg, reg, 0)
 	// In-process healing re-derives from base inputs this executor does
 	// not hold; at shard granularity the retry-with-rederivation happens
 	// one level up, so the healable marker is stripped to its cause.
@@ -303,6 +296,20 @@ func (e *PairExec) RunPair(part int, rs, ss []geom.KPE, sink func(geom.Pair)) er
 		err = he.err
 	}
 	return joinerr.Wrap("pbsm", PhaseJoin.String(), err)
+}
+
+// writeSides writes both sides of a pair under one partition activation.
+// The files are returned even on error, for the caller to remove.
+func (e *PairExec) writeSides(rs, ss []geom.KPE) (fr, fs *diskio.File, err error) {
+	pt := e.j.begin(PhasePartition)
+	defer pt.End()
+	pt.Span.AddRecords(int64(len(rs) + len(ss)))
+	fr, err = e.writeSide(rs)
+	fs, errS := e.writeSide(ss)
+	if err == nil {
+		err = errS
+	}
+	return fr, fs, err
 }
 
 // writeSide streams one side's records to a fresh registered file with

@@ -92,6 +92,12 @@ func TestPairExecMatchesJoin(t *testing.T) {
 		if memory == 5<<10 && wantStats.Repartitions == 0 {
 			t.Error("5KiB case never repartitioned; the test lost its recursion coverage")
 		}
+		// The executor charges each pair's side writes to partition and
+		// each split to repartition, as the full join does.
+		const wantPhases = "partition=0/8/0/8/168 repartition=32/80/32/80/2352 join=50/0/56/0/1056"
+		if got := phaseIO(st.PhaseIO[:PhaseDup]); memory == 5<<10 && (st.Repartitions != 8 || got != wantPhases) {
+			t.Errorf("memory %d: %d repartitions, phase I/O %s; want 8, %s", memory, st.Repartitions, got, wantPhases)
+		}
 	}
 }
 

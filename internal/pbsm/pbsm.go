@@ -423,18 +423,11 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 }
 
 // joinPlanned runs a P > 1 join of R and S over the top grid plan
-// returns. Phase 1 plans — plan gets the partition span, the parent of
-// PlanGridFor's "plan" span — and scatters both inputs through the grid;
+// returns. Phase 1 plans and scatters both inputs through the grid;
 // phases 2+3 repartition as needed and join each pair; phase 4 follows.
 func (j *joiner) joinPlanned(R, S []geom.KPE, plan func(sp *trace.Span) (GridSpec, error)) error {
 	j.baseR, j.baseS = R, S
-	pt := j.begin(PhasePartition)
-	gs, err := plan(pt.Span)
-	var filesR, filesS []*diskio.File
-	if err == nil {
-		filesR, filesS, err = j.partitionPhase(gs, pt.Span)
-	}
-	pt.End()
+	filesR, filesS, err := j.planAndPartition(plan)
 	if err != nil {
 		return err
 	}
@@ -442,6 +435,19 @@ func (j *joiner) joinPlanned(R, S []geom.KPE, plan func(sp *trace.Span) (GridSpe
 		return err
 	}
 	return j.dupSortPhase()
+}
+
+// planAndPartition is phase 1 under one partition activation: plan gets
+// its span, the parent of PlanGridFor's "plan" span, and partitionPhase
+// writes both inputs through the grid plan returns.
+func (j *joiner) planAndPartition(plan func(sp *trace.Span) (GridSpec, error)) (filesR, filesS []*diskio.File, err error) {
+	pt := j.begin(PhasePartition)
+	defer pt.End()
+	gs, err := plan(pt.Span)
+	if err != nil {
+		return nil, nil, err
+	}
+	return j.partitionPhase(gs, pt.Span)
 }
 
 // sink is where the join phase's collector hands its pairs, in partition
@@ -563,8 +569,8 @@ func (j *joiner) processTopPair(sl *stripe.Slot, emit func([]geom.Pair), filesR,
 // written them. Its I/O is charged to the partition phase.
 func (j *joiner) healPartition(part int) (fr, fs *diskio.File, err error) {
 	pt := j.led.Begin(int(PhasePartition), "heal")
-	pt.Span.SetAttr("part", int64(part))
 	defer pt.End()
+	pt.Span.SetAttr("part", int64(part))
 	fr, err = j.rederive(j.baseR, part)
 	if err != nil {
 		return nil, nil, err
@@ -782,8 +788,8 @@ func (j *joiner) processPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs *di
 	}
 
 	pt := j.begin(PhaseJoin)
-	pt.Span.AddRecords(nr + ns)
 	defer pt.End()
+	pt.Span.AddRecords(nr + ns)
 	buf := j.dev.LoadBuf(j.cfg.Memory, size)
 	var err error
 	if sl.LoadR, err = recfile.ReadAllKPEs(sl.LoadR, fr, buf); err == nil {
@@ -824,54 +830,12 @@ func (j *joiner) repartitionPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs
 		src = fs
 	}
 
-	pt := j.begin(PhaseRepartition)
-	files := make([]*diskio.File, n)
-	writers := make([]*recfile.KPEWriter, n)
-	buf := j.dev.BufFor(j.cfg.Memory, n+1)
-	for i := range files {
-		files[i] = j.reg.Create()
-		writers[i] = recfile.NewKPEWriter(files[i], buf)
-	}
+	files, err := j.split(src, sub)
 	removeFrom := func(lo int) {
-		for i := lo; i < n; i++ {
-			j.reg.Remove(files[i])
+		for _, f := range files[lo:] {
+			j.reg.Remove(f)
 		}
 	}
-	stamp := make([]int, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	parts := make([]int, 0, 8)
-	rd := recfile.NewKPEReader(src, buf)
-	gen := 0
-	var err error
-	chk := j.cfg.Cancel.Stride()
-	for err == nil {
-		if err = chk.Point(); err != nil {
-			break
-		}
-		var k geom.KPE
-		var ok bool
-		k, ok, err = rd.Next()
-		if err != nil || !ok {
-			break
-		}
-		parts = sub.partitionsOf(k.Rect, parts[:0], stamp, gen)
-		gen++
-		for _, pi := range parts {
-			if err = writers[pi].Write(k); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		for _, w := range writers {
-			if err = w.Flush(); err != nil {
-				break
-			}
-		}
-	}
-	pt.End()
 	if err != nil {
 		removeFrom(0)
 		if depth == 0 {
@@ -897,4 +861,51 @@ func (j *joiner) repartitionPair(sl *stripe.Slot, emit func([]geom.Pair), fr, fs
 		}
 	}
 	return nil
+}
+
+// split writes src's records into the parts of the finer grid sub under
+// a repartition activation. The files are returned even on error, for
+// the caller to remove.
+func (j *joiner) split(src *diskio.File, sub *grid) ([]*diskio.File, error) {
+	pt := j.begin(PhaseRepartition)
+	defer pt.End()
+	n := sub.parts
+	files := make([]*diskio.File, n)
+	writers := make([]*recfile.KPEWriter, n)
+	buf := j.dev.BufFor(j.cfg.Memory, n+1)
+	for i := range files {
+		files[i] = j.reg.Create()
+		writers[i] = recfile.NewKPEWriter(files[i], buf)
+	}
+	stamp := make([]int, n)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	parts := make([]int, 0, 8)
+	rd := recfile.NewKPEReader(src, buf)
+	chk := j.cfg.Cancel.Stride()
+	for gen := 0; ; gen++ {
+		if err := chk.Point(); err != nil {
+			return files, err
+		}
+		k, ok, err := rd.Next()
+		if err != nil {
+			return files, err
+		}
+		if !ok {
+			break
+		}
+		parts = sub.partitionsOf(k.Rect, parts[:0], stamp, gen)
+		for _, pi := range parts {
+			if err := writers[pi].Write(k); err != nil {
+				return files, err
+			}
+		}
+	}
+	for _, w := range writers {
+		if err := w.Flush(); err != nil {
+			return files, err
+		}
+	}
+	return files, nil
 }

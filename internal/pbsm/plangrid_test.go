@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/datagen"
+	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/metrics"
@@ -221,6 +223,7 @@ func TestHashTilesIsThePaperPlan(t *testing.T) {
 	R, S, mem := skewInputs(20000)
 	want := Stats{P: 25, NT: 100, Results: 8449, RawResults: 8925, CopiesR: 21205, CopiesS: 20673,
 		Repartitions: 51, MemoryOverflows: 2, Tests: 113182, Touches: 174101}
+	const wantPhases = "partition=0/598/0/1716/7696 repartition=977/1031/3840/3928/27848 join=1427/0/5340/0/19610"
 	for _, workers := range []int{1, 4} {
 		got, st := run(t, R, S, Config{Memory: mem, HashTiles: true, BufPages: 4, Parallel: workers})
 		seq := uint64(14695981039346656037) // FNV-1a over the pairs in emission order
@@ -236,7 +239,23 @@ func TestHashTilesIsThePaperPlan(t *testing.T) {
 		if counters != want {
 			t.Fatalf("parallel=%d: counters %+v, the hash plan had %+v", workers, counters, want)
 		}
+		// At one worker every activation charges its own phase, so the
+		// split of those units over the phases is pinned too: the plan
+		// and the scatter under partition, each split under repartition.
+		if got := phaseIO(st.PhaseIO[:PhaseDup]); workers == 1 && got != wantPhases {
+			t.Fatalf("phase I/O %s, the hash plan charged %s", got, wantPhases)
+		}
 	}
+}
+
+// phaseIO renders per-phase I/O as reads/writes/pages in/pages out/units,
+// one phase after another.
+func phaseIO(ios []diskio.Stats) string {
+	var b strings.Builder
+	for i, s := range ios {
+		fmt.Fprintf(&b, "%s=%d/%d/%d/%d/%g ", Phase(i), s.ReadRequests, s.WriteRequests, s.PagesRead, s.PagesWritten, s.CostUnits)
+	}
+	return strings.TrimSpace(b.String())
 }
 
 // TestPlanIsAttributedAndVisible: the count + pack runs under a "plan"

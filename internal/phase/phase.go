@@ -60,8 +60,10 @@ func (l *Ledger) first() {
 	*l.firstIO = l.disk.Stats().CostUnits - l.startUnits
 }
 
-// Activation is one begun interval of a phase. Like a trace span it must
-// be ended on every path (sjlint's spanend checks it as one).
+// Activation is one begun interval of a phase. Like a trace span it is
+// ended exactly once, by "defer a.End()" on the line after it begins, so
+// a phase that ends before its function returns is a function of its own
+// (sjlint's spanend checks it as one).
 type Activation struct {
 	// Span is the activation's trace span (nil without a trace): the
 	// parent of what runs inside it, and where its attributes go.
@@ -77,11 +79,12 @@ type Activation struct {
 // phase's own name, or what the trace should show instead (PBSM's heal
 // charges the partition phase but reads "heal").
 func (l *Ledger) Begin(phase int, name string) Activation {
-	a := Activation{Span: l.parent.Child(name)}
-	if !l.SpanOnly {
-		a.l, a.phase, a.t0, a.io0 = l, phase, time.Now(), l.disk.Stats()
+	if l.SpanOnly {
+		return Activation{Span: l.parent.Child(name)}
 	}
-	return a
+	// Fields evaluate left to right: the span opens before t0 and io0
+	// are sampled.
+	return Activation{Span: l.parent.Child(name), l: l, phase: phase, t0: time.Now(), io0: l.disk.Stats()}
 }
 
 // End charges the activation's elapsed time and I/O to its phase and

@@ -285,7 +285,6 @@ func (j *joiner) begin(p Phase) phase.Activation {
 func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	j.emit = emit
 	levels := j.cfg.levels()
-	inputs := [2][]geom.KPE{R, S}
 	nIn := float64(len(R) + len(S))
 	// Planned cost in record weights: every input record is partitioned
 	// once and scanned at least once. Replication and forced merges are
@@ -293,12 +292,35 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	j.cfg.Progress.SetTotal(2 * nIn)
 
 	sortCfg := j.sortConfig()
+	runs, err := j.partitionPhase(R, S, levels, sortCfg)
+	if err != nil {
+		return joinerr.Wrap("s3j", PhasePartition.String(), err)
+	}
+	copies := [2]int64{j.stats.CopiesR, j.stats.CopiesS}
+	runs, merged, err := j.mergePhase(runs, copies, levels, sortCfg)
+	if err != nil {
+		return joinerr.Wrap("s3j", PhaseSort.String(), err)
+	}
+	scanWork := float64(copies[0] + copies[1])
+	j.cfg.Progress.SetTotal(nIn + merged + scanWork)
+	j.cfg.Progress.Add(merged)
 
-	// Phase 1: write the scan-order runs. The two relations are
-	// independent units; a unit creates its run files one after the other,
-	// so what a run holds does not depend on the worker count.
+	err = j.scanPhase(runs, copies[0]+copies[1])
+	if err == nil {
+		j.cfg.Progress.Add(scanWork)
+	}
+	return joinerr.Wrap("s3j", PhaseJoin.String(), err)
+}
+
+// partitionPhase is phase 1: it writes the scan-order runs of R and S.
+// The two relations are independent units; a unit creates its run files
+// one after the other, so what a run holds does not depend on the worker
+// count.
+func (j *joiner) partitionPhase(R, S []geom.KPE, levels int, sortCfg extsort.Config) ([2][]extsort.Run, error) {
 	pt := j.begin(PhasePartition)
+	defer pt.End()
 	pt.Span.AddRecords(int64(len(R) + len(S)))
+	inputs := [2][]geom.KPE{R, S}
 	var runs [2][]extsort.Run
 	var counts [2][]int64
 	err := sched.Run(len(inputs), sched.Options{
@@ -313,8 +335,7 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		return perr
 	})
 	if err != nil {
-		pt.End()
-		return joinerr.Wrap("s3j", PhasePartition.String(), err)
+		return runs, err
 	}
 	j.stats.LevelRecordsR, j.stats.LevelRecordsS = counts[0], counts[1]
 	for _, n := range counts[0] {
@@ -323,19 +344,22 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 	for _, n := range counts[1] {
 		j.stats.CopiesS += n
 	}
-	copies := [2]int64{j.stats.CopiesR, j.stats.CopiesS}
 	j.stats.SortRuns = len(runs[0]) + len(runs[1])
-	pt.Span.SetAttr("copies", copies[0]+copies[1])
+	pt.Span.SetAttr("copies", j.stats.CopiesR+j.stats.CopiesS)
 	pt.Span.SetAttr("runs", int64(j.stats.SortRuns))
-	pt.End()
+	return runs, nil
+}
 
-	// Phase 2 exists only when it is forced: the scan holds one cursor
-	// per run, as many as one merge of this budget reads at once — but
-	// never fewer than the one per level file and relation the paper's
-	// scan opens at any budget. While the runs are more than that, one
-	// pass merges the longer list (any pass leaves fewer runs than it
-	// found, so "at most one fewer" asks for exactly one).
-	pt = j.begin(PhaseSort)
+// mergePhase is phase 2, which exists only when it is forced: the scan
+// holds one cursor per run, as many as one merge of this budget reads at
+// once — but never fewer than the one per level file and relation the
+// paper's scan opens at any budget. While the runs are more than that,
+// one pass merges the longer list (any pass leaves fewer runs than it
+// found, so "at most one fewer" asks for exactly one). It returns the
+// runs left and the record copies the passes merged.
+func (j *joiner) mergePhase(runs [2][]extsort.Run, copies [2]int64, levels int, sortCfg extsort.Config) ([2][]extsort.Run, float64, error) {
+	pt := j.begin(PhaseSort)
+	defer pt.End()
 	sortCfg.Trace = pt.Span
 	var st extsort.Stats
 	var merged float64
@@ -344,28 +368,24 @@ func (j *joiner) run(R, S []geom.KPE, emit func(geom.Pair)) error {
 		if len(runs[1]) > len(runs[0]) {
 			long = 1
 		}
+		var err error
 		runs[long], err = extsort.MergeDown(runs[long], len(runs[long])-1, sortCfg, &st)
 		if err != nil {
-			pt.End()
-			return joinerr.Wrap("s3j", PhaseSort.String(), err)
+			return runs, merged, err
 		}
 		merged += float64(copies[long])
 	}
 	j.stats.MergePasses = st.MergePass
-	pt.End()
-	scanWork := float64(copies[0] + copies[1])
-	j.cfg.Progress.SetTotal(nIn + merged + scanWork)
-	j.cfg.Progress.Add(merged)
+	return runs, merged, nil
+}
 
-	// Phase 3: synchronized scan.
-	pt = j.begin(PhaseJoin)
-	pt.Span.AddRecords(copies[0] + copies[1])
-	err = j.scan(runs)
-	pt.End()
-	if err == nil {
-		j.cfg.Progress.Add(scanWork)
-	}
-	return joinerr.Wrap("s3j", PhaseJoin.String(), err)
+// scanPhase is phase 3: the synchronized scan of the runs, holding copies
+// records.
+func (j *joiner) scanPhase(runs [2][]extsort.Run, copies int64) error {
+	pt := j.begin(PhaseJoin)
+	defer pt.End()
+	pt.Span.AddRecords(copies)
+	return j.scan(runs)
 }
 
 // sortConfig is how this join's runs are sorted, written and merged. Run

@@ -404,30 +404,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	root := rec.Begin("shard:join")
 	defer root.End()
 
-	// The one plan and the one scatter of the join: the grid with its
-	// tile→partition table, then every partition's R and S slices,
-	// read-only from here on. Attempts and absorbs index into them, so a
-	// retry re-ships instead of re-deriving. The two relations share
-	// nothing, so they are counted and scattered as two scheduler units.
-	scatter := root.Child("shard-scatter")
-	scatter.AddRecords(int64(len(R) + len(S)))
-	pcfg := cfg.pbsmConfig(nil)
-	pcfg.Parallel, pcfg.Cancel, pcfg.Trace, pcfg.Metrics = 2, chk, scatter, cfg.Metrics
-	gs, err := pbsm.PlanGridFor(R, S, pcfg)
-	if err != nil {
-		scatter.End()
-		return Result{}, err
-	}
-	all := make([]int, gs.Parts)
-	for p := range all {
-		all[p] = p
-	}
-	in, sl := [2][]geom.KPE{R, S}, [2]map[int][]geom.KPE{}
-	err = sched.Run(2, sched.Options{Workers: 2, Cancel: chk}, func(_, i int) (err error) {
-		sl[i], err = pbsm.PartitionSlices(in[i], gs, all, chk)
-		return err
-	})
-	scatter.End()
+	gs, all, sl, err := planScatter(R, S, cfg, chk, root)
 	if err != nil {
 		return Result{}, err
 	}
@@ -511,6 +488,33 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	res.IOTime = nominal.CostTime(res.IO.CostUnits)
 	res.Total = res.CPU + res.IOTime
 	return res, nil
+}
+
+// planScatter is the one plan and the one scatter of the join, under
+// the "shard-scatter" span: the grid with its tile→partition table, then
+// every partition's R and S slices, read-only from then on. Attempts and
+// absorbs index into them, so a retry re-ships instead of re-deriving.
+// The two relations share nothing, so they are counted and scattered as
+// two scheduler units. all lists every partition.
+func planScatter(R, S []geom.KPE, cfg Config, chk *govern.Check, root *trace.Span) (gs pbsm.GridSpec, all []int, sl [2]map[int][]geom.KPE, err error) {
+	scatter := root.Child("shard-scatter")
+	defer scatter.End()
+	scatter.AddRecords(int64(len(R) + len(S)))
+	pcfg := cfg.pbsmConfig(nil)
+	pcfg.Parallel, pcfg.Cancel, pcfg.Trace, pcfg.Metrics = 2, chk, scatter, cfg.Metrics
+	if gs, err = pbsm.PlanGridFor(R, S, pcfg); err != nil {
+		return gs, nil, sl, err
+	}
+	all = make([]int, gs.Parts)
+	for p := range all {
+		all[p] = p
+	}
+	in := [2][]geom.KPE{R, S}
+	err = sched.Run(2, sched.Options{Workers: 2, Cancel: chk}, func(_, i int) (err error) {
+		sl[i], err = pbsm.PartitionSlices(in[i], gs, all, chk)
+		return err
+	})
+	return gs, all, sl, err
 }
 
 // runShard supervises one shard to completion: open a worker link,

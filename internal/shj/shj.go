@@ -153,12 +153,28 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	st.Buckets = n
 	dev := iocost.DeviceOf(cfg.Disk, cfg.BufPages)
 	led := phase.New(cfg.Disk, cfg.Trace, st.PhaseCPU[:], st.PhaseIO[:], nil, nil)
+	buckets, err := buildPhase(R, n, cfg, rg, dev, led)
+	if err != nil {
+		return st, joinerr.Wrap("shj", PhaseBuild.String(), err)
+	}
+	if err := probePhase(S, buckets, cfg, &st, led); err != nil {
+		return st, joinerr.Wrap("shj", PhaseProbePartition.String(), err)
+	}
+	ex := stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Metrics: cfg.Metrics})
+	if err := joinPhase(buckets, ex, cfg, dev, &st, led, emit); err != nil {
+		return st, joinerr.Wrap("shj", PhaseJoin.String(), err)
+	}
+	publishMetrics(cfg.Metrics, &st, ex.Algorithm())
+	return st, nil
+}
 
-	// Build phase: seed bucket extents from a systematic sample of R
-	// (every len(R)/n-th rectangle, spreading seeds across the data's own
-	// distribution), then assign each R rectangle to the bucket whose
-	// extent needs the least enlargement.
+// buildPhase seeds n bucket extents from a systematic sample of R (every
+// len(R)/n-th rectangle, spreading seeds across the data's own
+// distribution), then assigns each R rectangle to the bucket whose extent
+// needs the least enlargement.
+func buildPhase(R []geom.KPE, n int, cfg Config, rg *diskio.Registry, dev iocost.Device, led *phase.Ledger) ([]*bucket, error) {
 	pt := led.Begin(int(PhaseBuild), PhaseBuild.String())
+	defer pt.End()
 	pt.Span.AddRecords(int64(len(R)))
 	pt.Span.SetAttr("buckets", int64(n))
 	buckets := seedBuckets(R, n)
@@ -168,37 +184,35 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		b.wR = recfile.NewKPEWriter(b.fR, buf)
 		b.wS = recfile.NewKPEWriter(b.fS, buf)
 	}
-	var err error
 	chk := cfg.Cancel.Stride()
 	for i := range R {
-		if err = chk.Point(); err != nil {
-			break
+		if err := chk.Point(); err != nil {
+			return nil, err
 		}
 		b := chooseBucket(buckets, R[i].Rect)
 		b.extent = b.extent.Union(R[i].Rect)
 		b.nR++
-		if err = b.wR.Write(R[i]); err != nil {
-			break
+		if err := b.wR.Write(R[i]); err != nil {
+			return nil, err
 		}
 	}
-	if err == nil {
-		for _, b := range buckets {
-			if err = b.wR.Flush(); err != nil {
-				break
-			}
+	for _, b := range buckets {
+		if err := b.wR.Flush(); err != nil {
+			return nil, err
 		}
 	}
-	pt.End()
-	if err != nil {
-		return st, joinerr.Wrap("shj", PhaseBuild.String(), err)
-	}
+	return buckets, nil
+}
 
-	// Probe partition phase: replicate each S rectangle into every bucket
-	// whose (now final) extent it intersects. Rectangles overlapping no
-	// extent cannot join any R rectangle and are dropped (counted).
-	pt = led.Begin(int(PhaseProbePartition), PhaseProbePartition.String())
+// probePhase replicates each S rectangle into every bucket whose (now
+// final) extent it intersects. Rectangles overlapping no extent cannot
+// join any R rectangle and are dropped (counted).
+func probePhase(S []geom.KPE, buckets []*bucket, cfg Config, st *Stats, led *phase.Ledger) error {
+	pt := led.Begin(int(PhaseProbePartition), PhaseProbePartition.String())
+	defer pt.End()
 	pt.Span.AddRecords(int64(len(S)))
-	chk = cfg.Cancel.Stride()
+	var err error
+	chk := cfg.Cancel.Stride()
 	for i := range S {
 		if err = chk.Point(); err != nil {
 			break
@@ -229,16 +243,18 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	}
 	pt.Span.SetAttr("copies", st.CopiesS)
 	pt.Span.SetAttr("orphans", st.Orphans)
-	pt.End()
-	if err != nil {
-		return st, joinerr.Wrap("shj", PhaseProbePartition.String(), err)
-	}
+	return err
+}
 
-	// Join phase: a serial pre-scan classifies the buckets — skipping (and
-	// tear-verifying) the empty ones, counting overflows, weighing the
-	// rest — and the joinable pairs are the ordered units of the pair
-	// kernel, which releases results in bucket order at any worker count.
-	pt = led.Begin(int(PhaseJoin), PhaseJoin.String())
+// joinPhase joins the bucket pairs on ex: a serial pre-scan classifies
+// the buckets — skipping (and tear-verifying) the empty ones, counting
+// overflows, weighing the rest — and the joinable pairs are the ordered
+// units of the pair kernel, which releases results in bucket order at
+// any worker count.
+func joinPhase(buckets []*bucket, ex *stripe.Exec, cfg Config, dev iocost.Device, st *Stats, led *phase.Ledger, emit func(geom.Pair)) error {
+	pt := led.Begin(int(PhaseJoin), PhaseJoin.String())
+	defer pt.End()
+	var err error
 	var units []*bucket
 	var total int64
 	bucketFill := cfg.Metrics.Histogram(metBucketFill)
@@ -273,28 +289,23 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	// The joinable bucket pairs, record-weighted, are the planned cost.
 	cfg.Progress.SetTotal(float64(total))
 	pt.Span.AddRecords(total)
-	ex := stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Metrics: cfg.Metrics})
-	if err == nil {
-		bucketsDone := cfg.Metrics.Counter(metBucketsDone)
-		err = ex.Run(len(units), "bucket-worker", pt.Span, func(p geom.Pair) {
-			st.Results++
-			emit(p)
-		}, func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
-			if err := joinBucket(sl, emit, units[i], cfg.Cancel, dev.LoadBuf(cfg.Memory, units[i].n*geom.KPESize), pt.Span); err != nil {
-				return err
-			}
-			bucketsDone.Inc()
-			cfg.Progress.Add(float64(units[i].n))
-			return nil
-		})
-		st.Tests, st.Touches = ex.Counts()
-	}
-	pt.End()
 	if err != nil {
-		return st, joinerr.Wrap("shj", PhaseJoin.String(), err)
+		return err
 	}
-	publishMetrics(cfg.Metrics, &st, ex.Algorithm())
-	return st, nil
+	bucketsDone := cfg.Metrics.Counter(metBucketsDone)
+	err = ex.Run(len(units), "bucket-worker", pt.Span, func(p geom.Pair) {
+		st.Results++
+		emit(p)
+	}, func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
+		if err := joinBucket(sl, emit, units[i], cfg.Cancel, dev.LoadBuf(cfg.Memory, units[i].n*geom.KPESize), pt.Span); err != nil {
+			return err
+		}
+		bucketsDone.Inc()
+		cfg.Progress.Add(float64(units[i].n))
+		return nil
+	})
+	st.Tests, st.Touches = ex.Counts()
+	return err
 }
 
 // joinBucket loads bucket b into the slot and joins it under a span of

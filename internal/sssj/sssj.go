@@ -122,10 +122,10 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if cfg.Memory <= 0 {
 		return Stats{}, joinerr.Wrap("sssj", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
+	if cfg.Algorithm == "" || cfg.Algorithm == sweep.NestedLoopsKind {
+		cfg.Algorithm = sweep.TrieKind
+	}
 	var st Stats
-	// The sweep's two cursors read in unit requests; the external sort
-	// sizes its merges from Memory itself.
-	unit := iocost.BufPages(cfg.BufPages)
 	led := phase.New(cfg.Disk, cfg.Trace, st.PhaseCPU[:], st.PhaseIO[:], &st.FirstResultCPU, &st.FirstResultIO)
 
 	// One sweep covers every exit path, so no raw copy or sorted run
@@ -133,44 +133,53 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	reg := cfg.Disk.NewRegistry()
 	defer reg.Sweep()
 
-	// Phase 1: externally sort both relations by the left edge. Writing
-	// the unsorted copy is charged too: unlike PBSM's partition files the
-	// sort needs a materialized input it may read several times.
-	pt := led.Begin(int(PhaseSort), PhaseSort.String())
-	pt.Span.AddRecords(int64(len(R) + len(S)))
-	sortedR, errR := sortByXL(R, cfg, reg, &st, pt.Span)
-	var sortedS *diskio.File
-	var errS error
-	if errR == nil {
-		sortedS, errS = sortByXL(S, cfg, reg, &st, pt.Span)
+	sorted, err := sortPhase(R, S, cfg, reg, &st, led)
+	if err != nil {
+		return st, joinerr.Wrap("sssj", PhaseSort.String(), err)
 	}
-	pt.End()
-	if errR != nil {
-		return st, joinerr.Wrap("sssj", PhaseSort.String(), errR)
+	if err := sweepPhase(sorted, cfg, &st, led, emit); err != nil {
+		return st, joinerr.Wrap("sssj", PhaseSweep.String(), err)
 	}
-	if errS != nil {
-		return st, joinerr.Wrap("sssj", PhaseSort.String(), errS)
-	}
+	publishMetrics(cfg.Metrics, &st, string(cfg.Algorithm))
+	return st, nil
+}
 
-	// Phase 2: one sweep over the two sorted files, read as one merge by
-	// left edge, R before S on equal keys. Each arriving rectangle probes
-	// the other relation's sweep-line status (expiring passed rectangles
-	// lazily) and then joins its own. Only the rectangles currently
-	// stabbed by the sweep line are resident — the memory property SSSJ is
-	// named for.
-	pt = led.Begin(int(PhaseSweep), PhaseSweep.String())
+// sortPhase is phase 1: it externally sorts both relations by the left
+// edge into the two runs the sweep merges. Writing the unsorted copy is
+// charged too: unlike PBSM's partition files the sort needs a
+// materialized input it may read several times.
+func sortPhase(R, S []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, led *phase.Ledger) ([]extsort.Run, error) {
+	pt := led.Begin(int(PhaseSort), PhaseSort.String())
+	defer pt.End()
 	pt.Span.AddRecords(int64(len(R) + len(S)))
-	kind := cfg.Algorithm
-	if kind == "" || kind == sweep.NestedLoopsKind {
-		kind = sweep.TrieKind
+	sortedR, err := sortByXL(R, cfg, reg, st, pt.Span)
+	if err != nil {
+		return nil, err
 	}
+	sortedS, err := sortByXL(S, cfg, reg, st, pt.Span)
+	if err != nil {
+		return nil, err
+	}
+	return []extsort.Run{{File: sortedR, Recs: int64(len(R))}, {File: sortedS, Recs: int64(len(S))}}, nil
+}
+
+// sweepPhase is phase 2: one sweep over the two sorted runs, read as one
+// merge by left edge, R before S on equal keys. Each arriving rectangle
+// probes the other relation's sweep-line status (expiring passed
+// rectangles lazily) and then joins its own. Only the rectangles
+// currently stabbed by the sweep line are resident — the memory property
+// SSSJ is named for. The two cursors read in unit requests; the external
+// sort sizes its merges from Memory itself.
+func sweepPhase(sorted []extsort.Run, cfg Config, st *Stats, led *phase.Ledger, emit func(geom.Pair)) error {
+	pt := led.Begin(int(PhaseSweep), PhaseSweep.String())
+	defer pt.End()
+	pt.Span.AddRecords(sorted[0].Recs + sorted[1].Recs)
 	status := [2]sweep.Status{
-		sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches),
-		sweep.NewStatus(kind, 0, 1, &st.Tests, &st.Touches),
+		sweep.NewStatus(cfg.Algorithm, 0, 1, &st.Tests, &st.Touches),
+		sweep.NewStatus(cfg.Algorithm, 0, 1, &st.Tests, &st.Touches),
 	}
-	sorted := []extsort.Run{{File: sortedR, Recs: int64(len(R))}, {File: sortedS, Recs: int64(len(S))}}
 	mcfg := extsort.Config{Disk: cfg.Disk, RecordSize: geom.KPESize, Cancel: cfg.Cancel, Key: xlKey}
-	_, err := extsort.Merge(sorted, unit, mcfg, func(rec []byte, rel int) error {
+	_, err := extsort.Merge(sorted, iocost.BufPages(cfg.BufPages), mcfg, func(rec []byte, rel int) error {
 		k := geom.DecodeKPE(rec)
 		status[1-rel].Probe(k, func(m geom.KPE) {
 			p := geom.Pair{R: k.ID, S: m.ID}
@@ -186,12 +195,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 		return nil
 	})
 	pt.Span.SetAttr("maxResident", int64(st.MaxResident))
-	pt.End()
-	if err != nil {
-		return st, joinerr.Wrap("sssj", PhaseSweep.String(), err)
-	}
-	publishMetrics(cfg.Metrics, &st, string(kind))
-	return st, nil
+	return err
 }
 
 // sortByXL materializes ks on disk, in unit requests, and externally

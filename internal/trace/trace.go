@@ -208,7 +208,9 @@ func (s *Span) SetAttr(key string, v int64) {
 }
 
 // End closes the span, capturing its duration and I/O delta. Calling End
-// more than once records the span more than once; don't.
+// more than once records the span more than once, so outside this package
+// and phase End is called only as "defer sp.End()" on the line after the
+// span opens (sjlint's spanend).
 func (s *Span) End() {
 	if s == nil {
 		return
