@@ -99,9 +99,10 @@ echo "== fuzz smoke (the sweep's key sort against its order and permutation prop
 go test -run '^$' -fuzz '^FuzzSortByXL$' -fuzztime 10s ./internal/sweep/
 
 echo "== fuzz smoke (S3J's size level against its defining inequality) =="
-# Arbitrary rectangles clamped to the unit square: the level is the
-# largest k with both extents ≤ 2^-k, exactly, with no float slack, and
-# replication stays within four cells.
+# Any finite rectangle, in the unit square or far outside it: the
+# containment cell is the deepest that holds both corners, the size level
+# is the largest k with both extents ≤ 2^-k, exactly, with no float
+# slack, and replication covers both corners' cells within four cells.
 go test -run '^$' -fuzz '^FuzzLevelAssignments$' -fuzztime 10s ./internal/sfc/
 
 echo "== fuzz smoke (extsort's key-only run radix against the comparator path) =="

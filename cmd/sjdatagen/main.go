@@ -11,13 +11,13 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/sfc"
+	"spatialjoin/internal/tsv"
 )
 
 func main() {
@@ -48,11 +48,9 @@ func main() {
 	}
 
 	if *dump {
-		w := bufio.NewWriter(os.Stdout)
-		defer w.Flush()
-		for _, k := range ks {
-			fmt.Fprintf(w, "%d\t%.9f\t%.9f\t%.9f\t%.9f\n",
-				k.ID, k.Rect.XL, k.Rect.YL, k.Rect.XH, k.Rect.YH)
+		if err := tsv.Write(os.Stdout, ks); err != nil {
+			fmt.Fprintf(os.Stderr, "sjdatagen: %v\n", err)
+			os.Exit(1)
 		}
 		return
 	}

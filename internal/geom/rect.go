@@ -165,10 +165,11 @@ func RefPoint(r, s Rect) Point {
 
 // ClampIdx maps a coordinate of the unit interval to a cell index in
 // [0,n), half-open: a point on the seam i/n belongs to the cell above it,
-// and 1 to the last cell. It is the one seam function of PBSM's tile grid
-// and of every stripe layout (package stripe), so an index and the duplicate test that
-// reads it always agree. It is total — 1e300, whose product with n no int
-// holds, or NaN still lands in the first or last cell.
+// and 1 to the last cell. It is the one seam function of PBSM's tile grid,
+// of every stripe layout (package stripe) and of S³J's quadtree cells
+// (sfc.CellAt), so an index and the duplicate test that reads it always
+// agree. It is total — 1e300, whose product with n no int holds, or NaN
+// still lands in the first or last cell.
 func ClampIdx(v float64, n int) int {
 	if !(v > 0) {
 		return 0

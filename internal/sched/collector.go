@@ -11,10 +11,13 @@ import (
 // are buffered until every earlier unit has finished, and then flush in
 // unit order. The delivered sequence is therefore EXACTLY the sequence
 // a serial run of the same units would emit, at the cost of buffering
-// the results of units that finish ahead of the emission head. A flushed
-// buffer goes onto a free list for the next unit that needs one, so the
-// memory allocated for buffering follows the peak backlog, not the total
-// number of results.
+// the results of units that finish ahead of the emission head.
+//
+// A unit buffers into fixed-size blocks, and a flushed block goes onto a
+// free list for whichever unit needs one next. The memory allocated for
+// buffering is therefore the peak backlog rounded up to a block: no
+// buffer is grown by copying, and which unit happens to reuse which
+// buffer, a matter of timing, does not change what is allocated.
 //
 // The sink is only ever invoked with the collector's mutex held, so it
 // needs no synchronization of its own — but it must not call back into
@@ -22,17 +25,21 @@ import (
 type Collector struct {
 	mu   sync.Mutex
 	sink func(geom.Pair)
-	buf  [][]geom.Pair // guarded by mu
-	done []bool        // guarded by mu
-	head int           // guarded by mu; first unit not yet finished; its pairs stream directly
-	free [][]geom.Pair // guarded by mu; flushed buffers, emptied, for reuse
+	buf  [][][]geom.Pair // guarded by mu; each unit's blocks, all but the last full
+	done []bool          // guarded by mu
+	head int             // guarded by mu; first unit not yet finished; its pairs stream directly
+	free [][]geom.Pair   // guarded by mu; flushed blocks, emptied, for reuse
 }
+
+// blockPairs is the capacity of one buffer block: 16 KiB of pairs, one
+// full result batch of a stripe slot.
+const blockPairs = 1024
 
 // NewCollector creates a collector over n units delivering to sink.
 func NewCollector(n int, sink func(geom.Pair)) *Collector {
 	return &Collector{
 		sink: sink,
-		buf:  make([][]geom.Pair, n),
+		buf:  make([][][]geom.Pair, n),
 		done: make([]bool, n),
 	}
 }
@@ -44,18 +51,30 @@ func (c *Collector) Emit(i int, p geom.Pair) {
 	if i == c.head {
 		c.sink(p)
 	} else {
-		c.recycleLocked(i)
-		c.buf[i] = append(c.buf[i], p)
+		c.bufferLocked(i, p)
 	}
 	c.mu.Unlock()
 }
 
-// recycleLocked gives unit i a flushed buffer off the free list when it
-// has none yet.
-func (c *Collector) recycleLocked(i int) {
-	if c.buf[i] == nil && len(c.free) > 0 {
-		c.buf[i] = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
+// bufferLocked appends ps to unit i's blocks, starting a block — off the
+// free list when it has one — whenever the last one is full.
+func (c *Collector) bufferLocked(i int, ps ...geom.Pair) {
+	for len(ps) > 0 {
+		bs := c.buf[i]
+		if len(bs) == 0 || len(bs[len(bs)-1]) == blockPairs {
+			var b []geom.Pair
+			if k := len(c.free); k > 0 {
+				b, c.free = c.free[k-1], c.free[:k-1]
+			} else {
+				b = make([]geom.Pair, 0, blockPairs)
+			}
+			bs = append(bs, b)
+			c.buf[i] = bs
+		}
+		last := &bs[len(bs)-1]
+		n := min(len(ps), blockPairs-len(*last))
+		*last = append(*last, ps[:n]...)
+		ps = ps[n:]
 	}
 }
 
@@ -73,14 +92,13 @@ func (c *Collector) EmitBatch(i int, ps []geom.Pair) {
 			c.sink(p)
 		}
 	} else {
-		c.recycleLocked(i)
-		c.buf[i] = append(c.buf[i], ps...)
+		c.bufferLocked(i, ps...)
 	}
 	c.mu.Unlock()
 }
 
 // Done marks unit i finished. When i is the emission head, the head
-// advances over every finished unit, flushing each one's buffer — and
+// advances over every finished unit, flushing each one's blocks — and
 // the first unfinished unit it lands on streams from then on. Each unit
 // must call Done exactly once, after its last Emit.
 func (c *Collector) Done(i int) {
@@ -88,13 +106,16 @@ func (c *Collector) Done(i int) {
 	c.done[i] = true
 	for c.head < len(c.done) && c.done[c.head] {
 		c.head++
-		if c.head < len(c.buf) && c.buf[c.head] != nil {
-			for _, p := range c.buf[c.head] {
+		if c.head == len(c.buf) {
+			break
+		}
+		for _, b := range c.buf[c.head] {
+			for _, p := range b {
 				c.sink(p)
 			}
-			c.free = append(c.free, c.buf[c.head][:0])
-			c.buf[c.head] = nil
+			c.free = append(c.free, b[:0])
 		}
+		c.buf[c.head] = nil
 	}
 	c.mu.Unlock()
 }

@@ -164,24 +164,24 @@ func TestCollectorSerialOrder(t *testing.T) {
 	}
 }
 
-// TestCollectorRecyclesBuffers: a flushed buffer serves the next unit that
-// has to buffer, and pairs written into a recycled buffer still come out
+// TestCollectorRecyclesBuffers: a flushed block serves the next unit that
+// has to buffer, and pairs written into a recycled block still come out
 // in unit order.
 func TestCollectorRecyclesBuffers(t *testing.T) {
 	var got []geom.Pair
 	c := NewCollector(5, func(p geom.Pair) { got = append(got, p) })
 	c.Emit(1, geom.Pair{R: 1, S: 0})
 	c.Emit(1, geom.Pair{R: 1, S: 1})
-	first := &c.buf[1][0]
+	first := &c.buf[1][0][0]
 	c.Done(1)
 	c.Emit(0, geom.Pair{R: 0, S: 0})
 	c.Done(0) // flushes unit 1; unit 2 is the head now
 	if len(c.free) != 1 {
-		t.Fatalf("free list holds %d buffers after one flush, want 1", len(c.free))
+		t.Fatalf("free list holds %d blocks after one flush, want 1", len(c.free))
 	}
 	c.Emit(3, geom.Pair{R: 3, S: 0})
-	if len(c.free) != 0 || &c.buf[3][0] != first {
-		t.Fatal("unit 3 did not take the flushed buffer of unit 1")
+	if len(c.free) != 0 || &c.buf[3][0][0] != first {
+		t.Fatal("unit 3 did not take the flushed block of unit 1")
 	}
 	c.Emit(4, geom.Pair{R: 4, S: 0})
 	c.Done(4)
@@ -198,7 +198,45 @@ func TestCollectorRecyclesBuffers(t *testing.T) {
 		}
 	}
 	if len(c.free) != 2 {
-		t.Fatalf("free list holds %d buffers at the end, want 2", len(c.free))
+		t.Fatalf("free list holds %d blocks at the end, want 2", len(c.free))
+	}
+}
+
+// TestCollectorBlocks: a backlog longer than a block spans several, a
+// batch that straddles a block's end is split across two, and every
+// flushed block returns to the free list full-sized.
+func TestCollectorBlocks(t *testing.T) {
+	var got []geom.Pair
+	c := NewCollector(2, func(p geom.Pair) { got = append(got, p) })
+	const per = 2*blockPairs + blockPairs/2
+	batch := make([]geom.Pair, 0, 700)
+	for k := 0; k < per; k++ {
+		if batch = append(batch, geom.Pair{R: 1, S: uint64(k)}); len(batch) == cap(batch) || k == per-1 {
+			c.EmitBatch(1, batch)
+			batch = batch[:0]
+		}
+	}
+	if len(c.buf[1]) != 3 {
+		t.Fatalf("%d pairs buffered in %d blocks, want 3", per, len(c.buf[1]))
+	}
+	c.Done(1)
+	c.Emit(0, geom.Pair{R: 0, S: 0})
+	c.Done(0)
+	if len(got) != per+1 || got[0] != (geom.Pair{R: 0, S: 0}) {
+		t.Fatalf("delivered %d pairs starting %+v, want %d starting unit 0's", len(got), got[0], per+1)
+	}
+	for k, p := range got[1:] {
+		if p != (geom.Pair{R: 1, S: uint64(k)}) {
+			t.Fatalf("pair %d of unit 1 = %+v", k, p)
+		}
+	}
+	if len(c.free) != 3 {
+		t.Fatalf("free list holds %d blocks, want 3", len(c.free))
+	}
+	for _, b := range c.free {
+		if len(b) != 0 || cap(b) != blockPairs {
+			t.Fatalf("free block has len %d cap %d, want 0 and %d", len(b), cap(b), blockPairs)
+		}
 	}
 }
 

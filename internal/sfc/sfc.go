@@ -5,13 +5,18 @@
 // Koudas & Sevcik and the size-based rule of the paper's replicated
 // variant (§4.3).
 //
-// The data space is the unit square [0,1)². A cell at level l is one of
-// the 4^l squares of the equidistant grid with 2^l cells per axis; level
-// 0 is the root (the whole space), matching the paper's numbering.
+// The data space is the unit square. A cell at level l is one of the 4^l
+// squares of the equidistant grid with 2^l cells per axis; level 0 is the
+// root (the whole space), matching the paper's numbering. Coordinates
+// become cell indices through geom.ClampIdx alone, the seam function of
+// PBSM's tiles too: seams are half-open (a point on a seam belongs to the
+// cell above it), 1 belongs to the last cell, and every finite coordinate
+// outside [0,1) is clamped to a border cell.
 package sfc
 
 import (
 	"math"
+	"math/bits"
 
 	"spatialjoin/internal/geom"
 )
@@ -53,25 +58,13 @@ func (c Curve) Code(ix, iy uint32, level int) uint64 {
 	return zEncode(ix, iy, level)
 }
 
-// CellAt returns the grid coordinates of the level-l cell containing p.
-// Points on the far boundary of the data space (coordinate exactly 1)
-// are clamped into the last cell so that every point of [0,1]² has a
-// well-defined home cell — the invariant the Reference Point Method
-// relies on.
+// CellAt returns the grid coordinates of the level-l cell containing p,
+// geom.ClampIdx on each axis. Every point thus has exactly one home cell,
+// placed by the rule that places the rectangles — the invariant the
+// Reference Point Method relies on.
 func CellAt(p geom.Point, level int) (ix, iy uint32) {
-	n := uint32(1) << uint(level)
-	return clampCell(p.X, n), clampCell(p.Y, n)
-}
-
-func clampCell(v float64, n uint32) uint32 {
-	if v <= 0 {
-		return 0
-	}
-	i := uint32(v * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return i
+	n := 1 << uint(level)
+	return uint32(geom.ClampIdx(p.X, n)), uint32(geom.ClampIdx(p.Y, n))
 }
 
 // CellRect returns the region of cell (ix, iy) at the given level.
@@ -85,28 +78,22 @@ func CellRect(ix, iy uint32, level int) geom.Rect {
 	}
 }
 
-// CellCovers reports whether the level-l cell (ix, iy) covers r entirely
-// (boundaries allowed).
-func CellCovers(ix, iy uint32, level int, r geom.Rect) bool {
-	return CellRect(ix, iy, level).ContainsRect(r)
-}
-
 // ContainmentLevel implements the original S³J / MX-CIF level assignment:
-// the deepest level (≤ maxLevel) at which a single cell covers r, and the
-// coordinates of that cell. Level 0 (the root) always covers, so the call
-// cannot fail for rectangles within the data space.
+// the deepest level (≤ maxLevel) at which CellAt puts r's corners (XL, YL)
+// and (XH, YH) in the same cell, and the coordinates of that cell. Seams
+// are half-open, 1 is in the last cell and every finite coordinate is
+// clamped, so a high edge on a seam counts in the cell above it, and any
+// finite rectangle gets a cell. Scaling by a power of two is exact, so a
+// cell's index at level l−1 is its index at l shifted right by one: the
+// corners part at the highest bit in which their maxLevel indices differ,
+// and every level above it holds both. Two intersecting rectangles then
+// sit on one root path: their index ranges overlap at every level, so the
+// shallower one's cell is an ancestor of (or equal to) the deeper one's.
 func ContainmentLevel(r geom.Rect, maxLevel int) (level int, ix, iy uint32) {
-	// Find the deepest level by halving: the covering cell of r at any
-	// level is the cell containing r's lower-left corner, so walk down
-	// while that cell still covers r.
-	for l := 1; l <= maxLevel; l++ {
-		cx, cy := CellAt(geom.Point{X: r.XL, Y: r.YL}, l)
-		if !CellCovers(cx, cy, l, r) {
-			return l - 1, ix, iy
-		}
-		ix, iy = cx, cy
-	}
-	return maxLevel, ix, iy
+	x0, y0 := CellAt(geom.Point{X: r.XL, Y: r.YL}, maxLevel)
+	x1, y1 := CellAt(geom.Point{X: r.XH, Y: r.YH}, maxLevel)
+	up := bits.Len32((x0 ^ x1) | (y0 ^ y1))
+	return maxLevel - up, x0 >> uint(up), y0 >> uint(up)
 }
 
 // SizeLevel implements the replicated variant's level assignment (§4.3):
@@ -132,16 +119,17 @@ func SizeLevel(r geom.Rect, maxLevel int) int {
 }
 
 // OverlapCells appends to dst the (ix, iy) coordinates of every level-l
-// cell overlapping r and returns the extended slice. Cells whose shared
-// boundary merely touches r are included, mirroring the closed-rectangle
-// intersection semantics. For a rectangle at its SizeLevel the result has
-// at most four cells, the paper's replication bound.
+// cell from CellAt of r's corner (XL, YL) to CellAt of (XH, YH) and
+// returns the extended slice. An edge on a seam belongs to the cell above
+// the seam, as a point on it does: a high edge there reaches into that
+// cell, a low edge leaves the cell below out. So the set holds the home
+// cell of every point of r, the reference point of each of its pairs
+// among them. For a rectangle at its SizeLevel the result has at most four
+// cells, the paper's replication bound.
 func OverlapCells(r geom.Rect, level int, dst [][2]uint32) [][2]uint32 {
-	n := uint32(1) << uint(level)
-	x0 := clampCell(r.XL, n)
-	x1 := clampCell(r.XH, n)
-	y0 := clampCell(r.YL, n)
-	y1 := clampCell(r.YH, n)
+	n := 1 << uint(level) // CellAt's rule, inline: CellAt is past the inliner's budget
+	x0, x1 := uint32(geom.ClampIdx(r.XL, n)), uint32(geom.ClampIdx(r.XH, n))
+	y0, y1 := uint32(geom.ClampIdx(r.YL, n)), uint32(geom.ClampIdx(r.YH, n))
 	for iy := y0; iy <= y1; iy++ {
 		for ix := x0; ix <= x1; ix++ {
 			dst = append(dst, [2]uint32{ix, iy})

@@ -137,15 +137,16 @@ func TestContainmentLevelCovers(t *testing.T) {
 	}
 	f := func(r geom.Rect) bool {
 		level, ix, iy := ContainmentLevel(r, MaxLevel)
-		if !CellCovers(ix, iy, level, r) {
+		lo, hi := geom.Point{X: r.XL, Y: r.YL}, geom.Point{X: r.XH, Y: r.YH}
+		if !holdsBoth(ix, iy, level, lo, hi) || !CellRect(ix, iy, level).ContainsRect(r) {
 			return false
 		}
-		// Maximality: no child cell covers r (unless at the cap).
+		// Maximality: no child cell holds both corners (unless at the cap).
 		if level == MaxLevel {
 			return true
 		}
-		cx, cy := CellAt(geom.Point{X: r.XL, Y: r.YL}, level+1)
-		return !CellCovers(cx, cy, level+1, r)
+		cx, cy := CellAt(lo, level+1)
+		return !holdsBoth(cx, cy, level+1, lo, hi)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

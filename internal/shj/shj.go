@@ -348,7 +348,10 @@ func seedBuckets(R []geom.KPE, n int) []*bucket {
 
 // chooseBucket returns the bucket whose extent needs the least
 // enlargement to take r, preferring smaller extents on ties and unseeded
-// buckets last.
+// buckets last. When none wins — no bucket is seeded, or every
+// enlargement is NaN (Inf − Inf on extents spanning ±1e300) — the first
+// bucket takes r, seeded with it only if it has no seed yet: a seeded
+// bucket keeps its extent, which the caller's Union grows to hold r.
 func chooseBucket(buckets []*bucket, r geom.Rect) *bucket {
 	var best *bucket
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
@@ -363,10 +366,10 @@ func chooseBucket(buckets []*bucket, r geom.Rect) *bucket {
 		}
 	}
 	if best == nil {
-		// No seeded bucket (degenerate small input): seed the first.
 		best = buckets[0]
-		best.extent = r
-		best.seeded = true
+		if !best.seeded {
+			best.extent, best.seeded = r, true
+		}
 	}
 	return best
 }

@@ -10,8 +10,10 @@ import (
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/iocost"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/pbsm"
+	"spatialjoin/internal/phase"
 	"spatialjoin/internal/recfile"
 	"spatialjoin/internal/sched"
 	"spatialjoin/internal/stripe"
@@ -183,6 +185,56 @@ func TestBucketExtentsCoverBuildSide(t *testing.T) {
 	}
 	if BucketExtents(nil, 4) != nil || BucketExtents(R, 0) != nil {
 		t.Fatal("degenerate inputs must return nil")
+	}
+}
+
+// TestBuildPhaseExtentsHoldTheirRecords: after the build phase every
+// bucket's extent contains each R record written to its file — the
+// condition under which the probe phase sends every partner. The
+// minimized input drives every enlargement to NaN (Inf − Inf) at its
+// third record, so that record goes to the fallback bucket, which must
+// keep the extent of the records already in it.
+func TestBuildPhaseExtentsHoldTheirRecords(t *testing.T) {
+	nan := []geom.KPE{
+		{ID: 1, Rect: geom.NewRect(4194304, 0.5, 1e9, 1000)},
+		{ID: 2, Rect: geom.NewRect(0.5, 0.732706, 0.823825, 1e300)},
+		{ID: 3, Rect: geom.NewRect(-1e300, -1e300, 0.62529, 0.699858)},
+	}
+	wide := append(datagen.LAST(10, 500).KPEs, nan...)
+	for _, c := range []struct {
+		name string
+		R    []geom.KPE
+		n    int
+	}{
+		{"nan/1", nan, 1},
+		{"nan/2", nan, 2},
+		{"last+nan/8", wide, 8},
+	} {
+		cfg := Config{Disk: newDisk(), Memory: 1 << 20}
+		var st Stats
+		led := phase.New(cfg.Disk, nil, st.PhaseCPU[:], st.PhaseIO[:], nil, nil)
+		rg := cfg.Disk.NewRegistry()
+		buckets, err := buildPhase(c.R, c.n, cfg, rg, iocost.DeviceOf(cfg.Disk, 0), led)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		held := 0
+		for i, b := range buckets {
+			ks, err := recfile.ReadAllKPEs(nil, b.fR, 2)
+			if err != nil {
+				t.Fatalf("%s: bucket %d: %v", c.name, i, err)
+			}
+			for _, k := range ks {
+				if !b.extent.ContainsRect(k.Rect) {
+					t.Fatalf("%s: bucket %d's extent %v does not hold its record %v", c.name, i, b.extent, k.Rect)
+				}
+			}
+			held += len(ks)
+		}
+		if held != len(c.R) {
+			t.Fatalf("%s: the buckets hold %d records, want %d", c.name, held, len(c.R))
+		}
+		rg.Sweep()
 	}
 }
 
