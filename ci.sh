@@ -98,6 +98,11 @@ echo "== fuzz smoke (the sweep's key sort against its order and permutation prop
 # in (geom.OrderedKey(XL), input position) order.
 go test -run '^$' -fuzz '^FuzzSortByXL$' -fuzztime 10s ./internal/sweep/
 
+echo "== fuzz smoke (the one plane sweep, list and trie statuses, against nested loops) =="
+# Arbitrary rectangles with shared and touching edges, ±0 and coordinates
+# outside the unit square, through every status organization.
+go test -run '^$' -fuzz '^FuzzPlaneSweep$' -fuzztime 10s ./internal/sweep/
+
 echo "== fuzz smoke (S3J's size level against its defining inequality) =="
 # Any finite rectangle, in the unit square or far outside it: the
 # containment cell is the deepest that holds both corners, the size level

@@ -232,6 +232,12 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if cfg.Memory <= 0 {
 		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
+	switch cfg.Algorithm {
+	case "", sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind:
+	default:
+		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("unknown Config.Algorithm %q: want %q, %q or %q",
+			cfg.Algorithm, sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind))
+	}
 
 	// Input validation below is a per-record scan over arbitrarily large
 	// inputs, so it honors the same checkpoints as every other record

@@ -177,11 +177,7 @@ func ClampIdx(v float64, n int) int {
 	if v >= 1 {
 		return n - 1
 	}
-	i := int(v * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return i
+	return min(int(v*float64(n)), n-1)
 }
 
 // OrderedKey maps x to a word whose unsigned order is the order of the

@@ -127,9 +127,8 @@ func SizeLevel(r geom.Rect, maxLevel int) int {
 // among them. For a rectangle at its SizeLevel the result has at most four
 // cells, the paper's replication bound.
 func OverlapCells(r geom.Rect, level int, dst [][2]uint32) [][2]uint32 {
-	n := 1 << uint(level) // CellAt's rule, inline: CellAt is past the inliner's budget
-	x0, x1 := uint32(geom.ClampIdx(r.XL, n)), uint32(geom.ClampIdx(r.XH, n))
-	y0, y1 := uint32(geom.ClampIdx(r.YL, n)), uint32(geom.ClampIdx(r.YH, n))
+	x0, y0 := CellAt(geom.Point{X: r.XL, Y: r.YL}, level)
+	x1, y1 := CellAt(geom.Point{X: r.XH, Y: r.YH}, level)
 	for iy := y0; iy <= y1; iy++ {
 		for ix := x0; ix <= x1; ix++ {
 			dst = append(dst, [2]uint32{ix, iy})

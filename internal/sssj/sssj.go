@@ -165,8 +165,9 @@ func sortPhase(R, S []geom.KPE, cfg Config, reg *diskio.Registry, st *Stats, led
 
 // sweepPhase is phase 2: one sweep over the two sorted runs, read as one
 // merge by left edge, R before S on equal keys. Each arriving rectangle
-// probes the other relation's sweep-line status (expiring passed
-// rectangles lazily) and then joins its own. Only the rectangles
+// probes the other relation's sweep.Status (expiring passed rectangles
+// lazily) and then joins its own, the step of the in-memory sweeps, with
+// one report function for the whole join. Only the rectangles
 // currently stabbed by the sweep line are resident — the memory property
 // SSSJ is named for. The two cursors read in unit requests; the external
 // sort sizes its merges from Memory itself.
@@ -174,22 +175,19 @@ func sweepPhase(sorted []extsort.Run, cfg Config, st *Stats, led *phase.Ledger, 
 	pt := led.Begin(int(PhaseSweep), PhaseSweep.String())
 	defer pt.End()
 	pt.Span.AddRecords(sorted[0].Recs + sorted[1].Recs)
-	status := [2]sweep.Status{
+	status := [2]*sweep.Status{
 		sweep.NewStatus(cfg.Algorithm, 0, 1, &st.Tests, &st.Touches),
 		sweep.NewStatus(cfg.Algorithm, 0, 1, &st.Tests, &st.Touches),
+	}
+	report := func(r, s geom.KPE) {
+		led.First()
+		st.Results++
+		emit(geom.Pair{R: r.ID, S: s.ID})
 	}
 	mcfg := extsort.Config{Disk: cfg.Disk, RecordSize: geom.KPESize, Cancel: cfg.Cancel, Key: xlKey}
 	_, err := extsort.Merge(sorted, iocost.BufPages(cfg.BufPages), mcfg, func(rec []byte, rel int) error {
 		k := geom.DecodeKPE(rec)
-		status[1-rel].Probe(k, func(m geom.KPE) {
-			p := geom.Pair{R: k.ID, S: m.ID}
-			if rel == 1 {
-				p = geom.Pair{R: m.ID, S: k.ID}
-			}
-			led.First()
-			st.Results++
-			emit(p)
-		})
+		status[1-rel].Probe(k, rel == 1, report)
 		status[rel].Insert(k)
 		st.MaxResident = max(st.MaxResident, status[0].Len()+status[1].Len())
 		return nil

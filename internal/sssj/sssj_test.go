@@ -239,3 +239,21 @@ func TestParallelSortChangesNothingButTime(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepAllocationsDoNotGrowPerRecord: the sweep reports through one
+// emit made per join, and the list status grows by doubling, so a list
+// join of twice the records allocates at most a small constant more.
+func TestSweepAllocationsDoNotGrowPerRecord(t *testing.T) {
+	allocs := func(n int) float64 {
+		R := datagen.Uniform(21, n, 0.01)
+		S := datagen.Uniform(22, n, 0.01)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Join(R, S, Config{Disk: newDisk(), Memory: 1 << 20, Algorithm: sweep.ListKind}, func(geom.Pair) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(2000), allocs(4000); large > small+32 {
+		t.Fatalf("a join of 2×%d records allocates %v times, of 2×%d %v", 2000, small, 4000, large)
+	}
+}

@@ -17,10 +17,10 @@ import "spatialjoin/internal/geom"
 type ListSweep struct {
 	tests   int64
 	touches int64
-	// activeR and activeS are the sweep-line status, kept between Join
-	// calls so that the hundreds of small joins of one partitioned run
-	// reuse one pair of backing arrays.
-	activeR, activeS []geom.KPE
+	// stR and stS are the sweep-line status, two list statuses kept
+	// between Join calls so that the hundreds of small joins of one
+	// partitioned run reuse one pair of backing arrays.
+	stR, stS Status
 	// keys is the sort's scratch (sortByXL), reused the same way: it grows
 	// by doubling to the largest input so far and never shrinks.
 	keys []uint64
@@ -37,9 +37,6 @@ func (a *ListSweep) Tests() int64 { return a.tests }
 // every probe, which is exactly its weakness on large partitions.
 func (a *ListSweep) Touches() int64 { return a.touches }
 
-// ResetTests implements Algorithm.
-func (a *ListSweep) ResetTests() { a.tests, a.touches = 0, 0 }
-
 // Join implements Algorithm.
 func (a *ListSweep) Join(rs, ss []geom.KPE, emit Emit) {
 	a.keys = sortByXL(rs, a.keys)
@@ -49,48 +46,7 @@ func (a *ListSweep) Join(rs, ss []geom.KPE, emit Emit) {
 
 // sweep joins rs and ss, each in sweep order.
 func (a *ListSweep) sweep(rs, ss []geom.KPE, emit Emit) {
-	activeR, activeS := a.activeR[:0], a.activeS[:0]
-	i, j := 0, 0
-	for i < len(rs) || j < len(ss) {
-		fromR := j >= len(ss) || (i < len(rs) && rs[i].Rect.XL <= ss[j].Rect.XL)
-		if fromR {
-			r := rs[i]
-			i++
-			activeS = a.expireAndProbe(activeS, r, emit, false)
-			activeR = append(activeR, r)
-		} else {
-			s := ss[j]
-			j++
-			activeR = a.expireAndProbe(activeR, s, emit, true)
-			activeS = append(activeS, s)
-		}
-	}
-	a.activeR, a.activeS = activeR, activeS
-}
-
-// expireAndProbe removes from active every rectangle whose right edge
-// lies strictly left of probe's left edge (it can no longer intersect
-// anything arriving later), tests the survivors against probe for
-// y-overlap, and returns the compacted list. probeIsS tells which side
-// probe belongs to so the emit arguments keep (R, S) order.
-func (a *ListSweep) expireAndProbe(active []geom.KPE, probe geom.KPE, emit Emit, probeIsS bool) []geom.KPE {
-	a.touches += int64(len(active))
-	x := probe.Rect.XL
-	w := 0
-	for i := range active {
-		if active[i].Rect.XH < x {
-			continue // expired: drop by not copying forward
-		}
-		active[w] = active[i]
-		w++
-		a.tests++
-		if active[i].Rect.IntersectsY(probe.Rect) {
-			if probeIsS {
-				emit(active[i], probe)
-			} else {
-				emit(probe, active[i])
-			}
-		}
-	}
-	return active[:w]
+	a.stR = Status{list: a.stR.list[:0], tests: &a.tests, touches: &a.touches}
+	a.stS = Status{list: a.stS.list[:0], tests: &a.tests, touches: &a.touches}
+	planeSweep(rs, ss, &a.stR, &a.stS, emit)
 }

@@ -2,126 +2,134 @@ package sweep
 
 import "spatialjoin/internal/geom"
 
-// Status is a sweep-line status structure usable in streaming sweeps
-// (package sssj): rectangles enter in ascending order of their left
-// edges, and each probe lazily expires the rectangles the sweep line has
-// passed. The in-memory algorithms of this package are built from the
-// same structures.
-type Status interface {
-	// Insert adds a rectangle to the status.
-	Insert(k geom.KPE)
-	// Probe expires every stored rectangle whose right edge lies strictly
-	// left of probe's left edge, then reports each remaining rectangle
-	// whose y-range overlaps probe's.
-	Probe(probe geom.KPE, report func(geom.KPE))
-	// Len returns the number of resident rectangles (expired entries not
-	// yet removed by a probe still count — they still occupy memory).
-	Len() int
+// Status is the sweep-line status of one relation: the rectangles the
+// sweep line currently stabs. Rectangles enter in ascending order of their
+// left edges, and each probe lazily expires the ones the sweep line has
+// passed. It has one of two organizations, and they are the only thing in
+// which the list sweep of [BKS 93] and the trie sweep of §3.2.2 differ: a
+// plain list of the residents, or an interval trie over their y-ranges.
+// ListSweep and TrieSweep run on it in memory, SSSJ (package sssj) in its
+// streaming sweep.
+type Status struct {
+	// list holds the residents of the list organization.
+	list []geom.KPE
+	// root is the interval trie's root; nil selects the list.
+	root *trieNode
+	// bits is the trie depth, and ymin and inv normalize a y-coordinate
+	// to its key in [0, 2^bits).
+	bits      int
+	ymin, inv float64
+	// n counts the trie's residents.
+	n int
+	// tests receives the candidate tests, touches the status nodes
+	// touched (see Algorithm.Touches).
+	tests, touches *int64
 }
 
 // NewStatus creates a sweep status of the given kind. ymin/ymax bound the
-// y-keys for the trie variant (pass 0 and 1 for the unit data space);
-// tests receives one increment per candidate test and touches one
-// increment per status node touched (see Algorithm.Touches). The
-// nested-loops kind has no status structure and maps to the list.
-func NewStatus(kind Kind, ymin, ymax float64, tests, touches *int64) Status {
-	if kind == TrieKind {
-		if ymax <= ymin {
-			// Degenerate y-extent: every key would scale to 0 (see
-			// newTrieStatus), collapsing the whole trie onto the root
-			// spine — an O(n) scan per probe with trie-node overhead on
-			// top, strictly worse than the plain list. Fall back to the
-			// list status, which handles identical keys at the same
-			// asymptotic cost without the indirection.
-			return &listStatus{tests: tests, touches: touches}
-		}
+// y-keys for the trie (pass 0 and 1 for the unit data space); tests and
+// touches receive the status's counts (see Algorithm). The nested-loops
+// kind has no status structure and maps to the list.
+func NewStatus(kind Kind, ymin, ymax float64, tests, touches *int64) *Status {
+	if kind == TrieKind && ymax > ymin {
 		return newTrieStatus(ymin, ymax, 0, tests, touches)
 	}
-	return &listStatus{tests: tests, touches: touches}
-}
-
-// listStatus keeps the resident rectangles in a plain slice, the
-// organization of the Plane Sweep Intersection-Test [BKS 93].
-type listStatus struct {
-	items   []geom.KPE
-	tests   *int64
-	touches *int64
-}
-
-// Insert implements Status.
-func (l *listStatus) Insert(k geom.KPE) { l.items = append(l.items, k) }
-
-// Len implements Status.
-func (l *listStatus) Len() int { return len(l.items) }
-
-// Probe implements Status.
-func (l *listStatus) Probe(probe geom.KPE, report func(geom.KPE)) {
-	*l.touches += int64(len(l.items))
-	x := probe.Rect.XL
-	w := 0
-	for i := range l.items {
-		if l.items[i].Rect.XH < x {
-			continue // expired
-		}
-		l.items[w] = l.items[i]
-		w++
-		*l.tests++
-		if l.items[i].Rect.IntersectsY(probe.Rect) {
-			report(l.items[i])
-		}
-	}
-	l.items = l.items[:w]
-}
-
-// trieStatus adapts intervalTrie to the Status interface.
-type trieStatus struct {
-	trie  *intervalTrie
-	count int
+	// A degenerate y-extent scales every key to 0 (see newTrieStatus),
+	// collapsing the whole trie onto one spine: an O(n) scan per probe
+	// with trie-node overhead on top, strictly worse than the plain list.
+	return &Status{tests: tests, touches: touches}
 }
 
 // newTrieStatus builds a trie status over y-extent [ymin, ymax]; depth 0
-// selects DefaultTrieDepth.
-//
-// The trie's performance depends on the scale function spreading y-keys
-// over the [0, 2^depth) key space. When ymax <= ymin the inverse scale
-// stays 0 and EVERY key maps to bucket 0: all intervals land on the
-// root spine, probes degenerate to a linear scan of all residents, and
-// the sweep as a whole degrades to O(n²) with a higher constant than
-// the list status. Callers must guard the extent (NewStatus falls back
-// to listStatus); this constructor keeps the degenerate arithmetic
-// well-defined (scale clamps to 0) rather than dividing by zero.
-func newTrieStatus(ymin, ymax float64, depth int, tests, touches *int64) *trieStatus {
+// selects DefaultTrieDepth. When ymax <= ymin the inverse scale stays 0
+// and every key is 0: all intervals land on one spine and probes
+// degenerate to a linear scan of all residents. NewStatus guards the
+// extent; this constructor keeps the degenerate arithmetic well-defined
+// rather than dividing by zero.
+func newTrieStatus(ymin, ymax float64, depth int, tests, touches *int64) *Status {
 	if depth <= 0 {
 		depth = DefaultTrieDepth
 	}
-	inv := 0.0
+	st := &Status{root: &trieNode{}, bits: depth, ymin: ymin, tests: tests, touches: touches}
 	if ymax > ymin {
-		inv = float64(uint32(1)<<uint(depth)-1) / (ymax - ymin)
+		st.inv = st.limit() / (ymax - ymin)
 	}
-	limit := float64(uint32(1)<<uint(depth) - 1)
-	scale := func(y float64) uint32 {
-		v := (y - ymin) * inv
-		if v <= 0 {
-			return 0
-		}
-		if v >= limit {
-			return uint32(limit)
-		}
-		return uint32(v)
-	}
-	return &trieStatus{trie: &intervalTrie{bits: depth, scale: scale, tests: tests, touches: touches}}
+	return st
 }
 
-// Insert implements Status.
-func (t *trieStatus) Insert(k geom.KPE) {
-	t.trie.insert(k)
-	t.count++
+// Len returns the number of resident rectangles (expired entries not yet
+// removed by a probe still count — they still occupy memory).
+func (st *Status) Len() int {
+	if st.root == nil {
+		return len(st.list)
+	}
+	return st.n
 }
 
-// Len implements Status.
-func (t *trieStatus) Len() int { return t.count }
+// Insert adds a rectangle to the status.
+func (st *Status) Insert(k geom.KPE) {
+	if st.root == nil {
+		st.list = append(st.list, k)
+		return
+	}
+	st.insert(k)
+	st.n++
+}
 
-// Probe implements Status.
-func (t *trieStatus) Probe(probe geom.KPE, report func(geom.KPE)) {
-	t.count -= t.trie.probe(probe, report)
+// Probe expires every resident whose right edge lies strictly left of
+// probe's left edge, then reports each remaining one whose y-range
+// overlaps probe's through emit, in (R, S) order: probeIsS tells which
+// relation probe belongs to.
+func (st *Status) Probe(probe geom.KPE, probeIsS bool, emit Emit) {
+	if st.root == nil {
+		*st.touches += int64(len(st.list))
+		st.list = st.scan(st.list, probe, probeIsS, emit)
+		return
+	}
+	st.walk(st.root, st.bits, 0, st.key(probe.Rect.YL), st.key(probe.Rect.YH), probe, probeIsS, emit)
+}
+
+// scan is the sweep's one expire-and-probe step, the list's whole probe
+// and a trie node's visit: it drops from items every rectangle whose right
+// edge lies strictly left of probe's left edge (it can no longer intersect
+// anything arriving later), tests the survivors against probe for
+// y-overlap and returns the compacted items.
+func (st *Status) scan(items []geom.KPE, probe geom.KPE, probeIsS bool, emit Emit) []geom.KPE {
+	x := probe.Rect.XL
+	w := 0
+	for i := range items {
+		if items[i].Rect.XH < x {
+			continue // expired: drop by not copying forward
+		}
+		items[w] = items[i]
+		w++
+		if items[i].Rect.IntersectsY(probe.Rect) {
+			if probeIsS {
+				emit(items[i], probe)
+			} else {
+				emit(probe, items[i])
+			}
+		}
+	}
+	*st.tests += int64(w)
+	return items[:w]
+}
+
+// planeSweep joins rs and ss, each in sweep order, through the statuses
+// stR and stS: a merge by left edge, R first on equal edges, in which
+// every rectangle probes the other relation's status and then enters its
+// own.
+func planeSweep(rs, ss []geom.KPE, stR, stS *Status, emit Emit) {
+	i, j := 0, 0
+	for i < len(rs) || j < len(ss) {
+		if j >= len(ss) || (i < len(rs) && rs[i].Rect.XL <= ss[j].Rect.XL) {
+			stS.Probe(rs[i], false, emit)
+			stR.Insert(rs[i])
+			i++
+		} else {
+			stR.Probe(ss[j], true, emit)
+			stS.Insert(ss[j])
+			j++
+		}
+	}
 }

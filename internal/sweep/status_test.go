@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,31 +12,27 @@ import (
 	"spatialjoin/internal/jointest"
 )
 
-// statusSweep joins two slices through the streaming Status interface
-// the way SSSJ does: merge by XL, probe the other side, insert into own.
+// statusSweep joins two slices through two NewStatus statuses over the
+// unit data space, the way SSSJ does.
 func statusSweep(kind Kind, rs, ss []geom.KPE) []geom.Pair {
+	return statusSweepExtent(kind, 0, 1, rs, ss)
+}
+
+// statusSweepExtent is statusSweep with an explicit y-extent.
+func statusSweepExtent(kind Kind, ymin, ymax float64, rs, ss []geom.KPE) []geom.Pair {
+	var tests, touches int64
+	return sweepStatuses(rs, ss, NewStatus(kind, ymin, ymax, &tests, &touches), NewStatus(kind, ymin, ymax, &tests, &touches))
+}
+
+// sweepStatuses joins copies of rs and ss in the package's one plane
+// sweep through the statuses stR and stS, and returns the pairs sorted.
+func sweepStatuses(rs, ss []geom.KPE, stR, stS *Status) []geom.Pair {
 	rc := append([]geom.KPE(nil), rs...)
 	sc := append([]geom.KPE(nil), ss...)
 	sortByXL(rc, nil)
 	sortByXL(sc, nil)
-	var tests, touches int64
-	stR := NewStatus(kind, 0, 1, &tests, &touches)
-	stS := NewStatus(kind, 0, 1, &tests, &touches)
 	var out []geom.Pair
-	i, j := 0, 0
-	for i < len(rc) || j < len(sc) {
-		if j >= len(sc) || (i < len(rc) && rc[i].Rect.XL <= sc[j].Rect.XL) {
-			r := rc[i]
-			i++
-			stS.Probe(r, func(s geom.KPE) { out = append(out, geom.Pair{R: r.ID, S: s.ID}) })
-			stR.Insert(r)
-		} else {
-			s := sc[j]
-			j++
-			stR.Probe(s, func(r geom.KPE) { out = append(out, geom.Pair{R: r.ID, S: s.ID}) })
-			stS.Insert(s)
-		}
-	}
+	planeSweep(rc, sc, stR, stS, func(r, s geom.KPE) { out = append(out, geom.Pair{R: r.ID, S: s.ID}) })
 	jointest.SortPairs(out)
 	return out
 }
@@ -67,7 +64,7 @@ func TestStatusLenTracksResidency(t *testing.T) {
 		// A probe at x=0.6 must expire the first two (XH < 0.6) that it
 		// visits; the trie only visits overlapping nodes, so Len is an
 		// upper bound — but after a full-range probe it must be exact.
-		st.Probe(geom.KPE{ID: 9, Rect: geom.NewRect(0.6, 0.0, 0.6, 1.0)}, func(geom.KPE) {})
+		st.Probe(geom.KPE{ID: 9, Rect: geom.NewRect(0.6, 0.0, 0.6, 1.0)}, false, func(geom.KPE, geom.KPE) {})
 		if st.Len() != 1 {
 			t.Fatalf("%s: Len after full-range probe = %d, want 1", kind, st.Len())
 		}
@@ -80,12 +77,18 @@ func TestStatusProbeReportsOnlyOverlaps(t *testing.T) {
 		st := NewStatus(kind, 0, 1, &tests, &touches)
 		st.Insert(geom.KPE{ID: 1, Rect: geom.NewRect(0.0, 0.1, 1.0, 0.2)})
 		st.Insert(geom.KPE{ID: 2, Rect: geom.NewRect(0.0, 0.8, 1.0, 0.9)})
-		var hits []uint64
-		st.Probe(geom.KPE{ID: 9, Rect: geom.NewRect(0.5, 0.15, 0.6, 0.5)}, func(k geom.KPE) {
-			hits = append(hits, k.ID)
-		})
-		if len(hits) != 1 || hits[0] != 1 {
-			t.Fatalf("%s: hits = %v, want [1]", kind, hits)
+		for _, probeIsS := range []bool{false, true} {
+			var hits []geom.Pair
+			st.Probe(geom.KPE{ID: 9, Rect: geom.NewRect(0.5, 0.15, 0.6, 0.5)}, probeIsS, func(r, s geom.KPE) {
+				hits = append(hits, geom.Pair{R: r.ID, S: s.ID})
+			})
+			want := geom.Pair{R: 9, S: 1}
+			if probeIsS {
+				want = geom.Pair{R: 1, S: 9}
+			}
+			if len(hits) != 1 || hits[0] != want {
+				t.Fatalf("%s, probeIsS %v: hits = %v, want [%v]", kind, probeIsS, hits, want)
+			}
 		}
 	}
 }
@@ -116,7 +119,7 @@ func TestStatusEquivalenceProperty(t *testing.T) {
 
 func TestStatusNestedMapsToList(t *testing.T) {
 	var tests, touches int64
-	if _, ok := NewStatus(NestedLoopsKind, 0, 1, &tests, &touches).(*listStatus); !ok {
+	if NewStatus(NestedLoopsKind, 0, 1, &tests, &touches).root != nil {
 		t.Fatal("nested-loops kind must map to the list status")
 	}
 }
@@ -142,16 +145,15 @@ func TestStatusSweepTieBreaking(t *testing.T) {
 func TestStatusTrieDegenerateExtentFallsBackToList(t *testing.T) {
 	for _, ext := range [][2]float64{{0.5, 0.5}, {0.7, 0.2}} {
 		var tests, touches int64
-		st := NewStatus(TrieKind, ext[0], ext[1], &tests, &touches)
-		if _, ok := st.(*listStatus); !ok {
-			t.Fatalf("extent [%g,%g]: got %T, want *listStatus fallback", ext[0], ext[1], st)
+		if NewStatus(TrieKind, ext[0], ext[1], &tests, &touches).root != nil {
+			t.Fatalf("extent [%g,%g]: got a trie, want the list fallback", ext[0], ext[1])
 		}
 	}
 
 	// A healthy extent still selects the trie.
 	var tests, touches int64
-	if st := NewStatus(TrieKind, 0, 1, &tests, &touches); func() bool { _, ok := st.(*trieStatus); return !ok }() {
-		t.Fatalf("extent [0,1]: got %T, want *trieStatus", st)
+	if NewStatus(TrieKind, 0, 1, &tests, &touches).root == nil {
+		t.Fatal("extent [0,1]: got the list, want a trie")
 	}
 
 	// Correctness on inputs whose rectangles all share one y-extent —
@@ -168,30 +170,75 @@ func TestStatusTrieDegenerateExtentFallsBackToList(t *testing.T) {
 	comparePairs(t, "degenerate-trie", got, want)
 }
 
-// statusSweepExtent is statusSweep with an explicit y-extent.
-func statusSweepExtent(kind Kind, ymin, ymax float64, rs, ss []geom.KPE) []geom.Pair {
-	rc := append([]geom.KPE(nil), rs...)
-	sc := append([]geom.KPE(nil), ss...)
-	sortByXL(rc, nil)
-	sortByXL(sc, nil)
-	var tests, touches int64
-	stR := NewStatus(kind, ymin, ymax, &tests, &touches)
-	stS := NewStatus(kind, ymin, ymax, &tests, &touches)
-	var out []geom.Pair
-	i, j := 0, 0
-	for i < len(rc) || j < len(sc) {
-		if j >= len(sc) || (i < len(rc) && rc[i].Rect.XL <= sc[j].Rect.XL) {
-			r := rc[i]
-			i++
-			stS.Probe(r, func(s geom.KPE) { out = append(out, geom.Pair{R: r.ID, S: s.ID}) })
-			stR.Insert(r)
-		} else {
-			s := sc[j]
-			j++
-			stR.Probe(s, func(r geom.KPE) { out = append(out, geom.Pair{R: r.ID, S: s.ID}) })
-			stS.Insert(s)
+// TestStatusProbeAllocatesNothing: a probe reports its hits through the
+// caller's emit, so in neither organization does it allocate.
+func TestStatusProbeAllocatesNothing(t *testing.T) {
+	for _, kind := range []Kind{ListKind, TrieKind} {
+		var tests, touches int64
+		st := NewStatus(kind, 0, 1, &tests, &touches)
+		for _, k := range datagen.Uniform(23, 200, 0.1) {
+			st.Insert(k)
+		}
+		hits := 0
+		emit := func(geom.KPE, geom.KPE) { hits++ }
+		// At x = 0 nothing expires, so every run reports the same hits.
+		probe := geom.KPE{ID: 1 << 20, Rect: geom.NewRect(0, 0.2, 0, 0.6)}
+		if allocs := testing.AllocsPerRun(10, func() { st.Probe(probe, true, emit) }); allocs != 0 || hits == 0 {
+			t.Fatalf("%s: a probe reporting %d hits allocates %v times", kind, hits, allocs)
 		}
 	}
-	jointest.SortPairs(out)
-	return out
+}
+
+// fuzzCoords are the edges that stress a sweep: both zeros, a subnormal,
+// the unit square's seams and corners, and values outside it.
+var fuzzCoords = []float64{math.Copysign(0, -1), 0, 5e-324, 0.25, 0.5, 0.75, 1, -1, 2.5}
+
+// fuzzCoord decodes one byte: the low half of the range picks from
+// fuzzCoords, so edges tie exactly and often, and the high half is a
+// 1/32 grid over [−1, 3).
+func fuzzCoord(b byte) float64 {
+	if b < 128 {
+		return fuzzCoords[int(b)%len(fuzzCoords)]
+	}
+	return float64(b-128)/32 - 1
+}
+
+// FuzzPlaneSweep joins arbitrary rectangles with ListSweep, TrieSweep and
+// the streaming sweep over NewStatus (list, trie, and trie over a
+// degenerate y-extent, which falls back to the list) and over a trie whose
+// degenerate extent puts every key on one spine; each must report the
+// nested-loops result. Five bytes make one rectangle: its relation, then
+// its corners. Right edges equal to a later left edge test the strict
+// expiry, and zero widths and heights, shared y-edges and ±0 come often.
+func FuzzPlaneSweep(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 4, 5, 1, 4, 3, 5, 6}) // s's left edge is r's right edge
+	f.Add([]byte{0, 0, 4, 0, 4, 1, 1, 4, 1, 4, 0, 2, 2, 6, 2})
+	f.Add([]byte{0, 0, 1, 1, 6, 1, 1, 0, 0, 6, 1, 7, 7, 8, 8, 0, 128, 160, 192, 224})
+	f.Add([]byte{0, 7, 3, 8, 3, 1, 8, 3, 7, 5, 0, 130, 140, 130, 150, 1, 130, 150, 170, 140})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rs, ss []geom.KPE
+		for i := 0; i+5 <= len(data); i += 5 {
+			k := geom.KPE{ID: uint64(i / 5), Rect: geom.NewRect(fuzzCoord(data[i+1]), fuzzCoord(data[i+2]), fuzzCoord(data[i+3]), fuzzCoord(data[i+4]))}
+			if data[i]&1 == 0 {
+				rs = append(rs, k)
+			} else {
+				ss = append(ss, k)
+			}
+		}
+		want := collect(&NestedLoops{}, rs, ss)
+		var tests, touches int64
+		for _, got := range []struct {
+			name  string
+			pairs []geom.Pair
+		}{
+			{"list", collect(&ListSweep{}, rs, ss)},
+			{"trie", collect(&TrieSweep{}, rs, ss)},
+			{"status-list", statusSweep(ListKind, rs, ss)},
+			{"status-trie", statusSweep(TrieKind, rs, ss)},
+			{"status-trie-degenerate", statusSweepExtent(TrieKind, 0.5, 0.5, rs, ss)},
+			{"trie-spine", sweepStatuses(rs, ss, newTrieStatus(0.5, 0.5, 0, &tests, &touches), newTrieStatus(0.5, 0.5, 0, &tests, &touches))},
+		} {
+			comparePairs(t, got.name, got.pairs, want)
+		}
+	})
 }

@@ -6,9 +6,12 @@
 //
 // All algorithms compute the set of intersecting pairs (r, s), r ∈ R,
 // s ∈ S, and report each pair exactly once through the emit callback.
-// They are the pluggable building block of both PBSM's join phase and
-// S³J's partition joins, and the direct subject of the paper's Figure 4,
-// Figure 5 and Figure 12 experiments.
+// They are the pluggable building block of PBSM's join phase and of SHJ's
+// bucket joins (both through package stripe) and of S³J's partition
+// joins, and the direct subject of the paper's Figure 4, Figure 5 and
+// Figure 12 experiments. The two sweeps differ only in their sweep-line
+// Status, a list or an interval trie, which SSSJ's streaming sweep uses
+// too.
 package sweep
 
 import (
@@ -41,8 +44,6 @@ type Algorithm interface {
 	// status organization itself causes — the quantity behind the
 	// trie-vs-list crossover of §3.2.2.
 	Touches() int64
-	// ResetTests zeroes the test and touch counters.
-	ResetTests()
 }
 
 // Kind names an internal algorithm for configuration surfaces.
@@ -85,9 +86,6 @@ func (a *NestedLoops) Tests() int64 { return a.tests }
 // Touches implements Algorithm. Nested loops has no status structure;
 // every candidate test is exactly one touch.
 func (a *NestedLoops) Touches() int64 { return a.tests }
-
-// ResetTests implements Algorithm.
-func (a *NestedLoops) ResetTests() { a.tests = 0 }
 
 // Join implements Algorithm.
 func (a *NestedLoops) Join(rs, ss []geom.KPE, emit Emit) {

@@ -45,9 +45,9 @@ func BenchmarkTrieStatusInsertProbe(b *testing.B) {
 	var tests, touches int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := newTrieStatus(0, 1, 0, &tests, &touches)
+		st := NewStatus(TrieKind, 0, 1, &tests, &touches)
 		for _, k := range ks {
-			st.Probe(k, func(geom.KPE) {})
+			st.Probe(k, false, func(geom.KPE, geom.KPE) {})
 			st.Insert(k)
 		}
 	}
@@ -58,9 +58,9 @@ func BenchmarkListStatusInsertProbe(b *testing.B) {
 	var tests, touches int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := &listStatus{tests: &tests, touches: &touches}
+		st := NewStatus(ListKind, 0, 1, &tests, &touches)
 		for _, k := range ks {
-			st.Probe(k, func(geom.KPE) {})
+			st.Probe(k, false, func(geom.KPE, geom.KPE) {})
 			st.Insert(k)
 		}
 	}

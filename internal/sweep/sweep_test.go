@@ -151,17 +151,24 @@ func randomKPEs(rng *rand.Rand, n int) []geom.KPE {
 	return ks
 }
 
+// TestTestsCounterAdvancesAndResets: the counters start at zero and add
+// up across joins, so a second identical join doubles them; a fresh
+// algorithm is how a caller starts over.
 func TestTestsCounterAdvancesAndResets(t *testing.T) {
 	rs := datagen.Uniform(7, 100, 0.1)
 	ss := datagen.Uniform(8, 100, 0.1)
 	for _, a := range allAlgorithms() {
+		if a.Tests() != 0 || a.Touches() != 0 {
+			t.Errorf("%s: a fresh algorithm counts %d tests, %d touches", a.Name(), a.Tests(), a.Touches())
+		}
 		collect(a, rs, ss)
-		if a.Tests() == 0 {
+		tests, touches := a.Tests(), a.Touches()
+		if tests == 0 {
 			t.Errorf("%s: Tests() = 0 after a join", a.Name())
 		}
-		a.ResetTests()
-		if a.Tests() != 0 {
-			t.Errorf("%s: ResetTests did not zero", a.Name())
+		collect(a, rs, ss)
+		if a.Tests() != 2*tests || a.Touches() != 2*touches {
+			t.Errorf("%s: a second join took the counts from %d/%d to %d/%d", a.Name(), tests, touches, a.Tests(), a.Touches())
 		}
 	}
 }

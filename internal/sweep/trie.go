@@ -38,9 +38,6 @@ func (a *TrieSweep) Tests() int64 { return a.tests }
 // this grows far slower than the list's entry scans on large partitions.
 func (a *TrieSweep) Touches() int64 { return a.touches }
 
-// ResetTests implements Algorithm.
-func (a *TrieSweep) ResetTests() { a.tests, a.touches = 0, 0 }
-
 // Join implements Algorithm.
 func (a *TrieSweep) Join(rs, ss []geom.KPE, emit Emit) {
 	if len(rs) == 0 || len(ss) == 0 {
@@ -51,67 +48,48 @@ func (a *TrieSweep) Join(rs, ss []geom.KPE, emit Emit) {
 	a.sweep(rs, ss, emit)
 }
 
-// sweep joins rs and ss, each non-empty and in sweep order.
+// sweep joins rs and ss, each non-empty and in sweep order, with y-keys
+// normalized to the joint y-extent of both inputs, so the trie
+// discriminates within the partition actually being joined.
 func (a *TrieSweep) sweep(rs, ss []geom.KPE, emit Emit) {
-	depth := a.Depth
-	if depth <= 0 {
-		depth = DefaultTrieDepth
-	}
-	// Normalize y-keys to the joint y-extent of both inputs so the trie
-	// discriminates within the partition actually being joined.
 	ymin, ymax := rs[0].Rect.YL, rs[0].Rect.YH
-	for _, k := range rs {
-		ymin = min(ymin, k.Rect.YL)
-		ymax = max(ymax, k.Rect.YH)
-	}
-	for _, k := range ss {
-		ymin = min(ymin, k.Rect.YL)
-		ymax = max(ymax, k.Rect.YH)
-	}
-
-	trieR := newTrieStatus(ymin, ymax, depth, &a.tests, &a.touches)
-	trieS := newTrieStatus(ymin, ymax, depth, &a.tests, &a.touches)
-	i, j := 0, 0
-	for i < len(rs) || j < len(ss) {
-		if j >= len(ss) || (i < len(rs) && rs[i].Rect.XL <= ss[j].Rect.XL) {
-			r := rs[i]
-			i++
-			trieS.Probe(r, func(s geom.KPE) { emit(r, s) })
-			trieR.Insert(r)
-		} else {
-			s := ss[j]
-			j++
-			trieR.Probe(s, func(r geom.KPE) { emit(r, s) })
-			trieS.Insert(s)
+	for _, side := range [][]geom.KPE{rs, ss} {
+		for _, k := range side {
+			ymin = min(ymin, k.Rect.YL)
+			ymax = max(ymax, k.Rect.YH)
 		}
 	}
+	planeSweep(rs, ss,
+		newTrieStatus(ymin, ymax, a.Depth, &a.tests, &a.touches),
+		newTrieStatus(ymin, ymax, a.Depth, &a.tests, &a.touches), emit)
 }
 
-// intervalTrie is the sweep-line status for one relation: a binary trie
-// over normalized y-keys whose nodes carry the rectangles assigned to
-// their span.
-type intervalTrie struct {
-	root    trieNode
-	bits    int
-	scale   func(float64) uint32
-	tests   *int64
-	touches *int64
-}
-
+// trieNode is a node of the interval trie: the rectangles assigned to its
+// span and its two halves.
 type trieNode struct {
 	children [2]*trieNode
 	items    []geom.KPE
 }
 
+// limit is the largest key, 2^bits − 1.
+func (st *Status) limit() float64 { return float64(uint32(1)<<uint(st.bits) - 1) }
+
+// key maps y to its trie key, clamped to [0, limit].
+func (st *Status) key(y float64) uint32 {
+	v := (y - st.ymin) * st.inv
+	if v <= 0 {
+		return 0
+	}
+	return uint32(min(v, st.limit()))
+}
+
 // insert stores k at the deepest node whose span covers its y-interval.
-func (t *intervalTrie) insert(k geom.KPE) {
-	lo := t.scale(k.Rect.YL)
-	hi := t.scale(k.Rect.YH)
-	n := &t.root
-	for d := t.bits - 1; d >= 0; d-- {
+func (st *Status) insert(k geom.KPE) {
+	lo, hi := st.key(k.Rect.YL), st.key(k.Rect.YH)
+	n := st.root
+	for d := st.bits - 1; d >= 0; d-- {
 		bl := (lo >> uint(d)) & 1
-		bh := (hi >> uint(d)) & 1
-		if bl != bh {
+		if bl != (hi>>uint(d))&1 {
 			break // interval crosses this node's midpoint: store here
 		}
 		c := n.children[bl]
@@ -124,46 +102,22 @@ func (t *intervalTrie) insert(k geom.KPE) {
 	n.items = append(n.items, k)
 }
 
-// probe reports every live stored rectangle whose y-range overlaps probe,
-// removing entries whose right edge has fallen behind the sweep line. It
-// returns the number of entries removed.
-func (t *intervalTrie) probe(probe geom.KPE, report func(geom.KPE)) int {
-	qlo := t.scale(probe.Rect.YL)
-	qhi := t.scale(probe.Rect.YH)
-	return t.walk(&t.root, t.bits, 0, qlo, qhi, probe, report)
-}
-
-// walk visits node n whose span is [base, base + 2^depthLeft) on the
-// normalized key grid, pruning subtrees outside [qlo, qhi]. It returns
-// the number of expired entries removed.
-func (t *intervalTrie) walk(n *trieNode, depthLeft int, base, qlo, qhi uint32, probe geom.KPE, report func(geom.KPE)) int {
-	*t.touches++
-	x := probe.Rect.XL
-	items := n.items
-	w := 0
-	for i := range items {
-		if items[i].Rect.XH < x {
-			continue // expired under the sweep line: lazy removal
-		}
-		items[w] = items[i]
-		w++
-		*t.tests++
-		if items[i].Rect.IntersectsY(probe.Rect) {
-			report(items[i])
-		}
+// walk visits node n whose span is [base, base + 2^depthLeft) on the key
+// grid, scanning its items and pruning subtrees outside [qlo, qhi].
+func (st *Status) walk(n *trieNode, depthLeft int, base, qlo, qhi uint32, probe geom.KPE, probeIsS bool, emit Emit) {
+	*st.touches++
+	if before := len(n.items); before > 0 { // most nodes on a path hold nothing
+		n.items = st.scan(n.items, probe, probeIsS, emit)
+		st.n -= before - len(n.items)
 	}
-	removed := len(items) - w
-	n.items = items[:w]
-
 	if depthLeft == 0 {
-		return removed
+		return
 	}
 	half := uint32(1) << uint(depthLeft-1)
 	if c := n.children[0]; c != nil && qlo < base+half {
-		removed += t.walk(c, depthLeft-1, base, qlo, qhi, probe, report)
+		st.walk(c, depthLeft-1, base, qlo, qhi, probe, probeIsS, emit)
 	}
 	if c := n.children[1]; c != nil && qhi >= base+half {
-		removed += t.walk(c, depthLeft-1, base+half, qlo, qhi, probe, report)
+		st.walk(c, depthLeft-1, base+half, qlo, qhi, probe, probeIsS, emit)
 	}
-	return removed
 }
