@@ -78,7 +78,8 @@ echo "== go test -race -count=1 ./... =="
 # hammer here — internal/shard/pool_race_test.go (Pool, Lease),
 # internal/metrics/race_test.go and TestRegistryConcurrencyHammer
 # (Registry, vecs), sched.TestCollectorConcurrent,
-# trace.TestRecorderConcurrentUse,
+# trace.TestRecorderConcurrentUse, sweep.TestSortByXLConcurrent (the
+# radix's scratch free list),
 # shard.TestJoinStateConcurrentShards (joinState: one goroutine per
 # simulated shard adds frames and seals, and the merge must emit in
 # partition order on every run) and the shard and chaos joins
@@ -92,10 +93,11 @@ echo "== fuzz smoke (diskio extents against a flat byte-slice model) =="
 # land exactly on them.
 go test -run '^$' -fuzz FuzzFileExtents -fuzztime 10s ./internal/diskio/
 
-echo "== fuzz smoke (the sweep's key sort against its order and permutation properties) =="
+echo "== fuzz smoke (the sweep's key sort, pdqsort below radixMin and radix from it, against its order and permutation properties) =="
 # Arbitrary left edges with exact ties, near-ties inside one high half of
-# the key, ±0 and subnormals: the output must hold every input record once,
-# in (geom.OrderedKey(XL), input position) order.
+# the key, ±0 and subnormals, each sorted as given and tiled past
+# radixMin: the output must hold every input record once, in
+# (geom.OrderedKey(XL), input position) order.
 go test -run '^$' -fuzz '^FuzzSortByXL$' -fuzztime 10s ./internal/sweep/
 
 echo "== fuzz smoke (the one plane sweep, list and trie statuses, against nested loops) =="

@@ -702,9 +702,9 @@ func (j *joiner) mergeRuns(sp *trace.Span) error {
 		return err
 	}
 	var prev geom.Pair
-	// Each cursor takes the share of Memory a merge pass gives it beside
-	// its output stream, although this merge writes none.
-	buf := j.dev.BufFor(j.cfg.Memory, len(runs)+1)
+	// This merge writes no output stream, so its cursors share all of
+	// Memory.
+	buf := j.dev.BufFor(j.cfg.Memory, len(runs))
 	_, err = extsort.Merge(runs, buf, cfg, func(rec []byte, _ int) error {
 		// Results counts what was delivered: zero before the first pair.
 		if p := geom.DecodePair(rec); j.stats.Results == 0 || p != prev {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"spatialjoin/internal/geom"
 )
@@ -103,6 +104,13 @@ func (a *NestedLoops) Join(rs, ss []geom.KPE, emit Emit) {
 // lowHalf masks the low half of a sort word, where the position goes.
 const lowHalf = 1<<32 - 1
 
+// radixMin is the size from which sortWords sorts by radix. Below it
+// pdqsort is faster: the radix pays for its counting arrays whatever the
+// size. On LA_RR segments (BenchmarkSortByXL, 2 vCPUs) 16 records sort
+// at 17–19 ns each by pdqsort and 117–125 by radix, and the two cross
+// between 192 and 384 records.
+const radixMin = 256
+
 // sortByXL puts ks in the sweep order, (geom.OrderedKey(XL), position in
 // ks), through keys, the scratch of the algorithm calling it, and returns
 // keys grown to len(ks) at least. It sorts one word per record instead of
@@ -112,7 +120,9 @@ const lowHalf = 1<<32 - 1
 // input when every left edge lies within a few ulps of the others. Positions
 // are 32-bit, as in package stripe's index, so it panics on 2³² records
 // or more; no caller holds that many in memory (the stripe index refuses
-// them with an error before any sweep).
+// them with an error before any sweep). The radix's second buffer is not
+// keys but one taken from a package free list (takeScratch), so a join's
+// fresh algorithm holds 8 B per record and no more.
 func sortByXL(ks []geom.KPE, keys []uint64) []uint64 {
 	checkPositions(len(ks))
 	if cap(keys) < len(ks) {
@@ -157,13 +167,19 @@ func sortRun(ks []geom.KPE, keys []uint64) {
 	}
 }
 
-// sortWords sorts keys, words whose low halves are positions in ks, and
-// moves every record to where the word carrying its position ended up. The
-// moves follow the cycles of that permutation in place, so no second copy
-// of ks is needed; a word whose low half is its own index is done, which is
-// how each one is marked once its record has arrived. High halves survive.
+// sortWords sorts keys, words whose low halves are positions in ks in
+// ascending order, and moves every record to where the word carrying its
+// position ended up. From radixMin words on, the sort is radixHigh;
+// below, pdqsort. The moves follow the cycles of that permutation in
+// place, so no second copy of ks is needed; a word whose low half is its
+// own index is done, which is how each one is marked once its record has
+// arrived. High halves survive.
 func sortWords(ks []geom.KPE, keys []uint64) {
-	slices.Sort(keys)
+	if len(keys) < radixMin {
+		slices.Sort(keys)
+	} else {
+		radixHigh(keys)
+	}
 	for i := range keys {
 		if int(keys[i]&lowHalf) == i {
 			continue
@@ -180,4 +196,83 @@ func sortWords(ks []geom.KPE, keys []uint64) {
 			j = src
 		}
 	}
+}
+
+// radixHigh sorts keys, whose low halves ascend, by a stable
+// least-significant-digit radix over the high half alone: stability keeps
+// equal high halves in low-half order, so the words end in full order.
+// One pass counts every byte of the high half and the bits that differ
+// between some two keys; a scatter pass runs only for the bytes that
+// vary (as in geom.SortPairs and extsort's sortByKey).
+func radixHigh(keys []uint64) {
+	var at [4][256]uint32
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or, and = or|k, and&k
+		at[0][byte(k>>32)]++
+		at[1][byte(k>>40)]++
+		at[2][byte(k>>48)]++
+		at[3][byte(k>>56)]++
+	}
+	varies := (or ^ and) >> 32
+	if varies == 0 {
+		return
+	}
+	tmp := takeScratch(len(keys))
+	src, dst := keys, tmp
+	for b := range at {
+		if varies>>(8*b)&0xff == 0 {
+			continue
+		}
+		shift, to := 32+8*b, &at[b]
+		next := uint32(0)
+		for d, n := range to {
+			to[d], next = next, next+n
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[to[d]] = k
+			to[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+	giveScratch(tmp)
+}
+
+// scratch is the free list of radixHigh's second buffers: one per sort
+// running at once, each kept at the largest size it has served, for the
+// life of the process. It is not in the algorithm because every join
+// builds fresh ones (stripe.Exec.Run), so scratch held there would be
+// allocated again per join. It is not a sync.Pool because a pool drops
+// what it holds over two collections, and one buffer in four at random
+// under the race detector, and a repeated sort must not allocate.
+var scratch struct {
+	mu   sync.Mutex
+	free [][]uint64 // guarded by mu
+}
+
+// takeScratch returns a buffer of n words from the free list, grown by
+// doubling when the one on top is too small.
+func takeScratch(n int) []uint64 {
+	var buf []uint64
+	scratch.mu.Lock()
+	if top := len(scratch.free) - 1; top >= 0 {
+		buf = scratch.free[top]
+		scratch.free = scratch.free[:top]
+	}
+	scratch.mu.Unlock()
+	if cap(buf) < n {
+		buf = make([]uint64, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
+}
+
+// giveScratch puts buf back on the free list.
+func giveScratch(buf []uint64) {
+	scratch.mu.Lock()
+	scratch.free = append(scratch.free, buf)
+	scratch.mu.Unlock()
 }

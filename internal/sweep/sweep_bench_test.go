@@ -66,11 +66,13 @@ func BenchmarkListStatusInsertProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkSortByXL sorts one side of a stripe (stripe.Records/2 = 1 536
-// records) and a 300k relation of LA_RR segments in generation order;
-// ns/record includes restoring the input before each sort.
+// BenchmarkSortByXL sorts LA_RR segments in generation order: the small
+// inputs of S³J's partitions, the sizes around radixMin where pdqsort and
+// the radix cross, one side of a stripe (stripe.Records/2 = 1 536 records)
+// and a 300k relation; ns/record includes restoring the input before each
+// sort.
 func BenchmarkSortByXL(b *testing.B) {
-	for _, n := range []int{1536, 300_000} {
+	for _, n := range []int{16, 64, 128, 256, 1536, 300_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			in := datagen.LARR(1, n).KPEs
 			ks := make([]geom.KPE, n)

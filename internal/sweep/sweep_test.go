@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,18 @@ func TestSortByXLExactOrder(t *testing.T) {
 		{"n=2-tied", []float64{0.2, 0.2}},
 		{"sorted", xls(2000, func(i int) float64 { return float64(i) / 2000 })},
 		{"reversed", xls(2000, func(i int) float64 { return float64(2000-i) / 2000 })},
+		// Either side of the cutoff between pdqsort and the radix, with
+		// ties from a coarse grid.
+		{"radixMin-1", xls(radixMin-1, func(int) float64 { return float64(rng.Intn(64)) / 64 })},
+		{"radixMin", xls(radixMin, func(int) float64 { return float64(rng.Intn(64)) / 64 })},
+		{"radixMin+1", xls(radixMin+1, func(int) float64 { return float64(rng.Intn(64)) / 64 })},
+		// Keys that differ in the lowest byte of the high half only, so
+		// the radix skips three of its four passes.
+		{"one-byte", xls(1000, func(int) float64 {
+			return math.Float64frombits(math.Float64bits(0.5) + uint64(rng.Intn(256))<<32)
+		})},
+		// Negative and positive left edges: the top byte varies too.
+		{"mixed-sign", xls(1000, func(int) float64 { return rng.Float64() - 0.5 })},
 	}
 	var keys []uint64 // one scratch across the cases, as in a slot
 	for _, tc := range cases {
@@ -351,15 +364,22 @@ func checkSweepOrder(t *testing.T, in, got []geom.KPE) {
 // first adds to the high half of base's bits, the second's low seven bits
 // to the low half and its top bit negates, so inputs hold exact ties,
 // near-ties within one high half, far-apart keys and, from base 0, both
-// zeros and the subnormals.
+// zeros and the subnormals. Each input is sorted twice: as given, most
+// often short enough for pdqsort, and tiled past radixMin, so that the
+// radix sorts the same keys with ties that span the whole input.
 func FuzzSortByXL(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 1, 0, 0x81, 0, 0x80}, 0.0)
 	f.Add([]byte{0, 5, 0, 3, 0, 5, 1, 0, 0, 7, 0, 3}, 0.5)
 	f.Add([]byte{9, 1, 3, 0x82, 9, 1, 200, 4, 3, 0x82}, -1.0)
 	f.Add([]byte{255, 127, 0, 0, 255, 127}, 1e300)
+	long := make([]byte, 2*(radixMin+3))
+	for i := range long {
+		long[i] = byte(i * 37)
+	}
+	f.Add(long, 0.25)
 	f.Fuzz(func(t *testing.T, data []byte, base float64) {
-		in := make([]geom.KPE, len(data)/2)
-		for i := range in {
+		xs := make([]float64, len(data)/2)
+		for i := range xs {
 			x := math.Float64frombits(math.Float64bits(base) + uint64(data[2*i])<<32 + uint64(data[2*i+1]&0x7f))
 			if data[2*i+1]&0x80 != 0 {
 				x = -x
@@ -367,11 +387,18 @@ func FuzzSortByXL(f *testing.F) {
 			if math.IsNaN(x) {
 				t.Skip()
 			}
-			in[i] = geom.KPE{ID: uint64(i), Rect: geom.Rect{XL: x, XH: x}}
+			xs[i] = x
 		}
-		got := slices.Clone(in)
-		sortByXL(got, nil)
-		checkSweepOrder(t, in, got)
+		for _, n := range []int{len(xs), (radixMin/max(len(xs), 1) + 1) * len(xs)} {
+			in := make([]geom.KPE, n)
+			for i := range in {
+				x := xs[i%len(xs)]
+				in[i] = geom.KPE{ID: uint64(i), Rect: geom.Rect{XL: x, XH: x}}
+			}
+			got := slices.Clone(in)
+			sortByXL(got, nil)
+			checkSweepOrder(t, in, got)
+		}
 	})
 }
 
@@ -407,4 +434,47 @@ func TestListSweepReusesScratch(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a repeated join allocates %v times", allocs)
 	}
+}
+
+// TestSortByXLAllocatesNothing: once keys and the radix's free-list buffer
+// have grown, a second sort of an input of the same size allocates
+// nothing, on either side of radixMin.
+func TestSortByXLAllocatesNothing(t *testing.T) {
+	for _, n := range []int{radixMin / 2, 4 * radixMin} {
+		in := datagen.LARR(18, n).KPEs
+		ks := make([]geom.KPE, n)
+		keys := sortByXL(slices.Clone(in), nil)
+		allocs := testing.AllocsPerRun(5, func() {
+			copy(ks, in)
+			keys = sortByXL(ks, keys)
+		})
+		if allocs != 0 {
+			t.Errorf("n=%d: a repeated sort allocates %v times", n, allocs)
+		}
+	}
+}
+
+// TestSortByXLConcurrent: sorts running at once each take their own
+// buffer from the radix's free list, so each ends in the sweep order
+// (run under -race in ci.sh).
+func TestSortByXLConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in := datagen.LARR(int64(20+g), radixMin*(g+1)).KPEs
+			ks := make([]geom.KPE, len(in))
+			var keys []uint64
+			for range 20 {
+				copy(ks, in)
+				keys = sortByXL(ks, keys)
+				if !slices.IsSortedFunc(ks, xlOrder) {
+					t.Errorf("goroutine %d: not in sweep order", g)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
