@@ -232,9 +232,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if cfg.Memory <= 0 {
 		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
-	switch cfg.Algorithm {
-	case "", sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind:
-	default:
+	if !cfg.Algorithm.Valid() {
 		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("unknown Config.Algorithm %q: want %q, %q or %q",
 			cfg.Algorithm, sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind))
 	}
@@ -327,12 +325,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	root := rec.Begin("join:" + string(res.Method))
 	defer root.End()
 	root.AddRecords(int64(len(R) + len(S)))
-	// The checkpoint count funds the overhead-budget test: per-site cost
-	// times this counter must stay within budget. Recorded on every exit.
-	defer func() {
-		jm.checks.Add(chk.Calls())
-		jm.checksNow.Add(chk.NowCalls())
-	}()
+	// The poll count funds the overhead-budget test: per-poll cost times
+	// this counter must stay within budget. Recorded on every exit.
+	defer func() { jm.checks.Add(chk.Polls()) }()
 
 	// fail routes every error exit through one place so aborted joins
 	// leave a footprint: a "cancel" instant event naming the dying phase

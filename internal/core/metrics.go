@@ -21,13 +21,10 @@ const (
 	// deadline — the subset of metJoinsFailed that also leaves a "cancel"
 	// instant in the trace.
 	metJoinsAborted = "core.joins.aborted"
-	// metCancelChecks counts cancellation checkpoints passed (strided
-	// and immediate); per-site cost times this counter is what the
-	// overhead budget bounds.
+	// metCancelChecks counts the join's context polls (govern.Check.Now,
+	// directly or forwarded by a Stride); per-poll cost times this
+	// counter is what the overhead budget bounds.
 	metCancelChecks = "core.cancel.checks"
-	// metCancelChecksNow counts the immediate (unstrided) polls among
-	// them.
-	metCancelChecksNow = "core.cancel.checks.now"
 )
 
 // joinMetrics is the per-Join handle set. Without a registry every
@@ -40,7 +37,6 @@ type joinMetrics struct {
 	results   *metrics.Counter
 	aborted   *metrics.Counter
 	checks    *metrics.Counter
-	checksNow *metrics.Counter
 }
 
 // newJoinMetrics resolves the lifecycle handles.
@@ -53,7 +49,6 @@ func newJoinMetrics(r *metrics.Registry) joinMetrics {
 		results:   r.Counter(metResults),
 		aborted:   r.Counter(metJoinsAborted),
 		checks:    r.Counter(metCancelChecks),
-		checksNow: r.Counter(metCancelChecksNow),
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // AnalyzerCheckpoint keeps cancellation latency bounded: a loop over
 // records — a range over a []geom.KPE or []geom.Pair — inside a join
 // package must contain a govern checkpoint, either directly (a
-// Check.Point/Now or Stride.Point call) or by delegating to a helper
+// Check.Now or Stride.Point call) or by delegating to a helper
 // that receives a *govern.Check or govern.Stride. Record loops are the
 // unbounded hot paths; a new one without a checkpoint would regress the
 // stack's cancellation-latency budget silently.
@@ -34,7 +34,7 @@ func runCheckpoint(p *Pass) {
 			}
 			if !hasCheckpoint(p.Info, rng.Body) {
 				p.Reportf(rng.Pos(),
-					"record loop over %s has no govern checkpoint; call a Check/Stride Point in the body (or pass one to a helper) so cancellation latency stays bounded",
+					"record loop over %s has no govern checkpoint; call Check.Now or Stride.Point in the body (or pass one to a helper) so cancellation latency stays bounded",
 					types.TypeString(tv.Type, func(pkg *types.Package) string { return pkg.Name() }))
 			}
 			return true
@@ -78,8 +78,7 @@ func hasCheckpoint(info *types.Info, body *ast.BlockStmt) bool {
 			return true
 		}
 		if fn := calleeFunc(info, call); fn != nil {
-			if isMethodOn(fn, pathGovern, "Check", "Point") ||
-				isMethodOn(fn, pathGovern, "Check", "Now") ||
+			if isMethodOn(fn, pathGovern, "Check", "Now") ||
 				isMethodOn(fn, pathGovern, "Stride", "Point") {
 				found = true
 				return false

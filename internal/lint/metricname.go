@@ -11,7 +11,7 @@ import (
 
 // AnalyzerMetricname enforces the metrics namespace convention: every
 // name passed to a registration method on *metrics.Registry (Counter,
-// Gauge, FloatGauge, Histogram and their Vec variants) must be a
+// Gauge, Histogram and their Vec variants) must be a
 // declared constant whose declaration lives in the owning package's
 // metrics.go (or *_metrics.go) file, and whose value is dotted
 // lowercase ("diskio.read.requests"). The file rule keeps each
@@ -34,13 +34,11 @@ var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
 // metricRegistrationMethods are the *metrics.Registry methods whose
 // first argument mints a metric name.
 var metricRegistrationMethods = map[string]bool{
-	"Counter":       true,
-	"Gauge":         true,
-	"FloatGauge":    true,
-	"Histogram":     true,
-	"CounterVec":    true,
-	"GaugeVec":      true,
-	"FloatGaugeVec": true,
+	"Counter":    true,
+	"Gauge":      true,
+	"Histogram":  true,
+	"CounterVec": true,
+	"GaugeVec":   true,
 }
 
 func runMetricname(p *Pass) {

@@ -11,10 +11,10 @@ const metWrongFile = "mfix.wrong.file"
 func register(r *metrics.Registry, dynamic string) {
 	r.Counter(metGood)
 	r.CounterVec(metGoodVec, "pool")
-	r.Counter("mfix.literal.name")     // want metricname
-	r.Gauge(metWrongFile)              // want metricname
-	r.FloatGauge(metBadCase)           // want metricname
-	r.Histogram(metNoDots)             // want metricname
-	r.GaugeVec(dynamic, "kind")        // want metricname
-	r.FloatGaugeVec("mfix.x.y"+"", "") // want metricname
+	r.Counter("mfix.literal.name") // want metricname
+	r.Gauge(metWrongFile)          // want metricname
+	r.Gauge(metBadCase)            // want metricname
+	r.Histogram(metNoDots)         // want metricname
+	r.GaugeVec(dynamic, "kind")    // want metricname
+	r.GaugeVec("mfix.x.y"+"", "")  // want metricname
 }

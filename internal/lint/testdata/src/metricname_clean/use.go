@@ -7,9 +7,9 @@ import "spatialjoin/internal/metrics"
 func register(r *metrics.Registry) {
 	r.Counter(metSeen)
 	r.Gauge(metDepth)
-	r.FloatGauge(metFrac)
+	r.Gauge(metFrac)
 	r.Histogram(metLat)
 	r.CounterVec(metDone, "pool")
 	r.GaugeVec(metBusy, "pool")
-	r.FloatGaugeVec(metHeat, "shard")
+	r.GaugeVec(metHeat, "shard")
 }

@@ -117,44 +117,15 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an int64 instantaneous value: queue depths, in-flight
-// counts, claimed bytes. A nil *Gauge is a valid no-op handle.
+// Gauge is an instantaneous value: queue depths, in-flight counts,
+// fractions, seconds. It holds a float64, which represents every count
+// below 2^53 exactly. A nil *Gauge is a valid no-op handle.
 type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta (either sign).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// FloatGauge is a float64 instantaneous value: fractions, seconds. A
-// nil *FloatGauge is a valid no-op handle.
-type FloatGauge struct {
 	bits atomic.Uint64
 }
 
 // Set stores v.
-func (g *FloatGauge) Set(v float64) {
+func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
@@ -162,7 +133,7 @@ func (g *FloatGauge) Set(v float64) {
 }
 
 // Add moves the gauge by delta and returns the new value (0 on nil).
-func (g *FloatGauge) Add(delta float64) float64 {
+func (g *Gauge) Add(delta float64) float64 {
 	if g == nil {
 		return 0
 	}
@@ -178,7 +149,7 @@ func (g *FloatGauge) Add(delta float64) float64 {
 // SetMax stores v only if it exceeds the current value — the monotone
 // store behind the progress fraction, which concurrent workers advance
 // out of order.
-func (g *FloatGauge) SetMax(v float64) {
+func (g *Gauge) SetMax(v float64) {
 	if g == nil {
 		return
 	}
@@ -194,7 +165,7 @@ func (g *FloatGauge) SetMax(v float64) {
 }
 
 // Value returns the current value (0 on nil).
-func (g *FloatGauge) Value() float64 {
+func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
@@ -347,13 +318,8 @@ type instrument struct {
 	kind    Kind
 	counter *Counter
 	gauge   *Gauge
-	fgauge  *FloatGauge
 	hist    *Histogram
 	vec     *vec
-	// float reports whether a gauge family is float-valued (exposition
-	// renders both as floats; snapshots keep the distinction only for
-	// Value lookups).
-	float bool
 }
 
 // vec is a single-label instrument family; children are created on
@@ -420,7 +386,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}).counter
 }
 
-// Gauge returns the named int64 gauge handle. Nil on a nil registry.
+// Gauge returns the named gauge handle. Nil on a nil registry.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
@@ -428,17 +394,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return r.register(name, KindGauge, false, func() *instrument {
 		return &instrument{kind: KindGauge, gauge: &Gauge{}}
 	}).gauge
-}
-
-// FloatGauge returns the named float64 gauge handle. Nil on a nil
-// registry.
-func (r *Registry) FloatGauge(name string) *FloatGauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, KindGauge, false, func() *instrument {
-		return &instrument{kind: KindGauge, fgauge: &FloatGauge{}, float: true}
-	}).fgauge
 }
 
 // Histogram returns the named histogram handle. Nil on a nil registry.
@@ -479,7 +434,7 @@ func (r *Registry) CounterVec(name, labelKey string) *CounterVec {
 	return &CounterVec{v: in.vec}
 }
 
-// GaugeVec is an int64 gauge family keyed by one label. A nil
+// GaugeVec is a gauge family keyed by one label. A nil
 // *GaugeVec is a valid no-op handle.
 type GaugeVec struct{ v *vec }
 
@@ -505,36 +460,6 @@ func (r *Registry) GaugeVec(name, labelKey string) *GaugeVec {
 		}}
 	})
 	return &GaugeVec{v: in.vec}
-}
-
-// FloatGaugeVec is a float64 gauge family keyed by one label. A nil
-// *FloatGaugeVec is a valid no-op handle.
-type FloatGaugeVec struct{ v *vec }
-
-// With returns the child gauge for one label value.
-func (gv *FloatGaugeVec) With(label string) *FloatGauge {
-	if gv == nil {
-		return nil
-	}
-	return gv.v.child(label).fgauge
-}
-
-// FloatGaugeVec returns the named float gauge family with the given
-// label key. Nil on a nil registry.
-func (r *Registry) FloatGaugeVec(name, labelKey string) *FloatGaugeVec {
-	if r == nil {
-		return nil
-	}
-	in := r.register(name, KindGauge, true, func() *instrument {
-		return &instrument{kind: KindGauge, vec: &vec{
-			labelKey: labelKey,
-			children: make(map[string]*instrument),
-			make: func() *instrument {
-				return &instrument{kind: KindGauge, fgauge: &FloatGauge{}, float: true}
-			},
-		}}
-	})
-	return &FloatGaugeVec{v: in.vec}
 }
 
 // Point is one instrument's value in a Snapshot. LabelKey/Label are
@@ -580,9 +505,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case in.counter != nil:
 			p.Value = float64(in.counter.Value())
 		case in.gauge != nil:
-			p.Value = float64(in.gauge.Value())
-		case in.fgauge != nil:
-			p.Value = in.fgauge.Value()
+			p.Value = in.gauge.Value()
 		case in.hist != nil:
 			v := in.hist.View()
 			p.Hist = &v

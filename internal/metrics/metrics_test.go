@@ -15,26 +15,21 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x.y")
 	g := r.Gauge("x.z")
-	fg := r.FloatGauge("x.f")
 	h := r.Histogram("x.h")
 	cv := r.CounterVec("x.cv", "k")
 	gv := r.GaugeVec("x.gv", "k")
-	fv := r.FloatGaugeVec("x.fv", "k")
-	if c != nil || g != nil || fg != nil || h != nil || cv != nil || gv != nil || fv != nil {
+	if c != nil || g != nil || h != nil || cv != nil || gv != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
 	g.Add(-1)
-	fg.Set(1.5)
-	fg.Add(0.5)
-	fg.SetMax(9)
+	g.SetMax(9)
 	h.Observe(42)
 	cv.With("a").Inc()
 	gv.With("a").Set(1)
-	fv.With("a").Set(1)
-	if c.Value() != 0 || g.Value() != 0 || fg.Value() != 0 || h.View().Count != 0 {
+	if c.Value() != 0 || g.Value() != 0 || gv.With("a").Value() != 0 || h.View().Count != 0 {
 		t.Fatal("nil handles must read zero")
 	}
 	if got := r.Snapshot(); len(got.Points) != 0 {
@@ -65,16 +60,16 @@ func TestRegistryBasics(t *testing.T) {
 	g.Set(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+		t.Fatalf("gauge = %v, want 7", got)
 	}
-	fg := r.FloatGauge("frac")
-	fg.Set(0.5)
-	fg.SetMax(0.25) // lower: ignored
-	if got := fg.Value(); got != 0.5 {
+	frac := r.Gauge("frac")
+	frac.Set(0.5)
+	frac.SetMax(0.25) // lower: ignored
+	if got := frac.Value(); got != 0.5 {
 		t.Fatalf("SetMax lowered the gauge: %v", got)
 	}
-	fg.SetMax(0.75)
-	if got := fg.Value(); got != 0.75 {
+	frac.SetMax(0.75)
+	if got := frac.Value(); got != 0.75 {
 		t.Fatalf("SetMax = %v, want 0.75", got)
 	}
 	h := r.Histogram("lat")
@@ -239,15 +234,15 @@ func TestRegistryConcurrencyHammer(t *testing.T) {
 			defer writers.Done()
 			c := r.Counter("ham.counter")
 			g := r.Gauge("ham.gauge")
-			fg := r.FloatGauge("ham.fgauge")
+			mx := r.Gauge("ham.max")
 			h := r.Histogram("ham.hist")
 			cv := r.CounterVec("ham.vec", "w")
 			lbl := string(rune('a' + w%4))
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				g.Add(1)
-				fg.Add(0.5)
-				fg.SetMax(float64(i))
+				mx.Add(0.5)
+				mx.SetMax(float64(i))
 				h.Observe(float64(i % 37))
 				cv.With(lbl).Inc()
 				if i%97 == 0 {
@@ -289,7 +284,10 @@ func TestRegistryConcurrencyHammer(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := New()
 	r.Counter("io.read.requests").Add(12)
-	r.FloatGauge("join.progress.fraction").Set(0.25)
+	r.Gauge("join.progress.fraction").Set(0.25)
+	queued := r.GaugeVec("sched.units.queued", "pool").With("pairs")
+	queued.Set(10)
+	queued.Add(-3)
 	r.CounterVec("sched.units.done", "pool").With(`we"ird\`).Add(3)
 	h := r.Histogram("recovery.seconds")
 	h.Observe(0.5)
@@ -303,6 +301,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE io_read_requests counter\nio_read_requests 12\n",
 		"# TYPE join_progress_fraction gauge\njoin_progress_fraction 0.25\n",
 		`sched_units_done{pool="we\"ird\\"} 3`,
+		"# TYPE sched_units_queued gauge\nsched_units_queued{pool=\"pairs\"} 7\n",
 		"# TYPE recovery_seconds histogram\n",
 		`recovery_seconds_bucket{le="1"} 1`,
 		`recovery_seconds_bucket{le="4"} 2`,
@@ -334,13 +333,21 @@ func TestJSONLExposition(t *testing.T) {
 	r := New()
 	r.Counter("a.count").Add(2)
 	r.Histogram("b.hist").Observe(5)
+	active := r.Gauge("c.active")
+	active.Set(10)
+	active.Add(-3)
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 JSONL lines, got %d: %q", len(lines), buf.String())
+	if len(lines) != 3 {
+		t.Fatalf("want 3 JSONL lines, got %d: %q", len(lines), buf.String())
+	}
+	// A gauge holding a count renders as an integer, as it did when
+	// gauges were int64.
+	if want := `{"name":"c.active","kind":"gauge","value":7}`; lines[2] != want {
+		t.Fatalf("gauge line = %q, want %q", lines[2], want)
 	}
 	for _, line := range lines {
 		var m map[string]any

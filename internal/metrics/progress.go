@@ -15,10 +15,10 @@ import "time"
 // Registry) is a valid no-op handle, preserving the disabled-mode nil
 // fast path.
 type Progress struct {
-	total *FloatGauge
-	done  *FloatGauge
-	frac  *FloatGauge
-	eta   *FloatGauge
+	total *Gauge
+	done  *Gauge
+	frac  *Gauge
+	eta   *Gauge
 	start time.Time
 }
 
@@ -31,10 +31,10 @@ func NewProgress(r *Registry) *Progress {
 		return nil
 	}
 	p := &Progress{
-		total: r.FloatGauge(JoinProgressTotal),
-		done:  r.FloatGauge(JoinProgressDone),
-		frac:  r.FloatGauge(JoinProgressFraction),
-		eta:   r.FloatGauge(JoinProgressETASeconds),
+		total: r.Gauge(JoinProgressTotal),
+		done:  r.Gauge(JoinProgressDone),
+		frac:  r.Gauge(JoinProgressFraction),
+		eta:   r.Gauge(JoinProgressETASeconds),
 		start: time.Now(),
 	}
 	p.total.Set(0)

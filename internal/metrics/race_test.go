@@ -84,7 +84,7 @@ func TestGaugeVecWithConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			children[g] = gv.With("q0")
-			children[g].Set(int64(g))
+			children[g].Set(float64(g))
 		}(g)
 	}
 	wg.Wait()

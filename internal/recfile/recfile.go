@@ -223,26 +223,12 @@ func (w *RecWriter) emit(last bool) error {
 	binary.LittleEndian.PutUint32(w.frame[8:], crc)
 
 	p := w.frame[:frameHeaderSize+w.n*w.rec]
-	for retries := 0; ; {
+	if _, err := retry(w.f, func() (int, error) {
 		n, err := w.w.Write(p)
 		p = p[n:]
-		if err == nil {
-			break
-		}
-		if n > 0 {
-			// Progress means a *different* device request is now failing;
-			// the retry budget is per request. Only consecutive
-			// zero-progress failures repeat one request, and the policy's
-			// burst cap bounds those below MaxRetries.
-			retries = 0
-		}
-		if !diskio.IsTransient(err) || retries >= MaxRetries {
-			return err
-		}
-		retries++
-		if err := w.f.Disk().NoteRetry(w.f.Name()); err != nil {
-			return err
-		}
+		return n, err
+	}); err != nil {
+		return err
 	}
 	w.idx++
 	w.n = 0
@@ -260,17 +246,35 @@ func (w *RecWriter) Flush() error {
 		return err
 	}
 	w.finished = true
+	_, err := retry(w.f, func() (int, error) { return 0, w.w.Flush() })
+	return err
+}
+
+// retry runs op, one buffered request against f, until it succeeds,
+// retrying a transient fault up to MaxRetries times per request and
+// noting each retry on f's disk. It returns the bytes op moved in all
+// its runs.
+func retry(f *diskio.File, op func() (int, error)) (int, error) {
+	total := 0
 	for retries := 0; ; {
-		err := w.w.Flush()
+		n, err := op()
+		total += n
 		if err == nil {
-			return nil
+			return total, nil
+		}
+		if n > 0 {
+			// Progress means a *different* device request is now failing;
+			// the retry budget is per request. Only consecutive
+			// zero-progress failures repeat one request, and the policy's
+			// burst cap bounds those below MaxRetries.
+			retries = 0
 		}
 		if !diskio.IsTransient(err) || retries >= MaxRetries {
-			return err
+			return total, err
 		}
 		retries++
-		if err := w.f.Disk().NoteRetry(w.f.Name()); err != nil {
-			return err
+		if err := f.Disk().NoteRetry(f.Name()); err != nil {
+			return total, err
 		}
 	}
 }
@@ -332,24 +336,11 @@ func (r *RecReader) corrupt(detail string) error {
 // readRetry reads into p with bounded retry on transient faults. It
 // returns the bytes read; fewer than len(p) means the range ended.
 func (r *RecReader) readRetry(p []byte) (int, error) {
-	got := 0
-	for retries := 0; ; {
-		n, err := r.r.Read(p[got:])
-		got += n
-		if err == nil {
-			return got, nil
-		}
-		if n > 0 {
-			retries = 0 // progress: the failing request is a new one
-		}
-		if !diskio.IsTransient(err) || retries >= MaxRetries {
-			return got, err
-		}
-		retries++
-		if err := r.f.Disk().NoteRetry(r.f.Name()); err != nil {
-			return got, err
-		}
-	}
+	return retry(r.f, func() (int, error) {
+		n, err := r.r.Read(p)
+		p = p[n:]
+		return n, err
+	})
 }
 
 // loadFrame reads and verifies the next frame. ok is false at a clean

@@ -607,7 +607,7 @@ func TestProgressIsMonotoneAndExact(t *testing.T) {
 			if final := prog.Fraction(); final != 1 {
 				t.Fatalf("%s: progress %v when Join returned, want exactly 1", label, final)
 			}
-			total := reg.FloatGauge(metrics.JoinProgressTotal).Value()
+			total := reg.Gauge(metrics.JoinProgressTotal).Value()
 			if base := float64(len(R)+len(S)) + float64(st.CopiesR+st.CopiesS); total < base || (total > base) != tc.forced {
 				t.Fatalf("%s: declared total %v, want the %v of partition and scan plus forced-merge records only when forced", label, total, base)
 			}

@@ -72,7 +72,7 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 	}
 	pm := o.poolMetrics()
 	if pm != nil {
-		pm.queued.Add(int64(n))
+		pm.queued.Add(float64(n))
 		defer pm.drain()
 	}
 	if workers < 2 || n < 2 {

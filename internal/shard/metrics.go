@@ -68,8 +68,8 @@ type shardMetrics struct {
 	rederived *metrics.Counter
 	seals     *metrics.Counter
 	aborted   *metrics.Counter
-	beatAge   *metrics.FloatGaugeVec // by shard; 0 when no attempt is in flight
-	recovery  *metrics.Histogram     // seconds, one closed failure window each
+	beatAge   *metrics.GaugeVec  // by shard; 0 when no attempt is in flight
+	recovery  *metrics.Histogram // seconds, one closed failure window each
 
 	degraded        *metrics.Counter
 	netDials        *metrics.Counter
@@ -91,7 +91,7 @@ func newShardMetrics(r *metrics.Registry) *shardMetrics {
 		rederived: r.Counter(metRederived),
 		seals:     r.Counter(metSeals),
 		aborted:   r.Counter(metAborted),
-		beatAge:   r.FloatGaugeVec(metHeartbeatAge, "shard"),
+		beatAge:   r.GaugeVec(metHeartbeatAge, "shard"),
 		recovery:  r.Histogram(metRecoverySeconds),
 
 		degraded:        r.Counter(metDegraded),

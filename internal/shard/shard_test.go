@@ -244,6 +244,7 @@ func TestWorkerRefusesJobItCannotMean(t *testing.T) {
 		"newer coordinator":   {Proto: shard.ProtoVersion + 1, Grid: hashed, Memory: testMemory},
 		"table lost":          {Proto: shard.ProtoVersion, Grid: bare, Memory: testMemory},
 		"rows lost":           {Proto: shard.ProtoVersion, Grid: rowless, Memory: testMemory},
+		"unknown algorithm":   {Proto: shard.ProtoVersion, Grid: hashed, Memory: testMemory, Algorithm: "tri"},
 	} {
 		job, err := json.Marshal(spec)
 		if err != nil {

@@ -115,14 +115,15 @@ func readJob(fr *FrameReader, fw *FrameWriter) (*JobSpec, error) {
 	// A job that decodes but means something else must not run: a
 	// coordinator of another version routes by rules this worker does not
 	// have, and a grid without its table or its rows (Valid) has no
-	// routing or no stripes at all. Joining anyway would put reference
-	// points in the wrong partitions, or results in another order,
-	// silently.
+	// routing or no stripes at all, and an algorithm it does not know
+	// names no sweep. Joining anyway would put reference points in the
+	// wrong partitions, or results in another order, silently.
 	if spec.Proto != ProtoVersion {
 		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job speaks protocol %d, this worker %d", spec.Proto, ProtoVersion))
 	}
-	if !spec.Grid.Valid() || spec.Memory <= 0 {
-		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job spec invalid: grid %s, memory %d", spec.Grid, spec.Memory))
+	if !spec.Grid.Valid() || spec.Memory <= 0 || !spec.Algorithm.Valid() {
+		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job spec invalid: grid %s, memory %d, algorithm %q",
+			spec.Grid, spec.Memory, spec.Algorithm))
 	}
 
 	if k := spec.Kill; k != nil && k.Point == KillSpawn {

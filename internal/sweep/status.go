@@ -1,6 +1,10 @@
 package sweep
 
-import "spatialjoin/internal/geom"
+import (
+	"fmt"
+
+	"spatialjoin/internal/geom"
+)
 
 // Status is the sweep-line status of one relation: the rectangles the
 // sweep line currently stabs. Rectangles enter in ascending order of their
@@ -29,8 +33,12 @@ type Status struct {
 // NewStatus creates a sweep status of the given kind. ymin/ymax bound the
 // y-keys for the trie (pass 0 and 1 for the unit data space); tests and
 // touches receive the status's counts (see Algorithm). The nested-loops
-// kind has no status structure and maps to the list.
+// kind has no status structure and maps to the list, and so does "". Like
+// New, NewStatus panics on a kind that is not Valid.
 func NewStatus(kind Kind, ymin, ymax float64, tests, touches *int64) *Status {
+	if !kind.Valid() {
+		panic(fmt.Sprintf("sweep: unknown kind %q", kind))
+	}
 	if kind == TrieKind && ymax > ymin {
 		return newTrieStatus(ymin, ymax, 0, tests, touches)
 	}

@@ -59,17 +59,29 @@ const (
 	TrieKind Kind = "trie"
 )
 
-// New returns a fresh Algorithm of the given kind. Unknown kinds yield
-// the list sweep, the original PBSM default.
+// Valid reports whether New accepts k: one of the three kinds, or ""
+// for the default.
+func (k Kind) Valid() bool {
+	switch k {
+	case "", NestedLoopsKind, ListKind, TrieKind:
+		return true
+	}
+	return false
+}
+
+// New returns a fresh Algorithm of the given kind; "" yields the list
+// sweep, the original PBSM default. New panics on a kind that is not
+// Valid: every configuration surface refuses one before a join starts.
 func New(k Kind) Algorithm {
 	switch k {
 	case NestedLoopsKind:
 		return &NestedLoops{}
 	case TrieKind:
 		return &TrieSweep{}
-	default:
+	case ListKind, "":
 		return &ListSweep{}
 	}
+	panic(fmt.Sprintf("sweep: unknown kind %q", k))
 }
 
 // NestedLoops tests every pair. It is only competitive for the very small

@@ -200,8 +200,32 @@ func TestNewSelectsKinds(t *testing.T) {
 	if New(TrieKind).Name() != "trie" {
 		t.Error("trie")
 	}
-	if New("unknown").Name() != "list" {
+	if New("").Name() != "list" {
 		t.Error("default must be list")
+	}
+	for _, k := range []Kind{"", NestedLoopsKind, ListKind, TrieKind} {
+		if !k.Valid() {
+			t.Errorf("%q must be valid", k)
+		}
+	}
+	// A kind that is not Valid reaches no sweep: core.Join and a shard
+	// worker refuse it, and New and NewStatus panic rather than run the
+	// list sweep in its place.
+	if Kind("tri").Valid() {
+		t.Fatal(`"tri" must not be valid`)
+	}
+	for name, f := range map[string]func(){
+		"New":       func() { New("tri") },
+		"NewStatus": func() { NewStatus("tri", 0, 1, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf(`%s("tri") must panic`, name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
