@@ -63,10 +63,12 @@ echo "== go test -race -count=1 ./... =="
 # failure with stacks instead of a stuck CI job. -race: the pair kernel of
 # internal/stripe, which PBSM and SHJ run on, hands concurrent scheduler
 # units slot-owned buffers reused from unit to unit and PBSM folds its
-# counters from them (TestStripe* in internal/stripe and internal/pbsm:
-# seam geometry and SHJ bucket bands x dup method x algorithm x workers x
-# budgets against nested loops, emission order, slot trimming,
-# cancellation at every kind of checkpoint); extsort forms
+# counters from them (core.TestLattice: every method x variant x
+# algorithm x budget on seam, border and random geometry at one and three
+# workers and through the shard fleet over pipes and TCP, against nested
+# loops and the one-worker emission order; TestStripe* in internal/stripe
+# and internal/pbsm: SHJ bucket bands, recursion-cap leaves and PairExec,
+# slot trimming, cancellation at every kind of checkpoint); extsort forms
 # runs and s3j's partitioners write scan-order runs from concurrent units,
 # and extsort.Merge, the one k-way merge behind the forced merges, the
 # S3J scan, DupSort and the SSSJ sweep, breaks ties by run ordinal

@@ -59,9 +59,10 @@ type Config struct {
 	// Memory is the main-memory budget in bytes available to the join
 	// (the M of the paper). Required.
 	Memory int64
-	// Algorithm is the internal in-memory join algorithm. Defaults: list
-	// sweep for PBSM, nested loops for S³J — each method's best general
-	// choice per §3.2.2 and §4.4.1.
+	// Algorithm is the internal in-memory join algorithm. Empty leaves
+	// the choice to the method, which defaults to its best general
+	// choice: the list sweep for PBSM and SHJ, nested loops for S³J
+	// (§3.2.2 and §4.4.1), the trie sweep for SSSJ.
 	Algorithm sweep.Kind
 	// Parallel is the worker count for the parallel phases of every
 	// method (PBSM's planner, two partitioners, partition pairs and
@@ -184,20 +185,6 @@ func (c *Config) parallel() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.Parallel
-}
-
-func (c *Config) algorithm() sweep.Kind {
-	if c.Algorithm != "" {
-		return c.Algorithm
-	}
-	switch c.method() {
-	case S3J:
-		return sweep.NestedLoopsKind
-	case SSSJ:
-		return sweep.TrieKind
-	default:
-		return sweep.ListKind
-	}
 }
 
 // Result reports what a join did: result cardinality, I/O activity,
@@ -351,7 +338,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 		st, err := pbsm.Join(R, S, pbsm.Config{
 			Disk:              disk,
 			Memory:            cfg.Memory,
-			Algorithm:         cfg.algorithm(),
+			Algorithm:         cfg.Algorithm,
 			Dup:               cfg.PBSMDup,
 			TuneFactor:        cfg.PBSMTuneFactor,
 			TilesPerPartition: cfg.PBSMTilesPerPartition,
@@ -374,7 +361,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 			Disk:      disk,
 			Memory:    cfg.Memory,
 			Mode:      cfg.S3JMode,
-			Algorithm: cfg.algorithm(),
+			Algorithm: cfg.Algorithm,
 			Curve:     cfg.Curve,
 			Levels:    cfg.S3JLevels,
 			BufPages:  cfg.BufPages,
@@ -394,7 +381,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 		st, err := sssj.Join(R, S, sssj.Config{
 			Disk:      disk,
 			Memory:    cfg.Memory,
-			Algorithm: cfg.algorithm(),
+			Algorithm: cfg.Algorithm,
 			BufPages:  cfg.BufPages,
 			Parallel:  cfg.parallel(),
 			Trace:     root,
@@ -411,7 +398,7 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 		st, err := shj.Join(R, S, shj.Config{
 			Disk:      disk,
 			Memory:    cfg.Memory,
-			Algorithm: cfg.algorithm(),
+			Algorithm: cfg.Algorithm,
 			BufPages:  cfg.BufPages,
 			Parallel:  cfg.parallel(),
 			Trace:     root,

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -17,8 +16,8 @@ import (
 	"spatialjoin/internal/sweep"
 )
 
-// checkJoin runs cfg on (R, S) and compares the result set against the
-// oracle, also asserting duplicate-freeness.
+// checkJoin runs cfg on (R, S) and fails unless it delivers the
+// oracle's pairs, each once, and counts them in Result.Results.
 func checkJoin(t *testing.T, R, S []geom.KPE, cfg Config) Result {
 	t.Helper()
 	want := jointest.Naive(R, S)
@@ -26,149 +25,11 @@ func checkJoin(t *testing.T, R, S []geom.KPE, cfg Config) Result {
 	if err != nil {
 		t.Fatalf("Join failed: %v", err)
 	}
-	seen := make(map[geom.Pair]bool, len(got))
-	for _, p := range got {
-		if seen[p] {
-			t.Fatalf("duplicate pair %v in response set", p)
-		}
-		seen[p] = true
-	}
-	jointest.SortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("result %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
+	jointest.AssertEqual(t, got, want)
 	if res.Results != int64(len(want)) {
 		t.Fatalf("Result.Results = %d, want %d", res.Results, len(want))
 	}
 	return res
-}
-
-// configsUnderTest enumerates every method/algorithm/dup-mode combination
-// the library offers.
-func configsUnderTest(memory int64) []Config {
-	var cfgs []Config
-	for _, alg := range []sweep.Kind{sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind} {
-		for _, dup := range []pbsm.DupMethod{pbsm.DupRPM, pbsm.DupSort} {
-			cfgs = append(cfgs, Config{Method: PBSM, Memory: memory, Algorithm: alg, PBSMDup: dup})
-		}
-		for _, mode := range []s3j.Mode{s3j.ModeOriginal, s3j.ModeReplicate} {
-			cfgs = append(cfgs, Config{Method: S3J, Memory: memory, Algorithm: alg, S3JMode: mode})
-		}
-		cfgs = append(cfgs, Config{Method: SHJ, Memory: memory, Algorithm: alg})
-		if alg != sweep.NestedLoopsKind { // SSSJ sweeps the whole space: no nested loops
-			cfgs = append(cfgs, Config{Method: SSSJ, Memory: memory, Algorithm: alg})
-		}
-	}
-	return cfgs
-}
-
-func configName(c Config) string {
-	switch c.Method {
-	case S3J:
-		return fmt.Sprintf("s3j/%s/%s", c.S3JMode, c.Algorithm)
-	case SSSJ, SHJ:
-		return fmt.Sprintf("%s/%s", c.Method, c.Algorithm)
-	default:
-		return fmt.Sprintf("pbsm/%s/%s", c.PBSMDup, c.Algorithm)
-	}
-}
-
-func TestAllMethodsMatchOracleSmall(t *testing.T) {
-	R := datagen.Uniform(1, 300, 0.05)
-	S := datagen.Uniform(2, 300, 0.05)
-	for _, cfg := range configsUnderTest(8 * 1024) { // tiny memory: forces partitioning
-		cfg := cfg
-		t.Run(configName(cfg), func(t *testing.T) {
-			checkJoin(t, R, S, cfg)
-		})
-	}
-}
-
-func TestAllMethodsMatchOracleClustered(t *testing.T) {
-	R := datagen.LARR(7, 800).KPEs
-	S := datagen.LAST(8, 800).KPEs
-	for _, cfg := range configsUnderTest(16 * 1024) {
-		cfg := cfg
-		t.Run(configName(cfg), func(t *testing.T) {
-			checkJoin(t, R, S, cfg)
-		})
-	}
-}
-
-func TestSelfJoinMatchesOracle(t *testing.T) {
-	R := datagen.Uniform(3, 400, 0.03)
-	for _, cfg := range configsUnderTest(8 * 1024) {
-		cfg := cfg
-		t.Run(configName(cfg), func(t *testing.T) {
-			checkJoin(t, R, R, cfg)
-		})
-	}
-}
-
-func TestLargeMemorySinglePartition(t *testing.T) {
-	R := datagen.Uniform(4, 200, 0.05)
-	S := datagen.Uniform(5, 200, 0.05)
-	for _, cfg := range configsUnderTest(64 << 20) { // everything fits in memory
-		cfg := cfg
-		t.Run(configName(cfg), func(t *testing.T) {
-			checkJoin(t, R, S, cfg)
-		})
-	}
-}
-
-// TestEmissionSequenceInvariantUnderParallel checks the scheduler's
-// determinism contract at the library surface: for every configuration
-// the pairs arrive in the same order — not merely as the same set — at
-// every worker count.
-func TestEmissionSequenceInvariantUnderParallel(t *testing.T) {
-	R := datagen.Uniform(52, 1500, 0.003)
-	S := datagen.Uniform(53, 1500, 0.003)
-	memory := int64(0.15 * float64((len(R)+len(S))*geom.KPESize))
-	for _, cfg := range configsUnderTest(memory) {
-		cfg := cfg
-		t.Run(configName(cfg), func(t *testing.T) {
-			cfg.Parallel = 1
-			serial, _, err := Collect(R, S, cfg)
-			if err != nil {
-				t.Fatalf("serial join failed: %v", err)
-			}
-			if len(serial) == 0 {
-				t.Fatal("input produced no results; the comparison is vacuous")
-			}
-			for _, workers := range []int{2, 4, 8} {
-				cfg.Parallel = workers
-				got, _, err := Collect(R, S, cfg)
-				if err != nil {
-					t.Fatalf("Parallel=%d: join failed: %v", workers, err)
-				}
-				if len(got) != len(serial) {
-					t.Fatalf("Parallel=%d: %d results, serial run has %d", workers, len(got), len(serial))
-				}
-				for i := range got {
-					if got[i] != serial[i] {
-						t.Fatalf("Parallel=%d: result %d is %v, serial run has %v", workers, i, got[i], serial[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestEmptyInputs(t *testing.T) {
-	R := datagen.Uniform(6, 50, 0.05)
-	for _, cfg := range configsUnderTest(8 * 1024) {
-		cfg := cfg
-		t.Run(configName(cfg), func(t *testing.T) {
-			checkJoin(t, nil, R, cfg)
-			checkJoin(t, R, nil, cfg)
-			checkJoin(t, nil, nil, cfg)
-		})
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -206,15 +67,7 @@ func TestIteratorDeliversAllResults(t *testing.T) {
 	if err := it.Err(); err != nil {
 		t.Fatalf("iterator error: %v", err)
 	}
-	jointest.SortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("iterator yielded %d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: got %v want %v", i, got[i], want[i])
-		}
-	}
+	jointest.AssertEqual(t, got, want)
 	if r := it.Result(); r.Results != int64(len(want)) {
 		t.Fatalf("Result.Results = %d, want %d", r.Results, len(want))
 	}

@@ -11,22 +11,6 @@ import (
 	"spatialjoin/internal/trace"
 )
 
-func TestParallelMatchesSequential(t *testing.T) {
-	R := datagen.LARR(1, 3000).KPEs
-	S := datagen.LAST(2, 3000).KPEs
-	for _, workers := range []int{2, 4, 8} {
-		for _, dup := range []DupMethod{DupRPM, DupSort} {
-			seq, _ := run(t, R, S, Config{Memory: 16 << 10, Dup: dup})
-			par, st := run(t, R, S, Config{Memory: 16 << 10, Dup: dup, Parallel: workers})
-			jointest.SortPairs(seq)
-			jointest.AssertEqual(t, par, seq)
-			if st.Tests == 0 {
-				t.Fatal("parallel path must accumulate test counts")
-			}
-		}
-	}
-}
-
 // TestParallelWithRepartitioning is the unit driver's invariance test on
 // an input that repartitions inside its units: for every duplicate
 // method the emission SEQUENCE, every Stats counter and the total I/O

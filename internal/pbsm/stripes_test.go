@@ -73,27 +73,6 @@ func seamInputs(t *testing.T) (R, S []geom.KPE) {
 	return R, S
 }
 
-// checkExactlyOnce fails unless got is the oracle's set with no pair
-// twice.
-func checkExactlyOnce(t *testing.T, label string, got, oracle []geom.Pair) {
-	t.Helper()
-	seen := make(map[geom.Pair]bool, len(got))
-	for _, p := range got {
-		if seen[p] {
-			t.Fatalf("%s: pair %v emitted twice", label, p)
-		}
-		seen[p] = true
-	}
-	if len(got) != len(oracle) {
-		t.Fatalf("%s: emitted %d pairs, oracle has %d", label, len(got), len(oracle))
-	}
-	for _, p := range oracle {
-		if !seen[p] {
-			t.Fatalf("%s: oracle pair %v never emitted", label, p)
-		}
-	}
-}
-
 // bandInputs builds n records a side for one SHJ bucket whose extent is
 // R's, [0, 1] × [lo, hi]: R lies on the seams lo + (hi − lo)·i/k of a
 // K = k band — from one seam to the next, zero-height on one, points on
@@ -130,11 +109,11 @@ func bandInputs(lo, hi float64, k, n int) (R, S []geom.KPE) {
 	return build(false), build(true)
 }
 
-// TestStripeSeamsExactlyOnce drives the kernel over seam geometry against
-// a nested-loops oracle: PBSM's unit-square stripes on its P = 1 path for
-// every duplicate method × internal algorithm × worker count, and SHJ's
-// bands — one bucket whose extent is R's, its stripes over that extent's
-// y-range — for every internal algorithm at one and four workers.
+// TestStripeSeamsExactlyOnce drives the kernel over SHJ's bands against a
+// nested-loops oracle: one bucket whose extent is R's, its stripes over
+// that extent's y-range, for every internal algorithm at one and four
+// workers. (PBSM's unit-square stripes at P = 1 are core.TestLattice's
+// stripe-seams input.)
 func TestStripeSeamsExactlyOnce(t *testing.T) {
 	seamR, seamS := seamInputs(t)
 	bandR, bandS := bandInputs(0.25, 0.75, 4, 5000)
@@ -143,63 +122,23 @@ func TestStripeSeamsExactlyOnce(t *testing.T) {
 	for _, in := range []struct {
 		name string
 		R, S []geom.KPE
-		pbsm bool
 		k    int // SHJ's stripe count over the bucket
 	}{
 		// The bucket's extent is the unit square: coordinates at exactly
 		// 0 and 1, on the band's ends.
-		{"seams", seamR, seamS, true, 4},
+		{"seams", seamR, seamS, 4},
 		// Reference points exactly on the seams 0.375, 0.5 and 0.625 of
 		// the band [0.25, 0.75], S copies reaching past both of its ends.
-		{"band", bandR, bandS, false, 4},
+		{"band", bandR, bandS, 4},
 		// All of R on one horizontal line: a zero-height band, whose
 		// 4000 records must not be cut into stripes.
-		{"zero-height band", lineR, lineS, false, 1},
+		{"zero-height band", lineR, lineS, 1},
 		// R within a subnormal height of y = 0: 1/(hi − lo) overflows.
-		{"subnormal-height band", thinR, thinS, false, 1},
+		{"subnormal-height band", thinR, thinS, 1},
 	} {
 		oracle := jointest.Naive(in.R, in.S)
 		mem := int64(len(in.R)+len(in.S)) * geom.KPESize * 4
 		for _, alg := range []sweep.Kind{sweep.ListKind, sweep.TrieKind, sweep.NestedLoopsKind} {
-			for _, dup := range []DupMethod{DupRPM, DupSort} {
-				if !in.pbsm {
-					break
-				}
-				var first []geom.Pair
-				var firstSt Stats
-				for _, workers := range []int{1, 2, 4} {
-					label := fmt.Sprintf("%s/%v/%s/parallel=%d", in.name, dup, alg, workers)
-					got, st := run(t, in.R, in.S, Config{Memory: mem, Dup: dup, Algorithm: alg, Parallel: workers})
-					if st.P != 1 {
-						t.Fatalf("%s: P = %d, the test must run the in-memory path", label, st.P)
-					}
-					if io := st.TotalIO(); dup != DupSort && io.CostUnits != 0 {
-						t.Fatalf("%s: in-memory join charged %g I/O units", label, io.CostUnits)
-					}
-					checkExactlyOnce(t, label, got, oracle)
-					if st.Results != int64(len(got)) {
-						t.Fatalf("%s: Stats.Results = %d, emitted %d", label, st.Results, len(got))
-					}
-					// Seam-crossing pairs meet in more than one stripe, but a
-					// stripe never reports a candidate whose reference point
-					// lies in another: without partitioning no duplicate method
-					// has anything to remove.
-					if st.RawResults != st.Results {
-						t.Fatalf("%s: RawResults = %d, want Results = %d", label, st.RawResults, st.Results)
-					}
-					if first == nil {
-						first, firstSt = got, st
-						continue
-					}
-					if !slices.Equal(got, first) {
-						t.Fatalf("%s: emission sequence differs from parallel=1", label)
-					}
-					if st.RawResults != firstSt.RawResults || st.Tests != firstSt.Tests {
-						t.Fatalf("%s: RawResults/Tests = %d/%d, parallel=1 had %d/%d",
-							label, st.RawResults, st.Tests, firstSt.RawResults, firstSt.Tests)
-					}
-				}
-			}
 			var first []geom.Pair
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s/shj/%s/parallel=%d", in.name, alg, workers)
@@ -220,7 +159,7 @@ func TestStripeSeamsExactlyOnce(t *testing.T) {
 						t.Fatalf("%s: bucket span carries attrs %v, want stripes = %d", label, sp.Attrs, in.k)
 					}
 				}
-				checkExactlyOnce(t, label, got, oracle)
+				jointest.AssertEqual(t, slices.Clone(got), oracle)
 				if first != nil && !slices.Equal(got, first) {
 					t.Fatalf("%s: emission sequence differs from parallel=1", label)
 				}
@@ -594,7 +533,7 @@ func TestStripePairsExactlyOnce(t *testing.T) {
 							continue
 						}
 						first, firstSt = got, st
-						checkExactlyOnce(t, label, got, oracle)
+						jointest.AssertEqual(t, slices.Clone(got), oracle)
 						if h := setHash(got); h != wantHash {
 							t.Fatalf("%s: set hash %#x, want %#x", label, h, wantHash)
 						}

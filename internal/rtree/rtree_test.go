@@ -97,15 +97,7 @@ func TestJoinMatchesNaive(t *testing.T) {
 		Join(b.tr, b.ts, func(r, s geom.KPE) {
 			got = append(got, geom.Pair{R: r.ID, S: s.ID})
 		})
-		jointest.SortPairs(got)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d pairs, want %d", b.name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: pair %d mismatch", b.name, i)
-			}
-		}
+		jointest.AssertEqual(t, got, want)
 	}
 }
 
@@ -164,15 +156,7 @@ func TestIndexNestedLoopMatchesNaive(t *testing.T) {
 	IndexNestedLoop(Bulk(rs, 0, 0), ss, func(r, s geom.KPE) {
 		got = append(got, geom.Pair{R: r.ID, S: s.ID})
 	})
-	jointest.SortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("%d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d mismatch", i)
-		}
-	}
+	jointest.AssertEqual(t, got, want)
 }
 
 func TestInsertProperty(t *testing.T) {

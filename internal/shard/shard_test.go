@@ -9,7 +9,6 @@ import (
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
-	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/metrics"
@@ -53,44 +52,6 @@ func shardConfig(t *testing.T, n int) shard.Config {
 		Memory:    testMemory,
 		WorkerCmd: cmd,
 		WorkerEnv: env,
-	}
-}
-
-func TestShardJoinMatchesSerial(t *testing.T) {
-	r, s := testData()
-	want := serialPairs(t, r, s)
-	for _, n := range []int{1, 2, 4} {
-		cfg := shardConfig(t, n)
-		var got []geom.Pair
-		res, err := shard.Join(r, s, cfg, func(p geom.Pair) { got = append(got, p) })
-		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: %d results, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: result %d is %+v, want %+v — emission order diverged", n, i, got[i], want[i])
-			}
-		}
-		if res.Results != int64(len(want)) {
-			t.Fatalf("shards=%d: Results=%d, want %d", n, res.Results, len(want))
-		}
-		if res.Stats.Kills != 0 || res.Stats.Restarts != 0 || res.Stats.Absorbed != 0 {
-			t.Fatalf("shards=%d: unexpected fault stats %+v", n, res.Stats)
-		}
-		if res.Stats.WorkerLiveFiles != 0 {
-			t.Fatalf("shards=%d: workers leaked %d files", n, res.Stats.WorkerLiveFiles)
-		}
-		if res.Stats.Spawns < res.Stats.Shards || res.Stats.RemoteLeases != 0 {
-			t.Fatalf("shards=%d: %d spawns and %d remote leases for %d pipe shards", n, res.Stats.Spawns, res.Stats.RemoteLeases, res.Stats.Shards)
-		}
-		// Every pair fits testMemory, so the workers join each one where
-		// it arrived, in memory, and their disks stay untouched.
-		if res.IO != (diskio.Stats{}) || res.CPU <= 0 {
-			t.Fatalf("shards=%d: want no worker I/O and some CPU: %+v", n, res)
-		}
 	}
 }
 

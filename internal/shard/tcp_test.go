@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,42 +27,6 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-func assertSamePairs(t *testing.T, label string, got, want []geom.Pair) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: result %d is %+v, want %+v — emission order diverged", label, i, got[i], want[i])
-		}
-	}
-}
-
-func TestShardJoinOverTCPMatchesSerial(t *testing.T) {
-	r, s := testData()
-	want := serialPairs(t, r, s)
-	for _, n := range []int{1, 2, 4} {
-		cfg := shardConfig(t, n)
-		cfg.Endpoints = residentWorkers(t, n)
-		var got []geom.Pair
-		res, err := shard.Join(r, s, cfg, func(p geom.Pair) { got = append(got, p) })
-		if err != nil {
-			t.Fatalf("shards=%d over tcp: %v", n, err)
-		}
-		assertSamePairs(t, "tcp", got, want)
-		if res.Stats.RemoteLeases < res.Stats.Shards {
-			t.Fatalf("shards=%d: %d remote leases for %d shards", n, res.Stats.RemoteLeases, res.Stats.Shards)
-		}
-		if res.Stats.Spawns != 0 || res.Stats.Degraded != 0 {
-			t.Fatalf("shards=%d: clean tcp run spawned %d local workers, degraded %d shards", n, res.Stats.Spawns, res.Stats.Degraded)
-		}
-		if res.Stats.Kills != 0 || res.Stats.Restarts != 0 || res.Stats.Absorbed != 0 {
-			t.Fatalf("shards=%d: unexpected fault stats %+v", n, res.Stats)
-		}
-	}
-}
-
 func TestShardJoinSharedPoolAcrossJoins(t *testing.T) {
 	r, s := testData()
 	want := serialPairs(t, r, s)
@@ -78,7 +43,9 @@ func TestShardJoinSharedPoolAcrossJoins(t *testing.T) {
 		if _, err := shard.Join(r, s, cfg, func(p geom.Pair) { got = append(got, p) }); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		assertSamePairs(t, "shared pool", got, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("shared pool: %d results, serial %d: set or emission order diverged", len(got), len(want))
+		}
 	}
 	// The pool survived both joins: the resident workers were leased and
 	// returned, never consumed.
@@ -107,7 +74,9 @@ func TestShardJoinDegradesToLocalWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join with a dead fleet: %v", err)
 	}
-	assertSamePairs(t, "degraded", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("degraded: %d results, serial %d: set or emission order diverged", len(got), len(want))
+	}
 	if res.Stats.Degraded != res.Stats.Shards {
 		t.Fatalf("Degraded=%d, want every one of %d shards", res.Stats.Degraded, res.Stats.Shards)
 	}
@@ -146,7 +115,9 @@ func TestShardJoinTCPConnFaultRetries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join with injected reset: %v", err)
 	}
-	assertSamePairs(t, "conn fault", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("conn fault: %d results, serial %d: set or emission order diverged", len(got), len(want))
+	}
 	if pol.Stats().ReadResets != 1 {
 		t.Fatalf("injected %d resets, want exactly 1", pol.Stats().ReadResets)
 	}
@@ -177,7 +148,9 @@ func TestResidentWorkerProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join against resident worker process: %v", err)
 	}
-	assertSamePairs(t, "resident process", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("resident process: %d results, serial %d: set or emission order diverged", len(got), len(want))
+	}
 	if res.Stats.RemoteLeases < res.Stats.Shards || res.Stats.Spawns != 0 {
 		t.Fatalf("stats %+v: want all shards on the resident worker", res.Stats)
 	}

