@@ -74,7 +74,13 @@ echo "== go test -race -count=1 ./... =="
 # S3J scan, DupSort and the SSSJ sweep, breaks ties by run ordinal
 # (stability, run files identical across worker counts, the pinned
 # emission sequence, torn runs, cancellation swept over partitioners,
-# forced merges and scan).
+# forced merges and scan). From two workers on, S3J's scan runs that
+# merge as a stage of its own, which hands batches of records to the
+# cell-join stage on the caller's goroutine: s3j.TestSortAndScanCancellation
+# at 4 workers, which cancels the scan at points spread over the whole
+# merge and wants no pair twice, no file and no goroutine left, is that
+# pipeline's concurrency contract (with core.TestS3JScanPanicReleasesMergeStage
+# for a panicking consumer and the torn-run tests for a failing merge).
 # This step owns the concurrency contracts, the "guarded by mu"
 # annotations and the lock order included: every annotated struct has a
 # hammer here — internal/shard/pool_race_test.go (Pool, Lease),
@@ -119,6 +125,13 @@ echo "== fuzz smoke (extsort's key-only run radix against the comparator path) =
 # passes are common: a key-only run must be byte-identical to the run the
 # comparator path writes, and hold the chunk stably sorted by key.
 go test -run '^$' -fuzz '^FuzzWriteRunKeyOrder$' -fuzztime 10s ./internal/extsort/
+
+echo "== fuzz smoke (extsort's typed merge heap against a stable sort by key, Less and run) =="
+# Runs with heavy ties in Key and in Less, merged by Key alone and by Key
+# with Less: Merge must yield every record once, with its run's index, in
+# the order of a stable sort of the runs' records by key, then Less, then
+# run ordinal.
+go test -run '^$' -fuzz '^FuzzMergeOrder$' -fuzztime 10s ./internal/extsort/
 
 echo "== metrics endpoint smoke (/metrics exposition + progress), overhead budgets =="
 # A PBSM join scraped over metrics.Handler from inside its result stream:

@@ -68,12 +68,14 @@ type Config struct {
 	// method (PBSM's planner, two partitioners, partition pairs and
 	// stripes; SHJ's bucket joins; S³J's two partitioners; the run
 	// formation and merge groups of every external sort and forced
-	// merge), all running on the shared scheduler of package sched. Zero
-	// selects GOMAXPROCS; 1 (or negative) forces sequential execution.
-	// The result set, its emission order and the total simulated I/O are
-	// identical at every worker count. Wall-clock time is not, and nor is
-	// PBSM's per-phase I/O split or its first-result I/O clock (see
-	// pbsm.Stats.PhaseIO and FirstResultIO).
+	// merge), all running on the shared scheduler of package sched, and
+	// from two on S³J's synchronized scan overlaps its merge with its
+	// cell joins. Zero selects GOMAXPROCS; 1 (or negative) forces
+	// sequential execution. The result set, its emission order and the
+	// total simulated I/O are identical at every worker count. Wall-clock
+	// time is not, and nor is PBSM's per-phase I/O split or the
+	// first-result I/O clock of PBSM and S³J (see pbsm.Stats.PhaseIO and
+	// the FirstResultIO of both).
 	Parallel int
 
 	// PBSMDup selects PBSM's duplicate-elimination strategy; default

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"spatialjoin/internal/datagen"
+	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/s3j"
@@ -135,6 +137,54 @@ func TestIteratorRecoversProducerPanic(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before {
 		t.Fatalf("goroutine leak after recovered panic: %d > %d", g, before)
+	}
+}
+
+// TestS3JScanPanicReleasesMergeStage: at two workers S³J's scan runs its
+// merge on a goroutine of its own, which holds every run reader. A panic
+// in the result consumer mid-scan, which Open recovers, must still stop
+// that goroutine and leave no run file behind.
+func TestS3JScanPanicReleasesMergeStage(t *testing.T) {
+	orig := joinFn
+	defer func() { joinFn = orig }()
+	var during int
+	joinFn = func(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
+		n := 0
+		return Join(R, S, cfg, func(p geom.Pair) {
+			emit(p)
+			if n++; n == 100 {
+				during = runtime.NumGoroutine()
+				panic("boom: consumer failure mid-scan")
+			}
+		})
+	}
+	R := datagen.LARR(11, 20000).KPEs
+	S := datagen.LAST(12, 20000).KPEs
+	d := diskio.NewDisk(0, 0, 0)
+	before := runtime.NumGoroutine()
+	it := Open(R, S, Config{Method: S3J, S3JMode: s3j.ModeReplicate, Disk: d, Memory: 64 << 10, Parallel: 2})
+	for {
+		if _, ok := it.Next(); !ok {
+			break
+		}
+	}
+	if err := it.Err(); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Err = %v, want the recovered panic", err)
+	}
+	it.Close()
+	// Open's producer and the merge stage were both running.
+	if during < before+2 {
+		t.Fatalf("%d goroutines at the panic, %d before the join: the merge stage did not run on its own", during, before)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("%d goroutines before the join, %d after the recovered panic", before, g)
+	}
+	if n := d.NumFiles(); n != 0 {
+		t.Fatalf("%d run files left behind: %v", n, d.FileNames())
 	}
 }
 

@@ -15,11 +15,13 @@
 // read back, and their last merge delivers the results, so MergeDown runs
 // only when there are more runs than that merge may hold cursors for.
 //
-// Merge is the tree's one k-way merge of sorted record streams. Every
-// merge pass runs through it, and so do S³J's synchronized scan, which
-// merges the runs of both relations and tells them apart by the run
-// index Merge hands it, PBSM's duplicate-removing final merge, and SSSJ's
-// sweep, a merge of the two sorted relations. Each caller sizes the
+// Merge is the tree's one k-way merge of sorted record streams, over a
+// typed binary heap of (key, run) entries. Every merge pass runs through
+// it, and so do S³J's synchronized scan, which merges the runs of both
+// relations and tells them apart by the run index Merge hands it (from
+// two workers on, on a goroutine of its own that feeds the scan's cell
+// joins), PBSM's duplicate-removing final merge, and SSSJ's sweep, a
+// merge of the two sorted relations. Each caller sizes the
 // cursors' requests, since their rules differ: a merge pass and DupSort
 // share Memory with an output stream, the scan's cursors share it among
 // themselves, SSSJ's sweep reads in unit requests.
@@ -65,9 +67,9 @@ package extsort
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 
 	"spatialjoin/internal/diskio"
@@ -505,90 +507,176 @@ func mergeRuns(out *diskio.File, runs []Run, cfg Config) (int64, int64, error) {
 // until yield returns, and an error from yield ends the merge with that
 // error. Merge creates no file and removes none. It returns the calls of
 // Less.
+//
+// The heap is a typed binary heap of inline (key, run) entries with the
+// sift-down written out twice. Without Less a compare is one 128-bit
+// subtraction of (key, run) pairs and picks the smaller child without a
+// branch. With Less only a tie between equal keys reaches it, then the
+// run ordinal, and the sift-down makes the comparisons container/heap's
+// would, in the same order, so Stats.Comparisons is what it was when the
+// heap went through that package.
 func Merge(runs []Run, bufPages int, cfg Config, yield func(rec []byte, run int) error) (int64, error) {
-	var comps int64
-	h := &mergeHeap{cfg: &cfg, comps: &comps}
+	h := mergeHeap{cfg: &cfg, items: make([]heapEntry, 0, len(runs)), cursors: make([]cursor, len(runs))}
 	for i, rr := range runs {
-		c := &cursor{
-			r:   recfile.NewRecRangeReader(rr.File, cfg.RecordSize, bufPages, 0, rr.Recs),
-			cfg: &cfg,
-			ord: i,
-		}
+		c := &h.cursors[i]
+		c.r = recfile.NewRecRangeReader(rr.File, cfg.RecordSize, bufPages, 0, rr.Recs)
 		ok, err := c.advance()
 		if err != nil {
-			return comps, err
+			return h.comps, err
 		}
 		if ok {
-			h.items = append(h.items, c)
+			h.items = append(h.items, heapEntry{key: cfg.key(c.rec), ord: i})
 		}
 	}
-	heap.Init(h)
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	chk := cfg.Cancel.Stride()
-	for h.Len() > 0 {
+	for len(h.items) > 0 {
 		if err := chk.Point(); err != nil {
-			return comps, err
+			return h.comps, err
 		}
-		c := h.items[0]
-		if err := yield(c.rec, c.ord); err != nil {
-			return comps, err
+		top := &h.items[0]
+		c := &h.cursors[top.ord]
+		if err := yield(c.rec, top.ord); err != nil {
+			return h.comps, err
 		}
-		key := c.key
 		ok, err := c.advance()
 		switch {
 		case err != nil:
-			return comps, err
+			return h.comps, err
 		case !ok:
-			heap.Pop(h)
-		// Without Less, (key, ordinal) is the whole order: a record that
-		// repeats its predecessor's key is still the least, and the heap
-		// stays as it is.
-		case c.key != key || cfg.Less != nil:
-			heap.Fix(h, 0)
+			last := len(h.items) - 1
+			h.items[0] = h.items[last]
+			if h.items = h.items[:last]; last > 0 {
+				h.down(0)
+			}
+		default:
+			// Without Less, (key, ordinal) is the whole order: a record
+			// that repeats its predecessor's key is still the least, and
+			// the heap stays as it is.
+			key := cfg.key(c.rec)
+			if key != top.key || cfg.Less != nil {
+				top.key = key
+				h.down(0)
+			}
 		}
 	}
-	return comps, nil
+	return h.comps, nil
 }
 
-// cursor is one run's read position in a merge: its current record (a
-// view into the reader's frame), that record's key (extracted once, when
-// the record is read) and the run's ordinal in the merge, the last
-// tie-break.
+// cursor is one run's read position in a merge: its current record, a
+// view into the reader's frame.
 type cursor struct {
 	r   *recfile.RecReader
 	rec []byte
-	key uint64
-	cfg *Config
-	ord int
 }
 
 func (c *cursor) advance() (bool, error) {
 	rec, ok, err := c.r.NextRef()
 	if ok && err == nil {
-		c.rec, c.key = rec, c.cfg.key(rec)
+		c.rec = rec
 	}
 	return ok, err
 }
 
-type mergeHeap struct {
-	items []*cursor
-	cfg   *Config
-	comps *int64
+// heapEntry is one cursor in the merge heap: the key of its current
+// record (extracted once, when the record is read) and the run's ordinal
+// in the merge, the last tie-break and the index of its cursor. It holds
+// no pointer, so moving it costs no write barrier.
+type heapEntry struct {
+	key uint64
+	ord int
 }
 
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+// mergeHeap is a binary min-heap of entries ordered key → Less → run
+// ordinal over the cursors of a merge; comps counts the calls of Less.
+type mergeHeap struct {
+	items   []heapEntry
+	cursors []cursor // by run ordinal
+	cfg     *Config
+	comps   int64
+}
+
+// down sifts the entry at i down to its place.
+func (h *mergeHeap) down(i int) {
+	if h.cfg.Less == nil {
+		h.downKey(i)
+	} else {
+		h.downLess(i)
+	}
+}
+
+// downKey is down for a Key-only merge, where (key, run ordinal) is the
+// whole order. It picks the smaller child without a branch, since which
+// one it is cannot be predicted; only the test that ends the sift
+// branches.
+func (h *mergeHeap) downKey(i int) {
+	items := h.items
+	n := len(items)
+	x := items[i]
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n {
+			j += int(keyBefore(&items[r], &items[j]))
+		}
+		if keyBefore(&items[j], &x) == 0 {
+			break
+		}
+		items[i] = items[j]
+		i = j
+	}
+	items[i] = x
+}
+
+// keyBefore is 1 when a comes before b in (key, run ordinal) order and 0
+// otherwise: the borrow of the 128-bit subtraction of b from a.
+func keyBefore(a, b *heapEntry) uint64 {
+	_, borrow := bits.Sub64(uint64(a.ord), uint64(b.ord), 0)
+	_, borrow = bits.Sub64(a.key, b.key, borrow)
+	return borrow
+}
+
+// downLess is down for a merge with Less. It is container/heap's down
+// with the entry held aside instead of swapped at every level: the
+// smaller child is found first (right before left only if strictly
+// before), then compared with the entry, so it calls Less exactly as
+// often as that package did.
+func (h *mergeHeap) downLess(i int) {
+	items := h.items
+	n := len(items)
+	x := items[i]
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.before(&items[r], &items[j]) {
+			j = r
+		}
+		if !h.before(&items[j], &x) {
+			break
+		}
+		items[i] = items[j]
+		i = j
+	}
+	items[i] = x
+}
+
+// before reports whether a's record comes before b's: by key, and
+// between equal keys by Less, then by run ordinal. It inlines into
+// downLess; only a tie pays a call.
+func (h *mergeHeap) before(a, b *heapEntry) bool {
 	if a.key != b.key {
 		return a.key < b.key
 	}
-	return h.cfg.tieBefore(a.rec, b.rec, a.ord < b.ord, h.comps)
+	return h.tieBefore(a, b)
 }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(*cursor)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+
+// tieBefore breaks a tie between equal keys.
+func (h *mergeHeap) tieBefore(a, b *heapEntry) bool {
+	return h.cfg.tieBefore(h.cursors[a.ord].rec, h.cursors[b.ord].rec, a.ord < b.ord, &h.comps)
 }

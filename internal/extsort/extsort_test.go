@@ -736,3 +736,70 @@ func FuzzWriteRunKeyOrder(f *testing.F) {
 		checkKeyOrderRun(t, keyedChunk(keys))
 	})
 }
+
+// FuzzMergeOrder: runs drawn from the input, with heavy ties in Key and
+// in Less, are merged by Key alone and by Key with Less for the ties, and
+// Merge must yield every record once, with the index of its run, in the
+// order of a stable sort of the runs' records, taken in run order, by
+// key, then Less.
+func FuzzMergeOrder(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, uint8(2))
+	f.Add(bytes.Repeat([]byte{0x35, 0x81}, 200), uint8(6))
+	f.Fuzz(func(t *testing.T, raw []byte, nruns uint8) {
+		k := 1 + int(nruns%8)
+		chunks := make([][]byte, k)
+		for i := 0; i+1 < len(raw); i += 2 {
+			b0, b1 := raw[i], raw[i+1]
+			run := int(b0) % k
+			rec := make([]byte, tieRecSize)
+			major := uint32(b0>>4) & 3 // four keys: ties everywhere
+			if b1&0x80 != 0 {
+				major |= 1 << 31
+			}
+			binary.LittleEndian.PutUint32(rec, major)
+			binary.LittleEndian.PutUint32(rec[4:], uint32(b1&3))
+			binary.LittleEndian.PutUint64(rec[8:], uint64(run)<<32|uint64(len(chunks[run])/tieRecSize))
+			chunks[run] = append(chunks[run], rec...)
+		}
+		minorLess := func(a, b []byte) bool { return tieMinor(a) < tieMinor(b) }
+		for _, less := range []Less{nil, minorLess} {
+			d := diskio.NewDisk(64, 5, time.Millisecond)
+			cfg := Config{Disk: d, RecordSize: tieRecSize, Memory: 1024, Key: tieMajor, Less: less}
+			type yielded struct {
+				rec string
+				run int
+			}
+			var runs []Run
+			var want []yielded
+			for run, chunk := range chunks {
+				f := d.Create("")
+				if _, err := new(RunWriter).WriteRun(f, chunk, cfg); err != nil {
+					t.Fatal(err)
+				}
+				runs = append(runs, Run{File: f, Recs: int64(len(chunk) / tieRecSize)})
+				recs := readRecs(f, tieRecSize)
+				for p := 0; p < len(recs); p += tieRecSize {
+					want = append(want, yielded{string(recs[p : p+tieRecSize]), run})
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				a, b := []byte(want[i].rec), []byte(want[j].rec)
+				if tieMajor(a) != tieMajor(b) {
+					return tieMajor(a) < tieMajor(b)
+				}
+				return less != nil && less(a, b)
+			})
+			var got []yielded
+			if _, err := Merge(runs, 1, cfg, func(rec []byte, run int) error {
+				got = append(got, yielded{string(rec), run})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("less=%v: Merge of %d runs yielded %d records out of order (want %d)", less != nil, k, len(got), len(want))
+			}
+		}
+	})
+}

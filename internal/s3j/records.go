@@ -2,9 +2,7 @@ package s3j
 
 import (
 	"encoding/binary"
-	"slices"
 
-	"spatialjoin/internal/extsort"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/sfc"
 )
@@ -51,32 +49,4 @@ func decodeLevKey(buf []byte) uint64 {
 // decodeLevRec deserializes a full level record.
 func decodeLevRec(buf []byte) (uint64, geom.KPE) {
 	return decodeLevKey(buf), geom.DecodeKPE(buf[8:])
-}
-
-// mergeCells reads the runs of both relations through one
-// extsort.Merge, R's runs first, so the level records come by scan key,
-// then R before S, then run. A cell is the consecutive records of one
-// scan key and one relation; its parts come from the runs that hold
-// them, in input order. open is called at a cell's first record, before
-// any of the cell's records is appended to arena[rel], so it may
-// truncate the arena; then every record of the cell is appended there. A
-// run is read as the record range the partitioner (or a forced merge)
-// counted, so a torn run is a recfile.CorruptError, never a shorter cell.
-func mergeCells(runs [2][]extsort.Run, bufPages int, cfg extsort.Config, arena *[2][]geom.KPE, open func(key uint64, rel int)) error {
-	var key uint64
-	cur := -1 // the relation of the cell being gathered; none yet
-	_, err := extsort.Merge(slices.Concat(runs[0], runs[1]), bufPages, cfg, func(rec []byte, run int) error {
-		k, kpe := decodeLevRec(rec)
-		rel := 0
-		if run >= len(runs[0]) {
-			rel = 1
-		}
-		if rel != cur || k != key {
-			open(k, rel)
-			key, cur = k, rel
-		}
-		arena[rel] = append(arena[rel], kpe)
-		return nil
-	})
-	return err
 }

@@ -89,8 +89,15 @@ type cell struct {
 }
 
 // cellsOf merges runs through mergeCells, each cursor reading in requests
-// of bufPages pages, and returns the cells it delivered, in order.
+// of bufPages pages, at one worker, and returns the cells it delivered,
+// in order.
 func cellsOf(t *testing.T, runs [2][]extsort.Run, bufPages int) []cell {
+	return cellsAt(t, runs, bufPages, 1)
+}
+
+// cellsAt is cellsOf at the given worker count: from two on, the merge
+// runs as a stage of its own.
+func cellsAt(t *testing.T, runs [2][]extsort.Run, bufPages, workers int) []cell {
 	t.Helper()
 	var arena [2][]geom.KPE
 	var cells []cell
@@ -101,7 +108,7 @@ func cellsOf(t *testing.T, runs [2][]extsort.Run, bufPages int) []cell {
 		}
 	}
 	cfg := extsort.Config{RecordSize: levRecSize, Key: decodeLevKey}
-	if err := mergeCells(runs, bufPages, cfg, &arena, func(key uint64, rel int) {
+	if err := mergeCells(runs, bufPages, cfg, workers, &arena, func(key uint64, rel int) {
 		closeLast()
 		cells, start = append(cells, cell{key: key, rel: rel}), len(arena[rel])
 	}); err != nil {
@@ -162,7 +169,7 @@ func TestGroupCursorReuseDst(t *testing.T) {
 	arena := [2][]geom.KPE{buf, nil}
 	opened := 0
 	cfg := extsort.Config{RecordSize: levRecSize, Key: decodeLevKey}
-	if err := mergeCells([2][]extsort.Run{{run}, nil}, 2, cfg, &arena, func(uint64, int) {
+	if err := mergeCells([2][]extsort.Run{{run}, nil}, 2, cfg, 1, &arena, func(uint64, int) {
 		if opened++; opened == 2 && (len(arena[0]) != 1 || arena[0][0].ID != 10) {
 			t.Fatal("arena reuse broke the first cell")
 		}
@@ -210,7 +217,9 @@ func TestGroupCursorRandomized(t *testing.T) {
 
 // TestMergeCellsOrder: a cell whose records lie in several runs is
 // gathered from them in run order, R's cell of a key comes before S's,
-// and a key that only one relation holds is one cell.
+// and a key that only one relation holds is one cell. With the merge as a
+// stage of its own (two workers) the cells are the same, also when they
+// span the boundaries of the batches the merge stage hands over.
 func TestMergeCellsOrder(t *testing.T) {
 	d := diskio.NewDisk(256, 5, time.Millisecond)
 	runs := [2][]extsort.Run{
@@ -222,17 +231,47 @@ func TestMergeCellsOrder(t *testing.T) {
 		rel int
 		ids []uint64
 	}{{2, 0, []uint64{1}}, {2, 1, []uint64{8}}, {5, 0, []uint64{2, 3, 4}}, {5, 1, []uint64{6, 7}}, {8, 0, []uint64{5}}}
-	got := cellsOf(t, runs, 2)
-	if len(got) != len(want) {
-		t.Fatalf("%d cells, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		var ids []uint64
-		for _, k := range got[i].items {
-			ids = append(ids, k.ID)
+	for _, workers := range []int{1, 2} {
+		got := cellsAt(t, runs, 2, workers)
+		if len(got) != len(want) {
+			t.Fatalf("parallel=%d: %d cells, want %d", workers, len(got), len(want))
 		}
-		if got[i].key != w.key || got[i].rel != w.rel || !slices.Equal(ids, w.ids) {
-			t.Fatalf("cell %d = (%d, rel %d, ids %v), want (%d, rel %d, ids %v)", i, got[i].key, got[i].rel, ids, w.key, w.rel, w.ids)
+		for i, w := range want {
+			var ids []uint64
+			for _, k := range got[i].items {
+				ids = append(ids, k.ID)
+			}
+			if got[i].key != w.key || got[i].rel != w.rel || !slices.Equal(ids, w.ids) {
+				t.Fatalf("parallel=%d: cell %d = (%d, rel %d, ids %v), want (%d, rel %d, ids %v)", workers, i, got[i].key, got[i].rel, ids, w.key, w.rel, w.ids)
+			}
+		}
+	}
+
+	// Three runs a relation, each one to two batches long, whose cells
+	// repeat across runs and relations.
+	rng := rand.New(rand.NewSource(9))
+	var big [2][]extsort.Run
+	id := uint64(0)
+	for rel := range big {
+		for r := 0; r < 3; r++ {
+			keys := make([]uint64, batchRecs+rng.Intn(batchRecs))
+			ids := make([]uint64, len(keys))
+			for i := range keys {
+				keys[i], ids[i] = uint64(rng.Intn(400)), id
+				id++
+			}
+			slices.Sort(keys)
+			big[rel] = append(big[rel], writeRun(d, 2, keys, ids))
+		}
+	}
+	serial, piped := cellsAt(t, big, 2, 1), cellsAt(t, big, 2, 2)
+	if len(serial) != len(piped) {
+		t.Fatalf("%d cells at one worker, %d at two", len(serial), len(piped))
+	}
+	for i := range serial {
+		a, b := serial[i], piped[i]
+		if a.key != b.key || a.rel != b.rel || !slices.Equal(a.items, b.items) {
+			t.Fatalf("cell %d: (%d, rel %d, %d items) at one worker, (%d, rel %d, %d items) at two", i, a.key, a.rel, len(a.items), b.key, b.rel, len(b.items))
 		}
 	}
 }

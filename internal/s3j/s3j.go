@@ -13,8 +13,11 @@
 // sorts the chunk by scan key and writes it as one run per flush; the
 // scan reads the runs of both relations through one extsort.Merge, R's
 // runs first, so that the run index tells the relations apart; it is the
-// final merge. Every copy is written once and read once. A cell whose
-// records lie in several runs is gathered from them in run order, and
+// final merge. At more than one worker that merge runs as a stage of its
+// own, a few batches ahead of the cell joins that consume it, so the scan
+// uses two cores; at one worker the cell joins take each record as the
+// merge yields it. Every copy is written once and read once. A cell
+// whose records lie in several runs is gathered from them in run order, and
 // runs are consecutive ranges of the input, so a cell holds its records
 // in input order — the same cells with the same contents in the same
 // sequence as the per-level files gave. Only when there are more runs
@@ -142,14 +145,18 @@ type Config struct {
 	// Cancel is the join's cancellation checkpoint; nil disables
 	// cancellation.
 	Cancel *govern.Check
-	// Parallel is the worker count (< 2 = serial). Two things run in
+	// Parallel is the worker count (< 2 = serial). Three things run in
 	// parallel: R and S are partitioned as two units of the shared
-	// scheduler, each filling, sorting and writing its own chunks, and the
-	// merge groups of a forced merge pass are units too. The scan is
-	// sequential by construction (one globally ordered scan). Results,
-	// run contents and I/O units are identical at every worker count.
-	// Each extra worker holds a second chunk plus its sort index, or the
-	// buffers of a second merge group, beyond Memory.
+	// scheduler, each filling, sorting and writing its own chunks; the
+	// merge groups of a forced merge pass are units too; and the scan's
+	// two stages overlap — its merge runs on a goroutine of its own and
+	// hands batches of records to the cell joins, which stay on the
+	// caller's goroutine (see mergeCells). Results, their order, run
+	// contents and I/O units are identical at every worker count; the
+	// first-result I/O clock at more than one worker is not, since the
+	// merge stage reads ahead of the first pair. Each extra worker holds a
+	// second chunk plus its sort index, or the buffers of a second merge
+	// group, beyond Memory, and a parallel scan its batches.
 	Parallel int
 	// Metrics, when non-nil, publishes live counters (duplicates
 	// suppressed, RPM tests, replication copies, runs written) and feeds
@@ -210,7 +217,9 @@ type Stats struct {
 	PhaseCPU [numPhases]time.Duration
 
 	// FirstResultCPU / FirstResultIO: elapsed CPU and simulated I/O cost
-	// units when the first result reached the caller.
+	// units when the first result reached the caller. At more than one
+	// worker FirstResultIO includes what the scan's merge stage had read
+	// ahead by then, and differs from run to run.
 	FirstResultCPU time.Duration
 	FirstResultIO  float64
 }
@@ -517,7 +526,7 @@ func (j *joiner) scan(runs [2][]extsort.Run) error {
 		resident += int64(len(items)) * geom.KPESize
 		j.stats.MaxResident = max(j.stats.MaxResident, resident)
 	}
-	err := mergeCells(runs, buf, j.sortConfig(), &arena, func(key uint64, r int) {
+	err := mergeCells(runs, buf, j.sortConfig(), j.cfg.Parallel, &arena, func(key uint64, r int) {
 		if rel >= 0 {
 			finish()
 		}
@@ -538,7 +547,11 @@ func (j *joiner) scan(runs [2][]extsort.Run) error {
 		if level > 0 {
 			ix, iy = j.decodeCell(code, level)
 		}
-		j.deeper = stackEntry{lo: lo, hi: hi, level: level, ix: ix, iy: iy}
+		// Field by field: finish sets items. A whole-struct store here
+		// was copied through the stack in overlapping halves, and the
+		// read of a half that two writes had just covered stalled.
+		d := &j.deeper
+		d.lo, d.hi, d.level, d.ix, d.iy = lo, hi, level, ix, iy
 		rel, held = r, len(arena[r])
 	})
 	if err == nil && rel >= 0 {

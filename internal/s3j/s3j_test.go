@@ -373,6 +373,37 @@ func TestScanArenaNest(t *testing.T) {
 	}
 }
 
+// TestConcurrentScans: scans that run at once take their batches from,
+// and give them back to, one package free list; each must still emit the
+// sequence of a one-worker run.
+func TestConcurrentScans(t *testing.T) {
+	R := datagen.LARR(5, 6000).KPEs
+	S := datagen.LAST(6, 6000).KPEs
+	cfg := Config{Memory: 32 << 10, Mode: ModeReplicate}
+	want, _ := run(t, R, S, cfg)
+	got := make([][]geom.Pair, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.Disk, c.Parallel = newDisk(), 2
+			_, errs[g] = Join(R, S, c, func(p geom.Pair) { got[g] = append(got[g], p) })
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("scan %d: %v", g, errs[g])
+		}
+		if !slices.Equal(got[g], want) {
+			t.Fatalf("scan %d: %d pairs, not the one-worker sequence of %d", g, len(got[g]), len(want))
+		}
+	}
+}
+
 // pollCtx cancels itself at the n-th Err poll (never when n == 0); every
 // cancellation checkpoint of the join funnels through Err.
 type pollCtx struct {

@@ -24,28 +24,31 @@ func TestTornLevelFilesNeverDropPairs(t *testing.T) {
 	R := []geom.KPE{{ID: 1, Rect: rect}}
 	S := []geom.KPE{{ID: 2, Rect: rect}}
 
-	var torn, failed int64
-	for seed := int64(1); seed <= 60; seed++ {
-		d := diskio.NewDisk(256, 5, time.Microsecond)
-		fp := diskio.NewFaultPolicy(diskio.FaultConfig{Seed: seed, TornWriteRate: 0.3})
-		d.SetFaultPolicy(fp)
-		var got []geom.Pair
-		_, err := Join(R, S, Config{Disk: d, Memory: 1 << 20, Levels: 2}, func(p geom.Pair) { got = append(got, p) })
-		torn += fp.Stats().TornWrites
-		if err != nil {
-			if !recfile.IsCorrupt(err) {
-				t.Fatalf("seed %d: want a corruption error, got %v", seed, err)
+	for _, workers := range []int{1, 4} {
+		var torn, failed int64
+		for seed := int64(1); seed <= 60; seed++ {
+			d := diskio.NewDisk(256, 5, time.Microsecond)
+			fp := diskio.NewFaultPolicy(diskio.FaultConfig{Seed: seed, TornWriteRate: 0.3})
+			d.SetFaultPolicy(fp)
+			var got []geom.Pair
+			cfg := Config{Disk: d, Memory: 1 << 20, Levels: 2, Parallel: workers}
+			_, err := Join(R, S, cfg, func(p geom.Pair) { got = append(got, p) })
+			torn += fp.Stats().TornWrites
+			if err != nil {
+				if !recfile.IsCorrupt(err) {
+					t.Fatalf("parallel=%d seed %d: want a corruption error, got %v", workers, seed, err)
+				}
+				failed++
+				continue
 			}
-			failed++
-			continue
+			if len(got) != 1 {
+				t.Fatalf("parallel=%d seed %d: silent wrong answer: %d pairs, want 1 (%d torn writes)",
+					workers, seed, len(got), fp.Stats().TornWrites)
+			}
 		}
-		if len(got) != 1 {
-			t.Fatalf("seed %d: silent wrong answer: %d pairs, want 1 (%d torn writes)",
-				seed, len(got), fp.Stats().TornWrites)
+		if torn == 0 || failed == 0 {
+			t.Fatalf("parallel=%d: sweep vacuous: torn=%d, cleanFailures=%d", workers, torn, failed)
 		}
-	}
-	if torn == 0 || failed == 0 {
-		t.Fatalf("sweep vacuous: torn=%d, cleanFailures=%d", torn, failed)
 	}
 }
 
@@ -56,32 +59,34 @@ func TestTornLevelFilesNeverDropPairs(t *testing.T) {
 // recfile.CorruptError, never hand the scan a silently shorter cell.
 func TestTornRunIsCorruptNotShorter(t *testing.T) {
 	R := datagen.Uniform(41, 3000, 0.01)
-	d := diskio.NewDisk(256, 5, time.Microsecond)
-	cfg := Config{Disk: d, Memory: 32 << 10, Mode: ModeReplicate}
-	j := newJoiner(cfg)
-	j.emit = func(geom.Pair) {}
-	defer j.reg.Sweep()
-	runs, _, err := j.partitionInput(R, cfg.levels(), j.sortConfig())
-	if err != nil || len(runs) < 3 {
-		t.Fatalf("partitionInput = (%d runs, %v), want several", len(runs), err)
-	}
-	if err := j.scan([2][]extsort.Run{runs, runs}); err != nil {
-		t.Fatalf("scan of the intact runs: %v", err)
-	}
-	whole := runs[1].File.Bytes()
-	for _, n := range []int{0, 5, 12, 12 + levRecSize + 3, len(whole) / 2, len(whole) - 30, len(whole) - 1} {
-		torn := j.reg.Create()
-		w := torn.NewWriter(4)
-		if _, err := w.Write(whole[:n]); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		d := diskio.NewDisk(256, 5, time.Microsecond)
+		cfg := Config{Disk: d, Memory: 32 << 10, Mode: ModeReplicate, Parallel: workers}
+		j := newJoiner(cfg)
+		j.emit = func(geom.Pair) {}
+		runs, _, err := j.partitionInput(R, cfg.levels(), j.sortConfig())
+		if err != nil || len(runs) < 3 {
+			t.Fatalf("parallel=%d: partitionInput = (%d runs, %v), want several", workers, len(runs), err)
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+		if err := j.scan([2][]extsort.Run{runs, runs}); err != nil {
+			t.Fatalf("parallel=%d: scan of the intact runs: %v", workers, err)
 		}
-		tornRuns := slices.Clone(runs)
-		tornRuns[1].File = torn
-		if err := j.scan([2][]extsort.Run{tornRuns, runs}); !recfile.IsCorrupt(err) {
-			t.Fatalf("run torn to %d of %d bytes: scan returned %v, want a corruption error", n, len(whole), err)
+		whole := runs[1].File.Bytes()
+		for _, n := range []int{0, 5, 12, 12 + levRecSize + 3, len(whole) / 2, len(whole) - 30, len(whole) - 1} {
+			torn := j.reg.Create()
+			w := torn.NewWriter(4)
+			if _, err := w.Write(whole[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			tornRuns := slices.Clone(runs)
+			tornRuns[1].File = torn
+			if err := j.scan([2][]extsort.Run{tornRuns, runs}); !recfile.IsCorrupt(err) {
+				t.Fatalf("parallel=%d: run torn to %d of %d bytes: scan returned %v, want a corruption error", workers, n, len(whole), err)
+			}
 		}
+		j.reg.Sweep()
 	}
 }
