@@ -36,7 +36,10 @@ echo "== sjlint ./... =="
 # record loops, registry-managed temp files (the type-accurate successor
 # of the old grep lints), exhaustive Kind switches, %w over %v for error
 # operands, and metric names. DESIGN.md §10 keeps each analyzer's
-# evidence; concurrency contracts are the race step's.
+# evidence; concurrency contracts are the race step's. One
+# "go list -export -deps" call resolves ./... and compiles every import;
+# sjlint type-checks the module's packages from source and imports the
+# rest, the standard library included, from the compiler's export data.
 go run ./cmd/sjlint ./...
 
 # The default suite includes copylocks, which the mutex-guarded

@@ -10,10 +10,13 @@
 //	sjlint [-analyzers a,b,...] [patterns...]
 //	sjlint -list
 //
-// Patterns default to ./... and follow go-tool conventions: ./... walks
-// the module, dir/... walks a subtree, anything else names one package
-// directory. Exit status is 0 when clean, 1 when findings are reported,
-// 2 on usage or load errors.
+// Patterns default to ./... and are the go command's, resolved from the
+// directory sjlint runs in, as go vet's are: ./... is every package below
+// it, ./internal/pbsm one package directory (a bare internal/pbsm is an
+// import path, which the standard library would have to hold). Packages
+// without non-test Go files are skipped; patterns that leave nothing to
+// analyze are a load error. Exit status is 0 when clean, 1 when findings
+// are reported, 2 on usage or load errors.
 //
 // Suppress a finding with a
 //

@@ -221,9 +221,8 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
 	if cfg.Memory <= 0 {
 		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
-	if !cfg.Algorithm.Valid() {
-		return Result{}, joinerr.Wrap("core", "config", fmt.Errorf("unknown Config.Algorithm %q: want %q, %q or %q",
-			cfg.Algorithm, sweep.NestedLoopsKind, sweep.ListKind, sweep.TrieKind))
+	if err := cfg.Algorithm.Validate(); err != nil {
+		return Result{}, joinerr.Wrap("core", "config", err)
 	}
 
 	// Input validation below is a per-record scan over arbitrarily large

@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
-	"strings"
 	"testing"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
@@ -38,15 +35,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Join(nil, nil, Config{Memory: 1 << 20, Method: "bogus"}, func(geom.Pair) {}); err == nil {
 		t.Fatal("want error for unknown method")
-	}
-	// An unknown internal algorithm is refused up front, before a shard
-	// worker could see it: sweep.New would run it as the list sweep.
-	for _, cfg := range []Config{{Memory: 1 << 20, Algorithm: "tri"}, {Memory: 1 << 20, Algorithm: "tri", Shards: 2}} {
-		_, err := Join(nil, nil, cfg, func(geom.Pair) {})
-		var je *joinerr.JoinError
-		if !errors.As(err, &je) || je.Phase != "config" || !strings.Contains(err.Error(), `"trie"`) {
-			t.Fatalf("Algorithm %q, Shards %d: got %v, want a config error naming the valid kinds", cfg.Algorithm, cfg.Shards, err)
-		}
 	}
 }
 

@@ -1,22 +1,28 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
 	"spatialjoin/internal/sfc"
 	"spatialjoin/internal/shard"
+	"spatialjoin/internal/shj"
+	"spatialjoin/internal/sssj"
 	"spatialjoin/internal/sweep"
 )
 
@@ -25,6 +31,69 @@ import (
 // arms (core.Config has no worker command). Without the environment
 // marker it is a no-op.
 func TestShardWorkerHelper(t *testing.T) { shard.RunHelperWorker() }
+
+// TestUnknownAlgorithmRefusedAtEveryEntryPoint calls core.Join and each
+// method's own entry point, as the benchmark and embedders may, with an
+// Algorithm no sweep.New accepts. Each must refuse it with a config joinerr naming
+// the valid kinds, before any worker starts: a shard join that spawned
+// workers would see each refuse the job, absorb the shard and panic in
+// sweep.New on a coordinator goroutine.
+func TestUnknownAlgorithmRefusedAtEveryEntryPoint(t *testing.T) {
+	R, S := datagen.Uniform(1, 40, 0.05), datagen.Uniform(2, 40, 0.05)
+	const tri, memory = sweep.Kind("tri"), 1 << 20
+	disk := func() *diskio.Disk { return diskio.NewDisk(4096, 20, time.Microsecond) }
+	emit := func(geom.Pair) {}
+	cmd, env := shard.HelperWorkerCmd("TestShardWorkerHelper")
+	var spawns int
+	for _, entry := range []struct {
+		name, method string
+		join         func() error
+	}{
+		{"core.Join", "core", func() error {
+			_, err := core.Join(R, S, core.Config{Memory: memory, Algorithm: tri}, emit)
+			return err
+		}},
+		{"core.Join/shards=2", "core", func() error {
+			_, err := core.Join(R, S, core.Config{Memory: memory, Algorithm: tri, Shards: 2}, emit)
+			return err
+		}},
+		{"pbsm.Join", "pbsm", func() error {
+			_, err := pbsm.Join(R, S, pbsm.Config{Disk: disk(), Memory: memory, Algorithm: tri}, emit)
+			return err
+		}},
+		{"pbsm.NewPairExec", "pbsm", func() error {
+			cfg := pbsm.Config{Disk: disk(), Memory: memory, Algorithm: tri}
+			_, err := pbsm.NewPairExec(cfg, pbsm.PlanGrid(len(R), len(S), cfg))
+			return err
+		}},
+		{"s3j.Join", "s3j", func() error {
+			_, err := s3j.Join(R, S, s3j.Config{Disk: disk(), Memory: memory, Algorithm: tri}, emit)
+			return err
+		}},
+		{"shj.Join", "shj", func() error {
+			_, err := shj.Join(R, S, shj.Config{Disk: disk(), Memory: memory, Algorithm: tri}, emit)
+			return err
+		}},
+		{"sssj.Join", "sssj", func() error {
+			_, err := sssj.Join(R, S, sssj.Config{Disk: disk(), Memory: memory, Algorithm: tri}, emit)
+			return err
+		}},
+		{"shard.Join", "shard", func() error {
+			res, err := shard.Join(R, S, shard.Config{Shards: 2, Memory: memory, Algorithm: tri, WorkerCmd: cmd, WorkerEnv: env}, emit)
+			spawns = res.Stats.Spawns
+			return err
+		}},
+	} {
+		err := entry.join()
+		var je *joinerr.JoinError
+		if !errors.As(err, &je) || je.Method != entry.method || je.Phase != "config" || !strings.Contains(err.Error(), `"trie"`) {
+			t.Errorf("%s: got %v, want a %s config error naming the valid kinds", entry.name, err, entry.method)
+		}
+	}
+	if spawns != 0 {
+		t.Errorf("shard.Join spawned %d workers for a config it refuses", spawns)
+	}
+}
 
 // latticeInput is one pair of relations and the budgets it runs at.
 type latticeInput struct {

@@ -8,29 +8,20 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"spatialjoin/internal/lint"
 )
 
-var (
-	loadOnce sync.Once
-	loaded   *lint.Driver
-	loadErr  error
-)
-
-// newDriver returns a driver with fresh diagnostic state for one Run.
-// All drivers of the test binary share one package load (Driver.Fork):
-// type-checking the standard library and the module from source is what
-// a fresh lint.NewDriver per test used to spend its seconds on.
+// newDriver returns a driver whose patterns resolve from this package's
+// directory.
 func newDriver(t *testing.T) *lint.Driver {
 	t.Helper()
-	loadOnce.Do(func() { loaded, loadErr = lint.NewDriver(".") })
-	if loadErr != nil {
-		t.Fatalf("NewDriver: %v", loadErr)
+	d, err := lint.NewDriver(".")
+	if err != nil {
+		t.Fatalf("NewDriver: %v", err)
 	}
-	return loaded.Fork()
+	return d
 }
 
 // fixtureDir is the directory of one testdata fixture package.
@@ -231,18 +222,59 @@ func TestIgnoreDirectives(t *testing.T) {
 }
 
 // TestModuleIsAnalyzerClean is the self-check: the tree that ships the
-// analyzers must satisfy them. Skipped in -short because it type-checks
-// the whole module.
+// analyzers must satisfy them. It also counts the packages analyzed
+// against the module's own directories, so a loader that quietly
+// narrows "..." fails here rather than passing on less code.
 func TestModuleIsAnalyzerClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; run without -short")
-	}
 	d := newDriver(t)
-	diags, err := d.Run([]string{"./..."}, lint.Analyzers())
+	want := 0
+	err := filepath.WalkDir(d.ModuleRoot(), func(p string, ent os.DirEntry, err error) error {
+		if err != nil || !ent.IsDir() {
+			return err
+		}
+		if name := ent.Name(); p != d.ModuleRoot() && (name == "testdata" ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		ents, err := os.ReadDir(p)
+		for _, e := range ents {
+			if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+				want++
+				break
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("walking the module: %v", err)
+	}
+	got := 0
+	count := &lint.Analyzer{Name: "count", Run: func(*lint.Pass) { got++ }}
+	diags, err := d.Run([]string{d.ModuleRoot() + "/..."}, append(lint.Analyzers(), count))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, diag := range diags {
 		t.Errorf("module not analyzer-clean: %s", diag)
+	}
+	if got != want {
+		t.Errorf("analyzed %d packages; the module has %d directories with non-test Go files outside testdata", got, want)
+	}
+}
+
+// TestPatternsMatchingNoCodeFail requires an error, which sjlint turns
+// into exit status 2, for patterns that leave nothing to analyze: one
+// that matches no package and one that names a package of test files
+// only. Patterns resolve from the driver's directory, here the module
+// root.
+func TestPatternsMatchingNoCodeFail(t *testing.T) {
+	d, err := lint.NewDriver("../..")
+	if err != nil {
+		t.Fatalf("NewDriver: %v", err)
+	}
+	for _, pat := range []string{"./nosuch/...", "./internal/chaos"} {
+		if diags, err := d.Run([]string{pat}, lint.Analyzers()); err == nil {
+			t.Errorf("Run(%s) = %v, nil; want an error", pat, diags)
+		}
 	}
 }

@@ -10,7 +10,10 @@
 //
 // The framework deliberately uses only go/parser, go/ast, go/types and
 // go/importer: no golang.org/x/tools dependency, so the linter builds
-// with the same zero-dependency go.mod as the library it polices.
+// with the same zero-dependency go.mod as the library it polices. One
+// `go list -export -deps` call resolves the patterns and compiles every
+// import; the driver parses and type-checks only the packages the
+// patterns name and imports the rest from the compiler's export data.
 package lint
 
 import (

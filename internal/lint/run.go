@@ -27,11 +27,8 @@ type ignoreDirective struct {
 // unexplained suppression is itself reported (as analyzer "sjlint"),
 // so every escape hatch in the tree documents why it exists.
 func (d *Driver) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	dirs, err := d.Expand(patterns)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := d.Load(dirs)
+	d.diags = nil
+	pkgs, err := d.Load(patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -68,16 +65,7 @@ func (d *Driver) Run(patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 		out = append(out, diag)
 	}
 	sortDiags(out)
-	// Dedupe: the same package can be loaded once per pattern set, and
-	// two analyzers never share a name, so equal adjacent entries are
-	// genuine duplicates.
-	dedup := out[:0]
-	for i, diag := range out {
-		if i == 0 || diag != out[i-1] {
-			dedup = append(dedup, diag)
-		}
-	}
-	return dedup, nil
+	return out, nil
 }
 
 // sortDiags orders diagnostics by (file, line, col, analyzer, message)

@@ -12,4 +12,5 @@ func register(r *metrics.Registry) {
 	r.CounterVec(metDone, "pool")
 	r.GaugeVec(metBusy, "pool")
 	r.GaugeVec(metHeat, "shard")
+	r.Gauge(metrics.JoinProgressTotal)
 }

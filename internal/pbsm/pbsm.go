@@ -217,6 +217,9 @@ func (c *Config) validate() error {
 	if c.Memory <= 0 {
 		return joinerr.Wrap("pbsm", "config", fmt.Errorf("Config.Memory must be positive, got %d", c.Memory))
 	}
+	if err := c.Algorithm.Validate(); err != nil {
+		return joinerr.Wrap("pbsm", "config", err)
+	}
 	switch c.Dup {
 	case DupRPM, DupSort:
 		return nil

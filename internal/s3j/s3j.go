@@ -247,6 +247,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if cfg.Memory <= 0 {
 		return Stats{}, joinerr.Wrap("s3j", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
+	if err := cfg.Algorithm.Validate(); err != nil {
+		return Stats{}, joinerr.Wrap("s3j", "config", err)
+	}
 	j := newJoiner(cfg)
 	// One sweep covers every exit path, so no run file outlives the join —
 	// success, failure or cancellation alike.

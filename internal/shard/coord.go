@@ -378,6 +378,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	if cfg.Memory <= 0 {
 		return Result{}, joinerr.Wrap("shard", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
+	if err := cfg.Algorithm.Validate(); err != nil {
+		return Result{}, joinerr.Wrap("shard", "config", err)
+	}
 	workerCmd, err := cfg.workerCmd()
 	if err != nil {
 		return Result{}, joinerr.Wrap("shard", "config", fmt.Errorf("resolving worker command: %w", err))

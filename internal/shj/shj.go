@@ -137,6 +137,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if cfg.Memory <= 0 {
 		return Stats{}, joinerr.Wrap("shj", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
+	if err := cfg.Algorithm.Validate(); err != nil {
+		return Stats{}, joinerr.Wrap("shj", "config", err)
+	}
 	var st Stats
 	if len(R) == 0 || len(S) == 0 {
 		return st, nil

@@ -122,6 +122,9 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Stats, error) {
 	if cfg.Memory <= 0 {
 		return Stats{}, joinerr.Wrap("sssj", "config", fmt.Errorf("Config.Memory must be positive, got %d", cfg.Memory))
 	}
+	if err := cfg.Algorithm.Validate(); err != nil {
+		return Stats{}, joinerr.Wrap("sssj", "config", err)
+	}
 	if cfg.Algorithm == "" || cfg.Algorithm == sweep.NestedLoopsKind {
 		cfg.Algorithm = sweep.TrieKind
 	}

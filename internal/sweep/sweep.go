@@ -69,6 +69,15 @@ func (k Kind) Valid() bool {
 	return false
 }
 
+// Validate returns nil for a Valid kind, and otherwise the error every
+// configuration surface wraps in its joinerr to refuse it.
+func (k Kind) Validate() error {
+	if k.Valid() {
+		return nil
+	}
+	return fmt.Errorf("unknown Config.Algorithm %q: want %q, %q or %q", k, NestedLoopsKind, ListKind, TrieKind)
+}
+
 // New returns a fresh Algorithm of the given kind; "" yields the list
 // sweep, the original PBSM default. New panics on a kind that is not
 // Valid: every configuration surface refuses one before a join starts.
