@@ -122,15 +122,7 @@ func main() {
 	// Worker mode must win before flag parsing: a shard coordinator
 	// re-executes this binary with -shard-worker and speaks the frame
 	// protocol on stdin/stdout; nothing else may touch those pipes.
-	for _, arg := range os.Args[1:] {
-		if arg == "-shard-worker" || arg == "--shard-worker" {
-			if err := shard.WorkerMain(os.Stdin, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "sjoin: shard worker: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		}
-	}
+	shard.ServeIfWorker()
 
 	rName := flag.String("r", "la_rr", "left relation (la_rr, la_st, cal_st, uniform)")
 	sName := flag.String("s", "la_st", "right relation")
@@ -146,7 +138,6 @@ func main() {
 	memMB := flag.Float64("mem", 2.5, "memory budget in paper MB (20-byte KPEs)")
 	parallel := flag.Int("parallel", 1, "workers of the parallel phases of every method (0 = all processors, 1 = sequential)")
 	shards := flag.Int("shards", 1, "worker OS processes (PBSM+RPM only; >1 re-executes this binary with -shard-worker per shard)")
-	flag.Bool("shard-worker", false, "run as a shard worker process (frame protocol on stdin/stdout); handled before flag parsing")
 	shardEndpoints := flag.String("shard-endpoints", "", "comma-separated resident worker addresses for -shards (host:port,...); unreachable fleets degrade to local worker processes")
 	timeout := flag.Duration("timeout", 0, "abort the join after this wall time (0 = no deadline)")
 	doPlan := flag.Bool("plan", false, "print the analytic cost ranking and pick the cheapest method")

@@ -9,6 +9,7 @@
 package chaos
 
 import (
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -20,11 +21,11 @@ import (
 	"spatialjoin/internal/trace"
 )
 
-// TestShardWorkerHelper is the helper-process re-exec target that turns
-// this test binary into a shard worker; without the environment marker
-// it is a no-op.
-func TestShardWorkerHelper(t *testing.T) {
-	shard.RunHelperWorker()
+// TestMain lets the coordinator re-execute this test binary as a shard
+// worker, the way it re-executes sjoin.
+func TestMain(m *testing.M) {
+	shard.ServeIfWorker()
+	os.Exit(m.Run())
 }
 
 const shardMemory = 32 << 10 // several top-level partitions at nRecs
@@ -42,12 +43,9 @@ func shardBaseline(t *testing.T) []geom.Pair {
 
 func shardChaosConfig(t *testing.T, shards int) shard.Config {
 	t.Helper()
-	cmd, env := shard.HelperWorkerCmd("TestShardWorkerHelper")
 	return shard.Config{
-		Shards:    shards,
-		Memory:    shardMemory,
-		WorkerCmd: cmd,
-		WorkerEnv: env,
+		Shards: shards,
+		Memory: shardMemory,
 	}
 }
 

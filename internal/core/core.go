@@ -98,9 +98,11 @@ type Config struct {
 	// Requires Method PBSM with DupRPM — a per-partition output that is
 	// globally duplicate-free on its own is what makes multi-process
 	// merge correct, so DupSort is rejected — and the
-	// shard package linked in (importing it registers the executor). The
-	// result set AND its emission order are identical at every shard
-	// count. Fields Disk and Trace's I/O attribution do not apply to
+	// shard package linked in (importing it registers the executor). Each
+	// local worker is this binary re-executed with -shard-worker, so a
+	// binary that sets Shards > 1 must call shard.ServeIfWorker() first
+	// in main. The result set AND its emission order are identical at
+	// every shard count. Fields Disk and Trace's I/O attribution do not apply to
 	// the worker processes' private disks; I/O is aggregated in
 	// Result.IO instead.
 	Shards int

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
@@ -29,12 +31,23 @@ func checkJoin(t *testing.T, R, S []geom.KPE, cfg Config) Result {
 	return res
 }
 
+// TestConfigValidation: each config is refused with a config joinerr.
+// The sharded rows are refused before Join looks for the shard
+// executor, so they need no worker.
 func TestConfigValidation(t *testing.T) {
-	if _, err := Join(nil, nil, Config{}, func(geom.Pair) {}); err == nil {
-		t.Fatal("want error for zero Memory")
-	}
-	if _, err := Join(nil, nil, Config{Memory: 1 << 20, Method: "bogus"}, func(geom.Pair) {}); err == nil {
-		t.Fatal("want error for unknown method")
+	const mem = 1 << 20
+	for name, cfg := range map[string]Config{
+		"zero Memory":                 {},
+		"unknown method":              {Memory: mem, Method: "bogus"},
+		"shards=2 with DupSort":       {Memory: mem, Shards: 2, PBSMDup: pbsm.DupSort},
+		"shards=2 with unknown dup":   {Memory: mem, Shards: 2, PBSMDup: 9},
+		"shards=2 with PBSMHashTiles": {Memory: mem, Shards: 2, PBSMHashTiles: true},
+	} {
+		_, err := Join(nil, nil, cfg, func(geom.Pair) {})
+		var je *joinerr.JoinError
+		if !errors.As(err, &je) || je.Phase != "config" {
+			t.Errorf("%s: got %v, want a config joinerr", name, err)
+		}
 	}
 }
 

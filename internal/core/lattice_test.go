@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
 	"spatialjoin/internal/sfc"
@@ -26,11 +28,14 @@ import (
 	"spatialjoin/internal/sweep"
 )
 
-// TestShardWorkerHelper is not a test: it is the re-exec target that
-// turns this test binary into a shard worker for the lattice's pipe
-// arms (core.Config has no worker command). Without the environment
-// marker it is a no-op.
-func TestShardWorkerHelper(t *testing.T) { shard.RunHelperWorker() }
+// TestMain lets the coordinator re-execute this test binary as a shard
+// worker for the lattice's pipe arms and core.Join with Shards > 1. It
+// lives in package core_test: package core's own tests cannot import
+// shard, which imports core.
+func TestMain(m *testing.M) {
+	shard.ServeIfWorker()
+	os.Exit(m.Run())
+}
 
 // TestUnknownAlgorithmRefusedAtEveryEntryPoint calls core.Join and each
 // method's own entry point, as the benchmark and embedders may, with an
@@ -43,8 +48,8 @@ func TestUnknownAlgorithmRefusedAtEveryEntryPoint(t *testing.T) {
 	const tri, memory = sweep.Kind("tri"), 1 << 20
 	disk := func() *diskio.Disk { return diskio.NewDisk(4096, 20, time.Microsecond) }
 	emit := func(geom.Pair) {}
-	cmd, env := shard.HelperWorkerCmd("TestShardWorkerHelper")
 	var spawns int
+	reg := metrics.New()
 	for _, entry := range []struct {
 		name, method string
 		join         func() error
@@ -54,7 +59,7 @@ func TestUnknownAlgorithmRefusedAtEveryEntryPoint(t *testing.T) {
 			return err
 		}},
 		{"core.Join/shards=2", "core", func() error {
-			_, err := core.Join(R, S, core.Config{Memory: memory, Algorithm: tri, Shards: 2}, emit)
+			_, err := core.Join(R, S, core.Config{Memory: memory, Algorithm: tri, Shards: 2, Metrics: reg}, emit)
 			return err
 		}},
 		{"pbsm.Join", "pbsm", func() error {
@@ -79,7 +84,7 @@ func TestUnknownAlgorithmRefusedAtEveryEntryPoint(t *testing.T) {
 			return err
 		}},
 		{"shard.Join", "shard", func() error {
-			res, err := shard.Join(R, S, shard.Config{Shards: 2, Memory: memory, Algorithm: tri, WorkerCmd: cmd, WorkerEnv: env}, emit)
+			res, err := shard.Join(R, S, shard.Config{Shards: 2, Memory: memory, Algorithm: tri}, emit)
 			spawns = res.Stats.Spawns
 			return err
 		}},
@@ -92,6 +97,9 @@ func TestUnknownAlgorithmRefusedAtEveryEntryPoint(t *testing.T) {
 	}
 	if spawns != 0 {
 		t.Errorf("shard.Join spawned %d workers for a config it refuses", spawns)
+	}
+	if n := reg.Snapshot().Value("shard.spawns"); n != 0 {
+		t.Errorf("core.Join spawned %v workers for a config it refuses", n)
 	}
 }
 
@@ -399,7 +407,6 @@ func methodTests(res core.Result) int64 {
 // candidate-test count and the simulated I/O must be those of one
 // worker, and through the fleet the emission sequence must be.
 func TestLattice(t *testing.T) {
-	cmd, env := shard.HelperWorkerCmd("TestShardWorkerHelper")
 	addrs := loopbackWorkers(t, 2)
 	for _, in := range latticeInputs() {
 		t.Run(in.name, func(t *testing.T) {
@@ -443,7 +450,7 @@ func TestLattice(t *testing.T) {
 								t.Fatalf("P = %d at the resident budget", first.PBSMStats.P)
 							}
 							if b.name == "quarter" && cfg.PBSMDup == pbsm.DupRPM && !cfg.PBSMHashTiles {
-								shardArms(t, in, cfg, serial, first, cmd, env, addrs)
+								shardArms(t, in, cfg, serial, first, addrs)
 							}
 						}
 					})
@@ -489,7 +496,7 @@ func checkRun(t *testing.T, label string, cfg core.Config, got, want []geom.Pair
 // reproduce the in-process one-worker run's emission sequence with no
 // fault, no restart, no absorbed shard and no file left on a worker's
 // disk; a join whose pairs all fit the budget touches no worker disk.
-func shardArms(t *testing.T, in latticeInput, cfg core.Config, serial []geom.Pair, first core.Result, cmd, env, addrs []string) {
+func shardArms(t *testing.T, in latticeInput, cfg core.Config, serial []geom.Pair, first core.Result, addrs []string) {
 	t.Helper()
 	for _, arm := range []struct {
 		shards int
@@ -503,7 +510,7 @@ func shardArms(t *testing.T, in latticeInput, cfg core.Config, serial []geom.Pai
 		var got []geom.Pair
 		res, err := shard.Join(in.R, in.S, shard.Config{
 			Shards: arm.shards, Memory: cfg.Memory, Algorithm: cfg.Algorithm, TilesPerPartition: cfg.PBSMTilesPerPartition,
-			WorkerCmd: cmd, WorkerEnv: env, Endpoints: arm.addrs,
+			Endpoints: arm.addrs,
 		}, func(p geom.Pair) { got = append(got, p) })
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

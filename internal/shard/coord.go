@@ -32,7 +32,10 @@ type Config struct {
 	// Shards is the number of worker processes. Values < 2 still run
 	// the full coordinator/worker machinery with one worker; the shard
 	// count never changes the result set or its order, only the fault
-	// isolation and the wall clock.
+	// isolation and the wall clock. Each local worker is this binary
+	// re-executed with -shard-worker, so a binary that joins through
+	// shard must call ServeIfWorker first in main (a test binary, first
+	// in TestMain).
 	Shards int
 	// Memory is the full join budget, identical in meaning to
 	// core.Config.Memory: it drives the partition-count formula and the
@@ -54,14 +57,6 @@ type Config struct {
 	PageSize int
 	PT       float64
 	Transfer time.Duration
-
-	// WorkerCmd is the argv of a worker process; default
-	// {os.Executable(), "-shard-worker"}, which is what the sjoin
-	// binary exposes. Test binaries install a helper-process
-	// command via HelperWorkerCmd. WorkerEnv appends to the inherited
-	// environment.
-	WorkerCmd []string
-	WorkerEnv []string
 
 	// Endpoints lists resident worker addresses (host:port). When set,
 	// shards run over the TCP transport against those workers, falling
@@ -356,17 +351,6 @@ const heartbeatEvery = 100 * time.Millisecond
 
 var stallTimeout = 5 * time.Second
 
-func (c *Config) workerCmd() ([]string, error) {
-	if len(c.WorkerCmd) > 0 {
-		return c.WorkerCmd, nil
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	return []string{exe, "-shard-worker"}, nil
-}
-
 // Join runs the sharded join: plan once, assign partitions to shards,
 // execute each shard in a worker process under supervision, and merge
 // the sealed partition results back into exact serial emission order.
@@ -381,12 +365,6 @@ func Join(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (_ Result, retErr e
 	if err := cfg.Algorithm.Validate(); err != nil {
 		return Result{}, joinerr.Wrap("shard", "config", err)
 	}
-	workerCmd, err := cfg.workerCmd()
-	if err != nil {
-		return Result{}, joinerr.Wrap("shard", "config", fmt.Errorf("resolving worker command: %w", err))
-	}
-	cfg.WorkerCmd = workerCmd
-
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -644,7 +622,7 @@ func (c *coordinator) runAttempt(ctx context.Context, remote bool, id, attempt i
 	if remote {
 		link, err = leaseLink(ctx, c.pool)
 	} else {
-		link, err = spawnLink(c.cfg.WorkerCmd, c.cfg.WorkerEnv)
+		link, err = spawnLink()
 	}
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"slices"
 	"testing"
 
@@ -14,14 +15,13 @@ import (
 	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/shard"
-	"spatialjoin/internal/trace"
 )
 
-// TestShardWorkerHelper is not a test: it is the re-exec target the
-// helper-process pattern uses to turn this test binary into a shard
-// worker. Without the environment marker it is a no-op.
-func TestShardWorkerHelper(t *testing.T) {
-	shard.RunHelperWorker()
+// TestMain lets the coordinator re-execute this test binary as a shard
+// worker, the way it re-executes sjoin.
+func TestMain(m *testing.M) {
+	shard.ServeIfWorker()
+	os.Exit(m.Run())
 }
 
 const (
@@ -46,12 +46,9 @@ func serialPairs(t *testing.T, r, s []geom.KPE) []geom.Pair {
 
 func shardConfig(t *testing.T, n int) shard.Config {
 	t.Helper()
-	cmd, env := shard.HelperWorkerCmd("TestShardWorkerHelper")
 	return shard.Config{
-		Shards:    n,
-		Memory:    testMemory,
-		WorkerCmd: cmd,
-		WorkerEnv: env,
+		Shards: n,
+		Memory: testMemory,
 	}
 }
 
@@ -86,49 +83,30 @@ func TestShardJoinSpoolsOversizedPair(t *testing.T) {
 	}
 }
 
+// TestShardJoinThroughCore: core.Join with Shards > 1 runs through the
+// registered executor (coreJoin) on two spawned workers — this test
+// binary re-executed with -shard-worker — and returns the serial join's
+// pairs in its emission order, with the coordinator's counts in the
+// caller's registry and its result in core.Result.
 func TestShardJoinThroughCore(t *testing.T) {
 	r, s := testData()
 	want := serialPairs(t, r, s)
-	cmd, env := shard.HelperWorkerCmd("TestShardWorkerHelper")
-	// core.Config has no worker-command knob; route through shard.Join
-	// for the command but verify the core dispatch path with the real
-	// os.Executable default being impossible here (test binary would
-	// rerun the whole suite). Instead prove core.Join validates and
-	// delegates: a DupSort config must be rejected, and so must an
-	// unknown duplicate method.
-	_, _, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, PBSMDup: 1})
-	if err == nil {
-		t.Fatal("core.Join accepted Shards>1 with DupSort")
-	}
-	if _, _, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, PBSMDup: 9}); err == nil {
-		t.Fatal("core.Join accepted Shards>1 with an unknown PBSMDup")
-	}
-	// The paper's hash plan is single-process only; asking for it sharded
-	// must fail instead of silently running the balanced plan.
-	if _, _, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, PBSMHashTiles: true}); err == nil {
-		t.Fatal("core.Join accepted Shards>1 with PBSMHashTiles")
-	}
-	// And the registered path works end to end when the worker command
-	// is the helper: exercise the adapter directly.
-	rec := trace.New()
-	var got []geom.Pair
-	res, err := shard.Join(r, s, shard.Config{
-		Shards: 2, Memory: testMemory,
-		WorkerCmd: cmd, WorkerEnv: env,
-		Trace: rec,
-	}, func(p geom.Pair) { got = append(got, p) })
+	reg := metrics.New()
+	got, res, err := core.Collect(r, s, core.Config{Memory: testMemory, Shards: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d results, serial %d: set or emission order diverged", len(got), len(want))
 	}
-	if res.Stats.Shards != 2 {
-		t.Fatalf("Stats.Shards=%d, want 2", res.Stats.Shards)
+	if res.Method != core.PBSM || res.Results != int64(len(want)) || res.CPU <= 0 {
+		t.Fatalf("core.Result %+v for %d pairs", res, len(want))
 	}
-	spans := rec.Spans()
-	if len(spans) == 0 {
-		t.Fatal("no trace spans recorded")
+	snap := reg.Snapshot()
+	for name, n := range map[string]float64{"shard.spawns": 2, "shard.kills": 0, "shard.restarts": 0, "shard.absorbed": 0} {
+		if got := snap.Value(name); got != n {
+			t.Errorf("%s = %v, want %v", name, got, n)
+		}
 	}
 }
 

@@ -117,9 +117,8 @@ func ServeWorker(ln net.Listener) error {
 
 // ListenAndServe is a resident worker's whole life: bind addr, announce
 // the bound address on announce as a "listening <addr>" line (what
-// SpawnResidentWorker and scripts scan for to learn a kernel-chosen
-// port), then ServeWorker until the listener fails. sjworkerd and the
-// test helper's listen mode run it.
+// scripts scan for to learn a kernel-chosen port), then ServeWorker
+// until the listener fails. sjworkerd runs it.
 func ListenAndServe(addr string, announce io.Writer) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

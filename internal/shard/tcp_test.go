@@ -128,33 +128,3 @@ func TestShardJoinTCPConnFaultRetries(t *testing.T) {
 		t.Fatalf("a single torn connection degraded %d shards; only ConnectError may degrade", res.Stats.Degraded)
 	}
 }
-
-func TestResidentWorkerProcess(t *testing.T) {
-	// The real thing, no shortcuts: a separate OS process serving the
-	// listen protocol (re-exec of this test binary through the helper),
-	// discovered through its "listening" announcement.
-	r, s := testData()
-	want := serialPairs(t, r, s)
-	argv, env := shard.HelperListenCmd("TestShardWorkerHelper")
-	addr, stop, err := shard.SpawnResidentWorker(argv, env)
-	if err != nil {
-		t.Fatalf("SpawnResidentWorker: %v", err)
-	}
-	defer stop()
-	cfg := shardConfig(t, 2)
-	cfg.Endpoints = []string{addr}
-	var got []geom.Pair
-	res, err := shard.Join(r, s, cfg, func(p geom.Pair) { got = append(got, p) })
-	if err != nil {
-		t.Fatalf("join against resident worker process: %v", err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("resident process: %d results, serial %d: set or emission order diverged", len(got), len(want))
-	}
-	if res.Stats.RemoteLeases < res.Stats.Shards || res.Stats.Spawns != 0 {
-		t.Fatalf("stats %+v: want all shards on the resident worker", res.Stats)
-	}
-	if res.Stats.WorkerLiveFiles != 0 {
-		t.Fatalf("resident worker leaked %d files", res.Stats.WorkerLiveFiles)
-	}
-}

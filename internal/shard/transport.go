@@ -45,12 +45,15 @@ type Link interface {
 	StderrTail() []byte
 }
 
-// spawnLink starts one local worker process (argv, with env appended to
-// the inherited environment) and speaks the frame protocol on its
-// stdin/stdout.
-func spawnLink(argv, env []string) (Link, error) {
-	cmd := exec.Command(argv[0], argv[1:]...)
-	cmd.Env = append(os.Environ(), env...)
+// spawnLink starts one local worker process — this binary re-executed
+// as "<exe> -shard-worker" (ServeIfWorker), inheriting the environment —
+// and speaks the frame protocol on its stdin/stdout.
+func spawnLink() (Link, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, joinerr.WrapAs("shard", "spawn", joinerr.KindShard, err)
+	}
+	cmd := exec.Command(exe, workerFlag)
 	l := &procLink{cmd: cmd}
 	cmd.Stderr = &l.stderr
 	stdin, err := cmd.StdinPipe()

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -15,8 +17,8 @@ import (
 // WorkerMain is the entry point of a shard worker process: it speaks
 // the frame protocol on (in, out) — normally the process's stdin and
 // stdout — executes its assigned partition pairs on a private simulated
-// disk, and exits. The binaries expose it behind a -shard-worker flag;
-// test packages reach it through RunHelperWorker.
+// disk, and exits. ServeIfWorker runs it in a process started with
+// -shard-worker, the one way a coordinator spawns a worker.
 //
 // The conversation: read the JobSpec, then the partitions' R and S
 // chunks. As soon as both sides of the next assigned partition
@@ -31,6 +33,27 @@ import (
 // status only — everything the coordinator needs is on the pipe.
 func WorkerMain(in io.Reader, out io.Writer) error {
 	return runConversation(NewFrameReader(in), NewFrameWriter(out))
+}
+
+// workerFlag is the whole argument list of a spawned worker process.
+const workerFlag = "-shard-worker"
+
+// ServeIfWorker turns this process into a shard worker when its
+// arguments are exactly -shard-worker (or --shard-worker), the command
+// spawnLink starts: it runs WorkerMain on stdin and stdout and exits
+// with its status. Otherwise it returns at once. A program that sets
+// Shards > 1 calls it first in main, before anything else touches those
+// pipes; a test binary that runs sharded joins calls it first in
+// TestMain, so that its re-execution never reaches the test flags.
+func ServeIfWorker() {
+	if len(os.Args) != 2 || os.Args[1] != workerFlag && os.Args[1] != "-"+workerFlag {
+		return
+	}
+	if err := WorkerMain(os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: shard worker: %v\n", filepath.Base(os.Args[0]), err)
+		os.Exit(1)
+	}
+	os.Exit(0)
 }
 
 // runConversation serves one job conversation over an established frame

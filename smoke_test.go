@@ -173,6 +173,16 @@ func TestCommandsRun(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^ +shard\.net\.leases +[1-9]`).MatchString(sharded) || strings.Contains(sharded, "shard.degraded") {
 			t.Fatalf("the sharded join did not run on sjworkerd:\n%s", sharded)
 		}
+		// And over pipes: sjoin re-executes itself with -shard-worker
+		// once per shard. At -mem 0.02 the join has five partitions, so
+		// both shards get work; at the default budget it has one.
+		piped := sjoin("-n", "2000", "-mem", "0.02", "-shards", "2", "-stats")
+		if want, got := resultsLine.FindString(serial), resultsLine.FindString(piped); got != want {
+			t.Fatalf("over pipes: %q, want the serial %q", got, want)
+		}
+		if !regexp.MustCompile(`(?m)^ +shard\.spawns +2$`).MatchString(piped) || strings.Contains(piped, "shard.absorbed") || strings.Contains(piped, "shard.restarts") {
+			t.Fatalf("the sharded join did not run on two spawned workers:\n%s", piped)
+		}
 	})
 	t.Run("sjdatagen", func(t *testing.T) {
 		t.Parallel()
