@@ -95,7 +95,10 @@ echo "== go test -race -count=1 ./... =="
 # simulated shard adds frames and seals, and the merge must emit in
 # partition order on every run) and the shard and chaos joins
 # (manifest), whose goroutine-leak checks, with pbsm's and s3j's cancellation tests, also
-# stand for every go statement's join or cancel path.
+# stand for every go statement's join or cancel path. The TCP cells of
+# chaos.TestShardKillSweep ("-tcp") hammer runAttempt's kill path: the
+# coordinator closes a leased connection mid-conversation while its frame
+# pump and shipper run, with the resident worker in the same process.
 go test -race -count=1 -timeout 20m ./...
 
 echo "== fuzz smoke (diskio extents against a flat byte-slice model) =="

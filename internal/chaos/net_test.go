@@ -11,6 +11,7 @@
 package chaos
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"testing"
@@ -25,10 +26,9 @@ import (
 
 // residentWorkers serves n in-process resident workers on loopback
 // listeners; the listeners close with the test. In-process workers are
-// deliberate here: network chaos needs no SIGKILL (the fault IS the
-// connection), and sharing the process puts both protocol ends under
-// -race. ChaosSpec kills must never be combined with in-process
-// workers — the worker's self-SIGKILL would take the test down.
+// deliberate here: a network fault or a ChaosSpec kill tears only the
+// connection, and sharing the process puts both protocol ends under
+// -race.
 func residentWorkers(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -243,4 +243,54 @@ func TestShardNetFullLadder(t *testing.T) {
 		t.Fatalf("Kills=%d, want %d", res.Stats.Kills, shard.MaxRestarts+1)
 	}
 	settleGoroutines(t, "ladder", before)
+}
+
+// TestShardNetRederivedOncePerRetry: a read reset kills a shard's first
+// lease and quarantines the pool's one endpoint, so the retry's lease
+// finds no link and the shard degrades to a spawn. The retry re-ships
+// its unsealed partitions once, to the spawned worker; the lease that
+// produced no link shipped nothing and re-derives nothing, so Rederived
+// can never exceed the partition count.
+func TestShardNetRederivedOncePerRetry(t *testing.T) {
+	want := shardBaseline(t)
+	R, S := dataset()
+	for _, at := range []int64{512, 768, 1024} {
+		t.Run(fmt.Sprintf("reset-read-%d", at), func(t *testing.T) {
+			endpoints := residentWorkers(t, 1)
+			before := runtime.NumGoroutine()
+			reg := metrics.New()
+			rec := trace.New()
+			pol := netfault.New(netfault.Config{ResetReadAt: at})
+			pool, err := shard.NewPool(shard.PoolConfig{
+				Endpoints:       endpoints,
+				Dial:            pol.WrapDial(nil),
+				QuarantineAfter: 1,
+				Metrics:         reg,
+				Trace:           rec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			cfg := shardChaosConfig(t, 1)
+			cfg.Pool = pool
+			cfg.Metrics = reg
+			cfg.Trace = rec
+
+			var got []geom.Pair
+			res, err := shard.Join(R, S, cfg, func(p geom.Pair) { got = append(got, p) })
+			if err != nil {
+				t.Fatalf("join did not heal the read reset: %v", err)
+			}
+			assertSameSequence(t, "rederive", got, want)
+			assertViewsAgree(t, "rederive", res.Stats, reg.Snapshot(), rec)
+			if res.Stats.Kills < 1 || res.Stats.Degraded < 1 {
+				t.Fatalf("the reset did not kill a lease and degrade its retry: %+v", res.Stats)
+			}
+			if res.Stats.Rederived > res.Stats.Partitions {
+				t.Fatalf("Rederived=%d exceeds the %d partitions: a degraded retry counted its partitions twice", res.Stats.Rederived, res.Stats.Partitions)
+			}
+			settleGoroutines(t, "rederive", before)
+		})
+	}
 }

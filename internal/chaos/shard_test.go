@@ -1,11 +1,13 @@
-// Kill-a-shard chaos: worker processes are SIGKILLed at seeded,
-// deterministic points — right after spawn, between partition seals, and
-// mid-emission of a partition's results — across shard counts. The only
-// acceptable outcome is full self-healing: the coordinator restarts or
-// absorbs the dead shard and the result sequence (set AND order) is
-// byte-identical to the single-process join. Leaked simulated-disk files,
-// leaked goroutines, and stats, metrics and trace instants that disagree
-// (assertViewsAgree) are all failures.
+// Kill-a-shard chaos: the coordinator kills one worker's link at seeded,
+// deterministic points — as soon as the link exists, between partition
+// seals, and mid-emission of a partition's results — across shard
+// counts, on both transports: a spawned worker process is SIGKILLed, a
+// resident worker's connection is closed. The only acceptable outcome
+// is full self-healing: the coordinator restarts or absorbs the dead
+// shard and the result sequence (set AND order) is byte-identical to the
+// single-process join. Leaked simulated-disk files, leaked goroutines,
+// and stats, metrics and trace instants that disagree (assertViewsAgree)
+// are all failures.
 package chaos
 
 import (
@@ -158,10 +160,14 @@ func settleGoroutines(t *testing.T, label string, before int) {
 }
 
 // TestShardKillSweep is the tentpole invariant: for every (shard count,
-// kill point) cell, SIGKILL one worker at a deterministic instant and
-// require the join to self-heal to the exact single-process result
+// kill point, transport) cell, kill one worker at a deterministic instant
+// and require the join to self-heal to the exact single-process result
 // sequence with zero leaked worker-disk files and zero goroutine leaks,
-// and with coordinator stats, metrics and trace instants agreeing.
+// and with coordinator stats, metrics and trace instants agreeing. The
+// TCP cells ("-tcp") run every attempt on a pool of two in-process
+// resident workers, so the race detector watches the kill path and both
+// ends of the torn conversation, and the retry must lease again rather
+// than spawn.
 func TestShardKillSweep(t *testing.T) {
 	want := shardBaseline(t)
 	shardCounts := []int{1, 2, 4}
@@ -178,51 +184,66 @@ func TestShardKillSweep(t *testing.T) {
 	for _, n := range shardCounts {
 		for _, kill := range kills {
 			for _, seed := range seeds {
-				kill, seed := kill, seed
-				label := kill.Point
-				t.Run(labelFor(n, label, seed), func(t *testing.T) {
-					cfg := shardChaosConfig(t, n)
-					// The victim shard is seeded; the kill hits its first
-					// attempt, so the coordinator must restart it once.
-					cfg.Chaos = &shard.ChaosSpec{Kills: []shard.ChaosKill{
-						{Shard: seed % n, Attempt: 1, Kill: kill},
-					}}
-					rec := trace.New()
-					reg := metrics.New()
-					cfg.Trace = rec
-					cfg.Metrics = reg
+				for _, tcp := range []bool{false, true} {
+					label := kill.Point
+					if tcp {
+						label += "-tcp"
+					}
+					t.Run(labelFor(n, label, seed), func(t *testing.T) {
+						cfg := shardChaosConfig(t, n)
+						// The victim shard is seeded; the kill hits its first
+						// attempt, so the coordinator must restart it once.
+						cfg.Chaos = &shard.ChaosSpec{Kills: []shard.ChaosKill{
+							{Shard: seed % n, Attempt: 1, Kill: kill},
+						}}
+						rec := trace.New()
+						reg := metrics.New()
+						cfg.Trace = rec
+						cfg.Metrics = reg
+						if tcp {
+							pool, err := shard.NewPool(shard.PoolConfig{Endpoints: residentWorkers(t, 2), Metrics: reg, Trace: rec})
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer pool.Close()
+							cfg.Pool = pool
+						}
 
-					before := runtime.NumGoroutine()
-					var got []geom.Pair
-					R, S := dataset()
-					res, err := shard.Join(R, S, cfg, func(p geom.Pair) { got = append(got, p) })
-					if err != nil {
-						t.Fatalf("join did not self-heal: %v", err)
-					}
-					assertSameSequence(t, label, got, want)
-					assertViewsAgree(t, label, res.Stats, reg.Snapshot(), rec)
+						before := runtime.NumGoroutine()
+						var got []geom.Pair
+						R, S := dataset()
+						res, err := shard.Join(R, S, cfg, func(p geom.Pair) { got = append(got, p) })
+						if err != nil {
+							t.Fatalf("join did not self-heal: %v", err)
+						}
+						assertSameSequence(t, label, got, want)
+						assertViewsAgree(t, label, res.Stats, reg.Snapshot(), rec)
 
-					if res.Stats.Kills < 1 {
-						t.Fatalf("no kill recorded in stats: %+v", res.Stats)
-					}
-					if res.Stats.Restarts < 1 {
-						t.Fatalf("no restart recorded in stats: %+v", res.Stats)
-					}
-					// A mid-emit kill always leaves its in-flight partition
-					// unsealed, so something must be re-derived. (Mid-pairs
-					// can legitimately re-derive nothing when the victim's
-					// last partition sealed before the kill.)
-					if kill.Point == shard.KillMidEmit && res.Stats.Rederived < 1 {
-						t.Fatalf("mid-emit kill but nothing re-derived: %+v", res.Stats)
-					}
-					if res.Stats.Recoveries < 1 || res.Stats.RecoveryNS <= 0 {
-						t.Fatalf("recovery latency not measured: %+v", res.Stats)
-					}
-					if res.Stats.WorkerLiveFiles != 0 {
-						t.Fatalf("workers leaked %d simulated-disk files", res.Stats.WorkerLiveFiles)
-					}
-					settleGoroutines(t, label, before)
-				})
+						if res.Stats.Kills < 1 {
+							t.Fatalf("no kill recorded in stats: %+v", res.Stats)
+						}
+						if res.Stats.Restarts < 1 {
+							t.Fatalf("no restart recorded in stats: %+v", res.Stats)
+						}
+						// A mid-emit kill always leaves its in-flight partition
+						// unsealed, so something must be re-derived. (Mid-pairs
+						// can legitimately re-derive nothing when the victim's
+						// last partition sealed before the kill.)
+						if kill.Point == shard.KillMidEmit && res.Stats.Rederived < 1 {
+							t.Fatalf("mid-emit kill but nothing re-derived: %+v", res.Stats)
+						}
+						if res.Stats.Recoveries < 1 || res.Stats.RecoveryNS <= 0 {
+							t.Fatalf("recovery latency not measured: %+v", res.Stats)
+						}
+						if res.Stats.WorkerLiveFiles != 0 {
+							t.Fatalf("workers leaked %d simulated-disk files", res.Stats.WorkerLiveFiles)
+						}
+						if tcp && (res.Stats.Spawns != 0 || res.Stats.RemoteLeases < 2) {
+							t.Fatalf("a killed lease must be retried on the pool, not spawned: %+v", res.Stats)
+						}
+						settleGoroutines(t, label, before)
+					})
+				}
 			}
 		}
 	}

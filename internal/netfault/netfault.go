@@ -8,10 +8,11 @@
 // Faults come in two flavors sharing one Policy:
 //
 //   - scripted: DropDialAt / ResetReadAt / ResetWriteAt fire exactly
-//     once at a deterministic operation or byte count, the analogue of
-//     the shard layer's KillSpec — chaos tests use these to tear a
-//     connection at a chosen protocol instant (mid-dial, mid-part-ship,
-//     mid-pairs) and then let the retry succeed.
+//     once at a deterministic operation or byte count — a fault the
+//     wire injects, where the shard coordinator's KillSpec is one its
+//     supervision loop carries out by closing the link. Chaos tests use
+//     these to tear a connection at a chosen protocol instant (mid-dial,
+//     mid-part-ship, mid-pairs) and then let the retry succeed.
 //   - seeded random: per-operation probabilities drawn from a seeded
 //     generator, bounded by MaxFaults so a bounded retry loop always
 //     eventually wins.

@@ -70,7 +70,7 @@ type Config struct {
 	// Endpoints. The join does NOT close a caller-supplied pool.
 	Pool *Pool
 
-	// Chaos injects deterministic worker self-kills; see ChaosSpec.
+	// Chaos schedules deterministic worker kills; see ChaosSpec.
 	Chaos *ChaosSpec
 
 	// Trace receives shard spans, kill/retry/absorb instants and
@@ -112,20 +112,21 @@ func (cfg *Config) jobSpec(gs pbsm.GridSpec, id, attempt int, parts []int) *JobS
 		PageSize:          cfg.PageSize,
 		PT:                cfg.PT,
 		TransferNS:        cfg.Transfer.Nanoseconds(),
-		Kill:              cfg.Chaos.lookup(id, attempt),
 	}
 }
 
-// ChaosKill schedules one deterministic worker self-kill.
+// ChaosKill schedules one deterministic worker kill.
 type ChaosKill struct {
 	Shard   int
 	Attempt int
 	Kill    KillSpec
 }
 
-// ChaosSpec is the coordinator-side chaos schedule: each entry makes
-// the given shard's given attempt carry a KillSpec in its job frame.
-// Killing every attempt of a shard exercises the absorb path.
+// ChaosSpec is the coordinator's chaos schedule: for each entry the
+// supervision loop kills the given shard's given attempt through its
+// link (Link.Kill) at the KillSpec's point, the verdict the stall
+// watchdog reaches, on a pipe and a TCP link alike. Killing every attempt
+// of a shard exercises the absorb path.
 type ChaosSpec struct {
 	Kills []ChaosKill
 }
@@ -157,7 +158,7 @@ type Stats struct {
 	Seals int
 
 	Spawns    int // worker processes started (restarts included)
-	Kills     int // attempts that ended with a dead worker process
+	Kills     int // attempts that ended with a dead worker or a torn link
 	Restarts  int // restart attempts after failures
 	Rederived int // partitions handed again to a retry or an absorb (re-shipped from the one scatter)
 	Absorbed  int // shards absorbed into the coordinator after restart exhaustion
@@ -518,10 +519,6 @@ func (c *coordinator) runShard(ctx context.Context, id int, parts []int) error {
 			c.st.locked(func() { c.st.recoverLocked(id) })
 			return nil
 		}
-		if attempt > 1 {
-			c.st.locked(func() { c.st.stats.Rederived += len(remaining) })
-			c.met.rederived.Add(int64(len(remaining)))
-		}
 		err := c.runAttempt(ctx, remote, id, attempt, remaining)
 		if err == nil {
 			c.st.locked(func() { c.st.recoverLocked(id) })
@@ -614,6 +611,7 @@ func (c *coordinator) runAttempt(ctx context.Context, remote bool, id, attempt i
 	sp.AddRecords(int64(len(parts)))
 
 	spec := c.cfg.jobSpec(c.gs, id, attempt, parts)
+	chaos := c.cfg.Chaos.lookup(id, attempt)
 
 	var (
 		link Link
@@ -635,6 +633,12 @@ func (c *coordinator) runAttempt(ctx context.Context, remote bool, id, attempt i
 	} else {
 		c.st.locked(func() { c.st.stats.Spawns++ })
 		c.met.spawns.Inc()
+	}
+	// A retry re-ships its partitions only once it has a link: a lease
+	// that degrades to a spawn shipped nothing.
+	if attempt > 1 {
+		c.st.locked(func() { c.st.stats.Rederived += len(parts) })
+		c.met.rederived.Add(int64(len(parts)))
 	}
 
 	// Input shipper: job spec, partition chunks, go. A worker dying
@@ -713,8 +717,16 @@ func (c *coordinator) runAttempt(ctx context.Context, remote bool, id, attempt i
 		failErr  error // structured fail frame
 		loopErr  error // protocol violation or supervision verdict
 		killedBy string
+		seals    int // accepted from this attempt: the chaos schedule's clock
+		pairs    int
 	)
 	for events != nil {
+		// A scheduled chaos kill takes the watchdog's path, on a pipe and
+		// a TCP link alike, at an instant the accepted frames fix.
+		if loopErr == nil && killedBy == "" && chaos.due(seals, pairs) {
+			killedBy = "chaos kill at " + chaos.Point
+			kill()
+		}
 		select {
 		case ev, ok := <-events:
 			if !ok {
@@ -733,11 +745,13 @@ func (c *coordinator) runAttempt(ctx context.Context, remote bool, id, attempt i
 			case ev.fail != nil:
 				failErr = ev.fail
 			case ev.t == FramePairs:
+				pairs += len(ev.pairs)
 				if perr := c.st.addPairs(ev.part, allowed, ev.pairs); perr != nil {
 					loopErr = joinerr.WrapAs("shard", "merge", joinerr.KindShard, perr)
 					kill()
 				}
 			case ev.t == FrameSeal:
+				seals++
 				if perr := c.st.seal(ev.part, id, allowed, ev.count); perr != nil {
 					loopErr = joinerr.WrapAs("shard", "merge", joinerr.KindShard, perr)
 					kill()

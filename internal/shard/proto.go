@@ -27,10 +27,13 @@ import (
 // which the older workers read as "no limit", "100 ms" and "the default
 // cap": builds on either side of that change interoperate under
 // the same ProtoVersion. The same holds for dup (the duplicate method,
-// zero for the Reference Point Method, the only one this build shards)
-// and tmp_dir (a host scratch directory no worker needs, its disk being
-// simulated). A job whose dup named a third method came with a grid
-// that has no table, and Grid.Valid refuses it.
+// zero for the Reference Point Method, the only one this build shards),
+// tmp_dir (a host scratch directory no worker needs, its disk being
+// simulated) and kill (a point at which the worker was to SIGKILL
+// itself; the coordinator kills the link instead, ChaosSpec, and a worker
+// runs every job it accepts to its done or fail frame). A job whose dup
+// named a third method came with a grid that has no table, and
+// Grid.Valid refuses it.
 type JobSpec struct {
 	// Proto is the version of the job's meaning, ProtoVersion on every
 	// frame this coordinator writes. It moves when a field changes what a
@@ -57,12 +60,6 @@ type JobSpec struct {
 	PageSize          int        `json:"page_size,omitempty"`
 	PT                float64    `json:"pt,omitempty"`
 	TransferNS        int64      `json:"transfer_ns,omitempty"`
-
-	// Kill, when set, makes the worker SIGKILL itself at the specified
-	// point — the deterministic chaos hook. A self-delivered SIGKILL is
-	// indistinguishable from an external one: no handler runs, no
-	// deferred cleanup, the pipe just tears.
-	Kill *KillSpec `json:"kill,omitempty"`
 }
 
 // pbsmConfig is the PBSM configuration the job describes, on disk: the one
@@ -82,19 +79,21 @@ func (s *JobSpec) pbsmConfig(disk *diskio.Disk) pbsm.Config {
 // ProtoVersion is the JobSpec.Proto this build writes and accepts.
 const ProtoVersion = 3
 
-// KillSpec says where a chaos worker kills itself.
+// KillSpec says at which point of an attempt the coordinator kills its
+// worker's link.
 type KillSpec struct {
 	// Point is one of KillSpawn, KillMidPairs, KillMidEmit.
-	Point string `json:"point"`
-	// AfterParts applies to KillMidPairs: die after sealing this many
-	// partitions.
-	AfterParts int `json:"after_parts,omitempty"`
-	// AfterPairs applies to KillMidEmit: die after flushing this many
-	// result pairs, before the partition they belong to seals.
-	AfterPairs int `json:"after_pairs,omitempty"`
+	Point string
+	// AfterParts applies to KillMidPairs: kill once the attempt's
+	// AfterParts-th seal is accepted.
+	AfterParts int
+	// AfterPairs applies to KillMidEmit: kill once the attempt's accepted
+	// pairs frames hold AfterPairs result pairs, before the partition
+	// they belong to seals.
+	AfterPairs int
 }
 
-// The chaos kill points: immediately after job receipt (nothing done),
+// The chaos kill points: as soon as the link exists (nothing done),
 // between partitions (some work sealed), and mid-emission of a
 // partition's results (unsealed results in flight, which the
 // coordinator must discard).
@@ -103,6 +102,21 @@ const (
 	KillMidPairs = "mid-pairs"
 	KillMidEmit  = "mid-emit"
 )
+
+// due reports whether the kill falls on an attempt that has accepted
+// seals seals and pairs result pairs; KillSpawn falls at once, a nil
+// spec never.
+func (k *KillSpec) due(seals, pairs int) bool {
+	switch {
+	case k == nil:
+		return false
+	case k.Point == KillMidPairs:
+		return seals >= k.AfterParts
+	case k.Point == KillMidEmit:
+		return pairs >= k.AfterPairs
+	}
+	return k.Point == KillSpawn
+}
 
 // WorkerReport is the done-frame payload: what the worker did, for the
 // coordinator's aggregate accounting and the leak invariants.

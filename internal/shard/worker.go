@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"spatialjoin/internal/diskio"
@@ -111,9 +110,8 @@ func runConversation(fr *FrameReader, fw *FrameWriter) error {
 	return nil
 }
 
-// readJob reads and validates the job spec and honors the spawn kill
-// point. Ping frames ahead of the job are health checks from a pool
-// lease; each is answered with a beat.
+// readJob reads and validates the job spec. Ping frames ahead of the job
+// are health checks from a pool lease; each is answered with a beat.
 func readJob(fr *FrameReader, fw *FrameWriter) (*JobSpec, error) {
 	var spec *JobSpec
 	for spec == nil {
@@ -148,10 +146,6 @@ func readJob(fr *FrameReader, fw *FrameWriter) (*JobSpec, error) {
 		return nil, joinerr.WrapAs("shard", "config", joinerr.KindShard, protoErrf("job spec invalid: grid %s, memory %d, algorithm %q",
 			spec.Grid, spec.Memory, spec.Algorithm))
 	}
-
-	if k := spec.Kill; k != nil && k.Point == KillSpawn {
-		selfKill()
-	}
 	return spec, nil
 }
 
@@ -180,7 +174,7 @@ func workerRun(spec *JobSpec, fr *FrameReader, fw *FrameWriter) (*WorkerReport, 
 		side byte
 	}
 	complete := make(map[partSide]bool, 2*len(rsl))
-	sender := &resultSender{fw: fw, kill: spec.Kill}
+	sender := &resultSender{fw: fw}
 	var busy time.Duration // joining and sealing, not waiting for input
 	next := 0              // spec.Parts[next] is the first pair not yet run
 	for {
@@ -238,18 +232,13 @@ func workerRun(spec *JobSpec, fr *FrameReader, fw *FrameWriter) (*WorkerReport, 
 }
 
 // resultSender batches one partition's result pairs into pairs frames
-// and seals the partition when the pair completes. It also hosts the
-// mid-emit and mid-pairs chaos kill points: counting SENT pairs and
-// SEALED partitions makes the kill instant deterministic.
+// and seals the partition when the pair completes.
 type resultSender struct {
 	fw      *FrameWriter
-	kill    *KillSpec
 	part    int
 	buf     []geom.Pair
 	scratch []byte
 	sent    int64 // pairs flushed for the current partition
-	total   int64 // pairs flushed over the worker's lifetime
-	sealed  int   // partitions sealed
 	err     error
 }
 
@@ -290,17 +279,9 @@ func (s *resultSender) flush() {
 	if s.err != nil || len(s.buf) == 0 {
 		return
 	}
-	// The mid-emit kill wants to die with unsealed pairs already on the
-	// wire: flush up to the threshold, then go down.
-	if k := s.kill; k != nil && k.Point == KillMidEmit && s.total+int64(len(s.buf)) >= int64(k.AfterPairs) {
-		s.scratch = encodePairs(s.scratch, s.part, s.buf)
-		_ = s.fw.Write(FramePairs, s.scratch)
-		selfKill()
-	}
 	s.scratch = encodePairs(s.scratch, s.part, s.buf)
 	s.err = s.fw.Write(FramePairs, s.scratch)
 	s.sent += int64(len(s.buf))
-	s.total += int64(len(s.buf))
 	s.buf = s.buf[:0]
 }
 
@@ -309,14 +290,7 @@ func (s *resultSender) seal() error {
 	if s.err != nil {
 		return s.err
 	}
-	if err := s.fw.Write(FrameSeal, encodeSeal(s.part, s.sent)); err != nil {
-		return err
-	}
-	s.sealed++
-	if k := s.kill; k != nil && k.Point == KillMidPairs && s.sealed >= k.AfterParts {
-		selfKill()
-	}
-	return nil
+	return s.fw.Write(FrameSeal, encodeSeal(s.part, s.sent))
 }
 
 // sendFail ships a structured failure; the worker exits non-zero after.
@@ -326,14 +300,4 @@ func sendFail(fw *FrameWriter, cause error) error {
 		return err
 	}
 	return fw.Write(FrameFail, payload)
-}
-
-// selfKill delivers SIGKILL to the current process: the deterministic
-// chaos primitive. SIGKILL cannot be caught or deferred over, so dying
-// here is indistinguishable from the coordinator (or an operator)
-// killing the worker at the same instant.
-func selfKill() {
-	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	// SIGKILL delivery is asynchronous in principle; never proceed.
-	select {}
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"spatialjoin/internal/shard"
 )
 
 // These smoke tests execute every example and command end to end at a
@@ -163,6 +167,28 @@ func TestCommandsRun(t *testing.T) {
 				t.Fatalf("sjoin %v: %v\n%s", args, err, out)
 			}
 			return string(out)
+		}
+		// A job frame with the retired kill member, which once made a
+		// worker SIGKILL itself, runs to its done frame like any other
+		// job and leaves the daemon serving the join below.
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		job := fmt.Sprintf(`{"proto":%d,"parts":[],"grid":{"nx":1,"ny":1,"parts":1},"memory":1048576,"kill":{"point":"spawn"}}`, shard.ProtoVersion)
+		fw, fr := shard.NewFrameWriter(conn), shard.NewFrameReader(conn)
+		if err := errors.Join(fw.Write(shard.FrameJob, []byte(job)), fw.Write(shard.FrameGo, nil)); err != nil {
+			t.Fatal(err)
+		}
+		typ := shard.FrameBeat
+		for typ == shard.FrameBeat {
+			if typ, _, err = fr.Next(); err != nil {
+				t.Fatalf("sjworkerd dropped a job with a kill member: %v", err)
+			}
+		}
+		if typ != shard.FrameDone {
+			t.Fatalf("sjworkerd answered a job with a kill member with frame %d, want its done frame", typ)
 		}
 		resultsLine := regexp.MustCompile(`(?m)^results .*$`)
 		serial := sjoin("-n", "2000")
