@@ -84,6 +84,15 @@ echo "== go test -race -count=1 ./... =="
 # merge and wants no pair twice, no file and no goroutine left, is that
 # pipeline's concurrency contract (with core.TestS3JScanPanicReleasesMergeStage
 # for a panicking consumer and the torn-run tests for a failing merge).
+# Under DupSort, from two workers on, one run former beside the workers
+# sorts and writes each full chunk the collector's sink hands it:
+# pbsm.TestDupSortRunsExactlyOnce at 2 and 4 workers (the same runs and
+# I/O as at one, and a cancel mid-join-phase that leaves no file and no
+# goroutine) and chaos pbsm-dupsort-parallel (faults and cancellation
+# while it writes) are its concurrency contract. A consumer that panics
+# at two workers must reach core.Open's recover with every worker
+# released (core.TestPanickingEmitReleasesWorkers, and
+# sched.TestRunCarriesASinkPanic for the scheduler and the collector).
 # This step owns the concurrency contracts, the "guarded by mu"
 # annotations and the lock order included: every annotated struct has a
 # hammer here — internal/shard/pool_race_test.go (Pool, Lease),

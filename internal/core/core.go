@@ -510,7 +510,11 @@ var joinFn = Join
 //
 // The producer goroutine is panic-safe: a panic anywhere inside the join
 // is recovered and surfaced through Err instead of crashing the process,
-// and the iterator still terminates cleanly.
+// and the iterator still terminates cleanly. That includes a panic on a
+// goroutine the join started, such as the emit a parallel worker calls:
+// the scheduler (sched.Run) and DupSort's run former stop their other
+// goroutines and raise the panic again on the join's own, so it reaches
+// this recover after the join has swept its temp files.
 func Open(R, S []geom.KPE, cfg Config) *Iterator {
 	it := &Iterator{
 		pairs: make(chan geom.Pair, 64),

@@ -11,6 +11,7 @@ import (
 	"spatialjoin/internal/diskio"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/jointest"
+	"spatialjoin/internal/pbsm"
 	"spatialjoin/internal/s3j"
 )
 
@@ -185,6 +186,70 @@ func TestS3JScanPanicReleasesMergeStage(t *testing.T) {
 	}
 	if n := d.NumFiles(); n != 0 {
 		t.Fatalf("%d run files left behind: %v", n, d.FileNames())
+	}
+}
+
+// TestPanickingEmitReleasesWorkers: a result consumer that panics mid-
+// join at two workers. Under PBSM+RPM and SHJ the panic strikes inside
+// the collector, on a worker, while the other worker emits; under
+// DupSort it strikes in the final merge, after the run former has
+// stopped. Each join must end, with Err naming the panic, no goroutine
+// and no temp file left behind.
+func TestPanickingEmitReleasesWorkers(t *testing.T) {
+	orig := joinFn
+	defer func() { joinFn = orig }()
+	joinFn = func(R, S []geom.KPE, cfg Config, emit func(geom.Pair)) (Result, error) {
+		n := 0
+		return Join(R, S, cfg, func(p geom.Pair) {
+			emit(p)
+			if n++; n == 100 {
+				panic("boom: consumer failure mid-join")
+			}
+		})
+	}
+	R := datagen.LARR(11, 20000).KPEs
+	S := datagen.LAST(12, 20000).KPEs
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"pbsm-rpm", Config{Method: PBSM}},
+		{"pbsm-dupsort", Config{Method: PBSM, PBSMDup: pbsm.DupSort}},
+		{"shj", Config{Method: SHJ}},
+	} {
+		d := diskio.NewDisk(0, 0, 0)
+		cfg := tc.cfg
+		cfg.Disk, cfg.Memory, cfg.Parallel = d, 64<<10, 2
+		before := runtime.NumGoroutine()
+		it := Open(R, S, cfg)
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for {
+				if _, ok := it.Next(); !ok {
+					return
+				}
+			}
+		}()
+		select {
+		case <-drained:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: the join did not end within 20 s of the panic", tc.name)
+		}
+		if err := it.Err(); err == nil || !strings.Contains(err.Error(), "boom: consumer failure mid-join") {
+			t.Fatalf("%s: Err = %v, want the recovered panic", tc.name, err)
+		}
+		it.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > before {
+			t.Fatalf("%s: %d goroutines before the join, %d after the recovered panic", tc.name, before, g)
+		}
+		if n := d.NumFiles(); n != 0 {
+			t.Fatalf("%s: %d temp files left behind: %v", tc.name, n, d.FileNames())
+		}
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -70,11 +69,12 @@ const (
 	// order, and writes each full chunk, sorted and without equal pairs,
 	// as one run; the final phase writes the last chunk too, merges the
 	// runs (whole passes first when they outnumber the merge fan-in) and
-	// delivers every distinct pair once, in pair order. The chunk and the
-	// radix sort's scratch, as large again, are held beside the join
-	// phase's slots, outside Memory (DESIGN.md §3). The collector sorts
-	// and writes a full chunk while it holds its mutex, so with Parallel
-	// > 1 every worker's emission waits for that run write.
+	// delivers every distinct pair once, in pair order. The chunk's
+	// blocks, the sort buffer and the radix sort's scratch, each about as
+	// large as the chunk, are held beside the join phase's slots, outside
+	// Memory (DESIGN.md §3). From Parallel 2 on one goroutine beside the
+	// workers sorts and writes each full chunk (runs.go), so the workers
+	// go on joining while a run forms.
 	DupSort
 )
 
@@ -309,13 +309,13 @@ type joiner struct {
 	// delivery goes through the collector's own serialization.
 	mu sync.Mutex
 
-	// Under DupSort the collector hands the join phase's pairs to spill:
-	// chunk is the chunk it fills, up to chunkRecs pairs (extsort's run
-	// chunk, Memory bytes), scratch the radix sort's space for it, runs
-	// the sorted, deduplicated runs written so far, and spillErr the
-	// first error writing one, which fold returns (a sink cannot).
-	chunk     []geom.Pair
-	scratch   []geom.Pair
+	// Under DupSort the collector hands the join phase's pairs to spill
+	// (runs.go): chunk is the chunk it fills, up to chunkRecs pairs
+	// (extsort's run chunk, Memory bytes), and the run formation behind
+	// it; runs are the sorted, deduplicated runs written so far, and
+	// spillErr is the first error writing one in the join phase, which
+	// fold returns (a sink cannot).
+	chunk     chunk
 	chunkRecs int
 	runs      []extsort.Run
 	spillErr  error
@@ -351,8 +351,11 @@ func newJoiner(cfg Config) *joiner {
 	j.ex = stripe.NewExec(cfg.Algorithm, cfg.Memory, sched.Options{Workers: cfg.Parallel, Cancel: cfg.Cancel, Metrics: cfg.Metrics})
 	j.pairsDone = cfg.Metrics.Counter(metPairsDone)
 	j.rpmTests = cfg.Metrics.Counter(metRPMTests)
-	sc := j.sortConfig(nil)
-	j.chunkRecs = int(sc.ChunkRecs())
+	if cfg.Dup == DupSort {
+		sc := j.sortConfig(nil)
+		j.chunkRecs = int(sc.ChunkRecs())
+		j.chunk.init(j.chunkRecs)
+	}
 	return j
 }
 
@@ -520,10 +523,10 @@ func (j *joiner) partitionPhase(gs GridSpec, sp *trace.Span) (filesR, filesS []*
 // including oversized pairs (their repartition
 // recursion stays inside the unit) and corrupt ones (healing swaps only
 // the unit's own file slots). With more than one worker a single outer
-// timer charges the whole region to the join phase and the activations
-// inside are span-only; at one worker there is no outer timer and every
-// activation charges its own phase, which is the split Figures 3 and 6
-// read.
+// timer charges the whole region to the join phase, DupSort's run former
+// included, and the activations inside are span-only; at one worker there
+// is no outer timer and every activation charges its own phase, which is
+// the split Figures 3 and 6 read.
 func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File, sink func(geom.Pair)) error {
 	var span *trace.Span
 	if workers := j.cfg.Parallel; workers > 1 {
@@ -533,6 +536,7 @@ func (j *joiner) joinTopPairs(filesR, filesS []*diskio.File, sink func(geom.Pair
 		span = pt.Span
 		j.led.SpanOnly = true
 		defer func() { j.led.SpanOnly = false }()
+		defer j.formRunsAside()()
 	}
 	return joinerr.Wrap("pbsm", PhaseJoin.String(), j.ex.Run(len(filesR), "pair-worker", span, sink,
 		func(sl *stripe.Slot, emit func([]geom.Pair), i int) error {
@@ -626,55 +630,6 @@ func (j *joiner) sortConfig(sp *trace.Span) extsort.Config {
 	}
 }
 
-// spill is DupSort's sink. The collector calls it in partition order,
-// so every chunk, hence every run and every I/O unit, is the same at any
-// Parallel. The chunk grows up to chunkRecs pairs; a full chunk is
-// written as one run and reused. A failed write is kept in spillErr,
-// under the stats mutex, for fold to end the join phase with.
-func (j *joiner) spill(p geom.Pair) {
-	if len(j.chunk) == cap(j.chunk) {
-		switch {
-		case len(j.chunk) < j.chunkRecs:
-			// Grow the way append would, but never past one chunk.
-			j.chunk = append(make([]geom.Pair, 0, min(2*len(j.chunk)+256, j.chunkRecs)), j.chunk...)
-		case j.spillErr != nil:
-			j.chunk = j.chunk[:0] // the join fails anyway
-		default:
-			if err := j.flushChunk(); err != nil {
-				j.bump(func() { j.spillErr = joinerr.Wrap("pbsm", PhaseJoin.String(), err) })
-			}
-		}
-	}
-	j.chunk = append(j.chunk, p)
-}
-
-// flushChunk writes the chunk as one run, sorted and without equal
-// pairs, in the chunk's window (iocost.Device.ChunkBuf), and empties it.
-func (j *joiner) flushChunk() error {
-	if len(j.scratch) < len(j.chunk) {
-		j.scratch = make([]geom.Pair, len(j.chunk))
-	}
-	geom.SortPairs(j.chunk, j.scratch)
-	run := slices.Compact(j.chunk)
-	j.chunk = j.chunk[:0]
-	f := j.reg.Create()
-	w := recfile.NewPairWriter(f, j.dev.ChunkBuf(j.cfg.Memory))
-	chk := j.cfg.Cancel.Stride()
-	for _, p := range run {
-		if err := chk.Point(); err != nil {
-			return err
-		}
-		if err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	j.runs = append(j.runs, extsort.Run{File: f, Recs: int64(len(run))})
-	return nil
-}
-
 // dupSortPhase is phase 4 under DupSort and a no-op otherwise.
 func (j *joiner) dupSortPhase() error {
 	if j.cfg.Dup != DupSort {
@@ -693,12 +648,9 @@ func (j *joiner) mergeRuns(sp *trace.Span) error {
 	if j.spillErr != nil {
 		return j.spillErr
 	}
-	if len(j.chunk) > 0 {
-		if err := j.flushChunk(); err != nil {
-			return err
-		}
+	if err := j.formLast(); err != nil {
+		return err
 	}
-	j.chunk = nil
 	cfg := j.sortConfig(sp)
 	runs, err := extsort.MergeDown(j.runs, cfg.FanIn(), cfg, &extsort.Stats{})
 	if err != nil {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"spatialjoin/internal/govern"
 	"spatialjoin/internal/joinerr"
 	"spatialjoin/internal/jointest"
+	"spatialjoin/internal/metrics"
 	"spatialjoin/internal/trace"
 )
 
@@ -80,10 +83,10 @@ func TestSortDupRemovalChargesExtraIO(t *testing.T) {
 }
 
 // TestDupSortRunsExactlyOnce drives DupSort's runs — the chunks the join
-// phase sorts and writes, and the merge that delivers them — at one and
-// four workers against nested loops: every pair once, in strictly
+// phase sorts and writes, and the merge that delivers them — at one, two
+// and four workers against nested loops: every pair once, in strictly
 // increasing order, Results counting them, and the same I/O charged at
-// either worker count. The inputs are 2000 small uniform rectangles a
+// every worker count. The inputs are 2000 small uniform rectangles a
 // side and one spanning the whole domain on each side, which meets every
 // other rectangle and has a copy in every partition: about 6000 results.
 func TestDupSortRunsExactlyOnce(t *testing.T) {
@@ -107,7 +110,7 @@ func TestDupSortRunsExactlyOnce(t *testing.T) {
 		{"the result fits one chunk", 120 << 10, false, true},
 	} {
 		var firstIO diskio.Stats
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			label := fmt.Sprintf("%s/parallel=%d", tc.name, workers)
 			rec := trace.New()
 			root := rec.Begin("join:pbsm")
@@ -148,6 +151,51 @@ func TestDupSortRunsExactlyOnce(t *testing.T) {
 				t.Fatalf("%s: charged %+v, parallel=1 %+v", label, io, firstIO)
 			}
 		}
+	}
+
+	// A cancel in the middle of the join phase, at the poll by which an
+	// uncanceled run had finished half the top pairs' planned cost: some
+	// 3 500 pairs have reached the sink, so the run former has been
+	// handed several 512-pair chunks. The join fails in the join phase,
+	// delivers nothing, and leaves no file and no goroutine.
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{2, 4} {
+		label := fmt.Sprintf("cancel mid-join-phase/parallel=%d", workers)
+		probe := &pollCtx{Context: context.Background()}
+		progress := metrics.NewProgress(metrics.New())
+		cfg := Config{Disk: newDisk(), Memory: manyRuns, Dup: DupSort, Parallel: workers, Cancel: govern.NewCheck(probe), Progress: progress}
+		var half atomic.Int64
+		cfg.Disk.SetCancel(func() error {
+			if progress.Fraction() >= 0.5 {
+				half.CompareAndSwap(0, probe.polls.Load())
+			}
+			return nil
+		})
+		if _, err := Join(R, S, cfg, func(geom.Pair) {}); err != nil {
+			t.Fatalf("%s: probe run: %v", label, err)
+		}
+		ctx := &pollCtx{Context: context.Background()}
+		ctx.cancelAt.Store(half.Load())
+		cfg.Disk, cfg.Cancel, cfg.Progress = newDisk(), govern.NewCheck(ctx), nil
+		delivered := 0
+		_, err := Join(R, S, cfg, func(geom.Pair) { delivered++ })
+		var je *joinerr.JoinError
+		if !errors.As(err, &je) || je.Kind != joinerr.KindCanceled || je.Phase != PhaseJoin.String() {
+			t.Fatalf("%s: cancel@%d: got %v, want a KindCanceled error in phase %s", label, half.Load(), err, PhaseJoin)
+		}
+		if delivered != 0 {
+			t.Fatalf("%s: %d pairs delivered before the dup phase", label, delivered)
+		}
+		if n := cfg.Disk.NumFiles(); n != 0 {
+			t.Fatalf("%s: %d temp files left behind", label, n)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("%d goroutines before, %d after the joins canceled mid-join-phase", before, g)
 	}
 
 	// A cancel in the middle of the final merge: the join fails in phase

@@ -54,6 +54,7 @@ func (j *joiner) fold(f *filter) (err error) {
 func (j *joiner) joinInMemory(R, S []geom.KPE, sink func(geom.Pair)) error {
 	pt := j.begin(PhaseJoin)
 	defer pt.End()
+	defer j.formRunsAside()()
 	pt.Span.AddRecords(int64(len(R) + len(S)))
 	w, err := j.ex.Index(R, S, stripe.Unit, pt.Span)
 	if err != nil {

@@ -22,6 +22,11 @@ import (
 // The sink is only ever invoked with the collector's mutex held, so it
 // needs no synchronization of its own — but it must not call back into
 // the Collector, and it must not take a lock that an Emit caller holds.
+//
+// A sink that panics under EmitBatch or Done leaves the collector
+// unlocked and dead: it calls the sink no more and drops every later
+// pair, so the units still running, and the Done each one owes, finish
+// while the panic unwinds to sched.Run.
 type Collector struct {
 	mu   sync.Mutex
 	sink func(geom.Pair)
@@ -29,6 +34,7 @@ type Collector struct {
 	done []bool          // guarded by mu
 	head int             // guarded by mu; first unit not yet finished; its pairs stream directly
 	free [][]geom.Pair   // guarded by mu; flushed blocks, emptied, for reuse
+	dead bool            // guarded by mu; a sink call has not returned
 }
 
 // blockPairs is the capacity of one buffer block: 16 KiB of pairs, one
@@ -45,7 +51,9 @@ func NewCollector(n int, sink func(geom.Pair)) *Collector {
 }
 
 // Emit delivers one pair of unit i: streamed when i is the emission
-// head, buffered otherwise. Safe for concurrent use.
+// head, buffered otherwise. Safe for concurrent use. It is the lean form
+// for a sink that cannot panic: one that does leaves the collector
+// locked.
 func (c *Collector) Emit(i int, p geom.Pair) {
 	c.mu.Lock()
 	if i == c.head {
@@ -87,14 +95,24 @@ func (c *Collector) EmitBatch(i int, ps []geom.Pair) {
 		return
 	}
 	c.mu.Lock()
-	if i == c.head {
-		for _, p := range ps {
-			c.sink(p)
-		}
-	} else {
+	defer c.mu.Unlock()
+	switch {
+	case c.dead:
+	case i == c.head:
+		c.sinkLocked(ps)
+	default:
 		c.bufferLocked(i, ps...)
 	}
-	c.mu.Unlock()
+}
+
+// sinkLocked hands ps to the sink in order. dead is set for the length
+// of the calls, so it stays set if the sink panics.
+func (c *Collector) sinkLocked(ps []geom.Pair) {
+	c.dead = true
+	for _, p := range ps {
+		c.sink(p)
+	}
+	c.dead = false
 }
 
 // Done marks unit i finished. When i is the emission head, the head
@@ -103,6 +121,7 @@ func (c *Collector) EmitBatch(i int, ps []geom.Pair) {
 // must call Done exactly once, after its last Emit.
 func (c *Collector) Done(i int) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.done[i] = true
 	for c.head < len(c.done) && c.done[c.head] {
 		c.head++
@@ -110,12 +129,11 @@ func (c *Collector) Done(i int) {
 			break
 		}
 		for _, b := range c.buf[c.head] {
-			for _, p := range b {
-				c.sink(p)
+			if !c.dead {
+				c.sinkLocked(b)
 			}
 			c.free = append(c.free, b[:0])
 		}
 		c.buf[c.head] = nil
 	}
-	c.mu.Unlock()
 }

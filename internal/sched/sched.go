@@ -9,7 +9,9 @@
 //     each unit, so a canceled join unwinds within one unit per worker.
 //   - Error propagation: the first error wins, later units are skipped,
 //     and Run returns after every worker has wound down — no goroutine
-//     outlives the call.
+//     outlives the call. A unit's panic is carried the same way: Run
+//     hands out no further units, waits for the other workers, and
+//     panics with the same value on the calling goroutine.
 //   - Tracing: each parallel worker runs under its own child span, so
 //     per-worker wall time and I/O deltas land in the trace tree.
 //     Worker spans overlap in time; their I/O deltas are snapshots of
@@ -65,6 +67,10 @@ func (o *Options) name() string {
 // Units are dispatched in index order; completion order is unspecified.
 // The first unit error (or cancellation) is returned, remaining units
 // are skipped, and Run does not return before all workers have exited.
+// A unit that panics stops Run the same way, and once every worker has
+// exited Run panics with the first unit's panic value on the calling
+// goroutine, where the caller's recover can catch it; on the inline
+// path the panic simply unwinds through Run.
 func Run(n int, o Options, unit func(w, i int) error) error {
 	workers := o.Workers
 	if workers > n {
@@ -104,6 +110,8 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 	var (
 		errMu    sync.Mutex
 		firstErr error
+		panicked bool
+		panicVal any
 	)
 	setErr := func(err error) {
 		errMu.Lock()
@@ -115,7 +123,7 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 	failed := func() bool {
 		errMu.Lock()
 		defer errMu.Unlock()
-		return firstErr != nil
+		return firstErr != nil || panicked
 	}
 
 	var wg sync.WaitGroup
@@ -132,6 +140,15 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 			sp := o.Span.Child(o.name())
 			defer sp.End()
 			sp.SetAttr("slot", int64(w))
+			defer func() {
+				if r := recover(); r != nil {
+					errMu.Lock()
+					if !panicked {
+						panicked, panicVal = true, r
+					}
+					errMu.Unlock()
+				}
+			}()
 			for i := range ch {
 				if failed() {
 					return
@@ -153,5 +170,8 @@ func Run(n int, o Options, unit func(w, i int) error) error {
 	wg.Wait()
 	errMu.Lock()
 	defer errMu.Unlock()
+	if panicked {
+		panic(panicVal)
+	}
 	return firstErr
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/govern"
@@ -337,6 +338,50 @@ func TestCollectorEmitBatch(t *testing.T) {
 	for i, p := range got {
 		if want := (geom.Pair{R: uint64(i / per), S: uint64(i % per)}); p != want {
 			t.Fatalf("pair %d = %+v, want %+v", i, p, want)
+		}
+	}
+}
+
+// TestRunCarriesASinkPanic: units that defer their Done, as the pair
+// kernel's do, behind a collector whose sink panics mid-stream. Run must
+// return to its caller by panicking with the sink's value, with the
+// collector unlocked and its sink never called again; at the inline
+// path too.
+func TestRunCarriesASinkPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n, per = 16, 300
+		calls := 0
+		c := NewCollector(n, func(geom.Pair) {
+			if calls++; calls == 1000 {
+				panic("boom: sink")
+			}
+		})
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			_ = Run(n, Options{Workers: workers}, func(_, i int) error {
+				defer c.Done(i)
+				for k := 0; k < per; k += 100 {
+					ps := make([]geom.Pair, 100)
+					c.EmitBatch(i, ps)
+				}
+				return nil
+			})
+		}()
+		select {
+		case r := <-done:
+			if r != "boom: sink" {
+				t.Fatalf("workers=%d: Run ended with %v, want the sink's panic", workers, r)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("workers=%d: Run did not return within 20 s of a sink panic", workers)
+		}
+		if !c.mu.TryLock() {
+			t.Fatalf("workers=%d: the collector stayed locked", workers)
+		}
+		c.mu.Unlock()
+		if calls != 1000 {
+			t.Fatalf("workers=%d: the sink was called %d times, the last at the panic should be 1000", workers, calls)
 		}
 	}
 }
